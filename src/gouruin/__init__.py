@@ -82,7 +82,6 @@ from .simulate import (
     first_passage,
     fv_first_passage,
     path_rng,
-    simulate_jump_example,
     simulate_pair,
     simulate_stochastic_exponential,
     write_path_csv,

@@ -41,7 +41,6 @@ from .model import (
     s_gaussian_variance,
     s_jump,
     s_process,
-    scale_eta,
     w_jump,
 )
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, ext_to_json, sgn
@@ -490,13 +489,3 @@ def is_degenerate(t: LevyTriplet2D) -> float | None:
         if residual > _DEGENERACY_TOL:
             return None
     return k
-
-
-# ---------------------------------------------------------------------------
-# Scaling of the decision
-# ---------------------------------------------------------------------------
-
-
-def scaled_report(t: LevyTriplet2D, k: float) -> RuinReport:
-    """Ruin decision for (xi, k eta); thresholds scale linearly in k."""
-    return no_ruin_threshold(scale_eta(t, k))

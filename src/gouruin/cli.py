@@ -22,14 +22,16 @@ from . import acceptance
 from .classify import DecisionKind, delta, no_ruin_threshold
 from .errors import GouError, InvalidModelError, NotApplicableError, UndeterminedError
 from .estimate import (
+    _select_engine,
     estimate_negative_prob,
     estimate_ruin,
     estimate_Zinf_cdf,
+    ruin_records,
     validate_ruin_formula,
 )
 from .numerics import ext_to_json
 from .presets import triplet_from_spec
-from .simulate import PathConfig, exact_fv_path, exact_fv_Z_or_euler, simulate_pair, write_path_csv
+from .simulate import PathConfig, exact_fv_path, simulate_pair, write_path_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -91,7 +93,7 @@ def cmd_simulate(args) -> int:
     out = FsPath(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = PathConfig(args.horizon, args.step, args.seed, args.truncation_eps)
-    exact = meta.get("preset") == "jump_example"
+    exact = _select_engine(t) == "exact_fv"
     files = []
     for i in range(args.paths):
         p = (
@@ -101,7 +103,7 @@ def cmd_simulate(args) -> int:
         )
         name = f"path_{i:04d}.csv"
         with open(out / name, "w", newline="") as fh:
-            write_path_csv(p, args.z, fh, Z=exact_fv_Z_or_euler(p))
+            write_path_csv(p, args.z, fh)
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         files.append({"file": name, "sha256": digest})
     manifest = {
@@ -135,8 +137,6 @@ def cmd_estimate(args) -> int:
         est = estimate_ruin(t, args.z, args.horizon, args.paths, args.seed, **kw)
         doc = {"what": "ruin", "z": args.z, "estimate": est.to_json()}
         if args.out:
-            from .estimate import ruin_records
-
             hit, times, values, cont = ruin_records(
                 t, args.z, args.horizon, args.paths, args.seed, **kw
             )

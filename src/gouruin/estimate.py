@@ -5,7 +5,7 @@ Every estimator fans simulation out over per-path random streams keyed by
 chunking or worker count; ``GOU_THREADS`` caps the worker pool.  Probability
 estimates carry Wilson 95% intervals, which stay informative at p = 0.
 
-Engine selection per driver:
+Engine selection per driver, under the names the reports print:
 
 * ``exact_fv``: zero Gaussian part, finitely many jump types; event-driven
   with exact crossing detection (no discretization error at all).
@@ -13,11 +13,15 @@ Engine selection per driver:
   discounted integral an explicit function of xi; values at grid times are
   exact, and sub-grid crossings are resolved by exact Brownian-bridge
   probabilities in xi space.
-* ``grid``: left-point Euler on a uniform grid.  With deterministic xi the
-  integral has independent Gaussian increments and sub-grid crossings are
-  again resolved exactly by bridge probabilities; with random xi the grid
-  scan stands alone and the ruin estimate errs on the survival side (the
-  documented bias direction).
+* ``grid_bridge``: no jumps and deterministic xi; left-point Euler on a
+  uniform grid, where the integral has independent Gaussian increments and
+  sub-grid crossings are again resolved exactly by bridge probabilities.
+* ``grid``: no jumps and random xi; the Euler grid scan stands alone and the
+  ruin estimate errs on the survival side (the documented bias direction).
+* ``mixed_grid``: every other driver; per-path jump-adapted Euler.
+
+Each engine has one first-passage reducer, and the estimators, the formula
+checks and the per-path records all read the same batch of paths.
 
 Ruin is an infinite-horizon quantity; estimates are over a finite horizon
 and therefore estimate it from below.  When the discounted integral is known
@@ -39,8 +43,10 @@ from .errors import NotApplicableError
 from .model import LevyTriplet2D
 from .numerics import BOUNDARY_TOL
 from .simulate import (
+    FirstPassage,
     PathConfig,
     _fv_events,
+    _fv_passage,
     _fv_state_arrays,
     _require_fv,
     _segment_z_increment,
@@ -55,11 +61,16 @@ _Z975 = 1.959963984540054
 
 
 def worker_count() -> int:
-    raw = os.environ.get("GOU_THREADS", "1")
+    """``GOU_THREADS``, clamped to [1, CPUs this process may run on]."""
     try:
-        return max(1, int(raw))
+        wanted = int(os.environ.get("GOU_THREADS", "1"))
     except ValueError:
-        return 1
+        wanted = 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # platforms without affinity masks
+        cpus = os.cpu_count() or 1
+    return max(1, min(wanted, cpus))
 
 
 def wilson_interval(k: int, n: int, z: float = _Z975) -> tuple[float, float]:
@@ -129,14 +140,37 @@ class EmpiricalCDF:
 
 @dataclass
 class _BatchResult:
-    """Per-z ruin records plus terminal samples shared across levels."""
+    """Per-z first-passage records plus terminal samples shared across
+    levels; ``time`` is filled only when the caller asks for times."""
 
     hit: dict[float, np.ndarray]
     v_hit: dict[float, np.ndarray]
     continuous: dict[float, np.ndarray]
+    time: dict[float, np.ndarray]
     z_T: np.ndarray | None
     z_half: np.ndarray | None
     engine: str
+
+    @classmethod
+    def per_path(cls, z_list, n, want_terminal, want_times, engine) -> "_BatchResult":
+        """Empty records for engines that reduce one path at a time."""
+        return cls(
+            {z: np.zeros(n, dtype=bool) for z in z_list},
+            {z: np.full(n, math.nan) for z in z_list},
+            {z: np.zeros(n, dtype=bool) for z in z_list},
+            {z: np.full(n, math.nan) for z in z_list} if want_times else {},
+            np.empty(n) if want_terminal else None,
+            np.empty(n) if want_terminal else None,
+            engine,
+        )
+
+    def record(self, z: float, i: int, fp: FirstPassage) -> None:
+        if fp.hit:
+            self.hit[z][i] = True
+            self.v_hit[z][i] = fp.v_at_hit
+            self.continuous[z][i] = fp.continuous_crossing
+            if self.time:
+                self.time[z][i] = fp.time
 
 
 def _hash_uniforms(seed: int, stream: int, idx0: int, flat_cells: np.ndarray) -> np.ndarray:
@@ -179,6 +213,7 @@ def _is_expmart(t: LevyTriplet2D) -> float | None:
 
 
 def _select_engine(t: LevyTriplet2D) -> str:
+    """Canonical engine name of a driver, as the reports print it."""
     atoms = t.jumps.atoms_or_none()
     sigma_zero = all(abs(v) <= BOUNDARY_TOL for row in t.sigma for v in row)
     if atoms is not None and sigma_zero:
@@ -186,8 +221,8 @@ def _select_engine(t: LevyTriplet2D) -> str:
     if atoms is not None and len(atoms) == 0:
         if _is_expmart(t) is not None:
             return "expmart"
-        return "grid"
-    return "mixed"
+        return "grid_bridge" if t.sigma[0][0] <= BOUNDARY_TOL else "grid"
+    return "mixed_grid"
 
 
 def _chunk_ranges(n: int, chunk: int):
@@ -211,8 +246,11 @@ def _gaussian_grid_batch(
     seed: int,
     stream: int,
     want_terminal: bool,
+    engine: str,
+    want_times: bool = False,
 ) -> _BatchResult:
-    """No-jump drivers: vectorized marching over path chunks.
+    """No-jump drivers (``expmart``, ``grid_bridge``, ``grid``): vectorized
+    marching over path chunks.
 
     Ruin detection is reduced to one scalar per path, the critical starting
     level below which the path is ruined: the grid minimum of the integral
@@ -222,19 +260,22 @@ def _gaussian_grid_batch(
     scalar, so common random numbers and monotonicity in the level are
     structural.  Crossings are continuous (no jumps), so the overshoot value
     is identically zero and is never stored.
+
+    A ruined path's time is the first grid instant past the level, or the
+    right end of an earlier cell whose bridge crossing root passes it (the
+    same root and uniform as the critical level), so a path has a time
+    exactly when it is ruined.
     """
     n_steps = max(1, int(round(horizon / step)))
     h = horizon / n_steps
     times = np.arange(n_steps + 1) * h
+    times_or_nan = np.append(times, math.nan)
     half_idx = n_steps // 2
     gx, gy = t.gamma_tilde
     s11, s12 = t.sigma[0]
     s22 = t.sigma[1][1]
-    u0 = _is_expmart(t)
+    u0 = _is_expmart(t) if engine == "expmart" else None
     sigma_xi = math.sqrt(max(0.0, s11))
-    engine = "expmart" if u0 is not None else (
-        "grid_bridge" if s11 <= BOUNDARY_TOL else "grid"
-    )
 
     # largest bridge exponent a hash uniform can produce (u >= 2^-53)
     q_max = 0.5 * 53.0 * math.log(2.0)
@@ -250,40 +291,69 @@ def _gaussian_grid_batch(
         cell_var = w_vec * w_vec
         prec = np.sqrt(q_max * cell_var)
 
-    def _bridge_roots(path_mat, var_vec, prec_vec, base, i0, upper=True):
-        """Sparse exact crossing roots against hash uniforms.
+    def _bridge_cells(path_mat, var_vec, prec_vec, thr, row_ids, upper):
+        """Cells whose exact bridge extreme can pass ``thr`` (one value per
+        row), and that extreme solved from the cell's hash uniform.
 
-        For upper crossings the cell fires at levels in
-        [max(end values), root+); zcrit is the max of base and the roots.
+        For upper crossings a cell fires at levels in [max(end values),
+        extreme); ``prec_vec`` bounds the extreme's distance from the end
+        values, so no other cell's extreme passes ``thr``.
         """
         if upper:
             madj = np.maximum(path_mat[:, :-1], path_mat[:, 1:])
-            cand = madj > (base[:, None] - prec_vec[None, :])
+            cand = madj > (thr[:, None] - prec_vec[None, :])
         else:
             madj = np.minimum(path_mat[:, :-1], path_mat[:, 1:])
-            cand = madj < (base[:, None] + prec_vec[None, :])
+            cand = madj < (thr[:, None] + prec_vec[None, :])
         rows, cols = np.nonzero(cand)
+        left = path_mat[rows, cols]
+        right = path_mat[rows, cols + 1]
+        u = _hash_uniforms(seed, stream, 0, row_ids[rows] * (n_steps + 1) + cols)
+        q = -0.5 * np.log(np.maximum(u, 2.0 ** -53))
+        half = 0.5 * (left - right)
+        mid = 0.5 * (left + right)
+        root = np.sqrt(half * half + q * var_vec[cols])
+        return rows, cols, (mid + root if upper else mid - root)
+
+    def _bridge_extreme(path_mat, var_vec, prec_vec, base, row_ids, upper=True):
+        """Per-row extreme over the grid values and all bridge roots."""
+        rows, _, ext = _bridge_cells(path_mat, var_vec, prec_vec, base, row_ids, upper)
         out = base.copy()
-        if len(rows):
-            left = path_mat[rows, cols]
-            right = path_mat[rows, cols + 1]
-            u = _hash_uniforms(seed, stream, 0, (rows + i0) * (n_steps + 1) + cols)
-            q = -0.5 * np.log(np.maximum(u, 2.0 ** -53))
-            v = var_vec[cols]
-            half = 0.5 * (left - right)
-            mid = 0.5 * (left + right)
-            root = np.sqrt(half * half + q * v)
-            if upper:
-                np.maximum.at(out, rows, mid + root)
-            else:
-                np.minimum.at(out, rows, mid - root)
+        (np.maximum if upper else np.minimum).at(out, rows, ext)
+        return out
+
+    def _passage_times(path_mat, zcrit, row_ids, fire=None, bridge=None):
+        """Per level, the first-passage time of each ruined row (NaN on the
+        others).  ``fire`` maps path values to the level they ruin (the
+        identity on -Z); ``bridge`` is (var, prec, base, level -> path
+        value, upper) on the bridge engines."""
+        out = {}
+        for z in z_list:
+            t_z = np.full(len(zcrit), math.nan)
+            rows = np.nonzero(zcrit > z)[0]
+            if len(rows):
+                sub = path_mat[rows]
+                past = (sub if fire is None else fire(sub)) > z
+                first = np.where(past.any(axis=1), past.argmax(axis=1), n_steps + 1)
+                if bridge is not None:
+                    var_vec, prec_vec, base, to_path, upper = bridge
+                    # every cell that can pass z, and every cell zcrit looked at
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        thr = (np.fmin if upper else np.fmax)(to_path(z), base[rows])
+                    r, c, ext = _bridge_cells(sub, var_vec, prec_vec, thr, row_ids[rows], upper)
+                    fired = (ext if fire is None else fire(ext)) > z
+                    np.minimum.at(first, r[fired], c[fired] + 1)
+                t_z[rows] = times_or_nan[first]
+            out[z] = t_z
         return out
 
     def run(rng_range):
         i0, i1 = rng_range
         m = i1 - i0
+        row_ids = np.arange(i0, i1)
         zT = np.empty(m) if want_terminal else None
         zH = np.empty(m) if want_terminal else None
+        zcrit = passage = None
 
         if engine == "grid_bridge":
             buf = np.empty((m, n_steps))
@@ -300,11 +370,12 @@ def _gaussian_grid_batch(
                 zH[:] = Z[:, half_idx]
             if z_list:
                 base = -Z.min(axis=1)
-                neg = _bridge_roots(-Z, cell_var, prec, base, i0, upper=True)
-                zcrit = neg
-            else:
-                zcrit = None
-            return zcrit, zT, zH
+                neg_Z = -Z
+                zcrit = _bridge_extreme(neg_Z, cell_var, prec, base, row_ids)
+                if want_times:
+                    bridge = (cell_var, prec, base, lambda z: z, True)
+                    passage = _passage_times(neg_Z, zcrit, row_ids, bridge=bridge)
+            return zcrit, zT, zH, passage
 
         # random xi: simulate both components
         xi = np.empty((m, n_steps + 1))
@@ -329,19 +400,23 @@ def _gaussian_grid_batch(
             if want_terminal:
                 zH[:] = Z_ends[:, 0]
                 zT[:] = Z_ends[:, 1]
-            zcrit = None
             if z_list:
                 var_xi = np.full(n_steps, s11 * h)
                 prec_xi = np.sqrt(q_max * var_xi)
-                if u0 > 0.0:
-                    base = xi.max(axis=1)
-                    level = _bridge_roots(xi, var_xi, prec_xi, base, i0, upper=True)
-                else:
-                    base = xi.min(axis=1)
-                    level = _bridge_roots(xi, var_xi, prec_xi, base, i0, upper=False)
-                with np.errstate(over="ignore"):
-                    zcrit = u0 * -np.expm1(-level)
-            return zcrit, zT, zH
+                # -Z = u0 (1 - e^-xi) rises with xi when u0 > 0, falls otherwise
+                upper = u0 > 0.0
+                base = xi.max(axis=1) if upper else xi.min(axis=1)
+                level = _bridge_extreme(xi, var_xi, prec_xi, base, row_ids, upper)
+
+                def fire(x):
+                    with np.errstate(over="ignore"):
+                        return u0 * -np.expm1(-x)
+
+                zcrit = fire(level)
+                if want_times:
+                    bridge = (var_xi, prec_xi, base, lambda z: -np.log1p(-z / u0), upper)
+                    passage = _passage_times(xi, zcrit, row_ids, fire, bridge)
+            return zcrit, zT, zH, passage
 
         with np.errstate(over="ignore"):
             Z = np.empty((m, n_steps + 1))
@@ -352,24 +427,26 @@ def _gaussian_grid_batch(
             zH[:] = Z[:, half_idx]
         # Euler grid scan only; sub-grid crossings are missed (the estimate
         # errs on the survival side).
-        zcrit = -Z.min(axis=1) if z_list else None
-        return zcrit, zT, zH
+        if z_list:
+            zcrit = -Z.min(axis=1)
+            if want_times:
+                passage = _passage_times(-Z, zcrit, row_ids)
+        return zcrit, zT, zH, passage
 
     parts = _run_chunks(run, ranges)
-    zcrit = (
-        np.concatenate([p[0] for p in parts]) if z_list else None
-    )
     zT = np.concatenate([p[1] for p in parts]) if want_terminal else None
     zH = np.concatenate([p[2] for p in parts]) if want_terminal else None
-    hit = {}
-    v_hit = {}
-    cont = {}
+    res = _BatchResult({}, {}, {}, {}, zT, zH, engine)
+    if z_list:
+        zcrit = np.concatenate([p[0] for p in parts])
     for z in z_list:
         hz = zcrit > z
-        hit[z] = hz
-        v_hit[z] = np.where(hz, 0.0, math.nan)
-        cont[z] = np.ones(n, dtype=bool)
-    return _BatchResult(hit, v_hit, cont, zT, zH, engine)
+        res.hit[z] = hz
+        res.v_hit[z] = np.where(hz, 0.0, math.nan)
+        res.continuous[z] = hz
+        if want_times:
+            res.time[z] = np.concatenate([p[3][z] for p in parts])
+    return res
 
 
 def _fv_batch(
@@ -380,55 +457,36 @@ def _fv_batch(
     seed: int,
     stream: int,
     want_terminal: bool,
+    want_times: bool = False,
 ) -> _BatchResult:
     """Event-driven exact batch for zero-Gaussian atom drivers."""
     _require_fv(t)
-    hit = {z: np.zeros(n, dtype=bool) for z in z_list}
-    v_hit = {z: np.full(n, math.nan) for z in z_list}
-    cont = {z: np.zeros(n, dtype=bool) for z in z_list}
-    zT = np.empty(n) if want_terminal else None
-    zH = np.empty(n) if want_terminal else None
+    res = _BatchResult.per_path(z_list, n, want_terminal, want_times, "exact_fv")
 
     def run(rng_range):
         i0, i1 = rng_range
         for i in range(i0, i1):
             rng = path_rng(seed, i, stream)
             tau, jx, jy = _fv_events(t, horizon, rng)
-            bx, by, xi_pre, xi_post, z_pre, z_post, z_final, _ = _fv_state_arrays(
-                t, tau, jx, jy, horizon
-            )
+            state = _fv_state_arrays(t, tau, jx, jy, horizon)
             if want_terminal:
-                zT[i] = z_final
+                bx, by, _, xi_post, _, z_post, z_final, _ = state
+                res.z_T[i] = z_final
                 half = 0.5 * horizon
                 k = int(np.searchsorted(tau, half))
                 base_xi = xi_post[k - 1] if k else 0.0
                 base_z = z_post[k - 1] if k else 0.0
                 base_t = tau[k - 1] if k else 0.0
-                zH[i] = base_z + _segment_z_increment(
+                res.z_half[i] = base_z + _segment_z_increment(
                     np.array([base_xi]), np.array([half - base_t]), bx, by
                 )[0]
             for z in z_list:
-                pre = z + z_pre < 0.0
-                post = z + z_post < 0.0
-                any_event = pre | post
-                if any_event.any():
-                    k = int(np.argmax(any_event))
-                    hit[z][i] = True
-                    if pre[k]:
-                        cont[z][i] = True
-                        v_hit[z][i] = 0.0
-                    else:
-                        with np.errstate(over="ignore"):
-                            v_hit[z][i] = math.exp(xi_post[k]) * (z + z_post[k])
-                elif z + z_final < 0.0:
-                    hit[z][i] = True
-                    cont[z][i] = True
-                    v_hit[z][i] = 0.0
+                res.record(z, i, _fv_passage(z, tau, state, want_times))
         return None
 
     chunk = max(1, n // max(1, worker_count() * 8))
     _run_chunks(run, _chunk_ranges(n, chunk))
-    return _BatchResult(hit, v_hit, cont, zT, zH, "exact_fv")
+    return res
 
 
 def _mixed_batch(
@@ -441,14 +499,11 @@ def _mixed_batch(
     stream: int,
     want_terminal: bool,
     truncation_eps: float | None,
+    want_times: bool = False,
 ) -> _BatchResult:
     """General driver: per-path jump-adapted Euler simulation."""
     cfg = PathConfig(horizon, step, seed, truncation_eps)
-    hit = {z: np.zeros(n, dtype=bool) for z in z_list}
-    v_hit = {z: np.full(n, math.nan) for z in z_list}
-    cont = {z: np.zeros(n, dtype=bool) for z in z_list}
-    zT = np.empty(n) if want_terminal else None
-    zH = np.empty(n) if want_terminal else None
+    res = _BatchResult.per_path(z_list, n, want_terminal, want_times, "mixed_grid")
 
     def run(rng_range):
         i0, i1 = rng_range
@@ -458,19 +513,15 @@ def _mixed_batch(
             p = simulate_pair(t, cfg, i, stream)
             Z = compute_Z(p)
             if want_terminal:
-                zT[i] = Z[-1]
-                zH[i] = Z[np.searchsorted(p.times, 0.5 * horizon)]
+                res.z_T[i] = Z[-1]
+                res.z_half[i] = Z[np.searchsorted(p.times, 0.5 * horizon)]
             for z in z_list:
-                fp = first_passage(p, z, Z)
-                hit[z][i] = fp.hit
-                if fp.hit:
-                    v_hit[z][i] = fp.v_at_hit
-                    cont[z][i] = fp.continuous_crossing
+                res.record(z, i, first_passage(p, z, Z))
         return None
 
     chunk = max(1, n // max(1, worker_count() * 8))
     _run_chunks(run, _chunk_ranges(n, chunk))
-    return _BatchResult(hit, v_hit, cont, zT, zH, "mixed_grid")
+    return res
 
 
 def _default_step(horizon: float, step: float | None) -> float:
@@ -480,19 +531,20 @@ def _default_step(horizon: float, step: float | None) -> float:
 
 
 def _dispatch_batch(
-    t, z_list, horizon, n, seed, stream, want_terminal, step=None, truncation_eps=None
+    t, z_list, horizon, n, seed, stream, want_terminal, step=None, truncation_eps=None,
+    want_times=False,
 ) -> _BatchResult:
     engine = _select_engine(t)
     if engine == "exact_fv":
-        return _fv_batch(t, z_list, horizon, n, seed, stream, want_terminal)
-    if engine in ("expmart", "grid"):
-        return _gaussian_grid_batch(
-            t, z_list, horizon, _default_step(horizon, step), n, seed, stream,
-            want_terminal,
+        return _fv_batch(t, z_list, horizon, n, seed, stream, want_terminal, want_times)
+    step = _default_step(horizon, step)
+    if engine == "mixed_grid":
+        return _mixed_batch(
+            t, z_list, horizon, step, n, seed, stream, want_terminal, truncation_eps,
+            want_times,
         )
-    return _mixed_batch(
-        t, z_list, horizon, _default_step(horizon, step), n, seed, stream,
-        want_terminal, truncation_eps,
+    return _gaussian_grid_batch(
+        t, z_list, horizon, step, n, seed, stream, want_terminal, engine, want_times
     )
 
 
@@ -741,32 +793,18 @@ def ruin_records(
     step: float | None = None,
     truncation_eps: float | None = None,
 ):
-    """Per-path first-passage records (hit, time, value at the hit) for
-    external analysis; path-level engines, same streams as the estimators.
+    """Per-path first-passage records (hit, time, value at the hit,
+    continuous crossing) for external analysis, from the same batch and
+    streams as ``estimate_ruin``: the hits are its ruin events.
 
-    For drivers simulated on a grid the hit time is the first monitored
-    instant below zero (no sub-grid correction here); the event-driven
-    engine reports exact times.
+    ``exact_fv`` reports exact times.  On ``expmart`` and ``grid_bridge``
+    the time is the monitored instant that ends the crossing cell, with the
+    Brownian-bridge crossing correction of the estimate; on ``grid`` it is
+    the first grid instant below zero; ``mixed_grid`` reports its grid or
+    jump instant.  Non-ruined paths carry NaN time and value.
     """
-    from .simulate import fv_first_passage
-
-    engine = _select_engine(t)
-    hit = np.zeros(n, dtype=bool)
-    times = np.full(n, math.nan)
-    values = np.full(n, math.nan)
-    cont = np.zeros(n, dtype=bool)
-    cfg = None
-    if engine != "exact_fv":
-        cfg = PathConfig(horizon, _default_step(horizon, step), seed, truncation_eps)
-    for i in range(n):
-        if engine == "exact_fv":
-            fp = fv_first_passage(t, z, horizon, path_rng(seed, i, 0))
-        else:
-            p = simulate_pair(t, cfg, i, 0)
-            fp = first_passage(p, z)
-        hit[i] = fp.hit
-        if fp.hit:
-            times[i] = fp.time
-            values[i] = fp.v_at_hit
-            cont[i] = fp.continuous_crossing
-    return hit, times, values, cont
+    batch = _dispatch_batch(
+        t, [z], horizon, n, seed, stream=0, want_terminal=False,
+        step=step, truncation_eps=truncation_eps, want_times=True,
+    )
+    return batch.hit[z], batch.time[z], batch.v_hit[z], batch.continuous[z]

@@ -121,9 +121,6 @@ class IntervalSet:
                     out.append(c)
         return IntervalSet(out)
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.intervals + other.intervals)
-
     def sup_at_most(self, z: float) -> float:
         """sup of the set intersected with (-inf, z]; -inf when empty."""
         best = NEG_INF

@@ -83,6 +83,17 @@ def _in_open_ball(x: float, y: float) -> bool:
     return _lt(x * x + y * y, 1.0)
 
 
+def _uncompensated_drift(t: LevyTriplet2D) -> tuple[float, float]:
+    """Ball drift minus rate * (x, y) of every atom in the open unit ball;
+    the plain ball drift on the density tier."""
+    bx, by = t.gamma_tilde
+    for a in t.jumps.atoms_or_none() or ():
+        if _in_open_ball(a.x, a.y):
+            bx -= a.rate * a.x
+            by -= a.rate * a.y
+    return bx, by
+
+
 def _in_open_interval(v: float) -> bool:
     return _lt(abs(v), 1.0)
 
@@ -786,15 +797,9 @@ def l_process(t: LevyTriplet2D) -> LevyTriplet2D:
     atoms = t.jumps.atoms_or_none()
     if atoms is None:
         raise UndeterminedError("L-process construction requires the atom tier")
-    bx = t.gamma_tilde[0]
-    by = t.gamma_tilde[1]
-    for a in atoms:
-        if _in_open_ball(a.x, a.y):
-            bx -= a.rate * a.x
-            by -= a.rate * a.y
-    by -= t.brownian_cov
+    gx, gy = _uncompensated_drift(t)
+    gy -= t.brownian_cov
     new_atoms = [JumpAtom(a.x, a.y * math.exp(-a.x), a.rate) for a in atoms]
-    gx, gy = bx, by
     for a in new_atoms:
         if _in_open_ball(a.x, a.y):
             gx += a.rate * a.x
@@ -819,14 +824,8 @@ def drift_vector(t: LevyTriplet2D) -> tuple[float, float]:
         and abs(t.brownian_cov) <= BOUNDARY_TOL
     ):
         raise NotFiniteVariationError("drift vector requires a vanishing Gaussian part")
-    atoms = t.jumps.atoms_or_none()
-    if atoms is not None:
-        dx, dy = t.gamma_tilde
-        for a in atoms:
-            if _in_open_ball(a.x, a.y):
-                dx -= a.rate * a.x
-                dy -= a.rate * a.y
-        return dx, dy
+    if t.jumps.atoms_or_none() is not None:
+        return _uncompensated_drift(t)
     ball = _pair_ball_strips()
     abs_mass = t.jumps.integrate_refined(lambda x, y: abs(x) + abs(y), ball)
     if abs_mass == INF:
@@ -877,10 +876,6 @@ def mean_at_one(t: LevyTriplet2D) -> tuple[float, float]:
     ex = t.gamma_tilde[0] + t.jumps.integrate(lambda x, y: x, tail)
     ey = t.gamma_tilde[1] + t.jumps.integrate(lambda x, y: y, tail)
     return ex, ey
-
-
-class _ScaledBoxDensity(BoxDensity):
-    pass
 
 
 def scale_eta(t: LevyTriplet2D, k: float) -> LevyTriplet2D:

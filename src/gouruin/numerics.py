@@ -33,14 +33,6 @@ def sgn(value: float, tol: float = BOUNDARY_TOL) -> int:
     return 0
 
 
-def is_zero(value: float, tol: float = BOUNDARY_TOL) -> bool:
-    return sgn(value, tol) == 0
-
-
-def nonneg(value: float, tol: float = BOUNDARY_TOL) -> bool:
-    return sgn(value, tol) >= 0
-
-
 def checked_add(a: float, b: float) -> float:
     if math.isinf(a) and math.isinf(b) and (a > 0) != (b > 0):
         raise IndeterminateFormError("inf - inf in extended-real addition")

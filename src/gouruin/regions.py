@@ -38,11 +38,10 @@ from dataclasses import dataclass
 
 from .errors import NotSupportedError, UndeterminedError
 from .intervals import Interval, IntervalSet
-from .model import LevyTriplet2D, s_jump, w_jump, _in_open_ball
+from .model import _HUGE, LevyTriplet2D, _in_open_ball, s_jump, w_jump
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, ext_to_json, sgn
 from .quadrature import Strip
 
-_HUGE = 1e18
 _U_CAP = 1e12
 
 

@@ -32,16 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModelError, NotSupportedError
-from .model import (
-    BoxDensity,
-    LevyTriplet2D,
-    _in_open_ball,
-    w_transform,
-)
+from .model import _HUGE, BoxDensity, LevyTriplet2D, _uncompensated_drift, w_transform
 from .numerics import BOUNDARY_TOL
 from .quadrature import Strip, strips_in_annulus, strips_outside_ball
-
-_HUGE = 1e18
 
 
 @dataclass(frozen=True)
@@ -109,15 +102,6 @@ def _chol2x2(sigma) -> np.ndarray:
         l22 = math.sqrt(max(0.0, s22 - l21 * l21))
         return np.array([[l11, 0.0], [l21, l22]])
     return np.array([[0.0, 0.0], [0.0, math.sqrt(max(0.0, s22))]])
-
-
-def _uncompensated_drift(t: LevyTriplet2D) -> tuple[float, float]:
-    bx, by = t.gamma_tilde
-    for a in t.jumps.atoms_or_none() or ():
-        if _in_open_ball(a.x, a.y):
-            bx -= a.rate * a.x
-            by -= a.rate * a.y
-    return bx, by
 
 
 def _arrival_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
@@ -260,13 +244,15 @@ def _simulate_pair_with_rng(
 
 
 def compute_Z(p: Path) -> np.ndarray:
-    """Discounted integral along the path: left-point sums between grid
-    points plus the exact jump contributions with the left-limit integrand."""
+    """Discounted integral along the path: between grid points the closed
+    form on exact event-driven paths and left-point sums otherwise, plus the
+    exact jump contributions with the left-limit integrand."""
     with np.errstate(over="ignore"):
-        disc_left = np.exp(-p.xi[:-1])
-        disc_at_jump = np.exp(-p.xi_left[1:])
-    cont = disc_left * (p.eta_left[1:] - p.eta[:-1])
-    jump = disc_at_jump * (p.eta[1:] - p.eta_left[1:])
+        if p.exact:
+            cont = _segment_z_increment(p.xi[:-1], np.diff(p.times), *p.drift)
+        else:
+            cont = np.exp(-p.xi[:-1]) * (p.eta_left[1:] - p.eta[:-1])
+        jump = np.exp(-p.xi_left[1:]) * (p.eta[1:] - p.eta_left[1:])
     return np.concatenate([[0.0], np.cumsum(cont + jump)])
 
 
@@ -358,42 +344,44 @@ def _segment_crossing_time(v0: float, bx: float, by: float) -> float:
     return math.log(v_star / (v_star - v0)) / bx
 
 
-def fv_first_passage(
-    t: LevyTriplet2D, z: float, horizon: float, rng: np.random.Generator
-) -> FirstPassage:
-    """Exact first passage below zero for a zero-Gaussian atom driver.
+def _fv_passage(z: float, tau, state, want_time: bool = True) -> FirstPassage:
+    """First passage below zero from the event states of one exact path.
 
     Between arrivals the path solves a scalar linear ODE and is monotone, so
     checking the pre-jump, post-jump, and horizon states detects every
-    crossing; continuous crossing times are solved in closed form.
+    crossing; continuous crossing times are solved in closed form, and only
+    when ``want_time`` is set (the time is NaN otherwise).
     """
-    _require_fv(t)
-    tau, jx, jy = _fv_events(t, horizon, rng)
-    bx, by, xi_pre, xi_post, z_pre, z_post, z_final, _ = _fv_state_arrays(
-        t, tau, jx, jy, horizon
-    )
+    bx, by, _, xi_post, z_pre, z_post, z_final, _ = state
     pre_hit = z + z_pre < 0.0
-    post_hit = z + z_post < 0.0
-    hits = pre_hit | post_hit
+    hits = pre_hit | (z + z_post < 0.0)
     if hits.any():
         k = int(np.argmax(hits))
-        if pre_hit[k]:
-            start = tau[k - 1] if k else 0.0
-            v_start = math.exp(xi_post[k - 1] if k else 0.0) * (
-                z + (z_post[k - 1] if k else 0.0)
-            )
-            t_cross = start + _segment_crossing_time(v_start, bx, by)
-            return FirstPassage(True, t_cross, 0.0, continuous_crossing=True)
-        v_hit = math.exp(xi_post[k]) * (z + z_post[k])
-        return FirstPassage(True, float(tau[k]), v_hit, continuous_crossing=False)
-    if z + z_final < 0.0:
-        start = tau[-1] if len(tau) else 0.0
-        v_start = math.exp(xi_post[-1] if len(tau) else 0.0) * (
-            z + (z_post[-1] if len(tau) else 0.0)
+        if not pre_hit[k]:
+            v_hit = math.exp(xi_post[k]) * (z + z_post[k])
+            return FirstPassage(True, float(tau[k]), v_hit, continuous_crossing=False)
+    elif z + z_final < 0.0:
+        k = len(tau)
+    else:
+        return FirstPassage(False)
+    # continuous crossing inside the segment that starts at arrival k - 1
+    t_cross = math.nan
+    if want_time:
+        start = tau[k - 1] if k else 0.0
+        v_start = math.exp(xi_post[k - 1] if k else 0.0) * (
+            z + (z_post[k - 1] if k else 0.0)
         )
         t_cross = start + _segment_crossing_time(v_start, bx, by)
-        return FirstPassage(True, t_cross, 0.0, continuous_crossing=True)
-    return FirstPassage(False)
+    return FirstPassage(True, t_cross, 0.0, continuous_crossing=True)
+
+
+def fv_first_passage(
+    t: LevyTriplet2D, z: float, horizon: float, rng: np.random.Generator
+) -> FirstPassage:
+    """Exact first passage below zero for a zero-Gaussian atom driver."""
+    _require_fv(t)
+    tau, jx, jy = _fv_events(t, horizon, rng)
+    return _fv_passage(z, tau, _fv_state_arrays(t, tau, jx, jy, horizon))
 
 
 def exact_fv_path(t: LevyTriplet2D, cfg: PathConfig, path_index: int = 0) -> Path:
@@ -426,28 +414,6 @@ def exact_fv_path(t: LevyTriplet2D, cfg: PathConfig, path_index: int = 0) -> Pat
     )
 
 
-def _closed_form_Z(p: Path) -> np.ndarray:
-    bx, by = p.drift
-    dt = np.diff(p.times)
-    seg = _segment_z_increment(p.xi[:-1], dt, bx, by)
-    with np.errstate(over="ignore"):
-        jump = np.exp(-p.xi_left[1:]) * (p.eta[1:] - p.eta_left[1:])
-    return np.concatenate([[0.0], np.cumsum(seg + jump)])
-
-
-def exact_fv_Z(t: LevyTriplet2D, p: Path) -> np.ndarray:
-    """Discounted integral for an exact event-driven path, in closed form."""
-    _require_fv(t)
-    return _closed_form_Z(p)
-
-
-def simulate_jump_example(c: float, lam: float, cfg: PathConfig, path_index: int = 0) -> Path:
-    """Exact event-driven path of the compensated-Poisson preset driver."""
-    from .presets import jump_example_triplet
-
-    return exact_fv_path(jump_example_triplet(c, lam), cfg, path_index)
-
-
 # ---------------------------------------------------------------------------
 # Validation constructions
 # ---------------------------------------------------------------------------
@@ -473,11 +439,7 @@ def simulate_stochastic_exponential(t: LevyTriplet2D, p: Path) -> np.ndarray:
     x -> e^-x - 1, and the drift pinned by the transform; the result must
     reproduce exp(-xi) to floating accuracy.
     """
-    pair = w_transform(t)
-    bw = pair.gamma_tilde[1]
-    for a in pair.jumps.atoms_or_none() or ():
-        if _in_open_ball(a.x, a.y):
-            bw -= a.rate * a.y
+    bw = _uncompensated_drift(w_transform(t))[1]
     sigma2 = t.sigma_xi2
     B = brownian_part(p)
     dxi = p.xi - p.xi_left
@@ -495,7 +457,7 @@ def simulate_stochastic_exponential(t: LevyTriplet2D, p: Path) -> np.ndarray:
 def write_path_csv(p: Path, z: float, fh, Z: np.ndarray | None = None) -> None:
     """One row per grid/jump point: time,xi,eta,Z,V,jump."""
     if Z is None:
-        Z = exact_fv_Z_or_euler(p)
+        Z = compute_Z(p)
     V = compute_V(p, z, Z)
     writer = csv.writer(fh)
     writer.writerow(["time", "xi", "eta", "Z", "V", "jump"])
@@ -510,8 +472,3 @@ def write_path_csv(p: Path, z: float, fh, Z: np.ndarray | None = None) -> None:
                 int(p.jump_flags[k]),
             ]
         )
-
-
-def exact_fv_Z_or_euler(p: Path) -> np.ndarray:
-    """Closed-form discounted integral for exact paths, Euler otherwise."""
-    return _closed_form_Z(p) if p.exact else compute_Z(p)

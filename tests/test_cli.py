@@ -102,6 +102,25 @@ class TestSimulate:
         assert man_a["content_hash"] == man_b["content_hash"]
         assert man_a["step_used_for_dynamics"] is False
 
+    def test_inline_zero_gaussian_atom_spec_is_event_driven(self, capsys, tmp_path):
+        spec = {
+            "gamma_tilde": [0.3, -0.2],
+            "sigma": [[0.0, 0.0], [0.0, 0.0]],
+            "jumps": {"atoms": [{"x": 0.5, "y": -0.4, "rate": 1.0}]},
+        }
+        f = tmp_path / "atoms.json"
+        f.write_text(json.dumps(spec))
+        code, _, _ = run_cli(
+            capsys,
+            "simulate", "--spec", str(f), "--z", "1.0", "--horizon", "2.0",
+            "--step", "0.25", "--seed", "7", "--paths", "1",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 0
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        jsonschema.validate(man, load_schema("manifest.schema.json"))
+        assert man["step_used_for_dynamics"] is False
+
     def test_csv_rows_satisfy_the_path_identity(self, capsys, tmp_path):
         run_cli(
             capsys,
@@ -226,3 +245,31 @@ class TestUndeterminedExit:
         n_hits = sum(int(l.split(",")[1]) for l in lines[1:])
         doc = json.loads(out)
         assert n_hits == doc["estimate"]["n_events"]
+
+    @pytest.mark.parametrize("engine", ["grid_bridge", "expmart"])
+    def test_ruin_records_csv_on_grid_engines(self, capsys, tmp_path, engine):
+        if engine == "grid_bridge":
+            spec = {
+                "gamma_tilde": [1.0, 0.0],
+                "sigma": [[0.0, 0.0], [0.0, 1.0]],
+                "jumps": {"atoms": []},
+            }
+        else:
+            spec = {"preset": "continuous_example", "c": 0.4}
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        out_csv = tmp_path / "records.csv"
+        code, out, _ = run_cli(
+            capsys,
+            "estimate", "--spec", str(f), "--what", "ruin", "--z", "0.5",
+            "--horizon", "5", "--step", "0.01", "--paths", "300", "--seed", "9",
+            "--out", str(out_csv),
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["estimate"]["diagnostics"]["engine"] == engine
+        rows = [l.split(",") for l in out_csv.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 300
+        n_hits = sum(int(r[1]) for r in rows)
+        assert n_hits == doc["estimate"]["n_events"] > 0
+        assert all(0.0 <= float(r[2]) <= 5.0 for r in rows if r[1] == "1")

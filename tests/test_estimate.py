@@ -12,15 +12,21 @@ from gouruin.classify import Verdict
 from gouruin.errors import NotApplicableError
 from gouruin.estimate import (
     EmpiricalCDF,
+    _dispatch_batch,
+    _fv_batch,
+    _select_engine,
     empirical_lower_bound,
     estimate_negative_prob,
     estimate_ruin,
     estimate_Zinf_cdf,
+    ruin_records,
     validate_ruin_formula,
     wilson_interval,
+    worker_count,
 )
 from gouruin.model import FiniteAtomSet, JumpAtom, LevyTriplet2D
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
+from gouruin.simulate import fv_first_passage, path_rng
 
 E = math.e
 
@@ -107,6 +113,109 @@ class TestEstimateRuin:
         finally:
             del os.environ["GOU_THREADS"]
         assert base == threaded
+
+
+    def test_worker_count_is_clamped_to_the_cpus(self, monkeypatch):
+        # Only the returned count is checked; no pool is started.
+        monkeypatch.setenv("GOU_THREADS", str(10**9))
+        assert worker_count() == len(os.sched_getaffinity(0))
+        monkeypatch.setenv("GOU_THREADS", "0")
+        assert worker_count() == 1
+
+
+def correlated_gaussian():
+    return triplet((0.5, 0.3), ((0.25, 0.1), (0.1, 0.5)))
+
+
+# (engine, driver, horizon, step), one driver per engine
+ENGINE_CASES = [
+    ("exact_fv", jump_example_triplet(1.0, 1.0), 20.0, None),
+    ("expmart", continuous_example_triplet(0.4), 5.0, 0.01),
+    ("grid_bridge", drift_xi_brownian_eta(), 5.0, 0.01),
+    ("grid", correlated_gaussian(), 5.0, 0.01),
+    (
+        "mixed_grid",
+        triplet((0.5, 0.3), ((0.25, 0.1), (0.1, 0.5)), [(0.3, -0.5, 1.0), (-0.2, 0.4, 0.5)]),
+        3.0,
+        0.02,
+    ),
+]
+
+
+def engine_case(engine):
+    return next(case for case in ENGINE_CASES if case[0] == engine)
+
+
+def grid_Z(t, engine, seed, i, n_steps, h):
+    """Grid values of the discounted integral on path i, rebuilt from the
+    per-path normals of a Gaussian grid engine."""
+    (gx, gy), (s11, s12), s22 = t.gamma_tilde, t.sigma[0], t.sigma[1][1]
+    times = np.arange(n_steps + 1) * h
+    rng = path_rng(seed, i, 0)
+    if engine == "grid_bridge":
+        normals = rng.standard_normal(n_steps)
+        inc = np.exp(-gx * times[:-1]) * (gy * h + math.sqrt(s22 * h) * normals)
+    else:
+        normals = rng.standard_normal((n_steps, 2))
+        xi = gx * times + np.concatenate([[0.0], np.cumsum(math.sqrt(s11 * h) * normals[:, 0])])
+        if engine == "expmart":
+            return (-s12 / s11) * np.expm1(-xi)
+        l21 = s12 / math.sqrt(s11)
+        l22 = math.sqrt(s22 - l21 * l21)
+        eta_inc = gy * h + (l21 * normals[:, 0] + l22 * normals[:, 1]) * math.sqrt(h)
+        inc = np.exp(-xi[:-1]) * eta_inc
+    return np.concatenate([[0.0], np.cumsum(inc)])
+
+
+class TestRuinRecords:
+    @pytest.mark.parametrize("engine,t,horizon,step", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES])
+    def test_records_match_the_estimate(self, engine, t, horizon, step):
+        z, n, seed = 0.5, 300, 11
+        assert _select_engine(t) == engine
+        est = estimate_ruin(t, z, horizon, n, seed, step=step)
+        assert est.diagnostics["engine"] == engine
+        hit, times, values, cont = ruin_records(t, z, horizon, n, seed, step=step)
+        assert int(hit.sum()) == est.n_events > 0
+        assert np.array_equal(np.isfinite(times), hit)
+        assert np.all((times[hit] >= 0.0) & (times[hit] <= horizon))
+        batch = _dispatch_batch(t, [z], horizon, n, seed, 0, False, step=step)
+        assert np.array_equal(hit, batch.hit[z])
+        assert np.array_equal(values, batch.v_hit[z], equal_nan=True)
+        assert np.array_equal(cont, batch.continuous[z])
+
+    @pytest.mark.parametrize("engine", ["expmart", "grid_bridge", "grid"])
+    def test_grid_time_not_after_first_negative_grid_value(self, engine):
+        _, t, horizon, step = engine_case(engine)
+        z, n, seed = 0.5, 200, 3
+        n_steps = int(round(horizon / step))
+        h = horizon / n_steps
+        grid = np.arange(n_steps + 1) * h
+        hit, times, _, _ = ruin_records(t, z, horizon, n, seed, step=step)
+        below_somewhere = 0
+        for i in range(n):
+            below = z + grid_Z(t, engine, seed, i, n_steps, h) < 0.0
+            if engine == "grid":
+                assert hit[i] == below.any()
+            if below.any():
+                below_somewhere += 1
+                first = grid[np.argmax(below)]
+                assert hit[i] and times[i] <= first
+                if engine == "grid":
+                    assert times[i] == first
+        assert below_somewhere > 0
+
+    def test_exact_fv_routes_agree(self):
+        t = jump_example_triplet(1.0, 1.0)
+        z, horizon, n, seed = 0.5, 20.0, 200, 4
+        batch = _fv_batch(t, [z], horizon, n, seed, 0, False, want_times=True)
+        passages = [fv_first_passage(t, z, horizon, path_rng(seed, i, 0)) for i in range(n)]
+        assert np.array_equal(batch.hit[z], [fp.hit for fp in passages])
+        assert np.array_equal(batch.time[z], [fp.time for fp in passages], equal_nan=True)
+        assert np.array_equal(batch.v_hit[z], [fp.v_at_hit for fp in passages], equal_nan=True)
+        assert np.array_equal(
+            batch.continuous[z], [fp.continuous_crossing for fp in passages]
+        )
+        assert batch.hit[z].any()
 
 
 class TestNegativeProb:

@@ -18,11 +18,9 @@ from gouruin.simulate import (
     compute_V,
     compute_Z,
     exact_fv_path,
-    exact_fv_Z_or_euler,
     first_passage,
     fv_first_passage,
     path_rng,
-    simulate_jump_example,
     simulate_pair,
     simulate_stochastic_exponential,
     write_path_csv,
@@ -177,7 +175,7 @@ class TestExactEventDriven:
         for i in range(50):
             p = exact_fv_path(t, PathConfig(T, 0.1, 77), path_index=i)
             if p.n_jumps() == 0:
-                V = compute_V(p, z, exact_fv_Z_or_euler(p))
+                V = compute_V(p, z, compute_Z(p))
                 assert V[-1] == pytest.approx(closed, rel=1e-12)
                 return
         pytest.fail("no arrival-free path found")
@@ -197,7 +195,7 @@ class TestExactEventDriven:
             idx = np.nonzero(p.jump_flags)[0]
             if not len(idx):
                 continue
-            Z = exact_fv_Z_or_euler(p)
+            Z = compute_Z(p)
             V = compute_V(p, 0.0, Z)
             k = idx[0]
             v_left = math.exp(p.xi_left[k]) * (
@@ -227,8 +225,8 @@ class TestExactEventDriven:
         assert fp.time == pytest.approx(0.25, rel=1e-12)
         assert fp.v_at_hit == 0.0
 
-    def test_wrapper_builds_the_preset(self):
-        p = simulate_jump_example(1.0, 1.0, PathConfig(1.0, 0.25, 6))
+    def test_exact_path_of_the_preset(self):
+        p = exact_fv_path(jump_example_triplet(1.0, 1.0), PathConfig(1.0, 0.25, 6))
         assert p.exact
         assert p.drift == (-1.0, 2.0)
 
