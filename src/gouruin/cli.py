@@ -251,7 +251,9 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (UndeterminedError, NotApplicableError) as exc:
-        print(f"undetermined: {exc}", file=sys.stderr)
+        residual = getattr(exc, "residual", None)
+        suffix = "" if residual is None else f" residual={residual}"
+        print(f"undetermined: {exc}{suffix}", file=sys.stderr)
         return EXIT_UNDETERMINED
     except GouError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,19 +45,23 @@ from .numerics import BOUNDARY_TOL
 from .simulate import (
     FirstPassage,
     PathConfig,
-    _fv_events,
+    _density_jump_table,
     _fv_passage,
-    _fv_state_arrays,
+    _fv_path_states,
     _require_fv,
     _segment_z_increment,
+    _simulate_pair_with_rng,
     compute_V,
     compute_Z,
     first_passage,
     path_rng,
-    simulate_pair,
 )
 
 _Z975 = 1.959963984540054
+
+#: Paths per chunk of the per-path engines (exact_fv, mixed_grid).  Fixed,
+#: so the chunking never depends on the worker count.
+_PATH_BLOCK = 64
 
 
 def worker_count() -> int:
@@ -466,9 +470,7 @@ def _fv_batch(
     def run(rng_range):
         i0, i1 = rng_range
         for i in range(i0, i1):
-            rng = path_rng(seed, i, stream)
-            tau, jx, jy = _fv_events(t, horizon, rng)
-            state = _fv_state_arrays(t, tau, jx, jy, horizon)
+            tau, state = _fv_path_states(t, horizon, path_rng(seed, i, stream))
             if want_terminal:
                 bx, by, _, xi_post, _, z_post, z_final, _ = state
                 res.z_T[i] = z_final
@@ -484,8 +486,7 @@ def _fv_batch(
                 res.record(z, i, _fv_passage(z, tau, state, want_times))
         return None
 
-    chunk = max(1, n // max(1, worker_count() * 8))
-    _run_chunks(run, _chunk_ranges(n, chunk))
+    _run_chunks(run, _chunk_ranges(n, _PATH_BLOCK))
     return res
 
 
@@ -503,14 +504,13 @@ def _mixed_batch(
 ) -> _BatchResult:
     """General driver: per-path jump-adapted Euler simulation."""
     cfg = PathConfig(horizon, step, seed, truncation_eps)
+    jump_table = _density_jump_table(t, cfg)
     res = _BatchResult.per_path(z_list, n, want_terminal, want_times, "mixed_grid")
 
     def run(rng_range):
         i0, i1 = rng_range
         for i in range(i0, i1):
-            # Note: per-path streams come from (seed, stream, i) inside
-            # simulate_pair via its path_index argument.
-            p = simulate_pair(t, cfg, i, stream)
+            p = _simulate_pair_with_rng(t, cfg, path_rng(seed, i, stream), jump_table)
             Z = compute_Z(p)
             if want_terminal:
                 res.z_T[i] = Z[-1]
@@ -519,8 +519,7 @@ def _mixed_batch(
                 res.record(z, i, first_passage(p, z, Z))
         return None
 
-    chunk = max(1, n // max(1, worker_count() * 8))
-    _run_chunks(run, _chunk_ranges(n, chunk))
+    _run_chunks(run, _chunk_ranges(n, _PATH_BLOCK))
     return res
 
 
@@ -764,11 +763,8 @@ def empirical_lower_bound(
     best = math.inf
     if engine == "exact_fv":
         for i in range(n):
-            rng = path_rng(seed, i, 0)
-            tau, jx, jy = _fv_events(t, horizon, rng)
-            _, _, xi_pre, xi_post, z_pre, z_post, z_final, xi_final = _fv_state_arrays(
-                t, tau, jx, jy, horizon
-            )
+            tau, state = _fv_path_states(t, horizon, path_rng(seed, i, 0))
+            _, _, xi_pre, xi_post, z_pre, z_post, z_final, xi_final = state
             with np.errstate(over="ignore"):
                 vals = [math.exp(xi_final) * (z + z_final)]
                 if len(tau):
@@ -777,8 +773,9 @@ def empirical_lower_bound(
             best = min(best, *vals)
         return best
     cfg = PathConfig(horizon, _default_step(horizon, step), seed, truncation_eps)
+    jump_table = _density_jump_table(t, cfg)
     for i in range(n):
-        p = simulate_pair(t, cfg, i, 0)
+        p = _simulate_pair_with_rng(t, cfg, path_rng(seed, i, 0), jump_table)
         V = compute_V(p, z)
         best = min(best, float(np.min(V)))
     return best

@@ -28,11 +28,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidModelError, NotSupportedError
-from .model import _HUGE, BoxDensity, LevyTriplet2D, _uncompensated_drift, w_transform
+from .model import _HUGE, LevyTriplet2D, _uncompensated_drift, w_transform
 from .numerics import BOUNDARY_TOL
 from .quadrature import Strip, strips_in_annulus, strips_outside_ball
 
@@ -105,31 +106,58 @@ def _chol2x2(sigma) -> np.ndarray:
 
 
 def _arrival_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
+    """Arrival times in (0, horizon] of a Poisson clock of the given rate.
+
+    Stream layout: exponential gaps are drawn in blocks of
+    ``max(16, int(1.5 * rate * horizon) + 16)``, and a further block is drawn
+    only when every clock of the previous block stayed at or below the
+    horizon; a zero rate draws nothing.  The clocks are the running sum of
+    the gaps in draw order (one sequential sum, carried across blocks), so
+    they do not depend on how the sum is evaluated.
+    """
     if rate <= 0.0:
         return np.empty(0)
-    out = []
-    clock = 0.0
-    # Draw in blocks to keep the stream layout stable and the loop short.
     budget = max(16, int(rate * horizon * 1.5) + 16)
+    parts = []
+    clock = 0.0
     while True:
-        gaps = rng.exponential(scale=1.0 / rate, size=budget)
-        for g in gaps:
-            clock += g
-            if clock > horizon:
-                return np.array(out)
-            out.append(clock)
+        clocks = rng.exponential(scale=1.0 / rate, size=budget)
+        clocks[0] += clock
+        np.cumsum(clocks, out=clocks)
+        k = int(np.searchsorted(clocks, horizon, side="right"))
+        parts.append(clocks[:k])
+        if k < budget:
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        clock = clocks[-1]
 
 
-def _truncated_density_jumps(
-    dens: BoxDensity, eps: float, rng: np.random.Generator, horizon: float
-):
-    """Compensating drift, arrival times, and sampled jump sizes for a
-    density measure truncated below ``eps``.
+class _DensityJumpTable(NamedTuple):
+    """Path-independent part of density-tier jump sampling."""
+
+    comp: tuple[float, float]  # compensator over eps <= |(x, y)| < 1
+    rate: float  # jump rate outside the cutoff ball
+    xs: np.ndarray  # cell edges
+    ys: np.ndarray
+    probs: np.ndarray | None  # cell probabilities; None without mass
+
+
+def _density_jump_table(t: LevyTriplet2D, cfg: PathConfig) -> _DensityJumpTable | None:
+    """Jump table of a density measure truncated below ``cfg.truncation_eps``
+    (None on the atom tier).
 
     Jump sizes are drawn from a 128x128 cell discretization of the density
     outside the cutoff ball; the cell approximation is the documented cost
-    of simulating an infinite-activity measure.
+    of simulating an infinite-activity measure.  The table depends on the
+    driver and the cutoff only, so a batch of paths builds it once.
     """
+    dens = t.jumps
+    if dens.atoms_or_none() is not None:
+        return None
+    eps = cfg.truncation_eps
+    if eps is None:
+        raise NotSupportedError(
+            "density-tier simulation requires an explicit truncation_eps"
+        )
     full = [Strip(-_HUGE, _HUGE, lambda x: -_HUGE, lambda x: _HUGE)]
     outside = strips_outside_ball(full, eps)
     lam = dens.integrate(lambda x, y: 1.0, outside)
@@ -149,20 +177,27 @@ def _truncated_density_jumps(
     weights = np.where(gx * gx + gy * gy >= eps * eps, dens_vals, 0.0) * area
     weights = weights.ravel()
     total = weights.sum()
-    if total <= 0.0:
-        return (comp_x, comp_y), np.empty(0), np.empty((0, 2))
-    probs = weights / total
+    probs = weights / total if total > 0.0 else None
+    return _DensityJumpTable((comp_x, comp_y), lam, xs, ys, probs)
 
-    arrivals = _arrival_times(rng, lam, horizon)
+
+def _truncated_density_jumps(
+    table: _DensityJumpTable, rng: np.random.Generator, horizon: float
+):
+    """Arrival times and sampled jump sizes of one path from a jump table."""
+    if table.probs is None:
+        return np.empty(0), np.empty((0, 2))
+    arrivals = _arrival_times(rng, table.rate, horizon)
     n = len(arrivals)
     if n == 0:
-        return (comp_x, comp_y), arrivals, np.empty((0, 2))
-    cells = rng.choice(len(probs), size=n, p=probs)
-    ix, iy = np.unravel_index(cells, (nc, nc))
+        return arrivals, np.empty((0, 2))
+    xs, ys = table.xs, table.ys
+    cells = rng.choice(len(table.probs), size=n, p=table.probs)
+    ix, iy = np.unravel_index(cells, (len(xs) - 1, len(ys) - 1))
     u = rng.random((n, 2))
     jx = xs[ix] + u[:, 0] * (xs[1] - xs[0])
     jy = ys[iy] + u[:, 1] * (ys[1] - ys[0])
-    return (comp_x, comp_y), arrivals, np.column_stack([jx, jy])
+    return arrivals, np.column_stack([jx, jy])
 
 
 def simulate_pair(
@@ -175,25 +210,22 @@ def simulate_pair(
     the grid, and drift is applied in closed form.
     """
     rng = path_rng(cfg.seed, path_index, stream)
-    return _simulate_pair_with_rng(t, cfg, rng)
+    return _simulate_pair_with_rng(t, cfg, rng, _density_jump_table(t, cfg))
 
 
 def _simulate_pair_with_rng(
-    t: LevyTriplet2D, cfg: PathConfig, rng: np.random.Generator
+    t: LevyTriplet2D,
+    cfg: PathConfig,
+    rng: np.random.Generator,
+    jump_table: _DensityJumpTable | None,
 ) -> Path:
+    """``simulate_pair`` from a given generator; ``jump_table`` is the
+    driver's ``_density_jump_table``."""
     atoms = t.jumps.atoms_or_none()
     if atoms is None:
-        if cfg.truncation_eps is None:
-            raise NotSupportedError(
-                "density-tier simulation requires an explicit truncation_eps"
-            )
-        (cx, cy), arrivals, sizes = _truncated_density_jumps(
-            t.jumps, cfg.truncation_eps, rng, cfg.horizon
-        )
-        bx = t.gamma_tilde[0] - cx
-        by = t.gamma_tilde[1] - cy
-        jump_times = arrivals
-        jump_sizes = sizes
+        jump_times, jump_sizes = _truncated_density_jumps(jump_table, rng, cfg.horizon)
+        bx = t.gamma_tilde[0] - jump_table.comp[0]
+        by = t.gamma_tilde[1] - jump_table.comp[1]
     else:
         bx, by = _uncompensated_drift(t)
         times_list = []
@@ -307,8 +339,8 @@ def _fv_events(t: LevyTriplet2D, horizon: float, rng: np.random.Generator):
         kinds = rng.choice(len(atoms), size=n, p=rates / total)
     else:
         kinds = np.zeros(n, dtype=int)
-    jx = np.array([atoms[k].x for k in kinds]) if n else np.empty(0)
-    jy = np.array([atoms[k].y for k in kinds]) if n else np.empty(0)
+    jx = np.array([a.x for a in atoms])[kinds]
+    jy = np.array([a.y for a in atoms])[kinds]
     return tau, jx, jy
 
 
@@ -375,13 +407,18 @@ def _fv_passage(z: float, tau, state, want_time: bool = True) -> FirstPassage:
     return FirstPassage(True, t_cross, 0.0, continuous_crossing=True)
 
 
+def _fv_path_states(t: LevyTriplet2D, horizon: float, rng: np.random.Generator):
+    """Arrival times and ``_fv_state_arrays`` of one exact path."""
+    tau, jx, jy = _fv_events(t, horizon, rng)
+    return tau, _fv_state_arrays(t, tau, jx, jy, horizon)
+
+
 def fv_first_passage(
     t: LevyTriplet2D, z: float, horizon: float, rng: np.random.Generator
 ) -> FirstPassage:
     """Exact first passage below zero for a zero-Gaussian atom driver."""
     _require_fv(t)
-    tau, jx, jy = _fv_events(t, horizon, rng)
-    return _fv_passage(z, tau, _fv_state_arrays(t, tau, jx, jy, horizon))
+    return _fv_passage(z, *_fv_path_states(t, horizon, rng))
 
 
 def exact_fv_path(t: LevyTriplet2D, cfg: PathConfig, path_index: int = 0) -> Path:

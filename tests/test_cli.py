@@ -230,6 +230,32 @@ class TestUndeterminedExit:
         jsonschema.validate(doc, load_schema("ruin_report.schema.json"))
         assert doc["decision"]["kind"] == "undetermined"
 
+    def test_quadrature_residual_is_printed(self, capsys, tmp_path, monkeypatch):
+        from gouruin import quadrature
+
+        def unresolved(*args, **kwargs):
+            return 0.0, 0.25  # (value, error estimate) far above any tolerance
+
+        monkeypatch.setattr(quadrature._si, "dblquad", unresolved)
+        monkeypatch.setattr(quadrature._si, "quad", unresolved)
+        spec = {
+            "gamma_tilde": [0.3, 0.1],
+            "sigma": [[0.0, 0.0], [0.0, 0.0]],
+            "jumps": {
+                "density": {"kind": "uniform_box", "params": {"c": 0.3},
+                            "box": [0.5, 1.5, -1.5, 0.5]}
+            },
+        }
+        f = tmp_path / "dens.json"
+        f.write_text(json.dumps(spec))
+        code, _, err = run_cli(
+            capsys, "estimate", "--spec", str(f), "--what", "ruin", "--paths", "5",
+            "--horizon", "1", "--truncation-eps", "0.3",
+        )
+        assert code == 2
+        assert err.startswith("undetermined: ")
+        assert err.rstrip().endswith("residual=0.25")
+
     def test_ruin_records_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "records.csv"
         code, out, _ = run_cli(

@@ -24,9 +24,16 @@ from gouruin.estimate import (
     wilson_interval,
     worker_count,
 )
-from gouruin.model import FiniteAtomSet, JumpAtom, LevyTriplet2D
+from gouruin import estimate, simulate
+from gouruin.model import BoxDensity, FiniteAtomSet, JumpAtom, LevyTriplet2D
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
-from gouruin.simulate import fv_first_passage, path_rng
+from gouruin.simulate import (
+    PathConfig,
+    first_passage,
+    fv_first_passage,
+    path_rng,
+    simulate_pair,
+)
 
 E = math.e
 
@@ -104,15 +111,29 @@ class TestEstimateRuin:
         b = estimate_ruin(t, 0.8, 50.0, 1000, seed=21)
         assert a == b
 
-    def test_worker_count_does_not_change_results(self):
-        t = jump_example_triplet(1.0, 1.0)
-        base = estimate_ruin(t, 0.8, 50.0, 800, seed=22)
-        os.environ["GOU_THREADS"] = "4"
-        try:
-            threaded = estimate_ruin(t, 0.8, 50.0, 800, seed=22)
-        finally:
-            del os.environ["GOU_THREADS"]
-        assert base == threaded
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # Chunks are a fixed path block, so neither the chunks nor the
+        # results depend on the worker count (2 is within the clamp).
+        chunk_ranges = estimate._chunk_ranges
+        seen = []
+
+        def recorded(n, chunk):
+            seen.append(chunk_ranges(n, chunk))
+            return seen[-1]
+
+        monkeypatch.setattr(estimate, "_chunk_ranges", recorded)
+        drivers = [
+            (jump_example_triplet(1.0, 1.0), 50.0, 800),
+            (triplet((0.5, 0.3), ((0.25, 0.1), (0.1, 0.5)), [(0.3, -0.5, 1.0)]), 5.0, 150),
+        ]
+        for t, horizon, n in drivers:
+            runs = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("GOU_THREADS", threads)
+                seen.clear()
+                runs.append((estimate_ruin(t, 0.8, horizon, n, seed=22), list(seen)))
+            assert runs[0] == runs[1]
+            assert len(runs[0][1][0]) > 1
 
 
     def test_worker_count_is_clamped_to_the_cpus(self, monkeypatch):
@@ -216,6 +237,46 @@ class TestRuinRecords:
             batch.continuous[z], [fp.continuous_crossing for fp in passages]
         )
         assert batch.hit[z].any()
+
+
+def box_density_triplet():
+    return LevyTriplet2D(
+        (0.3, 0.1), ((0.0, 0.0), (0.0, 0.0)),
+        BoxDensity(lambda x, y: 0.3, (0.5, 1.5, -1.5, 0.5)),
+    )
+
+
+class TestDensityTier:
+    Z, HORIZON, N, SEED, STEP, EPS = 0.5, 5.0, 20, 3, 0.05, 0.3
+
+    def test_records_match_per_path_simulation(self):
+        t = box_density_triplet()
+        assert _select_engine(t) == "mixed_grid"
+        args = (t, self.Z, self.HORIZON, self.N, self.SEED)
+        kw = dict(step=self.STEP, truncation_eps=self.EPS)
+        est = estimate_ruin(*args, **kw)
+        hit, times, values, cont = ruin_records(*args, **kw)
+        assert int(hit.sum()) == est.n_events > 0
+        cfg = PathConfig(self.HORIZON, self.STEP, self.SEED, self.EPS)
+        for i in range(self.N):
+            fp = first_passage(simulate_pair(t, cfg, i), self.Z)
+            assert hit[i] == fp.hit
+            assert np.array_equal([times[i], values[i]], [fp.time, fp.v_at_hit], equal_nan=True)
+            assert cont[i] == fp.continuous_crossing
+
+    def test_jump_table_is_built_once_per_batch(self, monkeypatch):
+        build = simulate._density_jump_table
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(simulate, "_density_jump_table", counted)
+        monkeypatch.setattr(estimate, "_density_jump_table", counted)
+        estimate_ruin(box_density_triplet(), self.Z, self.HORIZON, self.N, self.SEED,
+                      step=self.STEP, truncation_eps=self.EPS)
+        assert len(calls) == 1
 
 
 class TestNegativeProb:
@@ -351,6 +412,12 @@ class TestEmpiricalLowerBound:
             assert delta(t, z) == pytest.approx(z, abs=1e-12)
             bound = empirical_lower_bound(t, z, 100.0, 200, seed=18)
             assert bound >= z - 1e-9
+
+    def test_exact_fv_value_is_pinned(self):
+        # Value of the per-path exact loop before it was shared with _fv_batch.
+        t = jump_example_triplet(1.0, 1.0)
+        assert empirical_lower_bound(t, 0.5, 50.0, 100, seed=21) == -202684412.4919786
+        assert empirical_lower_bound(t, 1.8, 100.0, 100, seed=18) == 1.800334453401879
 
     def test_unbounded_below_when_no_level_is_feasible(self):
         t = triplet(sigma=((1.0, 0.0), (0.0, 1.0)))

@@ -9,10 +9,13 @@ import pytest
 from scipy import integrate as sci
 from scipy import stats
 
-from gouruin.model import FiniteAtomSet, JumpAtom, LevyTriplet2D
+from gouruin.errors import NotSupportedError
+from gouruin.model import BoxDensity, FiniteAtomSet, JumpAtom, LevyTriplet2D
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
 from gouruin.simulate import (
     PathConfig,
+    _arrival_times,
+    _fv_events,
     brownian_part,
     closed_form_continuous_example,
     compute_V,
@@ -37,6 +40,81 @@ def triplet(gamma=(0.0, 0.0), sigma=((0.0, 0.0), (0.0, 0.0)), jumps=()):
     return LevyTriplet2D(gamma, sigma, atoms(*jumps))
 
 
+def scalar_arrival_times(rng, rate, horizon):
+    """Reference clock loop: one scalar sum per gap, same block layout."""
+    if rate <= 0.0:
+        return np.empty(0)
+    out = []
+    clock = 0.0
+    budget = max(16, int(rate * horizon * 1.5) + 16)
+    while True:
+        gaps = rng.exponential(scale=1.0 / rate, size=budget)
+        for g in gaps:
+            clock += g
+            if clock > horizon:
+                return np.array(out)
+            out.append(clock)
+
+
+class ConstantGaps:
+    """Generator stub whose exponential gaps all equal ``gap``, so a block
+    can run out before the horizon does."""
+
+    def __init__(self, gap):
+        self.gap = gap
+        self.blocks = 0
+
+    def exponential(self, scale, size):
+        self.blocks += 1
+        return np.full(size, self.gap)
+
+
+class TestArrivalTimes:
+    @pytest.mark.parametrize(
+        "rate,horizon,seed",
+        [(0.0, 10.0, 1), (1e-3, 0.5, 2), (1.0, 1000.0, 3), (2.5, 3.0, 4), (40.0, 7.3, 5)],
+    )
+    def test_matches_the_scalar_loop_bitwise(self, rate, horizon, seed):
+        rng, ref_rng = path_rng(seed, 0), path_rng(seed, 0)
+        got = _arrival_times(rng, rate, horizon)
+        ref = scalar_arrival_times(ref_rng, rate, horizon)
+        assert got.dtype == ref.dtype == np.float64
+        assert np.array_equal(got, ref)
+        if rate < 1e-2:
+            assert got.size == 0
+        # the same number of draws was consumed
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize(
+        "gap,rate,horizon", [(0.01, 1.0, 1.0), (1.0 / 16.0, 1e-9, 1.0), (0.3, 2.0, 100.0)]
+    )
+    def test_blocks_past_the_first_match_the_scalar_loop(self, gap, rate, horizon):
+        # (1/16, 1e-9, 1.0): the first 16-gap block ends exactly at the
+        # horizon, so a second block is drawn and its first clock dropped.
+        stub, ref_stub = ConstantGaps(gap), ConstantGaps(gap)
+        got = _arrival_times(stub, rate, horizon)
+        ref = scalar_arrival_times(ref_stub, rate, horizon)
+        assert np.array_equal(got, ref)
+        assert stub.blocks == ref_stub.blocks >= 2
+        assert got[-1] <= horizon < got[-1] + gap
+
+    def test_event_types_match_the_per_arrival_lookup(self):
+        t = triplet((0.4, 0.2), jumps=[(0.3, -0.5, 1.0), (-0.2, 0.4, 0.5), (0.1, -1.5, 0.3)])
+        table = t.jumps.atoms_or_none()
+        rates = np.array([a.rate for a in table])
+        seen = set()
+        for i in range(5):
+            tau, jx, jy = _fv_events(t, 30.0, path_rng(8, i))
+            rng = path_rng(8, i)
+            ref_tau = scalar_arrival_times(rng, rates.sum(), 30.0)
+            kinds = rng.choice(len(table), size=len(ref_tau), p=rates / rates.sum())
+            assert np.array_equal(tau, ref_tau)
+            assert np.array_equal(jx, np.array([table[k].x for k in kinds]))
+            assert np.array_equal(jy, np.array([table[k].y for k in kinds]))
+            seen.update(kinds.tolist())
+        assert seen == {0, 1, 2}
+
+
 class TestSimulatePair:
     def test_zero_triplet_constant_path(self):
         p = simulate_pair(triplet(), PathConfig(1.0, 0.25, 3))
@@ -58,6 +136,16 @@ class TestSimulatePair:
         assert np.array_equal(p1.eta, p2.eta)
         p3 = simulate_pair(t, cfg, path_index=8)
         assert not np.array_equal(p1.times, p3.times)
+
+    def test_density_driver_needs_a_truncation_cutoff(self):
+        t = LevyTriplet2D(
+            (0.3, 0.1), ((0.0, 0.0), (0.0, 0.0)),
+            BoxDensity(lambda x, y: 0.3, (0.5, 1.5, -1.5, 0.5)),
+        )
+        with pytest.raises(NotSupportedError):
+            simulate_pair(t, PathConfig(1.0, 0.1, 3))
+        p = simulate_pair(t, PathConfig(5.0, 0.05, 3, truncation_eps=0.3))
+        assert p.n_jumps() > 0
 
     def test_jump_counts_follow_the_poisson_law(self):
         lam, T = 2.0, 1.0
