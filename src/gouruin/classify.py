@@ -44,7 +44,9 @@ from .model import (
     w_jump,
 )
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, ext_to_json, sgn
-from .regions import ThetaBounds, drift_lhs, drift_lhs_piecewise, quadrant_mass, thetas
+from .regions import (
+    PiecewiseLinearFn, ThetaBounds, drift_lhs, drift_lhs_piecewise, quadrant_mass, thetas
+)
 
 
 class Verdict(enum.Enum):
@@ -199,9 +201,13 @@ def _region_constraint(t: LevyTriplet2D, th: ThetaBounds) -> IntervalSet:
     return IntervalSet(parts)
 
 
-def _drift_constraint(t: LevyTriplet2D, cov: IntervalSet) -> IntervalSet:
+def _drift_constraint(
+    t: LevyTriplet2D, cov: IntervalSet, piecewise: PiecewiseLinearFn | None
+) -> IntervalSet:
     if t.jumps.atoms_or_none() is not None:
-        return drift_lhs_piecewise(t).nonneg_set()
+        if piecewise is None:
+            piecewise = drift_lhs_piecewise(t)
+        return piecewise.nonneg_set()
     # Density tier: decidable only pointwise; a point covariance constraint
     # reduces the drift condition to one evaluation.
     if len(cov.intervals) == 1:
@@ -218,11 +224,18 @@ def _drift_constraint(t: LevyTriplet2D, cov: IntervalSet) -> IntervalSet:
     )
 
 
-def feasible_u_set(t: LevyTriplet2D) -> IntervalSet:
-    """All levels u at which S(u) is a subordinator, as an interval set."""
+def _feasible(
+    t: LevyTriplet2D,
+    th: ThetaBounds | None = None,
+    piecewise: PiecewiseLinearFn | None = None,
+) -> tuple[IntervalSet, SubordinatorCertificate | None]:
+    """``feasible_u_set`` from the thetas and the atom-tier drift form when
+    the caller already has them (each is computed here only if needed).
+    Also returns the certificate at the single level of a rigid Gaussian
+    part, None otherwise."""
     cov = _covariance_constraint(t)
     if cov.is_empty():
-        return cov
+        return cov, None
     if len(cov.intervals) == 1 and cov.intervals[0].lo == cov.intervals[0].hi:
         # Rigid Gaussian: a single candidate level; evaluate the jump and
         # drift conditions directly so coincident boundaries cannot be lost
@@ -231,10 +244,16 @@ def feasible_u_set(t: LevyTriplet2D) -> IntervalSet:
         cert = is_subordinator_s(t, u0)
         if cert.verdict is Verdict.UNDETERMINED:
             raise UndeterminedError(cert.detail or "undetermined at the candidate level")
-        return IntervalSet.point(u0) if cert.verdict is Verdict.YES else IntervalSet.empty()
-    region = _region_constraint(t, thetas(t.jumps))
-    drift = _drift_constraint(t, cov)
-    return cov.intersect(region).intersect(drift)
+        feasible = IntervalSet.point(u0) if cert.verdict is Verdict.YES else IntervalSet.empty()
+        return feasible, cert
+    region = _region_constraint(t, thetas(t.jumps) if th is None else th)
+    drift = _drift_constraint(t, cov, piecewise)
+    return cov.intersect(region).intersect(drift), None
+
+
+def feasible_u_set(t: LevyTriplet2D) -> IntervalSet:
+    """All levels u at which S(u) is a subordinator, as an interval set."""
+    return _feasible(t)[0]
 
 
 def delta(t: LevyTriplet2D, z: float) -> float:
@@ -275,7 +294,9 @@ class RuinDecision:
 
 @dataclass(frozen=True)
 class RuinReport:
-    """Complete output of the exact no-ruin decision."""
+    """Complete output of the exact no-ruin decision: ``drift_piecewise`` is
+    the atom-tier drift form, ``residual`` the error bound of an undetermined
+    quadrature, and the last warning of an undetermined report its reason."""
 
     decision: RuinDecision
     thetas: ThetaBounds
@@ -283,9 +304,11 @@ class RuinReport:
     branch: Branch
     certificate: SubordinatorCertificate
     warnings: tuple[str, ...] = ()
+    drift_piecewise: PiecewiseLinearFn | None = None
+    residual: float | None = None
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "decision": self.decision.to_json(),
             "thetas": self.thetas.to_json(),
             "feasible_u": self.feasible_u.to_json(),
@@ -293,15 +316,22 @@ class RuinReport:
             "certificate": self.certificate.to_json(),
             "warnings": list(self.warnings),
         }
+        if self.drift_piecewise is not None:
+            doc["drift_lhs_piecewise"] = self.drift_piecewise.to_json()
+        if self.residual is not None:
+            doc["residual"] = self.residual
+        return doc
 
 
-def _literal_threshold_sigma_zero(t: LevyTriplet2D, th: ThetaBounds) -> float | None:
+def _literal_threshold_sigma_zero(
+    piecewise: PiecewiseLinearFn | None, th: ThetaBounds
+) -> float | None:
     """max(theta2, inf{u > 0 : drift inequality holds}), the display form of
     the zero-Gaussian threshold; used only to cross-check the feasible-set
     answer."""
-    if t.jumps.atoms_or_none() is None:
+    if piecewise is None:
         return None
-    pos = drift_lhs_piecewise(t).nonneg_set().intersect(
+    pos = piecewise.nonneg_set().intersect(
         IntervalSet((Interval(0.0, INF, lo_open=True),))
     )
     inf_val, _ = pos.inf_value()
@@ -315,7 +345,8 @@ def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
 
     Returns the smallest starting level from which the ruin probability
     vanishes, or reports that ruin has positive probability from every
-    starting level.
+    starting level.  The thetas, the drift form and the feasible set are
+    each evaluated once here; the report carries them.
     """
     warnings_out: list[str] = []
     branch = (
@@ -323,9 +354,10 @@ def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
         if t.sigma_xi2 > BOUNDARY_TOL
         else Branch.SIGMA_ZERO
     )
+    piecewise = None if t.jumps.atoms_or_none() is None else drift_lhs_piecewise(t)
     try:
         th = thetas(t.jumps)
-        feasible = feasible_u_set(t)
+        feasible, rigid = _feasible(t, th, piecewise)
     except UndeterminedError as exc:
         blank = SubordinatorCertificate(
             Verdict.UNDETERMINED, False, math.nan, None, None, detail=str(exc)
@@ -337,58 +369,43 @@ def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
             branch,
             blank,
             (str(exc),),
+            piecewise,
+            exc.residual,
         )
 
     nonneg = feasible.intersect(IntervalSet((Interval(0.0, INF),)))
     if nonneg.is_empty():
-        if branch is Branch.SIGMA_POSITIVE:
-            u_cand = -t.sigma[0][1] / t.sigma_xi2
+        if rigid is not None:  # the one candidate level is already certified
+            cert = rigid
+        elif branch is Branch.SIGMA_POSITIVE:
+            cert = is_subordinator_s(t, -t.sigma[0][1] / t.sigma_xi2)
         else:
-            u_cand = th.theta2 if math.isfinite(th.theta2) else 0.0
-        cert = is_subordinator_s(t, u_cand)
+            cert = is_subordinator_s(t, th.theta2 if math.isfinite(th.theta2) else 0.0)
+        decision = RuinDecision(DecisionKind.RUIN_EVERYWHERE)
         if cert.verdict is Verdict.UNDETERMINED:
-            return RuinReport(
-                RuinDecision(DecisionKind.UNDETERMINED),
-                th,
-                feasible,
-                branch,
-                cert,
-                tuple(warnings_out + [cert.detail or "undetermined certificate"]),
-            )
-        return RuinReport(
-            RuinDecision(DecisionKind.RUIN_EVERYWHERE),
-            th,
-            feasible,
-            branch,
-            cert,
-            tuple(warnings_out),
-        )
-
-    u_star, attained = nonneg.inf_value()
-    if not attained:
-        warnings_out.append(
-            "threshold is a one-sided limit: ruin remains possible at the "
-            "threshold level itself"
-        )
-    if branch is Branch.SIGMA_ZERO:
-        literal = _literal_threshold_sigma_zero(t, th)
-        if literal is None or abs(literal - u_star) > BOUNDARY_TOL * max(
-            1.0, abs(u_star)
-        ):
+            decision = RuinDecision(DecisionKind.UNDETERMINED)
+            warnings_out.append(cert.detail or "undetermined certificate")
+    else:
+        u_star, attained = nonneg.inf_value()
+        if not attained:
             warnings_out.append(
-                "display-form threshold max(theta2, inf{u>0: drift holds}) "
-                f"differs from the feasible-set threshold ({literal} vs {u_star}); "
-                "the feasible-set value is authoritative"
+                "threshold is a one-sided limit: ruin remains possible at the "
+                "threshold level itself"
             )
-    cert = is_subordinator_s(t, u_star)
-    return RuinReport(
-        RuinDecision(DecisionKind.NO_RUIN_FROM, u_star, attained),
-        th,
-        feasible,
-        branch,
-        cert,
-        tuple(warnings_out),
-    )
+        if branch is Branch.SIGMA_ZERO:
+            literal = _literal_threshold_sigma_zero(piecewise, th)
+            if literal is None or abs(literal - u_star) > BOUNDARY_TOL * max(
+                1.0, abs(u_star)
+            ):
+                warnings_out.append(
+                    "display-form threshold max(theta2, inf{u>0: drift holds}) "
+                    f"differs from the feasible-set threshold ({literal} vs {u_star}); "
+                    "the feasible-set value is authoritative"
+                )
+        # On the rigid branch the only feasible level is the certified one.
+        cert = rigid if rigid is not None else is_subordinator_s(t, u_star)
+        decision = RuinDecision(DecisionKind.NO_RUIN_FROM, u_star, attained)
+    return RuinReport(decision, th, feasible, branch, cert, tuple(warnings_out), piecewise)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path as FsPath
 
 from . import acceptance
-from .classify import DecisionKind, delta, no_ruin_threshold
+from .classify import DecisionKind, no_ruin_threshold
 from .errors import GouError, InvalidModelError, NotApplicableError, UndeterminedError
 from .estimate import (
     _select_engine,
@@ -71,19 +71,14 @@ def cmd_check(args) -> int:
     report = no_ruin_threshold(t)
     doc = report.to_json()
     doc["spec"] = meta
-    try:
-        from .regions import drift_lhs_piecewise
-
-        doc["drift_lhs_piecewise"] = drift_lhs_piecewise(t).to_json()
-    except GouError:
-        pass  # density tier has no exact piecewise form
-    if args.delta_at:
+    undetermined = report.decision.kind is DecisionKind.UNDETERMINED
+    if args.delta_at and not undetermined:  # delta is unknown with the decision
         doc["delta"] = {
-            str(z): ext_to_json(delta(t, z)) for z in args.delta_at
+            str(z): ext_to_json(report.feasible_u.sup_at_most(z)) for z in args.delta_at
         }
     _emit(doc)
-    if report.decision.kind is DecisionKind.UNDETERMINED:
-        return EXIT_UNDETERMINED
+    if undetermined:  # main prints the reason and exits 2
+        raise UndeterminedError(report.warnings[-1], report.residual)
     return EXIT_OK
 
 
@@ -232,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--truncation-eps", type=float, default=None)
-    p.add_argument("--out", default=None, help="CSV dump for zinf samples")
+    p.add_argument("--out", default=None,
+                   help="CSV dump: per-path records for ruin, samples for zinf")
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("validate", help="run the acceptance suite")

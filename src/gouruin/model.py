@@ -83,6 +83,11 @@ def _in_open_ball(x: float, y: float) -> bool:
     return _lt(x * x + y * y, 1.0)
 
 
+def _disk_half_width(x: float) -> float:
+    """Half-height sqrt(1 - x^2) of the unit disk at abscissa x (0 outside)."""
+    return math.sqrt(max(0.0, 1.0 - x * x))
+
+
 def _uncompensated_drift(t: LevyTriplet2D) -> tuple[float, float]:
     """Ball drift minus rate * (x, y) of every atom in the open unit ball;
     the plain ball drift on the density tier."""
@@ -128,10 +133,6 @@ class FiniteAtomSet:
 
     def __init__(self, atoms: Sequence[JumpAtom]):
         object.__setattr__(self, "atoms", tuple(atoms))
-
-    @property
-    def total_rate(self) -> float:
-        return sum(a.rate for a in self.atoms)
 
     def atoms_or_none(self):
         return self.atoms
@@ -189,10 +190,6 @@ class BoxDensity:
 
     def eta_margin(self) -> "ProjectedDensity1D":
         return ProjectedDensity1D(self, "y")
-
-    def contains_origin(self) -> bool:
-        x0, x1, y0, y1 = self.box
-        return x0 <= 0.0 <= x1 and y0 <= 0.0 <= y1
 
     def spot_check_integrability(self) -> float:
         """Quadrature spot check of the Levy condition: integral of
@@ -542,9 +539,6 @@ class LevyTriplet2D:
     def brownian_cov(self) -> float:
         return self.sigma[0][1]
 
-    def is_atomic(self) -> bool:
-        return self.jumps.atoms_or_none() is not None
-
     def atoms(self) -> tuple[JumpAtom, ...]:
         a = self.jumps.atoms_or_none()
         if a is None:
@@ -574,22 +568,18 @@ class MarginalTriplet:
 
 def _correction_strips(axis: str) -> list[Strip]:
     """Strips for {|coordinate| < 1} minus the closed unit ball."""
-
-    def rad(x: float) -> float:
-        return math.sqrt(max(0.0, 1.0 - x * x))
-
     if axis == "x":
         return [
-            Strip(-1.0, 1.0, lambda x: rad(x), lambda x: _HUGE),
-            Strip(-1.0, 1.0, lambda x: -_HUGE, lambda x: -rad(x)),
+            Strip(-1.0, 1.0, _disk_half_width, lambda x: _HUGE),
+            Strip(-1.0, 1.0, lambda x: -_HUGE, lambda x: -_disk_half_width(x)),
         ]
     # |y| < 1 outside the ball: split x-ranges left/right of the ball plus
     # the caps above/below it.
     return [
         Strip(-_HUGE, -1.0, lambda x: -1.0, lambda x: 1.0),
         Strip(1.0, _HUGE, lambda x: -1.0, lambda x: 1.0),
-        Strip(-1.0, 1.0, lambda x: rad(x), lambda x: 1.0),
-        Strip(-1.0, 1.0, lambda x: -1.0, lambda x: -rad(x)),
+        Strip(-1.0, 1.0, _disk_half_width, lambda x: 1.0),
+        Strip(-1.0, 1.0, lambda x: -1.0, lambda x: -_disk_half_width(x)),
     ]
 
 
@@ -659,10 +649,7 @@ def from_marginals(
 
 
 def _pair_ball_strips() -> list[Strip]:
-    def rad(x: float) -> float:
-        return math.sqrt(max(0.0, 1.0 - x * x))
-
-    return [Strip(-1.0, 1.0, lambda x: -rad(x), lambda x: rad(x))]
+    return [Strip(-1.0, 1.0, lambda x: -_disk_half_width(x), _disk_half_width)]
 
 
 def w_transform(t: LevyTriplet2D) -> LevyTriplet2D:
@@ -864,14 +851,11 @@ def mean_at_one(t: LevyTriplet2D) -> tuple[float, float]:
                 ey += a.rate * a.y
         return ex, ey
 
-    def rad(x: float) -> float:
-        return math.sqrt(max(0.0, 1.0 - x * x))
-
     tail = [
         Strip(-_HUGE, -1.0, lambda x: -_HUGE, lambda x: _HUGE),
         Strip(1.0, _HUGE, lambda x: -_HUGE, lambda x: _HUGE),
-        Strip(-1.0, 1.0, lambda x: rad(x), lambda x: _HUGE),
-        Strip(-1.0, 1.0, lambda x: -_HUGE, lambda x: -rad(x)),
+        Strip(-1.0, 1.0, _disk_half_width, lambda x: _HUGE),
+        Strip(-1.0, 1.0, lambda x: -_HUGE, lambda x: -_disk_half_width(x)),
     ]
     ex = t.gamma_tilde[0] + t.jumps.integrate(lambda x, y: x, tail)
     ey = t.gamma_tilde[1] + t.jumps.integrate(lambda x, y: y, tail)
@@ -934,21 +918,18 @@ def scale_eta(t: LevyTriplet2D, k: float) -> LevyTriplet2D:
     if k == 1.0:
         return LevyTriplet2D(t.gamma_tilde, sigma, new_jumps)
 
-    def rad(x: float) -> float:
-        return math.sqrt(max(0.0, 1.0 - x * x))
-
     bands = [
         Strip(
             -1.0,
             1.0,
-            lambda x, _k=k: min(rad(x), rad(x) / _k),
-            lambda x, _k=k: max(rad(x), rad(x) / _k),
+            lambda x, _k=k: min(_disk_half_width(x), _disk_half_width(x) / _k),
+            lambda x, _k=k: max(_disk_half_width(x), _disk_half_width(x) / _k),
         ),
         Strip(
             -1.0,
             1.0,
-            lambda x, _k=k: -max(rad(x), rad(x) / _k),
-            lambda x, _k=k: -min(rad(x), rad(x) / _k),
+            lambda x, _k=k: -max(_disk_half_width(x), _disk_half_width(x) / _k),
+            lambda x, _k=k: -min(_disk_half_width(x), _disk_half_width(x) / _k),
         ),
     ]
     # new region minus old region is +bands for k < 1, -bands for k > 1

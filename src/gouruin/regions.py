@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .errors import NotSupportedError, UndeterminedError
 from .intervals import Interval, IntervalSet
-from .model import _HUGE, LevyTriplet2D, _in_open_ball, s_jump, w_jump
+from .model import _HUGE, LevyTriplet2D, _disk_half_width, _in_open_ball, s_jump, w_jump
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, ext_to_json, sgn
 from .quadrature import Strip
 
@@ -227,16 +227,12 @@ def thetas(m) -> ThetaBounds:
 
 def _disk_region_strips(u: float) -> list[Strip]:
     """Strips for {y - u(e^-x - 1) >= 0} inside the open unit disk."""
-
-    def rad(x: float) -> float:
-        return math.sqrt(max(0.0, 1.0 - x * x))
-
     return [
         Strip(
             -1.0,
             1.0,
-            lambda x: max(u * math.expm1(-x), -rad(x)),
-            lambda x: rad(x),
+            lambda x: max(u * math.expm1(-x), -_disk_half_width(x)),
+            _disk_half_width,
         )
     ]
 
@@ -314,13 +310,6 @@ class PiecewiseLinearFn:
         k = bisect_right(self.breakpoints, u)
         slope, intercept = self.pieces[k]
         return slope * u + intercept
-
-    def left_right(self, k: int) -> tuple[float, float]:
-        """One-sided limits at breakpoint k."""
-        bp = self.breakpoints[k]
-        sl, cl = self.pieces[k]
-        sr, cr = self.pieces[k + 1]
-        return sl * bp + cl, sr * bp + cr
 
     def nonneg_set(self, tol: float = BOUNDARY_TOL) -> IntervalSet:
         """The set {u : f(u) >= 0}, with boundary dead band.

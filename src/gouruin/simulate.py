@@ -200,6 +200,25 @@ def _truncated_density_jumps(
     return arrivals, np.column_stack([jx, jy])
 
 
+def _jump_adapted_grid(cfg: PathConfig, jump_times: np.ndarray, jx, jy):
+    """The uniform grid of ``cfg`` (ending exactly at the horizon) merged with
+    the jump times, with the jump sizes summed onto their instants and a
+    jump flag per instant."""
+    n_steps = int(math.ceil(cfg.horizon / cfg.step - 1e-9))
+    grid = np.minimum(np.arange(n_steps + 1) * cfg.step, cfg.horizon)
+    grid[-1] = cfg.horizon
+    times = np.union1d(grid, jump_times)
+    jump_x = np.zeros(len(times))
+    jump_y = np.zeros(len(times))
+    flags = np.zeros(len(times), dtype=bool)
+    if len(jump_times):
+        idx = np.searchsorted(times, jump_times)
+        np.add.at(jump_x, idx, jx)
+        np.add.at(jump_y, idx, jy)
+        flags[idx] = True
+    return times, jump_x, jump_y, flags
+
+
 def simulate_pair(
     t: LevyTriplet2D, cfg: PathConfig, path_index: int = 0, stream: int = 0
 ) -> Path:
@@ -246,21 +265,9 @@ def _simulate_pair_with_rng(
             jump_times = np.empty(0)
             jump_sizes = np.empty((0, 2))
 
-    n_steps = int(math.ceil(cfg.horizon / cfg.step - 1e-9))
-    grid = np.minimum(np.arange(n_steps + 1) * cfg.step, cfg.horizon)
-    grid[-1] = cfg.horizon
-    times = np.union1d(grid, jump_times)
-    n = len(times)
-
-    jump_x = np.zeros(n)
-    jump_y = np.zeros(n)
-    flags = np.zeros(n, dtype=bool)
-    if jump_times.size:
-        idx = np.searchsorted(times, jump_times)
-        np.add.at(jump_x, idx, jump_sizes[:, 0])
-        np.add.at(jump_y, idx, jump_sizes[:, 1])
-        flags[idx] = True
-
+    times, jump_x, jump_y, flags = _jump_adapted_grid(
+        cfg, jump_times, jump_sizes[:, 0], jump_sizes[:, 1]
+    )
     dt = np.diff(times)
     chol = _chol2x2(t.sigma)
     zmat = rng.standard_normal((len(dt), 2))
@@ -428,21 +435,7 @@ def exact_fv_path(t: LevyTriplet2D, cfg: PathConfig, path_index: int = 0) -> Pat
     tau, jx, jy = _fv_events(t, cfg.horizon, rng)
     bx, by = _uncompensated_drift(t)
 
-    n_steps = int(math.ceil(cfg.horizon / cfg.step - 1e-9))
-    grid = np.minimum(np.arange(n_steps + 1) * cfg.step, cfg.horizon)
-    grid[-1] = cfg.horizon
-    times = np.union1d(grid, tau)
-    n = len(times)
-
-    jump_x = np.zeros(n)
-    jump_y = np.zeros(n)
-    flags = np.zeros(n, dtype=bool)
-    if len(tau):
-        idx = np.searchsorted(times, tau)
-        np.add.at(jump_x, idx, jx)
-        np.add.at(jump_y, idx, jy)
-        flags[idx] = True
-
+    times, jump_x, jump_y, flags = _jump_adapted_grid(cfg, tau, jx, jy)
     xi_left = bx * times + np.concatenate([[0.0], np.cumsum(jump_x)[:-1]])
     eta_left = by * times + np.concatenate([[0.0], np.cumsum(jump_y)[:-1]])
     return Path(

@@ -344,6 +344,36 @@ class TestDensityTierClassification:
         assert r.decision.kind is DecisionKind.NO_RUIN_FROM
         assert r.decision.threshold == pytest.approx(u0, abs=1e-12)
 
+    def test_rigid_level_is_certified_once(self, monkeypatch):
+        # The feasible-set step certifies the one rigid level; the decision
+        # reuses that certificate and the rigid branch needs no thetas.
+        from gouruin import classify
+
+        u0 = 1.2
+        sigma = ((1.0, -u0), (-u0, u0 * u0))
+        t = self._box_triplet((0.5, 1.0), sigma, (1.1, 1.8, 0.5, 1.2))
+        expected = is_subordinator_s(t, u0)
+        calls = {"cert": 0, "thetas": 0}
+        certify, thetas = classify.is_subordinator_s, classify.thetas
+
+        def counted_cert(*args):
+            calls["cert"] += 1
+            return certify(*args)
+
+        def counted_thetas(*args):
+            calls["thetas"] += 1
+            return thetas(*args)
+
+        monkeypatch.setattr(classify, "is_subordinator_s", counted_cert)
+        monkeypatch.setattr(classify, "thetas", counted_thetas)
+        r = no_ruin_threshold(t)
+        assert calls == {"cert": 1, "thetas": 1}
+        assert r.certificate == expected
+        assert r.drift_piecewise is None
+        calls["thetas"] = 0
+        assert feasible_u_set(t).intervals == r.feasible_u.intervals
+        assert calls["thetas"] == 0
+
     def test_continuum_of_levels_is_refused_on_density_tier(self):
         from gouruin.errors import UndeterminedError
 

@@ -5,6 +5,7 @@ import math
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from gouruin import cli
@@ -80,6 +81,76 @@ class TestCheck:
             "jumps": {"atoms": [{"x": 1.0, "y": -1.0, "rate": 2.0}]},
         }
         assert triplet_to_json(triplet_from_json(spec)) == spec
+
+
+def _disk_atom_spec(rng, n_atoms):
+    """Zero-Gaussian spec with ``n_atoms`` atoms inside the unit disk, each a
+    breakpoint of the piecewise drift form."""
+    r = np.sqrt(rng.uniform(0.01, 0.9, n_atoms))
+    ang = rng.uniform(0.0, 2.0 * math.pi, n_atoms)
+    rates = rng.uniform(0.05, 2.0, n_atoms)
+    return {
+        "gamma_tilde": [float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 2.0))],
+        "sigma": [[0.0, 0.0], [0.0, 0.0]],
+        "jumps": {"atoms": [
+            {"x": float(ri * math.cos(ai)), "y": float(ri * math.sin(ai)), "rate": float(wi)}
+            for ri, ai, wi in zip(r, ang, rates)
+        ]},
+    }
+
+
+def _delta_flags(levels):
+    return [flag for z in levels for flag in ("--delta-at", repr(z))]
+
+
+LEVELS = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+class TestCheckEvaluatesOnce:
+    def test_drift_form_and_thetas_once_per_check(self, capsys, tmp_path, monkeypatch):
+        from gouruin import classify, regions
+
+        calls = {"drift_lhs_piecewise": 0, "thetas": 0}
+
+        def counted(name):
+            fn = getattr(regions, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name)
+            monkeypatch.setattr(regions, name, wrapper)
+            monkeypatch.setattr(classify, name, wrapper)
+        f = tmp_path / "disk.json"
+        f.write_text(json.dumps(_disk_atom_spec(np.random.default_rng(5), 100)))
+        code, out, _ = run_cli(capsys, "check", "--spec", str(f), *_delta_flags(LEVELS))
+        assert code == 0
+        assert len(json.loads(out)["delta"]) == len(LEVELS)
+        assert calls == {"drift_lhs_piecewise": 1, "thetas": 1}
+
+    def test_report_matches_the_standalone_functions(self, capsys, tmp_path):
+        from gouruin.acceptance import random_atom_triplet
+        from gouruin.classify import delta
+        from gouruin.model import triplet_to_json
+        from gouruin.numerics import ext_to_json
+        from gouruin.regions import drift_lhs_piecewise
+
+        rng = np.random.default_rng(31)
+        f = tmp_path / "spec.json"
+        for _ in range(50):
+            t = random_atom_triplet(rng)
+            f.write_text(json.dumps(triplet_to_json(t)))
+            code, out, _ = run_cli(capsys, "check", "--spec", str(f), *_delta_flags(LEVELS))
+            assert code == 0
+            doc = json.loads(out)
+            jsonschema.validate(doc, load_schema("ruin_report.schema.json"))
+            assert doc["delta"] == {str(z): ext_to_json(delta(t, z)) for z in LEVELS}
+            expected = json.loads(json.dumps(drift_lhs_piecewise(t).to_json()))
+            assert doc["drift_lhs_piecewise"] == expected
 
 
 class TestSimulate:
@@ -229,6 +300,45 @@ class TestUndeterminedExit:
         doc = json.loads(out)
         jsonschema.validate(doc, load_schema("ruin_report.schema.json"))
         assert doc["decision"]["kind"] == "undetermined"
+
+    @pytest.mark.parametrize("levels", [(), (0.5, 1.5)])
+    def test_density_continuum_reports_its_reason(self, capsys, tmp_path, levels):
+        spec = {
+            "gamma_tilde": [0.0, 0.0],
+            "sigma": [[0.0, 0.0], [0.0, 0.0]],
+            "jumps": {"density": {"kind": "uniform_box", "params": {"c": 0.3},
+                                  "box": [1.1, 1.8, 0.5, 1.2]}},
+        }
+        f = tmp_path / "dens.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "check", "--spec", str(f), *_delta_flags(levels))
+        assert code == 2
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("ruin_report.schema.json"))
+        assert doc["decision"]["kind"] == "undetermined"
+        assert "delta" not in doc and "residual" not in doc
+        assert err == f"undetermined: {doc['warnings'][-1]}\n"
+        assert "continuum of levels" in err
+
+    def test_check_carries_the_quadrature_residual(self, capsys, tmp_path, monkeypatch):
+        from gouruin import classify
+        from gouruin.errors import UndeterminedError
+
+        def unresolved(m):
+            raise UndeterminedError("2-d quadrature tolerance not reached", residual=0.25)
+
+        monkeypatch.setattr(classify, "thetas", unresolved)
+        code, out, err = run_cli(
+            capsys, "check", "--preset", "jump_example", "--c", "1", "--lambda", "1",
+            "--delta-at", "1.8",
+        )
+        assert code == 2
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("ruin_report.schema.json"))
+        assert doc["decision"]["kind"] == "undetermined"
+        assert doc["residual"] == 0.25
+        assert "delta" not in doc
+        assert err == "undetermined: 2-d quadrature tolerance not reached residual=0.25\n"
 
     def test_quadrature_residual_is_printed(self, capsys, tmp_path, monkeypatch):
         from gouruin import quadrature
