@@ -63,7 +63,9 @@ class FailedCondition(enum.Enum):
 
 @dataclass(frozen=True)
 class SubordinatorCertificate:
-    """Machine-checkable record of the three-part subordinator test."""
+    """Machine-checkable record of the three-part subordinator test;
+    ``residual`` is the error bound of the quadrature that left it
+    undetermined, when that quadrature reported one."""
 
     verdict: Verdict
     gaussian_ok: bool
@@ -71,9 +73,10 @@ class SubordinatorCertificate:
     drift_d: float | None
     failing_condition: FailedCondition | None
     detail: str | None = None
+    residual: float | None = None
 
     def to_json(self) -> dict:
-        return {
+        doc = {
             "verdict": self.verdict.value,
             "gaussian_ok": self.gaussian_ok,
             "negative_jumps_mass": ext_to_json(self.negative_jumps_mass),
@@ -83,6 +86,9 @@ class SubordinatorCertificate:
             else None,
             "detail": self.detail,
         }
+        if self.residual is not None:
+            doc["residual"] = self.residual
+        return doc
 
 
 def is_subordinator_1d(m: MarginalTriplet) -> SubordinatorCertificate:
@@ -93,7 +99,8 @@ def is_subordinator_1d(m: MarginalTriplet) -> SubordinatorCertificate:
         neg_mass = m.jumps.mass(NEG_INF, 0.0)
     except UndeterminedError as exc:
         return SubordinatorCertificate(
-            Verdict.UNDETERMINED, gaussian_ok, math.nan, None, None, detail=str(exc)
+            Verdict.UNDETERMINED, gaussian_ok, math.nan, None, None, detail=str(exc),
+            residual=exc.residual,
         )
     if not gaussian_ok:
         return SubordinatorCertificate(
@@ -109,7 +116,8 @@ def is_subordinator_1d(m: MarginalTriplet) -> SubordinatorCertificate:
         raise
     except UndeterminedError as exc:
         return SubordinatorCertificate(
-            Verdict.UNDETERMINED, True, neg_mass, None, None, detail=str(exc)
+            Verdict.UNDETERMINED, True, neg_mass, None, None, detail=str(exc),
+            residual=exc.residual,
         )
     if sgn(d) >= 0 if math.isfinite(d) else d == INF:
         return SubordinatorCertificate(Verdict.YES, True, neg_mass, d, None)
@@ -141,7 +149,8 @@ def is_subordinator_s(t: LevyTriplet2D, u: float) -> SubordinatorCertificate:
         neg_mass = _s_negative_jump_mass(t, u)
     except UndeterminedError as exc:
         return SubordinatorCertificate(
-            Verdict.UNDETERMINED, gaussian_ok, math.nan, None, None, detail=str(exc)
+            Verdict.UNDETERMINED, gaussian_ok, math.nan, None, None, detail=str(exc),
+            residual=exc.residual,
         )
     if not gaussian_ok:
         return SubordinatorCertificate(
@@ -155,7 +164,8 @@ def is_subordinator_s(t: LevyTriplet2D, u: float) -> SubordinatorCertificate:
         lhs = drift_lhs(t, u)
     except UndeterminedError as exc:
         return SubordinatorCertificate(
-            Verdict.UNDETERMINED, True, neg_mass, None, None, detail=str(exc)
+            Verdict.UNDETERMINED, True, neg_mass, None, None, detail=str(exc),
+            residual=exc.residual,
         )
     if (sgn(lhs) >= 0) if math.isfinite(lhs) else lhs == INF:
         return SubordinatorCertificate(Verdict.YES, True, neg_mass, lhs, None)
@@ -243,7 +253,9 @@ def _feasible(
         u0 = cov.intervals[0].lo
         cert = is_subordinator_s(t, u0)
         if cert.verdict is Verdict.UNDETERMINED:
-            raise UndeterminedError(cert.detail or "undetermined at the candidate level")
+            raise UndeterminedError(
+                cert.detail or "undetermined at the candidate level", cert.residual
+            )
         feasible = IntervalSet.point(u0) if cert.verdict is Verdict.YES else IntervalSet.empty()
         return feasible, cert
     region = _region_constraint(t, thetas(t.jumps) if th is None else th)
@@ -360,7 +372,8 @@ def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
         feasible, rigid = _feasible(t, th, piecewise)
     except UndeterminedError as exc:
         blank = SubordinatorCertificate(
-            Verdict.UNDETERMINED, False, math.nan, None, None, detail=str(exc)
+            Verdict.UNDETERMINED, False, math.nan, None, None, detail=str(exc),
+            residual=exc.residual,
         )
         return RuinReport(
             RuinDecision(DecisionKind.UNDETERMINED),
@@ -405,7 +418,9 @@ def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
         # On the rigid branch the only feasible level is the certified one.
         cert = rigid if rigid is not None else is_subordinator_s(t, u_star)
         decision = RuinDecision(DecisionKind.NO_RUIN_FROM, u_star, attained)
-    return RuinReport(decision, th, feasible, branch, cert, tuple(warnings_out), piecewise)
+    return RuinReport(
+        decision, th, feasible, branch, cert, tuple(warnings_out), piecewise, cert.residual
+    )
 
 
 # ---------------------------------------------------------------------------

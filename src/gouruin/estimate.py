@@ -23,6 +23,19 @@ Engine selection per driver, under the names the reports print:
 Each engine has one first-passage reducer, and the estimators, the formula
 checks and the per-path records all read the same batch of paths.
 
+The Gaussian grid engines stream: a chunk of paths walks the grid in fixed
+time blocks with per-path running state, so memory does not grow with the
+horizon, and stops once every path is ruined at every level.  Requests for
+terminal values only (``estimate_negative_prob``, ``estimate_Zinf_cdf``)
+draw two normals per path on ``grid_bridge`` and ``expmart``, where the
+mid-horizon and terminal grid values are jointly Gaussian (in xi): the same
+law as the grid, from different draws.
+
+No estimate is computed from an overflowed value: a path that turns
+non-finite before it is ruined at a requested level, or whose terminal value
+is non-finite, is counted as a non-finite path and makes the estimator raise
+``UndeterminedError``; it never counts as survival.
+
 Ruin is an infinite-horizon quantity; estimates are over a finite horizon
 and therefore estimate it from below.  When the discounted integral is known
 to converge, a tail diagnostic (fraction of surviving paths ending within
@@ -39,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import Verdict, z_infinity_converges
-from .errors import NotApplicableError
+from .errors import NotApplicableError, UndeterminedError
 from .model import LevyTriplet2D
 from .numerics import BOUNDARY_TOL
 from .simulate import (
@@ -62,6 +75,14 @@ _Z975 = 1.959963984540054
 #: Paths per chunk of the per-path engines (exact_fv, mixed_grid).  Fixed,
 #: so the chunking never depends on the worker count.
 _PATH_BLOCK = 64
+
+#: Paths per chunk of the Gaussian grid kernel, and grid steps per time
+#: block of its streamed pass: a chunk holds a few rows x block arrays.
+_GRID_ROWS = 256
+_GRID_STEPS = 1024
+
+#: Largest bridge exponent a hash uniform can produce (u >= 2^-53).
+_Q_MAX = 0.5 * 53.0 * math.log(2.0)
 
 
 def worker_count() -> int:
@@ -145,7 +166,9 @@ class EmpiricalCDF:
 @dataclass
 class _BatchResult:
     """Per-z first-passage records plus terminal samples shared across
-    levels; ``time`` is filled only when the caller asks for times."""
+    levels; ``time`` is filled only when the caller asks for times, and
+    ``nonfinite`` counts paths that turned non-finite before passing every
+    level."""
 
     hit: dict[float, np.ndarray]
     v_hit: dict[float, np.ndarray]
@@ -154,6 +177,7 @@ class _BatchResult:
     z_T: np.ndarray | None
     z_half: np.ndarray | None
     engine: str
+    nonfinite: int = 0
 
     @classmethod
     def per_path(cls, z_list, n, want_terminal, want_times, engine) -> "_BatchResult":
@@ -253,22 +277,33 @@ def _gaussian_grid_batch(
     engine: str,
     want_times: bool = False,
 ) -> _BatchResult:
-    """No-jump drivers (``expmart``, ``grid_bridge``, ``grid``): vectorized
-    marching over path chunks.
+    """No-jump drivers (``expmart``, ``grid_bridge``, ``grid``): one streamed
+    pass per chunk of ``_GRID_ROWS`` paths over time blocks of
+    ``_GRID_STEPS`` grid steps, so memory is O(rows x block) whatever the
+    horizon.
 
-    Ruin detection is reduced to one scalar per path, the critical starting
-    level below which the path is ruined: the grid minimum of the integral
-    plus, where the sub-grid law is exactly a Brownian bridge (deterministic
-    xi, or the closed-form regime in xi space), the per-cell crossing roots
-    solved from hash-derived uniforms.  Levels then compare against that
-    scalar, so common random numbers and monotonicity in the level are
-    structural.  Crossings are continuous (no jumps), so the overshoot value
-    is identically zero and is never stored.
+    Each path keeps its own generator across blocks, and the running sums
+    carry from block to block, so the grid values are those of one
+    sequential cumulative sum.  Per level, a path is ruined at the first
+    grid instant past the level or at the right end of an earlier cell whose
+    exact Brownian-bridge extreme passes it (deterministic xi, or the
+    closed-form regime in xi space); the extreme is solved from the cell's
+    hash uniform.  Bridge cells are examined only where the cell's end
+    values come within ``sqrt(q_max * var)`` of the lowest level the path
+    has not passed yet, the largest distance an extreme can reach.  Levels
+    nest, so common random numbers and monotonicity in the level are
+    structural.  Crossings are continuous (no jumps), so the overshoot
+    value is identically zero and is never stored.  A path ruined at every
+    level stops drawing unless terminal values are wanted.
 
-    A ruined path's time is the first grid instant past the level, or the
-    right end of an earlier cell whose bridge crossing root passes it (the
-    same root and uniform as the critical level), so a path has a time
-    exactly when it is ruined.
+    A path's levels come from its finite prefix only: a path whose values
+    turn non-finite before it passes every level is counted in
+    ``nonfinite`` and never counts as surviving the levels it missed.
+
+    Terminal-only requests (no levels) on ``grid_bridge`` and ``expmart``
+    draw two normals per path: the grid values at ``half_idx`` and at the
+    horizon are jointly Gaussian there (in xi on ``expmart``), with the
+    covariance of the grid sums, so the law is that of the grid.
     """
     n_steps = max(1, int(round(horizon / step)))
     h = horizon / n_steps
@@ -278,179 +313,232 @@ def _gaussian_grid_batch(
     gx, gy = t.gamma_tilde
     s11, s12 = t.sigma[0]
     s22 = t.sigma[1][1]
-    u0 = _is_expmart(t) if engine == "expmart" else None
     sigma_xi = math.sqrt(max(0.0, s11))
+    sqh = math.sqrt(h)
+    levels = sorted(set(z_list))
+    n_levels = len(levels)
+    u0 = _is_expmart(t) if engine == "expmart" else None
 
-    # largest bridge exponent a hash uniform can produce (u >= 2^-53)
-    q_max = 0.5 * 53.0 * math.log(2.0)
-
-    chunk = max(1, min(n, 16_000_000 // max(1, n_steps)))
-    ranges = _chunk_ranges(n, chunk)
-
-    if engine == "grid_bridge":
-        xi_det = gx * times
-        disc = np.exp(-xi_det[:-1])
-        w_vec = disc * math.sqrt(max(0.0, s22)) * math.sqrt(h)
-        det_prefix = np.concatenate([[0.0], np.cumsum(disc * gy * h)])
-        cell_var = w_vec * w_vec
-        prec = np.sqrt(q_max * cell_var)
-
-    def _bridge_cells(path_mat, var_vec, prec_vec, thr, row_ids, upper):
-        """Cells whose exact bridge extreme can pass ``thr`` (one value per
-        row), and that extreme solved from the cell's hash uniform.
-
-        For upper crossings a cell fires at levels in [max(end values),
-        extreme); ``prec_vec`` bounds the extreme's distance from the end
-        values, so no other cell's extreme passes ``thr``.
-        """
-        if upper:
-            madj = np.maximum(path_mat[:, :-1], path_mat[:, 1:])
-            cand = madj > (thr[:, None] - prec_vec[None, :])
+    # overflow here is caught by the finite-prefix rule
+    with np.errstate(over="ignore", invalid="ignore"):
+        if engine == "grid_bridge":
+            disc = np.exp(-(gx * times[:-1]))
+            w_vec = disc * math.sqrt(max(0.0, s22)) * math.sqrt(h)
+            det_prefix = np.concatenate([[0.0], np.cumsum(disc * gy * h)])
+            var = w_vec * w_vec
+        elif engine == "expmart":
+            var = np.full(n_steps, s11 * h)
         else:
-            madj = np.minimum(path_mat[:, :-1], path_mat[:, 1:])
-            cand = madj < (thr[:, None] + prec_vec[None, :])
-        rows, cols = np.nonzero(cand)
-        left = path_mat[rows, cols]
-        right = path_mat[rows, cols + 1]
-        u = _hash_uniforms(seed, stream, 0, row_ids[rows] * (n_steps + 1) + cols)
+            var = None
+        prec = None if var is None else np.sqrt(_Q_MAX * var)
+
+    # Paths march in "path space" (Z, or xi on expmart); ``fire`` maps path
+    # values to -Z, which ruins at level z once it exceeds z.  ``upper``:
+    # path values rise toward ruin.
+    if u0 is None:
+        upper = False
+        fire = np.negative
+        path_level = [-z for z in levels]
+    else:
+        # -Z = u0 (1 - e^-xi) rises with xi when u0 > 0, falls otherwise;
+        # levels -Z never reaches (or always exceeds) map to +inf.
+        upper = u0 > 0.0
+        path_level = [
+            math.inf if -z / u0 <= -1.0 else -math.log1p(-z / u0) for z in levels
+        ]
+
+        def fire(x):
+            with np.errstate(over="ignore"):
+                return u0 * -np.expm1(-x)
+
+    if not levels and engine != "grid":
+        # two normals per path: the Gaussian sums at half_idx and at the
+        # horizon (in xi on expmart); overflow leaves non-finite values,
+        # which the estimators refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            if engine == "grid_bridge":
+                head, full = _endpoint_sums(
+                    n, seed, stream, var[:half_idx].sum(), var[half_idx:].sum()
+                )
+                z_half, z_T = det_prefix[half_idx] + head, det_prefix[-1] + full
+            else:
+                head, full = _endpoint_sums(
+                    n, seed, stream, s11 * h * half_idx, s11 * h * (n_steps - half_idx)
+                )
+                z_half = -fire(gx * times[half_idx] + head)
+                z_T = -fire(gx * times[-1] + full)
+        return _BatchResult({}, {}, {}, {}, z_T, z_half, engine)
+
+    if sigma_xi > 0.0:
+        l21 = s12 / sigma_xi
+        l22 = math.sqrt(max(0.0, s22 - l21 * l21))
+    else:
+        l21, l22 = 0.0, math.sqrt(max(0.0, s22))
+
+    # a row with every level passed gets a threshold no value can pass
+    row_level = np.array(path_level + [math.inf if upper else -math.inf])
+    extreme = np.max if upper else np.min
+
+    def advance(gens, s, e, carry):
+        """Path values at grid instants s..e of the rows whose generators
+        are ``gens``; ``carry`` holds their running sums at instant s."""
+        w = e - s
+        rows = len(gens)
+        if engine == "grid_bridge":
+            S = np.empty((rows, w + 1))
+            S[:, 0] = carry[0]
+            for j, g in enumerate(gens):
+                g.standard_normal(out=S[j, 1:])
+            np.multiply(S[:, 1:], w_vec[s:e], out=S[:, 1:])
+            np.cumsum(S, axis=1, out=S)
+            carry[0] = S[:, -1].copy()
+            return S + det_prefix[s:e + 1]
+        normals = np.empty((rows, w, 2))
+        for j, g in enumerate(gens):
+            g.standard_normal(out=normals[j])
+        X = np.empty((rows, w + 1))
+        X[:, 0] = carry[0]
+        np.multiply(normals[:, :, 0], sigma_xi * sqh, out=X[:, 1:])
+        np.cumsum(X, axis=1, out=X)
+        carry[0] = X[:, -1].copy()
+        xi = X + gx * times[s:e + 1]
+        if u0 is not None:
+            return xi
+        eta_inc = gy * h + (l21 * normals[:, :, 0] + l22 * normals[:, :, 1]) * sqh
+        Z = np.empty((rows, w + 1))
+        Z[:, 0] = carry[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(np.exp(-xi[:, :-1]), eta_inc, out=Z[:, 1:])
+            np.cumsum(Z, axis=1, out=Z)
+        carry[1] = Z[:, -1].copy()
+        return Z
+
+    def cells(sub, thr, end, ids, s, e):
+        """Bridge extremes of the cells c < end - 1 (per row) whose end
+        values come within ``prec`` of ``thr`` (per row): no other cell's
+        extreme passes ``thr``.  ``ids`` are the rows' path indices."""
+        if upper:
+            cand = np.maximum(sub[:, :-1], sub[:, 1:]) > thr[:, None] - prec[s:e]
+        else:
+            cand = np.minimum(sub[:, :-1], sub[:, 1:]) < thr[:, None] + prec[s:e]
+        cand &= np.arange(1, e - s + 1)[None, :] < end[:, None]
+        r, c = np.nonzero(cand)
+        left = sub[r, c]
+        right = sub[r, c + 1]
+        u = _hash_uniforms(seed, stream, 0, ids[r] * (n_steps + 1) + s + c)
         q = -0.5 * np.log(np.maximum(u, 2.0 ** -53))
         half = 0.5 * (left - right)
         mid = 0.5 * (left + right)
-        root = np.sqrt(half * half + q * var_vec[cols])
-        return rows, cols, (mid + root if upper else mid - root)
+        with np.errstate(over="ignore", invalid="ignore"):
+            root = np.sqrt(half * half + q * var[s + c])
+            return r, c, (mid + root if upper else mid - root)
 
-    def _bridge_extreme(path_mat, var_vec, prec_vec, base, row_ids, upper=True):
-        """Per-row extreme over the grid values and all bridge roots."""
-        rows, _, ext = _bridge_cells(path_mat, var_vec, prec_vec, base, row_ids, upper)
-        out = base.copy()
-        (np.maximum if upper else np.minimum).at(out, rows, ext)
-        return out
-
-    def _passage_times(path_mat, zcrit, row_ids, fire=None, bridge=None):
-        """Per level, the first-passage time of each ruined row (NaN on the
-        others).  ``fire`` maps path values to the level they ruin (the
-        identity on -Z); ``bridge`` is (var, prec, base, level -> path
-        value, upper) on the bridge engines."""
-        out = {}
-        for z in z_list:
-            t_z = np.full(len(zcrit), math.nan)
-            rows = np.nonzero(zcrit > z)[0]
-            if len(rows):
-                sub = path_mat[rows]
-                past = (sub if fire is None else fire(sub)) > z
-                first = np.where(past.any(axis=1), past.argmax(axis=1), n_steps + 1)
-                if bridge is not None:
-                    var_vec, prec_vec, base, to_path, upper = bridge
-                    # every cell that can pass z, and every cell zcrit looked at
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        thr = (np.fmin if upper else np.fmax)(to_path(z), base[rows])
-                    r, c, ext = _bridge_cells(sub, var_vec, prec_vec, thr, row_ids[rows], upper)
-                    fired = (ext if fire is None else fire(ext)) > z
-                    np.minimum.at(first, r[fired], c[fired] + 1)
-                t_z[rows] = times_or_nan[first]
-            out[z] = t_z
-        return out
+    levels_arr = np.array(levels)
 
     def run(rng_range):
         i0, i1 = rng_range
         m = i1 - i0
-        row_ids = np.arange(i0, i1)
+        gens = [path_rng(seed, i, stream) for i in range(i0, i1)]
+        first = np.full((n_levels, m), n_steps + 1) if want_times else None
+        passed = np.zeros(m, dtype=np.intp)  # levels passed (they nest)
+        nonfinite = np.zeros(m, dtype=bool)
         zT = np.empty(m) if want_terminal else None
         zH = np.empty(m) if want_terminal else None
-        zcrit = passage = None
+        live = np.arange(m)
+        carry = [np.zeros(m), np.zeros(m)]
 
-        if engine == "grid_bridge":
-            buf = np.empty((m, n_steps))
-            for j in range(m):
-                rng = path_rng(seed, i0 + j, stream)
-                buf[j] = rng.standard_normal(n_steps)
-            np.multiply(buf, w_vec[None, :], out=buf)
-            Z = np.empty((m, n_steps + 1))
-            Z[:, 0] = 0.0
-            np.cumsum(buf, axis=1, out=Z[:, 1:])
-            Z += det_prefix[None, :]
-            if want_terminal:
-                zT[:] = Z[:, -1]
-                zH[:] = Z[:, half_idx]
-            if z_list:
-                base = -Z.min(axis=1)
-                neg_Z = -Z
-                zcrit = _bridge_extreme(neg_Z, cell_var, prec, base, row_ids)
-                if want_times:
-                    bridge = (cell_var, prec, base, lambda z: z, True)
-                    passage = _passage_times(neg_Z, zcrit, row_ids, bridge=bridge)
-            return zcrit, zT, zH, passage
-
-        # random xi: simulate both components
-        xi = np.empty((m, n_steps + 1))
-        eta_inc = np.empty((m, n_steps)) if u0 is None else None
-        if sigma_xi > 0.0:
-            l21 = s12 / sigma_xi
-            l22 = math.sqrt(max(0.0, s22 - l21 * l21))
-        else:
-            l21, l22 = 0.0, math.sqrt(max(0.0, s22))
-        sqh = math.sqrt(h)
-        for j in range(m):
-            rng = path_rng(seed, i0 + j, stream)
-            zmat = rng.standard_normal((n_steps, 2))
-            xi[j, 0] = 0.0
-            np.cumsum(sigma_xi * sqh * zmat[:, 0], out=xi[j, 1:])
-            if eta_inc is not None:
-                eta_inc[j] = gy * h + (l21 * zmat[:, 0] + l22 * zmat[:, 1]) * sqh
-        xi += (gx * times)[None, :]
-
-        if u0 is not None:
-            Z_ends = u0 * np.expm1(-xi[:, [half_idx, -1]])
-            if want_terminal:
-                zH[:] = Z_ends[:, 0]
-                zT[:] = Z_ends[:, 1]
-            if z_list:
-                var_xi = np.full(n_steps, s11 * h)
-                prec_xi = np.sqrt(q_max * var_xi)
-                # -Z = u0 (1 - e^-xi) rises with xi when u0 > 0, falls otherwise
-                upper = u0 > 0.0
-                base = xi.max(axis=1) if upper else xi.min(axis=1)
-                level = _bridge_extreme(xi, var_xi, prec_xi, base, row_ids, upper)
-
-                def fire(x):
-                    with np.errstate(over="ignore"):
-                        return u0 * -np.expm1(-x)
-
-                zcrit = fire(level)
-                if want_times:
-                    bridge = (var_xi, prec_xi, base, lambda z: -np.log1p(-z / u0), upper)
-                    passage = _passage_times(xi, zcrit, row_ids, fire, bridge)
-            return zcrit, zT, zH, passage
-
-        with np.errstate(over="ignore"):
-            Z = np.empty((m, n_steps + 1))
-            Z[:, 0] = 0.0
-            np.cumsum(np.exp(-xi[:, :-1]) * eta_inc, axis=1, out=Z[:, 1:])
-        if want_terminal:
-            zT[:] = Z[:, -1]
-            zH[:] = Z[:, half_idx]
-        # Euler grid scan only; sub-grid crossings are missed (the estimate
-        # errs on the survival side).
-        if z_list:
-            zcrit = -Z.min(axis=1)
+        def cross(sub, rows, top, s, e):
+            """Levels passed inside block s..e by the chunk rows ``rows``,
+            whose path values there are ``sub`` with extreme ``top``."""
+            w = e - s
+            old = passed[rows]
+            ids = i0 + rows
+            fin = np.isfinite(sub)
+            cut = np.full(len(rows), w + 1)
+            for i in np.flatnonzero(~fin.all(axis=1)):  # keep the finite prefix
+                cut[i] = fin[i].argmin()
+                top[i] = extreme(sub[i, :cut[i]])
+            # a level falls when the extreme passes it, or a cell's bridge
+            # extreme does (only cells near the next level can)
+            new = np.maximum(old, np.searchsorted(levels_arr, fire(top)))
+            lost = np.zeros(len(rows), dtype=bool)
+            if prec is not None:
+                r, _, ext = cells(sub, row_level[new], cut, ids, s, e)
+                bad = ~np.isfinite(ext)  # overflowed: the cell is undecided
+                lost[r[bad]] = True
+                np.maximum.at(new, r[~bad], np.searchsorted(levels_arr, fire(ext[~bad])))
             if want_times:
-                passage = _passage_times(-Z, zcrit, row_ids)
-        return zcrit, zT, zH, passage
+                ruin = fire(sub)
+                inside = np.arange(w + 1)[None, :] < cut[:, None]
+                for k in range(old.min(), new.max()):
+                    sel = np.flatnonzero((old <= k) & (new > k))
+                    past = (ruin[sel] > levels[k]) & inside[sel]
+                    at = np.where(past.any(axis=1), past.argmax(axis=1), w + 1)
+                    if prec is not None:
+                        # cells before the first grid instant past the level
+                        thr = np.full(len(sel), row_level[k])
+                        r, c, ext = cells(sub[sel], thr, np.minimum(at, cut[sel]), ids[sel], s, e)
+                        fired = np.isfinite(ext) & (fire(ext) > levels[k])
+                        np.minimum.at(at, r[fired], c[fired] + 1)
+                    first[k, rows[sel]] = s + at
+            passed[rows] = new
+            nonfinite[rows] |= ((cut <= w) | lost) & (new < n_levels)
 
-    parts = _run_chunks(run, ranges)
-    zT = np.concatenate([p[1] for p in parts]) if want_terminal else None
-    zH = np.concatenate([p[2] for p in parts]) if want_terminal else None
-    res = _BatchResult({}, {}, {}, {}, zT, zH, engine)
-    if z_list:
-        zcrit = np.concatenate([p[0] for p in parts])
-    for z in z_list:
-        hz = zcrit > z
+        for s in range(0, n_steps, _GRID_STEPS):
+            e = min(n_steps, s + _GRID_STEPS)
+            P = advance([gens[j] for j in live], s, e, carry)
+            if want_terminal:
+                for idx, out in ((half_idx, zH), (n_steps, zT)):
+                    if s <= idx <= e:
+                        out[live] = -fire(P[:, idx - s])
+            if not n_levels:
+                continue
+            undecided = (passed[live] < n_levels) & ~nonfinite[live]
+            thr = row_level[passed[live]]
+            margin = 0.0 if prec is None else prec[s:e].max()
+            ext = extreme(P, axis=1)
+            with np.errstate(invalid="ignore"):
+                near = ext > thr - margin if upper else ext < thr + margin
+            near |= ~np.isfinite(ext) | ~np.isfinite(P[:, -1])
+            near &= undecided
+            if near.any():
+                cross(P[near], live[near], ext[near], s, e)
+                undecided = (passed[live] < n_levels) & ~nonfinite[live]
+            if not want_terminal and not undecided.all():
+                live = live[undecided]
+                carry = [c[undecided] for c in carry]
+                if not len(live):
+                    break
+        return passed, first, int(nonfinite.sum()), zT, zH
+
+    parts = _run_chunks(run, _chunk_ranges(n, _GRID_ROWS))
+    zT = np.concatenate([p[3] for p in parts]) if want_terminal else None
+    zH = np.concatenate([p[4] for p in parts]) if want_terminal else None
+    res = _BatchResult({}, {}, {}, {}, zT, zH, engine, sum(p[2] for p in parts))
+    passed = np.concatenate([p[0] for p in parts])
+    for k, z in enumerate(levels):
+        hz = passed > k
         res.hit[z] = hz
         res.v_hit[z] = np.where(hz, 0.0, math.nan)
         res.continuous[z] = hz
         if want_times:
-            res.time[z] = np.concatenate([p[3][z] for p in parts])
+            res.time[z] = times_or_nan[np.concatenate([p[1][k] for p in parts])]
     return res
+
+
+def _endpoint_sums(n, seed, stream, var_head, var_tail):
+    """Two Gaussian sums per path from its first two normals: one of
+    variance ``var_head`` and that sum plus an independent one of variance
+    ``var_tail``."""
+    g = np.empty((n, 2))
+
+    def draw(rng_range):
+        for i in range(*rng_range):
+            g[i] = path_rng(seed, i, stream).standard_normal(2)
+
+    _run_chunks(draw, _chunk_ranges(n, _GRID_ROWS))
+    head = np.sqrt(var_head) * g[:, 0]
+    return head, head + np.sqrt(var_tail) * g[:, 1]
 
 
 def _fv_batch(
@@ -523,6 +611,16 @@ def _mixed_batch(
     return res
 
 
+def _require_finite(nonfinite: int, n: int) -> None:
+    """A path that turned non-finite before its question was answered makes
+    the estimate undetermined; it never counts as survival."""
+    if nonfinite:
+        raise UndeterminedError(
+            f"nonfinite_paths={nonfinite} of {n}: the simulated values overflowed "
+            "before the paths could be decided; shorten the horizon"
+        )
+
+
 def _default_step(horizon: float, step: float | None) -> float:
     if step is not None:
         return step
@@ -570,6 +668,7 @@ def estimate_ruin(
         want_terminal=converges is Verdict.YES,
         step=step, truncation_eps=truncation_eps,
     )
+    _require_finite(batch.nonfinite, n)
     hits = batch.hit[z]
     k = int(hits.sum())
     lo, hi = wilson_interval(k, n)
@@ -577,6 +676,7 @@ def estimate_ruin(
         "horizon": horizon,
         "engine": batch.engine,
         "estimates_infinite_horizon_from_below": True,
+        "nonfinite_paths": 0,
     }
     if batch.z_T is not None:
         survivors = ~hits
@@ -599,9 +699,12 @@ def estimate_negative_prob(
         t, [], T, n, seed, stream=0, want_terminal=True,
         step=step, truncation_eps=truncation_eps,
     )
+    _require_finite(int(np.count_nonzero(~np.isfinite(batch.z_T))), n)
     k = int(np.sum(batch.z_T < 0.0))
     lo, hi = wilson_interval(k, n)
-    return EstimateWithCI(k / n, lo, hi, n, k, {"T": T, "engine": batch.engine})
+    return EstimateWithCI(
+        k / n, lo, hi, n, k, {"T": T, "engine": batch.engine, "nonfinite_paths": 0}
+    )
 
 
 def estimate_Zinf_cdf(
@@ -626,6 +729,9 @@ def estimate_Zinf_cdf(
     batch = _dispatch_batch(
         t, [], T, n, seed, stream=1, want_terminal=True,
         step=step, truncation_eps=truncation_eps,
+    )
+    _require_finite(
+        int(np.count_nonzero(~(np.isfinite(batch.z_T) & np.isfinite(batch.z_half)))), n
     )
     half_cdf = EmpiricalCDF(batch.z_half)
     cdf = EmpiricalCDF(batch.z_T)
@@ -696,6 +802,7 @@ def ruin_formula_checks(
         t, list(z_list), horizon, n, seed, stream=0, want_terminal=False,
         step=step, truncation_eps=truncation_eps,
     )
+    _require_finite(batch.nonfinite, n)
     return {
         z: _assemble_formula_check(batch, g_cdf, z, n) for z in z_list
     }
@@ -804,4 +911,5 @@ def ruin_records(
         t, [z], horizon, n, seed, stream=0, want_terminal=False,
         step=step, truncation_eps=truncation_eps, want_times=True,
     )
+    _require_finite(batch.nonfinite, n)
     return batch.hit[z], batch.time[z], batch.v_hit[z], batch.continuous[z]

@@ -374,6 +374,38 @@ class TestDensityTierClassification:
         assert feasible_u_set(t).intervals == r.feasible_u.intervals
         assert calls["thetas"] == 0
 
+    def test_undetermined_certificate_carries_the_residual(self, monkeypatch):
+        # An unresolved quadrature at the rigid level: the certificates and
+        # the report carry its error bound, not just its message.
+        import json
+        from importlib import resources
+
+        import jsonschema
+
+        from gouruin import quadrature
+
+        u0 = 1.2
+        sigma = ((1.0, -u0), (-u0, u0 * u0))
+        t = self._box_triplet((0.5, 1.0), sigma, (1.1, 1.8, 0.5, 1.2))
+        s_marginal = s_process(t, u0)
+
+        def unresolved(*args, **kwargs):
+            return 0.0, 0.25  # (value, error estimate) far above any tolerance
+
+        monkeypatch.setattr(quadrature._si, "dblquad", unresolved)
+        monkeypatch.setattr(quadrature._si, "quad", unresolved)
+        cert = is_subordinator_s(t, u0)
+        assert cert.verdict is Verdict.UNDETERMINED
+        assert cert.residual == 0.25 and cert.to_json()["residual"] == 0.25
+        assert is_subordinator_1d(s_marginal).residual == 0.25
+        r = no_ruin_threshold(t)
+        assert r.decision.kind is DecisionKind.UNDETERMINED
+        assert r.residual == 0.25
+        doc = r.to_json()
+        schema = resources.files("gouruin.schemas").joinpath("ruin_report.schema.json")
+        jsonschema.validate(doc, json.loads(schema.read_text()))
+        assert doc["residual"] == doc["certificate"]["residual"] == 0.25
+
     def test_continuum_of_levels_is_refused_on_density_tier(self):
         from gouruin.errors import UndeterminedError
 

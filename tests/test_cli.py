@@ -366,6 +366,19 @@ class TestUndeterminedExit:
         assert err.startswith("undetermined: ")
         assert err.rstrip().endswith("residual=0.25")
 
+    def test_overflowing_paths_exit_undetermined(self, capsys, tmp_path):
+        # exp(-xi) overflows near t = 709 before any path reaches -1e300.
+        spec = {"gamma_tilde": [-1.0, 0.0], "sigma": [[0.0, 0.0], [0.0, 1.0]],
+                "jumps": {"atoms": []}}
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run_cli(
+            capsys, "estimate", "--spec", str(f), "--what", "ruin", "--z", "1e300",
+            "--horizon", "800", "--step", "0.05", "--paths", "20",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("undetermined: nonfinite_paths=20 of 20")
+
     def test_ruin_records_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "records.csv"
         code, out, _ = run_cli(

@@ -1,19 +1,22 @@
 """Monte Carlo estimators: engines, intervals, the ruin-formula check, and
 reproducibility contracts."""
 
+import hashlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from gouruin.classify import Verdict
-from gouruin.errors import NotApplicableError
+from gouruin.errors import NotApplicableError, UndeterminedError
 from gouruin.estimate import (
     EmpiricalCDF,
     _dispatch_batch,
     _fv_batch,
+    _gaussian_grid_batch,
     _select_engine,
     empirical_lower_bound,
     estimate_negative_prob,
@@ -237,6 +240,198 @@ class TestRuinRecords:
             batch.continuous[z], [fp.continuous_crossing for fp in passages]
         )
         assert batch.hit[z].any()
+
+
+def expmart_below():
+    """``expmart`` with u0 = -1: -Z = e^-xi - 1 falls as xi rises."""
+    return triplet((0.3, -0.2), ((1.0, 1.0), (1.0, 1.0)))
+
+
+def overflowing(engine):
+    """xi drifts to -infinity, so ruin is certain and exp(-xi) overflows
+    near t = 709 (ruin comes long before)."""
+    if engine == "grid_bridge":
+        return triplet((-1.0, 0.0), ((0.0, 0.0), (0.0, 1.0)))
+    if engine == "grid":
+        return triplet((-1.0, 0.0), ((0.25, 0.0), (0.0, 1.0)))
+    return triplet((-1.0, -1.5), ((1.0, 1.0), (1.0, 1.0)))  # expmart, u0 = -1
+
+
+# (driver, seed, n): sha256 of the hit and time arrays at levels 0, 0.5, 1
+# (horizon 5, step 0.01), as the whole-matrix kernel computed them.
+GOLDEN = [
+    (drift_xi_brownian_eta(), 5, 300,
+     "ad432c81f795e4b8e763051bc1f80acd979e2f707cd60b3478250b219ae67068"),
+    (continuous_example_triplet(0.4), 6, 300,
+     "37594184e3716f511d82c63ded7f3da120e17b805b3ffd52215de23f18d6422a"),
+    (expmart_below(), 7, 300,
+     "a848ab89e2de99db1edb451eb5c243eceb647173694c4f2ed321948d6bc4ed34"),
+    (correlated_gaussian(), 8, 300,
+     "e263aed0048182bdfe1dd622b5c148413dbd2f5288d82591b5152c45f2e8d614"),
+]
+
+STREAM_CASES = [
+    ("grid_bridge", drift_xi_brownian_eta()),
+    ("expmart", continuous_example_triplet(0.4)),
+    ("expmart", expmart_below()),
+    ("grid", correlated_gaussian()),
+]
+
+
+class TestStreamedGridKernel:
+    LEVELS = [0.0, 0.25, 0.5, 1.0]
+
+    @pytest.mark.parametrize("t,seed,n,digest", GOLDEN,
+                             ids=[f"{_select_engine(g[0])}-{g[1]}" for g in GOLDEN])
+    def test_paths_match_the_pinned_digests(self, t, seed, n, digest):
+        batch = _gaussian_grid_batch(
+            t, [0.0, 0.5, 1.0], 5.0, 0.01, n, seed, 0, False, _select_engine(t), True
+        )
+        d = hashlib.sha256()
+        for z in (0.0, 0.5, 1.0):
+            d.update(batch.hit[z].tobytes())
+            d.update(batch.time[z].tobytes())
+        assert d.hexdigest() == digest
+
+    @pytest.mark.parametrize("engine,t", STREAM_CASES, ids=[c[0] for c in STREAM_CASES])
+    def test_block_sizes_do_not_change_the_paths(self, engine, t, monkeypatch):
+        horizon, step, n, seed = 2.0, 0.01, 40, 9
+        n_steps = 200
+        assert _select_engine(t) == engine
+
+        def run(want_terminal, want_times):
+            b = _gaussian_grid_batch(
+                t, self.LEVELS, horizon, step, n, seed, 0, want_terminal, engine, want_times
+            )
+            return ({z: b.hit[z] for z in self.LEVELS}, b.time, b.z_T, b.z_half, b.nonfinite)
+
+        reference = {(wT, wt): run(wT, wt) for wT in (False, True) for wt in (False, True)}
+        hits = reference[(True, True)][0]
+        assert any(h.any() and not h.all() for h in hits.values())
+        for wT in (False, True):
+            assert _same(reference[(wT, False)][0], hits)
+            assert _same(reference[(wT, True)][1], reference[(True, True)][1])
+        for rows in (1, 16, 64):
+            for steps in (1, 7, 1000, n_steps):
+                monkeypatch.setattr(estimate, "_GRID_ROWS", rows)
+                monkeypatch.setattr(estimate, "_GRID_STEPS", steps)
+                for key, want in reference.items():
+                    assert _same(run(*key), want), (rows, steps, key)
+
+    def test_terminal_only_grid_values_are_the_streamed_ones(self):
+        t = correlated_gaussian()
+        with_levels = _gaussian_grid_batch(t, [0.5], 2.0, 0.01, 50, 4, 1, True, "grid")
+        alone = _gaussian_grid_batch(t, [], 2.0, 0.01, 50, 4, 1, True, "grid")
+        assert np.array_equal(alone.z_T, with_levels.z_T)
+        assert np.array_equal(alone.z_half, with_levels.z_half)
+
+    def test_memory_is_bounded_by_the_blocks(self):
+        # The criterion-6 shape: the whole-matrix kernel peaked near 700 MB.
+        t = drift_xi_brownian_eta()
+        tracemalloc.start()
+        try:
+            _gaussian_grid_batch(t, [0.0, 0.5, 1.0], 20.0, 1e-3, 1000, 1, 0, False, "grid_bridge")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a is not None and b is not None and np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+class TestNonfiniteValues:
+    @pytest.mark.parametrize("engine", ["grid_bridge", "grid"])
+    @pytest.mark.parametrize("horizon", [50.0, 800.0])
+    def test_certain_ruin_survives_the_overflow(self, engine, horizon):
+        t = overflowing(engine)
+        assert _select_engine(t) == engine
+        est = estimate_ruin(t, 1.0, horizon, 2000, seed=1, step=0.05)
+        assert est.point == 1.0
+        assert est.diagnostics["nonfinite_paths"] == 0
+
+    @pytest.mark.parametrize("engine", ["grid_bridge", "grid", "expmart"])
+    def test_ruin_does_not_decrease_with_the_horizon(self, engine):
+        t = overflowing(engine)
+        assert _select_engine(t) == engine
+        points = [
+            estimate_ruin(t, 1.0, horizon, 500, seed=2, step=0.05).point
+            for horizon in (50.0, 200.0, 800.0)
+        ]
+        assert points == sorted(points)
+        assert points[-1] == 1.0
+
+    def test_overflow_before_ruin_is_undetermined(self):
+        # No path reaches -1e300 before exp(-xi) overflows near t = 709.
+        t = overflowing("grid_bridge")
+        batch = _gaussian_grid_batch(t, [0.5, 1e300], 800.0, 0.05, 30, 3, 0, False, "grid_bridge")
+        assert batch.nonfinite == 30
+        assert batch.hit[0.5].all()
+        with pytest.raises(UndeterminedError, match="nonfinite_paths=30"):
+            estimate_ruin(t, 1e300, 800.0, 30, seed=3, step=0.05)
+        with pytest.raises(UndeterminedError):
+            ruin_records(t, 1e300, 800.0, 30, seed=3, step=0.05)
+
+    def test_terminal_overflow_is_undetermined(self):
+        # The terminal value at T = 800 is NaN (inf * 0 in the drift sum).
+        t = overflowing("grid_bridge")
+        assert estimate_negative_prob(t, 50.0, 200, seed=4, step=0.05).ci_low > 0.0
+        with pytest.raises(UndeterminedError, match="nonfinite_paths=200"):
+            estimate_negative_prob(t, 800.0, 200, seed=4, step=0.05)
+
+
+def _pair_moments(x, y, mean_x, mean_y, var_x, var_y, cov):
+    """(estimate, analytic value, standard error) of the means, variances
+    and covariance of a sample of pairs."""
+    dx, dy = x - mean_x, y - mean_y
+    out = []
+    for sample, target in ((x, mean_x), (y, mean_y), (dx * dx, var_x), (dy * dy, var_y),
+                           (dx * dy, cov)):
+        out.append((sample.mean(), target, sample.std(ddof=1) / math.sqrt(len(sample))))
+    return out
+
+
+class TestEndpointLaw:
+    # odd step count: half_idx = 50 is not n_steps / 2
+    HORIZON, STEP, N = 1.01, 0.01, 20_000
+
+    def test_grid_bridge_pair_is_the_grid_gaussian(self):
+        gx, gy, s22 = 0.7, 0.3, 0.8
+        t = triplet((gx, gy), ((0.0, 0.0), (0.0, s22)))
+        n_steps = 101
+        h = self.HORIZON / n_steps
+        half = n_steps // 2
+        disc = np.exp(-gx * np.arange(n_steps) * h)
+        mean = np.concatenate([[0.0], np.cumsum(disc * gy * h)])
+        var = np.concatenate([[0.0], np.cumsum(disc * disc * s22 * h)])
+        batch = _gaussian_grid_batch(t, [], self.HORIZON, self.STEP, self.N, 5, 1, True,
+                                     "grid_bridge")
+        for est, target, se in _pair_moments(batch.z_half, batch.z_T, mean[half], mean[-1],
+                                             var[half], var[-1], var[half]):
+            assert abs(est - target) <= 4.5 * se
+
+    def test_expmart_pair_is_the_grid_lognormal(self):
+        c = 0.4
+        t = continuous_example_triplet(c)  # Z = e^-xi - 1, xi = c t + B_t
+        n_steps = 101
+        h = self.HORIZON / n_steps
+        th, T = (n_steps // 2) * h, n_steps * h
+        m_h, m_T = math.exp(-c * th + th / 2), math.exp(-c * T + T / 2)
+        v_h = math.exp(-2 * c * th + 2 * th) - m_h ** 2
+        v_T = math.exp(-2 * c * T + 2 * T) - m_T ** 2
+        cov = math.exp(-c * (th + T) + (3 * th + T) / 2) - m_h * m_T
+        batch = _gaussian_grid_batch(t, [], self.HORIZON, self.STEP, self.N, 6, 1, True,
+                                     "expmart")
+        for est, target, se in _pair_moments(batch.z_half, batch.z_T, m_h - 1, m_T - 1,
+                                             v_h, v_T, cov):
+            assert abs(est - target) <= 4.5 * se
 
 
 def box_density_triplet():
