@@ -21,7 +21,8 @@ Engine selection per driver, under the names the reports print:
 * ``mixed_grid``: every other driver; per-path jump-adapted Euler.
 
 Each engine has one first-passage reducer, and the estimators, the formula
-checks and the per-path records all read the same batch of paths.
+checks, the per-path records and the empirical lower bound all read the
+same batch of paths.
 
 The Gaussian grid engines stream: a chunk of paths walks the grid in fixed
 time blocks with per-path running state, so memory does not grow with the
@@ -31,10 +32,12 @@ draw two normals per path on ``grid_bridge`` and ``expmart``, where the
 mid-horizon and terminal grid values are jointly Gaussian (in xi): the same
 law as the grid, from different draws.
 
-No estimate is computed from an overflowed value: a path that turns
-non-finite before it is ruined at a requested level, or whose terminal value
-is non-finite, is counted as a non-finite path and makes the estimator raise
-``UndeterminedError``; it never counts as survival.
+No estimate is computed from an overflowed value, on any engine: a path
+decides its levels from its finite prefix, and a path whose Z or xi turns
+non-finite before it is ruined at every requested level (before the horizon,
+for the lower bound), or whose terminal value is non-finite, is counted as a
+non-finite path and makes the estimator raise ``UndeterminedError``; it
+never counts as survival.
 
 Ruin is an infinite-horizon quantity; estimates are over a finite horizon
 and therefore estimate it from below.  When the discounted integral is known
@@ -52,11 +55,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import Verdict, z_infinity_converges
-from .errors import NotApplicableError, UndeterminedError
+from .errors import InvalidModelError, NotApplicableError, UndeterminedError
 from .model import LevyTriplet2D
 from .numerics import BOUNDARY_TOL
 from .simulate import (
-    FirstPassage,
     PathConfig,
     _density_jump_table,
     _fv_passage,
@@ -166,9 +168,11 @@ class EmpiricalCDF:
 @dataclass
 class _BatchResult:
     """Per-z first-passage records plus terminal samples shared across
-    levels; ``time`` is filled only when the caller asks for times, and
-    ``nonfinite`` counts paths that turned non-finite before passing every
-    level."""
+    levels; ``time`` is filled only when the caller asks for times,
+    ``v_min`` (each path's minimum of V = e^xi (z + Z) over its monitored
+    instants) only when it asks for the minimum at a level ``min_at``, and
+    ``nonfinite`` counts paths that turned non-finite before they were
+    decided."""
 
     hit: dict[float, np.ndarray]
     v_hit: dict[float, np.ndarray]
@@ -178,27 +182,7 @@ class _BatchResult:
     z_half: np.ndarray | None
     engine: str
     nonfinite: int = 0
-
-    @classmethod
-    def per_path(cls, z_list, n, want_terminal, want_times, engine) -> "_BatchResult":
-        """Empty records for engines that reduce one path at a time."""
-        return cls(
-            {z: np.zeros(n, dtype=bool) for z in z_list},
-            {z: np.full(n, math.nan) for z in z_list},
-            {z: np.zeros(n, dtype=bool) for z in z_list},
-            {z: np.full(n, math.nan) for z in z_list} if want_times else {},
-            np.empty(n) if want_terminal else None,
-            np.empty(n) if want_terminal else None,
-            engine,
-        )
-
-    def record(self, z: float, i: int, fp: FirstPassage) -> None:
-        if fp.hit:
-            self.hit[z][i] = True
-            self.v_hit[z][i] = fp.v_at_hit
-            self.continuous[z][i] = fp.continuous_crossing
-            if self.time:
-                self.time[z][i] = fp.time
+    v_min: np.ndarray | None = None
 
 
 def _hash_uniforms(seed: int, stream: int, idx0: int, flat_cells: np.ndarray) -> np.ndarray:
@@ -276,6 +260,7 @@ def _gaussian_grid_batch(
     want_terminal: bool,
     engine: str,
     want_times: bool = False,
+    min_at: float | None = None,
 ) -> _BatchResult:
     """No-jump drivers (``expmart``, ``grid_bridge``, ``grid``): one streamed
     pass per chunk of ``_GRID_ROWS`` paths over time blocks of
@@ -294,11 +279,14 @@ def _gaussian_grid_batch(
     nest, so common random numbers and monotonicity in the level are
     structural.  Crossings are continuous (no jumps), so the overshoot
     value is identically zero and is never stored.  A path ruined at every
-    level stops drawing unless terminal values are wanted.
+    level stops drawing unless terminal values or the minimum are wanted.
+    The minimum of V at ``min_at`` is taken over the grid instants, with
+    xi = gamma_xi t on ``grid_bridge``.
 
     A path's levels come from its finite prefix only: a path whose values
-    turn non-finite before it passes every level is counted in
-    ``nonfinite`` and never counts as surviving the levels it missed.
+    turn non-finite before it passes every level (before the horizon, when
+    the minimum is wanted) is counted in ``nonfinite`` and never counts as
+    surviving the levels it missed.
 
     Terminal-only requests (no levels) on ``grid_bridge`` and ``expmart``
     draw two normals per path: the grid values at ``half_idx`` and at the
@@ -351,7 +339,7 @@ def _gaussian_grid_batch(
             with np.errstate(over="ignore"):
                 return u0 * -np.expm1(-x)
 
-    if not levels and engine != "grid":
+    if not levels and min_at is None and engine != "grid":
         # two normals per path: the Gaussian sums at half_idx and at the
         # horizon (in xi on expmart); overflow leaves non-finite values,
         # which the estimators refuse
@@ -380,8 +368,9 @@ def _gaussian_grid_batch(
     extreme = np.max if upper else np.min
 
     def advance(gens, s, e, carry):
-        """Path values at grid instants s..e of the rows whose generators
-        are ``gens``; ``carry`` holds their running sums at instant s."""
+        """Path values and xi at grid instants s..e of the rows whose
+        generators are ``gens``; ``carry`` holds their running sums at
+        instant s."""
         w = e - s
         rows = len(gens)
         if engine == "grid_bridge":
@@ -392,7 +381,7 @@ def _gaussian_grid_batch(
             np.multiply(S[:, 1:], w_vec[s:e], out=S[:, 1:])
             np.cumsum(S, axis=1, out=S)
             carry[0] = S[:, -1].copy()
-            return S + det_prefix[s:e + 1]
+            return S + det_prefix[s:e + 1], gx * times[s:e + 1]
         normals = np.empty((rows, w, 2))
         for j, g in enumerate(gens):
             g.standard_normal(out=normals[j])
@@ -403,15 +392,14 @@ def _gaussian_grid_batch(
         carry[0] = X[:, -1].copy()
         xi = X + gx * times[s:e + 1]
         if u0 is not None:
-            return xi
+            return xi, xi
         eta_inc = gy * h + (l21 * normals[:, :, 0] + l22 * normals[:, :, 1]) * sqh
         Z = np.empty((rows, w + 1))
         Z[:, 0] = carry[1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(np.exp(-xi[:, :-1]), eta_inc, out=Z[:, 1:])
-            np.cumsum(Z, axis=1, out=Z)
+        np.multiply(np.exp(-xi[:, :-1]), eta_inc, out=Z[:, 1:])
+        np.cumsum(Z, axis=1, out=Z)
         carry[1] = Z[:, -1].copy()
-        return Z
+        return Z, xi
 
     def cells(sub, thr, end, ids, s, e):
         """Bridge extremes of the cells c < end - 1 (per row) whose end
@@ -444,6 +432,8 @@ def _gaussian_grid_batch(
         nonfinite = np.zeros(m, dtype=bool)
         zT = np.empty(m) if want_terminal else None
         zH = np.empty(m) if want_terminal else None
+        low = np.full(m, math.inf)  # the minimum of V at min_at
+        overflow = np.zeros(m, dtype=bool)  # non-finite before the horizon
         live = np.arange(m)
         carry = [np.zeros(m), np.zeros(m)]
 
@@ -486,11 +476,17 @@ def _gaussian_grid_batch(
 
         for s in range(0, n_steps, _GRID_STEPS):
             e = min(n_steps, s + _GRID_STEPS)
-            P = advance([gens[j] for j in live], s, e, carry)
+            with np.errstate(over="ignore", invalid="ignore"):  # the finite-prefix rule
+                P, xi = advance([gens[j] for j in live], s, e, carry)
             if want_terminal:
                 for idx, out in ((half_idx, zH), (n_steps, zT)):
                     if s <= idx <= e:
                         out[live] = -fire(P[:, idx - s])
+            if min_at is not None:
+                Z = P if u0 is None else -fire(P)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    low[live] = np.minimum(low[live], (np.exp(xi) * (min_at + Z)).min(axis=1))
+                overflow[live] |= ~(np.isfinite(Z) & np.isfinite(xi)).all(axis=1)
             if not n_levels:
                 continue
             undecided = (passed[live] < n_levels) & ~nonfinite[live]
@@ -504,17 +500,19 @@ def _gaussian_grid_batch(
             if near.any():
                 cross(P[near], live[near], ext[near], s, e)
                 undecided = (passed[live] < n_levels) & ~nonfinite[live]
-            if not want_terminal and not undecided.all():
+            if not want_terminal and min_at is None and not undecided.all():
                 live = live[undecided]
                 carry = [c[undecided] for c in carry]
                 if not len(live):
                     break
-        return passed, first, int(nonfinite.sum()), zT, zH
+        return passed, first, int((nonfinite | overflow).sum()), zT, zH, low
 
     parts = _run_chunks(run, _chunk_ranges(n, _GRID_ROWS))
     zT = np.concatenate([p[3] for p in parts]) if want_terminal else None
     zH = np.concatenate([p[4] for p in parts]) if want_terminal else None
     res = _BatchResult({}, {}, {}, {}, zT, zH, engine, sum(p[2] for p in parts))
+    if min_at is not None:
+        res.v_min = np.concatenate([p[5] for p in parts])
     passed = np.concatenate([p[0] for p in parts])
     for k, z in enumerate(levels):
         hz = passed > k
@@ -541,6 +539,124 @@ def _endpoint_sums(n, seed, stream, var_head, var_tail):
     return head, head + np.sqrt(var_tail) * g[:, 1]
 
 
+class _ExactPath:
+    """An ``exact_fv`` path: arrival times and ``_fv_state_arrays``."""
+
+    def __init__(self, t, horizon, rng):
+        self.tau, self.state = _fv_path_states(t, horizon, rng)
+        self.z_T, self.xi_T = self.state[6:]
+
+    def keep_finite_prefix(self):
+        *head, z_pre, z_post, _, xi_T = self.state
+        self.state = (*head, _inf_past_overflow(z_pre), _inf_past_overflow(z_post),
+                      math.inf, xi_T)
+
+    def z_at(self, time):
+        bx, by, _, xi_post, _, z_post, _, _ = self.state
+        k = int(np.searchsorted(self.tau, time))
+        base_xi = xi_post[k - 1] if k else 0.0
+        base_z = z_post[k - 1] if k else 0.0
+        base_t = self.tau[k - 1] if k else 0.0
+        return base_z + _segment_z_increment(
+            np.array([base_xi]), np.array([time - base_t]), bx, by
+        )[0]
+
+    def passage(self, z, want_time):
+        return _fv_passage(z, self.tau, self.state, want_time)
+
+    def lowest(self, z):
+        _, _, xi_pre, xi_post, z_pre, z_post, z_T, xi_T = self.state
+        try:
+            low = math.exp(xi_T) * (z + z_T)
+        except OverflowError:  # e^xi past the float range
+            low = math.copysign(math.inf, z + z_T)
+        if len(self.tau):
+            with np.errstate(over="ignore"):
+                low = min(low, float(np.min(np.exp(xi_pre) * (z + z_pre))),
+                          float(np.min(np.exp(xi_post) * (z + z_post))))
+        return low
+
+
+class _EulerPath:
+    """A ``mixed_grid`` path on its jump-adapted grid, with its Z."""
+
+    def __init__(self, t, cfg, jump_table, rng):
+        self.p = _simulate_pair_with_rng(t, cfg, rng, jump_table)
+        self.Z = compute_Z(self.p)
+        self.z_T, self.xi_T = self.Z[-1], self.p.xi[-1]
+
+    def keep_finite_prefix(self):
+        self.Z = _inf_past_overflow(self.Z)
+
+    def z_at(self, time):
+        """Z at the first grid or jump instant at or after ``time``."""
+        return self.Z[np.searchsorted(self.p.times, time)]
+
+    def passage(self, z, want_time):
+        return first_passage(self.p, z, self.Z)
+
+    def lowest(self, z):
+        return float(np.min(compute_V(self.p, z, self.Z)))
+
+
+def _inf_past_overflow(Z):
+    """Z with +inf for its non-finite values, which for a running sum are
+    those from the first overflow on: no level is ruined there."""
+    return np.where(np.isfinite(Z), Z, np.inf)
+
+
+def _per_path_batch(
+    engine, simulate, z_list, horizon, n, seed, stream, want_terminal, want_times, min_at
+) -> _BatchResult:
+    """The loop of the per-path engines: ``simulate(rng)`` builds one path,
+    and its ``passage`` is the engine's first-passage reducer.  Overflow
+    carries through the running sums, so a path whose final Z and xi are
+    finite is finite.  Any other path keeps only its finite prefix, and
+    counts in ``nonfinite`` when a level is not ruined there or ``min_at``
+    is set."""
+    levels = sorted(set(z_list))
+
+    def blank(fill):
+        return {z: np.full(n, fill) for z in levels}
+
+    res = _BatchResult(
+        blank(False),
+        blank(math.nan),
+        blank(False),
+        blank(math.nan) if want_times else {},
+        np.empty(n) if want_terminal else None,
+        np.empty(n) if want_terminal else None,
+        engine,
+        v_min=None if min_at is None else np.empty(n),
+    )
+    nonfinite = np.zeros(n, dtype=bool)
+
+    def run(rng_range):
+        for i in range(*rng_range):
+            path = simulate(path_rng(seed, i, stream))
+            if want_terminal:
+                res.z_T[i], res.z_half[i] = path.z_T, path.z_at(0.5 * horizon)
+            finite = math.isfinite(path.z_T) and math.isfinite(path.xi_T)
+            if not finite:
+                path.keep_finite_prefix()
+            for z in levels:
+                fp = path.passage(z, want_times)
+                if fp.hit:
+                    res.hit[z][i] = True
+                    res.v_hit[z][i] = fp.v_at_hit
+                    res.continuous[z][i] = fp.continuous_crossing
+                    if want_times:
+                        res.time[z][i] = fp.time
+            if min_at is not None:
+                res.v_min[i] = path.lowest(min_at)
+            if not finite:
+                nonfinite[i] = min_at is not None or not all(res.hit[z][i] for z in levels)
+
+    _run_chunks(run, _chunk_ranges(n, _PATH_BLOCK))
+    res.nonfinite = int(nonfinite.sum())
+    return res
+
+
 def _fv_batch(
     t: LevyTriplet2D,
     z_list,
@@ -550,32 +666,14 @@ def _fv_batch(
     stream: int,
     want_terminal: bool,
     want_times: bool = False,
+    min_at: float | None = None,
 ) -> _BatchResult:
     """Event-driven exact batch for zero-Gaussian atom drivers."""
     _require_fv(t)
-    res = _BatchResult.per_path(z_list, n, want_terminal, want_times, "exact_fv")
-
-    def run(rng_range):
-        i0, i1 = rng_range
-        for i in range(i0, i1):
-            tau, state = _fv_path_states(t, horizon, path_rng(seed, i, stream))
-            if want_terminal:
-                bx, by, _, xi_post, _, z_post, z_final, _ = state
-                res.z_T[i] = z_final
-                half = 0.5 * horizon
-                k = int(np.searchsorted(tau, half))
-                base_xi = xi_post[k - 1] if k else 0.0
-                base_z = z_post[k - 1] if k else 0.0
-                base_t = tau[k - 1] if k else 0.0
-                res.z_half[i] = base_z + _segment_z_increment(
-                    np.array([base_xi]), np.array([half - base_t]), bx, by
-                )[0]
-            for z in z_list:
-                res.record(z, i, _fv_passage(z, tau, state, want_times))
-        return None
-
-    _run_chunks(run, _chunk_ranges(n, _PATH_BLOCK))
-    return res
+    return _per_path_batch(
+        "exact_fv", lambda rng: _ExactPath(t, horizon, rng),
+        z_list, horizon, n, seed, stream, want_terminal, want_times, min_at,
+    )
 
 
 def _mixed_batch(
@@ -589,26 +687,15 @@ def _mixed_batch(
     want_terminal: bool,
     truncation_eps: float | None,
     want_times: bool = False,
+    min_at: float | None = None,
 ) -> _BatchResult:
     """General driver: per-path jump-adapted Euler simulation."""
     cfg = PathConfig(horizon, step, seed, truncation_eps)
     jump_table = _density_jump_table(t, cfg)
-    res = _BatchResult.per_path(z_list, n, want_terminal, want_times, "mixed_grid")
-
-    def run(rng_range):
-        i0, i1 = rng_range
-        for i in range(i0, i1):
-            p = _simulate_pair_with_rng(t, cfg, path_rng(seed, i, stream), jump_table)
-            Z = compute_Z(p)
-            if want_terminal:
-                res.z_T[i] = Z[-1]
-                res.z_half[i] = Z[np.searchsorted(p.times, 0.5 * horizon)]
-            for z in z_list:
-                res.record(z, i, first_passage(p, z, Z))
-        return None
-
-    _run_chunks(run, _chunk_ranges(n, _PATH_BLOCK))
-    return res
+    return _per_path_batch(
+        "mixed_grid", lambda rng: _EulerPath(t, cfg, jump_table, rng),
+        z_list, horizon, n, seed, stream, want_terminal, want_times, min_at,
+    )
 
 
 def _require_finite(nonfinite: int, n: int) -> None:
@@ -621,27 +708,30 @@ def _require_finite(nonfinite: int, n: int) -> None:
         )
 
 
-def _default_step(horizon: float, step: float | None) -> float:
-    if step is not None:
-        return step
-    return min(0.01, horizon / 100.0)
-
-
 def _dispatch_batch(
     t, z_list, horizon, n, seed, stream, want_terminal, step=None, truncation_eps=None,
-    want_times=False,
+    want_times=False, min_at=None,
 ) -> _BatchResult:
+    """The batch of the driver's engine; the one place that checks the
+    horizon, the path count and the step of outside input."""
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise InvalidModelError(f"horizon must be positive and finite, got {horizon}")
+    if n < 1:
+        raise InvalidModelError(f"the number of paths must be at least 1, got {n}")
+    if step is not None and not (step > 0.0 and math.isfinite(step)):
+        raise InvalidModelError(f"step must be positive and finite, got {step}")
     engine = _select_engine(t)
     if engine == "exact_fv":
-        return _fv_batch(t, z_list, horizon, n, seed, stream, want_terminal, want_times)
-    step = _default_step(horizon, step)
+        return _fv_batch(t, z_list, horizon, n, seed, stream, want_terminal, want_times, min_at)
+    step = min(0.01, horizon / 100.0) if step is None else step
     if engine == "mixed_grid":
         return _mixed_batch(
             t, z_list, horizon, step, n, seed, stream, want_terminal, truncation_eps,
-            want_times,
+            want_times, min_at,
         )
     return _gaussian_grid_batch(
-        t, z_list, horizon, step, n, seed, stream, want_terminal, engine, want_times
+        t, z_list, horizon, step, n, seed, stream, want_terminal, engine, want_times,
+        min_at,
     )
 
 
@@ -865,27 +955,19 @@ def empirical_lower_bound(
     step: float | None = None,
     truncation_eps: float | None = None,
 ) -> float:
-    """Smallest path value seen over all paths and monitored times."""
-    engine = _select_engine(t)
-    best = math.inf
-    if engine == "exact_fv":
-        for i in range(n):
-            tau, state = _fv_path_states(t, horizon, path_rng(seed, i, 0))
-            _, _, xi_pre, xi_post, z_pre, z_post, z_final, xi_final = state
-            with np.errstate(over="ignore"):
-                vals = [math.exp(xi_final) * (z + z_final)]
-                if len(tau):
-                    vals.append(float(np.min(np.exp(xi_pre) * (z + z_pre))))
-                    vals.append(float(np.min(np.exp(xi_post) * (z + z_post))))
-            best = min(best, *vals)
-        return best
-    cfg = PathConfig(horizon, _default_step(horizon, step), seed, truncation_eps)
-    jump_table = _density_jump_table(t, cfg)
-    for i in range(n):
-        p = _simulate_pair_with_rng(t, cfg, path_rng(seed, i, 0), jump_table)
-        V = compute_V(p, z)
-        best = min(best, float(np.min(V)))
-    return best
+    """Smallest V = e^xi (z + Z) over the paths and monitored instants of
+    the batch and streams of ``estimate_ruin``: the Monte Carlo side of
+    delta(z).  The instants are the pre-jump, post-jump and horizon states
+    on ``exact_fv`` (exact: the path is monotone between them), the grid on
+    the Gaussian grid engines (xi = gamma_xi t on ``grid_bridge``) and the
+    jump-adapted grid on ``mixed_grid``.  A path whose Z or xi turns
+    non-finite before the horizon makes the bound undetermined."""
+    batch = _dispatch_batch(
+        t, [], horizon, n, seed, stream=0, want_terminal=False,
+        step=step, truncation_eps=truncation_eps, min_at=z,
+    )
+    _require_finite(batch.nonfinite, n)
+    return float(batch.v_min.min())
 
 
 def ruin_records(

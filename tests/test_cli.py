@@ -254,6 +254,18 @@ class TestEstimate:
         assert code == 2
         assert "does not converge" in err
 
+    @pytest.mark.parametrize("preset, flags, field", [
+        ("jump_example", ["--horizon", "-1", "--paths", "10"], "horizon"),
+        ("jump_example", ["--paths", "0"], "number of paths"),
+        ("continuous_example", ["--step", "-0.1", "--paths", "10"], "step"),
+    ])
+    def test_bad_sizes_are_input_errors(self, capsys, preset, flags, field):
+        code, out, err = run_cli(
+            capsys, "estimate", "--preset", preset, "--what", "ruin", *flags
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("input error: ") and field in err
+
 
 class TestValidate:
     def test_exact_suite_passes_and_is_deterministic(self, capsys):

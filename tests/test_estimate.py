@@ -15,7 +15,6 @@ from gouruin.errors import NotApplicableError, UndeterminedError
 from gouruin.estimate import (
     EmpiricalCDF,
     _dispatch_batch,
-    _fv_batch,
     _gaussian_grid_batch,
     _select_engine,
     empirical_lower_bound,
@@ -231,7 +230,8 @@ class TestRuinRecords:
     def test_exact_fv_routes_agree(self):
         t = jump_example_triplet(1.0, 1.0)
         z, horizon, n, seed = 0.5, 20.0, 200, 4
-        batch = _fv_batch(t, [z], horizon, n, seed, 0, False, want_times=True)
+        batch = _dispatch_batch(t, [z], horizon, n, seed, 0, False, want_times=True)
+        assert batch.engine == "exact_fv"
         passages = [fv_first_passage(t, z, horizon, path_rng(seed, i, 0)) for i in range(n)]
         assert np.array_equal(batch.hit[z], [fp.hit for fp in passages])
         assert np.array_equal(batch.time[z], [fp.time for fp in passages], equal_nan=True)
@@ -255,6 +255,13 @@ def overflowing(engine):
     if engine == "grid":
         return triplet((-1.0, 0.0), ((0.25, 0.0), (0.0, 1.0)))
     return triplet((-1.0, -1.5), ((1.0, 1.0), (1.0, 1.0)))  # expmart, u0 = -1
+
+
+def first_jump_ruins(engine):
+    """xi falls at rate 20, so exp(-xi) overflows near t = 35; the one jump
+    type (rate 0.05) ruins from z = 1 whenever it comes."""
+    s22 = 0.01 if engine == "mixed_grid" else 0.0
+    return triplet((-20.0, 1.0), ((0.0, 0.0), (0.0, s22)), [(0.5, -1.0, 0.05)])
 
 
 # (driver, seed, n): sha256 of the hit and time arrays at levels 0, 0.5, 1
@@ -379,12 +386,50 @@ class TestNonfiniteValues:
         with pytest.raises(UndeterminedError):
             ruin_records(t, 1e300, 800.0, 30, seed=3, step=0.05)
 
+    # numpy warns about the overflow this test provokes
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("engine", ["exact_fv", "mixed_grid"])
+    def test_per_path_overflow_before_ruin_is_undetermined(self, engine):
+        # Paths with no jump by t = 35 overflow before they are ruined, so
+        # they may not count as survivors (the truth by T = 100 is 1 - e^-5).
+        t = first_jump_ruins(engine)
+        assert _select_engine(t) == engine
+        with pytest.raises(UndeterminedError, match="nonfinite_paths="):
+            estimate_ruin(t, 1.0, 100.0, 200, seed=1, step=0.05)
+        est = estimate_ruin(t, 1.0, 30.0, 200, seed=1, step=0.05)
+        assert est.diagnostics["nonfinite_paths"] == 0
+        if engine == "exact_fv":
+            p = 1.0 - math.exp(-1.5)
+            assert abs(est.point - p) <= 4.5 * math.sqrt(p * (1.0 - p) / 200)
+
     def test_terminal_overflow_is_undetermined(self):
         # The terminal value at T = 800 is NaN (inf * 0 in the drift sum).
         t = overflowing("grid_bridge")
         assert estimate_negative_prob(t, 50.0, 200, seed=4, step=0.05).ci_low > 0.0
         with pytest.raises(UndeterminedError, match="nonfinite_paths=200"):
             estimate_negative_prob(t, 800.0, 200, seed=4, step=0.05)
+
+
+class TestMinimumRecords:
+    @pytest.mark.parametrize("engine", [c[0] for c in ENGINE_CASES])
+    def test_minimum_agrees_with_the_hits(self, engine, monkeypatch):
+        t = engine_case(engine)[1]
+        runs = []
+        for threads, rows, steps in (("1", 256, 1024), ("2", 256, 1024), ("1", 64, 7)):
+            monkeypatch.setenv("GOU_THREADS", threads)
+            monkeypatch.setattr(estimate, "_GRID_ROWS", rows)
+            monkeypatch.setattr(estimate, "_GRID_STEPS", steps)
+            b = _dispatch_batch(t, [0.5], 10.0, 600, 3, 0, False, step=0.01, min_at=0.5)
+            assert b.engine == engine
+            runs.append((b.v_min, b.hit[0.5], b.nonfinite))
+        assert _same(runs[0], runs[1]) and _same(runs[0], runs[2])
+        v_min, hit, nonfinite = runs[0]
+        assert nonfinite == 0 and (v_min < 0).any()
+        if engine in ("grid_bridge", "expmart"):
+            # a bridge-corrected hit needs no negative grid value
+            assert hit[v_min < 0].all()
+        else:
+            assert np.array_equal(hit, v_min < 0)
 
 
 def _pair_moments(x, y, mean_x, mean_y, var_x, var_y, cov):
@@ -584,20 +629,16 @@ class TestRuinFormula:
 
 class TestEmpiricalLowerBound:
     def test_continuous_example_fixed_point(self):
-        # The lower-bound function equals 1 at the fixed point.  Euler error
-        # on the integral is amplified by the discount factor, so the
-        # empirical bound undershoots by O(sqrt(step) * exp(max xi)), not
-        # O(step); assert convergence toward the limit at that rate.
+        # The lower-bound function equals 1 at the fixed point.  The driver
+        # runs on expmart, whose grid values are exact: V = e^xi (1 + Z)
+        # is 1 at every instant, up to rounding, whatever the step.
         from gouruin.classify import delta
 
         t = continuous_example_triplet(0.2)
         assert delta(t, 1.0) == 1.0
-        steps = (0.02, 0.005, 0.00125)
-        bounds = [
-            empirical_lower_bound(t, 1.0, 1.0, 50, seed=17, step=h) for h in steps
-        ]
-        assert bounds[2] > bounds[0]
-        assert bounds[2] >= 1.0 - 25.0 * math.sqrt(steps[2])
+        for h in (0.02, 0.005, 0.00125):
+            bound = empirical_lower_bound(t, 1.0, 1.0, 50, seed=17, step=h)
+            assert abs(bound - 1.0) <= 1e-12
 
     def test_jump_example_inside_feasible_interval(self):
         from gouruin.classify import delta
@@ -613,6 +654,51 @@ class TestEmpiricalLowerBound:
         t = jump_example_triplet(1.0, 1.0)
         assert empirical_lower_bound(t, 0.5, 50.0, 100, seed=21) == -202684412.4919786
         assert empirical_lower_bound(t, 1.8, 100.0, 100, seed=18) == 1.800334453401879
+
+    def test_mixed_grid_value_is_pinned(self):
+        # Recorded when the bound still re-simulated each path on its own;
+        # the batch uses the same streams.
+        t = engine_case("mixed_grid")[1]
+        assert empirical_lower_bound(t, 0.5, 3.0, 50, seed=5, step=0.02) == -6.771065989626808
+
+    def test_exact_fv_horizon_state_past_the_float_range(self):
+        # xi reaches about 1000 at T = 1000, so e^xi at the horizon is past
+        # the float range; V is +inf there and the minimum comes from
+        # earlier states.
+        t = triplet((1.0, 0.5), jumps=[(0.3, -0.5, 1.0)])
+        assert empirical_lower_bound(t, 0.5, 1000.0, 10, seed=1) == empirical_lower_bound(
+            t, 0.5, 100.0, 10, seed=1
+        )
+
+    def test_overflow_makes_the_bound_undetermined(self):
+        # exp(-xi) overflows near t = 709, before the horizon T = 800.
+        t = overflowing("grid_bridge")
+        assert math.isfinite(empirical_lower_bound(t, 1.0, 50.0, 20, seed=1, step=0.05))
+        with pytest.raises(UndeterminedError, match="nonfinite_paths=20 of 20"):
+            empirical_lower_bound(t, 1.0, 800.0, 20, seed=1, step=0.05)
+
+    def test_exact_fv_bound_is_above_delta_on_the_corpus(self):
+        # exact_fv has no discretisation and monitors every state where V
+        # can attain its minimum, so no path goes below the lowest
+        # reachable level delta(z).
+        from gouruin.acceptance import random_atom_triplet
+        from gouruin.classify import delta
+
+        rng = np.random.default_rng(1234)
+        drivers = []
+        while len(drivers) < 200:
+            t = random_atom_triplet(rng)
+            if _select_engine(t) == "exact_fv":
+                drivers.append(t)
+        checks = 0
+        for k, t in enumerate(drivers):
+            for z in (-1.0, 0.5, 2.0):
+                d = delta(t, z)
+                if math.isfinite(d):
+                    bound = empirical_lower_bound(t, z, 20.0, 20, seed=k)
+                    assert bound >= d - 1e-12 * max(1.0, abs(d)), (k, z, d, bound)
+                    checks += 1
+        assert checks >= 100
 
     def test_unbounded_below_when_no_level_is_feasible(self):
         t = triplet(sigma=((1.0, 0.0), (0.0, 1.0)))
