@@ -42,10 +42,12 @@ from .model import (
     s_jump,
     s_process,
     w_jump,
+    zero_gaussian,
 )
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, ext_to_json, sgn
 from .regions import (
-    PiecewiseLinearFn, ThetaBounds, drift_lhs, drift_lhs_piecewise, quadrant_mass, thetas
+    PiecewiseLinearFn, ThetaBounds, drift_lhs, drift_lhs_piecewise, mass_tol, quadrant_mass,
+    thetas,
 )
 
 
@@ -75,6 +77,14 @@ class SubordinatorCertificate:
     detail: str | None = None
     residual: float | None = None
 
+    @classmethod
+    def undetermined(
+        cls, exc: UndeterminedError, gaussian_ok: bool = False, neg_mass: float = math.nan
+    ) -> SubordinatorCertificate:
+        """The certificate of a test that ``exc`` left open."""
+        return cls(Verdict.UNDETERMINED, gaussian_ok, neg_mass, None, None, detail=str(exc),
+                   residual=exc.residual)
+
     def to_json(self) -> dict:
         doc = {
             "verdict": self.verdict.value,
@@ -98,10 +108,7 @@ def is_subordinator_1d(m: MarginalTriplet) -> SubordinatorCertificate:
     try:
         neg_mass = m.jumps.mass(NEG_INF, 0.0)
     except UndeterminedError as exc:
-        return SubordinatorCertificate(
-            Verdict.UNDETERMINED, gaussian_ok, math.nan, None, None, detail=str(exc),
-            residual=exc.residual,
-        )
+        return SubordinatorCertificate.undetermined(exc, gaussian_ok)
     if not gaussian_ok:
         return SubordinatorCertificate(
             Verdict.NO, False, neg_mass, None, FailedCondition.GAUSSIAN
@@ -115,10 +122,7 @@ def is_subordinator_1d(m: MarginalTriplet) -> SubordinatorCertificate:
     except NotApplicableError:  # pragma: no cover - excluded by the mass check
         raise
     except UndeterminedError as exc:
-        return SubordinatorCertificate(
-            Verdict.UNDETERMINED, True, neg_mass, None, None, detail=str(exc),
-            residual=exc.residual,
-        )
+        return SubordinatorCertificate.undetermined(exc, True, neg_mass)
     if sgn(d) >= 0 if math.isfinite(d) else d == INF:
         return SubordinatorCertificate(Verdict.YES, True, neg_mass, d, None)
     return SubordinatorCertificate(
@@ -148,10 +152,7 @@ def is_subordinator_s(t: LevyTriplet2D, u: float) -> SubordinatorCertificate:
     try:
         neg_mass = _s_negative_jump_mass(t, u)
     except UndeterminedError as exc:
-        return SubordinatorCertificate(
-            Verdict.UNDETERMINED, gaussian_ok, math.nan, None, None, detail=str(exc),
-            residual=exc.residual,
-        )
+        return SubordinatorCertificate.undetermined(exc, gaussian_ok)
     if not gaussian_ok:
         return SubordinatorCertificate(
             Verdict.NO, False, neg_mass, None, FailedCondition.GAUSSIAN
@@ -163,10 +164,7 @@ def is_subordinator_s(t: LevyTriplet2D, u: float) -> SubordinatorCertificate:
     try:
         lhs = drift_lhs(t, u)
     except UndeterminedError as exc:
-        return SubordinatorCertificate(
-            Verdict.UNDETERMINED, True, neg_mass, None, None, detail=str(exc),
-            residual=exc.residual,
-        )
+        return SubordinatorCertificate.undetermined(exc, True, neg_mass)
     if (sgn(lhs) >= 0) if math.isfinite(lhs) else lhs == INF:
         return SubordinatorCertificate(Verdict.YES, True, neg_mass, lhs, None)
     return SubordinatorCertificate(
@@ -181,12 +179,12 @@ def is_subordinator_s(t: LevyTriplet2D, u: float) -> SubordinatorCertificate:
 
 def _covariance_constraint(t: LevyTriplet2D) -> IntervalSet:
     """Levels u compatible with the Gaussian rigidity B_eta = -u B_xi."""
+    if zero_gaussian(t):
+        return IntervalSet.full()
     s11, s12 = t.sigma[0]
     s22 = t.sigma[1][1]
     scale = max(1.0, s11, s22, abs(s12))
     if abs(s11) <= BOUNDARY_TOL * scale:
-        if abs(s22) <= BOUNDARY_TOL * scale and abs(s12) <= BOUNDARY_TOL * scale:
-            return IntervalSet.full()
         return IntervalSet.empty()
     u0 = -s12 / s11
     if abs(s22 - u0 * u0 * s11) <= BOUNDARY_TOL * max(scale, u0 * u0 * s11):
@@ -197,7 +195,7 @@ def _covariance_constraint(t: LevyTriplet2D) -> IntervalSet:
 def _is_zero_mass(m, value: float) -> bool:
     if m.atoms_or_none() is not None:
         return value == 0.0
-    return value <= 16.0 * getattr(m, "tol", 1e-9)
+    return value <= mass_tol(m)
 
 
 def _region_constraint(t: LevyTriplet2D, th: ThetaBounds) -> IntervalSet:
@@ -215,9 +213,7 @@ def _drift_constraint(
     t: LevyTriplet2D, cov: IntervalSet, piecewise: PiecewiseLinearFn | None
 ) -> IntervalSet:
     if t.jumps.atoms_or_none() is not None:
-        if piecewise is None:
-            piecewise = drift_lhs_piecewise(t)
-        return piecewise.nonneg_set()
+        return (piecewise or drift_lhs_piecewise(t)).nonneg_set()
     # Density tier: decidable only pointwise; a point covariance constraint
     # reduces the drift condition to one evaluation.
     if len(cov.intervals) == 1:
@@ -238,14 +234,15 @@ def _feasible(
     t: LevyTriplet2D,
     th: ThetaBounds | None = None,
     piecewise: PiecewiseLinearFn | None = None,
-) -> tuple[IntervalSet, SubordinatorCertificate | None]:
+) -> tuple[IntervalSet, SubordinatorCertificate | None, IntervalSet | None]:
     """``feasible_u_set`` from the thetas and the atom-tier drift form when
     the caller already has them (each is computed here only if needed).
     Also returns the certificate at the single level of a rigid Gaussian
-    part, None otherwise."""
+    part and the set where the drift inequality holds, each None when it
+    was not needed."""
     cov = _covariance_constraint(t)
     if cov.is_empty():
-        return cov, None
+        return cov, None, None
     if len(cov.intervals) == 1 and cov.intervals[0].lo == cov.intervals[0].hi:
         # Rigid Gaussian: a single candidate level; evaluate the jump and
         # drift conditions directly so coincident boundaries cannot be lost
@@ -257,10 +254,10 @@ def _feasible(
                 cert.detail or "undetermined at the candidate level", cert.residual
             )
         feasible = IntervalSet.point(u0) if cert.verdict is Verdict.YES else IntervalSet.empty()
-        return feasible, cert
+        return feasible, cert, None
     region = _region_constraint(t, thetas(t.jumps) if th is None else th)
     drift = _drift_constraint(t, cov, piecewise)
-    return cov.intersect(region).intersect(drift), None
+    return cov.intersect(region).intersect(drift), None, drift
 
 
 def feasible_u_set(t: LevyTriplet2D) -> IntervalSet:
@@ -335,21 +332,38 @@ class RuinReport:
         return doc
 
 
-def _literal_threshold_sigma_zero(
-    piecewise: PiecewiseLinearFn | None, th: ThetaBounds
-) -> float | None:
+def _literal_threshold_sigma_zero(drift: IntervalSet | None, th: ThetaBounds) -> float | None:
     """max(theta2, inf{u > 0 : drift inequality holds}), the display form of
-    the zero-Gaussian threshold; used only to cross-check the feasible-set
-    answer."""
-    if piecewise is None:
+    the zero-Gaussian threshold from the set where the drift inequality
+    holds; used only to cross-check the feasible-set answer."""
+    if drift is None:
         return None
-    pos = piecewise.nonneg_set().intersect(
-        IntervalSet((Interval(0.0, INF, lo_open=True),))
-    )
+    pos = drift.intersect(IntervalSet((Interval(0.0, INF, lo_open=True),)))
     inf_val, _ = pos.inf_value()
     if inf_val == INF:
         return None
     return max(th.theta2, inf_val)
+
+
+def _branch(t: LevyTriplet2D) -> Branch:
+    return Branch.SIGMA_POSITIVE if t.sigma_xi2 > BOUNDARY_TOL else Branch.SIGMA_ZERO
+
+
+def undetermined_report(
+    t: LevyTriplet2D, exc: UndeterminedError, piecewise: PiecewiseLinearFn | None = None
+) -> RuinReport:
+    """The report of a decision that ``exc`` left open: no thetas, no
+    feasible level, and the reason and residual of ``exc``."""
+    return RuinReport(
+        RuinDecision(DecisionKind.UNDETERMINED),
+        ThetaBounds(NEG_INF, 0.0, 0.0, INF),
+        IntervalSet.empty(),
+        _branch(t),
+        SubordinatorCertificate.undetermined(exc),
+        (str(exc),),
+        piecewise,
+        exc.residual,
+    )
 
 
 def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
@@ -361,30 +375,13 @@ def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
     each evaluated once here; the report carries them.
     """
     warnings_out: list[str] = []
-    branch = (
-        Branch.SIGMA_POSITIVE
-        if t.sigma_xi2 > BOUNDARY_TOL
-        else Branch.SIGMA_ZERO
-    )
+    branch = _branch(t)
     piecewise = None if t.jumps.atoms_or_none() is None else drift_lhs_piecewise(t)
     try:
         th = thetas(t.jumps)
-        feasible, rigid = _feasible(t, th, piecewise)
+        feasible, rigid, drift = _feasible(t, th, piecewise)
     except UndeterminedError as exc:
-        blank = SubordinatorCertificate(
-            Verdict.UNDETERMINED, False, math.nan, None, None, detail=str(exc),
-            residual=exc.residual,
-        )
-        return RuinReport(
-            RuinDecision(DecisionKind.UNDETERMINED),
-            ThetaBounds(NEG_INF, 0.0, 0.0, INF),
-            IntervalSet.empty(),
-            branch,
-            blank,
-            (str(exc),),
-            piecewise,
-            exc.residual,
-        )
+        return undetermined_report(t, exc, piecewise)
 
     nonneg = feasible.intersect(IntervalSet((Interval(0.0, INF),)))
     if nonneg.is_empty():
@@ -406,7 +403,7 @@ def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
                 "threshold level itself"
             )
         if branch is Branch.SIGMA_ZERO:
-            literal = _literal_threshold_sigma_zero(piecewise, th)
+            literal = _literal_threshold_sigma_zero(drift, th)
             if literal is None or abs(literal - u_star) > BOUNDARY_TOL * max(
                 1.0, abs(u_star)
             ):

@@ -19,10 +19,9 @@ import sys
 from pathlib import Path as FsPath
 
 from . import acceptance
-from .classify import DecisionKind, no_ruin_threshold
+from .classify import DecisionKind, no_ruin_threshold, undetermined_report
 from .errors import GouError, InvalidModelError, NotApplicableError, UndeterminedError
 from .estimate import (
-    _select_engine,
     estimate_negative_prob,
     estimate_ruin,
     estimate_Zinf_cdf,
@@ -31,7 +30,7 @@ from .estimate import (
 )
 from .numerics import ext_to_json
 from .presets import triplet_from_spec
-from .simulate import PathConfig, exact_fv_path, simulate_pair, write_path_csv
+from .simulate import PathConfig, exact_fv_path, is_exact_fv, simulate_pair, write_path_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -67,8 +66,13 @@ def _emit(doc: dict) -> None:
 
 def cmd_check(args) -> int:
     spec = _load_spec(args)
-    t, meta = triplet_from_spec(spec)
-    report = no_ruin_threshold(t)
+    try:
+        t, meta = triplet_from_spec(spec)
+    except UndeterminedError as exc:  # the integrability spot check of a density
+        gaussian, meta = triplet_from_spec({**spec, "jumps": {"atoms": []}})
+        report = undetermined_report(gaussian, exc)
+    else:
+        report = no_ruin_threshold(t)
     doc = report.to_json()
     doc["spec"] = meta
     undetermined = report.decision.kind is DecisionKind.UNDETERMINED
@@ -88,7 +92,7 @@ def cmd_simulate(args) -> int:
     out = FsPath(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg = PathConfig(args.horizon, args.step, args.seed, args.truncation_eps)
-    exact = _select_engine(t) == "exact_fv"
+    exact = is_exact_fv(t)
     files = []
     for i in range(args.paths):
         p = (

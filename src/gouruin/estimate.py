@@ -60,15 +60,12 @@ from .model import LevyTriplet2D
 from .numerics import BOUNDARY_TOL
 from .simulate import (
     PathConfig,
+    _chol2x2,
     _density_jump_table,
-    _fv_passage,
-    _fv_path_states,
+    _EulerPath,
+    _ExactPath,
     _require_fv,
-    _segment_z_increment,
-    _simulate_pair_with_rng,
-    compute_V,
-    compute_Z,
-    first_passage,
+    is_exact_fv,
     path_rng,
 )
 
@@ -136,9 +133,9 @@ class EstimateWithCI:
 class EmpiricalCDF:
     """Right-continuous empirical distribution of a sample."""
 
-    def __init__(self, values, diagnostics: dict | None = None):
+    def __init__(self, values):
         self.values = np.sort(np.asarray(values, dtype=float))
-        self.diagnostics = diagnostics or {}
+        self.diagnostics: dict = {}
 
     @property
     def n(self) -> int:
@@ -172,13 +169,20 @@ class _BatchResult:
     ``v_min`` (each path's minimum of V = e^xi (z + Z) over its monitored
     instants) only when it asks for the minimum at a level ``min_at``, and
     ``nonfinite`` counts paths that turned non-finite before they were
-    decided."""
+    decided.
+
+    ``z_T`` holds Z at the horizon of every path that is not ruined at every
+    level; the Gaussian grid engines give NaN for the others, and for a
+    path counted in ``nonfinite``, since such a path may stop drawing.
+    ``z_half`` holds Z at half the horizon where it comes at no extra cost:
+    on the Gaussian grid engines alongside ``z_T``, and on the per-path
+    engines for requests with no levels and no ``min_at``."""
 
     hit: dict[float, np.ndarray]
     v_hit: dict[float, np.ndarray]
     continuous: dict[float, np.ndarray]
     time: dict[float, np.ndarray]
-    z_T: np.ndarray | None
+    z_T: np.ndarray
     z_half: np.ndarray | None
     engine: str
     nonfinite: int = 0
@@ -226,10 +230,9 @@ def _is_expmart(t: LevyTriplet2D) -> float | None:
 
 def _select_engine(t: LevyTriplet2D) -> str:
     """Canonical engine name of a driver, as the reports print it."""
-    atoms = t.jumps.atoms_or_none()
-    sigma_zero = all(abs(v) <= BOUNDARY_TOL for row in t.sigma for v in row)
-    if atoms is not None and sigma_zero:
+    if is_exact_fv(t):
         return "exact_fv"
+    atoms = t.jumps.atoms_or_none()
     if atoms is not None and len(atoms) == 0:
         if _is_expmart(t) is not None:
             return "expmart"
@@ -257,7 +260,6 @@ def _gaussian_grid_batch(
     n: int,
     seed: int,
     stream: int,
-    want_terminal: bool,
     engine: str,
     want_times: bool = False,
     min_at: float | None = None,
@@ -279,9 +281,9 @@ def _gaussian_grid_batch(
     nest, so common random numbers and monotonicity in the level are
     structural.  Crossings are continuous (no jumps), so the overshoot
     value is identically zero and is never stored.  A path ruined at every
-    level stops drawing unless terminal values or the minimum are wanted.
-    The minimum of V at ``min_at`` is taken over the grid instants, with
-    xi = gamma_xi t on ``grid_bridge``.
+    level stops drawing unless the minimum is wanted, and its terminal
+    values are NaN.  The minimum of V at ``min_at`` is taken over the grid
+    instants, with xi = gamma_xi t on ``grid_bridge``.
 
     A path's levels come from its finite prefix only: a path whose values
     turn non-finite before it passes every level (before the horizon, when
@@ -299,9 +301,9 @@ def _gaussian_grid_batch(
     times_or_nan = np.append(times, math.nan)
     half_idx = n_steps // 2
     gx, gy = t.gamma_tilde
-    s11, s12 = t.sigma[0]
+    s11 = t.sigma[0][0]
     s22 = t.sigma[1][1]
-    sigma_xi = math.sqrt(max(0.0, s11))
+    sigma_xi, l21, l22 = _chol2x2(t.sigma)
     sqh = math.sqrt(h)
     levels = sorted(set(z_list))
     n_levels = len(levels)
@@ -356,12 +358,6 @@ def _gaussian_grid_batch(
                 z_half = -fire(gx * times[half_idx] + head)
                 z_T = -fire(gx * times[-1] + full)
         return _BatchResult({}, {}, {}, {}, z_T, z_half, engine)
-
-    if sigma_xi > 0.0:
-        l21 = s12 / sigma_xi
-        l22 = math.sqrt(max(0.0, s22 - l21 * l21))
-    else:
-        l21, l22 = 0.0, math.sqrt(max(0.0, s22))
 
     # a row with every level passed gets a threshold no value can pass
     row_level = np.array(path_level + [math.inf if upper else -math.inf])
@@ -430,8 +426,8 @@ def _gaussian_grid_batch(
         first = np.full((n_levels, m), n_steps + 1) if want_times else None
         passed = np.zeros(m, dtype=np.intp)  # levels passed (they nest)
         nonfinite = np.zeros(m, dtype=bool)
-        zT = np.empty(m) if want_terminal else None
-        zH = np.empty(m) if want_terminal else None
+        zT = np.full(m, math.nan)
+        zH = np.full(m, math.nan)
         low = np.full(m, math.inf)  # the minimum of V at min_at
         overflow = np.zeros(m, dtype=bool)  # non-finite before the horizon
         live = np.arange(m)
@@ -478,10 +474,9 @@ def _gaussian_grid_batch(
             e = min(n_steps, s + _GRID_STEPS)
             with np.errstate(over="ignore", invalid="ignore"):  # the finite-prefix rule
                 P, xi = advance([gens[j] for j in live], s, e, carry)
-            if want_terminal:
-                for idx, out in ((half_idx, zH), (n_steps, zT)):
-                    if s <= idx <= e:
-                        out[live] = -fire(P[:, idx - s])
+            for idx, out in ((half_idx, zH), (n_steps, zT)):
+                if s <= idx <= e:
+                    out[live] = -fire(P[:, idx - s])
             if min_at is not None:
                 Z = P if u0 is None else -fire(P)
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -500,16 +495,19 @@ def _gaussian_grid_batch(
             if near.any():
                 cross(P[near], live[near], ext[near], s, e)
                 undecided = (passed[live] < n_levels) & ~nonfinite[live]
-            if not want_terminal and min_at is None and not undecided.all():
+            if min_at is None and not undecided.all():
                 live = live[undecided]
                 carry = [c[undecided] for c in carry]
                 if not len(live):
                     break
+        if n_levels and min_at is None:  # decided paths may have stopped drawing
+            done = (passed == n_levels) | nonfinite
+            zT[done] = zH[done] = math.nan
         return passed, first, int((nonfinite | overflow).sum()), zT, zH, low
 
     parts = _run_chunks(run, _chunk_ranges(n, _GRID_ROWS))
-    zT = np.concatenate([p[3] for p in parts]) if want_terminal else None
-    zH = np.concatenate([p[4] for p in parts]) if want_terminal else None
+    zT = np.concatenate([p[3] for p in parts])
+    zH = np.concatenate([p[4] for p in parts])
     res = _BatchResult({}, {}, {}, {}, zT, zH, engine, sum(p[2] for p in parts))
     if min_at is not None:
         res.v_min = np.concatenate([p[5] for p in parts])
@@ -539,74 +537,8 @@ def _endpoint_sums(n, seed, stream, var_head, var_tail):
     return head, head + np.sqrt(var_tail) * g[:, 1]
 
 
-class _ExactPath:
-    """An ``exact_fv`` path: arrival times and ``_fv_state_arrays``."""
-
-    def __init__(self, t, horizon, rng):
-        self.tau, self.state = _fv_path_states(t, horizon, rng)
-        self.z_T, self.xi_T = self.state[6:]
-
-    def keep_finite_prefix(self):
-        *head, z_pre, z_post, _, xi_T = self.state
-        self.state = (*head, _inf_past_overflow(z_pre), _inf_past_overflow(z_post),
-                      math.inf, xi_T)
-
-    def z_at(self, time):
-        bx, by, _, xi_post, _, z_post, _, _ = self.state
-        k = int(np.searchsorted(self.tau, time))
-        base_xi = xi_post[k - 1] if k else 0.0
-        base_z = z_post[k - 1] if k else 0.0
-        base_t = self.tau[k - 1] if k else 0.0
-        return base_z + _segment_z_increment(
-            np.array([base_xi]), np.array([time - base_t]), bx, by
-        )[0]
-
-    def passage(self, z, want_time):
-        return _fv_passage(z, self.tau, self.state, want_time)
-
-    def lowest(self, z):
-        _, _, xi_pre, xi_post, z_pre, z_post, z_T, xi_T = self.state
-        try:
-            low = math.exp(xi_T) * (z + z_T)
-        except OverflowError:  # e^xi past the float range
-            low = math.copysign(math.inf, z + z_T)
-        if len(self.tau):
-            with np.errstate(over="ignore"):
-                low = min(low, float(np.min(np.exp(xi_pre) * (z + z_pre))),
-                          float(np.min(np.exp(xi_post) * (z + z_post))))
-        return low
-
-
-class _EulerPath:
-    """A ``mixed_grid`` path on its jump-adapted grid, with its Z."""
-
-    def __init__(self, t, cfg, jump_table, rng):
-        self.p = _simulate_pair_with_rng(t, cfg, rng, jump_table)
-        self.Z = compute_Z(self.p)
-        self.z_T, self.xi_T = self.Z[-1], self.p.xi[-1]
-
-    def keep_finite_prefix(self):
-        self.Z = _inf_past_overflow(self.Z)
-
-    def z_at(self, time):
-        """Z at the first grid or jump instant at or after ``time``."""
-        return self.Z[np.searchsorted(self.p.times, time)]
-
-    def passage(self, z, want_time):
-        return first_passage(self.p, z, self.Z)
-
-    def lowest(self, z):
-        return float(np.min(compute_V(self.p, z, self.Z)))
-
-
-def _inf_past_overflow(Z):
-    """Z with +inf for its non-finite values, which for a running sum are
-    those from the first overflow on: no level is ruined there."""
-    return np.where(np.isfinite(Z), Z, np.inf)
-
-
 def _per_path_batch(
-    engine, simulate, z_list, horizon, n, seed, stream, want_terminal, want_times, min_at
+    engine, simulate, z_list, horizon, n, seed, stream, want_times, min_at
 ) -> _BatchResult:
     """The loop of the per-path engines: ``simulate(rng)`` builds one path,
     and its ``passage`` is the engine's first-passage reducer.  Overflow
@@ -615,6 +547,7 @@ def _per_path_batch(
     counts in ``nonfinite`` when a level is not ruined there or ``min_at``
     is set."""
     levels = sorted(set(z_list))
+    want_half = not levels and min_at is None
 
     def blank(fill):
         return {z: np.full(n, fill) for z in levels}
@@ -624,8 +557,8 @@ def _per_path_batch(
         blank(math.nan),
         blank(False),
         blank(math.nan) if want_times else {},
-        np.empty(n) if want_terminal else None,
-        np.empty(n) if want_terminal else None,
+        np.empty(n),
+        np.empty(n) if want_half else None,
         engine,
         v_min=None if min_at is None else np.empty(n),
     )
@@ -634,8 +567,9 @@ def _per_path_batch(
     def run(rng_range):
         for i in range(*rng_range):
             path = simulate(path_rng(seed, i, stream))
-            if want_terminal:
-                res.z_T[i], res.z_half[i] = path.z_T, path.z_at(0.5 * horizon)
+            res.z_T[i] = path.z_T
+            if want_half:
+                res.z_half[i] = path.z_at(0.5 * horizon)
             finite = math.isfinite(path.z_T) and math.isfinite(path.xi_T)
             if not finite:
                 path.keep_finite_prefix()
@@ -664,15 +598,14 @@ def _fv_batch(
     n: int,
     seed: int,
     stream: int,
-    want_terminal: bool,
     want_times: bool = False,
     min_at: float | None = None,
 ) -> _BatchResult:
     """Event-driven exact batch for zero-Gaussian atom drivers."""
     _require_fv(t)
     return _per_path_batch(
-        "exact_fv", lambda rng: _ExactPath(t, horizon, rng),
-        z_list, horizon, n, seed, stream, want_terminal, want_times, min_at,
+        "exact_fv", lambda rng: _ExactPath.draw(t, horizon, rng),
+        z_list, horizon, n, seed, stream, want_times, min_at,
     )
 
 
@@ -684,7 +617,6 @@ def _mixed_batch(
     n: int,
     seed: int,
     stream: int,
-    want_terminal: bool,
     truncation_eps: float | None,
     want_times: bool = False,
     min_at: float | None = None,
@@ -694,7 +626,7 @@ def _mixed_batch(
     jump_table = _density_jump_table(t, cfg)
     return _per_path_batch(
         "mixed_grid", lambda rng: _EulerPath(t, cfg, jump_table, rng),
-        z_list, horizon, n, seed, stream, want_terminal, want_times, min_at,
+        z_list, horizon, n, seed, stream, want_times, min_at,
     )
 
 
@@ -709,8 +641,8 @@ def _require_finite(nonfinite: int, n: int) -> None:
 
 
 def _dispatch_batch(
-    t, z_list, horizon, n, seed, stream, want_terminal, step=None, truncation_eps=None,
-    want_times=False, min_at=None,
+    t, z_list, horizon, n, seed, stream, step=None, truncation_eps=None, want_times=False,
+    min_at=None,
 ) -> _BatchResult:
     """The batch of the driver's engine; the one place that checks the
     horizon, the path count and the step of outside input."""
@@ -722,16 +654,14 @@ def _dispatch_batch(
         raise InvalidModelError(f"step must be positive and finite, got {step}")
     engine = _select_engine(t)
     if engine == "exact_fv":
-        return _fv_batch(t, z_list, horizon, n, seed, stream, want_terminal, want_times, min_at)
+        return _fv_batch(t, z_list, horizon, n, seed, stream, want_times, min_at)
     step = min(0.01, horizon / 100.0) if step is None else step
     if engine == "mixed_grid":
         return _mixed_batch(
-            t, z_list, horizon, step, n, seed, stream, want_terminal, truncation_eps,
-            want_times, min_at,
+            t, z_list, horizon, step, n, seed, stream, truncation_eps, want_times, min_at
         )
     return _gaussian_grid_batch(
-        t, z_list, horizon, step, n, seed, stream, want_terminal, engine, want_times,
-        min_at,
+        t, z_list, horizon, step, n, seed, stream, engine, want_times, min_at
     )
 
 
@@ -752,11 +682,8 @@ def estimate_ruin(
 ) -> EstimateWithCI:
     """Fraction of paths ruined before the horizon (lower bound on the
     infinite-horizon ruin probability)."""
-    converges = z_infinity_converges(t)
     batch = _dispatch_batch(
-        t, [z], horizon, n, seed, stream=0,
-        want_terminal=converges is Verdict.YES,
-        step=step, truncation_eps=truncation_eps,
+        t, [z], horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps
     )
     _require_finite(batch.nonfinite, n)
     hits = batch.hit[z]
@@ -768,7 +695,7 @@ def estimate_ruin(
         "estimates_infinite_horizon_from_below": True,
         "nonfinite_paths": 0,
     }
-    if batch.z_T is not None:
+    if z_infinity_converges(t) is Verdict.YES:  # every survivor has its z_T
         survivors = ~hits
         near = np.sum((z + batch.z_T[survivors]) < tail_eps)
         diag["tail_near_ruin_fraction"] = float(near / max(1, survivors.sum()))
@@ -786,8 +713,7 @@ def estimate_negative_prob(
 ) -> EstimateWithCI:
     """Fraction of paths whose discounted integral is negative at time T."""
     batch = _dispatch_batch(
-        t, [], T, n, seed, stream=0, want_terminal=True,
-        step=step, truncation_eps=truncation_eps,
+        t, [], T, n, seed, stream=0, step=step, truncation_eps=truncation_eps
     )
     _require_finite(int(np.count_nonzero(~np.isfinite(batch.z_T))), n)
     k = int(np.sum(batch.z_T < 0.0))
@@ -817,8 +743,7 @@ def estimate_Zinf_cdf(
             f"the discounted integral does not converge for this driver ({verdict.value})"
         )
     batch = _dispatch_batch(
-        t, [], T, n, seed, stream=1, want_terminal=True,
-        step=step, truncation_eps=truncation_eps,
+        t, [], T, n, seed, stream=1, step=step, truncation_eps=truncation_eps
     )
     _require_finite(
         int(np.count_nonzero(~(np.isfinite(batch.z_T) & np.isfinite(batch.z_half)))), n
@@ -889,8 +814,7 @@ def ruin_formula_checks(
         g_cdf = estimate_Zinf_cdf(t, horizon, n, seed, step=step,
                                   truncation_eps=truncation_eps)
     batch = _dispatch_batch(
-        t, list(z_list), horizon, n, seed, stream=0, want_terminal=False,
-        step=step, truncation_eps=truncation_eps,
+        t, list(z_list), horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps
     )
     _require_finite(batch.nonfinite, n)
     return {
@@ -963,8 +887,7 @@ def empirical_lower_bound(
     jump-adapted grid on ``mixed_grid``.  A path whose Z or xi turns
     non-finite before the horizon makes the bound undetermined."""
     batch = _dispatch_batch(
-        t, [], horizon, n, seed, stream=0, want_terminal=False,
-        step=step, truncation_eps=truncation_eps, min_at=z,
+        t, [], horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps, min_at=z
     )
     _require_finite(batch.nonfinite, n)
     return float(batch.v_min.min())
@@ -990,8 +913,8 @@ def ruin_records(
     jump instant.  Non-ruined paths carry NaN time and value.
     """
     batch = _dispatch_batch(
-        t, [z], horizon, n, seed, stream=0, want_terminal=False,
-        step=step, truncation_eps=truncation_eps, want_times=True,
+        t, [z], horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps,
+        want_times=True,
     )
     _require_finite(batch.nonfinite, n)
     return batch.hit[z], batch.time[z], batch.v_hit[z], batch.continuous[z]

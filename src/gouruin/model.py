@@ -48,6 +48,7 @@ from .numerics import BOUNDARY_TOL, INF, NEG_INF, checked_add
 from .quadrature import (
     Strip,
     clip_strips_to_box,
+    half_chord,
     integrate_strips,
     limit_toward_origin,
     limit_toward_point_1d,
@@ -74,18 +75,27 @@ def s_jump(x: float, y: float, u: float) -> float:
     return y - u * math.expm1(-x)
 
 
-def _lt(a: float, b: float, tol: float = BOUNDARY_TOL) -> bool:
+def s_band(u: float, lo: float, hi: float) -> Strip:
+    """The pair jumps whose S(u) jump y - u(e^-x - 1) lies in [lo, hi]."""
+    return Strip(
+        -_HUGE,
+        _HUGE,
+        lambda x: u * math.expm1(-x) + lo,
+        lambda x: u * math.expm1(-x) + hi,
+    )
+
+
+def _lt(a: float, b: float) -> bool:
     """Strict a < b with a dead band: boundary cases count as not-less."""
-    return b - a > tol
+    return b - a > BOUNDARY_TOL
 
 
 def _in_open_ball(x: float, y: float) -> bool:
     return _lt(x * x + y * y, 1.0)
 
 
-def _disk_half_width(x: float) -> float:
-    """Half-height sqrt(1 - x^2) of the unit disk at abscissa x (0 outside)."""
-    return math.sqrt(max(0.0, 1.0 - x * x))
+#: Half-height sqrt(1 - x^2) of the unit disk at abscissa x (0 outside).
+_disk_half_width = half_chord(1.0)
 
 
 def _uncompensated_drift(t: LevyTriplet2D) -> tuple[float, float]:
@@ -165,9 +175,9 @@ class BoxDensity:
     def _clip(self, strips):
         return clip_strips_to_box(strips, self.box)
 
-    def integrate(self, integrand, strips, tol: float | None = None) -> float:
+    def integrate(self, integrand, strips) -> float:
         """Plain strip integral; the caller guarantees integrability."""
-        return integrate_strips(self.fn, self._clip(strips), integrand, tol or self.tol)
+        return integrate_strips(self.fn, self._clip(strips), integrand, self.tol)
 
     def integrate_refined(self, integrand, strips, tol: float | None = None) -> float:
         """Nonnegative strip integral with origin refinement; may return inf."""
@@ -248,28 +258,18 @@ class LineDensity:
                     )
         return segs
 
-    def integrate(self, integrand, strips) -> float:
-        total = 0.0
-        for a, b in self._t_segments(strips):
-            total += quad_1d(
-                lambda t: self.fn(t) * integrand(*self._point(t)), a, b, self.tol
-            )
-        return total
-
-    def integrate_refined(self, integrand, strips) -> float:
+    def _sum(self, integrand, strips, rule) -> float:
         total = 0.0
         for a, b in self._t_segments(strips):
             g = lambda t: self.fn(t) * integrand(*self._point(t))
-            if a < 0.0 < b:
-                lo_part = limit_toward_point_1d(g, 0.0, a, self.tol)
-                hi_part = limit_toward_point_1d(g, 0.0, b, self.tol)
-                total = checked_add(total, checked_add(lo_part, hi_part))
-            elif a == 0.0 or b == 0.0:
-                far = b if a == 0.0 else a
-                total = checked_add(total, limit_toward_point_1d(g, 0.0, far, self.tol))
-            else:
-                total += quad_1d(g, a, b, self.tol)
+            total = checked_add(total, rule(g, a, b, self.tol))
         return total
+
+    def integrate(self, integrand, strips) -> float:
+        return self._sum(integrand, strips, quad_1d)
+
+    def integrate_refined(self, integrand, strips) -> float:
+        return self._sum(integrand, strips, _nonneg_1d)
 
     def xi_margin(self):
         if self.axis == "x":
@@ -280,6 +280,16 @@ class LineDensity:
         if self.axis == "y":
             return Density1D(self.fn, self.lo, self.hi, self.tol)
         return Atoms1D([])
+
+
+def _nonneg_1d(g, a: float, b: float, tol: float) -> float:
+    """Integral of a nonnegative ``g`` over [a, b]; 0, where ``g`` may be
+    Levy-singular, is approached as a limit when it lies in [a, b]."""
+    if not a <= 0.0 <= b:
+        return quad_1d(g, a, b, tol)
+    left = limit_toward_point_1d(g, 0.0, a, tol) if a < 0.0 else 0.0
+    right = limit_toward_point_1d(g, 0.0, b, tol) if b > 0.0 else 0.0
+    return checked_add(left, right)
 
 
 def _full_plane_strip() -> Strip:
@@ -308,9 +318,6 @@ class Atoms1D:
     def integrate(self, fn, a: float, b: float, nonneg: bool = False) -> float:
         return sum(r * fn(v) for v, r in self.pairs if _lt(a, v) and _lt(v, b))
 
-    def is_trivial(self) -> bool:
-        return not self.pairs
-
 
 class Density1D:
     """1-d jump density on [lo, hi], possibly Levy-infinite at 0."""
@@ -335,14 +342,7 @@ class Density1D:
         if b <= a:
             return 0.0
         g = lambda v: self.fn(v) * fn(v)
-        if nonneg and a <= 0.0 <= b:
-            left = limit_toward_point_1d(g, 0.0, a, self.tol) if a < 0.0 else 0.0
-            right = limit_toward_point_1d(g, 0.0, b, self.tol) if b > 0.0 else 0.0
-            return checked_add(left, right)
-        return quad_1d(g, a, b, self.tol)
-
-    def is_trivial(self) -> bool:
-        return False
+        return (_nonneg_1d if nonneg else quad_1d)(g, a, b, self.tol)
 
 
 class ProjectedDensity1D:
@@ -369,9 +369,6 @@ class ProjectedDensity1D:
             return self.base.integrate_refined(coord, self._strips(a, b))
         return self.base.integrate(coord, self._strips(a, b))
 
-    def is_trivial(self) -> bool:
-        return False
-
 
 class MappedSMeasure1D:
     """Pushforward of a 2-d density under the S(u) jump map y - u(e^-x - 1)."""
@@ -383,29 +380,15 @@ class MappedSMeasure1D:
     def atoms_or_none(self):
         return None
 
-    def _strips(self, a: float, b: float) -> list[Strip]:
-        u = self.u
-        return [
-            Strip(
-                -_HUGE,
-                _HUGE,
-                lambda x, _a=a: u * math.expm1(-x) + _a,
-                lambda x, _b=b: u * math.expm1(-x) + _b,
-            )
-        ]
-
     def mass(self, a: float, b: float) -> float:
-        return self.base.integrate_refined(lambda x, y: 1.0, self._strips(a, b))
+        return self.base.integrate_refined(lambda x, y: 1.0, [s_band(self.u, a, b)])
 
     def integrate(self, fn, a: float, b: float, nonneg: bool = False) -> float:
         u = self.u
         integrand = lambda x, y: fn(s_jump(x, y, u))
         if nonneg:
-            return self.base.integrate_refined(integrand, self._strips(a, b))
-        return self.base.integrate(integrand, self._strips(a, b))
-
-    def is_trivial(self) -> bool:
-        return False
+            return self.base.integrate_refined(integrand, [s_band(u, a, b)])
+        return self.base.integrate(integrand, [s_band(u, a, b)])
 
 
 class PushforwardMonotone1D:
@@ -434,9 +417,6 @@ class PushforwardMonotone1D:
     def integrate(self, fn, a: float, b: float, nonneg: bool = False) -> float:
         lo, hi = self._pre(a, b)
         return self.base.integrate(lambda x: fn(self.fwd(x)), lo, hi, nonneg=nonneg)
-
-    def is_trivial(self) -> bool:
-        return self.base.is_trivial()
 
 
 class CurvePairMeasure:
@@ -471,22 +451,18 @@ class CurvePairMeasure:
             )
         return segs
 
-    def integrate(self, integrand, strips) -> float:
+    def _sum(self, integrand, strips, nonneg: bool) -> float:
+        g = lambda x: integrand(x, w_jump(x))
         total = 0.0
         for a, b in self._segments(strips):
-            total += self.base.integrate(
-                lambda x: integrand(x, w_jump(x)), a, b, nonneg=False
-            )
+            total = checked_add(total, self.base.integrate(g, a, b, nonneg=nonneg))
         return total
 
+    def integrate(self, integrand, strips) -> float:
+        return self._sum(integrand, strips, nonneg=False)
+
     def integrate_refined(self, integrand, strips) -> float:
-        total = 0.0
-        for a, b in self._segments(strips):
-            total = checked_add(
-                total,
-                self.base.integrate(lambda x: integrand(x, w_jump(x)), a, b, nonneg=True),
-            )
-        return total
+        return self._sum(integrand, strips, nonneg=True)
 
     def xi_margin(self):
         return self.base
@@ -544,6 +520,11 @@ class LevyTriplet2D:
         if a is None:
             raise NotSupportedError("operation requires the atom tier")
         return a
+
+
+def zero_gaussian(t: LevyTriplet2D) -> bool:
+    """Every entry of the Gaussian covariance lies in the dead band of 0."""
+    return all(abs(v) <= BOUNDARY_TOL for row in t.sigma for v in row)
 
 
 @dataclass(frozen=True)
@@ -745,16 +726,6 @@ def _s_density_correction(measure, u: float) -> float:
     """
     eps = 0.3 / (1.0 + math.e * max(1.0, abs(u)))
 
-    def s_strips():
-        return [
-            Strip(
-                -_HUGE,
-                _HUGE,
-                lambda x: u * math.expm1(-x) - 1.0,
-                lambda x: u * math.expm1(-x) + 1.0,
-            )
-        ]
-
     def y_strips():
         return [Strip(-_HUGE, _HUGE, lambda x: -1.0, lambda x: 1.0)]
 
@@ -764,7 +735,7 @@ def _s_density_correction(measure, u: float) -> float:
 
     total = 0.0
     total += measure.integrate(
-        lambda x, y: s_jump(x, y, u), strips_outside_ball(s_strips(), eps)
+        lambda x, y: s_jump(x, y, u), strips_outside_ball([s_band(u, -1.0, 1.0)], eps)
     )
     total -= measure.integrate(lambda x, y: y, strips_outside_ball(y_strips(), eps))
     total += u * measure.integrate(
@@ -805,11 +776,7 @@ def drift_vector(t: LevyTriplet2D) -> tuple[float, float]:
     Only defined when the Gaussian part vanishes and the small jumps have
     finite variation.
     """
-    if not (
-        abs(t.sigma_xi2) <= BOUNDARY_TOL
-        and abs(t.sigma_eta2) <= BOUNDARY_TOL
-        and abs(t.brownian_cov) <= BOUNDARY_TOL
-    ):
+    if not zero_gaussian(t):
         raise NotFiniteVariationError("drift vector requires a vanishing Gaussian part")
     if t.jumps.atoms_or_none() is not None:
         return _uncompensated_drift(t)
@@ -854,9 +821,7 @@ def mean_at_one(t: LevyTriplet2D) -> tuple[float, float]:
     tail = [
         Strip(-_HUGE, -1.0, lambda x: -_HUGE, lambda x: _HUGE),
         Strip(1.0, _HUGE, lambda x: -_HUGE, lambda x: _HUGE),
-        Strip(-1.0, 1.0, _disk_half_width, lambda x: _HUGE),
-        Strip(-1.0, 1.0, lambda x: -_HUGE, lambda x: -_disk_half_width(x)),
-    ]
+    ] + _correction_strips("x")  # |x| < 1 outside the ball
     ex = t.gamma_tilde[0] + t.jumps.integrate(lambda x, y: x, tail)
     ey = t.gamma_tilde[1] + t.jumps.integrate(lambda x, y: y, tail)
     return ex, ey

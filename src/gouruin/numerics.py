@@ -22,13 +22,13 @@ NEG_INF = -math.inf
 BOUNDARY_TOL = 1e-12
 
 
-def sgn(value: float, tol: float = BOUNDARY_TOL) -> int:
-    """Sign of ``value`` with a dead band of ``tol`` around zero."""
+def sgn(value: float) -> int:
+    """Sign of ``value`` with a dead band of ``BOUNDARY_TOL`` around zero."""
     if math.isnan(value):
         raise IndeterminateFormError("sign of NaN requested")
-    if value > tol:
+    if value > BOUNDARY_TOL:
         return 1
-    if value < -tol:
+    if value < -BOUNDARY_TOL:
         return -1
     return 0
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _si
 
 from .errors import UndeterminedError
 from .numerics import INF
@@ -33,6 +32,20 @@ DIVERGENCE_CAP = 1e12
 
 _RATIO_CONVERGED = 0.70
 _RATIO_DIVERGENT = 0.999
+
+
+def _scipy_integrate():
+    """``scipy.integrate``, imported on the first quadrature call: only the
+    density tier needs it."""
+    from scipy import integrate
+
+    return integrate
+
+
+def __getattr__(name: str):
+    if name == "_si":  # the backend module, for callers that patch it
+        return _scipy_integrate()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -45,17 +58,18 @@ class Strip:
     yhi: Callable[[float], float]
 
 
-def quad_1d(fn, lo: float, hi: float, tol: float, points=None) -> float:
+def half_chord(radius: float) -> Callable[[float], float]:
+    """x -> sqrt(radius^2 - x^2), the half-height of the disk of the given
+    radius at abscissa x (0 outside it)."""
+    return lambda x: math.sqrt(max(0.0, radius * radius - x * x))
+
+
+def quad_1d(fn, lo: float, hi: float, tol: float) -> float:
     if hi <= lo:
         return 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        kwargs = {"epsabs": tol, "epsrel": 1e-10, "limit": 200}
-        if points:
-            pts = [p for p in points if lo < p < hi]
-            if pts:
-                kwargs["points"] = pts
-        val, err = _si.quad(fn, lo, hi, **kwargs)
+        val, err = _scipy_integrate().quad(fn, lo, hi, epsabs=tol, epsrel=1e-10, limit=200)
     if err > max(tol, 1e-13 * abs(val)):
         raise UndeterminedError("1-d quadrature tolerance not reached", residual=err)
     return val
@@ -66,6 +80,7 @@ def integrate_strips(density, strips: Sequence[Strip], integrand, tol: float) ->
     total = 0.0
     total_err = 0.0
     n = max(1, len(strips))
+    dblquad = _scipy_integrate().dblquad
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for s in strips:
@@ -73,7 +88,7 @@ def integrate_strips(density, strips: Sequence[Strip], integrand, tol: float) ->
                 continue
             lo_fn = s.ylo
             hi_fn = lambda x, _s=s: max(_s.ylo(x), _s.yhi(x))
-            val, err = _si.dblquad(
+            val, err = dblquad(
                 lambda y, x: integrand(x, y) * density(x, y),
                 s.x0,
                 s.x1,
@@ -113,6 +128,7 @@ def clip_strips_to_box(strips: Sequence[Strip], box) -> list[Strip]:
 
 def strips_outside_ball(strips: Sequence[Strip], eps: float) -> list[Strip]:
     """Region minus the open ball of radius eps at the origin."""
+    rad = half_chord(eps)
     out = []
     for s in strips:
         # Part of the strip with |x| >= eps is untouched.
@@ -124,45 +140,35 @@ def strips_outside_ball(strips: Sequence[Strip], eps: float) -> list[Strip]:
         x1 = min(s.x1, eps)
         if x1 <= x0:
             continue
-
-        def rad(x, _e=eps):
-            return math.sqrt(max(0.0, _e * _e - x * x))
-
-        out.append(Strip(x0, x1, s.ylo, lambda x, _s=s, _r=rad: min(_s.yhi(x), -_r(x))))
-        out.append(Strip(x0, x1, lambda x, _s=s, _r=rad: max(_s.ylo(x), _r(x)), s.yhi))
+        out.append(Strip(x0, x1, s.ylo, lambda x, _s=s: min(_s.yhi(x), -rad(x))))
+        out.append(Strip(x0, x1, lambda x, _s=s: max(_s.ylo(x), rad(x)), s.yhi))
     return out
 
 
 def strips_in_annulus(strips: Sequence[Strip], e_in: float, e_out: float) -> list[Strip]:
     """Region intersected with {e_in <= |z| < e_out}."""
+    g_in, g_out = half_chord(e_in), half_chord(e_out)
     out = []
     for s in strips:
         x0 = max(s.x0, -e_out)
         x1 = min(s.x1, e_out)
         if x1 <= x0:
             continue
-
-        def g_out(x, _e=e_out):
-            return math.sqrt(max(0.0, _e * _e - x * x))
-
-        def g_in(x, _e=e_in):
-            return math.sqrt(max(0.0, _e * _e - x * x))
-
         # Upper band: y in [g_in, g_out); lower band mirrored.
         out.append(
             Strip(
                 x0,
                 x1,
-                lambda x, _s=s, _g=g_in: max(_s.ylo(x), _g(x)),
-                lambda x, _s=s, _g=g_out: min(_s.yhi(x), _g(x)),
+                lambda x, _s=s: max(_s.ylo(x), g_in(x)),
+                lambda x, _s=s: min(_s.yhi(x), g_out(x)),
             )
         )
         out.append(
             Strip(
                 x0,
                 x1,
-                lambda x, _s=s, _g=g_out: max(_s.ylo(x), -_g(x)),
-                lambda x, _s=s, _g=g_in: min(_s.yhi(x), -_g(x)),
+                lambda x, _s=s: max(_s.ylo(x), -g_out(x)),
+                lambda x, _s=s: min(_s.yhi(x), -g_in(x)),
             )
         )
     return out
@@ -173,8 +179,6 @@ def limit_toward_origin(
     annulus_value: Callable[[float, float], float],
     tol: float,
     eps0: float = 0.5,
-    shrink: float = 0.25,
-    max_levels: int = 16,
 ) -> float:
     """Sum a nonnegative integral toward the origin with divergence detection.
 
@@ -190,8 +194,8 @@ def limit_toward_origin(
     small_streak = 0
     eps_out = eps0
     incr = 0.0
-    for _ in range(max_levels):
-        eps_in = eps_out * shrink
+    for _ in range(16):
+        eps_in = eps_out * 0.25
         incr = max(0.0, annulus_value(eps_in, eps_out))
         total += incr
         if total > DIVERGENCE_CAP:
@@ -219,15 +223,7 @@ def limit_toward_origin(
     )
 
 
-def limit_toward_point_1d(
-    fn,
-    singular_at: float,
-    far_end: float,
-    tol: float,
-    eps0: float = 0.5,
-    shrink: float = 0.25,
-    max_levels: int = 16,
-) -> float:
+def limit_toward_point_1d(fn, singular_at: float, far_end: float, tol: float) -> float:
     """1-d analogue of :func:`limit_toward_origin` for a nonnegative ``fn``.
 
     Integrates ``fn`` over the interval between ``singular_at`` (excluded,
@@ -236,7 +232,7 @@ def limit_toward_point_1d(
     span = abs(far_end - singular_at)
     if span == 0.0:
         return 0.0
-    eps0 = min(eps0, span * 0.5)
+    eps0 = min(0.5, span * 0.5)
     direction = 1.0 if far_end > singular_at else -1.0
 
     def seg(a: float, b: float) -> float:
@@ -246,24 +242,16 @@ def limit_toward_point_1d(
             lo, hi = hi, lo
         return quad_1d(fn, lo, hi, tol * 0.25)
 
-    outer = seg(eps0, span)
-    return limit_toward_origin(
-        outer,
-        lambda e_in, e_out: seg(e_in, e_out),
-        tol,
-        eps0=eps0,
-        shrink=shrink,
-        max_levels=max_levels,
-    )
+    return limit_toward_origin(seg(eps0, span), seg, tol, eps0=eps0)
 
 
-def predicate_segments(pred, lo: float, hi: float, samples: int = 2048) -> list[tuple[float, float]]:
+def predicate_segments(pred, lo: float, hi: float) -> list[tuple[float, float]]:
     """Subintervals of [lo, hi] where a scalar predicate holds.
 
     Boundaries are located by bisection on a dense scan; adequate for the
     piecewise-smooth predicates used by line-supported measures.
     """
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, 2048)
     vals = np.array([bool(pred(x)) for x in xs])
     segs: list[tuple[float, float]] = []
     start = None
@@ -278,8 +266,8 @@ def predicate_segments(pred, lo: float, hi: float, samples: int = 2048) -> list[
     return segs
 
 
-def _bisect_edge(pred, a: float, b: float, rising: bool, iters: int = 60) -> float:
-    for _ in range(iters):
+def _bisect_edge(pred, a: float, b: float, rising: bool) -> float:
+    for _ in range(60):
         m = 0.5 * (a + b)
         if bool(pred(m)) == rising:
             b = m

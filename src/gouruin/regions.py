@@ -38,7 +38,9 @@ from dataclasses import dataclass
 
 from .errors import NotSupportedError, UndeterminedError
 from .intervals import Interval, IntervalSet
-from .model import _HUGE, LevyTriplet2D, _disk_half_width, _in_open_ball, s_jump, w_jump
+from .model import (
+    _HUGE, LevyTriplet2D, _disk_half_width, _in_open_ball, s_band, s_jump, w_jump
+)
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, ext_to_json, sgn
 from .quadrature import Strip
 
@@ -80,9 +82,7 @@ def _atom_in_quadrant(a, i: int) -> bool:
 
 def _quadrant_strips(i: int, u: float | None) -> list[Strip]:
     """Strips for A_i, optionally intersected with {y < u (e^-x - 1)}."""
-
-    def cap(x: float) -> float:
-        return u * math.expm1(-x) if u is not None else _HUGE
+    cap = (lambda x: _HUGE) if u is None else s_band(u, -_HUGE, 0.0).yhi
 
     if i == 1:
         return [Strip(0.0, _HUGE, lambda x: 0.0, lambda x: min(cap(x), _HUGE))]
@@ -143,6 +143,11 @@ def _atom_thetas(atoms) -> ThetaBounds:
     return ThetaBounds(t1, t2, t3, t4)
 
 
+def mass_tol(m) -> float:
+    """Density-tier mass at or below which a region counts as empty."""
+    return 16.0 * getattr(m, "tol", 1e-9)
+
+
 def _bisect_theta(m, i: int, sign: float, vanishing: bool) -> float:
     """Density-tier threshold by monotone bisection on region mass.
 
@@ -156,7 +161,7 @@ def _bisect_theta(m, i: int, sign: float, vanishing: bool) -> float:
     fading continuously into the critical level resolves to roughly the cube
     root of the mass tolerance, not machine precision.
     """
-    tol_mass = 16.0 * getattr(m, "tol", 1e-9)
+    tol_mass = mass_tol(m)
 
     def mass_at(v: float) -> float:
         return region_mass(m, i, sign * v)
@@ -227,14 +232,8 @@ def thetas(m) -> ThetaBounds:
 
 def _disk_region_strips(u: float) -> list[Strip]:
     """Strips for {y - u(e^-x - 1) >= 0} inside the open unit disk."""
-    return [
-        Strip(
-            -1.0,
-            1.0,
-            lambda x: max(u * math.expm1(-x), -_disk_half_width(x)),
-            _disk_half_width,
-        )
-    ]
+    edge = s_band(u, 0.0, _HUGE).ylo
+    return [Strip(-1.0, 1.0, lambda x: max(edge(x), -_disk_half_width(x)), _disk_half_width)]
 
 
 def drift_lhs(t: LevyTriplet2D, u: float) -> float:
@@ -270,16 +269,10 @@ def small_jump_variation(t: LevyTriplet2D, u: float) -> SmallJumpVariation:
     integral; always finite on the atom tier."""
     if t.jumps.atoms_or_none() is not None:
         return SmallJumpVariation.FINITE
-    strips = [
-        Strip(
-            -_HUGE,
-            _HUGE,
-            lambda x: u * math.expm1(-x),
-            lambda x: u * math.expm1(-x) + 1.0,
-        )
-    ]
     try:
-        value = t.jumps.integrate_refined(lambda x, y: max(s_jump(x, y, u), 0.0), strips)
+        value = t.jumps.integrate_refined(
+            lambda x, y: max(s_jump(x, y, u), 0.0), [s_band(u, 0.0, 1.0)]
+        )
     except UndeterminedError:
         return SmallJumpVariation.UNDETERMINED
     return SmallJumpVariation.INFINITE if value == INF else SmallJumpVariation.FINITE
@@ -311,7 +304,7 @@ class PiecewiseLinearFn:
         slope, intercept = self.pieces[k]
         return slope * u + intercept
 
-    def nonneg_set(self, tol: float = BOUNDARY_TOL) -> IntervalSet:
+    def nonneg_set(self) -> IntervalSet:
         """The set {u : f(u) >= 0}, with boundary dead band.
 
         Roots are exact up to rounding; solution intervals are widened
@@ -324,7 +317,7 @@ class PiecewiseLinearFn:
             lo, hi = cuts[k], cuts[k + 1]
             piece = Interval(lo, hi, lo_open=True, hi_open=True)
             if abs(slope) <= 1e-300:
-                if intercept >= -tol:
+                if intercept >= -BOUNDARY_TOL:
                     parts.append(piece)
                 continue
             root = -intercept / slope
@@ -335,7 +328,7 @@ class PiecewiseLinearFn:
                 sol = Interval(NEG_INF, root + pad, lo_open=True, hi_open=False)
             parts.append(piece.intersect(sol))
         for bp, val in zip(self.breakpoints, self.at_points):
-            if val >= -tol:
+            if val >= -BOUNDARY_TOL:
                 parts.append(Interval(bp, bp))
         return IntervalSet(parts)
 

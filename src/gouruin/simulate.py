@@ -33,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidModelError, NotSupportedError
-from .model import _HUGE, LevyTriplet2D, _uncompensated_drift, w_transform
-from .numerics import BOUNDARY_TOL
+from .model import _HUGE, LevyTriplet2D, _uncompensated_drift, w_transform, zero_gaussian
 from .quadrature import Strip, strips_in_annulus, strips_outside_ball
 
 
@@ -94,15 +93,16 @@ def path_rng(seed: int, path_index: int = 0, stream: int = 0) -> np.random.Gener
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _chol2x2(sigma) -> np.ndarray:
+def _chol2x2(sigma) -> tuple[float, float, float]:
+    """Entries (l11, l21, l22) of the lower Cholesky factor of a 2x2
+    covariance; a degenerate first row leaves l11 = l21 = 0."""
     s11, s12 = sigma[0]
     s22 = sigma[1][1]
     if s11 > 0.0:
         l11 = math.sqrt(s11)
         l21 = s12 / l11
-        l22 = math.sqrt(max(0.0, s22 - l21 * l21))
-        return np.array([[l11, 0.0], [l21, l22]])
-    return np.array([[0.0, 0.0], [0.0, math.sqrt(max(0.0, s22))]])
+        return l11, l21, math.sqrt(max(0.0, s22 - l21 * l21))
+    return 0.0, 0.0, math.sqrt(max(0.0, s22))
 
 
 def _arrival_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
@@ -269,7 +269,8 @@ def _simulate_pair_with_rng(
         cfg, jump_times, jump_sizes[:, 0], jump_sizes[:, 1]
     )
     dt = np.diff(times)
-    chol = _chol2x2(t.sigma)
+    l11, l21, l22 = _chol2x2(t.sigma)
+    chol = np.array([[l11, 0.0], [l21, l22]])
     zmat = rng.standard_normal((len(dt), 2))
     binc = (zmat @ chol.T) * np.sqrt(dt)[:, None]
     bx_path = np.concatenate([[0.0], np.cumsum(binc[:, 0])])
@@ -322,6 +323,34 @@ def first_passage(p: Path, z: float, Z: np.ndarray | None = None) -> FirstPassag
     )
 
 
+def _inf_past_overflow(Z):
+    """Z with +inf for its non-finite values, which for a running sum are
+    those from the first overflow on: no level is ruined there."""
+    return np.where(np.isfinite(Z), Z, np.inf)
+
+
+class _EulerPath:
+    """A ``mixed_grid`` path on its jump-adapted grid, with its Z."""
+
+    def __init__(self, t, cfg, jump_table, rng):
+        self.p = _simulate_pair_with_rng(t, cfg, rng, jump_table)
+        self.Z = compute_Z(self.p)
+        self.z_T, self.xi_T = self.Z[-1], self.p.xi[-1]
+
+    def keep_finite_prefix(self):
+        self.Z = _inf_past_overflow(self.Z)
+
+    def z_at(self, time):
+        """Z at the first grid or jump instant at or after ``time``."""
+        return self.Z[np.searchsorted(self.p.times, time)]
+
+    def passage(self, z, want_time):
+        return first_passage(self.p, z, self.Z)
+
+    def lowest(self, z):
+        return float(np.min(compute_V(self.p, z, self.Z)))
+
+
 # ---------------------------------------------------------------------------
 # Exact event-driven engine for drivers with no Gaussian part
 # ---------------------------------------------------------------------------
@@ -351,15 +380,100 @@ def _fv_events(t: LevyTriplet2D, horizon: float, rng: np.random.Generator):
     return tau, jx, jy
 
 
+def is_exact_fv(t: LevyTriplet2D) -> bool:
+    """Whether the exact event-driven engine applies: finitely many jump
+    types and a zero Gaussian part."""
+    return t.jumps.atoms_or_none() is not None and zero_gaussian(t)
+
+
 def _require_fv(t: LevyTriplet2D):
-    if t.jumps.atoms_or_none() is None:
-        raise NotSupportedError("event-driven engine requires the atom tier")
-    if any(abs(v) > BOUNDARY_TOL for row in t.sigma for v in row):
-        raise NotSupportedError("event-driven engine requires a zero Gaussian part")
+    if not is_exact_fv(t):
+        raise NotSupportedError(
+            "event-driven engine requires the atom tier and a zero Gaussian part"
+        )
 
 
-def _fv_state_arrays(t, tau, jx, jy, horizon):
-    """Pre/post jump states at every arrival plus the horizon endpoint."""
+@dataclass
+class _ExactPath:
+    """An ``exact_fv`` path: its arrival times ``tau``, the drift (bx, by)
+    between arrivals, xi and Z just before and just after every arrival, and
+    Z and xi at the horizon."""
+
+    tau: np.ndarray
+    bx: float
+    by: float
+    xi_pre: np.ndarray
+    xi_post: np.ndarray
+    z_pre: np.ndarray
+    z_post: np.ndarray
+    z_T: float
+    xi_T: float
+
+    @classmethod
+    def draw(cls, t: LevyTriplet2D, horizon: float, rng: np.random.Generator) -> _ExactPath:
+        """One path of ``t`` over [0, horizon] from ``rng``."""
+        tau, jx, jy = _fv_events(t, horizon, rng)
+        return _fv_state_arrays(t, tau, jx, jy, horizon)
+
+    def keep_finite_prefix(self):
+        self.z_pre = _inf_past_overflow(self.z_pre)
+        self.z_post = _inf_past_overflow(self.z_post)
+        self.z_T = math.inf
+
+    def _start(self, k: int) -> tuple[float, float, float]:
+        """Time, xi and Z at the start of the segment after arrival k - 1."""
+        if k:
+            return self.tau[k - 1], self.xi_post[k - 1], self.z_post[k - 1]
+        return 0.0, 0.0, 0.0
+
+    def z_at(self, time):
+        base_t, base_xi, base_z = self._start(int(np.searchsorted(self.tau, time)))
+        return base_z + _segment_z_increment(
+            np.array([base_xi]), np.array([time - base_t]), self.bx, self.by
+        )[0]
+
+    def passage(self, z: float, want_time: bool = True) -> FirstPassage:
+        """First passage below zero from the event states.
+
+        Between arrivals the path solves a scalar linear ODE and is
+        monotone, so checking the pre-jump, post-jump, and horizon states
+        detects every crossing; continuous crossing times are solved in
+        closed form, and only when ``want_time`` is set (the time is NaN
+        otherwise).
+        """
+        pre_hit = z + self.z_pre < 0.0
+        hits = pre_hit | (z + self.z_post < 0.0)
+        if hits.any():
+            k = int(np.argmax(hits))
+            if not pre_hit[k]:
+                v_hit = math.exp(self.xi_post[k]) * (z + self.z_post[k])
+                return FirstPassage(True, float(self.tau[k]), v_hit, continuous_crossing=False)
+        elif z + self.z_T < 0.0:
+            k = len(self.tau)
+        else:
+            return FirstPassage(False)
+        # continuous crossing inside the segment that starts at arrival k - 1
+        t_cross = math.nan
+        if want_time:
+            start, xi0, z0 = self._start(k)
+            t_cross = start + _segment_crossing_time(math.exp(xi0) * (z + z0), self.bx, self.by)
+        return FirstPassage(True, t_cross, 0.0, continuous_crossing=True)
+
+    def lowest(self, z):
+        """Smallest V = e^xi (z + Z) over the event and horizon states."""
+        try:
+            low = math.exp(self.xi_T) * (z + self.z_T)
+        except OverflowError:  # e^xi past the float range
+            low = math.copysign(math.inf, z + self.z_T)
+        if len(self.tau):
+            with np.errstate(over="ignore"):
+                low = min(low, float(np.min(np.exp(self.xi_pre) * (z + self.z_pre))),
+                          float(np.min(np.exp(self.xi_post) * (z + self.z_post))))
+        return low
+
+
+def _fv_state_arrays(t, tau, jx, jy, horizon) -> _ExactPath:
+    """The exact path with arrival times ``tau`` and jumps (jx, jy)."""
     bx, by = _uncompensated_drift(t)
     xi_pre = bx * tau + np.concatenate([[0.0], np.cumsum(jx)[:-1]])
     xi_post = xi_pre + jx
@@ -372,7 +486,7 @@ def _fv_state_arrays(t, tau, jx, jy, horizon):
     z_post = z_pre + jump_inc
     z_final = (z_post[-1] if len(tau) else 0.0) + seg_inc[-1]
     xi_final = (xi_post[-1] if len(tau) else 0.0) + bx * seg_dt[-1]
-    return bx, by, xi_pre, xi_post, z_pre, z_post, z_final, xi_final
+    return _ExactPath(tau, bx, by, xi_pre, xi_post, z_pre, z_post, z_final, xi_final)
 
 
 def _segment_crossing_time(v0: float, bx: float, by: float) -> float:
@@ -383,49 +497,12 @@ def _segment_crossing_time(v0: float, bx: float, by: float) -> float:
     return math.log(v_star / (v_star - v0)) / bx
 
 
-def _fv_passage(z: float, tau, state, want_time: bool = True) -> FirstPassage:
-    """First passage below zero from the event states of one exact path.
-
-    Between arrivals the path solves a scalar linear ODE and is monotone, so
-    checking the pre-jump, post-jump, and horizon states detects every
-    crossing; continuous crossing times are solved in closed form, and only
-    when ``want_time`` is set (the time is NaN otherwise).
-    """
-    bx, by, _, xi_post, z_pre, z_post, z_final, _ = state
-    pre_hit = z + z_pre < 0.0
-    hits = pre_hit | (z + z_post < 0.0)
-    if hits.any():
-        k = int(np.argmax(hits))
-        if not pre_hit[k]:
-            v_hit = math.exp(xi_post[k]) * (z + z_post[k])
-            return FirstPassage(True, float(tau[k]), v_hit, continuous_crossing=False)
-    elif z + z_final < 0.0:
-        k = len(tau)
-    else:
-        return FirstPassage(False)
-    # continuous crossing inside the segment that starts at arrival k - 1
-    t_cross = math.nan
-    if want_time:
-        start = tau[k - 1] if k else 0.0
-        v_start = math.exp(xi_post[k - 1] if k else 0.0) * (
-            z + (z_post[k - 1] if k else 0.0)
-        )
-        t_cross = start + _segment_crossing_time(v_start, bx, by)
-    return FirstPassage(True, t_cross, 0.0, continuous_crossing=True)
-
-
-def _fv_path_states(t: LevyTriplet2D, horizon: float, rng: np.random.Generator):
-    """Arrival times and ``_fv_state_arrays`` of one exact path."""
-    tau, jx, jy = _fv_events(t, horizon, rng)
-    return tau, _fv_state_arrays(t, tau, jx, jy, horizon)
-
-
 def fv_first_passage(
     t: LevyTriplet2D, z: float, horizon: float, rng: np.random.Generator
 ) -> FirstPassage:
     """Exact first passage below zero for a zero-Gaussian atom driver."""
     _require_fv(t)
-    return _fv_passage(z, *_fv_path_states(t, horizon, rng))
+    return _ExactPath.draw(t, horizon, rng).passage(z)
 
 
 def exact_fv_path(t: LevyTriplet2D, cfg: PathConfig, path_index: int = 0) -> Path:
@@ -484,10 +561,9 @@ def simulate_stochastic_exponential(t: LevyTriplet2D, p: Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_path_csv(p: Path, z: float, fh, Z: np.ndarray | None = None) -> None:
+def write_path_csv(p: Path, z: float, fh) -> None:
     """One row per grid/jump point: time,xi,eta,Z,V,jump."""
-    if Z is None:
-        Z = compute_Z(p)
+    Z = compute_Z(p)
     V = compute_V(p, z, Z)
     writer = csv.writer(fh)
     writer.writerow(["time", "xi", "eta", "Z", "V", "jump"])

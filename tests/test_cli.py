@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -83,6 +87,16 @@ class TestCheck:
         assert triplet_to_json(triplet_from_json(spec)) == spec
 
 
+DENSITY_SPEC = {
+    "gamma_tilde": [0.3, 0.1],
+    "sigma": [[0.0, 0.0], [0.0, 0.0]],
+    "jumps": {
+        "density": {"kind": "uniform_box", "params": {"c": 0.3},
+                    "box": [0.5, 1.5, -1.5, 0.5]}
+    },
+}
+
+
 def _disk_atom_spec(rng, n_atoms):
     """Zero-Gaussian spec with ``n_atoms`` atoms inside the unit disk, each a
     breakpoint of the piecewise drift form."""
@@ -106,11 +120,40 @@ def _delta_flags(levels):
 LEVELS = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 
 
+class TestLazyQuadratureImport:
+    def test_scipy_integrate_loads_only_for_the_density_tier(self, tmp_path):
+        f = tmp_path / "dens.json"
+        f.write_text(json.dumps(DENSITY_SPEC))
+        script = (
+            "import sys\n"
+            "from gouruin import cli\n"
+            "loaded = []\n"
+            "loaded.append('scipy.integrate' in sys.modules)\n"
+            "assert cli.main(['check', '--preset', 'jump_example']) == 0\n"
+            "loaded.append('scipy.integrate' in sys.modules)\n"
+            f"cli.main(['check', '--spec', {str(f)!r}])\n"
+            "loaded.append('scipy.integrate' in sys.modules)\n"
+            "print('loaded', *loaded, file=sys.stderr)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stderr.splitlines()[-1] == "loaded False False True"
+
+
 class TestCheckEvaluatesOnce:
     def test_drift_form_and_thetas_once_per_check(self, capsys, tmp_path, monkeypatch):
         from gouruin import classify, regions
 
-        calls = {"drift_lhs_piecewise": 0, "thetas": 0}
+        calls = {"drift_lhs_piecewise": 0, "thetas": 0, "nonneg_set": 0}
+        nonneg_set = regions.PiecewiseLinearFn.nonneg_set
+
+        def counted_nonneg_set(self):
+            calls["nonneg_set"] += 1
+            return nonneg_set(self)
 
         def counted(name):
             fn = getattr(regions, name)
@@ -121,16 +164,20 @@ class TestCheckEvaluatesOnce:
 
             return wrapper
 
-        for name in calls:
+        for name in ("drift_lhs_piecewise", "thetas"):
             wrapper = counted(name)
             monkeypatch.setattr(regions, name, wrapper)
             monkeypatch.setattr(classify, name, wrapper)
+        monkeypatch.setattr(regions.PiecewiseLinearFn, "nonneg_set", counted_nonneg_set)
         f = tmp_path / "disk.json"
         f.write_text(json.dumps(_disk_atom_spec(np.random.default_rng(5), 100)))
-        code, out, _ = run_cli(capsys, "check", "--spec", str(f), *_delta_flags(LEVELS))
-        assert code == 0
-        assert len(json.loads(out)["delta"]) == len(LEVELS)
-        assert calls == {"drift_lhs_piecewise": 1, "thetas": 1}
+        # jump_example has a threshold, whose display form also reads the drift set
+        for argv in (["--spec", str(f)], ["--preset", "jump_example"]):
+            calls.update(dict.fromkeys(calls, 0))
+            code, out, _ = run_cli(capsys, "check", *argv, *_delta_flags(LEVELS))
+            assert code == 0
+            assert len(json.loads(out)["delta"]) == len(LEVELS)
+            assert calls == {"drift_lhs_piecewise": 1, "thetas": 1, "nonneg_set": 1}
 
     def test_report_matches_the_standalone_functions(self, capsys, tmp_path):
         from gouruin.acceptance import random_atom_triplet
@@ -350,6 +397,26 @@ class TestUndeterminedExit:
         assert doc["decision"]["kind"] == "undetermined"
         assert doc["residual"] == 0.25
         assert "delta" not in doc
+        assert err == "undetermined: 2-d quadrature tolerance not reached residual=0.25\n"
+
+    def test_unresolved_density_spot_check_still_reports(self, capsys, tmp_path, monkeypatch):
+        from gouruin import quadrature
+
+        def unresolved(*args, **kwargs):
+            return 0.0, 0.25  # (value, error estimate) far above any tolerance
+
+        monkeypatch.setattr(quadrature._si, "dblquad", unresolved)
+        monkeypatch.setattr(quadrature._si, "quad", unresolved)
+        f = tmp_path / "dens.json"
+        f.write_text(json.dumps(DENSITY_SPEC))
+        code, out, err = run_cli(capsys, "check", "--spec", str(f), "--delta-at", "1.0")
+        assert code == 2
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("ruin_report.schema.json"))
+        assert doc["decision"]["kind"] == "undetermined"
+        assert doc["certificate"]["verdict"] == "undetermined"
+        assert doc["branch"] == "sigma_zero" and doc["spec"] == {"inline": True}
+        assert doc["residual"] == 0.25 and "delta" not in doc
         assert err == "undetermined: 2-d quadrature tolerance not reached residual=0.25\n"
 
     def test_quadrature_residual_is_printed(self, capsys, tmp_path, monkeypatch):

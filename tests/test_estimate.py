@@ -201,7 +201,7 @@ class TestRuinRecords:
         assert int(hit.sum()) == est.n_events > 0
         assert np.array_equal(np.isfinite(times), hit)
         assert np.all((times[hit] >= 0.0) & (times[hit] <= horizon))
-        batch = _dispatch_batch(t, [z], horizon, n, seed, 0, False, step=step)
+        batch = _dispatch_batch(t, [z], horizon, n, seed, 0, step=step)
         assert np.array_equal(hit, batch.hit[z])
         assert np.array_equal(values, batch.v_hit[z], equal_nan=True)
         assert np.array_equal(cont, batch.continuous[z])
@@ -230,7 +230,7 @@ class TestRuinRecords:
     def test_exact_fv_routes_agree(self):
         t = jump_example_triplet(1.0, 1.0)
         z, horizon, n, seed = 0.5, 20.0, 200, 4
-        batch = _dispatch_batch(t, [z], horizon, n, seed, 0, False, want_times=True)
+        batch = _dispatch_batch(t, [z], horizon, n, seed, 0, want_times=True)
         assert batch.engine == "exact_fv"
         passages = [fv_first_passage(t, z, horizon, path_rng(seed, i, 0)) for i in range(n)]
         assert np.array_equal(batch.hit[z], [fp.hit for fp in passages])
@@ -292,7 +292,7 @@ class TestStreamedGridKernel:
                              ids=[f"{_select_engine(g[0])}-{g[1]}" for g in GOLDEN])
     def test_paths_match_the_pinned_digests(self, t, seed, n, digest):
         batch = _gaussian_grid_batch(
-            t, [0.0, 0.5, 1.0], 5.0, 0.01, n, seed, 0, False, _select_engine(t), True
+            t, [0.0, 0.5, 1.0], 5.0, 0.01, n, seed, 0, _select_engine(t), True
         )
         d = hashlib.sha256()
         for z in (0.0, 0.5, 1.0):
@@ -306,38 +306,70 @@ class TestStreamedGridKernel:
         n_steps = 200
         assert _select_engine(t) == engine
 
-        def run(want_terminal, want_times):
+        def run(want_times):
             b = _gaussian_grid_batch(
-                t, self.LEVELS, horizon, step, n, seed, 0, want_terminal, engine, want_times
+                t, self.LEVELS, horizon, step, n, seed, 0, engine, want_times
             )
             return ({z: b.hit[z] for z in self.LEVELS}, b.time, b.z_T, b.z_half, b.nonfinite)
 
-        reference = {(wT, wt): run(wT, wt) for wT in (False, True) for wt in (False, True)}
-        hits = reference[(True, True)][0]
+        reference = {wt: run(wt) for wt in (False, True)}
+        hits = reference[True][0]
         assert any(h.any() and not h.all() for h in hits.values())
-        for wT in (False, True):
-            assert _same(reference[(wT, False)][0], hits)
-            assert _same(reference[(wT, True)][1], reference[(True, True)][1])
+        assert _same(reference[False][0], hits)
+        # terminal values for the paths not ruined at every level, NaN for
+        # the others, which may have stopped drawing
+        survivors = ~hits[max(self.LEVELS)]
+        for _, _, z_T, z_half, _ in reference.values():
+            for values in (z_T, z_half):
+                assert np.isfinite(values[survivors]).all()
+                assert np.isnan(values[~survivors]).all()
         for rows in (1, 16, 64):
             for steps in (1, 7, 1000, n_steps):
                 monkeypatch.setattr(estimate, "_GRID_ROWS", rows)
                 monkeypatch.setattr(estimate, "_GRID_STEPS", steps)
                 for key, want in reference.items():
-                    assert _same(run(*key), want), (rows, steps, key)
+                    assert _same(run(key), want), (rows, steps, key)
 
     def test_terminal_only_grid_values_are_the_streamed_ones(self):
         t = correlated_gaussian()
-        with_levels = _gaussian_grid_batch(t, [0.5], 2.0, 0.01, 50, 4, 1, True, "grid")
-        alone = _gaussian_grid_batch(t, [], 2.0, 0.01, 50, 4, 1, True, "grid")
-        assert np.array_equal(alone.z_T, with_levels.z_T)
-        assert np.array_equal(alone.z_half, with_levels.z_half)
+        with_levels = _gaussian_grid_batch(t, [0.5], 2.0, 0.01, 50, 4, 1, "grid")
+        alone = _gaussian_grid_batch(t, [], 2.0, 0.01, 50, 4, 1, "grid")
+        survivors = ~with_levels.hit[0.5]
+        assert survivors.any() and not survivors.all()
+        assert np.array_equal(alone.z_T[survivors], with_levels.z_T[survivors])
+        assert np.array_equal(alone.z_half[survivors], with_levels.z_half[survivors])
+        assert np.isfinite(alone.z_T).all() and np.isnan(with_levels.z_T[~survivors]).all()
+
+    def test_ruined_chunks_stop_drawing_when_the_integral_converges(self, monkeypatch):
+        # Every path is ruined in its first cell from z = 0; the tail
+        # diagnostic reads only survivors, so no path draws past its block.
+        t = drift_xi_brownian_eta()
+        assert _select_engine(t) == "grid_bridge"
+        assert estimate.z_infinity_converges(t) is Verdict.YES
+        drawn = []
+
+        class Counted:
+            def __init__(self, g):
+                self.g = g
+
+            def standard_normal(self, size=None, out=None):
+                drawn.append(np.size(out) if out is not None else int(np.prod(size or 1)))
+                return self.g.standard_normal(size, out=out)
+
+        rng = estimate.path_rng
+        monkeypatch.setattr(estimate, "path_rng", lambda *a: Counted(rng(*a)))
+        n = 20
+        est = estimate_ruin(t, 0.0, 20.0, n, seed=1, step=1e-3)
+        assert est.point == 1.0
+        assert est.diagnostics["tail_near_ruin_fraction"] == 0.0
+        assert 0 < sum(drawn) <= n * estimate._GRID_STEPS
 
     def test_memory_is_bounded_by_the_blocks(self):
         # The criterion-6 shape: the whole-matrix kernel peaked near 700 MB.
         t = drift_xi_brownian_eta()
         tracemalloc.start()
         try:
-            _gaussian_grid_batch(t, [0.0, 0.5, 1.0], 20.0, 1e-3, 1000, 1, 0, False, "grid_bridge")
+            _gaussian_grid_batch(t, [0.0, 0.5, 1.0], 20.0, 1e-3, 1000, 1, 0, "grid_bridge")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -378,7 +410,7 @@ class TestNonfiniteValues:
     def test_overflow_before_ruin_is_undetermined(self):
         # No path reaches -1e300 before exp(-xi) overflows near t = 709.
         t = overflowing("grid_bridge")
-        batch = _gaussian_grid_batch(t, [0.5, 1e300], 800.0, 0.05, 30, 3, 0, False, "grid_bridge")
+        batch = _gaussian_grid_batch(t, [0.5, 1e300], 800.0, 0.05, 30, 3, 0, "grid_bridge")
         assert batch.nonfinite == 30
         assert batch.hit[0.5].all()
         with pytest.raises(UndeterminedError, match="nonfinite_paths=30"):
@@ -419,7 +451,7 @@ class TestMinimumRecords:
             monkeypatch.setenv("GOU_THREADS", threads)
             monkeypatch.setattr(estimate, "_GRID_ROWS", rows)
             monkeypatch.setattr(estimate, "_GRID_STEPS", steps)
-            b = _dispatch_batch(t, [0.5], 10.0, 600, 3, 0, False, step=0.01, min_at=0.5)
+            b = _dispatch_batch(t, [0.5], 10.0, 600, 3, 0, step=0.01, min_at=0.5)
             assert b.engine == engine
             runs.append((b.v_min, b.hit[0.5], b.nonfinite))
         assert _same(runs[0], runs[1]) and _same(runs[0], runs[2])
@@ -456,8 +488,7 @@ class TestEndpointLaw:
         disc = np.exp(-gx * np.arange(n_steps) * h)
         mean = np.concatenate([[0.0], np.cumsum(disc * gy * h)])
         var = np.concatenate([[0.0], np.cumsum(disc * disc * s22 * h)])
-        batch = _gaussian_grid_batch(t, [], self.HORIZON, self.STEP, self.N, 5, 1, True,
-                                     "grid_bridge")
+        batch = _gaussian_grid_batch(t, [], self.HORIZON, self.STEP, self.N, 5, 1, "grid_bridge")
         for est, target, se in _pair_moments(batch.z_half, batch.z_T, mean[half], mean[-1],
                                              var[half], var[-1], var[half]):
             assert abs(est - target) <= 4.5 * se
@@ -472,8 +503,7 @@ class TestEndpointLaw:
         v_h = math.exp(-2 * c * th + 2 * th) - m_h ** 2
         v_T = math.exp(-2 * c * T + 2 * T) - m_T ** 2
         cov = math.exp(-c * (th + T) + (3 * th + T) / 2) - m_h * m_T
-        batch = _gaussian_grid_batch(t, [], self.HORIZON, self.STEP, self.N, 6, 1, True,
-                                     "expmart")
+        batch = _gaussian_grid_batch(t, [], self.HORIZON, self.STEP, self.N, 6, 1, "expmart")
         for est, target, se in _pair_moments(batch.z_half, batch.z_T, m_h - 1, m_T - 1,
                                              v_h, v_T, cov):
             assert abs(est - target) <= 4.5 * se
