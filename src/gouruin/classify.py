@@ -38,6 +38,7 @@ from .model import (
     marginal_eta,
     marginal_xi,
     mean_at_one,
+    rigid_level,
     s_gaussian_variance,
     s_jump,
     s_process,
@@ -181,15 +182,8 @@ def _covariance_constraint(t: LevyTriplet2D) -> IntervalSet:
     """Levels u compatible with the Gaussian rigidity B_eta = -u B_xi."""
     if zero_gaussian(t):
         return IntervalSet.full()
-    s11, s12 = t.sigma[0]
-    s22 = t.sigma[1][1]
-    scale = max(1.0, s11, s22, abs(s12))
-    if abs(s11) <= BOUNDARY_TOL * scale:
-        return IntervalSet.empty()
-    u0 = -s12 / s11
-    if abs(s22 - u0 * u0 * s11) <= BOUNDARY_TOL * max(scale, u0 * u0 * s11):
-        return IntervalSet.point(u0)
-    return IntervalSet.empty()
+    u0 = rigid_level(t.sigma)
+    return IntervalSet.empty() if u0 is None else IntervalSet.point(u0)
 
 
 def _is_zero_mass(m, value: float) -> bool:

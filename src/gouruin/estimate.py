@@ -49,14 +49,13 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classify import Verdict, z_infinity_converges
 from .errors import InvalidModelError, NotApplicableError, UndeterminedError
-from .model import LevyTriplet2D
+from .model import LevyTriplet2D, rigid_level
 from .numerics import BOUNDARY_TOL
 from .simulate import (
     PathConfig,
@@ -212,17 +211,10 @@ def _is_expmart(t: LevyTriplet2D) -> float | None:
     atoms = t.jumps.atoms_or_none()
     if atoms is None or len(atoms) > 0:
         return None
-    s11, s12 = t.sigma[0]
-    s22 = t.sigma[1][1]
-    if s11 <= BOUNDARY_TOL:
+    u0 = rigid_level(t.sigma)
+    if u0 is None or abs(u0) <= BOUNDARY_TOL:
         return None
-    u0 = -s12 / s11
-    if abs(u0) <= BOUNDARY_TOL:
-        return None
-    scale = max(1.0, s11, s22, u0 * u0 * s11)
-    if abs(s22 - u0 * u0 * s11) > BOUNDARY_TOL * scale:
-        return None
-    target = u0 * (0.5 * s11 - t.gamma_tilde[0])
+    target = u0 * (0.5 * t.sigma[0][0] - t.gamma_tilde[0])
     if abs(t.gamma_tilde[1] - target) > BOUNDARY_TOL * max(1.0, abs(target)):
         return None
     return u0
@@ -248,6 +240,8 @@ def _run_chunks(fn, ranges):
     workers = worker_count()
     if workers <= 1 or len(ranges) <= 1:
         return [fn(r) for r in ranges]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, ranges))
 

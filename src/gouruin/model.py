@@ -527,6 +527,21 @@ def zero_gaussian(t: LevyTriplet2D) -> bool:
     return all(abs(v) <= BOUNDARY_TOL for row in t.sigma for v in row)
 
 
+def rigid_level(sigma) -> float | None:
+    """The level u0 of a rigid Gaussian part, B_eta = -u0 B_xi, or None when
+    the covariance has no such level (s11 in the dead band relative to the
+    largest entry, or s22 off u0^2 s11)."""
+    s11, s12 = sigma[0]
+    s22 = sigma[1][1]
+    scale = max(1.0, s11, s22, abs(s12))
+    if abs(s11) <= BOUNDARY_TOL * scale:
+        return None
+    u0 = -s12 / s11
+    if abs(s22 - u0 * u0 * s11) <= BOUNDARY_TOL * max(scale, u0 * u0 * s11):
+        return u0
+    return None
+
+
 @dataclass(frozen=True)
 class MarginalTriplet:
     """1-d triplet (gamma, sigma^2, jump measure) under interval truncation."""

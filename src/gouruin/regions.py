@@ -31,10 +31,10 @@ feasibility intervals of the classifier.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import NotSupportedError, UndeterminedError
 from .intervals import Interval, IntervalSet
@@ -340,35 +340,79 @@ class PiecewiseLinearFn:
         }
 
 
+class _LevelSums:
+    """(critical level, atom) pairs of the disk atoms of one sign of x, sorted
+    by level, with running sums of rate * x and rate * y: ``sx[i]`` sums the
+    first i atoms, or with ``from_top`` the atoms from i on."""
+
+    def __init__(self, pairs, from_top: bool):
+        pairs = sorted(pairs, key=lambda p: p[0])
+        self.levels = [c for c, _ in pairs]
+        self.atoms = [a for _, a in pairs]
+        seq = self.atoms[::-1] if from_top else self.atoms
+        self.sx = list(accumulate((a.rate * a.x for a in seq), initial=0.0))
+        self.sy = list(accumulate((a.rate * a.y for a in seq), initial=0.0))
+        if from_top:
+            self.sx.reverse()
+            self.sy.reverse()
+        # |s_jump(u)| is |w(x)| |c - u| up to the rounding of c and of
+        # s_jump, so no jump within 2 BOUNDARY_TOL / min |w| of u, plus a
+        # relative 1e-14 |u|, can fall in the dead band.
+        self.radius = 2.0 * BOUNDARY_TOL / min(
+            (abs(w_jump(a.x)) for a in self.atoms), default=1.0
+        )
+
+    def dead_band(self, u: float) -> tuple[int, int]:
+        """Index range [lo, hi) of the atoms whose S(u) jump may fall in the
+        dead band; every other atom's jump w(x) (c - u) is clear of it."""
+        h = self.radius + 1e-14 * abs(u)
+        return bisect_left(self.levels, u - h), bisect_right(self.levels, u + h)
+
+
 def drift_lhs_piecewise(t: LevyTriplet2D) -> PiecewiseLinearFn:
-    """Exact u-parametric form of the drift inequality for atom measures."""
+    """Exact u-parametric form of the drift inequality for atom measures.
+
+    One sweep over the disk atoms sorted by critical level c = y / w(x): the
+    S(u) jump of an x > 0 atom is positive exactly for u > c, that of an
+    x < 0 atom for u < c, and that of an x = 0 atom for every u when y > 0.
+    So the piece on the open interval (bp[k-1], bp[k]) counts the x > 0
+    atoms with c <= bp[k-1], a prefix, and the x < 0 atoms with c >= bp[k],
+    a suffix, and both come from running sums.  At a breakpoint the atoms
+    count as ``drift_lhs`` counts them (sgn(s_jump) >= 0): the same sums
+    cover those whose jump is clear of the dead band, and the few inside it
+    are tested directly.
+    """
     atoms = t.jumps.atoms_or_none()
     if atoms is None:
         raise NotSupportedError("piecewise drift form requires the atom tier")
-    base_slope = t.gamma_tilde[0] - 0.5 * t.sigma_xi2
-    base_intercept = t.gamma_tilde[1]
-
     disk = [a for a in atoms if _in_open_ball(a.x, a.y)]
-    bps = sorted({_atom_critical(a) for a in disk if a.x != 0.0})
+    crit = [(_atom_critical(a), a) for a in disk if a.x != 0.0]
+    bps = sorted({c for c, _ in crit})
+    up = _LevelSums([p for p in crit if p[1].x > 0.0], from_top=False)
+    dn = _LevelSums([p for p in crit if p[1].x < 0.0], from_top=True)
+    flat = [a for a in disk if a.x == 0.0]
 
+    base_slope = t.gamma_tilde[0] - 0.5 * t.sigma_xi2
+    base_intercept = t.gamma_tilde[1] - sum(a.rate * a.y for a in flat if a.y > 0.0)
     cuts = [NEG_INF] + bps + [INF]
     pieces = []
-    for k in range(len(cuts) - 1):
-        lo, hi = cuts[k], cuts[k + 1]
-        if math.isinf(lo) and math.isinf(hi):
-            mid = 0.0
-        elif math.isinf(lo):
-            mid = hi - 1.0
-        elif math.isinf(hi):
-            mid = lo + 1.0
-        else:
-            mid = 0.5 * (lo + hi)
-        slope, intercept = base_slope, base_intercept
-        for a in disk:
-            if s_jump(a.x, a.y, mid) > 0.0:
-                slope -= a.rate * a.x
-                intercept -= a.rate * a.y
-        pieces.append((slope, intercept))
+    for lo, hi in zip(cuts, cuts[1:]):
+        i = bisect_right(up.levels, lo)
+        j = bisect_left(dn.levels, hi)
+        pieces.append(
+            (base_slope - (up.sx[i] + dn.sx[j]), base_intercept - (up.sy[i] + dn.sy[j]))
+        )
 
-    at_points = tuple(drift_lhs(t, bp) for bp in bps)
-    return PiecewiseLinearFn(tuple(bps), tuple(pieces), at_points)
+    flat_y = sum(a.rate * a.y for a in flat if sgn(a.y) >= 0)
+    at_points = []
+    for bp in bps:
+        base = t.gamma_tilde[1] + bp * t.gamma_tilde[0] - 0.5 * bp * t.sigma_xi2
+        i_lo, i_hi = up.dead_band(bp)
+        j_lo, j_hi = dn.dead_band(bp)
+        sx, sy = up.sx[i_lo] + dn.sx[j_hi], up.sy[i_lo] + dn.sy[j_hi] + flat_y
+        for a in up.atoms[i_lo:i_hi] + dn.atoms[j_lo:j_hi]:
+            if sgn(s_jump(a.x, a.y, bp)) >= 0:
+                sx += a.rate * a.x
+                sy += a.rate * a.y
+        at_points.append(base - (bp * sx + sy))
+    return PiecewiseLinearFn(tuple(bps), tuple(pieces), tuple(at_points))

@@ -121,6 +121,17 @@ LEVELS = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 
 
 class TestLazyQuadratureImport:
+    @staticmethod
+    def run_script(script, **env_extra):
+        """Runs ``script`` in a fresh interpreter; returns its last stderr line."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, **env_extra, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        return run.stderr.splitlines()[-1]
+
     def test_scipy_integrate_loads_only_for_the_density_tier(self, tmp_path):
         f = tmp_path / "dens.json"
         f.write_text(json.dumps(DENSITY_SPEC))
@@ -135,13 +146,19 @@ class TestLazyQuadratureImport:
             "loaded.append('scipy.integrate' in sys.modules)\n"
             "print('loaded', *loaded, file=sys.stderr)\n"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env=env, timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert run.stderr.splitlines()[-1] == "loaded False False True"
+        assert self.run_script(script) == "loaded False False True"
+
+    def test_single_thread_estimate_loads_neither_scipy_nor_threads(self):
+        script = (
+            "import sys\n"
+            "import gouruin\n"
+            "from gouruin.presets import continuous_example_triplet\n"
+            "gouruin.estimate_ruin(continuous_example_triplet(0.4), 0.5, 1.0, 300, 1)\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')]\n"
+            "print('loaded', *loaded, file=sys.stderr)\n"
+        )
+        assert self.run_script(script, GOU_THREADS="1") == "loaded"
 
 
 class TestCheckEvaluatesOnce:

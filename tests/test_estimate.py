@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gouruin.classify import Verdict
+from gouruin.classify import DecisionKind, Verdict, no_ruin_threshold
 from gouruin.errors import NotApplicableError, UndeterminedError
 from gouruin.estimate import (
     EmpiricalCDF,
@@ -27,7 +27,7 @@ from gouruin.estimate import (
     worker_count,
 )
 from gouruin import estimate, simulate
-from gouruin.model import BoxDensity, FiniteAtomSet, JumpAtom, LevyTriplet2D
+from gouruin.model import BoxDensity, FiniteAtomSet, JumpAtom, LevyTriplet2D, rigid_level
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
 from gouruin.simulate import (
     PathConfig,
@@ -188,6 +188,26 @@ def grid_Z(t, engine, seed, i, n_steps, h):
         eta_inc = gy * h + (l21 * normals[:, 0] + l22 * normals[:, 1]) * math.sqrt(h)
         inc = np.exp(-xi[:-1]) * eta_inc
     return np.concatenate([[0.0], np.cumsum(inc)])
+
+
+class TestRigidLevel:
+    def test_engine_and_classifier_share_the_rigidity_rule(self):
+        # s11 = 5e-12 is above the absolute 1e-12 but inside the dead band
+        # relative to s22 = 10: no rigid level, so the classifier finds ruin
+        # everywhere and the closed-form engine must not claim u0 = 1414213.56.
+        s11, s12 = 5e-12, -math.sqrt(5e-11)
+        u0 = -s12 / s11
+        t = triplet((0.3, u0 * (s11 / 2 - 0.3)), ((s11, s12), (s12, 10.0)))
+        assert rigid_level(t.sigma) is None
+        assert no_ruin_threshold(t).decision.kind is DecisionKind.RUIN_EVERYWHERE
+        assert _select_engine(t) != "expmart"
+
+    def test_grid_drivers_keep_their_engines(self):
+        for c in (0.4, -0.3):
+            assert rigid_level(continuous_example_triplet(c).sigma) == 1.0
+            assert _select_engine(continuous_example_triplet(c)) == "expmart"
+        assert rigid_level(brownian_eta().sigma) is None
+        assert _select_engine(brownian_eta()) == "grid_bridge"
 
 
 class TestRuinRecords:

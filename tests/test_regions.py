@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from gouruin import regions
 from gouruin.errors import NotSupportedError
 from gouruin.model import (
     FiniteAtomSet,
     JumpAtom,
     LevyTriplet2D,
     LineDensity,
+    _in_open_ball,
     density_from_json,
+    s_jump,
     scale_eta,
 )
 from gouruin.numerics import INF, NEG_INF
@@ -241,6 +244,144 @@ class TestPiecewise:
                 lhs_k = drift_lhs(tk, k * float(u))
                 assert lhs_k == pytest.approx(k * lhs, rel=1e-10, abs=1e-10)
         assert checked > 100
+
+
+def disk_atom_triplet(rng, n_atoms):
+    """Zero-Gaussian triplet with ``n_atoms`` atoms inside the unit disk."""
+    r = np.sqrt(rng.uniform(0.01, 0.9, n_atoms))
+    ang = rng.uniform(0.0, 2.0 * math.pi, n_atoms)
+    rates = rng.uniform(0.05, 2.0, n_atoms)
+    jumps = [(ri * math.cos(ai), ri * math.sin(ai), wi) for ri, ai, wi in zip(r, ang, rates)]
+    return triplet((float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 2.0))), jumps=jumps)
+
+
+def drift_scale(t):
+    """u -> size of the terms that make up drift_lhs(t, u): the yardstick of
+    a 1e-12 relative comparison."""
+    gx, gy = t.gamma_tilde
+    disk = [a for a in t.jumps.atoms_or_none() if _in_open_ball(a.x, a.y)]
+    per_u = abs(gx) + 0.5 * t.sigma_xi2 + sum(a.rate * abs(a.x) for a in disk)
+    fixed = 1.0 + abs(gy) + sum(a.rate * abs(a.y) for a in disk)
+    return lambda u: fixed + abs(u) * per_u
+
+
+def assert_matches_drift_lhs(t):
+    """Every at_points[k] is drift_lhs at bp[k], and every piece is drift_lhs
+    inside its interval wherever no atom's jump is in the dead band; returns
+    the number of pieces so checked."""
+    f = drift_lhs_piecewise(t)
+    scale = drift_scale(t)
+    assert list(f.breakpoints) == sorted(set(f.breakpoints))
+    assert len(f.at_points) == len(f.breakpoints) == len(f.pieces) - 1
+    for bp, val in zip(f.breakpoints, f.at_points):
+        assert abs(val - drift_lhs(t, bp)) <= 1e-12 * scale(bp)
+    disk = [a for a in t.jumps.atoms_or_none() if _in_open_ball(a.x, a.y)]
+    xs = np.array([a.x for a in disk])
+    ys = np.array([a.y for a in disk])
+    cuts = (NEG_INF,) + f.breakpoints + (INF,)
+    checked = 0
+    for (slope, intercept), lo, hi in zip(f.pieces, cuts, cuts[1:]):
+        if math.isinf(lo):
+            u = 0.0 if math.isinf(hi) else hi - 1.0
+        else:
+            u = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
+        if not lo < u < hi or (disk and np.abs(ys - u * np.expm1(-xs)).min() <= 4e-12):
+            continue
+        checked += 1
+        assert abs(slope * u + intercept - drift_lhs(t, u)) <= 1e-12 * scale(u)
+    return checked
+
+
+class TestPiecewiseSweep:
+    def test_matches_drift_lhs_on_the_corpus(self, corpus):
+        for t in corpus:  # no corpus piece lies inside a dead band
+            assert assert_matches_drift_lhs(t) == len(drift_lhs_piecewise(t).pieces)
+
+    def test_matches_drift_lhs_on_disk_atoms(self, rng):
+        for n_atoms in rng.integers(1, 401, 50):
+            t = disk_atom_triplet(rng, int(n_atoms))
+            assert assert_matches_drift_lhs(t) > 0
+
+    def test_duplicate_critical_levels(self):
+        # c = y / w(x) = 0.5 exactly for each atom, on both sides of x = 0.
+        jumps = [(x, 0.5 * math.expm1(-x), r) for x, r in ((0.3, 1.0), (-0.4, 0.7), (0.2, 1.3))]
+        t = triplet((0.2, 0.9), jumps=jumps)
+        f = drift_lhs_piecewise(t)
+        assert f.breakpoints == (0.5,)
+        (below_slope, below_int), (above_slope, above_int) = f.pieces
+        # the x < 0 atom pushes S(u) up below its level, the x > 0 ones above
+        assert below_slope == pytest.approx(0.2 + 0.4 * 0.7, abs=1e-15)
+        assert below_int == pytest.approx(0.9 - 0.7 * jumps[1][1], abs=1e-15)
+        assert above_slope == pytest.approx(0.2 - 0.3 * 1.0 - 0.2 * 1.3, abs=1e-15)
+        assert above_int == pytest.approx(0.9 - jumps[0][1] - 1.3 * jumps[2][1], abs=1e-15)
+        assert f.at_points[0] == pytest.approx(drift_lhs(t, 0.5), abs=1e-15)
+        assert assert_matches_drift_lhs(t) == 2
+
+    def test_levels_closer_than_the_dead_band(self):
+        w = math.expm1(-0.3)
+        jumps = [(0.3, 0.5 * w, 1.0), (0.3, (0.5 + 1e-13) * w, 2.0), (-0.3, 0.5 * math.expm1(0.3), 0.5)]
+        t = triplet((0.1, 0.4), jumps=jumps)
+        f = drift_lhs_piecewise(t)
+        assert len(f.breakpoints) == 2
+        assert f.breakpoints[1] - f.breakpoints[0] < 1e-12 / abs(w)
+        # At both levels every atom's jump is in the dead band, so each value
+        # counts all three atoms, as drift_lhs does.
+        for bp, val in zip(f.breakpoints, f.at_points):
+            assert val == pytest.approx(drift_lhs(t, bp), abs=1e-15)
+            assert val == pytest.approx(
+                0.4 + 0.1 * bp - sum(r * (bp * x + y) for x, y, r in jumps), abs=1e-15
+            )
+        # Between them, only the x > 0 atom whose level lies below counts.
+        slope, intercept = f.pieces[1]
+        assert slope == pytest.approx(0.1 - 0.3 * 1.0, abs=1e-15)
+        assert intercept == pytest.approx(0.4 - jumps[0][1], abs=1e-15)
+        # that narrow piece lies inside the dead band: only the outer two check
+        assert assert_matches_drift_lhs(t) == 2
+
+    @pytest.mark.parametrize("y", [-1e-12, -5e-13, 5e-13])
+    def test_eta_atom_in_the_dead_band(self, y):
+        rate = 1e3
+        t = triplet((0.5, 0.2), jumps=[(0.0, y, rate), (0.2, -0.1, 1.0)])
+        f = drift_lhs_piecewise(t)
+        assert len(f.breakpoints) == 1
+        bp = f.breakpoints[0]
+        # It counts at the breakpoint (sgn(y) = 0), but in the pieces only
+        # when its jump y is strictly positive.
+        assert f.at_points[0] == pytest.approx(drift_lhs(t, bp), abs=1e-15)
+        in_pieces = rate * y if y > 0.0 else 0.0
+        assert f.pieces[0][1] == pytest.approx(0.2 - in_pieces, abs=1e-15)
+        assert f.pieces[1][1] == pytest.approx(0.2 - in_pieces + 0.1, abs=1e-15)
+        for u in (bp - 1.0, bp + 1.0):
+            assert f(u) - drift_lhs(t, u) == pytest.approx(rate * y - in_pieces, abs=1e-15)
+
+    def test_atom_on_the_unit_circle(self):
+        t = triplet((0.3, 0.1), jumps=[(0.6, 0.8, 1.5), (0.0, 1.0, 2.0), (-0.2, 0.1, 1.0)])
+        f = drift_lhs_piecewise(t)
+        assert f.breakpoints == (0.1 / math.expm1(0.2),)
+        assert f.pieces[0] == pytest.approx((0.3 + 0.2, 0.1 - 0.1), abs=1e-15)
+        assert f.pieces[1] == pytest.approx((0.3, 0.1), abs=1e-15)
+        assert assert_matches_drift_lhs(t) == 2
+
+    def test_no_drift_lhs_call_and_linear_jump_tests(self, monkeypatch):
+        n = 2000
+        t = disk_atom_triplet(np.random.default_rng(3), n)
+        calls = {"drift_lhs": 0, "s_jump": 0}
+
+        def counted(name):
+            fn = getattr(regions, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(regions, name, counted(name))
+        f = drift_lhs_piecewise(t)
+        assert len(f.breakpoints) == n
+        assert calls["drift_lhs"] == 0
+        assert calls["s_jump"] <= 10 * n
 
 
 class TestSmallJumpVariation:
