@@ -28,10 +28,13 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import NotApplicableError, UndeterminedError
+from .errors import UndeterminedError
 from .intervals import Interval, IntervalSet
 from .model import (
+    FiniteAtomSet,
+    JumpAtom,
     LevyTriplet2D,
+    MappedSMeasure1D,
     MarginalTriplet,
     d_eta,
     l_process,
@@ -43,6 +46,7 @@ from .model import (
     s_jump,
     s_process,
     w_jump,
+    xi_brownian,
     zero_gaussian,
 )
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, ext_to_json, sgn
@@ -120,8 +124,6 @@ def is_subordinator_1d(m: MarginalTriplet) -> SubordinatorCertificate:
         )
     try:
         d = d_eta(m)
-    except NotApplicableError:  # pragma: no cover - excluded by the mass check
-        raise
     except UndeterminedError as exc:
         return SubordinatorCertificate.undetermined(exc, True, neg_mass)
     if sgn(d) >= 0 if math.isfinite(d) else d == INF:
@@ -135,8 +137,6 @@ def _s_negative_jump_mass(t: LevyTriplet2D, u: float) -> float:
     atoms = t.jumps.atoms_or_none()
     if atoms is not None:
         return sum(a.rate for a in atoms if sgn(s_jump(a.x, a.y, u)) < 0)
-    from .model import MappedSMeasure1D
-
     return MappedSMeasure1D(t.jumps, u).mass(NEG_INF, 0.0)
 
 
@@ -178,14 +178,6 @@ def is_subordinator_s(t: LevyTriplet2D, u: float) -> SubordinatorCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _covariance_constraint(t: LevyTriplet2D) -> IntervalSet:
-    """Levels u compatible with the Gaussian rigidity B_eta = -u B_xi."""
-    if zero_gaussian(t):
-        return IntervalSet.full()
-    u0 = rigid_level(t.sigma)
-    return IntervalSet.empty() if u0 is None else IntervalSet.point(u0)
-
-
 def _is_zero_mass(m, value: float) -> bool:
     if m.atoms_or_none() is not None:
         return value == 0.0
@@ -203,55 +195,35 @@ def _region_constraint(t: LevyTriplet2D, th: ThetaBounds) -> IntervalSet:
     return IntervalSet(parts)
 
 
-def _drift_constraint(
-    t: LevyTriplet2D, cov: IntervalSet, piecewise: PiecewiseLinearFn | None
-) -> IntervalSet:
-    if t.jumps.atoms_or_none() is not None:
-        return (piecewise or drift_lhs_piecewise(t)).nonneg_set()
-    # Density tier: decidable only pointwise; a point covariance constraint
-    # reduces the drift condition to one evaluation.
-    if len(cov.intervals) == 1:
-        iv = cov.intervals[0]
-        if iv.lo == iv.hi:
-            u0 = iv.lo
-            lhs = drift_lhs(t, u0)
-            ok = (sgn(lhs) >= 0) if math.isfinite(lhs) else lhs == INF
-            return IntervalSet.point(u0) if ok else IntervalSet.empty()
-    if cov.is_empty():
-        return IntervalSet.empty()
-    raise UndeterminedError(
-        "drift feasibility over a continuum of levels needs the atom tier"
-    )
-
-
 def _feasible(
-    t: LevyTriplet2D,
-    th: ThetaBounds | None = None,
-    piecewise: PiecewiseLinearFn | None = None,
-) -> tuple[IntervalSet, SubordinatorCertificate | None, IntervalSet | None]:
-    """``feasible_u_set`` from the thetas and the atom-tier drift form when
-    the caller already has them (each is computed here only if needed).
-    Also returns the certificate at the single level of a rigid Gaussian
-    part and the set where the drift inequality holds, each None when it
-    was not needed."""
-    cov = _covariance_constraint(t)
-    if cov.is_empty():
-        return cov, None, None
-    if len(cov.intervals) == 1 and cov.intervals[0].lo == cov.intervals[0].hi:
-        # Rigid Gaussian: a single candidate level; evaluate the jump and
-        # drift conditions directly so coincident boundaries cannot be lost
-        # to independent rounding of interval endpoints.
-        u0 = cov.intervals[0].lo
-        cert = is_subordinator_s(t, u0)
-        if cert.verdict is Verdict.UNDETERMINED:
+    t: LevyTriplet2D, piecewise: PiecewiseLinearFn | None = None
+) -> tuple[IntervalSet, SubordinatorCertificate | None, ThetaBounds | None, IntervalSet | None]:
+    """``feasible_u_set`` by the shape of the Gaussian part, from the
+    atom-tier drift form when the caller already has it.  Also returns the
+    certificate at the level of a rigid Gaussian part, and the thetas and
+    the set where the drift inequality holds of a zero Gaussian part, each
+    None when it was not needed."""
+    if zero_gaussian(t):  # every level passes the Gaussian condition
+        if t.jumps.atoms_or_none() is None:
             raise UndeterminedError(
-                cert.detail or "undetermined at the candidate level", cert.residual
+                "drift feasibility over a continuum of levels needs the atom tier"
             )
-        feasible = IntervalSet.point(u0) if cert.verdict is Verdict.YES else IntervalSet.empty()
-        return feasible, cert, None
-    region = _region_constraint(t, thetas(t.jumps) if th is None else th)
-    drift = _drift_constraint(t, cov, piecewise)
-    return cov.intersect(region).intersect(drift), None, drift
+        th = thetas(t.jumps)
+        drift = (piecewise or drift_lhs_piecewise(t)).nonneg_set()
+        return _region_constraint(t, th).intersect(drift), None, th, drift
+    u0 = rigid_level(t.sigma)
+    if u0 is None:  # no level cancels the Gaussian part
+        return IntervalSet.empty(), None, None, None
+    # Rigid Gaussian: a single candidate level; evaluate the jump and drift
+    # conditions directly so coincident boundaries cannot be lost to
+    # independent rounding of interval endpoints.
+    cert = is_subordinator_s(t, u0)
+    if cert.verdict is Verdict.UNDETERMINED:
+        raise UndeterminedError(
+            cert.detail or "undetermined at the candidate level", cert.residual
+        )
+    feasible = IntervalSet.point(u0) if cert.verdict is Verdict.YES else IntervalSet.empty()
+    return feasible, cert, None, None
 
 
 def feasible_u_set(t: LevyTriplet2D) -> IntervalSet:
@@ -326,12 +298,10 @@ class RuinReport:
         return doc
 
 
-def _literal_threshold_sigma_zero(drift: IntervalSet | None, th: ThetaBounds) -> float | None:
+def _literal_threshold_sigma_zero(drift: IntervalSet, th: ThetaBounds) -> float | None:
     """max(theta2, inf{u > 0 : drift inequality holds}), the display form of
     the zero-Gaussian threshold from the set where the drift inequality
     holds; used only to cross-check the feasible-set answer."""
-    if drift is None:
-        return None
     pos = drift.intersect(IntervalSet((Interval(0.0, INF, lo_open=True),)))
     inf_val, _ = pos.inf_value()
     if inf_val == INF:
@@ -340,7 +310,7 @@ def _literal_threshold_sigma_zero(drift: IntervalSet | None, th: ThetaBounds) ->
 
 
 def _branch(t: LevyTriplet2D) -> Branch:
-    return Branch.SIGMA_POSITIVE if t.sigma_xi2 > BOUNDARY_TOL else Branch.SIGMA_ZERO
+    return Branch.SIGMA_POSITIVE if xi_brownian(t) else Branch.SIGMA_ZERO
 
 
 def undetermined_report(
@@ -366,14 +336,15 @@ def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
     Returns the smallest starting level from which the ruin probability
     vanishes, or reports that ruin has positive probability from every
     starting level.  The thetas, the drift form and the feasible set are
-    each evaluated once here; the report carries them.
+    each evaluated once here, the thetas only for a decision that can be
+    made; the report carries them.
     """
     warnings_out: list[str] = []
     branch = _branch(t)
     piecewise = None if t.jumps.atoms_or_none() is None else drift_lhs_piecewise(t)
     try:
-        th = thetas(t.jumps)
-        feasible, rigid, drift = _feasible(t, th, piecewise)
+        feasible, rigid, th, drift = _feasible(t, piecewise)
+        th = thetas(t.jumps) if th is None else th
     except UndeterminedError as exc:
         return undetermined_report(t, exc, piecewise)
 
@@ -396,7 +367,7 @@ def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
                 "threshold is a one-sided limit: ruin remains possible at the "
                 "threshold level itself"
             )
-        if branch is Branch.SIGMA_ZERO:
+        if drift is not None:  # a zero Gaussian part
             literal = _literal_threshold_sigma_zero(drift, th)
             if literal is None or abs(literal - u_star) > BOUNDARY_TOL * max(
                 1.0, abs(u_star)
@@ -451,8 +422,6 @@ def is_stationary_possible(t: LevyTriplet2D) -> Verdict:
     except UndeterminedError:
         return Verdict.UNDETERMINED
     atoms = pair_l.jumps.atoms_or_none()
-    from .model import FiniteAtomSet, JumpAtom
-
     flipped = LevyTriplet2D(
         (-pair_l.gamma_tilde[0], pair_l.gamma_tilde[1]),
         (
@@ -480,7 +449,7 @@ def is_degenerate(t: LevyTriplet2D) -> float | None:
                 break
             # A pure eta jump cannot be cancelled by any multiple of W.
             return None
-    if k is None and t.sigma_xi2 > BOUNDARY_TOL:
+    if k is None and xi_brownian(t):
         k = t.sigma[0][1] / t.sigma_xi2
     if k is None:
         m_xi = marginal_xi(t)

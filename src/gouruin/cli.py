@@ -30,7 +30,15 @@ from .estimate import (
 )
 from .numerics import ext_to_json
 from .presets import triplet_from_spec
-from .simulate import PathConfig, exact_fv_path, is_exact_fv, simulate_pair, write_path_csv
+from .simulate import (
+    PathConfig,
+    _density_jump_table,
+    _simulate_pair_with_rng,
+    exact_fv_path,
+    is_exact_fv,
+    path_rng,
+    write_path_csv,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -93,12 +101,13 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg = PathConfig(args.horizon, args.step, args.seed, args.truncation_eps)
     exact = is_exact_fv(t)
+    table = None if exact else _density_jump_table(t, cfg)  # shared by every path
     files = []
     for i in range(args.paths):
         p = (
             exact_fv_path(t, cfg, path_index=i)
             if exact
-            else simulate_pair(t, cfg, path_index=i)
+            else _simulate_pair_with_rng(t, cfg, path_rng(args.seed, i), table)
         )
         name = f"path_{i:04d}.csv"
         with open(out / name, "w", newline="") as fh:

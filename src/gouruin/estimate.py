@@ -55,7 +55,7 @@ import numpy as np
 
 from .classify import Verdict, z_infinity_converges
 from .errors import InvalidModelError, NotApplicableError, UndeterminedError
-from .model import LevyTriplet2D, rigid_level
+from .model import LevyTriplet2D, rigid_level, xi_brownian
 from .numerics import BOUNDARY_TOL
 from .simulate import (
     PathConfig,
@@ -228,7 +228,7 @@ def _select_engine(t: LevyTriplet2D) -> str:
     if atoms is not None and len(atoms) == 0:
         if _is_expmart(t) is not None:
             return "expmart"
-        return "grid_bridge" if t.sigma[0][0] <= BOUNDARY_TOL else "grid"
+        return "grid" if xi_brownian(t) else "grid_bridge"
     return "mixed_grid"
 
 

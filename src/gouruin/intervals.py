@@ -64,9 +64,6 @@ class Interval:
         }
 
 
-FULL_LINE = Interval(NEG_INF, INF)
-
-
 def _touch_or_overlap(a: Interval, b: Interval) -> bool:
     # b starts no later than a ends, allowing closed-meets-closed at a point.
     if b.lo < a.hi:
@@ -97,10 +94,6 @@ class IntervalSet:
     @classmethod
     def empty(cls) -> "IntervalSet":
         return cls(())
-
-    @classmethod
-    def full(cls) -> "IntervalSet":
-        return cls((FULL_LINE,))
 
     @classmethod
     def point(cls, x: float) -> "IntervalSet":

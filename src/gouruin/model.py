@@ -527,6 +527,11 @@ def zero_gaussian(t: LevyTriplet2D) -> bool:
     return all(abs(v) <= BOUNDARY_TOL for row in t.sigma for v in row)
 
 
+def xi_brownian(t: LevyTriplet2D) -> bool:
+    """xi has a Brownian part: its variance lies above the dead band of 0."""
+    return t.sigma_xi2 > BOUNDARY_TOL
+
+
 def rigid_level(sigma) -> float | None:
     """The level u0 of a rigid Gaussian part, B_eta = -u0 B_xi, or None when
     the covariance has no such level (s11 in the dead band relative to the

@@ -42,12 +42,6 @@ def _scipy_integrate():
     return integrate
 
 
-def __getattr__(name: str):
-    if name == "_si":  # the backend module, for callers that patch it
-        return _scipy_integrate()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class Strip:
     """x-strip region: x in [x0, x1], y in [ylo(x), yhi(x)] (clamped)."""

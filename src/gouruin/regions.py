@@ -162,40 +162,26 @@ def _bisect_theta(m, i: int, sign: float, vanishing: bool) -> float:
     root of the mass tolerance, not machine precision.
     """
     tol_mass = mass_tol(m)
-
-    def mass_at(v: float) -> float:
-        return region_mass(m, i, sign * v)
-
     empty_value = {1: NEG_INF, 2: 0.0, 3: 0.0, 4: INF}[i]
     if quadrant_mass(m, i) <= tol_mass:
         return empty_value
 
-    if vanishing:
-        if mass_at(0.0) <= tol_mass:
-            warnings.warn(
-                "region mass vanishes next to the returned threshold",
-                RegionBoundaryWarning,
-            )
-            return 0.0
-        lo, hi = 0.0, 1.0
-        while mass_at(hi) > tol_mass:
-            lo = hi
-            hi *= 4.0
-            if hi > _U_CAP:
-                return sign * INF
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            if mass_at(mid) > tol_mass:
-                lo = mid
-            else:
-                hi = mid
-        return sign * 0.5 * (lo + hi)
+    def near(v: float) -> bool:  # v lies on the near side of the transition
+        return (region_mass(m, i, sign * v) > tol_mass) == vanishing
 
+    if vanishing and not near(0.0):
+        warnings.warn(
+            "region mass vanishes next to the returned threshold",
+            RegionBoundaryWarning,
+        )
+        return 0.0
     lo, hi = 0.0, 1.0
-    while mass_at(hi) <= tol_mass:
+    while near(hi):
         lo = hi
         hi *= 4.0
         if hi > _U_CAP:
+            if vanishing:
+                return sign * INF
             warnings.warn(
                 "region mass stayed empty out to the search cap",
                 RegionBoundaryWarning,
@@ -203,7 +189,7 @@ def _bisect_theta(m, i: int, sign: float, vanishing: bool) -> float:
             return empty_value
     for _ in range(48):
         mid = 0.5 * (lo + hi)
-        if mass_at(mid) <= tol_mass:
+        if near(mid):
             lo = mid
         else:
             hi = mid

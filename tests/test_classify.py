@@ -382,7 +382,7 @@ class TestDensityTierClassification:
 
         import jsonschema
 
-        from gouruin import quadrature
+        from scipy import integrate
 
         u0 = 1.2
         sigma = ((1.0, -u0), (-u0, u0 * u0))
@@ -392,8 +392,8 @@ class TestDensityTierClassification:
         def unresolved(*args, **kwargs):
             return 0.0, 0.25  # (value, error estimate) far above any tolerance
 
-        monkeypatch.setattr(quadrature._si, "dblquad", unresolved)
-        monkeypatch.setattr(quadrature._si, "quad", unresolved)
+        monkeypatch.setattr(integrate, "dblquad", unresolved)
+        monkeypatch.setattr(integrate, "quad", unresolved)
         cert = is_subordinator_s(t, u0)
         assert cert.verdict is Verdict.UNDETERMINED
         assert cert.residual == 0.25 and cert.to_json()["residual"] == 0.25
@@ -406,11 +406,30 @@ class TestDensityTierClassification:
         jsonschema.validate(doc, json.loads(schema.read_text()))
         assert doc["residual"] == doc["certificate"]["residual"] == 0.25
 
-    def test_continuum_of_levels_is_refused_on_density_tier(self):
+    def test_continuum_of_levels_is_refused_on_density_tier(self, monkeypatch):
+        # A zero Gaussian part leaves a continuum of levels to the drift
+        # condition: the density tier refuses it before computing any theta.
+        from scipy import integrate
+
+        from gouruin import classify
         from gouruin.errors import UndeterminedError
 
         t = self._box_triplet((0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)), (1.1, 1.8, 0.5, 1.2))
-        with pytest.raises(UndeterminedError):
+        calls = {"thetas": 0, "quad": 0, "dblquad": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(classify, "thetas", counted("thetas", classify.thetas))
+        for name in ("quad", "dblquad"):
+            monkeypatch.setattr(integrate, name, counted(name, getattr(integrate, name)))
+        with pytest.raises(UndeterminedError, match="continuum of levels"):
             feasible_u_set(t)
         r = no_ruin_threshold(t)
         assert r.decision.kind is DecisionKind.UNDETERMINED
+        assert r.warnings == ("drift feasibility over a continuum of levels needs the atom tier",)
+        assert calls == {"thetas": 0, "quad": 0, "dblquad": 0}

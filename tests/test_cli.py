@@ -1,5 +1,6 @@
 """Command-line contract: flags, exit codes, JSON schemas, determinism."""
 
+import io
 import json
 import math
 import os
@@ -256,6 +257,37 @@ class TestSimulate:
         jsonschema.validate(man, load_schema("manifest.schema.json"))
         assert man["step_used_for_dynamics"] is False
 
+    def test_density_spec_builds_the_jump_table_once(self, capsys, tmp_path, monkeypatch):
+        from gouruin import simulate
+
+        builds = []
+        build = simulate._density_jump_table
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        for mod in (simulate, cli):  # wherever the command finds it
+            monkeypatch.setattr(mod, "_density_jump_table", counted, raising=False)
+        f = tmp_path / "dens.json"
+        f.write_text(json.dumps(DENSITY_SPEC))
+        code, _, _ = run_cli(
+            capsys,
+            "simulate", "--spec", str(f), "--z", "1.0", "--horizon", "1.0",
+            "--step", "0.25", "--seed", "7", "--paths", "3", "--truncation-eps", "0.3",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 0
+        assert len(builds) == 1
+        # the paths are those of simulate_pair, which builds its own table
+        t, _ = cli.triplet_from_spec(DENSITY_SPEC)
+        cfg = simulate.PathConfig(1.0, 0.25, 7, 0.3)
+        for i in range(3):
+            expected = io.StringIO(newline="")
+            simulate.write_path_csv(simulate.simulate_pair(t, cfg, path_index=i), 1.0, expected)
+            with open(tmp_path / "out" / f"path_{i:04d}.csv", newline="") as fh:
+                assert fh.read() == expected.getvalue()
+
     def test_csv_rows_satisfy_the_path_identity(self, capsys, tmp_path):
         run_cli(
             capsys,
@@ -290,6 +322,45 @@ class TestEstimate:
         doc = json.loads(out)
         jsonschema.validate(doc, load_schema("estimate_result.schema.json"))
         assert abs(doc["estimate"]["point"] - 0.5) < 0.03
+
+    DRIFTING_BM = {
+        "gamma_tilde": [1.0, 0.0],
+        "sigma": [[0.0, 0.0], [0.0, 1.0]],
+        "jumps": {"atoms": []},
+    }
+
+    def test_zinf_quantiles_and_samples_csv(self, capsys, tmp_path):
+        f = tmp_path / "bm.json"
+        f.write_text(json.dumps(self.DRIFTING_BM))
+        samples = tmp_path / "out" / "zinf.csv"
+        code, out, _ = run_cli(
+            capsys,
+            "estimate", "--spec", str(f), "--what", "zinf", "--horizon", "5",
+            "--paths", "200", "--seed", "3", "--out", str(samples),
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["what"] == "zinf" and doc["n"] == 200
+        assert list(doc["quantiles"]) == ["0.01", "0.05", "0.25", "0.5", "0.75", "0.95", "0.99"]
+        assert doc["samples_csv"] == str(samples)
+        lines = samples.read_text().splitlines()
+        assert lines[0] == "z_T" and len(lines) == 200 + 1
+        assert all(math.isfinite(float(v)) for v in lines[1:])
+
+    def test_theorem3_reports_both_sides(self, capsys, tmp_path):
+        f = tmp_path / "bm.json"
+        f.write_text(json.dumps(self.DRIFTING_BM))
+        code, out, _ = run_cli(
+            capsys,
+            "estimate", "--spec", str(f), "--what", "theorem3", "--z", "1.0",
+            "--horizon", "5", "--paths", "200", "--seed", "3",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["what"] == "theorem3" and doc["z"] == 1.0
+        assert {"lhs", "rhs", "consistent"} <= set(doc)
+        assert doc["lhs"]["n_paths"] == doc["rhs"]["n_paths"] == 200
+        assert isinstance(doc["consistent"], bool)
 
     def test_ruin_zero_events_above_threshold(self, capsys):
         code, out, _ = run_cli(
@@ -357,7 +428,33 @@ class TestValidate:
 
 
 class TestUndeterminedExit:
-    def test_density_continuum_exits_two(self, capsys, tmp_path):
+    def test_density_continuum_exits_two(self, capsys, tmp_path, monkeypatch):
+        # Only the spec's integrability spot check integrates; the decision
+        # is refused before any theta or quadrature.
+        from scipy import integrate
+
+        from gouruin import classify
+
+        calls = {"thetas": 0, "quad": 0, "dblquad": 0}
+        loaded = []
+        load = cli.triplet_from_spec
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += bool(loaded)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def load_then_count(spec):
+            out = load(spec)
+            loaded.append(True)
+            return out
+
+        monkeypatch.setattr(cli, "triplet_from_spec", load_then_count)
+        monkeypatch.setattr(classify, "thetas", counted("thetas", classify.thetas))
+        for name in ("quad", "dblquad"):
+            monkeypatch.setattr(integrate, name, counted(name, getattr(integrate, name)))
         spec = {
             "gamma_tilde": [0.0, 0.0],
             "sigma": [[0.0, 0.0], [0.0, 0.0]],
@@ -376,6 +473,7 @@ class TestUndeterminedExit:
         doc = json.loads(out)
         jsonschema.validate(doc, load_schema("ruin_report.schema.json"))
         assert doc["decision"]["kind"] == "undetermined"
+        assert loaded and calls == {"thetas": 0, "quad": 0, "dblquad": 0}
 
     @pytest.mark.parametrize("levels", [(), (0.5, 1.5)])
     def test_density_continuum_reports_its_reason(self, capsys, tmp_path, levels):
@@ -417,13 +515,13 @@ class TestUndeterminedExit:
         assert err == "undetermined: 2-d quadrature tolerance not reached residual=0.25\n"
 
     def test_unresolved_density_spot_check_still_reports(self, capsys, tmp_path, monkeypatch):
-        from gouruin import quadrature
+        from scipy import integrate
 
         def unresolved(*args, **kwargs):
             return 0.0, 0.25  # (value, error estimate) far above any tolerance
 
-        monkeypatch.setattr(quadrature._si, "dblquad", unresolved)
-        monkeypatch.setattr(quadrature._si, "quad", unresolved)
+        monkeypatch.setattr(integrate, "dblquad", unresolved)
+        monkeypatch.setattr(integrate, "quad", unresolved)
         f = tmp_path / "dens.json"
         f.write_text(json.dumps(DENSITY_SPEC))
         code, out, err = run_cli(capsys, "check", "--spec", str(f), "--delta-at", "1.0")
@@ -437,13 +535,13 @@ class TestUndeterminedExit:
         assert err == "undetermined: 2-d quadrature tolerance not reached residual=0.25\n"
 
     def test_quadrature_residual_is_printed(self, capsys, tmp_path, monkeypatch):
-        from gouruin import quadrature
+        from scipy import integrate
 
         def unresolved(*args, **kwargs):
             return 0.0, 0.25  # (value, error estimate) far above any tolerance
 
-        monkeypatch.setattr(quadrature._si, "dblquad", unresolved)
-        monkeypatch.setattr(quadrature._si, "quad", unresolved)
+        monkeypatch.setattr(integrate, "dblquad", unresolved)
+        monkeypatch.setattr(integrate, "quad", unresolved)
         spec = {
             "gamma_tilde": [0.3, 0.1],
             "sigma": [[0.0, 0.0], [0.0, 0.0]],

@@ -438,6 +438,20 @@ class TestNonfiniteValues:
         with pytest.raises(UndeterminedError):
             ruin_records(t, 1e300, 800.0, 30, seed=3, step=0.05)
 
+    def test_grid_kernel_overflow_keeps_the_finite_prefix(self):
+        # With xi's small Brownian part the bridge variance stays finite, so
+        # the path values overflow first (exp(-xi) near t = 709): each path
+        # is judged on the part of the block before its first non-finite
+        # value, and the high eta drift keeps every path above the level.
+        t = triplet((-1.0, 10.0), ((0.01, 0.0), (0.0, 1.0)))
+        assert _select_engine(t) == "grid"
+        batch = _gaussian_grid_batch(t, [0.5], 800.0, 0.05, 30, 3, 0, "grid")
+        assert batch.nonfinite == 30
+        assert not batch.hit[0.5].any()
+        with pytest.raises(UndeterminedError, match="nonfinite_paths=30 of 30"):
+            estimate_ruin(t, 0.5, 800.0, 30, seed=3, step=0.05)
+        assert estimate_ruin(t, 0.5, 50.0, 30, seed=3, step=0.05).point == 0.0
+
     # numpy warns about the overflow this test provokes
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("engine", ["exact_fv", "mixed_grid"])

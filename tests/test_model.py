@@ -362,8 +362,7 @@ class TestGaussianVarianceDiscriminant:
         # The Gaussian variance of eta - u W is quadratic in u; it touches
         # zero for some u exactly when the covariance has the rigid rank-one
         # (or zero) shape.
-        from gouruin.classify import _covariance_constraint
-        from gouruin.model import s_gaussian_variance
+        from gouruin.model import rigid_level, s_gaussian_variance, zero_gaussian
 
         for t in corpus:
             s11 = t.sigma_xi2
@@ -374,7 +373,7 @@ class TestGaussianVarianceDiscriminant:
             else:
                 min_var = s22
             touches_zero = abs(min_var) <= 1e-9
-            rigid = not _covariance_constraint(t).is_empty()
+            rigid = zero_gaussian(t) or rigid_level(t.sigma) is not None
             assert touches_zero == rigid, (t.sigma, min_var)
             if rigid and s11 > 1e-12:
                 u0 = -cov / s11

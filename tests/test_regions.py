@@ -1,6 +1,7 @@
 """Region masses, critical thresholds, and the drift inequality."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -435,3 +436,63 @@ class TestDensityThetas:
         expected3 = -1.2 / (math.exp(1.1) - 1.0)
         assert abs(th3.theta3 - expected3) <= 2e-2 * abs(expected3)
         assert th3.theta1 == NEG_INF and th3.theta2 == 0.0 and th3.theta4 == INF
+
+
+class TestBisectTheta:
+    """Every exit of the density-tier threshold search, on a stubbed region
+    mass: the calls are recorded as the levels u they ask about."""
+
+    class _Measure:
+        tol = 1e-9  # region masses at or below 16 tol count as empty
+
+    def _search(self, monkeypatch, mass, i, sign, vanishing):
+        calls = []
+
+        def stub(m, j, u):
+            assert j == i
+            calls.append(u)
+            return mass(u)
+
+        monkeypatch.setattr(regions, "region_mass", stub)
+        monkeypatch.setattr(regions, "quadrant_mass", lambda m, j: 1.0)
+        return regions._bisect_theta(self._Measure(), i, sign, vanishing), calls
+
+    @pytest.mark.parametrize("i, sign, vanishing, mass", [
+        (2, 1.0, True, lambda u: 1.0 if u < 2.5 else 0.0),
+        (3, -1.0, True, lambda u: 1.0 if u > -2.5 else 0.0),
+        (4, 1.0, False, lambda u: 1.0 if u > 2.5 else 0.0),
+        (1, -1.0, False, lambda u: 1.0 if u < -2.5 else 0.0),
+    ])
+    def test_transition_is_bracketed_then_bisected(self, monkeypatch, i, sign, vanishing, mass):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", regions.RegionBoundaryWarning)
+            value, calls = self._search(monkeypatch, mass, i, sign, vanishing)
+        assert value == pytest.approx(sign * 2.5, rel=1e-12)
+        expansion = [0.0, 1.0, 4.0] if vanishing else [1.0, 4.0]
+        assert calls[:len(expansion)] == [sign * v for v in expansion]
+        assert len(calls) == len(expansion) + 48
+
+    def test_vanishing_region_empty_at_zero_warns(self, monkeypatch):
+        with pytest.warns(regions.RegionBoundaryWarning, match="vanishes next to"):
+            value, calls = self._search(monkeypatch, lambda u: 0.0, 2, 1.0, True)
+        assert value == 0.0 and calls == [0.0]
+
+    @pytest.mark.parametrize("i, sign, empty", [(4, 1.0, INF), (1, -1.0, NEG_INF)])
+    def test_region_empty_out_to_the_cap_warns(self, monkeypatch, i, sign, empty):
+        with pytest.warns(regions.RegionBoundaryWarning, match="stayed empty"):
+            value, calls = self._search(monkeypatch, lambda u: 0.0, i, sign, False)
+        assert value == empty
+        assert calls == [sign * 4.0 ** k for k in range(20)]
+
+    @pytest.mark.parametrize("i, sign", [(2, 1.0), (3, -1.0)])
+    def test_region_full_out_to_the_cap_is_infinite(self, monkeypatch, i, sign):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", regions.RegionBoundaryWarning)
+            value, calls = self._search(monkeypatch, lambda u: 1.0, i, sign, True)
+        assert value == sign * INF
+        assert calls == [sign * v for v in [0.0] + [4.0 ** k for k in range(20)]]
+
+    def test_empty_quadrant_needs_no_search(self, monkeypatch):
+        monkeypatch.setattr(regions, "quadrant_mass", lambda m, j: 0.0)
+        monkeypatch.setattr(regions, "region_mass", lambda m, j, u: pytest.fail("searched"))
+        assert regions._bisect_theta(self._Measure(), 4, 1.0, False) == INF
