@@ -22,7 +22,9 @@ classifiers:
 
 * the exponential transform W with ``exp(-xi) = stochexp(W)``: Brownian part
   ``-B_xi``, jump map ``x -> exp(-x) - 1``, drift fixed by the requirement
-  that the Doleans-Dade formula reproduce ``exp(-xi)``,
+  that the Doleans-Dade formula reproduce ``exp(-xi)``; the (xi, W) pair
+  triplet is built on the atom tier only, and W's 1-d drift comes from the
+  xi marginal alone on both tiers,
 * the test process ``S(u) = eta - u W`` whose subordinator property decides
   ruin,
 * the auxiliary process L with jumps ``y * exp(-x)`` entering the
@@ -64,10 +66,6 @@ _HUGE = 1e18  # stand-in for an unbounded strip edge; clipped by every backend
 def w_jump(x: float) -> float:
     """Jump of W produced by a jump ``x`` of xi: ``exp(-x) - 1``."""
     return math.expm1(-x)
-
-
-def w_jump_inverse(v: float) -> float:
-    return -math.log1p(v)
 
 
 def s_jump(x: float, y: float, u: float) -> float:
@@ -391,86 +389,6 @@ class MappedSMeasure1D:
         return self.base.integrate(integrand, [s_band(u, a, b)])
 
 
-class PushforwardMonotone1D:
-    """Pushforward of a 1-d measure under a monotone decreasing bijection."""
-
-    def __init__(self, base, fwd, inv):
-        self.base = base
-        self.fwd = fwd
-        self.inv = inv
-
-    def atoms_or_none(self):
-        pairs = self.base.atoms_or_none()
-        if pairs is None:
-            return None
-        return tuple((self.fwd(v), r) for v, r in pairs if self.fwd(v) != 0.0)
-
-    def _pre(self, a: float, b: float) -> tuple[float, float]:
-        lo = self.inv(b) if b < INF else NEG_INF
-        hi = self.inv(a) if a > NEG_INF else INF
-        return lo, hi
-
-    def mass(self, a: float, b: float) -> float:
-        lo, hi = self._pre(a, b)
-        return self.base.mass(lo, hi)
-
-    def integrate(self, fn, a: float, b: float, nonneg: bool = False) -> float:
-        lo, hi = self._pre(a, b)
-        return self.base.integrate(lambda x: fn(self.fwd(x)), lo, hi, nonneg=nonneg)
-
-
-class CurvePairMeasure:
-    """2-d measure of the pair (xi, W): the xi measure carried onto the curve
-    (x, exp(-x) - 1)."""
-
-    def __init__(self, base1d):
-        self.base = base1d
-
-    def atoms_or_none(self):
-        pairs = self.base.atoms_or_none()
-        if pairs is None:
-            return None
-        return tuple(JumpAtom(v, w_jump(v), r) for v, r in pairs)
-
-    def _segments(self, strips) -> list[tuple[float, float]]:
-        segs: list[tuple[float, float]] = []
-        for s in strips:
-            x0, x1 = max(s.x0, -_HUGE), min(s.x1, _HUGE)
-            if x1 <= x0:
-                continue
-            # Keep the scan window bounded; w(x) is monotone so membership
-            # boundaries are located accurately by bisection.
-            lo = max(x0, -60.0)
-            hi = min(x1, 60.0)
-            if hi <= lo:
-                continue
-            segs.extend(
-                predicate_segments(
-                    lambda x, _s=s: _s.ylo(x) <= w_jump(x) <= _s.yhi(x), lo, hi
-                )
-            )
-        return segs
-
-    def _sum(self, integrand, strips, nonneg: bool) -> float:
-        g = lambda x: integrand(x, w_jump(x))
-        total = 0.0
-        for a, b in self._segments(strips):
-            total = checked_add(total, self.base.integrate(g, a, b, nonneg=nonneg))
-        return total
-
-    def integrate(self, integrand, strips) -> float:
-        return self._sum(integrand, strips, nonneg=False)
-
-    def integrate_refined(self, integrand, strips) -> float:
-        return self._sum(integrand, strips, nonneg=True)
-
-    def xi_margin(self):
-        return self.base
-
-    def eta_margin(self):
-        return PushforwardMonotone1D(self.base, w_jump, w_jump_inverse)
-
-
 # ---------------------------------------------------------------------------
 # Triplets
 # ---------------------------------------------------------------------------
@@ -649,48 +567,65 @@ def from_marginals(
 # ---------------------------------------------------------------------------
 
 
-def _pair_ball_strips() -> list[Strip]:
-    return [Strip(-1.0, 1.0, lambda x: -_disk_half_width(x), _disk_half_width)]
-
-
 def w_transform(t: LevyTriplet2D) -> LevyTriplet2D:
     """Triplet of the pair (xi, W) where exp(-xi) is the stochastic
-    exponential of W.
+    exponential of W.  Atom tier only.
 
     The Brownian part of W is -B_xi, each xi-jump x becomes the W-jump
     exp(-x) - 1, and the W drift is pinned by
     ``gamma_xi + gamma_W = sigma_xi^2 / 2 + integral of (x + e^-x - 1)``
-    over the small-jump region of the (xi, W) plane.
+    over the small-jump region of the (xi, W) plane.  This pair-plane
+    construction is the reference for ``w_drift``.
     """
+    pair_jumps = FiniteAtomSet(
+        [JumpAtom(a.x, w_jump(a.x), a.rate) for a in t.atoms() if a.x != 0.0]
+    )
     m_xi = marginal_xi(t)
     sigma2 = t.sigma_xi2
-    atoms = t.jumps.atoms_or_none()
-    if atoms is not None:
-        pair_jumps = FiniteAtomSet(
-            [JumpAtom(a.x, w_jump(a.x), a.rate) for a in atoms if a.x != 0.0]
-        )
-    else:
-        pair_jumps = CurvePairMeasure(t.jumps.xi_margin())
 
     # Ball-convention drift of xi inside the (xi, W) plane.
     gx_pair = m_xi.gamma - _coordinate_correction(pair_jumps, "x")
-
-    pair_atoms = pair_jumps.atoms_or_none()
-    if pair_atoms is not None:
-        ball_term = sum(
-            a.rate * (a.x + a.y) for a in pair_atoms if _in_open_ball(a.x, a.y)
-        )
-    else:
-        # x + e^-x - 1 is nonnegative, so divergence detection applies.
-        ball_term = pair_jumps.integrate_refined(
-            lambda x, y: x + y, _pair_ball_strips()
-        )
-        if ball_term == INF:
-            raise UndeterminedError("small-jump integral of the W drift diverged")
+    ball_term = sum(
+        a.rate * (a.x + a.y) for a in pair_jumps.atoms if _in_open_ball(a.x, a.y)
+    )
 
     gw_pair = 0.5 * sigma2 - gx_pair + ball_term
     sigma_pair = ((sigma2, -sigma2), (-sigma2, sigma2))
     return LevyTriplet2D((gx_pair, gw_pair), sigma_pair, pair_jumps)
+
+
+def w_drift(t: LevyTriplet2D) -> float:
+    """Interval-truncation drift of W, from the xi marginal alone:
+    ``sigma_xi^2 / 2 - gamma_xi`` plus the integral of
+    ``x 1{|x| < 1} + (e^-x - 1) 1{|e^-x - 1| < 1}`` against the xi jump
+    measure.  The unit ball of the (xi, W) plane lies inside both
+    ``{|x| < 1}`` and ``{|w| < 1}``, so this equals the W marginal drift
+    of ``w_transform``.
+    """
+    m = marginal_xi(t)
+    base = 0.5 * m.sigma2 - m.gamma
+    pairs = m.jumps.atoms_or_none()
+    if pairs is not None:
+        total = 0.0
+        for x, rate in pairs:
+            w = w_jump(x)
+            term = 0.0
+            if _in_open_interval(x):
+                term += x
+            if _in_open_interval(w):
+                term += w
+            total += rate * term
+        return base + total
+
+    # |e^-x - 1| < 1 iff x > -ln 2; on (-ln 2, 1) both indicators hold and
+    # x + e^-x - 1 is nonnegative, so divergence detection applies.
+    ln2 = math.log(2.0)
+    small = m.jumps.integrate(lambda x: x + w_jump(x), -ln2, 1.0, nonneg=True)
+    if small == INF:
+        raise UndeterminedError("small-jump integral of the W drift diverged")
+    left = m.jumps.integrate(lambda x: x, -1.0, -ln2)
+    right = m.jumps.integrate(w_jump, 1.0, INF)
+    return base + small + left + right
 
 
 def s_gaussian_variance(sigma, u: float) -> float:
@@ -703,12 +638,13 @@ def s_gaussian_variance(sigma, u: float) -> float:
 def s_process(t: LevyTriplet2D, u: float) -> MarginalTriplet:
     """1-d triplet of S(u) = eta - u W.
 
-    Built the long way around, through the marginal drifts of eta and W plus
-    the exact re-truncation correction, so it stays an independent check on
-    the closed-form drift inequality used by the classifier.
+    Built the long way around, through the marginal drift of eta, W's drift
+    from the xi marginal (``w_drift``) and the exact re-truncation
+    correction, so it stays an independent check on the closed-form drift
+    inequality used by the classifier.
     """
     m_eta = marginal_eta(t)
-    m_w = marginal_eta(w_transform(t))
+    gamma_w = w_drift(t)
     sigma2 = s_gaussian_variance(t.sigma, u)
 
     atoms = t.jumps.atoms_or_none()
@@ -733,7 +669,7 @@ def s_process(t: LevyTriplet2D, u: float) -> MarginalTriplet:
         corr = _s_density_correction(t.jumps, u)
         jumps = MappedSMeasure1D(t.jumps, u)
 
-    gamma = m_eta.gamma - u * m_w.gamma + corr
+    gamma = m_eta.gamma - u * gamma_w + corr
     return MarginalTriplet(gamma, sigma2, jumps)
 
 
@@ -800,7 +736,7 @@ def drift_vector(t: LevyTriplet2D) -> tuple[float, float]:
         raise NotFiniteVariationError("drift vector requires a vanishing Gaussian part")
     if t.jumps.atoms_or_none() is not None:
         return _uncompensated_drift(t)
-    ball = _pair_ball_strips()
+    ball = [Strip(-1.0, 1.0, lambda x: -_disk_half_width(x), _disk_half_width)]
     abs_mass = t.jumps.integrate_refined(lambda x, y: abs(x) + abs(y), ball)
     if abs_mass == INF:
         raise NotFiniteVariationError("small jumps have infinite variation")

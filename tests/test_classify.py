@@ -25,6 +25,7 @@ from gouruin.model import (
     FiniteAtomSet,
     JumpAtom,
     LevyTriplet2D,
+    LineDensity,
     MarginalTriplet,
     marginal_eta,
     s_process,
@@ -33,6 +34,7 @@ from gouruin.model import (
 )
 from gouruin.numerics import NEG_INF
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
+from gouruin.regions import RegionBoundaryWarning
 
 E = math.e
 E_RATIO = E / (E - 1.0)
@@ -313,6 +315,10 @@ class TestSideConditions:
         t2 = triplet((0.1, 0.2), jumps=[(1.0, 1.0, 1.0), (0.5, -0.2, 1.0)])
         assert is_degenerate(t2) is None
 
+    def test_pure_drift_ratio(self):
+        # No Gaussian part and no jumps: eta = -k W with W drift -gamma_xi.
+        assert is_degenerate(triplet((0.5, -1.0))) == -2.0
+
 
 class TestDensityTierClassification:
     def _box_triplet(self, gamma, sigma, box, c=0.3):
@@ -333,6 +339,37 @@ class TestDensityTierClassification:
             assert v1 is v2
         assert is_subordinator_s(t, 0.0).verdict is Verdict.NO
         assert is_subordinator_s(t, 4.0).verdict is Verdict.YES
+
+    @pytest.mark.parametrize("k, expected", [(0.5, 0.6), (2.0, 2.4)])
+    @pytest.mark.parametrize("line", [False, True], ids=["box", "y_line"])
+    def test_scaled_density_keeps_the_rigid_level(self, k, expected, line):
+        import warnings
+
+        sigma = ((1.0, -1.2), (-1.2, 1.44))
+        if line:
+            t = LevyTriplet2D((0.5, 1.5), sigma, LineDensity("y", lambda v: 1.0, 0.5, 1.5))
+        else:
+            t = self._box_triplet((0.5, 1.5), sigma, (0.2, 1.8, 0.3, 1.2))
+        with warnings.catch_warnings():
+            # the y-axis line sits on the boundary of the theta regions
+            warnings.simplefilter("ignore", RegionBoundaryWarning)
+            r = no_ruin_threshold(scale_eta(t, k))
+        assert r.decision.kind is DecisionKind.NO_RUIN_FROM
+        assert r.decision.threshold == pytest.approx(expected, abs=1e-12)
+
+    def test_degeneracy_on_density_tier(self):
+        # Rigid Gaussian part: k = s12 / s11 = -1.2 and S(1.2) has no Gaussian
+        # part.  Shifting gamma_eta zeroes the drift of S(1.2), so only the
+        # jump mass of S(1.2) (c * area = 0.432) tells it from eta = -k W.
+        sigma = ((1.0, -1.2), (-1.2, 1.44))
+        box = (0.2, 1.8, 0.3, 1.2)
+        t = self._box_triplet((0.5, 1.5), sigma, box)
+        assert is_degenerate(t) is None
+        shifted = self._box_triplet((0.5, 1.5 - s_process(t, 1.2).gamma), sigma, box)
+        s = s_process(shifted, 1.2)
+        assert s.gamma == pytest.approx(0.0, abs=1e-12) and s.sigma2 == 0.0
+        assert s.jumps.mass(0.0, math.inf) == pytest.approx(0.432, rel=1e-7)
+        assert is_degenerate(shifted) is None
 
     def test_point_candidate_decision_on_density_tier(self):
         # Rigid Gaussian pins the candidate level; the quadrature tier only

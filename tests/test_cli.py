@@ -77,6 +77,11 @@ class TestCheck:
         assert code == 1
         assert "sigma" in err or "triplet" in err
 
+    def test_missing_spec_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "check")
+        assert code == 1 and out == ""
+        assert err.strip() == "input error: provide --preset or --spec (field: spec)"
+
     def test_spec_roundtrip_is_identity(self, capsys, tmp_path):
         from gouruin.model import triplet_from_json, triplet_to_json
 

@@ -8,9 +8,12 @@ from gouruin.errors import (
     InvalidModelError,
     NotApplicableError,
     NotFiniteVariationError,
+    NotSupportedError,
+    UndeterminedError,
 )
 from gouruin.model import (
     Atoms1D,
+    BoxDensity,
     Density1D,
     FiniteAtomSet,
     JumpAtom,
@@ -18,6 +21,7 @@ from gouruin.model import (
     LineDensity,
     MarginalTriplet,
     d_eta,
+    density_from_json,
     drift_vector,
     from_marginals,
     l_process,
@@ -28,6 +32,7 @@ from gouruin.model import (
     scale_eta,
     triplet_from_json,
     triplet_to_json,
+    w_drift,
     w_jump,
     w_transform,
 )
@@ -131,6 +136,64 @@ class TestWTransform:
                     term += w_jump(a.x)
                 rhs += a.rate * term
             assert m_xi.gamma + m_w.gamma == pytest.approx(rhs, abs=1e-12)
+            assert w_drift(t) == pytest.approx(m_w.gamma, abs=1e-12)
+
+    def test_density_tier_is_refused(self):
+        line = LineDensity("x", lambda v: 1.0, 0.5, 1.5)
+        with pytest.raises(NotSupportedError):
+            w_transform(LevyTriplet2D((0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)), line))
+
+
+def _uniform_box(c, box):
+    return density_from_json({"kind": "uniform_box", "params": {"c": c}, "box": box})
+
+
+def _exp_tails(c, a, b, box):
+    params = {"c": c, "a": a, "b": b}
+    return density_from_json({"kind": "exp_tails", "params": params, "box": box})
+
+
+_RIGID = ((1.0, -1.2), (-1.2, 1.44))
+_ZERO = ((0.0, 0.0), (0.0, 0.0))
+
+# Density-tier drivers of the W drift, each pinned to the W marginal drift
+# of the (xi, W) pair-plane construction, marginal_eta(w_transform(t)).gamma,
+# computed when that construction still took densities.  The x-axis line on
+# [-1.5, 1.5] has the closed form 0.8 - int_{-ln 2}^{1.5} (1 - e^-x) dx
+# = 0.38372265929162...
+_W_DRIFT_PINS = [
+    ("q2_box", (0.3, -0.2), _ZERO,
+     lambda: _uniform_box(0.8, [-1.2, -0.1, 0.2, 1.0]), -0.2914669331930011),
+    ("origin_box", (-0.4, 0.1), _RIGID,
+     lambda: _uniform_box(1.0, [-0.5, 0.7, -0.4, 0.6]), 0.9721359669311848),
+    ("exp_tails_wide", (0.2, 0.5), _ZERO,
+     lambda: _exp_tails(2.0, 1.0, 1.5, [-0.8, 2.5, -1.0, 1.0]), -0.5859432773608979),
+    ("exp_tails_left", (1.1, -0.3), ((0.5, 0.0), (0.0, 0.2)),
+     lambda: _exp_tails(1.0, 0.5, 2.0, [-2.0, 3.0, 0.1, 2.0]), -1.1108706231141263),
+    ("x_line_right", (0.5, 0.0), _ZERO,
+     lambda: LineDensity("x", lambda v: 1.0, 0.5, 1.5), -0.7415995004357964),
+    ("x_line_both", (-0.3, 0.2), _RIGID,
+     lambda: LineDensity("x", lambda v: 1.0, -1.5, 1.5), 0.3837226593459605),
+    ("y_line", (0.7, -0.1), _RIGID,
+     lambda: LineDensity("y", lambda v: 1.0, 0.5, 1.5), -0.19999999999999996),
+    ("fn_box", (0.1, 0.4), _ZERO,
+     lambda: BoxDensity(lambda x, y: math.exp(-x * x - 2.0 * y * y), (-2.0, 2.0, -1.0, 1.0)),
+     -0.21498458929044356),
+]
+
+
+class TestWDrift:
+    @pytest.mark.parametrize(
+        "gamma, sigma, jumps, pinned", [d[1:] for d in _W_DRIFT_PINS],
+        ids=[d[0] for d in _W_DRIFT_PINS],
+    )
+    def test_density_tier_matches_the_pair_plane_route(self, gamma, sigma, jumps, pinned):
+        assert w_drift(LevyTriplet2D(gamma, sigma, jumps())) == pytest.approx(pinned, abs=1e-9)
+
+    def test_divergent_small_jump_integral_is_undetermined(self):
+        line = LineDensity("x", lambda v: abs(v) ** -3.5, -0.5, 0.5)
+        with pytest.raises(UndeterminedError, match="W drift diverged"):
+            w_drift(LevyTriplet2D((0.0, 0.0), _ZERO, line))
 
 
 class TestSProcess:
@@ -195,6 +258,23 @@ class TestDriftVector:
         dx, dy = drift_vector(t)
         assert dx == pytest.approx(0.0, abs=1e-15)
         assert dy == pytest.approx(0.0, abs=1e-15)
+
+    def test_density_box_matches_exact_bounds_oracle(self):
+        # The box meets the unit disk in x in [0.5, sqrt(0.75)],
+        # y in [-sqrt(1 - x^2), -0.5]; integrating with these exact bounds
+        # (not an indicator) gives gamma minus the small-jump integral.
+        from gouruin.regions import drift_lhs
+        from scipy import integrate as si
+
+        t = LevyTriplet2D((0.3, 0.2), _ZERO, _uniform_box(1.0, [0.5, 1.5, -2.0, -0.5]))
+        dx, dy = drift_vector(t)
+        bounds = (0.5, math.sqrt(0.75), lambda x: -math.sqrt(1.0 - x * x), lambda x: -0.5)
+        ix = si.dblquad(lambda y, x: x, *bounds, epsabs=1e-13)[0]
+        iy = si.dblquad(lambda y, x: y, *bounds, epsabs=1e-13)[0]
+        assert dx == pytest.approx(0.3 - ix, abs=1e-9)
+        assert dy == pytest.approx(0.2 - iy, abs=1e-9)
+        for u in (6.0, 10.0, 20.0):
+            assert dy + u * dx == pytest.approx(drift_lhs(t, u), abs=1e-9)
 
     def test_gaussian_part_rejected(self):
         t = triplet((0.0, 0.0), ((1.0, 0.0), (0.0, 0.0)))
