@@ -22,10 +22,9 @@ from . import acceptance
 from .classify import DecisionKind, no_ruin_threshold, undetermined_report
 from .errors import GouError, InvalidModelError, NotApplicableError, UndeterminedError
 from .estimate import (
+    _ruin_estimate,
     estimate_negative_prob,
-    estimate_ruin,
     estimate_Zinf_cdf,
-    ruin_records,
     validate_ruin_formula,
 )
 from .numerics import ext_to_json
@@ -142,12 +141,13 @@ def cmd_estimate(args) -> int:
     t, meta = triplet_from_spec(spec)
     kw = dict(step=args.step, truncation_eps=args.truncation_eps)
     if args.what == "ruin":
-        est = estimate_ruin(t, args.z, args.horizon, args.paths, args.seed, **kw)
+        # the records come from the estimate's own batch, not a second run
+        est, batch = _ruin_estimate(
+            t, args.z, args.horizon, args.paths, args.seed, want_times=bool(args.out), **kw
+        )
         doc = {"what": "ruin", "z": args.z, "estimate": est.to_json()}
         if args.out:
-            hit, times, values, cont = ruin_records(
-                t, args.z, args.horizon, args.paths, args.seed, **kw
-            )
+            hit, times, values, cont = batch.records(args.z)
             path = FsPath(args.out)
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(path, "w") as fh:

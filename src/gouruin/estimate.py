@@ -187,6 +187,10 @@ class _BatchResult:
     nonfinite: int = 0
     v_min: np.ndarray | None = None
 
+    def records(self, z: float):
+        """(hit, time, value at the hit, continuous crossing) per path at z."""
+        return self.hit[z], self.time[z], self.v_hit[z], self.continuous[z]
+
 
 def _hash_uniforms(seed: int, stream: int, idx0: int, flat_cells: np.ndarray) -> np.ndarray:
     """Deterministic per-(path, cell) uniforms, independent of the z level
@@ -676,8 +680,18 @@ def estimate_ruin(
 ) -> EstimateWithCI:
     """Fraction of paths ruined before the horizon (lower bound on the
     infinite-horizon ruin probability)."""
+    return _ruin_estimate(t, z, horizon, n, seed, step, truncation_eps, tail_eps)[0]
+
+
+def _ruin_estimate(
+    t, z, horizon, n, seed, step, truncation_eps, tail_eps=0.05, want_times=False
+) -> tuple[EstimateWithCI, _BatchResult]:
+    """``estimate_ruin`` and the batch it reduces.  ``want_times`` only adds
+    the crossing times, so the records of this batch describe the paths of
+    the estimate."""
     batch = _dispatch_batch(
-        t, [z], horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps
+        t, [z], horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps,
+        want_times=want_times,
     )
     _require_finite(batch.nonfinite, n)
     hits = batch.hit[z]
@@ -694,7 +708,7 @@ def estimate_ruin(
         near = np.sum((z + batch.z_T[survivors]) < tail_eps)
         diag["tail_near_ruin_fraction"] = float(near / max(1, survivors.sum()))
         diag["tail_eps"] = tail_eps
-    return EstimateWithCI(k / n, lo, hi, n, k, diag)
+    return EstimateWithCI(k / n, lo, hi, n, k, diag), batch
 
 
 def estimate_negative_prob(
@@ -911,4 +925,4 @@ def ruin_records(
         want_times=True,
     )
     _require_finite(batch.nonfinite, n)
-    return batch.hit[z], batch.time[z], batch.v_hit[z], batch.continuous[z]
+    return batch.records(z)

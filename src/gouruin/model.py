@@ -48,19 +48,18 @@ from .errors import (
 )
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, checked_add
 from .quadrature import (
+    BandEdge,
+    ChordEdge,
+    ConstEdge,
     Strip,
     clip_strips_to_box,
-    half_chord,
     integrate_strips,
     limit_toward_origin,
     limit_toward_point_1d,
-    predicate_segments,
     quad_1d,
     strips_in_annulus,
     strips_outside_ball,
 )
-
-_HUGE = 1e18  # stand-in for an unbounded strip edge; clipped by every backend
 
 
 def w_jump(x: float) -> float:
@@ -75,12 +74,7 @@ def s_jump(x: float, y: float, u: float) -> float:
 
 def s_band(u: float, lo: float, hi: float) -> Strip:
     """The pair jumps whose S(u) jump y - u(e^-x - 1) lies in [lo, hi]."""
-    return Strip(
-        -_HUGE,
-        _HUGE,
-        lambda x: u * math.expm1(-x) + lo,
-        lambda x: u * math.expm1(-x) + hi,
-    )
+    return Strip(lower=(BandEdge(u, lo),), upper=(BandEdge(u, hi),))
 
 
 def _lt(a: float, b: float) -> bool:
@@ -90,10 +84,6 @@ def _lt(a: float, b: float) -> bool:
 
 def _in_open_ball(x: float, y: float) -> bool:
     return _lt(x * x + y * y, 1.0)
-
-
-#: Half-height sqrt(1 - x^2) of the unit disk at abscissa x (0 outside).
-_disk_half_width = half_chord(1.0)
 
 
 def _uncompensated_drift(t: LevyTriplet2D) -> tuple[float, float]:
@@ -205,7 +195,7 @@ class BoxDensity:
         runs at a coarse tolerance (the integrand has a kink on the unit
         circle that adaptive quadrature resolves slowly)."""
         value = self.integrate_refined(
-            lambda x, y: min(x * x + y * y, 1.0), [_full_plane_strip()], tol=1e-5
+            lambda x, y: min(x * x + y * y, 1.0), [Strip()], tol=1e-5
         )
         if value == INF:
             raise InvalidModelError("density violates the Levy integrability condition")
@@ -239,21 +229,12 @@ class LineDensity:
     def _t_segments(self, strips) -> list[tuple[float, float]]:
         segs = []
         for s in strips:
-            if self.axis == "y":
-                if s.x0 <= 0.0 <= s.x1:
-                    a = max(self.lo, s.ylo(0.0))
-                    b = min(self.hi, s.yhi(0.0))
-                    if b > a:
-                        segs.append((a, b))
-            else:
-                a = max(self.lo, s.x0)
-                b = min(self.hi, s.x1)
+            if self.axis == "x":
+                segs += s.x_axis_segments(self.lo, self.hi)
+            elif s.x0 <= 0.0 <= s.x1:
+                a, b = max(self.lo, s.ylo(0.0)), min(self.hi, s.yhi(0.0))
                 if b > a:
-                    segs.extend(
-                        predicate_segments(
-                            lambda t, _s=s: _s.ylo(t) <= 0.0 <= _s.yhi(t), a, b
-                        )
-                    )
+                    segs.append((a, b))
         return segs
 
     def _sum(self, integrand, strips, rule) -> float:
@@ -288,10 +269,6 @@ def _nonneg_1d(g, a: float, b: float, tol: float) -> float:
     left = limit_toward_point_1d(g, 0.0, a, tol) if a < 0.0 else 0.0
     right = limit_toward_point_1d(g, 0.0, b, tol) if b > 0.0 else 0.0
     return checked_add(left, right)
-
-
-def _full_plane_strip() -> Strip:
-    return Strip(-_HUGE, _HUGE, lambda x: -_HUGE, lambda x: _HUGE)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +332,8 @@ class ProjectedDensity1D:
 
     def _strips(self, a: float, b: float) -> list[Strip]:
         if self.axis == "x":
-            return [Strip(a, b, lambda x: -_HUGE, lambda x: _HUGE)]
-        return [Strip(-_HUGE, _HUGE, lambda x, _a=a: _a, lambda x, _b=b: _b)]
+            return [Strip(a, b)]
+        return [Strip(lower=(ConstEdge(a),), upper=(ConstEdge(b),))]
 
     def mass(self, a: float, b: float) -> float:
         return self.base.integrate_refined(lambda x, y: 1.0, self._strips(a, b))
@@ -487,18 +464,17 @@ class MarginalTriplet:
 
 def _correction_strips(axis: str) -> list[Strip]:
     """Strips for {|coordinate| < 1} minus the closed unit ball."""
+    top, bottom = ChordEdge(1.0), ChordEdge(1.0, -1.0)
     if axis == "x":
-        return [
-            Strip(-1.0, 1.0, _disk_half_width, lambda x: _HUGE),
-            Strip(-1.0, 1.0, lambda x: -_HUGE, lambda x: -_disk_half_width(x)),
-        ]
+        return [Strip(-1.0, 1.0, lower=(top,)), Strip(-1.0, 1.0, upper=(bottom,))]
     # |y| < 1 outside the ball: split x-ranges left/right of the ball plus
     # the caps above/below it.
+    below, above = (ConstEdge(-1.0),), (ConstEdge(1.0),)
     return [
-        Strip(-_HUGE, -1.0, lambda x: -1.0, lambda x: 1.0),
-        Strip(1.0, _HUGE, lambda x: -1.0, lambda x: 1.0),
-        Strip(-1.0, 1.0, _disk_half_width, lambda x: 1.0),
-        Strip(-1.0, 1.0, lambda x: -1.0, lambda x: -_disk_half_width(x)),
+        Strip(NEG_INF, -1.0, below, above),
+        Strip(1.0, INF, below, above),
+        Strip(-1.0, 1.0, (top,), above),
+        Strip(-1.0, 1.0, below, (bottom,)),
     ]
 
 
@@ -682,20 +658,16 @@ def _s_density_correction(measure, u: float) -> float:
     """
     eps = 0.3 / (1.0 + math.e * max(1.0, abs(u)))
 
-    def y_strips():
-        return [Strip(-_HUGE, _HUGE, lambda x: -1.0, lambda x: 1.0)]
-
-    def w_strips():
-        # |e^-x - 1| < 1  iff  x > -ln 2
-        return [Strip(-math.log(2.0), _HUGE, lambda x: -_HUGE, lambda x: _HUGE)]
+    y_strip = Strip(lower=(ConstEdge(-1.0),), upper=(ConstEdge(1.0),))
+    w_strip = Strip(-math.log(2.0))  # |e^-x - 1| < 1  iff  x > -ln 2
 
     total = 0.0
     total += measure.integrate(
         lambda x, y: s_jump(x, y, u), strips_outside_ball([s_band(u, -1.0, 1.0)], eps)
     )
-    total -= measure.integrate(lambda x, y: y, strips_outside_ball(y_strips(), eps))
+    total -= measure.integrate(lambda x, y: y, strips_outside_ball([y_strip], eps))
     total += u * measure.integrate(
-        lambda x, y: w_jump(x), strips_outside_ball(w_strips(), eps)
+        lambda x, y: w_jump(x), strips_outside_ball([w_strip], eps)
     )
     return total
 
@@ -736,7 +708,7 @@ def drift_vector(t: LevyTriplet2D) -> tuple[float, float]:
         raise NotFiniteVariationError("drift vector requires a vanishing Gaussian part")
     if t.jumps.atoms_or_none() is not None:
         return _uncompensated_drift(t)
-    ball = [Strip(-1.0, 1.0, lambda x: -_disk_half_width(x), _disk_half_width)]
+    ball = [Strip(-1.0, 1.0, (ChordEdge(1.0, -1.0),), (ChordEdge(1.0),))]
     abs_mass = t.jumps.integrate_refined(lambda x, y: abs(x) + abs(y), ball)
     if abs_mass == INF:
         raise NotFiniteVariationError("small jumps have infinite variation")
@@ -774,10 +746,8 @@ def mean_at_one(t: LevyTriplet2D) -> tuple[float, float]:
                 ey += a.rate * a.y
         return ex, ey
 
-    tail = [
-        Strip(-_HUGE, -1.0, lambda x: -_HUGE, lambda x: _HUGE),
-        Strip(1.0, _HUGE, lambda x: -_HUGE, lambda x: _HUGE),
-    ] + _correction_strips("x")  # |x| < 1 outside the ball
+    # |x| >= 1, then |x| < 1 outside the ball
+    tail = [Strip(x1=-1.0), Strip(1.0)] + _correction_strips("x")
     ex = t.gamma_tilde[0] + t.jumps.integrate(lambda x, y: x, tail)
     ey = t.gamma_tilde[1] + t.jumps.integrate(lambda x, y: y, tail)
     return ex, ey
@@ -839,19 +809,12 @@ def scale_eta(t: LevyTriplet2D, k: float) -> LevyTriplet2D:
     if k == 1.0:
         return LevyTriplet2D(t.gamma_tilde, sigma, new_jumps)
 
+    # Between the chords h(x) and h(x)/k of the unit disk, h = sqrt(1 - x^2):
+    # min(h, h/k) = h/max(1, k) and max(h, h/k) = h/min(1, k).
+    near, far = max(1.0, k), min(1.0, k)
     bands = [
-        Strip(
-            -1.0,
-            1.0,
-            lambda x, _k=k: min(_disk_half_width(x), _disk_half_width(x) / _k),
-            lambda x, _k=k: max(_disk_half_width(x), _disk_half_width(x) / _k),
-        ),
-        Strip(
-            -1.0,
-            1.0,
-            lambda x, _k=k: -max(_disk_half_width(x), _disk_half_width(x) / _k),
-            lambda x, _k=k: -min(_disk_half_width(x), _disk_half_width(x) / _k),
-        ),
+        Strip(-1.0, 1.0, (ChordEdge(1.0, d=near),), (ChordEdge(1.0, d=far),)),
+        Strip(-1.0, 1.0, (ChordEdge(1.0, -1.0, far),), (ChordEdge(1.0, -1.0, near),)),
     ]
     # new region minus old region is +bands for k < 1, -bands for k > 1
     sign = 1.0 if k < 1.0 else -1.0

@@ -2,9 +2,21 @@
 
 Every region integral the package needs decomposes into x-strips, i.e. sets
 of the form ``{x0 <= x <= x1, ylo(x) <= y <= yhi(x)}``; those are integrated
-with ``scipy.integrate.dblquad`` using exact inner bounds.  Levy measures may
-be infinite near the origin, so mass-type integrals are evaluated as a limit
-over shrinking origin exclusions with a geometric-ratio divergence test:
+with ``scipy.integrate.dblquad`` using exact inner bounds.  ``ylo`` is the
+largest of a strip's lower edges and ``yhi`` the smallest of its upper
+edges, and an edge is one of three curves, each with its crossings of a
+horizontal line y = v in closed form:
+
+* a constant ``y = c`` (no crossing),
+* an S(u) band edge ``y = u (e^-x - 1) + c``, monotone in x, crossing at
+  ``x = -log1p((v - c) / u)``,
+* a disk chord ``y = +-sqrt(max(0, r^2 - x^2)) / d``, crossing at
+  ``x = +-sqrt(r^2 - (v d)^2)``.
+
+So a measure on the x axis gets the segments of a strip exactly, by cutting
+at the crossings with y = 0.  Levy measures may be infinite near the origin,
+so mass-type integrals are evaluated as a limit over shrinking origin
+exclusions with a geometric-ratio divergence test:
 
 * increments that die off geometrically are summed and bounded,
 * increments that stay flat or grow signal a divergent integral,
@@ -22,10 +34,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import UndeterminedError
-from .numerics import INF
+from .numerics import INF, NEG_INF
 
 #: Values beyond this are reported as +inf by the refinement driver.
 DIVERGENCE_CAP = 1e12
@@ -43,19 +53,117 @@ def _scipy_integrate():
 
 
 @dataclass(frozen=True)
+class ConstEdge:
+    """The line y = c."""
+
+    c: float
+
+    def at(self, x: float) -> float:
+        return self.c
+
+    def crossings(self, v: float) -> tuple[float, ...]:
+        return ()
+
+
+@dataclass(frozen=True)
+class BandEdge:
+    """The S(u) band edge y = u (e^-x - 1) + c: the pair jumps on it move
+    S(u) by exactly -c."""
+
+    u: float
+    c: float
+
+    def at(self, x: float) -> float:
+        return self.u * math.expm1(-x) + self.c
+
+    def crossings(self, v: float) -> tuple[float, ...]:
+        r = (v - self.c) / self.u if self.u else -1.0  # u = 0: a flat edge
+        return (-math.log1p(r),) if r > -1.0 else ()
+
+
+@dataclass(frozen=True)
+class ChordEdge:
+    """The disk chord y = sign sqrt(max(0, r^2 - x^2)) / d: the upper (sign 1)
+    or lower (sign -1) half circle of radius r over d, and 0 outside it."""
+
+    r: float
+    sign: float = 1.0
+    d: float = 1.0
+
+    def at(self, x: float) -> float:
+        return self.sign * math.sqrt(max(0.0, self.r * self.r - x * x)) / self.d
+
+    def crossings(self, v: float) -> tuple[float, ...]:
+        h = self.sign * v * self.d
+        if h < 0.0 or h > self.r:
+            return ()
+        half = math.sqrt(self.r * self.r - h * h)
+        return (-half, half)
+
+
+Edge = ConstEdge | BandEdge | ChordEdge
+
+
+@dataclass(frozen=True)
 class Strip:
-    """x-strip region: x in [x0, x1], y in [ylo(x), yhi(x)] (clamped)."""
+    """x-strip region: x in [x0, x1], y between the largest lower edge and
+    the smallest upper edge; no lower (upper) edge leaves y unbounded below
+    (above).  The defaults give the whole plane."""
 
-    x0: float
-    x1: float
-    ylo: Callable[[float], float]
-    yhi: Callable[[float], float]
+    x0: float = NEG_INF
+    x1: float = INF
+    lower: tuple[Edge, ...] = ()
+    upper: tuple[Edge, ...] = ()
 
+    # ylo and yhi are max() and min() over the edges (the first extreme
+    # value wins, as in the builtins), written as loops: they run at every
+    # outer quadrature node, where a comprehension would double their cost.
+    def ylo(self, x: float) -> float:
+        if not self.lower:
+            return NEG_INF
+        v = self.lower[0].at(x)
+        for e in self.lower[1:]:
+            w = e.at(x)
+            if w > v:
+                v = w
+        return v
 
-def half_chord(radius: float) -> Callable[[float], float]:
-    """x -> sqrt(radius^2 - x^2), the half-height of the disk of the given
-    radius at abscissa x (0 outside it)."""
-    return lambda x: math.sqrt(max(0.0, radius * radius - x * x))
+    def yhi(self, x: float) -> float:
+        if not self.upper:
+            return INF
+        v = self.upper[0].at(x)
+        for e in self.upper[1:]:
+            w = e.at(x)
+            if w < v:
+                v = w
+        return v
+
+    def meet(self, x0=NEG_INF, x1=INF, lower=(), upper=()) -> list[Strip]:
+        """This strip with x limited to [x0, x1] and the given edges added,
+        as a list of one strip, or [] when that x-range is empty."""
+        x0, x1 = max(self.x0, x0), min(self.x1, x1)
+        return [Strip(x0, x1, self.lower + lower, self.upper + upper)] if x1 > x0 else []
+
+    def x_axis_segments(self, a: float, b: float) -> list[tuple[float, float]]:
+        """The maximal subintervals of [a, b] on which (x, 0) lies in the
+        strip, found by cutting [a, b] at every edge's crossings with y = 0
+        and testing the midpoint of each piece (every edge keeps its sign
+        inside a piece)."""
+        a, b = max(a, self.x0), min(b, self.x1)
+        if b <= a:
+            return []
+        cuts = sorted(
+            {x for e in self.lower + self.upper for x in e.crossings(0.0) if a < x < b}
+        )
+        segs: list[tuple[float, float]] = []
+        for p, q in zip([a] + cuts, cuts + [b]):
+            m = 0.5 * (p + q)
+            if self.ylo(m) <= 0.0 <= self.yhi(m):
+                if segs and segs[-1][1] == p:
+                    segs[-1] = (segs[-1][0], q)
+                else:
+                    segs.append((p, q))
+        return segs
 
 
 def quad_1d(fn, lo: float, hi: float, tol: float) -> float:
@@ -77,19 +185,10 @@ def integrate_strips(density, strips: Sequence[Strip], integrand, tol: float) ->
     dblquad = _scipy_integrate().dblquad
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for s in strips:
-            if s.x1 <= s.x0:
-                continue
-            lo_fn = s.ylo
-            hi_fn = lambda x, _s=s: max(_s.ylo(x), _s.yhi(x))
+        for s in strips:  # nonempty: every strip comes through Strip.meet
             val, err = dblquad(
-                lambda y, x: integrand(x, y) * density(x, y),
-                s.x0,
-                s.x1,
-                lo_fn,
-                hi_fn,
-                epsabs=tol / n,
-                epsrel=1e-9,
+                lambda y, x: integrand(x, y) * density(x, y), s.x0, s.x1, s.ylo,
+                lambda x, _s=s: max(_s.ylo(x), _s.yhi(x)), epsabs=tol / n, epsrel=1e-9,
             )
             total += val
             total_err += err
@@ -103,68 +202,26 @@ def integrate_strips(density, strips: Sequence[Strip], integrand, tol: float) ->
 def clip_strips_to_box(strips: Sequence[Strip], box) -> list[Strip]:
     """Intersect strips with a bounding box (x0, x1, y0, y1)."""
     bx0, bx1, by0, by1 = box
-    out = []
-    for s in strips:
-        x0 = max(s.x0, bx0)
-        x1 = min(s.x1, bx1)
-        if x1 <= x0:
-            continue
-        out.append(
-            Strip(
-                x0,
-                x1,
-                lambda x, _s=s: max(_s.ylo(x), by0),
-                lambda x, _s=s: min(_s.yhi(x), by1),
-            )
-        )
-    return out
+    return [c for s in strips for c in s.meet(bx0, bx1, (ConstEdge(by0),), (ConstEdge(by1),))]
 
 
 def strips_outside_ball(strips: Sequence[Strip], eps: float) -> list[Strip]:
     """Region minus the open ball of radius eps at the origin."""
-    rad = half_chord(eps)
     out = []
     for s in strips:
-        # Part of the strip with |x| >= eps is untouched.
-        if s.x0 < -eps:
-            out.append(Strip(s.x0, min(s.x1, -eps), s.ylo, s.yhi))
-        if s.x1 > eps:
-            out.append(Strip(max(s.x0, eps), s.x1, s.ylo, s.yhi))
-        x0 = max(s.x0, -eps)
-        x1 = min(s.x1, eps)
-        if x1 <= x0:
-            continue
-        out.append(Strip(x0, x1, s.ylo, lambda x, _s=s: min(_s.yhi(x), -rad(x))))
-        out.append(Strip(x0, x1, lambda x, _s=s: max(_s.ylo(x), rad(x)), s.yhi))
+        out += s.meet(x1=-eps) + s.meet(eps)  # the part with |x| >= eps is untouched
+        out += s.meet(-eps, eps, upper=(ChordEdge(eps, -1.0),))
+        out += s.meet(-eps, eps, lower=(ChordEdge(eps),))
     return out
 
 
 def strips_in_annulus(strips: Sequence[Strip], e_in: float, e_out: float) -> list[Strip]:
-    """Region intersected with {e_in <= |z| < e_out}."""
-    g_in, g_out = half_chord(e_in), half_chord(e_out)
+    """Region intersected with {e_in <= |z| < e_out}: the band between the
+    two upper chords, then its mirror image below the x axis."""
     out = []
     for s in strips:
-        x0 = max(s.x0, -e_out)
-        x1 = min(s.x1, e_out)
-        if x1 <= x0:
-            continue
-        # Upper band: y in [g_in, g_out); lower band mirrored.
-        out.append(
-            Strip(
-                x0,
-                x1,
-                lambda x, _s=s: max(_s.ylo(x), g_in(x)),
-                lambda x, _s=s: min(_s.yhi(x), g_out(x)),
-            )
-        )
-        out.append(
-            Strip(
-                x0,
-                x1,
-                lambda x, _s=s: max(_s.ylo(x), -g_out(x)),
-                lambda x, _s=s: min(_s.yhi(x), -g_in(x)),
-            )
-        )
+        out += s.meet(-e_out, e_out, (ChordEdge(e_in),), (ChordEdge(e_out),))
+        out += s.meet(-e_out, e_out, (ChordEdge(e_out, -1.0),), (ChordEdge(e_in, -1.0),))
     return out
 
 
@@ -237,34 +294,3 @@ def limit_toward_point_1d(fn, singular_at: float, far_end: float, tol: float) ->
         return quad_1d(fn, lo, hi, tol * 0.25)
 
     return limit_toward_origin(seg(eps0, span), seg, tol, eps0=eps0)
-
-
-def predicate_segments(pred, lo: float, hi: float) -> list[tuple[float, float]]:
-    """Subintervals of [lo, hi] where a scalar predicate holds.
-
-    Boundaries are located by bisection on a dense scan; adequate for the
-    piecewise-smooth predicates used by line-supported measures.
-    """
-    xs = np.linspace(lo, hi, 2048)
-    vals = np.array([bool(pred(x)) for x in xs])
-    segs: list[tuple[float, float]] = []
-    start = None
-    for i, v in enumerate(vals):
-        if v and start is None:
-            start = xs[i] if i == 0 else _bisect_edge(pred, xs[i - 1], xs[i], True)
-        elif not v and start is not None:
-            segs.append((start, _bisect_edge(pred, xs[i - 1], xs[i], False)))
-            start = None
-    if start is not None:
-        segs.append((start, hi))
-    return segs
-
-
-def _bisect_edge(pred, a: float, b: float, rising: bool) -> float:
-    for _ in range(60):
-        m = 0.5 * (a + b)
-        if bool(pred(m)) == rising:
-            b = m
-        else:
-            a = m
-    return 0.5 * (a + b)

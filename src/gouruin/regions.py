@@ -38,11 +38,9 @@ from itertools import accumulate
 
 from .errors import NotSupportedError, UndeterminedError
 from .intervals import Interval, IntervalSet
-from .model import (
-    _HUGE, LevyTriplet2D, _disk_half_width, _in_open_ball, s_band, s_jump, w_jump
-)
+from .model import LevyTriplet2D, _in_open_ball, s_band, s_jump, w_jump
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, ext_to_json, sgn
-from .quadrature import Strip
+from .quadrature import BandEdge, ChordEdge, ConstEdge, Strip
 
 _U_CAP = 1e12
 
@@ -82,15 +80,12 @@ def _atom_in_quadrant(a, i: int) -> bool:
 
 def _quadrant_strips(i: int, u: float | None) -> list[Strip]:
     """Strips for A_i, optionally intersected with {y < u (e^-x - 1)}."""
-    cap = (lambda x: _HUGE) if u is None else s_band(u, -_HUGE, 0.0).yhi
-
-    if i == 1:
-        return [Strip(0.0, _HUGE, lambda x: 0.0, lambda x: min(cap(x), _HUGE))]
-    if i == 2:
-        return [Strip(0.0, _HUGE, lambda x: -_HUGE, lambda x: min(cap(x), 0.0))]
-    if i == 3:
-        return [Strip(-_HUGE, 0.0, lambda x: -_HUGE, lambda x: min(cap(x), 0.0))]
-    return [Strip(-_HUGE, 0.0, lambda x: 0.0, lambda x: min(cap(x), _HUGE))]
+    cap = () if u is None else (BandEdge(u, 0.0),)
+    sx, sy = _quadrant_signs(i)
+    x0, x1 = (0.0, INF) if sx > 0 else (NEG_INF, 0.0)
+    if sy > 0:
+        return [Strip(x0, x1, (ConstEdge(0.0),), cap)]
+    return [Strip(x0, x1, (), cap + (ConstEdge(0.0),))]
 
 
 def quadrant_mass(m, i: int) -> float:
@@ -218,8 +213,7 @@ def thetas(m) -> ThetaBounds:
 
 def _disk_region_strips(u: float) -> list[Strip]:
     """Strips for {y - u(e^-x - 1) >= 0} inside the open unit disk."""
-    edge = s_band(u, 0.0, _HUGE).ylo
-    return [Strip(-1.0, 1.0, lambda x: max(edge(x), -_disk_half_width(x)), _disk_half_width)]
+    return [Strip(-1.0, 1.0, (BandEdge(u, 0.0), ChordEdge(1.0, -1.0)), (ChordEdge(1.0),))]
 
 
 def drift_lhs(t: LevyTriplet2D, u: float) -> float:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidModelError, NotSupportedError
-from .model import _HUGE, LevyTriplet2D, _uncompensated_drift, w_transform, zero_gaussian
+from .model import LevyTriplet2D, _uncompensated_drift, w_transform, zero_gaussian
 from .quadrature import Strip, strips_in_annulus, strips_outside_ball
 
 
@@ -158,7 +158,7 @@ def _density_jump_table(t: LevyTriplet2D, cfg: PathConfig) -> _DensityJumpTable 
         raise NotSupportedError(
             "density-tier simulation requires an explicit truncation_eps"
         )
-    full = [Strip(-_HUGE, _HUGE, lambda x: -_HUGE, lambda x: _HUGE)]
+    full = [Strip()]
     outside = strips_outside_ball(full, eps)
     lam = dens.integrate(lambda x, y: 1.0, outside)
     comp_region = strips_in_annulus(full, eps, 1.0)

@@ -594,6 +594,45 @@ class TestUndeterminedExit:
         doc = json.loads(out)
         assert n_hits == doc["estimate"]["n_events"]
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["--preset", "jump_example", "--c", "1", "--lambda", "1", "--horizon", "20",
+          "--paths", "200"],
+         "21d64e3471a8be9860eb68e76a7a3ef029b54add5160c87d4383214e0c057c0e"),
+        (["--horizon", "5", "--step", "0.01", "--paths", "300"],
+         "e6afb1d510b2bf7863691cc128c6e9cd2c7ac335c4a9d526a1fce4f8bb864642"),
+    ], ids=["exact_fv", "grid_bridge"])
+    def test_ruin_records_come_from_the_estimate_batch(
+        self, capsys, tmp_path, monkeypatch, argv, digest
+    ):
+        # The digests are those of the CSVs written when the records came
+        # from a second simulation of the same paths.
+        import hashlib
+
+        from gouruin import estimate
+
+        if "--preset" not in argv:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"gamma_tilde": [1.0, 0.0],
+                                        "sigma": [[0.0, 0.0], [0.0, 1.0]],
+                                        "jumps": {"atoms": []}}))
+            argv = ["--spec", str(spec)] + argv
+        argv = ["estimate", "--what", "ruin", "--z", "0.5", "--seed", "9"] + argv
+        code, plain, _ = run_cli(capsys, *argv)
+        batches = []
+        dispatch = estimate._dispatch_batch
+        monkeypatch.setattr(
+            estimate, "_dispatch_batch",
+            lambda *a, **kw: batches.append(kw) or dispatch(*a, **kw),
+        )
+        out_csv = tmp_path / "records.csv"
+        code_out, out, _ = run_cli(capsys, *argv, "--out", str(out_csv))
+        assert code == code_out == 0
+        assert len(batches) == 1
+        doc = json.loads(out)
+        assert doc.pop("records_csv") == str(out_csv)
+        assert doc == json.loads(plain)
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("engine", ["grid_bridge", "expmart"])
     def test_ruin_records_csv_on_grid_engines(self, capsys, tmp_path, engine):
         if engine == "grid_bridge":

@@ -247,6 +247,20 @@ class TestRuinRecords:
                     assert times[i] == first
         assert below_somewhere > 0
 
+    @pytest.mark.parametrize("gx, crossing", [
+        (0.0, 0.7),
+        (0.5, -2.0 * math.log(0.65)),
+        (-0.5, 2.0 * math.log(1.35)),
+    ])
+    def test_exact_fv_continuous_crossing_time(self, gx, crossing):
+        # No jumps and no Gaussian part: Z_t = -(1 - e^(-gx t)) / gx, or -t
+        # at gx = 0, reaches -0.7 at t = -ln(1 - 0.7 gx) / gx, or 0.7.
+        t = triplet((gx, -1.0))
+        assert _select_engine(t) == "exact_fv"
+        hit, times, values, cont = ruin_records(t, 0.7, 2.0, 3, seed=1)
+        assert hit.all() and cont.all() and np.all(values == 0.0)
+        assert times == pytest.approx([crossing] * 3, rel=1e-12)
+
     def test_exact_fv_routes_agree(self):
         t = jump_example_triplet(1.0, 1.0)
         z, horizon, n, seed = 0.5, 20.0, 200, 4
@@ -681,6 +695,19 @@ class TestRuinFormula:
         check = validate_ruin_formula(t, 3.0, 100.0, 2000, seed=15)
         assert check.lhs.n_events == 0
         assert check.consistent
+
+    def test_jump_overshoots_enter_the_denominator(self):
+        # Below e/(e-1) every ruin of this driver is an overshoot by a jump,
+        # so the denominator is the mean of G(-V at ruin) over the ruined
+        # paths of ruin_records, with G the default law of Z at the horizon.
+        t = jump_example_triplet(0.5, 1.0)
+        z, horizon, n, seed = 0.5, 50.0, 2000, 1
+        check = validate_ruin_formula(t, z, horizon, n, seed=seed)
+        hit, _, values, cont = ruin_records(t, z, horizon, n, seed)
+        assert check.lhs.n_events == int(hit.sum()) == 1544
+        assert not cont[hit].any()
+        g = estimate_Zinf_cdf(t, horizon, n, seed)
+        assert check.rhs.diagnostics["denominator"] == float(np.mean(g(-values[hit])))
 
     def test_few_events_refused(self):
         t = drift_xi_brownian_eta()

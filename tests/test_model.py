@@ -19,6 +19,7 @@ from gouruin.model import (
     JumpAtom,
     LevyTriplet2D,
     LineDensity,
+    MappedSMeasure1D,
     MarginalTriplet,
     d_eta,
     density_from_json,
@@ -435,6 +436,21 @@ class TestDensityTierMarginals:
         # axis the ball is |y| < 1, so the correction region is empty.
         assert m.gamma == pytest.approx(0.0, abs=1e-9)
         assert m.jumps.mass(0.0, INF) == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("width", [1e-4, 3e-4, 2e-3])
+    def test_x_line_s_band_mass_is_exact(self, width):
+        # A jump (t, 0) moves S(u) by u (1 - e^-t), so the S(u) band [a, b]
+        # holds t in [-ln(1 - a/u), -ln(1 - b/u)].  Each band starts inside
+        # cell 1000 of linspace(0.5, 1.5, 2048); the two narrower ones also
+        # end there (a cell is 4.9e-4 wide), so a scan of that grid misses
+        # them, and the 2e-3 band spans five cells.
+        k, u, lo, hi = 0.8, 1.0, 0.5, 1.5
+        t0 = lo + 1000.25 * (hi - lo) / 2047
+        a, b = -u * math.expm1(-t0), -u * math.expm1(-(t0 + width))
+        exact = k * (min(-math.log1p(-b / u), hi) - max(-math.log1p(-a / u), lo))
+        mass = MappedSMeasure1D(LineDensity("x", lambda v: k, lo, hi), u).mass(a, b)
+        assert mass == pytest.approx(exact, rel=1e-12)
+        assert exact == pytest.approx(k * width, rel=1e-9)
 
 
 class TestGaussianVarianceDiscriminant:
