@@ -51,8 +51,8 @@ from .model import (
 )
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, ext_to_json, sgn
 from .regions import (
-    PiecewiseLinearFn, ThetaBounds, drift_lhs, drift_lhs_piecewise, mass_tol, quadrant_mass,
-    thetas,
+    PiecewiseLinearFn, ThetaBounds, drift_lhs, drift_lhs_piecewise, family_box, mass_tol,
+    quadrant_mass, thetas,
 )
 
 
@@ -71,12 +71,13 @@ class FailedCondition(enum.Enum):
 @dataclass(frozen=True)
 class SubordinatorCertificate:
     """Machine-checkable record of the three-part subordinator test;
+    ``negative_jumps_mass`` is None when the test stopped before it, and
     ``residual`` is the error bound of the quadrature that left it
     undetermined, when that quadrature reported one."""
 
     verdict: Verdict
     gaussian_ok: bool
-    negative_jumps_mass: float
+    negative_jumps_mass: float | None
     drift_d: float | None
     failing_condition: FailedCondition | None
     detail: str | None = None
@@ -84,7 +85,7 @@ class SubordinatorCertificate:
 
     @classmethod
     def undetermined(
-        cls, exc: UndeterminedError, gaussian_ok: bool = False, neg_mass: float = math.nan
+        cls, exc: UndeterminedError, gaussian_ok: bool = False, neg_mass: float | None = None
     ) -> SubordinatorCertificate:
         """The certificate of a test that ``exc`` left open."""
         return cls(Verdict.UNDETERMINED, gaussian_ok, neg_mass, None, None, detail=str(exc),
@@ -134,10 +135,22 @@ def is_subordinator_1d(m: MarginalTriplet) -> SubordinatorCertificate:
 
 
 def _s_negative_jump_mass(t: LevyTriplet2D, u: float) -> float:
+    """Mass of the pair jumps that move S(u) down.  A named density family
+    decides from its box's lowest S(u) jump y - u(e^-x - 1), at the corner
+    (x0, y0) for u >= 0 and (x1, y0) for u < 0: none below the dead band
+    means no mass and no quadrature; one below it means a positive-area
+    part of the box moves S(u) down, so the quadrature mass is kept above
+    zero."""
     atoms = t.jumps.atoms_or_none()
     if atoms is not None:
         return sum(a.rate for a in atoms if sgn(s_jump(a.x, a.y, u)) < 0)
-    return MappedSMeasure1D(t.jumps, u).mass(NEG_INF, 0.0)
+    box = family_box(t.jumps)
+    if box is not None:
+        x0, x1, y0, _ = box
+        if sgn(s_jump(x1 if u < 0.0 else x0, y0, u)) >= 0:
+            return 0.0
+    mass = MappedSMeasure1D(t.jumps, u).mass(NEG_INF, 0.0)
+    return mass if box is None else max(mass, math.ulp(0.0))
 
 
 def is_subordinator_s(t: LevyTriplet2D, u: float) -> SubordinatorCertificate:

@@ -36,6 +36,7 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -827,27 +828,61 @@ def scale_eta(t: LevyTriplet2D, k: float) -> LevyTriplet2D:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-_DENSITY_FAMILIES: dict[str, Callable] = {
-    "uniform_box": lambda p: (lambda x, y, c=float(p["c"]): c),
-    "exp_tails": lambda p: (
-        lambda x, y, c=float(p["c"]), a=float(p["a"]), b=float(p["b"]): c
-        * math.exp(-a * abs(x) - b * abs(y))
+
+def _exp_log_sup(rate: float, lo: float, hi: float) -> float:
+    """max of -rate |v| over v in [lo, hi]: at an end, or at the point
+    nearest 0."""
+    return max(-rate * abs(v) for v in (lo, hi, min(max(0.0, lo), hi)))
+
+
+# kind -> (parameter names, density from the parameters, log of its sup over
+# the box (x0, x1, y0, y1) without the factor c)
+_DENSITY_FAMILIES: dict[str, tuple[tuple[str, ...], Callable, Callable]] = {
+    "uniform_box": (("c",), lambda p: (lambda x, y, c=p["c"]: c), lambda p, box: 0.0),
+    "exp_tails": (
+        ("c", "a", "b"),
+        lambda p: (
+            lambda x, y, c=p["c"], a=p["a"], b=p["b"]: c * math.exp(-a * abs(x) - b * abs(y))
+        ),
+        lambda p, box: _exp_log_sup(p["a"], *box[:2]) + _exp_log_sup(p["b"], *box[2:]),
     ),
 }
 
 
 def density_from_json(doc: dict) -> BoxDensity:
+    """A named density family on its box.  Every parameter must be a finite
+    number, c > 0 (so the density is positive on the whole closed box) and
+    the density's sup times the box area finite."""
     kind = doc.get("kind")
     if kind not in _DENSITY_FAMILIES:
         raise InvalidModelError(
             f"unknown density family {kind!r}; available: {sorted(_DENSITY_FAMILIES)}"
         )
+    names, make_fn, log_sup = _DENSITY_FAMILIES[kind]
     params = doc.get("params", {})
-    fn = _DENSITY_FAMILIES[kind](params)
+    if not isinstance(params, dict):
+        raise InvalidModelError(f"{kind} density params must be an object")
+    p = {}
+    for name in names:
+        if name not in params:
+            raise InvalidModelError(f"{kind} density requires parameter {name!r}")
+        try:
+            p[name] = float(params[name])
+        except (TypeError, ValueError):
+            raise InvalidModelError(f"{kind} parameter {name!r} must be a number") from None
+        if not math.isfinite(p[name]):
+            raise InvalidModelError(f"{kind} parameter {name!r} must be finite, got {p[name]}")
+    if not p["c"] > 0.0:
+        raise InvalidModelError(f"{kind} parameter 'c' must be positive, got {p['c']}")
     box = doc.get("box")
     if box is None or len(box) != 4:
         raise InvalidModelError("density spec requires box [x0, x1, y0, y1]")
-    dens = BoxDensity(fn, box, tol=float(doc.get("tol", 1e-9)), kind=kind, params=params)
+    dens = BoxDensity(make_fn(p), box, tol=float(doc.get("tol", 1e-9)), kind=kind, params=params)
+    x0, x1, y0, y1 = dens.box
+    log_bound = math.log(p["c"]) + log_sup(p, dens.box) + math.log(x1 - x0) + math.log(y1 - y0)
+    if not log_bound < math.log(sys.float_info.max):
+        shown = ", ".join(f"{k} = {v!r}" for k, v in p.items())
+        raise InvalidModelError(f"{kind} density sup times box area overflows ({shown})")
     dens.spot_check_integrability()
     return dens
 

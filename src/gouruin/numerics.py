@@ -50,7 +50,8 @@ def checked_mul(a: float, b: float) -> float:
 
 
 def ext_to_json(value: float):
-    """Encode an extended real for JSON ('inf'/'-inf' strings at infinity)."""
+    """Encode an extended real for JSON ('inf'/'-inf' strings at infinity);
+    None, for no value, stays None."""
     if value == INF:
         return "inf"
     if value == NEG_INF:

@@ -144,6 +144,31 @@ class Strip:
         x0, x1 = max(self.x0, x0), min(self.x1, x1)
         return [Strip(x0, x1, self.lower + lower, self.upper + upper)] if x1 > x0 else []
 
+    def nonempty_pieces(self) -> list[Strip]:
+        """This strip cut at every crossing of an edge with a constant edge
+        on the other side, less the pieces where such a pair leaves no room.
+        Neither edge of such a pair crosses the other inside a piece, so a
+        pair with lower >= upper at the midpoint does so on the whole piece;
+        two curved edges may still cross inside a kept piece."""
+        if not math.isfinite(self.x1 - self.x0):
+            return [self]
+        pairs = [
+            (lo, up) for lo in self.lower for up in self.upper
+            if isinstance(lo, ConstEdge) or isinstance(up, ConstEdge)
+        ]
+        cuts = sorted({
+            x
+            for lo, up in pairs
+            for x in (up.crossings(lo.c) if isinstance(lo, ConstEdge) else lo.crossings(up.c))
+            if self.x0 < x < self.x1
+        })
+        pieces = []
+        for p, q in zip([self.x0] + cuts, cuts + [self.x1]):
+            m = 0.5 * (p + q)
+            if all(lo.at(m) < up.at(m) for lo, up in pairs):
+                pieces.append(Strip(p, q, self.lower, self.upper))
+        return pieces
+
     def x_axis_segments(self, a: float, b: float) -> list[tuple[float, float]]:
         """The maximal subintervals of [a, b] on which (x, 0) lies in the
         strip, found by cutting [a, b] at every edge's crossings with y = 0
@@ -178,14 +203,17 @@ def quad_1d(fn, lo: float, hi: float, tol: float) -> float:
 
 
 def integrate_strips(density, strips: Sequence[Strip], integrand, tol: float) -> float:
-    """Integrate ``integrand(x, y) * density(x, y)`` over the strips."""
+    """Integrate ``integrand(x, y) * density(x, y)`` over the strips, each
+    cut to the x-ranges where it is not empty: an outer quadrature over the
+    whole range can miss a sliver on which the inner range is non-empty."""
+    pieces = [p for s in strips for p in s.nonempty_pieces()]
     total = 0.0
     total_err = 0.0
-    n = max(1, len(strips))
+    n = max(1, len(pieces))
     dblquad = _scipy_integrate().dblquad
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for s in strips:  # nonempty: every strip comes through Strip.meet
+        for s in pieces:
             val, err = dblquad(
                 lambda y, x: integrand(x, y) * density(x, y), s.x0, s.x1, s.ylo,
                 lambda x, _s=s: max(_s.ylo(x), _s.yhi(x)), epsabs=tol / n, epsrel=1e-9,

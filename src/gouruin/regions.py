@@ -8,8 +8,13 @@ the moving regions
 
 gain or lose jump mass as u varies, and the four critical values theta_1..4
 mark where each branch empties out.  On the atom tier every threshold is the
-exact extremum of per-atom critical values ``y / (e^-x - 1)``; on the
-density tier thresholds come from monotone bisection of the region mass.
+exact extremum of per-atom critical values ``y / (e^-x - 1)``.  A named
+density family (``uniform_box``, ``exp_tails``) is positive on its whole
+closed box, and the critical value is monotone in x and in y on each
+quadrant, so each threshold is the critical value at a corner of the box
+part in that quadrant, exactly.  Only a Python-supplied density and a
+measure on an axis segment find their thresholds by monotone bisection of
+the region mass.
 
 The drift inequality's left-hand side
 
@@ -38,7 +43,7 @@ from itertools import accumulate
 
 from .errors import NotSupportedError, UndeterminedError
 from .intervals import Interval, IntervalSet
-from .model import LevyTriplet2D, _in_open_ball, s_band, s_jump, w_jump
+from .model import BoxDensity, JumpAtom, LevyTriplet2D, _in_open_ball, s_band, s_jump, w_jump
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, ext_to_json, sgn
 from .quadrature import BandEdge, ChordEdge, ConstEdge, Strip
 
@@ -138,13 +143,48 @@ def _atom_thetas(atoms) -> ThetaBounds:
     return ThetaBounds(t1, t2, t3, t4)
 
 
+def family_box(m) -> tuple[float, float, float, float] | None:
+    """The box of a named-family density, which is positive on the whole
+    closed box (``density_from_json`` requires c > 0), else None."""
+    if isinstance(m, BoxDensity) and m.kind in ("uniform_box", "exp_tails"):
+        return m.box
+    return None
+
+
+def _box_thetas(box) -> ThetaBounds:
+    """Thresholds of a density positive on its whole closed box.
+
+    Branch i is empty (its value at no atoms) when the box part in the
+    closed quadrant A_i has zero area.  Otherwise it is branch i of the
+    atom-tier thresholds of one atom at the part's extreme corner: y / w(x)
+    is monotone in x and in y on each quadrant, so the corner is at the
+    part's lowest y, and at its largest x on A_1 and A_3, its smallest on
+    A_2 and A_4.  The atom tier's conventions then cover a corner on an
+    axis.
+    """
+    x0, x1, y0, y1 = box
+    empty = _atom_thetas(())
+    values = []
+    for i in (1, 2, 3, 4):
+        sx, sy = _quadrant_signs(i)
+        xs = (max(x0, 0.0), x1) if sx > 0 else (x0, min(x1, 0.0))
+        ys = (max(y0, 0.0), y1) if sy > 0 else (y0, min(y1, 0.0))
+        th = empty
+        if xs[0] < xs[1] and ys[0] < ys[1]:
+            corner = JumpAtom(xs[1] if i in (1, 3) else xs[0], ys[0], 1.0)
+            th = _atom_thetas((corner,))
+        values.append(getattr(th, f"theta{i}"))
+    return ThetaBounds(*values)
+
+
 def mass_tol(m) -> float:
     """Density-tier mass at or below which a region counts as empty."""
     return 16.0 * getattr(m, "tol", 1e-9)
 
 
 def _bisect_theta(m, i: int, sign: float, vanishing: bool) -> float:
-    """Density-tier threshold by monotone bisection on region mass.
+    """Threshold of a Python-supplied density or of a measure on an axis
+    segment, by monotone bisection on region mass.
 
     The search runs over v >= 0 with u = sign * v.  ``vanishing`` means the
     region holds mass near v = 0 and empties past the transition (the
@@ -192,10 +232,15 @@ def _bisect_theta(m, i: int, sign: float, vanishing: bool) -> float:
 
 
 def thetas(m) -> ThetaBounds:
-    """Critical thresholds of the four moving regions."""
+    """Critical thresholds of the four moving regions: exact on the atom
+    tier and for a named density family, by bisection of the region mass
+    for any other density."""
     atoms = m.atoms_or_none()
     if atoms is not None:
         return _atom_thetas(atoms)
+    box = family_box(m)
+    if box is not None:
+        return _box_thetas(box)
     # On u >= 0 the A2 region empties as u grows while A4 fills; mirrored on
     # u <= 0, A3 empties as u falls while A1 fills.
     return ThetaBounds(

@@ -320,6 +320,9 @@ class TestSideConditions:
         assert is_degenerate(triplet((0.5, -1.0))) == -2.0
 
 
+_ZERO_SIGMA = ((0.0, 0.0), (0.0, 0.0))
+
+
 class TestDensityTierClassification:
     def _box_triplet(self, gamma, sigma, box, c=0.3):
         from gouruin.model import density_from_json
@@ -328,6 +331,72 @@ class TestDensityTierClassification:
             {"kind": "uniform_box", "params": {"c": c}, "box": list(box)}
         )
         return LevyTriplet2D(gamma, sigma, dens)
+
+    # The uniform box c = 1 on [0.5, 1.5] x [-2, -0.5]: theta2 is
+    # 2 / (1 - e^-0.5) = 5.082988, from the corner (0.5, -2).
+    _THIN_BOX = (0.5, 1.5, -2.0, -0.5)
+
+    @pytest.mark.parametrize("u0, kind", [
+        (5.075, DecisionKind.RUIN_EVERYWHERE), (5.09, DecisionKind.NO_RUIN_FROM),
+    ])
+    def test_rigid_level_next_to_theta2(self, u0, kind):
+        # At u0 = 5.075 the jump (0.5, -2) moves S(u0) by -0.0031, and so
+        # does a corner triangle of mass 1.6e-6 that a quadrature over the
+        # whole x-range of the box misses.
+        t = self._box_triplet((0.3, 10.0), ((1.0, -u0), (-u0, u0 * u0)), self._THIN_BOX, c=1.0)
+        r = no_ruin_threshold(t)
+        assert r.decision.kind is kind
+        if kind is DecisionKind.NO_RUIN_FROM:
+            assert r.decision.threshold == pytest.approx(u0, abs=1e-12)
+            assert r.certificate.negative_jumps_mass == 0.0
+        else:
+            assert r.certificate.failing_condition is FailedCondition.NEGATIVE_JUMPS
+            delta_ = 2.0 - u0 * (1.0 - math.exp(-0.5))
+            triangle = delta_ ** 2 / (2.0 * u0 * math.exp(-0.5))
+            assert r.certificate.negative_jumps_mass == pytest.approx(triangle, rel=1e-3)
+
+    def test_corner_clear_of_the_band_runs_no_negative_jump_quadrature(self, monkeypatch):
+        from gouruin import classify
+
+        def integrated(*args):
+            pytest.fail("negative-jump mass integrated")
+
+        monkeypatch.setattr(classify, "MappedSMeasure1D", integrated)
+        t = self._box_triplet((0.3, 10.0), ((0.0, 0.0), (0.0, 0.0)), self._THIN_BOX, c=1.0)
+        for u in (5.09, 20.0):
+            cert = is_subordinator_s(t, u)
+            assert cert.negative_jumps_mass == 0.0 and cert.verdict is Verdict.YES
+
+    def test_corner_negative_jump_test_matches_the_quadrature(self):
+        # Near every finite nonzero threshold, the corner test of a named
+        # family says S(u) has negative jumps exactly when the quadrature of
+        # the same box as a Python density finds their mass above the
+        # emptiness tolerance, and then both report that mass.
+        from gouruin.classify import _s_negative_jump_mass
+        from gouruin.model import BoxDensity, density_from_json
+        from gouruin.regions import mass_tol, thetas
+
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(100):
+            box = [float(v) for v in np.sort(rng.uniform(-2.0, 2.0, 2))]
+            box += [float(v) for v in np.sort(rng.uniform(-2.0, 2.0, 2))]
+            if box[1] - box[0] < 0.3 or box[3] - box[2] < 0.3:
+                continue
+            dens = density_from_json({"kind": "uniform_box", "params": {"c": 1.0}, "box": box})
+            plain = BoxDensity(dens.fn, dens.box)
+            th = thetas(dens)
+            for v in (th.theta1, th.theta2, th.theta3, th.theta4):
+                if v == 0.0 or not math.isfinite(v):
+                    continue
+                for u in (v * (1.0 - 1e-2), v * (1.0 + 1e-2)):
+                    corner = _s_negative_jump_mass(LevyTriplet2D((0, 0), _ZERO_SIGMA, dens), u)
+                    quad = _s_negative_jump_mass(LevyTriplet2D((0, 0), _ZERO_SIGMA, plain), u)
+                    assert (corner > 0.0) == (quad > mass_tol(dens)), (box, u)
+                    if corner > 0.0:
+                        assert corner == quad
+                    checked += 1
+        assert checked >= 90
 
     def test_cross_route_agreement_on_a_density_driver(self):
         # Negative-y jump mass away from the origin: both subordinator-test
@@ -413,7 +482,12 @@ class TestDensityTierClassification:
 
     def test_undetermined_certificate_carries_the_residual(self, monkeypatch):
         # An unresolved quadrature at the rigid level: the certificates and
-        # the report carry its error bound, not just its message.
+        # the report carry its error bound, not just its message.  A named
+        # family decides its negative jumps from the box corners, so the box
+        # is given as a Python density.  It lies inside the unit disk and
+        # beyond the radius-0.5 split of the origin refinement, so the drift
+        # integral is one quadrature: the strip pieces where a region is
+        # empty run none.
         import json
         from importlib import resources
 
@@ -421,9 +495,11 @@ class TestDensityTierClassification:
 
         from scipy import integrate
 
+        from gouruin.model import BoxDensity
+
         u0 = 1.2
         sigma = ((1.0, -u0), (-u0, u0 * u0))
-        t = self._box_triplet((0.5, 1.0), sigma, (1.1, 1.8, 0.5, 1.2))
+        t = LevyTriplet2D((0.5, 1.0), sigma, BoxDensity(lambda x, y: 0.3, (0.55, 0.8, 0.1, 0.5)))
         s_marginal = s_process(t, u0)
 
         def unresolved(*args, **kwargs):

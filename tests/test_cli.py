@@ -499,6 +499,47 @@ class TestUndeterminedExit:
         assert err == f"undetermined: {doc['warnings'][-1]}\n"
         assert "continuum of levels" in err
 
+    def test_density_continuum_report_is_strict_json(self, capsys, tmp_path):
+        # The certificate of a refused decision has no negative-jump mass:
+        # it prints null, not the non-JSON constant NaN.
+        spec = {
+            "gamma_tilde": [0.0, 0.0],
+            "sigma": [[0.0, 0.0], [0.0, 0.0]],
+            "jumps": {"density": {"kind": "uniform_box", "params": {"c": 0.3},
+                                  "box": [1.1, 1.8, 0.5, 1.2]}},
+        }
+        f = tmp_path / "dens.json"
+        f.write_text(json.dumps(spec))
+        code, out, _ = run_cli(capsys, "check", "--spec", str(f))
+        assert code == 2
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["certificate"]["negative_jumps_mass"] is None
+
+    @pytest.mark.parametrize("params, named", [
+        ({"c": -1.0}, "'c' must be positive"),
+        ({"c": 1.0, "a": -800.0, "b": 1.5}, "a = -800.0"),
+        ({"c": 1.0, "b": 1.5}, "requires parameter 'a'"),
+    ])
+    def test_invalid_family_parameters_exit_one(self, capsys, tmp_path, params, named):
+        kind = "uniform_box" if list(params) == ["c"] else "exp_tails"
+        spec = {
+            "gamma_tilde": [0.0, 0.0],
+            "sigma": [[0.0, 0.0], [0.0, 0.0]],
+            "jumps": {"density": {"kind": kind, "params": params, "box": [1.0, 3.0, 0.5, 2.0]}},
+        }
+        f = tmp_path / "dens.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "check", "--spec", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("input error: ") and named in err
+        if params["c"] <= 0.0:  # the schema states the bound on c too
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(spec, load_schema("process_spec.schema.json"))
+
     def test_check_carries_the_quadrature_residual(self, capsys, tmp_path, monkeypatch):
         from gouruin import classify
         from gouruin.errors import UndeterminedError

@@ -1,6 +1,7 @@
 """Triplet model: marginals, transforms, drifts, scaling, serialization."""
 
 import math
+import re
 
 import pytest
 
@@ -380,6 +381,32 @@ class TestValidationAndJson:
         }
         t = triplet_from_json(doc)
         assert triplet_to_json(t) == doc
+
+    @pytest.mark.parametrize("kind, params, named", [
+        ("uniform_box", {"c": -1.0}, "'c'"),
+        ("uniform_box", {"c": 0.0}, "'c'"),
+        ("uniform_box", {"c": float("nan")}, "'c'"),
+        ("uniform_box", {}, "'c'"),
+        ("exp_tails", {"c": 1.0, "a": float("inf"), "b": 1.0}, "'a'"),
+        ("exp_tails", {"c": 1.0, "b": 1.5}, "'a'"),
+        ("exp_tails", {"c": 1.0, "a": 1.0, "b": "x"}, "'b'"),
+        ("uniform_box", [1.0], "params must be an object"),
+        # e^(800 |x|) on x in [1, 3]: the sup overflows
+        ("exp_tails", {"c": 1.0, "a": -800.0, "b": 1.5}, "a = -800.0"),
+        ("uniform_box", {"c": 1e308}, "c = 1e+308"),
+    ])
+    def test_density_family_parameters_are_validated(self, kind, params, named):
+        doc = {"kind": kind, "params": params, "box": [1.0, 3.0, 0.5, 2.0]}
+        with pytest.raises(InvalidModelError, match=re.escape(named)):
+            density_from_json(doc)
+
+    def test_exp_tails_sup_takes_the_far_end_for_a_negative_rate(self):
+        # -a |x| peaks at the far end of x for a < 0: e^(250 * 3) overflows,
+        # e^(250 * 0.01) would not.
+        doc = {"kind": "exp_tails", "params": {"c": 1.0, "a": -250.0, "b": 0.0},
+               "box": [0.01, 3.0, 0.5, 2.0]}
+        with pytest.raises(InvalidModelError, match="overflows"):
+            density_from_json(doc)
 
     def test_unknown_density_family_rejected(self):
         with pytest.raises(InvalidModelError):

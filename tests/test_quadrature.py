@@ -50,3 +50,27 @@ class TestStrip:
         # all of it: one segment.
         s = Strip(upper=(ChordEdge(0.5), ConstEdge(1.0)))
         assert s.x_axis_segments(-2.0, 2.0) == [(-2.0, 2.0)]
+
+class TestNonemptyPieces:
+    def test_band_against_a_box_edge(self):
+        # y in [-2, u (e^-x - 1)] is non-empty only left of the crossing of
+        # the band edge with y = -2; the other piece is dropped.
+        u = 5.075
+        s = Strip(0.5, 1.5, (ConstEdge(-2.0),), (BandEdge(u, 0.0), ConstEdge(-0.5)))
+        (piece,) = s.nonempty_pieces()
+        assert piece.x0 == 0.5
+        assert piece.x1 == pytest.approx(-math.log1p(-2.0 / u), rel=1e-15)
+        assert piece.lower == s.lower and piece.upper == s.upper
+
+    def test_empty_and_whole_strips(self):
+        assert Strip(0.0, 1.0, (ConstEdge(1.0),), (ConstEdge(0.5),)).nonempty_pieces() == []
+        whole = Strip(-1.0, 1.0, (ConstEdge(-0.5),), (ChordEdge(1.0),))
+        assert whole.nonempty_pieces() == [whole]
+        unbounded = Strip(upper=(ConstEdge(1.0),))
+        assert unbounded.nonempty_pieces() == [unbounded]
+
+    def test_chord_against_a_box_edge(self):
+        # The upper half disk above y = 0.6 spans |x| < 0.8.
+        s = Strip(-1.0, 1.0, (ConstEdge(0.6),), (ChordEdge(1.0),))
+        (piece,) = s.nonempty_pieces()
+        assert (piece.x0, piece.x1) == pytest.approx((-0.8, 0.8), rel=1e-15)

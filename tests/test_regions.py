@@ -9,6 +9,7 @@ import pytest
 from gouruin import regions
 from gouruin.errors import NotSupportedError
 from gouruin.model import (
+    BoxDensity,
     FiniteAtomSet,
     JumpAtom,
     LevyTriplet2D,
@@ -77,6 +78,18 @@ class TestRegionMass:
         m = atoms((0.0, -1.0, 0.4))
         for u in (0.0, 1.0, 100.0):
             assert region_mass(m, 2, u) == 0.4
+
+    @pytest.mark.parametrize("u", [5.07, 5.075, 5.08])
+    def test_thin_corner_region_of_a_python_density(self, u):
+        # A2^u on the box [0.5, 1.5] x [-2, -0.5] is a corner triangle next
+        # to (0.5, -2), 1.7e-3 to 3.8e-4 wide, of mass delta^2 / (2 u e^-0.5)
+        # with delta = 2 - u (1 - e^-0.5) to first order in delta.  It is
+        # integrated only if the strip is cut to where it is non-empty.
+        dens = BoxDensity(lambda x, y: 1.0, (0.5, 1.5, -2.0, -0.5))
+        delta = 2.0 - u * (1.0 - math.exp(-0.5))
+        assert region_mass(dens, 2, u) == pytest.approx(
+            delta * delta / (2.0 * u * math.exp(-0.5)), rel=1e-3
+        )
 
     def test_matches_bruteforce_on_random_atoms(self, rng):
         for _ in range(100):
@@ -400,21 +413,34 @@ class TestSmallJumpVariation:
 
 
 class TestDensityThetas:
-    def test_box_away_from_axes(self):
+    # A named family is positive on its whole closed box, so each threshold
+    # is the critical value y / (e^-x - 1) at a corner, exactly.
+    def test_box_away_from_axes(self, monkeypatch):
         # A2 mass on [0.5, 1] x [-2, -0.5]: the critical value is the
         # supremum of -y / (1 - e^-x) over the box, attained at the corner
-        # (0.5, -2).
+        # (0.5, -2).  No region mass is integrated.
         dens = density_from_json(
             {"kind": "uniform_box", "params": {"c": 1.0}, "box": [0.5, 1.0, -2.0, -0.5]}
         )
+        for name in ("region_mass", "quadrant_mass"):
+            monkeypatch.setattr(regions, name, lambda *a: pytest.fail("integrated"))
         th = thetas(dens)
         expected = 2.0 / (1.0 - math.exp(-0.5))
-        # The bisection brackets {mass > tol}; with mass decaying like the
-        # area of a corner triangle the threshold resolves to about the cube
-        # root of the mass tolerance, always from below.
+        assert th.theta2 == pytest.approx(expected, rel=1e-12)
+        assert (th.theta1, th.theta3, th.theta4) == (NEG_INF, 0.0, INF)
+        monkeypatch.undo()
+        assert quadrant_mass(dens, 3) == pytest.approx(0.0, abs=1e-9)
+
+    def test_python_density_box_is_bisected(self):
+        # The same box as a Python density: the bisection brackets
+        # {mass > tol}; with mass decaying like the area of a corner
+        # triangle the threshold resolves to about the cube root of the mass
+        # tolerance, always from below.
+        dens = BoxDensity(lambda x, y: 1.0, (0.5, 1.0, -2.0, -0.5))
+        th = thetas(dens)
+        expected = 2.0 / (1.0 - math.exp(-0.5))
         assert expected * (1.0 - 2e-2) <= th.theta2 <= expected * (1.0 + 1e-9)
         assert th.theta4 == INF
-        assert quadrant_mass(dens, 3) == pytest.approx(0.0, abs=1e-9)
 
     def test_negative_branch_thresholds_for_boxes(self):
         # A1 box: critical values y/(e^-x - 1) over the box; the branch
@@ -424,7 +450,7 @@ class TestDensityThetas:
         )
         th1 = thetas(dens1)
         expected1 = 0.5 / (math.exp(-1.8) - 1.0)
-        assert abs(th1.theta1 - expected1) <= 2e-2 * abs(expected1)
+        assert abs(th1.theta1 - expected1) <= 1e-12 * abs(expected1)
         assert th1.theta2 == 0.0 and th1.theta3 == 0.0 and th1.theta4 == INF
 
         # A3 box: the branch floor is the essential infimum of the critical
@@ -434,8 +460,63 @@ class TestDensityThetas:
         )
         th3 = thetas(dens3)
         expected3 = -1.2 / (math.exp(1.1) - 1.0)
-        assert abs(th3.theta3 - expected3) <= 2e-2 * abs(expected3)
+        assert abs(th3.theta3 - expected3) <= 1e-12 * abs(expected3)
         assert th3.theta1 == NEG_INF and th3.theta2 == 0.0 and th3.theta4 == INF
+
+    @pytest.mark.parametrize("box, expected", [
+        # touching the y axis from the right: no A3 or A4 mass
+        ((0.0, 1.0, -1.0, 0.0), (NEG_INF, INF, 0.0, INF)),
+        # touching it from the left: A4 fills from u = 0 on
+        ((-1.0, 0.0, 0.0, 1.0), (NEG_INF, 0.0, 0.0, 0.0)),
+        # straddling both axes: every branch reaches its axis value
+        ((-1.0, 1.0, -1.0, 1.0), (0.0, INF, NEG_INF, 0.0)),
+    ])
+    def test_boxes_on_an_axis_take_the_atom_conventions(self, box, expected):
+        dens = density_from_json({"kind": "uniform_box", "params": {"c": 1.0}, "box": box})
+        th = thetas(dens)
+        assert (th.theta1, th.theta2, th.theta3, th.theta4) == expected
+
+
+def _box_side(rng) -> list:
+    """One side of a random box: away from 0 on either side, touching 0
+    from either side, or straddling it, with every end at least 0.1 from 0
+    unless it is 0."""
+    w = rng.uniform(0.3, 1.2)
+    lo = [
+        rng.uniform(0.1, 1.0), -rng.uniform(0.1, 1.0) - w, 0.0, -w, -rng.uniform(0.1, w - 0.1)
+    ][rng.integers(5)]
+    return [float(lo), float(lo + w)]
+
+
+class TestCornerThetasAgainstRegionMass:
+    def test_region_mass_changes_side_at_each_finite_theta(self):
+        # 1e-2 relative (or 1e-2 at theta = 0) inside each finite threshold
+        # the quadrature region mass is above the emptiness tolerance, and
+        # as far outside it is not.  A_1 and A_2 hold mass below their
+        # thresholds, A_3 and A_4 above theirs.
+        rng = np.random.default_rng(20260419)
+        checked = 0
+        for _ in range(220):
+            box = _box_side(rng) + _box_side(rng)
+            c = float(rng.uniform(0.5, 2.0))
+            if rng.integers(2):
+                spec = {"kind": "uniform_box", "params": {"c": c}, "box": box}
+            else:
+                a, b = (float(v) for v in rng.uniform(0.0, 0.5, 2))
+                spec = {"kind": "exp_tails", "params": {"c": c, "a": a, "b": b}, "box": box}
+            dens = density_from_json(spec)
+            th = thetas(dens)
+            tol = regions.mass_tol(dens)
+            for i, empty in zip((1, 2, 3, 4), (NEG_INF, 0.0, 0.0, INF)):
+                v = getattr(th, f"theta{i}")
+                if v == empty or not math.isfinite(v):
+                    continue
+                h = 1e-2 * abs(v) if v != 0.0 else 1e-2
+                inside, outside = (v - h, v + h) if i in (1, 2) else (v + h, v - h)
+                assert region_mass(dens, i, inside) > tol, (spec, i, v)
+                assert region_mass(dens, i, outside) <= tol, (spec, i, v)
+                checked += 1
+        assert checked >= 200
 
 
 class TestBisectTheta:
