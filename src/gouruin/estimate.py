@@ -61,18 +61,29 @@ from .simulate import (
     PathConfig,
     _chol2x2,
     _density_jump_table,
-    _EulerPath,
-    _ExactPath,
+    _EulerChunk,
+    _fv_events,
+    _fv_state_arrays,
+    _pair_jumps,
     _require_fv,
+    _uniform_grid,
     is_exact_fv,
     path_rng,
 )
 
 _Z975 = 1.959963984540054
 
-#: Paths per chunk of the per-path engines (exact_fv, mixed_grid).  Fixed,
-#: so the chunking never depends on the worker count.
+#: Paths per block of the per-path engines (exact_fv, mixed_grid), the unit
+#: of work of a thread.  Fixed, so the chunking never depends on the worker
+#: count.
 _PATH_BLOCK = 64
+
+#: Float64 elements of the widest array of a per-path engine's chunk: a
+#: block is cut into chunks of as many paths as fit, and a path wider than
+#: this makes a chunk alone, so chunk memory does not grow with the horizon.
+#: 64 KB per array stays well under glibc's 128 KB mmap threshold, near
+#: which every temporary of a chunk page-faults.
+_CHUNK_ELEMS = 8_192
 
 #: Paths per chunk of the Gaussian grid kernel, and grid steps per time
 #: block of its streamed pass: a chunk holds a few rows x block arrays.
@@ -536,25 +547,25 @@ def _endpoint_sums(n, seed, stream, var_head, var_tail):
 
 
 def _per_path_batch(
-    engine, simulate, z_list, horizon, n, seed, stream, want_times, min_at
+    engine, draw, build, z_list, horizon, n, seed, stream, want_times, min_at
 ) -> _BatchResult:
-    """The loop of the per-path engines: ``simulate(rng)`` builds one path,
-    and its ``passage`` is the engine's first-passage reducer.  Overflow
-    carries through the running sums, so a path whose final Z and xi are
-    finite is finite.  Any other path keeps only its finite prefix, and
-    counts in ``nonfinite`` when a level is not ruined there or ``min_at``
-    is set."""
-    levels = sorted(set(z_list))
-    want_half = not levels and min_at is None
-
-    def blank(fill):
-        return {z: np.full(n, fill) for z in levels}
-
+    """The batch of the per-path engines.  Each path draws from its own
+    generator: ``draw(rng)`` gives the elements per row of the widest chunk
+    array and the draws.  The paths of a block join a chunk in order until
+    the next one would take its widest array past ``_CHUNK_ELEMS``; then
+    ``build`` turns the chunk's draws into padded rows, reduced at every
+    level at once.  A path that is not finite (``chunk.finite``) keeps only
+    its finite prefix, and counts in ``nonfinite`` when a level is not
+    ruined there or ``min_at`` is set."""
+    levels = np.array(sorted(set(z_list)), dtype=float)
+    n_levels = len(levels)
+    want_half = not n_levels and min_at is None
+    hit = np.zeros((n_levels, n), dtype=bool)
+    continuous = np.zeros((n_levels, n), dtype=bool)
+    v_hit = np.full((n_levels, n), math.nan)
+    time = np.full((n_levels, n), math.nan)
     res = _BatchResult(
-        blank(False),
-        blank(math.nan),
-        blank(False),
-        blank(math.nan) if want_times else {},
+        {}, {}, {}, {},
         np.empty(n),
         np.empty(n) if want_half else None,
         engine,
@@ -562,29 +573,45 @@ def _per_path_batch(
     )
     nonfinite = np.zeros(n, dtype=bool)
 
+    def reduce(i0, draws):
+        chunk = build(draws)
+        rows = slice(i0, i0 + len(draws))
+        res.z_T[rows] = chunk.z_T
+        if want_half:
+            res.z_half[rows] = chunk.z_at(0.5 * horizon)
+        passed = 0
+        if n_levels:
+            level, r, t_hit, value, cont, passed = chunk.first_crossings(levels, want_times)
+            r += i0
+            hit[level, r] = True
+            v_hit[level, r] = value
+            continuous[level, r] = cont
+            time[level, r] = t_hit
+        if min_at is not None:
+            res.v_min[rows] = chunk.lowest(min_at)
+        nonfinite[rows] = ~chunk.finite & ((min_at is not None) | (passed < n_levels))
+        return chunk
+
     def run(rng_range):
-        for i in range(*rng_range):
-            path = simulate(path_rng(seed, i, stream))
-            res.z_T[i] = path.z_T
-            if want_half:
-                res.z_half[i] = path.z_at(0.5 * horizon)
-            finite = math.isfinite(path.z_T) and math.isfinite(path.xi_T)
-            if not finite:
-                path.keep_finite_prefix()
-            for z in levels:
-                fp = path.passage(z, want_times)
-                if fp.hit:
-                    res.hit[z][i] = True
-                    res.v_hit[z][i] = fp.v_at_hit
-                    res.continuous[z][i] = fp.continuous_crossing
-                    if want_times:
-                        res.time[z][i] = fp.time
-            if min_at is not None:
-                res.v_min[i] = path.lowest(min_at)
-            if not finite:
-                nonfinite[i] = min_at is not None or not all(res.hit[z][i] for z in levels)
+        # ``chunk`` keeps the last chunk until the next one is built, so the
+        # allocator reuses its memory; freed at once, the chunk's arrays
+        # would go back to the system and fault in again for the next one.
+        i0, i1 = rng_range
+        chunk, draws, top = None, [], 0
+        for i in range(i0, i1):
+            width, d = draw(path_rng(seed, i, stream))
+            top = max(top, width)
+            if draws and (len(draws) + 1) * top > _CHUNK_ELEMS:
+                chunk = reduce(i - len(draws), draws)
+                draws, top = [], width
+            draws.append(d)
+        reduce(i1 - len(draws), draws)
 
     _run_chunks(run, _chunk_ranges(n, _PATH_BLOCK))
+    for k, z in enumerate(levels.tolist()):
+        res.hit[z], res.v_hit[z], res.continuous[z] = hit[k], v_hit[k], continuous[k]
+        if want_times:
+            res.time[z] = time[k]
     res.nonfinite = int(nonfinite.sum())
     return res
 
@@ -601,8 +628,13 @@ def _fv_batch(
 ) -> _BatchResult:
     """Event-driven exact batch for zero-Gaussian atom drivers."""
     _require_fv(t)
+
+    def draw(rng):
+        events = _fv_events(t, horizon, rng)
+        return len(events[0]) + 2, events
+
     return _per_path_batch(
-        "exact_fv", lambda rng: _ExactPath.draw(t, horizon, rng),
+        "exact_fv", draw, lambda draws: _fv_state_arrays(t, draws, horizon),
         z_list, horizon, n, seed, stream, want_times, min_at,
     )
 
@@ -619,11 +651,18 @@ def _mixed_batch(
     want_times: bool = False,
     min_at: float | None = None,
 ) -> _BatchResult:
-    """General driver: per-path jump-adapted Euler simulation."""
+    """General driver: jump-adapted Euler simulation.  A row's widest
+    arrays hold one value per instant of its grid."""
     cfg = PathConfig(horizon, step, seed, truncation_eps)
     jump_table = _density_jump_table(t, cfg)
+    grid_len = len(_uniform_grid(cfg))
+
+    def draw(rng):
+        arrivals, sizes = _pair_jumps(t, jump_table, rng, horizon)
+        return grid_len + sum(map(len, arrivals)), (rng, arrivals, sizes)
+
     return _per_path_batch(
-        "mixed_grid", lambda rng: _EulerPath(t, cfg, jump_table, rng),
+        "mixed_grid", draw, lambda draws: _EulerChunk(t, cfg, jump_table, draws),
         z_list, horizon, n, seed, stream, want_times, min_at,
     )
 

@@ -43,7 +43,16 @@ from itertools import accumulate
 
 from .errors import NotSupportedError, UndeterminedError
 from .intervals import Interval, IntervalSet
-from .model import BoxDensity, JumpAtom, LevyTriplet2D, _in_open_ball, s_band, s_jump, w_jump
+from .model import (
+    BoxDensity,
+    JumpAtom,
+    LevyTriplet2D,
+    LineDensity,
+    _in_open_ball,
+    s_band,
+    s_jump,
+    w_jump,
+)
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, ext_to_json, sgn
 from .quadrature import BandEdge, ChordEdge, ConstEdge, Strip
 
@@ -177,13 +186,28 @@ def _box_thetas(box) -> ThetaBounds:
     return ThetaBounds(*values)
 
 
+def _x_axis_thetas(m) -> ThetaBounds:
+    """Thresholds of a measure on the x axis.  Every critical level
+    y / w(x) is 0 there, so branch i is branch i of the atom-tier
+    thresholds of one atom on the side of the axis in A_i (x > 0 for A_1
+    and A_2, x < 0 for A_3 and A_4), or empty when that side holds no
+    mass."""
+    values = []
+    for i in (1, 2, 3, 4):
+        atoms = ()
+        if quadrant_mass(m, i) > mass_tol(m):
+            atoms = (JumpAtom(float(_quadrant_signs(i)[0]), 0.0, 1.0),)
+        values.append(getattr(_atom_thetas(atoms), f"theta{i}"))
+    return ThetaBounds(*values)
+
+
 def mass_tol(m) -> float:
     """Density-tier mass at or below which a region counts as empty."""
     return 16.0 * getattr(m, "tol", 1e-9)
 
 
 def _bisect_theta(m, i: int, sign: float, vanishing: bool) -> float:
-    """Threshold of a Python-supplied density or of a measure on an axis
+    """Threshold of a Python-supplied density or of a measure on a y-axis
     segment, by monotone bisection on region mass.
 
     The search runs over v >= 0 with u = sign * v.  ``vanishing`` means the
@@ -233,14 +257,16 @@ def _bisect_theta(m, i: int, sign: float, vanishing: bool) -> float:
 
 def thetas(m) -> ThetaBounds:
     """Critical thresholds of the four moving regions: exact on the atom
-    tier and for a named density family, by bisection of the region mass
-    for any other density."""
+    tier, for a named density family and on the x axis, by bisection of
+    the region mass for any other density."""
     atoms = m.atoms_or_none()
     if atoms is not None:
         return _atom_thetas(atoms)
     box = family_box(m)
     if box is not None:
         return _box_thetas(box)
+    if isinstance(m, LineDensity) and m.axis == "x":
+        return _x_axis_thetas(m)
     # On u >= 0 the A2 region empties as u grows while A4 fills; mirrored on
     # u <= 0, A3 empties as u falls while A1 fills.
     return ThetaBounds(

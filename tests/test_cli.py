@@ -293,6 +293,48 @@ class TestSimulate:
             with open(tmp_path / "out" / f"path_{i:04d}.csv", newline="") as fh:
                 assert fh.read() == expected.getvalue()
 
+    MIXED_ATOM_SPEC = {
+        "gamma_tilde": [0.5, 0.3],
+        "sigma": [[0.25, 0.1], [0.1, 0.5]],
+        "jumps": {"atoms": [{"x": 0.3, "y": -0.5, "rate": 1.0},
+                            {"x": -0.2, "y": 0.4, "rate": 0.5}]},
+    }
+
+    @pytest.mark.parametrize("spec, args, files, content", [
+        (None,
+         ["--preset", "jump_example", "--c", "1", "--lambda", "1", "--z", "2.0",
+          "--horizon", "5.0", "--step", "0.25"],
+         ["a183c2e785521c00c098e1941df991d4cfb6a14c91d74f0953e87a4969d66616",
+          "5c7dfefbee17e8a595e2f599aee04d9589a8f08dc0c9f38943cd87782ce9ce26",
+          "9bad1dff79a49a1d4ddb813606b767682b17bf614399bf23a9b7b64b8998c961"],
+         "269ba15be82cf5f64e7718847510f0b08e4aaa181e8af7ac53905af09aa2bc96"),
+        (MIXED_ATOM_SPEC,
+         ["--z", "0.5", "--horizon", "3.0", "--step", "0.1"],
+         ["04cec43a04b9793265c6e4aa4298d07a0d3b822cdf0c0f869771542175d9f7af",
+          "6c18285abdec7a65430a0969839cea5185b06acc33157121258a21990ba35686",
+          "04eead89405fa58f0db89bafce69375180977bdce89d5e258ccae08cd48e57b4"],
+         "7915d730cb7f33c4fd4457fbb36f0089f391139fa875253617e7c005597244f5"),
+        (DENSITY_SPEC,
+         ["--z", "1.0", "--horizon", "2.0", "--step", "0.25", "--truncation-eps", "0.3"],
+         ["b846d05465f2811b97e1c563611e2afd97cbd312a0901c2c274403fb527ede54",
+          "956c4ccd0a71fc8eb6450ef52089b2bf58efb6208ed8bf107874b6c9fdb93bd8",
+          "12f8503187cc48a2912513f4b931773ea53e1780bb3df0124e0a74c90e2bbf9d"],
+         "890e73a6a2a8548f76d693bce014c1987fedfeebfaa27b8a57fa2de72acf7cbc"),
+    ], ids=["jump_example", "mixed_atoms", "uniform_box"])
+    def test_output_is_pinned(self, capsys, tmp_path, spec, args, files, content):
+        # The paths of the exact, the jump-adapted Euler and the density
+        # table engines, pinned by the sha256 of their CSVs.
+        if spec is not None:
+            f = tmp_path / "spec.json"
+            f.write_text(json.dumps(spec))
+            args = args + ["--spec", str(f)]
+        code, _, _ = run_cli(capsys, "simulate", *args, "--seed", "7", "--paths", "3",
+                             "--out", str(tmp_path / "out"))
+        assert code == 0
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert [f["sha256"] for f in man["files"]] == files
+        assert man["content_hash"] == content
+
     def test_csv_rows_satisfy_the_path_identity(self, capsys, tmp_path):
         run_cli(
             capsys,

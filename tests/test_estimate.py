@@ -810,3 +810,66 @@ class TestEmpiricalCDFType:
         a = EmpiricalCDF([0.0, 1.0])
         b = EmpiricalCDF([10.0, 11.0])
         assert a.ks_two_sample(b) == 1.0
+
+
+MIXED_ATOMS = LevyTriplet2D(
+    (0.5, 0.3), ((0.25, 0.1), (0.1, 0.5)), atoms((0.3, -0.5, 1.0), (-0.2, 0.4, 0.5))
+)
+
+
+class TestPerPathEngineChunks:
+    @pytest.mark.parametrize("engine", ["exact_fv", "mixed_grid"])
+    def test_one_batch_answers_fifty_levels(self, engine):
+        # The levels of one batch are decided from its running minimum at
+        # once; each must read as its own single-level batch does.
+        if engine == "exact_fv":
+            t = jump_example_triplet(1.0, 1.0)
+
+            def batch(z_list):
+                return estimate._fv_batch(t, z_list, 20.0, 300, 7, 0, want_times=True)
+        else:
+            def batch(z_list):
+                return estimate._mixed_batch(
+                    MIXED_ATOMS, z_list, 5.0, 0.05, 200, 7, 0, None, want_times=True
+                )
+        levels = [float(z) for z in np.linspace(0.02, 2.0, 50)]
+        many = batch(levels)
+        for z in levels:
+            one = batch([z])
+            for field in ("hit", "continuous"):
+                assert np.array_equal(getattr(many, field)[z], getattr(one, field)[z])
+            for field in ("time", "v_hit"):
+                assert np.array_equal(getattr(many, field)[z], getattr(one, field)[z],
+                                      equal_nan=True)
+        counts = [int(many.hit[z].sum()) for z in levels]
+        assert counts == sorted(counts, reverse=True) and counts[0] > counts[-1]
+
+    def test_long_mixed_rows_make_chunks_of_one_row(self, monkeypatch):
+        # T = 2000 at step 0.01: 200 001 grid instants per row, past the
+        # element budget, so every chunk holds one path.
+        rows = []
+
+        class Recorded(simulate._EulerChunk):
+            def __init__(self, t, cfg, jump_table, draws):
+                rows.append(len(draws))
+                super().__init__(t, cfg, jump_table, draws)
+
+        monkeypatch.setattr(estimate, "_EulerChunk", Recorded)
+        estimate._mixed_batch(MIXED_ATOMS, [0.5], 2000.0, 0.01, 3, 1, 0, None)
+        assert rows == [1, 1, 1]
+
+    def test_exact_chunk_arrays_stay_within_the_element_budget(self, monkeypatch):
+        # A row's widest exact_fv array holds its arrivals plus two; the
+        # batch's row choice keeps rows x widest row within the budget.
+        chunks = []
+        build = estimate._fv_state_arrays
+
+        def recorded(t, events, horizon):
+            chunks.append((len(events), max(len(e[0]) for e in events) + 2))
+            return build(t, events, horizon)
+
+        monkeypatch.setattr(estimate, "_fv_state_arrays", recorded)
+        estimate._fv_batch(jump_example_triplet(1.0, 1.0), [0.5], 1000.0, 100, 1, 0)
+        assert sum(rows for rows, _ in chunks) == 100
+        assert all(rows * width <= estimate._CHUNK_ELEMS for rows, width in chunks)
+        assert max(rows for rows, _ in chunks) > 1

@@ -476,6 +476,24 @@ class TestDensityThetas:
         th = thetas(dens)
         assert (th.theta1, th.theta2, th.theta3, th.theta4) == expected
 
+    @pytest.mark.parametrize("lo, hi, sides", [
+        (0.5, 1.5, (1.0,)),  # the positive side: A_1 and A_2
+        (-1.5, -0.5, (-1.0,)),  # the negative side: A_3 and A_4
+        (-1.0, 1.0, (1.0, -1.0)),  # straddling 0: both
+    ])
+    def test_x_axis_line_takes_the_atom_thresholds_of_its_sides(self, monkeypatch, lo, hi, sides):
+        # Every critical value y / (e^-x - 1) on y = 0 is 0, so each side
+        # with mass gives the thresholds of one atom on it, signed zeros
+        # included, and no region mass is searched.
+        monkeypatch.setattr(regions, "region_mass", lambda *a: pytest.fail("bisected"))
+        th = thetas(LineDensity("x", lambda v: 1.0, lo, hi))
+        ref = regions._atom_thetas([JumpAtom(x, 0.0, 1.0) for x in sides])
+        assert repr(th) == repr(ref)
+
+    def test_x_axis_line_without_mass_has_empty_branches(self):
+        th = thetas(LineDensity("x", lambda v: 0.0, -1.0, 1.0))
+        assert repr(th) == repr(regions._atom_thetas(()))
+
 
 def _box_side(rng) -> list:
     """One side of a random box: away from 0 on either side, touching 0
