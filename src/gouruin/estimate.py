@@ -20,9 +20,9 @@ Engine selection per driver, under the names the reports print:
   ruin estimate errs on the survival side (the documented bias direction).
 * ``mixed_grid``: every other driver; per-path jump-adapted Euler.
 
-Each engine has one first-passage reducer, and the estimators, the formula
-checks, the per-path records and the empirical lower bound all read the
-same batch of paths.
+One first-passage reducer, ``_Chunk.first_crossings``, serves all five
+engines, and the estimators, the formula checks, the per-path records and
+the empirical lower bound all read the same batch of paths.
 
 The Gaussian grid engines stream: a chunk of paths walks the grid in fixed
 time blocks with per-path running state, so memory does not grow with the
@@ -61,6 +61,7 @@ from .simulate import (
     PathConfig,
     _chol2x2,
     _density_jump_table,
+    _Chunk,
     _EulerChunk,
     _fv_events,
     _fv_state_arrays,
@@ -172,7 +173,6 @@ class EmpiricalCDF:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _BatchResult:
     """Per-z first-passage records plus terminal samples shared across
     levels; ``time`` is filled only when the caller asks for times,
@@ -186,17 +186,28 @@ class _BatchResult:
     path counted in ``nonfinite``, since such a path may stop drawing.
     ``z_half`` holds Z at half the horizon where it comes at no extra cost:
     on the Gaussian grid engines alongside ``z_T``, and on the per-path
-    engines for requests with no levels and no ``min_at``."""
+    engines for requests with no levels and no ``min_at``.  A batch starts
+    with no level hit; every engine fills it in through ``add`` and by path
+    rows of ``z_T``, ``z_half`` and ``v_min``."""
 
-    hit: dict[float, np.ndarray]
-    v_hit: dict[float, np.ndarray]
-    continuous: dict[float, np.ndarray]
-    time: dict[float, np.ndarray]
-    z_T: np.ndarray
-    z_half: np.ndarray | None
-    engine: str
-    nonfinite: int = 0
-    v_min: np.ndarray | None = None
+    def __init__(self, engine, levels, n, want_times, want_half, min_at):
+        shape = (len(levels), n)
+        self.table = (np.zeros(shape, bool), np.full(shape, math.nan),
+                      np.full(shape, math.nan), np.zeros(shape, bool))
+        self.hit, time, self.v_hit, self.continuous = (
+            dict(zip(levels.tolist(), a)) for a in self.table)
+        self.time = time if want_times else {}
+        self.z_T = np.full(n, math.nan)
+        self.z_half = np.full(n, math.nan) if want_half else None
+        self.v_min = None if min_at is None else np.full(n, math.inf)
+        self.engine, self.nonfinite = engine, 0
+
+    def add(self, level, path, *crossing) -> None:
+        """Enter first crossings as ``_Chunk.first_crossings`` gives them:
+        level index, path, time, value there, continuous crossing."""
+        self.table[0][level, path] = True
+        for a, values in zip(self.table[1:], crossing):
+            a[level, path] = values
 
     def records(self, z: float):
         """(hit, time, value at the hit, continuous crossing) per path at z."""
@@ -261,6 +272,23 @@ def _run_chunks(fn, ranges):
         return list(pool.map(fn, ranges))
 
 
+class _GridChunk(_Chunk):
+    """Rows of a time block of the Gaussian grid kernel: their keys at the
+    block's grid instants ``times``, which ``ruin`` maps to -Z.  Every
+    crossing is continuous, with value 0, at the instant that ends it."""
+
+    values_by_column = False
+
+    def __init__(self, key, times, ruin):
+        self.key, self.times, self.ruin = key, times, ruin
+
+    def crossing_key(self):
+        return self.key
+
+    def crossings(self, z, r, c, want_times):
+        return self.times[c] if want_times else math.nan, 0.0, True
+
+
 def _gaussian_grid_batch(
     t: LevyTriplet2D,
     z_list,
@@ -280,19 +308,20 @@ def _gaussian_grid_batch(
 
     Each path keeps its own generator across blocks, and the running sums
     carry from block to block, so the grid values are those of one
-    sequential cumulative sum.  Per level, a path is ruined at the first
-    grid instant past the level or at the right end of an earlier cell whose
-    exact Brownian-bridge extreme passes it (deterministic xi, or the
-    closed-form regime in xi space); the extreme is solved from the cell's
-    hash uniform.  Bridge cells are examined only where the cell's end
-    values come within ``sqrt(q_max * var)`` of the lowest level the path
-    has not passed yet, the largest distance an extreme can reach.  Levels
-    nest, so common random numbers and monotonicity in the level are
-    structural.  Crossings are continuous (no jumps), so the overshoot
-    value is identically zero and is never stored.  A path ruined at every
-    level stops drawing unless the minimum is wanted, and its terminal
-    values are NaN.  The minimum of V at ``min_at`` is taken over the grid
-    instants, with xi = gamma_xi t on ``grid_bridge``.
+    sequential cumulative sum.  The rows of a block near a level they have
+    not passed make a ``_GridChunk``, whose running record decides every
+    level: a path is ruined at a level at the first grid instant past it or
+    at the right end of an earlier cell whose exact Brownian-bridge extreme
+    (deterministic xi, or the closed-form regime in xi space; solved from
+    the cell's hash uniform) passes it.  Bridge cells are examined only
+    where their end values come within ``sqrt(q_max * var)``, the farthest
+    an extreme reaches, of the first level the block's grid values leave
+    unpassed, or with times, of the first level unpassed at the block's
+    start until the grid values pass every level.  Levels nest, so common
+    random numbers and monotonicity in the level are structural.  A path
+    ruined at every level stops drawing unless the minimum is wanted, and
+    its terminal values are NaN.  The minimum of V at ``min_at`` is taken
+    over the grid instants, with xi = gamma_xi t on ``grid_bridge``.
 
     A path's levels come from its finite prefix only: a path whose values
     turn non-finite before it passes every level (before the horizon, when
@@ -307,14 +336,13 @@ def _gaussian_grid_batch(
     n_steps = max(1, int(round(horizon / step)))
     h = horizon / n_steps
     times = np.arange(n_steps + 1) * h
-    times_or_nan = np.append(times, math.nan)
     half_idx = n_steps // 2
     gx, gy = t.gamma_tilde
     s11 = t.sigma[0][0]
     s22 = t.sigma[1][1]
     sigma_xi, l21, l22 = _chol2x2(t.sigma)
     sqh = math.sqrt(h)
-    levels = sorted(set(z_list))
+    levels = np.array(sorted(set(z_list)), dtype=float)
     n_levels = len(levels)
     u0 = _is_expmart(t) if engine == "expmart" else None
 
@@ -331,51 +359,48 @@ def _gaussian_grid_batch(
             var = None
         prec = None if var is None else np.sqrt(_Q_MAX * var)
 
-    # Paths march in "path space" (Z, or xi on expmart); ``fire`` maps path
-    # values to -Z, which ruins at level z once it exceeds z.  ``upper``:
-    # path values rise toward ruin.
+    # Paths march as keys that fall toward ruin: Z, or on expmart xi times
+    # ``o``, the sign of -u0 (negation is exact).  ``fire`` maps keys to -Z,
+    # which ruins at level z once above z; ``path_level`` maps levels to keys.
     if u0 is None:
-        upper = False
         fire = np.negative
-        path_level = [-z for z in levels]
+        path_level = -levels
     else:
-        # -Z = u0 (1 - e^-xi) rises with xi when u0 > 0, falls otherwise;
-        # levels -Z never reaches (or always exceeds) map to +inf.
-        upper = u0 > 0.0
-        path_level = [
-            math.inf if -z / u0 <= -1.0 else -math.log1p(-z / u0) for z in levels
-        ]
+        # -Z = u0 (1 - e^-xi) falls as o xi rises; a level -Z never reaches
+        # (always exceeds) maps to -inf (+inf)
+        o = -1.0 if u0 > 0.0 else 1.0
+        path_level = np.array([
+            o * (math.inf if -z / u0 <= -1.0 else -math.log1p(-z / u0))
+            for z in levels.tolist()
+        ])
 
         def fire(x):
             with np.errstate(over="ignore"):
-                return u0 * -np.expm1(-x)
+                return u0 * -np.expm1(-o * x)
 
-    if not levels and min_at is None and engine != "grid":
+    if not n_levels and min_at is None and engine != "grid":
         # two normals per path: the Gaussian sums at half_idx and at the
         # horizon (in xi on expmart); overflow leaves non-finite values,
         # which the estimators refuse
+        res = _BatchResult(engine, levels, n, False, True, None)
         with np.errstate(over="ignore", invalid="ignore"):
             if engine == "grid_bridge":
                 head, full = _endpoint_sums(
                     n, seed, stream, var[:half_idx].sum(), var[half_idx:].sum()
                 )
-                z_half, z_T = det_prefix[half_idx] + head, det_prefix[-1] + full
+                res.z_half, res.z_T = det_prefix[half_idx] + head, det_prefix[-1] + full
             else:
                 head, full = _endpoint_sums(
                     n, seed, stream, s11 * h * half_idx, s11 * h * (n_steps - half_idx)
                 )
-                z_half = -fire(gx * times[half_idx] + head)
-                z_T = -fire(gx * times[-1] + full)
-        return _BatchResult({}, {}, {}, {}, z_T, z_half, engine)
-
-    # a row with every level passed gets a threshold no value can pass
-    row_level = np.array(path_level + [math.inf if upper else -math.inf])
-    extreme = np.max if upper else np.min
+                res.z_half = -fire(o * (gx * times[half_idx] + head))
+                res.z_T = -fire(o * (gx * times[-1] + full))
+        return res
 
     def advance(gens, s, e, carry):
-        """Path values and xi at grid instants s..e of the rows whose
-        generators are ``gens``; ``carry`` holds their running sums at
-        instant s."""
+        """Keys at grid instants s..e of the rows whose generators are
+        ``gens``, and xi there (None on expmart, where it is o times the
+        key); ``carry`` holds their running sums at instant s."""
         w = e - s
         rows = len(gens)
         if engine == "grid_bridge":
@@ -395,89 +420,80 @@ def _gaussian_grid_batch(
         np.multiply(normals[:, :, 0], sigma_xi * sqh, out=X[:, 1:])
         np.cumsum(X, axis=1, out=X)
         carry[0] = X[:, -1].copy()
-        xi = X + gx * times[s:e + 1]
+        X += gx * times[s:e + 1]  # xi
         if u0 is not None:
-            return xi, xi
+            return np.multiply(X, o, out=X), None
         eta_inc = gy * h + (l21 * normals[:, :, 0] + l22 * normals[:, :, 1]) * sqh
         Z = np.empty((rows, w + 1))
         Z[:, 0] = carry[1]
-        np.multiply(np.exp(-xi[:, :-1]), eta_inc, out=Z[:, 1:])
+        np.multiply(np.exp(-X[:, :-1]), eta_inc, out=Z[:, 1:])
         np.cumsum(Z, axis=1, out=Z)
         carry[1] = Z[:, -1].copy()
-        return Z, xi
+        return Z, X
 
-    def cells(sub, thr, end, ids, s, e):
-        """Bridge extremes of the cells c < end - 1 (per row) whose end
-        values come within ``prec`` of ``thr`` (per row): no other cell's
-        extreme passes ``thr``.  ``ids`` are the rows' path indices."""
-        if upper:
-            cand = np.maximum(sub[:, :-1], sub[:, 1:]) > thr[:, None] - prec[s:e]
-        else:
-            cand = np.minimum(sub[:, :-1], sub[:, 1:]) < thr[:, None] + prec[s:e]
-        cand &= np.arange(1, e - s + 1)[None, :] < end[:, None]
+    def bridges(key, old, cut, ids, s, e):
+        """Lower ``key`` (block s..e of paths ``ids``, past ``old`` levels) at
+        the right end of each examined cell to its bridge extreme; return the
+        rows of hit-examined cells whose extreme overflowed."""
+        w = e - s
+        grid = np.maximum(old, np.searchsorted(levels, fire(key.min(axis=1))))
+        # examined cells come near level ``first`` and end before column ``end``:
+        # in the finite prefix and, with times, before the grid passes every level
+        first = old if want_times else grid
+        end = np.where(first < n_levels, cut, 0)
+        if want_times:
+            x = np.flatnonzero(grid == n_levels)
+            end[x] = np.minimum(end[x], np.argmax(fire(key[x]) > levels[-1], axis=1))
+        thr = path_level.take(first, mode="clip")[:, None] + prec[s:e]
+        cand = np.minimum(key[:, :-1], key[:, 1:]) < thr
+        cand &= np.arange(1, w + 1) < end[:, None]
         r, c = np.nonzero(cand)
-        left = sub[r, c]
-        right = sub[r, c + 1]
+        left, right = key[r, c], key[r, c + 1]
         u = _hash_uniforms(seed, stream, 0, ids[r] * (n_steps + 1) + s + c)
         q = -0.5 * np.log(np.maximum(u, 2.0 ** -53))
         half = 0.5 * (left - right)
         mid = 0.5 * (left + right)
         with np.errstate(over="ignore", invalid="ignore"):
-            root = np.sqrt(half * half + q * var[s + c])
-            return r, c, (mid + root if upper else mid - root)
+            ext = mid - np.sqrt(half * half + q * var[s + c])
+        ok = np.isfinite(ext)
+        key[r[ok], c[ok] + 1] = np.minimum(right[ok], ext[ok])
+        b = np.flatnonzero(~ok)
+        lo, g = np.minimum(left[b], right[b]), grid[r[b]]
+        return r[b[(g < n_levels) & (lo < path_level.take(g, mode="clip") + prec[s + c[b]])]]
 
-    levels_arr = np.array(levels)
+    res = _BatchResult(engine, levels, n, want_times, True, min_at)
+    nonfinite = np.zeros(n, dtype=bool)
 
     def run(rng_range):
         i0, i1 = rng_range
         m = i1 - i0
         gens = [path_rng(seed, i, stream) for i in range(i0, i1)]
-        first = np.full((n_levels, m), n_steps + 1) if want_times else None
         passed = np.zeros(m, dtype=np.intp)  # levels passed (they nest)
-        nonfinite = np.zeros(m, dtype=bool)
-        zT = np.full(m, math.nan)
-        zH = np.full(m, math.nan)
-        low = np.full(m, math.inf)  # the minimum of V at min_at
+        lost = np.zeros(m, dtype=bool)  # non-finite before passing every level
         overflow = np.zeros(m, dtype=bool)  # non-finite before the horizon
+        zT, zH = res.z_T[i0:i1], res.z_half[i0:i1]
+        low = None if min_at is None else res.v_min[i0:i1]  # the minimum of V at min_at
         live = np.arange(m)
         carry = [np.zeros(m), np.zeros(m)]
 
-        def cross(sub, rows, top, s, e):
+        def cross(key, rows, s, e):
             """Levels passed inside block s..e by the chunk rows ``rows``,
-            whose path values there are ``sub`` with extreme ``top``."""
+            whose keys there are ``key``, a copy that is cut to its finite
+            prefix (+inf past it) and lowered by the bridge cells in place."""
             w = e - s
             old = passed[rows]
-            ids = i0 + rows
-            fin = np.isfinite(sub)
+            fin = np.isfinite(key)
             cut = np.full(len(rows), w + 1)
             for i in np.flatnonzero(~fin.all(axis=1)):  # keep the finite prefix
                 cut[i] = fin[i].argmin()
-                top[i] = extreme(sub[i, :cut[i]])
-            # a level falls when the extreme passes it, or a cell's bridge
-            # extreme does (only cells near the next level can)
-            new = np.maximum(old, np.searchsorted(levels_arr, fire(top)))
-            lost = np.zeros(len(rows), dtype=bool)
-            if prec is not None:
-                r, _, ext = cells(sub, row_level[new], cut, ids, s, e)
-                bad = ~np.isfinite(ext)  # overflowed: the cell is undecided
-                lost[r[bad]] = True
-                np.maximum.at(new, r[~bad], np.searchsorted(levels_arr, fire(ext[~bad])))
-            if want_times:
-                ruin = fire(sub)
-                inside = np.arange(w + 1)[None, :] < cut[:, None]
-                for k in range(old.min(), new.max()):
-                    sel = np.flatnonzero((old <= k) & (new > k))
-                    past = (ruin[sel] > levels[k]) & inside[sel]
-                    at = np.where(past.any(axis=1), past.argmax(axis=1), w + 1)
-                    if prec is not None:
-                        # cells before the first grid instant past the level
-                        thr = np.full(len(sel), row_level[k])
-                        r, c, ext = cells(sub[sel], thr, np.minimum(at, cut[sel]), ids[sel], s, e)
-                        fired = np.isfinite(ext) & (fire(ext) > levels[k])
-                        np.minimum.at(at, r[fired], c[fired] + 1)
-                    first[k, rows[sel]] = s + at
+                key[i, cut[i]:] = np.inf
+            bad = [] if prec is None else bridges(key, old, cut, i0 + rows, s, e)
+            chunk = _GridChunk(key, times[s:e + 1], fire)
+            level, r, *crossings, new = chunk.first_crossings(levels, want_times, old)
+            res.add(level, i0 + rows[r], *crossings)
             passed[rows] = new
-            nonfinite[rows] |= ((cut <= w) | lost) & (new < n_levels)
+            lost[rows] |= (cut <= w) & (new < n_levels)
+            lost[rows[bad]] |= new[bad] < n_levels
 
         for s in range(0, n_steps, _GRID_STEPS):
             e = min(n_steps, s + _GRID_STEPS)
@@ -487,47 +503,34 @@ def _gaussian_grid_batch(
                 if s <= idx <= e:
                     out[live] = -fire(P[:, idx - s])
             if min_at is not None:
-                Z = P if u0 is None else -fire(P)
+                Z, xi = (P, xi) if u0 is None else (-fire(P), o * P)
                 with np.errstate(over="ignore", invalid="ignore"):
                     low[live] = np.minimum(low[live], (np.exp(xi) * (min_at + Z)).min(axis=1))
                 overflow[live] |= ~(np.isfinite(Z) & np.isfinite(xi)).all(axis=1)
             if not n_levels:
                 continue
-            undecided = (passed[live] < n_levels) & ~nonfinite[live]
-            thr = row_level[passed[live]]
+            undecided = (passed[live] < n_levels) & ~lost[live]
             margin = 0.0 if prec is None else prec[s:e].max()
-            ext = extreme(P, axis=1)
+            top = P.min(axis=1)
             with np.errstate(invalid="ignore"):
-                near = ext > thr - margin if upper else ext < thr + margin
-            near |= ~np.isfinite(ext) | ~np.isfinite(P[:, -1])
+                near = top < path_level.take(passed[live], mode="clip") + margin
+            near |= ~np.isfinite(top) | ~np.isfinite(P[:, -1])
             near &= undecided
             if near.any():
-                cross(P[near], live[near], ext[near], s, e)
-                undecided = (passed[live] < n_levels) & ~nonfinite[live]
+                cross(P[near], live[near], s, e)
+                undecided = (passed[live] < n_levels) & ~lost[live]
             if min_at is None and not undecided.all():
                 live = live[undecided]
                 carry = [c[undecided] for c in carry]
                 if not len(live):
                     break
         if n_levels and min_at is None:  # decided paths may have stopped drawing
-            done = (passed == n_levels) | nonfinite
+            done = (passed == n_levels) | lost
             zT[done] = zH[done] = math.nan
-        return passed, first, int((nonfinite | overflow).sum()), zT, zH, low
+        nonfinite[i0:i1] = lost | overflow
 
-    parts = _run_chunks(run, _chunk_ranges(n, _GRID_ROWS))
-    zT = np.concatenate([p[3] for p in parts])
-    zH = np.concatenate([p[4] for p in parts])
-    res = _BatchResult({}, {}, {}, {}, zT, zH, engine, sum(p[2] for p in parts))
-    if min_at is not None:
-        res.v_min = np.concatenate([p[5] for p in parts])
-    passed = np.concatenate([p[0] for p in parts])
-    for k, z in enumerate(levels):
-        hz = passed > k
-        res.hit[z] = hz
-        res.v_hit[z] = np.where(hz, 0.0, math.nan)
-        res.continuous[z] = hz
-        if want_times:
-            res.time[z] = times_or_nan[np.concatenate([p[1][k] for p in parts])]
+    _run_chunks(run, _chunk_ranges(n, _GRID_ROWS))
+    res.nonfinite = int(nonfinite.sum())
     return res
 
 
@@ -560,17 +563,7 @@ def _per_path_batch(
     levels = np.array(sorted(set(z_list)), dtype=float)
     n_levels = len(levels)
     want_half = not n_levels and min_at is None
-    hit = np.zeros((n_levels, n), dtype=bool)
-    continuous = np.zeros((n_levels, n), dtype=bool)
-    v_hit = np.full((n_levels, n), math.nan)
-    time = np.full((n_levels, n), math.nan)
-    res = _BatchResult(
-        {}, {}, {}, {},
-        np.empty(n),
-        np.empty(n) if want_half else None,
-        engine,
-        v_min=None if min_at is None else np.empty(n),
-    )
+    res = _BatchResult(engine, levels, n, want_times, want_half, min_at)
     nonfinite = np.zeros(n, dtype=bool)
 
     def reduce(i0, draws):
@@ -581,12 +574,8 @@ def _per_path_batch(
             res.z_half[rows] = chunk.z_at(0.5 * horizon)
         passed = 0
         if n_levels:
-            level, r, t_hit, value, cont, passed = chunk.first_crossings(levels, want_times)
-            r += i0
-            hit[level, r] = True
-            v_hit[level, r] = value
-            continuous[level, r] = cont
-            time[level, r] = t_hit
+            level, r, *crossings, passed = chunk.first_crossings(levels, want_times)
+            res.add(level, i0 + r, *crossings)
         if min_at is not None:
             res.v_min[rows] = chunk.lowest(min_at)
         nonfinite[rows] = ~chunk.finite & ((min_at is not None) | (passed < n_levels))
@@ -608,10 +597,6 @@ def _per_path_batch(
         reduce(i1 - len(draws), draws)
 
     _run_chunks(run, _chunk_ranges(n, _PATH_BLOCK))
-    for k, z in enumerate(levels.tolist()):
-        res.hit[z], res.v_hit[z], res.continuous[z] = hit[k], v_hit[k], continuous[k]
-        if want_times:
-            res.time[z] = time[k]
     res.nonfinite = int(nonfinite.sum())
     return res
 

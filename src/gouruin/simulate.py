@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -405,11 +405,15 @@ def _inf_past_overflow(Z):
 
 
 class _Chunk:
-    """The first-passage reducer of the per-path engines, on a chunk of
-    paths (one row per path).  A chunk's ``crossing_key`` has one column per
-    monitored state in time order, padded with +inf, and a row is ruined at
-    level z at its first column whose key is below -z; ``crossings`` gives
-    the time, the path value and the kind of those crossings."""
+    """The first-passage reducer of every engine, on a chunk of paths (one
+    row per path).  A chunk's ``crossing_key`` has one column per monitored
+    state in time order, padded with +inf; ``ruin`` maps keys to -Z, falling
+    as they rise, and a row is ruined at level z at its first column whose
+    key maps above z.  ``crossings`` gives the time, the path value and the
+    kind of those crossings."""
+
+    ruin = np.negative  # keys are Z unless a chunk says otherwise
+    values_by_column = True  # else crossing columns are needed only for times
 
     @cached_property
     def finite(self) -> np.ndarray:
@@ -417,28 +421,34 @@ class _Chunk:
         the running sums, so these rows are finite throughout."""
         return np.isfinite(self.z_T) & np.isfinite(self.xi_T)
 
-    def first_crossings(self, levels: np.ndarray, want_times: bool):
-        """Each row's first crossing of each level it crosses, as arrays
-        (level index, row, time, value at the crossing, continuous
-        crossing), and the number of levels each row crosses.  ``levels``
-        ascend.  A level is first crossed at a record (a new minimum) of the
-        key, so one pass over the rows that cross any level answers all of
-        them."""
+    def first_crossings(self, levels: np.ndarray, want_times: bool, before=0):
+        """Each row's first crossing of each level it crosses after the
+        ``before`` levels it crossed earlier, as arrays (level index, row,
+        time, value at the crossing, continuous crossing), and the levels
+        each row has crossed.  ``levels`` ascend.  A level is first crossed
+        at a record (a new minimum) of the key, so one pass over the rows
+        that cross a new level answers all of them."""
         key = self.crossing_key()
-        passed = np.searchsorted(levels, -key.min(axis=1))
-        rows = np.flatnonzero(passed)
+        passed = np.maximum(before, np.searchsorted(levels, self.ruin(key.min(axis=1))))
+        count = passed - before  # levels each row crosses first here
+        rows = np.flatnonzero(count)
         if not len(rows):
-            none = np.empty(0)
-            return rows, rows, none, none, none.astype(bool), passed
-        low = np.minimum.accumulate(key[rows], axis=1)
-        before = np.concatenate((np.full((len(rows), 1), np.inf), low[:, :-1]), axis=1)
-        i, c = np.nonzero(low < before)  # the records
-        crossed = np.searchsorted(levels, -low[i, c])  # levels crossed by each record
-        first = np.zeros(len(i), dtype=crossed.dtype)
-        first[1:] = np.where(i[1:] == i[:-1], crossed[:-1], 0)
-        count = crossed - first  # levels first crossed at each record
-        level = np.arange(count.sum()) - np.repeat(np.cumsum(count) - crossed, count)
-        r, c = np.repeat(rows[i], count), np.repeat(c, count)
+            return rows, rows, rows, rows, rows, passed  # no new crossing
+        c = None
+        if want_times or self.values_by_column:
+            low = key[rows]
+            np.minimum.accumulate(low, axis=1, out=low)
+            record = low < np.inf  # in the first column, where finite
+            record[:, 1:] = low[:, 1:] < low[:, :-1]
+            i, c = np.nonzero(record)
+            # levels crossed by each record, and by the one before it in its row
+            prior = (passed - count)[rows[i]]
+            crossed = np.maximum(prior, np.searchsorted(levels, self.ruin(low[i, c])))
+            prior[1:] = np.where(i[1:] == i[:-1], crossed[:-1], prior[1:])
+            c = c.repeat(crossed - prior)  # the column of each first crossing
+        n_new = count[rows]
+        r = rows.repeat(n_new)  # each row once per level it crosses first, ascending
+        level = np.arange(len(r)) - (np.cumsum(n_new) - passed[rows]).repeat(n_new)
         return (level, r, *self.crossings(levels[level], r, c, want_times), passed)
 
 
@@ -503,19 +513,24 @@ def _segment_z_increment(xi0: np.ndarray, dt: np.ndarray, bx: float, by: float):
         return np.multiply(disc, growth, out=disc)
 
 
+@lru_cache(maxsize=16)
+def _event_types(atoms) -> tuple:
+    """Total rate, probability of each atom, and the atoms' x and y, of a
+    tuple of atoms: the per-driver part of ``_fv_events``."""
+    rates, xs, ys = (np.array([getattr(a, f) for a in atoms]) for f in ("rate", "x", "y"))
+    for a in (rates, xs, ys):
+        a.setflags(write=False)  # shared by every caller
+    return rates.sum(), rates / rates.sum(), xs, ys
+
+
 def _fv_events(t: LevyTriplet2D, horizon: float, rng: np.random.Generator):
-    atoms = t.jumps.atoms_or_none()
-    rates = np.array([a.rate for a in atoms])
-    total = rates.sum()
+    total, p, xs, ys = _event_types(t.jumps.atoms_or_none())
     tau = _arrival_times(rng, total, horizon)
     n = len(tau)
-    if n and len(atoms) > 1:
-        kinds = rng.choice(len(atoms), size=n, p=rates / total)
-    else:
-        kinds = np.zeros(n, dtype=int)
-    jx = np.array([a.x for a in atoms])[kinds]
-    jy = np.array([a.y for a in atoms])[kinds]
-    return tau, jx, jy
+    if n and len(xs) > 1:
+        kinds = rng.choice(len(xs), size=n, p=p)
+        return tau, xs[kinds], ys[kinds]
+    return tau, xs[:1].repeat(n), ys[:1].repeat(n)  # one atom, or no arrival
 
 
 def is_exact_fv(t: LevyTriplet2D) -> bool:

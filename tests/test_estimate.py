@@ -319,6 +319,24 @@ STREAM_CASES = [
 ]
 
 
+def count_normals(monkeypatch) -> list:
+    """Wrap ``estimate.path_rng`` so that the normals each path draws are
+    counted in the returned list."""
+    drawn = []
+
+    class Counted:
+        def __init__(self, g):
+            self.g = g
+
+        def standard_normal(self, size=None, out=None):
+            drawn.append(np.size(out) if out is not None else int(np.prod(size or 1)))
+            return self.g.standard_normal(size, out=out)
+
+    rng = estimate.path_rng
+    monkeypatch.setattr(estimate, "path_rng", lambda *a: Counted(rng(*a)))
+    return drawn
+
+
 class TestStreamedGridKernel:
     LEVELS = [0.0, 0.25, 0.5, 1.0]
 
@@ -364,6 +382,32 @@ class TestStreamedGridKernel:
                 for key, want in reference.items():
                     assert _same(run(key), want), (rows, steps, key)
 
+    @pytest.mark.parametrize("engine,t", STREAM_CASES, ids=[c[0] for c in STREAM_CASES])
+    def test_one_batch_answers_every_level(self, engine, t):
+        # One running record decides the levels of a batch at once; each
+        # must read as its own single-level batch does, bit for bit.
+        def batch(z_list):
+            return _gaussian_grid_batch(t, z_list, 2.0, 0.01, 40, 9, 0, engine, True)
+
+        many = batch(self.LEVELS)
+        singles = {z: batch([z]) for z in self.LEVELS}
+        for z, one in singles.items():
+            assert np.array_equal(many.hit[z], one.hit[z])
+            assert np.array_equal(many.time[z], one.time[z], equal_nan=True)
+        # a path counts as non-finite until it passes the highest level
+        assert many.nonfinite == singles[max(self.LEVELS)].nonfinite
+        assert all(one.nonfinite <= many.nonfinite for one in singles.values())
+        counts = [int(many.hit[z].sum()) for z in self.LEVELS]
+        assert counts == sorted(counts, reverse=True) and counts[0] > counts[-1]
+
+    @pytest.mark.parametrize("engine,t", STREAM_CASES[:2], ids=[c[0] for c in STREAM_CASES[:2]])
+    def test_terminal_only_requests_draw_two_normals_per_path(self, engine, t, monkeypatch):
+        drawn = count_normals(monkeypatch)
+        n = 50
+        est = estimate_negative_prob(t, 20.0, n, seed=3, step=1e-3)
+        assert est.diagnostics["engine"] == engine
+        assert sum(drawn) == 2 * n
+
     def test_terminal_only_grid_values_are_the_streamed_ones(self):
         t = correlated_gaussian()
         with_levels = _gaussian_grid_batch(t, [0.5], 2.0, 0.01, 50, 4, 1, "grid")
@@ -380,18 +424,7 @@ class TestStreamedGridKernel:
         t = drift_xi_brownian_eta()
         assert _select_engine(t) == "grid_bridge"
         assert estimate.z_infinity_converges(t) is Verdict.YES
-        drawn = []
-
-        class Counted:
-            def __init__(self, g):
-                self.g = g
-
-            def standard_normal(self, size=None, out=None):
-                drawn.append(np.size(out) if out is not None else int(np.prod(size or 1)))
-                return self.g.standard_normal(size, out=out)
-
-        rng = estimate.path_rng
-        monkeypatch.setattr(estimate, "path_rng", lambda *a: Counted(rng(*a)))
+        drawn = count_normals(monkeypatch)
         n = 20
         est = estimate_ruin(t, 0.0, 20.0, n, seed=1, step=1e-3)
         assert est.point == 1.0
@@ -441,10 +474,13 @@ class TestNonfiniteValues:
         assert points == sorted(points)
         assert points[-1] == 1.0
 
-    def test_overflow_before_ruin_is_undetermined(self):
+    @pytest.mark.parametrize("want_times", [False, True])
+    def test_overflow_before_ruin_is_undetermined(self, want_times):
         # No path reaches -1e300 before exp(-xi) overflows near t = 709.
         t = overflowing("grid_bridge")
-        batch = _gaussian_grid_batch(t, [0.5, 1e300], 800.0, 0.05, 30, 3, 0, "grid_bridge")
+        batch = _gaussian_grid_batch(
+            t, [0.5, 1e300], 800.0, 0.05, 30, 3, 0, "grid_bridge", want_times
+        )
         assert batch.nonfinite == 30
         assert batch.hit[0.5].all()
         with pytest.raises(UndeterminedError, match="nonfinite_paths=30"):
@@ -452,14 +488,15 @@ class TestNonfiniteValues:
         with pytest.raises(UndeterminedError):
             ruin_records(t, 1e300, 800.0, 30, seed=3, step=0.05)
 
-    def test_grid_kernel_overflow_keeps_the_finite_prefix(self):
+    @pytest.mark.parametrize("want_times", [False, True])
+    def test_grid_kernel_overflow_keeps_the_finite_prefix(self, want_times):
         # With xi's small Brownian part the bridge variance stays finite, so
         # the path values overflow first (exp(-xi) near t = 709): each path
         # is judged on the part of the block before its first non-finite
         # value, and the high eta drift keeps every path above the level.
         t = triplet((-1.0, 10.0), ((0.01, 0.0), (0.0, 1.0)))
         assert _select_engine(t) == "grid"
-        batch = _gaussian_grid_batch(t, [0.5], 800.0, 0.05, 30, 3, 0, "grid")
+        batch = _gaussian_grid_batch(t, [0.5], 800.0, 0.05, 30, 3, 0, "grid", want_times)
         assert batch.nonfinite == 30
         assert not batch.hit[0.5].any()
         with pytest.raises(UndeterminedError, match="nonfinite_paths=30 of 30"):
