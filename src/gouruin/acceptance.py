@@ -27,6 +27,7 @@ from .classify import (
     is_subordinator_s,
     no_ruin_threshold,
 )
+from .errors import InvalidModelError
 from .estimate import estimate_negative_prob, estimate_ruin
 from .model import FiniteAtomSet, JumpAtom, LevyTriplet2D, s_process
 from .numerics import NEG_INF
@@ -339,6 +340,8 @@ SUITES = {
 
 
 def run_suite(suite: str = "all", seed: int = DEFAULT_SEED) -> list[CriterionResult]:
+    if seed < 0:
+        raise InvalidModelError(f"seed must be a non-negative integer, got {seed}")
     return [_CRITERIA[k](seed) for k in SUITES[suite]]
 
 

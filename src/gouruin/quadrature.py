@@ -2,10 +2,10 @@
 
 Every region integral the package needs decomposes into x-strips, i.e. sets
 of the form ``{x0 <= x <= x1, ylo(x) <= y <= yhi(x)}``; those are integrated
-with ``scipy.integrate.dblquad`` using exact inner bounds.  ``ylo`` is the
-largest of a strip's lower edges and ``yhi`` the smallest of its upper
-edges, and an edge is one of three curves, each with its crossings of a
-horizontal line y = v in closed form:
+with ``scipy.integrate.nquad`` (the call ``dblquad`` makes) using exact
+inner bounds.  ``ylo`` is the largest of a strip's lower edges and ``yhi``
+the smallest of its upper edges, and an edge is one of three curves, each
+with its crossings of a horizontal line y = v in closed form:
 
 * a constant ``y = c`` (no crossing),
 * an S(u) band edge ``y = u (e^-x - 1) + c``, monotone in x, crossing at
@@ -210,13 +210,19 @@ def integrate_strips(density, strips: Sequence[Strip], integrand, tol: float) ->
     total = 0.0
     total_err = 0.0
     n = max(1, len(pieces))
-    dblquad = _scipy_integrate().dblquad
+    nquad = _scipy_integrate().nquad
+    opts = {"epsabs": tol / n, "epsrel": 1e-9}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for s in pieces:
-            val, err = dblquad(
-                lambda y, x: integrand(x, y) * density(x, y), s.x0, s.x1, s.ylo,
-                lambda x, _s=s: max(_s.ylo(x), _s.yhi(x)), epsabs=tol / n, epsrel=1e-9,
+
+            def y_range(x, _s=s):  # what dblquad passes nquad, with one ylo call
+                lo = _s.ylo(x)
+                return [lo, max(lo, _s.yhi(x))]
+
+            val, err = nquad(
+                lambda y, x: integrand(x, y) * density(x, y), [y_range, [s.x0, s.x1]],
+                opts=opts,
             )
             total += val
             total_err += err

@@ -505,7 +505,7 @@ class TestDensityTierClassification:
         def unresolved(*args, **kwargs):
             return 0.0, 0.25  # (value, error estimate) far above any tolerance
 
-        monkeypatch.setattr(integrate, "dblquad", unresolved)
+        monkeypatch.setattr(integrate, "nquad", unresolved)
         monkeypatch.setattr(integrate, "quad", unresolved)
         cert = is_subordinator_s(t, u0)
         assert cert.verdict is Verdict.UNDETERMINED
@@ -528,7 +528,7 @@ class TestDensityTierClassification:
         from gouruin.errors import UndeterminedError
 
         t = self._box_triplet((0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)), (1.1, 1.8, 0.5, 1.2))
-        calls = {"thetas": 0, "quad": 0, "dblquad": 0}
+        calls = {"thetas": 0, "quad": 0, "nquad": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -538,11 +538,11 @@ class TestDensityTierClassification:
             return wrapper
 
         monkeypatch.setattr(classify, "thetas", counted("thetas", classify.thetas))
-        for name in ("quad", "dblquad"):
+        for name in ("quad", "nquad"):
             monkeypatch.setattr(integrate, name, counted(name, getattr(integrate, name)))
         with pytest.raises(UndeterminedError, match="continuum of levels"):
             feasible_u_set(t)
         r = no_ruin_threshold(t)
         assert r.decision.kind is DecisionKind.UNDETERMINED
         assert r.warnings == ("drift feasibility over a continuum of levels needs the atom tier",)
-        assert calls == {"thetas": 0, "quad": 0, "dblquad": 0}
+        assert calls == {"thetas": 0, "quad": 0, "nquad": 0}

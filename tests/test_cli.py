@@ -154,6 +154,15 @@ class TestLazyQuadratureImport:
         )
         assert self.run_script(script) == "loaded False False True"
 
+    def test_import_loads_neither_numpy_random_nor_scipy_integrate(self):
+        script = (
+            "import sys\n"
+            "import gouruin\n"
+            "loaded = [m for m in ('numpy.random', 'scipy.integrate') if m in sys.modules]\n"
+            "print('loaded', *loaded, file=sys.stderr)\n"
+        )
+        assert self.run_script(script) == "loaded"
+
     def test_single_thread_estimate_loads_neither_scipy_nor_threads(self):
         script = (
             "import sys\n"
@@ -449,6 +458,31 @@ class TestEstimate:
         assert err.startswith("input error: ") and field in err
 
 
+class TestNegativeSeed:
+    """A negative seed is an input error, not a traceback."""
+
+    def test_estimate(self, capsys):
+        code, out, err = run_cli(
+            capsys, "estimate", "--preset", "jump_example", "--what", "ruin",
+            "--paths", "10", "--seed", "-1",
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == "input error: seed must be a non-negative integer, got -1\n"
+
+    def test_simulate(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "continuous_example", "--horizon", "1",
+            "--seed", "-3", "--out", str(tmp_path / "paths"),
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == "input error: seed must be a non-negative integer, got -3\n"
+
+    def test_validate(self, capsys):
+        code, out, err = run_cli(capsys, "validate", "--suite", "exact", "--seed", "-1")
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == "input error: seed must be a non-negative integer, got -1\n"
+
+
 class TestValidate:
     def test_exact_suite_passes_and_is_deterministic(self, capsys):
         code1, out1, err1 = run_cli(capsys, "validate", "--suite", "exact", "--seed", "1")
@@ -482,7 +516,7 @@ class TestUndeterminedExit:
 
         from gouruin import classify
 
-        calls = {"thetas": 0, "quad": 0, "dblquad": 0}
+        calls = {"thetas": 0, "quad": 0, "nquad": 0}
         loaded = []
         load = cli.triplet_from_spec
 
@@ -500,7 +534,7 @@ class TestUndeterminedExit:
 
         monkeypatch.setattr(cli, "triplet_from_spec", load_then_count)
         monkeypatch.setattr(classify, "thetas", counted("thetas", classify.thetas))
-        for name in ("quad", "dblquad"):
+        for name in ("quad", "nquad"):
             monkeypatch.setattr(integrate, name, counted(name, getattr(integrate, name)))
         spec = {
             "gamma_tilde": [0.0, 0.0],
@@ -520,7 +554,7 @@ class TestUndeterminedExit:
         doc = json.loads(out)
         jsonschema.validate(doc, load_schema("ruin_report.schema.json"))
         assert doc["decision"]["kind"] == "undetermined"
-        assert loaded and calls == {"thetas": 0, "quad": 0, "dblquad": 0}
+        assert loaded and calls == {"thetas": 0, "quad": 0, "nquad": 0}
 
     @pytest.mark.parametrize("levels", [(), (0.5, 1.5)])
     def test_density_continuum_reports_its_reason(self, capsys, tmp_path, levels):
@@ -608,7 +642,7 @@ class TestUndeterminedExit:
         def unresolved(*args, **kwargs):
             return 0.0, 0.25  # (value, error estimate) far above any tolerance
 
-        monkeypatch.setattr(integrate, "dblquad", unresolved)
+        monkeypatch.setattr(integrate, "nquad", unresolved)
         monkeypatch.setattr(integrate, "quad", unresolved)
         f = tmp_path / "dens.json"
         f.write_text(json.dumps(DENSITY_SPEC))
@@ -628,7 +662,7 @@ class TestUndeterminedExit:
         def unresolved(*args, **kwargs):
             return 0.0, 0.25  # (value, error estimate) far above any tolerance
 
-        monkeypatch.setattr(integrate, "dblquad", unresolved)
+        monkeypatch.setattr(integrate, "nquad", unresolved)
         monkeypatch.setattr(integrate, "quad", unresolved)
         spec = {
             "gamma_tilde": [0.3, 0.1],
