@@ -22,6 +22,7 @@ from . import acceptance
 from .classify import DecisionKind, no_ruin_threshold, undetermined_report
 from .errors import GouError, InvalidModelError, NotApplicableError, UndeterminedError
 from .estimate import (
+    _check_inputs,
     _ruin_estimate,
     estimate_negative_prob,
     estimate_Zinf_cdf,
@@ -96,11 +97,12 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _load_spec(args)
     t, meta = triplet_from_spec(spec)
-    out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _check_inputs(args.horizon, args.paths, args.step, [args.z], args.seed)
     cfg = PathConfig(args.horizon, args.step, args.seed, args.truncation_eps)
     exact = is_exact_fv(t)
     table = None if exact else _density_jump_table(t, cfg)  # shared by every path
+    out = FsPath(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     files = []
     for i in range(args.paths):
         p = (

@@ -20,24 +20,27 @@ Engine selection per driver, under the names the reports print:
   ruin estimate errs on the survival side (the documented bias direction).
 * ``mixed_grid``: every other driver; per-path jump-adapted Euler.
 
-One first-passage reducer, ``_Chunk.first_crossings``, serves all five
-engines, and the estimators, the formula checks, the per-path records and
-the empirical lower bound all read the same batch of paths.
-
-The Gaussian grid engines stream: a chunk of paths walks the grid in fixed
-time blocks with per-path running state, so memory does not grow with the
-horizon, and stops once every path is ruined at every level.  Requests for
-terminal values only (``estimate_negative_prob``, ``estimate_Zinf_cdf``)
-draw two normals per path on ``grid_bridge`` and ``expmart``, where the
-mid-horizon and terminal grid values are jointly Gaussian (in xi): the same
-law as the grid, from different draws.
+One batch loop, ``_batch_from_chunks``, serves all five engines: an engine
+only yields chunks of paths (``_Chunk``), and the loop reduces each one with
+the one first-passage reducer, ``_Chunk.first_crossings``, under one memory
+budget (``_CHUNK_ELEMS`` values per chunk array and path component) and one
+non-finite rule.  The estimators, the formula checks, the per-path records
+and the empirical lower bound all read the same batch of paths.  The
+per-path engines yield chunks of whole paths; the Gaussian grid engines
+yield the time blocks of their live paths, carrying per-path running state
+from block to block, so memory does not grow with the horizon, and stop a
+path once it is ruined at every level.  Requests for terminal values only
+(``estimate_negative_prob``, ``estimate_Zinf_cdf``) draw two normals per
+path on ``grid_bridge`` and ``expmart``, where the mid-horizon and terminal
+grid values are jointly Gaussian (in xi): the same law as the grid, from
+different draws.
 
 No estimate is computed from an overflowed value, on any engine: a path
 decides its levels from its finite prefix, and a path whose Z or xi turns
-non-finite before it is ruined at every requested level (before the horizon,
-for the lower bound), or whose terminal value is non-finite, is counted as a
-non-finite path and makes the estimator raise ``UndeterminedError``; it
-never counts as survival.
+non-finite (at any instant of a chunk) before it is ruined at every
+requested level (before the horizon, for the lower bound), or whose terminal
+value is non-finite, is counted as a non-finite path and makes the estimator
+raise ``UndeterminedError``; it never counts as survival.
 
 Ruin is an infinite-horizon quantity; estimates are over a finite horizon
 and therefore estimate it from below.  When the discounted integral is known
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,6 +68,7 @@ from .simulate import (
     _EulerChunk,
     _fv_events,
     _fv_state_arrays,
+    _inf_past_overflow,
     _pair_jumps,
     _require_fv,
     _uniform_grid,
@@ -79,17 +83,14 @@ _Z975 = 1.959963984540054
 #: count.
 _PATH_BLOCK = 64
 
-#: Float64 elements of the widest array of a per-path engine's chunk: a
-#: block is cut into chunks of as many paths as fit, and a path wider than
-#: this makes a chunk alone, so chunk memory does not grow with the horizon.
-#: 64 KB per array stays well under glibc's 128 KB mmap threshold, near
-#: which every temporary of a chunk page-faults.
+#: Float64 elements of the widest array of a chunk, on every engine: a
+#: per-path block is cut into chunks of as many paths as fit, and a path
+#: wider than this makes a chunk alone; the Gaussian grid kernel cuts its
+#: paths into time blocks of at most this many grid values.  So chunk
+#: memory does not grow with the horizon.  64 KB per array stays under
+#: glibc's 128 KB mmap threshold, near which every temporary of a chunk
+#: page-faults.
 _CHUNK_ELEMS = 8_192
-
-#: Paths per chunk of the Gaussian grid kernel, and grid steps per time
-#: block of its streamed pass: a chunk holds a few rows x block arrays.
-_GRID_ROWS = 256
-_GRID_STEPS = 1024
 
 #: Largest bridge exponent a hash uniform can produce (u >= 2^-53).
 _Q_MAX = 0.5 * 53.0 * math.log(2.0)
@@ -131,14 +132,7 @@ class EstimateWithCI:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "point": self.point,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_paths": self.n_paths,
-            "n_events": self.n_events,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 class EmpiricalCDF:
@@ -178,17 +172,17 @@ class _BatchResult:
     levels; ``time`` is filled only when the caller asks for times,
     ``v_min`` (each path's minimum of V = e^xi (z + Z) over its monitored
     instants) only when it asks for the minimum at a level ``min_at``, and
-    ``nonfinite`` counts paths that turned non-finite before they were
-    decided.
+    ``z_half`` (Z at mid-horizon: the first monitored instant from half the
+    horizon on, or on the grid engines grid instant ``n_steps // 2``) only
+    for requests with no levels and no ``min_at``.  ``passed`` counts
+    the levels each path has passed (they nest), and ``lost`` marks the
+    paths that turned non-finite before they were decided; ``nonfinite``
+    counts them.
 
-    ``z_T`` holds Z at the horizon of every path that is not ruined at every
-    level; the Gaussian grid engines give NaN for the others, and for a
-    path counted in ``nonfinite``, since such a path may stop drawing.
-    ``z_half`` holds Z at half the horizon where it comes at no extra cost:
-    on the Gaussian grid engines alongside ``z_T``, and on the per-path
-    engines for requests with no levels and no ``min_at``.  A batch starts
-    with no level hit; every engine fills it in through ``add`` and by path
-    rows of ``z_T``, ``z_half`` and ``v_min``."""
+    ``z_T`` holds Z at the horizon of every path the engine carries there.
+    The Gaussian grid engines stop a path once it is ruined at every level
+    or lost, unless the minimum is wanted, so such a path may keep NaN.
+    ``_batch_from_chunks`` alone fills a batch in."""
 
     def __init__(self, engine, levels, n, want_times, want_half, min_at):
         shape = (len(levels), n)
@@ -200,7 +194,13 @@ class _BatchResult:
         self.z_T = np.full(n, math.nan)
         self.z_half = np.full(n, math.nan) if want_half else None
         self.v_min = None if min_at is None else np.full(n, math.inf)
-        self.engine, self.nonfinite = engine, 0
+        self.passed = np.zeros(n, dtype=np.intp)
+        self.lost = np.zeros(n, dtype=bool)
+        self.engine = engine
+
+    @property
+    def nonfinite(self) -> int:
+        return int(self.lost.sum())
 
     def add(self, level, path, *crossing) -> None:
         """Enter first crossings as ``_Chunk.first_crossings`` gives them:
@@ -272,21 +272,81 @@ def _run_chunks(fn, ranges):
         return list(pool.map(fn, ranges))
 
 
+def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, min_at, half):
+    """The batch of any engine, assembled from its chunks.  ``chunks(i0, i1,
+    res)`` yields (path ids, ``_Chunk``) pairs for the paths i0..i1-1, in
+    ranges of ``rows`` paths; a path comes back in later chunks for its later
+    instants, and the producer may read ``res`` to drop decided paths.  Each
+    chunk is reduced at once: its terminal values (``z_T``, and ``z_at(half)``
+    where the chunk holds it), its minimum of V, and its first crossings of
+    every level after those its paths passed before.  A path is lost when a
+    chunk finds it not finite (``chunk.finite``) while a level is not passed
+    or ``min_at`` is set: it never counts as surviving."""
+    n_levels = len(levels)
+    want_half = not n_levels and min_at is None
+    res = _BatchResult(engine, levels, n, want_times, want_half, min_at)
+
+    def run(rng_range):
+        # ``chunk`` keeps the last chunk until the next one is built, so the
+        # allocator reuses its memory; freed at once, the chunk's arrays
+        # would go back to the system and fault in again for the next one.
+        # Overflow, in the chunks and here, is caught by the rule on ``lost``.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ids, chunk in chunks(*rng_range, res):
+                if chunk.z_T is not None:
+                    res.z_T[ids] = chunk.z_T
+                if want_half and (z_half := chunk.z_at(half)) is not None:
+                    res.z_half[ids] = z_half
+                if min_at is not None:
+                    res.v_min[ids] = np.minimum(res.v_min[ids], chunk.lowest(min_at))
+                level, r, *crossings, passed = chunk.first_crossings(
+                    levels, want_times, res.passed[ids])
+                res.add(level, ids[r], *crossings)
+                res.passed[ids] = passed
+                res.lost[ids] |= ~chunk.finite & ((min_at is not None) | (passed < n_levels))
+
+    _run_chunks(run, _chunk_ranges(n, rows))
+    return res
+
+
 class _GridChunk(_Chunk):
-    """Rows of a time block of the Gaussian grid kernel: their keys at the
-    block's grid instants ``times``, which ``ruin`` maps to -Z.  Every
+    """The rows of a time block of the Gaussian grid kernel: ``P`` at the
+    block's grid instants ``times`` (Z, or on expmart xi signed so that ruin
+    lies below), which ``ruin`` maps to -Z, and xi there when the minimum of
+    V is wanted.  Its keys are P cut to its finite prefix, which the kernel
+    may lower at the end of examined cells to their bridge extremes; a row is
+    ``finite`` when P, and Z and xi where it carries xi, are finite
+    throughout.  P is a running sum, so a row whose last value is finite is
+    finite throughout; Z = u0 (e^-xi - 1) on expmart is not, and may come
+    back.  ``z_T`` is set on the block that ends at the horizon.  Every
     crossing is continuous, with value 0, at the instant that ends it."""
 
     values_by_column = False
 
-    def __init__(self, key, times, ruin):
-        self.key, self.times, self.ruin = key, times, ruin
+    def __init__(self, P, xi, times, ruin, last):
+        self.P, self.xi, self.times, self.ruin = P, xi, times, ruin
+        self.z_T = -ruin(P[:, -1]) if last else None
+        self.finite = np.isfinite(P[:, -1])
+        if xi is not None:
+            self.Z = -ruin(P)
+            self.finite &= np.isfinite(self.Z).all(axis=1) & np.isfinite(xi).all(axis=-1)
+        self.key = P if self.finite.all() else _inf_past_overflow(P)
 
     def crossing_key(self):
         return self.key
 
     def crossings(self, z, r, c, want_times):
         return self.times[c] if want_times else math.nan, 0.0, True
+
+    def z_at(self, time):
+        """Z at the grid instant ``time``, or None if the block does not
+        hold it."""
+        c = np.flatnonzero(self.times == time)
+        return -self.ruin(self.P[:, c[0]]) if len(c) else None
+
+    def lowest(self, z):
+        """Each row's smallest V over the block's grid instants."""
+        return (np.exp(self.xi) * (z + self.Z)).min(axis=1)
 
 
 def _gaussian_grid_batch(
@@ -301,32 +361,28 @@ def _gaussian_grid_batch(
     want_times: bool = False,
     min_at: float | None = None,
 ) -> _BatchResult:
-    """No-jump drivers (``expmart``, ``grid_bridge``, ``grid``): one streamed
-    pass per chunk of ``_GRID_ROWS`` paths over time blocks of
-    ``_GRID_STEPS`` grid steps, so memory is O(rows x block) whatever the
-    horizon.
+    """No-jump drivers (``expmart``, ``grid_bridge``, ``grid``): each range of
+    paths walks the grid in time blocks of at most ``_CHUNK_ELEMS`` values,
+    so memory does not grow with the horizon.  Each time block of its live
+    paths is a ``_GridChunk``, yielded when it holds something the batch
+    reads: a row within reach of a level it has not passed, a non-finite
+    row, the minimum of V, mid-horizon or the horizon.
 
     Each path keeps its own generator across blocks, and the running sums
     carry from block to block, so the grid values are those of one
-    sequential cumulative sum.  The rows of a block near a level they have
-    not passed make a ``_GridChunk``, whose running record decides every
-    level: a path is ruined at a level at the first grid instant past it or
-    at the right end of an earlier cell whose exact Brownian-bridge extreme
-    (deterministic xi, or the closed-form regime in xi space; solved from
-    the cell's hash uniform) passes it.  Bridge cells are examined only
-    where their end values come within ``sqrt(q_max * var)``, the farthest
-    an extreme reaches, of the first level the block's grid values leave
-    unpassed, or with times, of the first level unpassed at the block's
-    start until the grid values pass every level.  Levels nest, so common
-    random numbers and monotonicity in the level are structural.  A path
-    ruined at every level stops drawing unless the minimum is wanted, and
-    its terminal values are NaN.  The minimum of V at ``min_at`` is taken
-    over the grid instants, with xi = gamma_xi t on ``grid_bridge``.
-
-    A path's levels come from its finite prefix only: a path whose values
-    turn non-finite before it passes every level (before the horizon, when
-    the minimum is wanted) is counted in ``nonfinite`` and never counts as
-    surviving the levels it missed.
+    sequential cumulative sum.  A path is ruined at a level at the first
+    grid instant past it or at the right end of an earlier cell whose exact
+    Brownian-bridge extreme (deterministic xi, or the closed-form regime in
+    xi space; solved from the cell's hash uniform) passes it.  Bridge cells
+    are examined only on rows whose block comes within ``sqrt(q_max *
+    var)``, the farthest an extreme reaches, of a level they have not
+    passed, and there only where their end values come that near the first
+    level the block's grid values leave unpassed, or with times, of the
+    first level unpassed at the block's start until the grid values pass
+    every level.  Levels nest, so common random numbers and monotonicity in
+    the level are structural.  A path ruined at every level, or lost, stops
+    drawing unless the minimum is wanted.  The minimum of V at ``min_at`` is
+    taken over the grid instants, with xi = gamma_xi t on ``grid_bridge``.
 
     Terminal-only requests (no levels) on ``grid_bridge`` and ``expmart``
     draw two normals per path: the grid values at ``half_idx`` and at the
@@ -349,7 +405,8 @@ def _gaussian_grid_batch(
     # overflow here is caught by the finite-prefix rule
     with np.errstate(over="ignore", invalid="ignore"):
         if engine == "grid_bridge":
-            disc = np.exp(-(gx * times[:-1]))
+            xi_det = gx * times
+            disc = np.exp(-xi_det[:-1])
             w_vec = disc * math.sqrt(max(0.0, s22)) * math.sqrt(h)
             det_prefix = np.concatenate([[0.0], np.cumsum(disc * gy * h)])
             var = w_vec * w_vec
@@ -375,32 +432,36 @@ def _gaussian_grid_batch(
         ])
 
         def fire(x):
-            with np.errstate(over="ignore"):
-                return u0 * -np.expm1(-o * x)
+            return u0 * -np.expm1(-o * x)
+
+    path_level = np.append(path_level, -math.inf)  # past the last level: no key passes it
 
     if not n_levels and min_at is None and engine != "grid":
         # two normals per path: the Gaussian sums at half_idx and at the
         # horizon (in xi on expmart); overflow leaves non-finite values,
         # which the estimators refuse
-        res = _BatchResult(engine, levels, n, False, True, None)
-        with np.errstate(over="ignore", invalid="ignore"):
+        half_end = [half_idx, -1]
+        with np.errstate(over="ignore"):
             if engine == "grid_bridge":
-                head, full = _endpoint_sums(
-                    n, seed, stream, var[:half_idx].sum(), var[half_idx:].sum()
-                )
-                res.z_half, res.z_T = det_prefix[half_idx] + head, det_prefix[-1] + full
+                sd = np.sqrt([var[:half_idx].sum(), var[half_idx:].sum()])
+                base = det_prefix[half_end]
             else:
-                head, full = _endpoint_sums(
-                    n, seed, stream, s11 * h * half_idx, s11 * h * (n_steps - half_idx)
-                )
-                res.z_half = -fire(o * (gx * times[half_idx] + head))
-                res.z_T = -fire(o * (gx * times[-1] + full))
-        return res
+                sd = np.sqrt([s11 * h * half_idx, s11 * h * (n_steps - half_idx)])
+                base = gx * times[half_end]
+
+        def endpoints(i0, i1, res):
+            g = np.array([path_rng(seed, i, stream).standard_normal(2) for i in range(i0, i1)])
+            P = base + np.cumsum(g * sd, axis=1)
+            chunk = _GridChunk(P if u0 is None else o * P, None, times[half_end], fire, True)
+            yield np.arange(i0, i1), chunk
+
+        return _batch_from_chunks(engine, levels, n, _CHUNK_ELEMS // 2, endpoints, False,
+                                  None, times[half_idx])
 
     def advance(gens, s, e, carry):
         """Keys at grid instants s..e of the rows whose generators are
-        ``gens``, and xi there (None on expmart, where it is o times the
-        key); ``carry`` holds their running sums at instant s."""
+        ``gens``, and xi there; ``carry`` holds their running sums at
+        instant s."""
         w = e - s
         rows = len(gens)
         if engine == "grid_bridge":
@@ -410,8 +471,9 @@ def _gaussian_grid_batch(
                 g.standard_normal(out=S[j, 1:])
             np.multiply(S[:, 1:], w_vec[s:e], out=S[:, 1:])
             np.cumsum(S, axis=1, out=S)
-            carry[0] = S[:, -1].copy()
-            return S + det_prefix[s:e + 1], gx * times[s:e + 1]
+            carry[0] = S[:, -1]
+            S += det_prefix[s:e + 1]
+            return S, xi_det[s:e + 1]
         normals = np.empty((rows, w, 2))
         for j, g in enumerate(gens):
             g.standard_normal(out=normals[j])
@@ -419,186 +481,108 @@ def _gaussian_grid_batch(
         X[:, 0] = carry[0]
         np.multiply(normals[:, :, 0], sigma_xi * sqh, out=X[:, 1:])
         np.cumsum(X, axis=1, out=X)
-        carry[0] = X[:, -1].copy()
+        carry[0] = X[:, -1]
         X += gx * times[s:e + 1]  # xi
         if u0 is not None:
-            return np.multiply(X, o, out=X), None
+            return o * X, X
         eta_inc = gy * h + (l21 * normals[:, :, 0] + l22 * normals[:, :, 1]) * sqh
         Z = np.empty((rows, w + 1))
         Z[:, 0] = carry[1]
         np.multiply(np.exp(-X[:, :-1]), eta_inc, out=Z[:, 1:])
         np.cumsum(Z, axis=1, out=Z)
-        carry[1] = Z[:, -1].copy()
+        carry[1] = Z[:, -1]
         return Z, X
 
-    def bridges(key, old, cut, ids, s, e):
-        """Lower ``key`` (block s..e of paths ``ids``, past ``old`` levels) at
-        the right end of each examined cell to its bridge extreme; return the
-        rows of hit-examined cells whose extreme overflowed."""
-        w = e - s
-        grid = np.maximum(old, np.searchsorted(levels, fire(key.min(axis=1))))
-        # examined cells come near level ``first`` and end before column ``end``:
-        # in the finite prefix and, with times, before the grid passes every level
+    def lower(chunk, ids, old, near, s, e):
+        """Lower the keys of ``chunk`` (block s..e of paths ``ids``, past
+        ``old`` levels) on rows ``near`` at the right end of each examined
+        cell to its bridge extreme; a row whose examined extreme is not
+        finite is not finite."""
+        key = chunk.key
+        k, old = key[near], old[near]
+        grid = np.maximum(old, np.searchsorted(levels, fire(k.min(axis=1))))
         first = old if want_times else grid
-        end = np.where(first < n_levels, cut, 0)
-        if want_times:
+        cand = np.minimum(k[:, :-1], k[:, 1:]) < path_level[first][:, None] + prec[s:e]
+        if want_times:  # examined cells end before the grid passes every level
             x = np.flatnonzero(grid == n_levels)
-            end[x] = np.minimum(end[x], np.argmax(fire(key[x]) > levels[-1], axis=1))
-        thr = path_level.take(first, mode="clip")[:, None] + prec[s:e]
-        cand = np.minimum(key[:, :-1], key[:, 1:]) < thr
-        cand &= np.arange(1, w + 1) < end[:, None]
+            end = np.argmax(fire(k[x]) > levels[-1], axis=1)
+            cand[x] &= np.arange(1, e - s + 1) < end[:, None]
         r, c = np.nonzero(cand)
-        left, right = key[r, c], key[r, c + 1]
-        u = _hash_uniforms(seed, stream, 0, ids[r] * (n_steps + 1) + s + c)
+        left, right = k[r, c], k[r, c + 1]
+        u = _hash_uniforms(seed, stream, 0, ids[near[r]] * (n_steps + 1) + s + c)
         q = -0.5 * np.log(np.maximum(u, 2.0 ** -53))
         half = 0.5 * (left - right)
         mid = 0.5 * (left + right)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ext = mid - np.sqrt(half * half + q * var[s + c])
+        ext = mid - np.sqrt(half * half + q * var[s + c])
         ok = np.isfinite(ext)
-        key[r[ok], c[ok] + 1] = np.minimum(right[ok], ext[ok])
-        b = np.flatnonzero(~ok)
-        lo, g = np.minimum(left[b], right[b]), grid[r[b]]
-        return r[b[(g < n_levels) & (lo < path_level.take(g, mode="clip") + prec[s + c[b]])]]
+        k[r[ok], c[ok] + 1] = np.minimum(right[ok], ext[ok])
+        if key is chunk.P:  # the values stay as they are
+            chunk.key = key = key.copy()
+        key[near] = k
+        chunk.finite[near[r[~ok]]] = False
 
-    res = _BatchResult(engine, levels, n, want_times, True, min_at)
-    nonfinite = np.zeros(n, dtype=bool)
+    # a time block holds at most _CHUNK_ELEMS grid values: whole paths, as
+    # many as fit, or 16 paths over fewer steps, so that a path ruined early
+    # soon stops drawing
+    rows = max(16, _CHUNK_ELEMS // (n_steps + 1))
+    starts = np.arange(0, n_steps, max(1, _CHUNK_ELEMS // rows - 1))
+    ends = np.append(starts[1:], n_steps)
+    # the farthest a bridge extreme reaches past its cell's ends, per block
+    reach = np.zeros(len(starts)) if prec is None else np.maximum.reduceat(prec, starts)
 
-    def run(rng_range):
-        i0, i1 = rng_range
-        m = i1 - i0
+    def blocks(i0, i1, res):
         gens = [path_rng(seed, i, stream) for i in range(i0, i1)]
-        passed = np.zeros(m, dtype=np.intp)  # levels passed (they nest)
-        lost = np.zeros(m, dtype=bool)  # non-finite before passing every level
-        overflow = np.zeros(m, dtype=bool)  # non-finite before the horizon
-        zT, zH = res.z_T[i0:i1], res.z_half[i0:i1]
-        low = None if min_at is None else res.v_min[i0:i1]  # the minimum of V at min_at
-        live = np.arange(m)
-        carry = [np.zeros(m), np.zeros(m)]
-
-        def cross(key, rows, s, e):
-            """Levels passed inside block s..e by the chunk rows ``rows``,
-            whose keys there are ``key``, a copy that is cut to its finite
-            prefix (+inf past it) and lowered by the bridge cells in place."""
-            w = e - s
-            old = passed[rows]
-            fin = np.isfinite(key)
-            cut = np.full(len(rows), w + 1)
-            for i in np.flatnonzero(~fin.all(axis=1)):  # keep the finite prefix
-                cut[i] = fin[i].argmin()
-                key[i, cut[i]:] = np.inf
-            bad = [] if prec is None else bridges(key, old, cut, i0 + rows, s, e)
-            chunk = _GridChunk(key, times[s:e + 1], fire)
-            level, r, *crossings, new = chunk.first_crossings(levels, want_times, old)
-            res.add(level, i0 + rows[r], *crossings)
-            passed[rows] = new
-            lost[rows] |= (cut <= w) & (new < n_levels)
-            lost[rows[bad]] |= new[bad] < n_levels
-
-        for s in range(0, n_steps, _GRID_STEPS):
-            e = min(n_steps, s + _GRID_STEPS)
-            with np.errstate(over="ignore", invalid="ignore"):  # the finite-prefix rule
-                P, xi = advance([gens[j] for j in live], s, e, carry)
-            for idx, out in ((half_idx, zH), (n_steps, zT)):
-                if s <= idx <= e:
-                    out[live] = -fire(P[:, idx - s])
-            if min_at is not None:
-                Z, xi = (P, xi) if u0 is None else (-fire(P), o * P)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    low[live] = np.minimum(low[live], (np.exp(xi) * (min_at + Z)).min(axis=1))
-                overflow[live] |= ~(np.isfinite(Z) & np.isfinite(xi)).all(axis=1)
-            if not n_levels:
-                continue
-            undecided = (passed[live] < n_levels) & ~lost[live]
-            margin = 0.0 if prec is None else prec[s:e].max()
-            top = P.min(axis=1)
-            with np.errstate(invalid="ignore"):
-                near = top < path_level.take(passed[live], mode="clip") + margin
-            near |= ~np.isfinite(top) | ~np.isfinite(P[:, -1])
-            near &= undecided
-            if near.any():
-                cross(P[near], live[near], s, e)
-                undecided = (passed[live] < n_levels) & ~lost[live]
-            if min_at is None and not undecided.all():
-                live = live[undecided]
-                carry = [c[undecided] for c in carry]
+        live = np.arange(i0, i1)
+        carry = np.zeros((2, len(live)))
+        below = path_level[res.passed[live]]  # each row's first unpassed level, as a key
+        for s, e, r in zip(starts.tolist(), ends.tolist(), reach.tolist()):
+            P, xi = advance(gens, s, e, carry)
+            chunk = _GridChunk(P, None if min_at is None else xi, times[s:e + 1], fire,
+                               e == n_steps)
+            # rows whose values come within reach of a level they have not passed
+            near = (chunk.key.min(axis=1) < below + r).nonzero()[0]
+            if len(near) and prec is not None:
+                lower(chunk, live, res.passed[live], near, s, e)
+            if (not len(near) and min_at is None and e < n_steps
+                    and (n_levels or not s <= half_idx <= e) and chunk.finite.all()):
+                continue  # the block holds nothing the batch reads
+            yield live, chunk
+            if min_at is None and n_levels:  # decided paths stop drawing
+                keep = (res.passed[live] < n_levels) & ~res.lost[live]
+                live, carry = live[keep], carry[:, keep]
+                gens = [g for g, k in zip(gens, keep) if k]
                 if not len(live):
-                    break
-        if n_levels and min_at is None:  # decided paths may have stopped drawing
-            done = (passed == n_levels) | lost
-            zT[done] = zH[done] = math.nan
-        nonfinite[i0:i1] = lost | overflow
+                    return
+            below = path_level[res.passed[live]]
 
-    _run_chunks(run, _chunk_ranges(n, _GRID_ROWS))
-    res.nonfinite = int(nonfinite.sum())
-    return res
-
-
-def _endpoint_sums(n, seed, stream, var_head, var_tail):
-    """Two Gaussian sums per path from its first two normals: one of
-    variance ``var_head`` and that sum plus an independent one of variance
-    ``var_tail``."""
-    g = np.empty((n, 2))
-
-    def draw(rng_range):
-        for i in range(*rng_range):
-            g[i] = path_rng(seed, i, stream).standard_normal(2)
-
-    _run_chunks(draw, _chunk_ranges(n, _GRID_ROWS))
-    head = np.sqrt(var_head) * g[:, 0]
-    return head, head + np.sqrt(var_tail) * g[:, 1]
+    return _batch_from_chunks(engine, levels, n, rows, blocks, want_times, min_at,
+                              times[half_idx])
 
 
 def _per_path_batch(
     engine, draw, build, z_list, horizon, n, seed, stream, want_times, min_at
 ) -> _BatchResult:
-    """The batch of the per-path engines.  Each path draws from its own
-    generator: ``draw(rng)`` gives the elements per row of the widest chunk
-    array and the draws.  The paths of a block join a chunk in order until
-    the next one would take its widest array past ``_CHUNK_ELEMS``; then
-    ``build`` turns the chunk's draws into padded rows, reduced at every
-    level at once.  A path that is not finite (``chunk.finite``) keeps only
-    its finite prefix, and counts in ``nonfinite`` when a level is not
-    ruined there or ``min_at`` is set."""
-    levels = np.array(sorted(set(z_list)), dtype=float)
-    n_levels = len(levels)
-    want_half = not n_levels and min_at is None
-    res = _BatchResult(engine, levels, n, want_times, want_half, min_at)
-    nonfinite = np.zeros(n, dtype=bool)
+    """The batch of the per-path engines, from their chunks.  Each path
+    draws from its own generator: ``draw(rng)`` gives the elements per row
+    of the widest chunk array and the draws.  The paths of a block join a
+    chunk in order until the next one would take its widest array past
+    ``_CHUNK_ELEMS``; then ``build`` turns the chunk's draws into padded
+    rows."""
 
-    def reduce(i0, draws):
-        chunk = build(draws)
-        rows = slice(i0, i0 + len(draws))
-        res.z_T[rows] = chunk.z_T
-        if want_half:
-            res.z_half[rows] = chunk.z_at(0.5 * horizon)
-        passed = 0
-        if n_levels:
-            level, r, *crossings, passed = chunk.first_crossings(levels, want_times)
-            res.add(level, i0 + r, *crossings)
-        if min_at is not None:
-            res.v_min[rows] = chunk.lowest(min_at)
-        nonfinite[rows] = ~chunk.finite & ((min_at is not None) | (passed < n_levels))
-        return chunk
-
-    def run(rng_range):
-        # ``chunk`` keeps the last chunk until the next one is built, so the
-        # allocator reuses its memory; freed at once, the chunk's arrays
-        # would go back to the system and fault in again for the next one.
-        i0, i1 = rng_range
-        chunk, draws, top = None, [], 0
+    def chunks(i0, i1, res):
+        draws, top = [], 0
         for i in range(i0, i1):
             width, d = draw(path_rng(seed, i, stream))
             top = max(top, width)
             if draws and (len(draws) + 1) * top > _CHUNK_ELEMS:
-                chunk = reduce(i - len(draws), draws)
+                yield np.arange(i - len(draws), i), build(draws)
                 draws, top = [], width
             draws.append(d)
-        reduce(i1 - len(draws), draws)
+        yield np.arange(i1 - len(draws), i1), build(draws)
 
-    _run_chunks(run, _chunk_ranges(n, _PATH_BLOCK))
-    res.nonfinite = int(nonfinite.sum())
-    return res
+    levels = np.array(sorted(set(z_list)), dtype=float)
+    return _batch_from_chunks(engine, levels, n, _PATH_BLOCK, chunks, want_times, min_at,
+                              0.5 * horizon)
 
 
 def _fv_batch(
@@ -662,18 +646,30 @@ def _require_finite(nonfinite: int, n: int) -> None:
         )
 
 
-def _dispatch_batch(
-    t, z_list, horizon, n, seed, stream, step=None, truncation_eps=None, want_times=False,
-    min_at=None,
-) -> _BatchResult:
-    """The batch of the driver's engine; the one place that checks the
-    horizon, the path count and the step of outside input."""
+def _check_inputs(horizon, n, step, levels, seed) -> None:
+    """Refuse outside input that no engine answers: a horizon or a given
+    step that is not positive and finite, fewer than one path, a NaN level
+    (it compares false with every value, so no path would reach it) or a
+    negative seed."""
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise InvalidModelError(f"horizon must be positive and finite, got {horizon}")
     if n < 1:
         raise InvalidModelError(f"the number of paths must be at least 1, got {n}")
     if step is not None and not (step > 0.0 and math.isfinite(step)):
         raise InvalidModelError(f"step must be positive and finite, got {step}")
+    if any(math.isnan(z) for z in levels):
+        raise InvalidModelError("level z must be a number, got nan")
+    if seed < 0:
+        raise InvalidModelError(f"seed must be a non-negative integer, got {seed}")
+
+
+def _dispatch_batch(
+    t, z_list, horizon, n, seed, stream, step=None, truncation_eps=None, want_times=False,
+    min_at=None,
+) -> _BatchResult:
+    """The batch of the driver's engine, for outside input that
+    ``_check_inputs`` accepts."""
+    _check_inputs(horizon, n, step, list(z_list) + ([] if min_at is None else [min_at]), seed)
     engine = _select_engine(t)
     if engine == "exact_fv":
         return _fv_batch(t, z_list, horizon, n, seed, stream, want_times, min_at)
@@ -798,12 +794,7 @@ class RuinFormulaCheck:
     diagnostics: dict
 
     def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs.to_json(),
-            "rhs": self.rhs.to_json(),
-            "consistent": self.consistent,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 def validate_ruin_formula(

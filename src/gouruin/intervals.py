@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InvalidModelError
 from .numerics import INF, NEG_INF, ext_to_json
 
 
@@ -115,7 +116,10 @@ class IntervalSet:
         return IntervalSet(out)
 
     def sup_at_most(self, z: float) -> float:
-        """sup of the set intersected with (-inf, z]; -inf when empty."""
+        """sup of the set intersected with (-inf, z]; -inf when empty.  A NaN
+        level is refused: it would skip no interval and read as their top."""
+        if math.isnan(z):
+            raise InvalidModelError(f"level must be a number, got {z}")
         best = NEG_INF
         for iv in self.intervals:
             if iv.lo > z or (iv.lo == z and iv.lo_open):

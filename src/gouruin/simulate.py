@@ -522,7 +522,8 @@ class _Chunk:
     state in time order, padded with +inf; ``ruin`` maps keys to -Z, falling
     as they rise, and a row is ruined at level z at its first column whose
     key maps above z.  ``crossings`` gives the time, the path value and the
-    kind of those crossings."""
+    kind of those crossings.  The batch loop (``estimate._batch_from_chunks``)
+    also reads ``z_T``, ``finite``, ``z_at`` and ``lowest``."""
 
     ruin = np.negative  # keys are Z unless a chunk says otherwise
     values_by_column = True  # else crossing columns are needed only for times

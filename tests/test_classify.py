@@ -20,6 +20,7 @@ from gouruin.classify import (
     no_ruin_threshold,
     z_infinity_converges,
 )
+from gouruin.errors import InvalidModelError
 from gouruin.model import (
     Atoms1D,
     FiniteAtomSet,
@@ -250,6 +251,19 @@ class TestDelta:
     def test_subordinator_at_zero(self):
         t = triplet((0.0, 0.5), jumps=[(0.5, 0.3, 1.0)])
         assert delta(t, 0.0) == 0.0
+
+    def test_nan_level_is_refused(self):
+        # max(-inf, min(hi, nan)) would read as the top of the set
+        t = jump_example_triplet(1.0, 1.0)
+        with pytest.raises(InvalidModelError, match="level must be a number"):
+            delta(t, math.nan)
+        with pytest.raises(InvalidModelError):
+            feasible_u_set(t).sup_at_most(math.nan)
+
+    def test_infinite_levels(self):
+        t = jump_example_triplet(1.0, 1.0)
+        assert delta(t, math.inf) == pytest.approx(2.0, abs=1e-12)
+        assert delta(t, -math.inf) == NEG_INF
 
     def test_laws_on_corpus(self, corpus):
         for t in corpus[:80]:

@@ -70,6 +70,27 @@ class TestCheck:
         assert doc["delta"]["1.8"] == pytest.approx(1.8)
         assert doc["delta"]["0.5"] == "-inf"
 
+    def test_delta_at_nan_is_an_input_error(self, capsys):
+        # a NaN level used to skip no interval and print the top one
+        code, out, err = run_cli(
+            capsys,
+            "check", "--preset", "jump_example", "--c", "1", "--lambda", "1",
+            "--delta-at", "nan",
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == "input error: level must be a number, got nan\n"
+
+    def test_delta_at_infinite_levels(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "check", "--preset", "jump_example", "--c", "1", "--lambda", "1",
+            "--delta-at", "inf", "--delta-at=-inf",
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["delta"]["inf"] == pytest.approx(2.0, abs=1e-12)
+        assert doc["delta"]["-inf"] == "-inf"
+
     def test_malformed_spec_exits_one(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"gamma_tilde": [0.0, 0.0]}))
@@ -456,6 +477,45 @@ class TestEstimate:
         )
         assert code == 1 and out == ""
         assert err.startswith("input error: ") and field in err
+
+    def test_nan_level_is_an_input_error(self, capsys):
+        # the batch used to key its levels by a NaN that no lookup matches
+        code, out, err = run_cli(
+            capsys, "estimate", "--preset", "continuous_example", "--what", "ruin",
+            "--z", "nan", "--paths", "10",
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == "input error: level z must be a number, got nan\n"
+
+
+class TestSimulateChecksBeforeWriting:
+    """``simulate`` refuses bad input with exit 1 before it creates --out."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--paths", "-2"], "the number of paths must be at least 1, got -2"),
+        (["--paths", "0"], "the number of paths must be at least 1, got 0"),
+        (["--horizon", "-1"], "horizon must be positive and finite, got -1.0"),
+        (["--seed", "-3"], "seed must be a non-negative integer, got -3"),
+        (["--z", "nan"], "level z must be a number, got nan"),
+    ])
+    def test_no_directory_is_left_behind(self, capsys, tmp_path, flags, message):
+        out_dir = tmp_path / "paths"
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "continuous_example", *flags,
+            "--out", str(out_dir),
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == f"input error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_density_without_a_cutoff_leaves_no_directory(self, capsys, tmp_path):
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(DENSITY_SPEC))
+        out_dir = tmp_path / "paths"
+        code, out, err = run_cli(capsys, "simulate", "--spec", str(f), "--out", str(out_dir))
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err.startswith("error: density-tier simulation requires an explicit")
+        assert not out_dir.exists()
 
 
 class TestNegativeSeed:

@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from gouruin.classify import DecisionKind, Verdict, no_ruin_threshold
-from gouruin.errors import NotApplicableError, UndeterminedError
+from gouruin.errors import InvalidModelError, NotApplicableError, UndeterminedError
 from gouruin.estimate import (
     EmpiricalCDF,
     _dispatch_batch,
@@ -355,32 +355,31 @@ class TestStreamedGridKernel:
     @pytest.mark.parametrize("engine,t", STREAM_CASES, ids=[c[0] for c in STREAM_CASES])
     def test_block_sizes_do_not_change_the_paths(self, engine, t, monkeypatch):
         horizon, step, n, seed = 2.0, 0.01, 40, 9
-        n_steps = 200
         assert _select_engine(t) == engine
 
         def run(want_times):
             b = _gaussian_grid_batch(
                 t, self.LEVELS, horizon, step, n, seed, 0, engine, want_times
             )
-            return ({z: b.hit[z] for z in self.LEVELS}, b.time, b.z_T, b.z_half, b.nonfinite)
+            assert b.z_half is None  # only for requests with no levels
+            return ({z: b.hit[z] for z in self.LEVELS}, b.time, b.z_T, b.nonfinite)
 
         reference = {wt: run(wt) for wt in (False, True)}
         hits = reference[True][0]
         assert any(h.any() and not h.all() for h in hits.values())
         assert _same(reference[False][0], hits)
-        # terminal values for the paths not ruined at every level, NaN for
-        # the others, which may have stopped drawing
+        # terminal values for the paths not ruined at every level; the
+        # others may have stopped drawing
         survivors = ~hits[max(self.LEVELS)]
-        for _, _, z_T, z_half, _ in reference.values():
-            for values in (z_T, z_half):
-                assert np.isfinite(values[survivors]).all()
-                assert np.isnan(values[~survivors]).all()
-        for rows in (1, 16, 64):
-            for steps in (1, 7, 1000, n_steps):
-                monkeypatch.setattr(estimate, "_GRID_ROWS", rows)
-                monkeypatch.setattr(estimate, "_GRID_STEPS", steps)
-                for key, want in reference.items():
-                    assert _same(run(key), want), (rows, steps, key)
+        for _, _, z_T, _ in reference.values():
+            assert np.isfinite(z_T[survivors]).all()
+        # 16 rows of 1 or 6 steps, 16 rows in three blocks, whole paths
+        for elems in (16, 112, 1600, 4000, 8192):
+            monkeypatch.setattr(estimate, "_CHUNK_ELEMS", elems)
+            for key, want in reference.items():
+                hit, time, z_T, nonfinite = run(key)
+                assert _same((hit, time, nonfinite), (want[0], want[1], want[3])), (elems, key)
+                assert _same(z_T[survivors], want[2][survivors]), (elems, key)
 
     @pytest.mark.parametrize("engine,t", STREAM_CASES, ids=[c[0] for c in STREAM_CASES])
     def test_one_batch_answers_every_level(self, engine, t):
@@ -415,8 +414,7 @@ class TestStreamedGridKernel:
         survivors = ~with_levels.hit[0.5]
         assert survivors.any() and not survivors.all()
         assert np.array_equal(alone.z_T[survivors], with_levels.z_T[survivors])
-        assert np.array_equal(alone.z_half[survivors], with_levels.z_half[survivors])
-        assert np.isfinite(alone.z_T).all() and np.isnan(with_levels.z_T[~survivors]).all()
+        assert np.isfinite(alone.z_T).all() and np.isfinite(alone.z_half).all()
 
     def test_ruined_chunks_stop_drawing_when_the_integral_converges(self, monkeypatch):
         # Every path is ruined in its first cell from z = 0; the tail
@@ -429,7 +427,8 @@ class TestStreamedGridKernel:
         est = estimate_ruin(t, 0.0, 20.0, n, seed=1, step=1e-3)
         assert est.point == 1.0
         assert est.diagnostics["tail_near_ruin_fraction"] == 0.0
-        assert 0 < sum(drawn) <= n * estimate._GRID_STEPS
+        # each path draws its first time block: 16 rows of _CHUNK_ELEMS values
+        assert 0 < sum(drawn) <= n * (estimate._CHUNK_ELEMS // 16)
 
     def test_memory_is_bounded_by_the_blocks(self):
         # The criterion-6 shape: the whole-matrix kernel peaked near 700 MB.
@@ -519,6 +518,25 @@ class TestNonfiniteValues:
             p = 1.0 - math.exp(-1.5)
             assert abs(est.point - p) <= 4.5 * math.sqrt(p * (1.0 - p) / 200)
 
+    def test_overflow_at_any_instant_counts_for_the_minimum(self):
+        # On expmart Z = u0 (e^-xi - 1) overflows mid-horizon and comes
+        # back, so a path may end finite after a non-finite Z: the minimum
+        # of V counts every such path, not only those with a non-finite z_T.
+        t = triplet((0.0, 5e5), ((1e6, -1e6), (-1e6, 1e6)))
+        assert _select_engine(t) == "expmart"
+        batch = _dispatch_batch(t, [], 1.0, 50, 1, 0, step=0.01, min_at=0.5)
+        assert batch.nonfinite == 25
+        assert np.count_nonzero(~np.isfinite(batch.z_T)) == 13
+        with pytest.raises(UndeterminedError, match="nonfinite_paths=25 of 50"):
+            empirical_lower_bound(t, 0.5, 1.0, 50, 1, step=0.01)
+
+    def test_nan_level_is_an_input_error(self):
+        t = continuous_example_triplet(0.4)
+        with pytest.raises(InvalidModelError, match="level z must be a number"):
+            estimate_ruin(t, math.nan, 1.0, 10, seed=1)
+        with pytest.raises(InvalidModelError, match="level z must be a number"):
+            empirical_lower_bound(t, math.nan, 1.0, 10, seed=1)
+
     def test_terminal_overflow_is_undetermined(self):
         # The terminal value at T = 800 is NaN (inf * 0 in the drift sum).
         t = overflowing("grid_bridge")
@@ -532,10 +550,9 @@ class TestMinimumRecords:
     def test_minimum_agrees_with_the_hits(self, engine, monkeypatch):
         t = engine_case(engine)[1]
         runs = []
-        for threads, rows, steps in (("1", 256, 1024), ("2", 256, 1024), ("1", 64, 7)):
+        for threads, elems in (("1", 8192), ("2", 8192), ("1", 112)):
             monkeypatch.setenv("GOU_THREADS", threads)
-            monkeypatch.setattr(estimate, "_GRID_ROWS", rows)
-            monkeypatch.setattr(estimate, "_GRID_STEPS", steps)
+            monkeypatch.setattr(estimate, "_CHUNK_ELEMS", elems)
             b = _dispatch_batch(t, [0.5], 10.0, 600, 3, 0, step=0.01, min_at=0.5)
             assert b.engine == engine
             runs.append((b.v_min, b.hit[0.5], b.nonfinite))
