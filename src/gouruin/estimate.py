@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,7 +132,14 @@ class EstimateWithCI:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "point": self.point,
+            "ci_low": self.ci_low,
+            "ci_high": self.ci_high,
+            "n_paths": self.n_paths,
+            "n_events": self.n_events,
+            "diagnostics": self.diagnostics,
+        }
 
 
 class EmpiricalCDF:
@@ -272,19 +279,26 @@ def _run_chunks(fn, ranges):
         return list(pool.map(fn, ranges))
 
 
-def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, min_at, half):
+def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, min_at, half, end):
     """The batch of any engine, assembled from its chunks.  ``chunks(i0, i1,
-    res)`` yields (path ids, ``_Chunk``) pairs for the paths i0..i1-1, in
-    ranges of ``rows`` paths; a path comes back in later chunks for its later
-    instants, and the producer may read ``res`` to drop decided paths.  Each
-    chunk is reduced at once: its terminal values (``z_T``, and ``z_at(half)``
-    where the chunk holds it), its minimum of V, and its first crossings of
-    every level after those its paths passed before.  A path is lost when a
-    chunk finds it not finite (``chunk.finite``) while a level is not passed
-    or ``min_at`` is set: it never counts as surviving."""
+    res, needs)`` yields (path ids, ``_Chunk``) pairs for the paths i0..i1-1,
+    in ranges of ``rows`` paths; a path comes back in later chunks for its
+    later instants, and the producer may read ``res`` to drop decided paths.
+    Each chunk is reduced at once: its terminal values (``z_T``, and
+    ``z_at(half)`` where the chunk holds it), its minimum of V, and its first
+    crossings of every level after those its paths passed before.  A path is
+    lost when a chunk finds it not finite (``chunk.finite``) while a level is
+    not passed or ``min_at`` is set: it never counts as surviving.  So a
+    producer may leave out the rows of a chunk of instants t0..t1 that
+    cannot cross a level they have not passed, unless ``needs(t0, t1)``:
+    the loop then reads the whole chunk whatever it holds.  A non-finite row
+    left out must come back in a later chunk."""
     n_levels = len(levels)
     want_half = not n_levels and min_at is None
     res = _BatchResult(engine, levels, n, want_times, want_half, min_at)
+
+    def needs(t0, t1):
+        return min_at is not None or t1 >= end or (want_half and t0 <= half <= t1)
 
     def run(rng_range):
         # ``chunk`` keeps the last chunk until the next one is built, so the
@@ -292,7 +306,7 @@ def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, min_at, half
         # would go back to the system and fault in again for the next one.
         # Overflow, in the chunks and here, is caught by the rule on ``lost``.
         with np.errstate(over="ignore", invalid="ignore"):
-            for ids, chunk in chunks(*rng_range, res):
+            for ids, chunk in chunks(*rng_range, res, needs):
                 if chunk.z_T is not None:
                     res.z_T[ids] = chunk.z_T
                 if want_half and (z_half := chunk.z_at(half)) is not None:
@@ -363,10 +377,10 @@ def _gaussian_grid_batch(
 ) -> _BatchResult:
     """No-jump drivers (``expmart``, ``grid_bridge``, ``grid``): each range of
     paths walks the grid in time blocks of at most ``_CHUNK_ELEMS`` values,
-    so memory does not grow with the horizon.  Each time block of its live
-    paths is a ``_GridChunk``, yielded when it holds something the batch
-    reads: a row within reach of a level it has not passed, a non-finite
-    row, the minimum of V, mid-horizon or the horizon.
+    so memory does not grow with the horizon.  A time block yields its live
+    paths as a ``_GridChunk`` when the batch loop needs the block whatever
+    it holds (for the minimum of V, mid-horizon or the horizon), and
+    otherwise only its paths within reach of a level they have not passed.
 
     Each path keeps its own generator across blocks, and the running sums
     carry from block to block, so the grid values are those of one
@@ -449,14 +463,14 @@ def _gaussian_grid_batch(
                 sd = np.sqrt([s11 * h * half_idx, s11 * h * (n_steps - half_idx)])
                 base = gx * times[half_end]
 
-        def endpoints(i0, i1, res):
+        def endpoints(i0, i1, res, needs):
             g = np.array([path_rng(seed, i, stream).standard_normal(2) for i in range(i0, i1)])
             P = base + np.cumsum(g * sd, axis=1)
             chunk = _GridChunk(P if u0 is None else o * P, None, times[half_end], fire, True)
             yield np.arange(i0, i1), chunk
 
         return _batch_from_chunks(engine, levels, n, _CHUNK_ELEMS // 2, endpoints, False,
-                                  None, times[half_idx])
+                                  None, times[half_idx], times[-1])
 
     def advance(gens, s, e, carry):
         """Keys at grid instants s..e of the rows whose generators are
@@ -467,16 +481,16 @@ def _gaussian_grid_batch(
         if engine == "grid_bridge":
             S = np.empty((rows, w + 1))
             S[:, 0] = carry[0]
-            for j, g in enumerate(gens):
-                g.standard_normal(out=S[j, 1:])
+            for g, row in zip(gens, S[:, 1:]):
+                g.standard_normal(out=row)
             np.multiply(S[:, 1:], w_vec[s:e], out=S[:, 1:])
             np.cumsum(S, axis=1, out=S)
             carry[0] = S[:, -1]
             S += det_prefix[s:e + 1]
             return S, xi_det[s:e + 1]
         normals = np.empty((rows, w, 2))
-        for j, g in enumerate(gens):
-            g.standard_normal(out=normals[j])
+        for g, row in zip(gens, normals):
+            g.standard_normal(out=row)
         X = np.empty((rows, w + 1))
         X[:, 0] = carry[0]
         np.multiply(normals[:, :, 0], sigma_xi * sqh, out=X[:, 1:])
@@ -493,13 +507,12 @@ def _gaussian_grid_batch(
         carry[1] = Z[:, -1]
         return Z, X
 
-    def lower(chunk, ids, old, near, s, e):
+    def lower(chunk, ids, old, s, e):
         """Lower the keys of ``chunk`` (block s..e of paths ``ids``, past
-        ``old`` levels) on rows ``near`` at the right end of each examined
-        cell to its bridge extreme; a row whose examined extreme is not
-        finite is not finite."""
-        key = chunk.key
-        k, old = key[near], old[near]
+        ``old`` levels) at the right end of each examined cell to its bridge
+        extreme; a row whose examined extreme is not finite is not
+        finite."""
+        k = chunk.key.copy() if chunk.key is chunk.P else chunk.key  # P keeps its values
         grid = np.maximum(old, np.searchsorted(levels, fire(k.min(axis=1))))
         first = old if want_times else grid
         cand = np.minimum(k[:, :-1], k[:, 1:]) < path_level[first][:, None] + prec[s:e]
@@ -507,19 +520,19 @@ def _gaussian_grid_batch(
             x = np.flatnonzero(grid == n_levels)
             end = np.argmax(fire(k[x]) > levels[-1], axis=1)
             cand[x] &= np.arange(1, e - s + 1) < end[:, None]
-        r, c = np.nonzero(cand)
+        r, c = np.divmod(np.flatnonzero(cand), e - s)  # np.nonzero, faster
+        if not len(r):
+            return
         left, right = k[r, c], k[r, c + 1]
-        u = _hash_uniforms(seed, stream, 0, ids[near[r]] * (n_steps + 1) + s + c)
+        u = _hash_uniforms(seed, stream, 0, ids[r] * (n_steps + 1) + s + c)
         q = -0.5 * np.log(np.maximum(u, 2.0 ** -53))
         half = 0.5 * (left - right)
         mid = 0.5 * (left + right)
         ext = mid - np.sqrt(half * half + q * var[s + c])
         ok = np.isfinite(ext)
         k[r[ok], c[ok] + 1] = np.minimum(right[ok], ext[ok])
-        if key is chunk.P:  # the values stay as they are
-            chunk.key = key = key.copy()
-        key[near] = k
-        chunk.finite[near[r[~ok]]] = False
+        chunk.key = k
+        chunk.finite[r[~ok]] = False
 
     # a time block holds at most _CHUNK_ELEMS grid values: whole paths, as
     # many as fit, or 16 paths over fewer steps, so that a path ruined early
@@ -530,23 +543,27 @@ def _gaussian_grid_batch(
     # the farthest a bridge extreme reaches past its cell's ends, per block
     reach = np.zeros(len(starts)) if prec is None else np.maximum.reduceat(prec, starts)
 
-    def blocks(i0, i1, res):
+    def blocks(i0, i1, res, needs):
         gens = [path_rng(seed, i, stream) for i in range(i0, i1)]
         live = np.arange(i0, i1)
         carry = np.zeros((2, len(live)))
         below = path_level[res.passed[live]]  # each row's first unpassed level, as a key
         for s, e, r in zip(starts.tolist(), ends.tolist(), reach.tolist()):
             P, xi = advance(gens, s, e, carry)
-            chunk = _GridChunk(P, None if min_at is None else xi, times[s:e + 1], fire,
-                               e == n_steps)
-            # rows whose values come within reach of a level they have not passed
-            near = (chunk.key.min(axis=1) < below + r).nonzero()[0]
-            if len(near) and prec is not None:
-                lower(chunk, live, res.passed[live], near, s, e)
-            if (not len(near) and min_at is None and e < n_steps
-                    and (n_levels or not s <= half_idx <= e) and chunk.finite.all()):
-                continue  # the block holds nothing the batch reads
-            yield live, chunk
+            if needs(times[s], times[e]):
+                ids, chunk = live, _GridChunk(P, None if min_at is None else xi,
+                                              times[s:e + 1], fire, e == n_steps)
+            else:
+                # rows within reach of a level they have not passed; P is a
+                # running sum, so a row that turns non-finite stays so, and
+                # the block at the horizon shows it if no earlier one does
+                near = np.flatnonzero(~(P.min(axis=1) >= below + r))
+                if not len(near):
+                    continue
+                ids, chunk = live[near], _GridChunk(P[near], None, times[s:e + 1], fire, False)
+            if n_levels and prec is not None:
+                lower(chunk, ids, res.passed[ids], s, e)
+            yield ids, chunk
             if min_at is None and n_levels:  # decided paths stop drawing
                 keep = (res.passed[live] < n_levels) & ~res.lost[live]
                 live, carry = live[keep], carry[:, keep]
@@ -556,7 +573,7 @@ def _gaussian_grid_batch(
             below = path_level[res.passed[live]]
 
     return _batch_from_chunks(engine, levels, n, rows, blocks, want_times, min_at,
-                              times[half_idx])
+                              times[half_idx], times[-1])
 
 
 def _per_path_batch(
@@ -569,7 +586,7 @@ def _per_path_batch(
     ``_CHUNK_ELEMS``; then ``build`` turns the chunk's draws into padded
     rows."""
 
-    def chunks(i0, i1, res):
+    def chunks(i0, i1, res, needs):
         draws, top = [], 0
         for i in range(i0, i1):
             width, d = draw(path_rng(seed, i, stream))
@@ -582,7 +599,7 @@ def _per_path_batch(
 
     levels = np.array(sorted(set(z_list)), dtype=float)
     return _batch_from_chunks(engine, levels, n, _PATH_BLOCK, chunks, want_times, min_at,
-                              0.5 * horizon)
+                              0.5 * horizon, horizon)
 
 
 def _fv_batch(
@@ -794,7 +811,12 @@ class RuinFormulaCheck:
     diagnostics: dict
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {
+            "lhs": self.lhs.to_json(),
+            "rhs": self.rhs.to_json(),
+            "consistent": self.consistent,
+            "diagnostics": self.diagnostics,
+        }
 
 
 def validate_ruin_formula(

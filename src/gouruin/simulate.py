@@ -553,7 +553,7 @@ class _Chunk:
             np.minimum.accumulate(low, axis=1, out=low)
             record = low < np.inf  # in the first column, where finite
             record[:, 1:] = low[:, 1:] < low[:, :-1]
-            i, c = np.nonzero(record)
+            i, c = np.divmod(np.flatnonzero(record), record.shape[1])  # np.nonzero, faster
             # levels crossed by each record, and by the one before it in its row
             prior = (passed - count)[rows[i]]
             crossed = np.maximum(prior, np.searchsorted(levels, self.ruin(low[i, c])))

@@ -364,7 +364,16 @@ class TestStreamedGridKernel:
             assert b.z_half is None  # only for requests with no levels
             return ({z: b.hit[z] for z in self.LEVELS}, b.time, b.z_T, b.nonfinite)
 
+        def level_free():
+            # terminal values (two normals per path on expmart and
+            # grid_bridge, the grid on grid) and the minimum of V
+            b = _gaussian_grid_batch(t, [], horizon, step, n, seed, 0, engine)
+            low = _gaussian_grid_batch(t, [], horizon, step, n, seed, 0, engine, min_at=0.5)
+            return b.z_T, b.z_half, low.v_min, low.nonfinite
+
         reference = {wt: run(wt) for wt in (False, True)}
+        free = level_free()
+        assert all(np.isfinite(v).all() for v in free[:3])
         hits = reference[True][0]
         assert any(h.any() and not h.all() for h in hits.values())
         assert _same(reference[False][0], hits)
@@ -373,13 +382,16 @@ class TestStreamedGridKernel:
         survivors = ~hits[max(self.LEVELS)]
         for _, _, z_T, _ in reference.values():
             assert np.isfinite(z_T[survivors]).all()
-        # 16 rows of 1 or 6 steps, 16 rows in three blocks, whole paths
+        # 16 rows of 1 or 6 steps, 16 rows in three blocks, whole paths;
+        # with one step per block, mid-horizon ends one block and starts
+        # the next
         for elems in (16, 112, 1600, 4000, 8192):
             monkeypatch.setattr(estimate, "_CHUNK_ELEMS", elems)
             for key, want in reference.items():
                 hit, time, z_T, nonfinite = run(key)
                 assert _same((hit, time, nonfinite), (want[0], want[1], want[3])), (elems, key)
                 assert _same(z_T[survivors], want[2][survivors]), (elems, key)
+            assert _same(level_free(), free), elems
 
     @pytest.mark.parametrize("engine,t", STREAM_CASES, ids=[c[0] for c in STREAM_CASES])
     def test_one_batch_answers_every_level(self, engine, t):
@@ -414,7 +426,11 @@ class TestStreamedGridKernel:
         survivors = ~with_levels.hit[0.5]
         assert survivors.any() and not survivors.all()
         assert np.array_equal(alone.z_T[survivors], with_levels.z_T[survivors])
-        assert np.isfinite(alone.z_T).all() and np.isfinite(alone.z_half).all()
+        assert np.isfinite(alone.z_T).all()
+        # z_half is Z at grid instant 100 of 200: the terminal value of the
+        # same paths over half the horizon
+        half = _gaussian_grid_batch(t, [], 1.0, 0.01, 50, 4, 1, "grid")
+        assert np.array_equal(alone.z_half, half.z_T)
 
     def test_ruined_chunks_stop_drawing_when_the_integral_converges(self, monkeypatch):
         # Every path is ruined in its first cell from z = 0; the tail

@@ -39,8 +39,7 @@ class TestOpDigest:
 
     def test_prints_one_line_per_op(self):
         run = subprocess.run(
-            [sys.executable, str(OPDIGEST), "--workload", "mc_events", "--seeds", "1",
-             "--size", "tiny"],
+            [sys.executable, str(OPDIGEST), "--workload", "mc_events", "--seeds", "1"],
             cwd=ROOT, capture_output=True, text=True, timeout=300, check=True,
         )
         lines = run.stdout.splitlines()

@@ -70,7 +70,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True,
                     help="check_atoms | check_density | mc_grid | mc_events")
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--size", choices=("full", "tiny"), default="full")
     args = ap.parse_args(argv)
 
     os.environ["GOU_THREADS"] = "1"
@@ -79,7 +78,7 @@ def main(argv=None) -> int:
     import workloads
 
     for seed in args.seeds:
-        wl = workloads.build(args.workload, seed, tiny=args.size == "tiny")
+        wl = workloads.build(args.workload, seed)
         ctx: dict = {}
         for op in wl.ops:
             try:
