@@ -34,8 +34,8 @@ from .model import (
     FiniteAtomSet,
     JumpAtom,
     LevyTriplet2D,
-    MappedSMeasure1D,
     MarginalTriplet,
+    Pushforward1D,
     d_eta,
     l_process,
     marginal_eta,
@@ -149,7 +149,7 @@ def _s_negative_jump_mass(t: LevyTriplet2D, u: float) -> float:
         x0, x1, y0, _ = box
         if sgn(s_jump(x1 if u < 0.0 else x0, y0, u)) >= 0:
             return 0.0
-    mass = MappedSMeasure1D(t.jumps, u).mass(NEG_INF, 0.0)
+    mass = Pushforward1D.s_jumps(t.jumps, u).mass(NEG_INF, 0.0)
     return mass if box is None else max(mass, math.ulp(0.0))
 
 
@@ -322,27 +322,6 @@ def _literal_threshold_sigma_zero(drift: IntervalSet, th: ThetaBounds) -> float 
     return max(th.theta2, inf_val)
 
 
-def _branch(t: LevyTriplet2D) -> Branch:
-    return Branch.SIGMA_POSITIVE if xi_brownian(t) else Branch.SIGMA_ZERO
-
-
-def undetermined_report(
-    t: LevyTriplet2D, exc: UndeterminedError, piecewise: PiecewiseLinearFn | None = None
-) -> RuinReport:
-    """The report of a decision that ``exc`` left open: no thetas, no
-    feasible level, and the reason and residual of ``exc``."""
-    return RuinReport(
-        RuinDecision(DecisionKind.UNDETERMINED),
-        ThetaBounds(NEG_INF, 0.0, 0.0, INF),
-        IntervalSet.empty(),
-        _branch(t),
-        SubordinatorCertificate.undetermined(exc),
-        (str(exc),),
-        piecewise,
-        exc.residual,
-    )
-
-
 def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
     """The exact no-ruin decision with its certificate.
 
@@ -353,13 +332,22 @@ def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
     made; the report carries them.
     """
     warnings_out: list[str] = []
-    branch = _branch(t)
+    branch = Branch.SIGMA_POSITIVE if xi_brownian(t) else Branch.SIGMA_ZERO
     piecewise = None if t.jumps.atoms_or_none() is None else drift_lhs_piecewise(t)
     try:
         feasible, rigid, th, drift = _feasible(t, piecewise)
         th = thetas(t.jumps) if th is None else th
-    except UndeterminedError as exc:
-        return undetermined_report(t, exc, piecewise)
+    except UndeterminedError as exc:  # no thetas, no feasible level, and the reason
+        return RuinReport(
+            RuinDecision(DecisionKind.UNDETERMINED),
+            ThetaBounds(NEG_INF, 0.0, 0.0, INF),
+            IntervalSet.empty(),
+            branch,
+            SubordinatorCertificate.undetermined(exc),
+            (str(exc),),
+            piecewise,
+            exc.residual,
+        )
 
     nonneg = feasible.intersect(IntervalSet((Interval(0.0, INF),)))
     if nonneg.is_empty():

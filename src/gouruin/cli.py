@@ -19,7 +19,7 @@ import sys
 from pathlib import Path as FsPath
 
 from . import acceptance
-from .classify import DecisionKind, no_ruin_threshold, undetermined_report
+from .classify import DecisionKind, no_ruin_threshold
 from .errors import GouError, InvalidModelError, NotApplicableError, UndeterminedError
 from .estimate import (
     _check_inputs,
@@ -73,14 +73,8 @@ def _emit(doc: dict) -> None:
 
 
 def cmd_check(args) -> int:
-    spec = _load_spec(args)
-    try:
-        t, meta = triplet_from_spec(spec)
-    except UndeterminedError as exc:  # the integrability spot check of a density
-        gaussian, meta = triplet_from_spec({**spec, "jumps": {"atoms": []}})
-        report = undetermined_report(gaussian, exc)
-    else:
-        report = no_ruin_threshold(t)
+    t, meta = triplet_from_spec(_load_spec(args))
+    report = no_ruin_threshold(t)
     doc = report.to_json()
     doc["spec"] = meta
     undetermined = report.decision.kind is DecisionKind.UNDETERMINED

@@ -664,18 +664,22 @@ def _require_finite(nonfinite: int, n: int) -> None:
 
 
 def _check_inputs(horizon, n, step, levels, seed) -> None:
-    """Refuse outside input that no engine answers: a horizon or a given
-    step that is not positive and finite, fewer than one path, a NaN level
-    (it compares false with every value, so no path would reach it) or a
-    negative seed."""
+    """Refuse outside input that no engine answers: a horizon that is not
+    positive and finite, a given step outside (0, horizon] (``PathConfig``'s
+    rule), fewer than one path, a level that is not finite (a NaN compares
+    false with every value, and no finite-horizon estimate means anything
+    at an infinite level) or a negative seed."""
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise InvalidModelError(f"horizon must be positive and finite, got {horizon}")
     if n < 1:
         raise InvalidModelError(f"the number of paths must be at least 1, got {n}")
-    if step is not None and not (step > 0.0 and math.isfinite(step)):
-        raise InvalidModelError(f"step must be positive and finite, got {step}")
-    if any(math.isnan(z) for z in levels):
-        raise InvalidModelError("level z must be a number, got nan")
+    if step is not None and not (0.0 < step <= horizon):
+        raise InvalidModelError(f"step must satisfy 0 < step <= horizon, got {step}")
+    for z in levels:
+        if math.isnan(z):
+            raise InvalidModelError("level z must be a number, got nan")
+        if math.isinf(z):
+            raise InvalidModelError(f"level z must be finite, got {z}")
     if seed < 0:
         raise InvalidModelError(f"seed must be a non-negative integer, got {seed}")
 

@@ -164,43 +164,30 @@ class BoxDensity:
     def _clip(self, strips):
         return clip_strips_to_box(strips, self.box)
 
-    def integrate(self, integrand, strips) -> float:
-        """Plain strip integral; the caller guarantees integrability."""
-        return integrate_strips(self.fn, self._clip(strips), integrand, self.tol)
-
-    def integrate_refined(self, integrand, strips, tol: float | None = None) -> float:
-        """Nonnegative strip integral with origin refinement; may return inf."""
-        tol = tol or self.tol
+    def integrate(self, integrand, strips, nonneg: bool = False) -> float:
+        """Strip integral.  Without ``nonneg`` the caller guarantees
+        integrability; with it the integrand is nonnegative, the origin is
+        approached as a limit, and the value may be inf."""
         clipped = self._clip(strips)
+        if not nonneg:
+            return integrate_strips(self.fn, clipped, integrand, self.tol)
         eps0 = 0.5
         outer = integrate_strips(
-            self.fn, strips_outside_ball(clipped, eps0), integrand, tol
+            self.fn, strips_outside_ball(clipped, eps0), integrand, self.tol
         )
 
         def annulus(e_in, e_out):
             return integrate_strips(
-                self.fn, strips_in_annulus(clipped, e_in, e_out), integrand, tol
+                self.fn, strips_in_annulus(clipped, e_in, e_out), integrand, self.tol
             )
 
-        return limit_toward_origin(outer, annulus, tol, eps0=eps0)
+        return limit_toward_origin(outer, annulus, self.tol, eps0=eps0)
 
-    def xi_margin(self) -> "ProjectedDensity1D":
-        return ProjectedDensity1D(self, "x")
+    def xi_margin(self) -> "Pushforward1D":
+        return Pushforward1D(self, lambda fn: lambda x, y: fn(x), Strip)
 
-    def eta_margin(self) -> "ProjectedDensity1D":
-        return ProjectedDensity1D(self, "y")
-
-    def spot_check_integrability(self) -> float:
-        """Quadrature spot check of the Levy condition: integral of
-        min(|z|^2, 1) must be finite.  Only finiteness matters, so the check
-        runs at a coarse tolerance (the integrand has a kink on the unit
-        circle that adaptive quadrature resolves slowly)."""
-        value = self.integrate_refined(
-            lambda x, y: min(x * x + y * y, 1.0), [Strip()], tol=1e-5
-        )
-        if value == INF:
-            raise InvalidModelError("density violates the Levy integrability condition")
-        return value
+    def eta_margin(self) -> "Pushforward1D":
+        return Pushforward1D(self, lambda fn: lambda x, y: fn(y), _y_band)
 
 
 class LineDensity:
@@ -238,18 +225,13 @@ class LineDensity:
                     segs.append((a, b))
         return segs
 
-    def _sum(self, integrand, strips, rule) -> float:
+    def integrate(self, integrand, strips, nonneg: bool = False) -> float:
+        rule = _nonneg_1d if nonneg else quad_1d
         total = 0.0
         for a, b in self._t_segments(strips):
             g = lambda t: self.fn(t) * integrand(*self._point(t))
             total = checked_add(total, rule(g, a, b, self.tol))
         return total
-
-    def integrate(self, integrand, strips) -> float:
-        return self._sum(integrand, strips, quad_1d)
-
-    def integrate_refined(self, integrand, strips) -> float:
-        return self._sum(integrand, strips, _nonneg_1d)
 
     def xi_margin(self):
         if self.axis == "x":
@@ -321,50 +303,36 @@ class Density1D:
         return (_nonneg_1d if nonneg else quad_1d)(g, a, b, self.tol)
 
 
-class ProjectedDensity1D:
-    """Coordinate projection of a 2-d density, evaluated by strip quadrature."""
+def _y_band(a: float, b: float) -> Strip:
+    """The pair jumps with y in [a, b]."""
+    return Strip(lower=(ConstEdge(a),), upper=(ConstEdge(b),))
 
-    def __init__(self, base, axis: str):
+
+class Pushforward1D:
+    """The image of a 2-d jump measure under a map of the jump, as a 1-d
+    measure.  ``lift(fn)`` is the 2-d integrand fn(map(x, y)) and
+    ``band(a, b)`` the strip of the jumps that the map sends into [a, b]."""
+
+    def __init__(self, base, lift, band):
         self.base = base
-        self.axis = axis
+        self.lift = lift
+        self.band = band
 
-    def atoms_or_none(self):
-        return None
-
-    def _strips(self, a: float, b: float) -> list[Strip]:
-        if self.axis == "x":
-            return [Strip(a, b)]
-        return [Strip(lower=(ConstEdge(a),), upper=(ConstEdge(b),))]
-
-    def mass(self, a: float, b: float) -> float:
-        return self.base.integrate_refined(lambda x, y: 1.0, self._strips(a, b))
-
-    def integrate(self, fn, a: float, b: float, nonneg: bool = False) -> float:
-        coord = (lambda x, y: fn(x)) if self.axis == "x" else (lambda x, y: fn(y))
-        if nonneg:
-            return self.base.integrate_refined(coord, self._strips(a, b))
-        return self.base.integrate(coord, self._strips(a, b))
-
-
-class MappedSMeasure1D:
-    """Pushforward of a 2-d density under the S(u) jump map y - u(e^-x - 1)."""
-
-    def __init__(self, base, u: float):
-        self.base = base
-        self.u = u
+    @classmethod
+    def s_jumps(cls, base, u: float) -> "Pushforward1D":
+        """The jumps of S(u) = eta - u W: the map y - u(e^-x - 1)."""
+        return cls(
+            base, lambda fn: lambda x, y: fn(s_jump(x, y, u)), lambda a, b: s_band(u, a, b)
+        )
 
     def atoms_or_none(self):
         return None
 
     def mass(self, a: float, b: float) -> float:
-        return self.base.integrate_refined(lambda x, y: 1.0, [s_band(self.u, a, b)])
+        return self.base.integrate(lambda x, y: 1.0, [self.band(a, b)], nonneg=True)
 
     def integrate(self, fn, a: float, b: float, nonneg: bool = False) -> float:
-        u = self.u
-        integrand = lambda x, y: fn(s_jump(x, y, u))
-        if nonneg:
-            return self.base.integrate_refined(integrand, [s_band(u, a, b)])
-        return self.base.integrate(integrand, [s_band(u, a, b)])
+        return self.base.integrate(self.lift(fn), [self.band(a, b)], nonneg)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +612,7 @@ def s_process(t: LevyTriplet2D, u: float) -> MarginalTriplet:
         jumps = Atoms1D(pairs)
     else:
         corr = _s_density_correction(t.jumps, u)
-        jumps = MappedSMeasure1D(t.jumps, u)
+        jumps = Pushforward1D.s_jumps(t.jumps, u)
 
     gamma = m_eta.gamma - u * gamma_w + corr
     return MarginalTriplet(gamma, sigma2, jumps)
@@ -710,15 +678,14 @@ def drift_vector(t: LevyTriplet2D) -> tuple[float, float]:
     if t.jumps.atoms_or_none() is not None:
         return _uncompensated_drift(t)
     ball = [Strip(-1.0, 1.0, (ChordEdge(1.0, -1.0),), (ChordEdge(1.0),))]
-    abs_mass = t.jumps.integrate_refined(lambda x, y: abs(x) + abs(y), ball)
-    if abs_mass == INF:
+
+    def integral(fn):
+        return t.jumps.integrate(fn, ball, nonneg=True)
+
+    if integral(lambda x, y: abs(x) + abs(y)) == INF:
         raise NotFiniteVariationError("small jumps have infinite variation")
-    ix = t.jumps.integrate_refined(lambda x, y: max(x, 0.0), ball) - t.jumps.integrate_refined(
-        lambda x, y: max(-x, 0.0), ball
-    )
-    iy = t.jumps.integrate_refined(lambda x, y: max(y, 0.0), ball) - t.jumps.integrate_refined(
-        lambda x, y: max(-y, 0.0), ball
-    )
+    ix = integral(lambda x, y: max(x, 0.0)) - integral(lambda x, y: max(-x, 0.0))
+    iy = integral(lambda x, y: max(y, 0.0)) - integral(lambda x, y: max(-y, 0.0))
     return t.gamma_tilde[0] - ix, t.gamma_tilde[1] - iy
 
 
@@ -795,11 +762,15 @@ def scale_eta(t: LevyTriplet2D, k: float) -> LevyTriplet2D:
     elif isinstance(t.jumps, BoxDensity):
         base = t.jumps
         x0, x1, y0, y1 = base.box
-        new_jumps = BoxDensity(
-            lambda x, y, _f=base.fn, _k=k: _f(x, y / _k) / _k,
-            (x0, x1, k * y0, k * y1),
-            base.tol,
-        )
+        box = (x0, x1, k * y0, k * y1)
+        if base.kind is None:
+            new_jumps = BoxDensity(lambda x, y, _f=base.fn, _k=k: _f(x, y / _k) / _k, box, base.tol)
+        else:  # a named family stays named, so its thresholds stay exact
+            names, _, _, scaled = _DENSITY_FAMILIES[base.kind]
+            p = scaled({name: float(base.params[name]) for name in names}, k)
+            new_jumps = density_from_json(
+                {"kind": base.kind, "params": p, "box": box, "tol": base.tol}
+            )
     else:
         raise NotSupportedError("cannot scale this measure type")
 
@@ -836,15 +807,22 @@ def _exp_log_sup(rate: float, lo: float, hi: float) -> float:
 
 
 # kind -> (parameter names, density from the parameters, log of its sup over
-# the box (x0, x1, y0, y1) without the factor c)
-_DENSITY_FAMILIES: dict[str, tuple[tuple[str, ...], Callable, Callable]] = {
-    "uniform_box": (("c",), lambda p: (lambda x, y, c=p["c"]: c), lambda p, box: 0.0),
+# the box (x0, x1, y0, y1) without the factor c, the parameters of the
+# density of (x, k y))
+_DENSITY_FAMILIES: dict[str, tuple[tuple[str, ...], Callable, Callable, Callable]] = {
+    "uniform_box": (
+        ("c",),
+        lambda p: (lambda x, y, c=p["c"]: c),
+        lambda p, box: 0.0,
+        lambda p, k: {"c": p["c"] / k},
+    ),
     "exp_tails": (
         ("c", "a", "b"),
         lambda p: (
             lambda x, y, c=p["c"], a=p["a"], b=p["b"]: c * math.exp(-a * abs(x) - b * abs(y))
         ),
         lambda p, box: _exp_log_sup(p["a"], *box[:2]) + _exp_log_sup(p["b"], *box[2:]),
+        lambda p, k: {"c": p["c"] / k, "a": p["a"], "b": p["b"] / k},
     ),
 }
 
@@ -852,13 +830,15 @@ _DENSITY_FAMILIES: dict[str, tuple[tuple[str, ...], Callable, Callable]] = {
 def density_from_json(doc: dict) -> BoxDensity:
     """A named density family on its box.  Every parameter must be a finite
     number, c > 0 (so the density is positive on the whole closed box) and
-    the density's sup times the box area finite."""
+    the density's sup times the box area finite.  That bound makes the
+    measure finite, so the Levy condition, a finite integral of
+    min(|z|^2, 1), holds with no quadrature."""
     kind = doc.get("kind")
     if kind not in _DENSITY_FAMILIES:
         raise InvalidModelError(
             f"unknown density family {kind!r}; available: {sorted(_DENSITY_FAMILIES)}"
         )
-    names, make_fn, log_sup = _DENSITY_FAMILIES[kind]
+    names, make_fn, log_sup, _ = _DENSITY_FAMILIES[kind]
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise InvalidModelError(f"{kind} density params must be an object")
@@ -883,7 +863,6 @@ def density_from_json(doc: dict) -> BoxDensity:
     if not log_bound < math.log(sys.float_info.max):
         shown = ", ".join(f"{k} = {v!r}" for k, v in p.items())
         raise InvalidModelError(f"{kind} density sup times box area overflows ({shown})")
-    dens.spot_check_integrability()
     return dens
 
 

@@ -1,8 +1,8 @@
 """Tolerance conventions and checked extended-real arithmetic.
 
 Extended reals are plain IEEE floats carrying ``inf``/``-inf``.  Comparisons
-follow the usual total order; the helpers below make the two indeterminate
-forms (inf - inf and 0 * inf) hard errors instead of silent NaNs.
+follow the usual total order; ``checked_add`` makes the indeterminate form
+inf - inf a hard error instead of a silent NaN.
 
 ``BOUNDARY_TOL`` is the package-wide comparison tolerance for exact-tier
 region predicates: a quantity within 1e-12 of zero is treated as sitting on
@@ -37,16 +37,6 @@ def checked_add(a: float, b: float) -> float:
     if math.isinf(a) and math.isinf(b) and (a > 0) != (b > 0):
         raise IndeterminateFormError("inf - inf in extended-real addition")
     return a + b
-
-
-def checked_sub(a: float, b: float) -> float:
-    return checked_add(a, -b)
-
-
-def checked_mul(a: float, b: float) -> float:
-    if (a == 0.0 and math.isinf(b)) or (b == 0.0 and math.isinf(a)):
-        raise IndeterminateFormError("0 * inf in extended-real multiplication")
-    return a * b
 
 
 def ext_to_json(value: float):

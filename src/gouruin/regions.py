@@ -12,8 +12,9 @@ exact extremum of per-atom critical values ``y / (e^-x - 1)``.  A named
 density family (``uniform_box``, ``exp_tails``) is positive on its whole
 closed box, and the critical value is monotone in x and in y on each
 quadrant, so each threshold is the critical value at a corner of the box
-part in that quadrant, exactly.  Only a Python-supplied density and a
-measure on an axis segment find their thresholds by monotone bisection of
+part in that quadrant, exactly.  A measure on an axis segment takes the
+thresholds of one atom on each side of the origin that carries mass.  Only
+a Python-supplied box density finds its thresholds by monotone bisection of
 the region mass.
 
 The drift inequality's left-hand side
@@ -107,7 +108,7 @@ def quadrant_mass(m, i: int) -> float:
     atoms = m.atoms_or_none()
     if atoms is not None:
         return sum(a.rate for a in atoms if _atom_in_quadrant(a, i))
-    return m.integrate_refined(lambda x, y: 1.0, _quadrant_strips(i, None))
+    return m.integrate(lambda x, y: 1.0, _quadrant_strips(i, None), nonneg=True)
 
 
 def region_mass(m, i: int, u: float) -> float:
@@ -119,7 +120,7 @@ def region_mass(m, i: int, u: float) -> float:
             for a in atoms
             if _atom_in_quadrant(a, i) and sgn(s_jump(a.x, a.y, u)) < 0
         )
-    return m.integrate_refined(lambda x, y: 1.0, _quadrant_strips(i, u))
+    return m.integrate(lambda x, y: 1.0, _quadrant_strips(i, u), nonneg=True)
 
 
 def _atom_critical(a) -> float:
@@ -186,17 +187,19 @@ def _box_thetas(box) -> ThetaBounds:
     return ThetaBounds(*values)
 
 
-def _x_axis_thetas(m) -> ThetaBounds:
-    """Thresholds of a measure on the x axis.  Every critical level
-    y / w(x) is 0 there, so branch i is branch i of the atom-tier
-    thresholds of one atom on the side of the axis in A_i (x > 0 for A_1
-    and A_2, x < 0 for A_3 and A_4), or empty when that side holds no
-    mass."""
+def _axis_thetas(m: LineDensity) -> ThetaBounds:
+    """Thresholds of a measure on an axis segment.  Every jump on an axis
+    has the same atom-tier conventions as any other on its side of the
+    origin (critical level 0 on the x axis, the x = 0 rules on the y axis),
+    so branch i is branch i of the atom-tier thresholds of one atom on the
+    side in A_i, (sx, 0) on the x axis and (0, sy) on the y axis, or empty
+    when that side holds no mass."""
     values = []
     for i in (1, 2, 3, 4):
         atoms = ()
         if quadrant_mass(m, i) > mass_tol(m):
-            atoms = (JumpAtom(float(_quadrant_signs(i)[0]), 0.0, 1.0),)
+            sx, sy = _quadrant_signs(i)
+            atoms = (JumpAtom(*m._point(float(sx if m.axis == "x" else sy)), 1.0),)
         values.append(getattr(_atom_thetas(atoms), f"theta{i}"))
     return ThetaBounds(*values)
 
@@ -207,8 +210,8 @@ def mass_tol(m) -> float:
 
 
 def _bisect_theta(m, i: int, sign: float, vanishing: bool) -> float:
-    """Threshold of a Python-supplied density or of a measure on a y-axis
-    segment, by monotone bisection on region mass.
+    """Threshold of a Python-supplied ``BoxDensity``, by monotone bisection
+    on region mass.
 
     The search runs over v >= 0 with u = sign * v.  ``vanishing`` means the
     region holds mass near v = 0 and empties past the transition (the
@@ -257,16 +260,16 @@ def _bisect_theta(m, i: int, sign: float, vanishing: bool) -> float:
 
 def thetas(m) -> ThetaBounds:
     """Critical thresholds of the four moving regions: exact on the atom
-    tier, for a named density family and on the x axis, by bisection of
-    the region mass for any other density."""
+    tier, for a named density family and on an axis segment, by bisection
+    of the region mass for a Python-supplied box density."""
     atoms = m.atoms_or_none()
     if atoms is not None:
         return _atom_thetas(atoms)
     box = family_box(m)
     if box is not None:
         return _box_thetas(box)
-    if isinstance(m, LineDensity) and m.axis == "x":
-        return _x_axis_thetas(m)
+    if isinstance(m, LineDensity):
+        return _axis_thetas(m)
     # On u >= 0 the A2 region empties as u grows while A4 fills; mirrored on
     # u <= 0, A3 empties as u falls while A1 fills.
     return ThetaBounds(
@@ -298,10 +301,10 @@ def drift_lhs(t: LevyTriplet2D, u: float) -> float:
                 term += a.rate * (u * a.x + a.y)
         return base - term
     strips = _disk_region_strips(u)
-    pos = t.jumps.integrate_refined(lambda x, y: max(u * x + y, 0.0), strips)
+    pos = t.jumps.integrate(lambda x, y: max(u * x + y, 0.0), strips, nonneg=True)
     if pos == INF:
         return NEG_INF
-    neg = t.jumps.integrate_refined(lambda x, y: max(-(u * x + y), 0.0), strips)
+    neg = t.jumps.integrate(lambda x, y: max(-(u * x + y), 0.0), strips, nonneg=True)
     if neg == INF:
         raise UndeterminedError(
             "negative part of the drift integral diverged; measure is not Levy"
@@ -321,8 +324,8 @@ def small_jump_variation(t: LevyTriplet2D, u: float) -> SmallJumpVariation:
     if t.jumps.atoms_or_none() is not None:
         return SmallJumpVariation.FINITE
     try:
-        value = t.jumps.integrate_refined(
-            lambda x, y: max(s_jump(x, y, u), 0.0), [s_band(u, 0.0, 1.0)]
+        value = t.jumps.integrate(
+            lambda x, y: max(s_jump(x, y, u), 0.0), [s_band(u, 0.0, 1.0)], nonneg=True
         )
     except UndeterminedError:
         return SmallJumpVariation.UNDETERMINED

@@ -35,7 +35,6 @@ from gouruin.model import (
 )
 from gouruin.numerics import NEG_INF
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
-from gouruin.regions import RegionBoundaryWarning
 
 E = math.e
 E_RATIO = E / (E - 1.0)
@@ -375,7 +374,7 @@ class TestDensityTierClassification:
         def integrated(*args):
             pytest.fail("negative-jump mass integrated")
 
-        monkeypatch.setattr(classify, "MappedSMeasure1D", integrated)
+        monkeypatch.setattr(classify.Pushforward1D, "s_jumps", integrated)
         t = self._box_triplet((0.3, 10.0), ((0.0, 0.0), (0.0, 0.0)), self._THIN_BOX, c=1.0)
         for u in (5.09, 20.0):
             cert = is_subordinator_s(t, u)
@@ -426,17 +425,12 @@ class TestDensityTierClassification:
     @pytest.mark.parametrize("k, expected", [(0.5, 0.6), (2.0, 2.4)])
     @pytest.mark.parametrize("line", [False, True], ids=["box", "y_line"])
     def test_scaled_density_keeps_the_rigid_level(self, k, expected, line):
-        import warnings
-
         sigma = ((1.0, -1.2), (-1.2, 1.44))
         if line:
             t = LevyTriplet2D((0.5, 1.5), sigma, LineDensity("y", lambda v: 1.0, 0.5, 1.5))
         else:
             t = self._box_triplet((0.5, 1.5), sigma, (0.2, 1.8, 0.3, 1.2))
-        with warnings.catch_warnings():
-            # the y-axis line sits on the boundary of the theta regions
-            warnings.simplefilter("ignore", RegionBoundaryWarning)
-            r = no_ruin_threshold(scale_eta(t, k))
+        r = no_ruin_threshold(scale_eta(t, k))
         assert r.decision.kind is DecisionKind.NO_RUIN_FROM
         assert r.decision.threshold == pytest.approx(expected, abs=1e-12)
 

@@ -160,8 +160,10 @@ class TestLazyQuadratureImport:
         return run.stderr.splitlines()[-1]
 
     def test_scipy_integrate_loads_only_for_the_density_tier(self, tmp_path):
+        # a rigid Gaussian part leaves one level, whose drift is integrated
+        spec = {**DENSITY_SPEC, "sigma": [[1.0, -1.2], [-1.2, 1.44]]}
         f = tmp_path / "dens.json"
-        f.write_text(json.dumps(DENSITY_SPEC))
+        f.write_text(json.dumps(spec))
         script = (
             "import sys\n"
             "from gouruin import cli\n"
@@ -487,6 +489,16 @@ class TestEstimate:
         assert (code, out) == (cli.EXIT_INPUT, "")
         assert err == "input error: level z must be a number, got nan\n"
 
+    @pytest.mark.parametrize("z", ["inf", "-inf"])
+    def test_infinite_level_is_an_input_error(self, capsys, z):
+        # the report used to print "z": Infinity, which is not strict JSON
+        code, out, err = run_cli(
+            capsys, "estimate", "--preset", "continuous_example", "--what", "ruin",
+            f"--z={z}", "--paths", "10", "--horizon", "1",
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == f"input error: level z must be finite, got {z}\n"
+
 
 class TestSimulateChecksBeforeWriting:
     """``simulate`` refuses bad input with exit 1 before it creates --out."""
@@ -497,6 +509,8 @@ class TestSimulateChecksBeforeWriting:
         (["--horizon", "-1"], "horizon must be positive and finite, got -1.0"),
         (["--seed", "-3"], "seed must be a non-negative integer, got -3"),
         (["--z", "nan"], "level z must be a number, got nan"),
+        (["--z=inf"], "level z must be finite, got inf"),
+        (["--z=-inf"], "level z must be finite, got -inf"),
     ])
     def test_no_directory_is_left_behind(self, capsys, tmp_path, flags, message):
         out_dir = tmp_path / "paths"
@@ -570,29 +584,22 @@ class TestValidate:
 
 class TestUndeterminedExit:
     def test_density_continuum_exits_two(self, capsys, tmp_path, monkeypatch):
-        # Only the spec's integrability spot check integrates; the decision
-        # is refused before any theta or quadrature.
+        # Loading a named family integrates nothing (its sup times its box
+        # area bounds its mass), and the decision is refused before any
+        # theta or quadrature.
         from scipy import integrate
 
         from gouruin import classify
 
         calls = {"thetas": 0, "quad": 0, "nquad": 0}
-        loaded = []
-        load = cli.triplet_from_spec
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += bool(loaded)
+                calls[name] += 1
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        def load_then_count(spec):
-            out = load(spec)
-            loaded.append(True)
-            return out
-
-        monkeypatch.setattr(cli, "triplet_from_spec", load_then_count)
         monkeypatch.setattr(classify, "thetas", counted("thetas", classify.thetas))
         for name in ("quad", "nquad"):
             monkeypatch.setattr(integrate, name, counted(name, getattr(integrate, name)))
@@ -614,7 +621,7 @@ class TestUndeterminedExit:
         doc = json.loads(out)
         jsonschema.validate(doc, load_schema("ruin_report.schema.json"))
         assert doc["decision"]["kind"] == "undetermined"
-        assert loaded and calls == {"thetas": 0, "quad": 0, "nquad": 0}
+        assert calls == {"thetas": 0, "quad": 0, "nquad": 0}
 
     @pytest.mark.parametrize("levels", [(), (0.5, 1.5)])
     def test_density_continuum_reports_its_reason(self, capsys, tmp_path, levels):
@@ -696,25 +703,24 @@ class TestUndeterminedExit:
         assert "delta" not in doc
         assert err == "undetermined: 2-d quadrature tolerance not reached residual=0.25\n"
 
-    def test_unresolved_density_spot_check_still_reports(self, capsys, tmp_path, monkeypatch):
-        from scipy import integrate
-
-        def unresolved(*args, **kwargs):
-            return 0.0, 0.25  # (value, error estimate) far above any tolerance
-
-        monkeypatch.setattr(integrate, "nquad", unresolved)
-        monkeypatch.setattr(integrate, "quad", unresolved)
+    def test_zero_gaussian_density_spec_refuses_without_scipy_integrate(self, tmp_path):
+        # In a fresh interpreter: the spec loads and the continuum decision
+        # is refused, and neither step imports the quadrature backend.
         f = tmp_path / "dens.json"
         f.write_text(json.dumps(DENSITY_SPEC))
-        code, out, err = run_cli(capsys, "check", "--spec", str(f), "--delta-at", "1.0")
-        assert code == 2
-        doc = json.loads(out)
-        jsonschema.validate(doc, load_schema("ruin_report.schema.json"))
-        assert doc["decision"]["kind"] == "undetermined"
-        assert doc["certificate"]["verdict"] == "undetermined"
-        assert doc["branch"] == "sigma_zero" and doc["spec"] == {"inline": True}
-        assert doc["residual"] == 0.25 and "delta" not in doc
-        assert err == "undetermined: 2-d quadrature tolerance not reached residual=0.25\n"
+        script = (
+            "import contextlib, io, sys\n"
+            "from gouruin import cli\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    code = cli.main(['check', '--spec', {str(f)!r}])\n"
+            "print(code, 'scipy.integrate' in sys.modules, err.getvalue().strip(),\n"
+            "      file=sys.stderr)\n"
+        )
+        assert TestLazyQuadratureImport.run_script(script) == (
+            "2 False undetermined: drift feasibility over a continuum of levels "
+            "needs the atom tier"
+        )
 
     def test_quadrature_residual_is_printed(self, capsys, tmp_path, monkeypatch):
         from scipy import integrate

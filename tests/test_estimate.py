@@ -553,6 +553,23 @@ class TestNonfiniteValues:
         with pytest.raises(InvalidModelError, match="level z must be a number"):
             empirical_lower_bound(t, math.nan, 1.0, 10, seed=1)
 
+    @pytest.mark.parametrize("z", [math.inf, -math.inf])
+    def test_infinite_level_is_an_input_error(self, z):
+        # no finite-horizon estimate means anything at an infinite level
+        t = continuous_example_triplet(0.4)
+        with pytest.raises(InvalidModelError, match=f"level z must be finite, got {z}"):
+            estimate_ruin(t, z, 1.0, 10, seed=1)
+        with pytest.raises(InvalidModelError, match="level z must be finite"):
+            empirical_lower_bound(t, z, 1.0, 10, seed=1)
+
+    @pytest.mark.parametrize("engine,t,horizon,step", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES])
+    def test_step_beyond_the_horizon_is_an_input_error(self, engine, t, horizon, step):
+        # every engine takes PathConfig's rule 0 < step <= horizon
+        assert _select_engine(t) == engine
+        with pytest.raises(InvalidModelError, match="step must satisfy 0 < step <= horizon"):
+            estimate_ruin(t, 0.5, 1.0, 10, seed=1, step=5.0)
+        assert estimate_ruin(t, 0.5, 1.0, 10, seed=1, step=1.0).n_paths == 10
+
     def test_terminal_overflow_is_undetermined(self):
         # The terminal value at T = 800 is NaN (inf * 0 in the drift sum).
         t = overflowing("grid_bridge")

@@ -1,8 +1,10 @@
 """Triplet model: marginals, transforms, drifts, scaling, serialization."""
 
+import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from gouruin.errors import (
@@ -20,8 +22,8 @@ from gouruin.model import (
     JumpAtom,
     LevyTriplet2D,
     LineDensity,
-    MappedSMeasure1D,
     MarginalTriplet,
+    Pushforward1D,
     d_eta,
     density_from_json,
     drift_vector,
@@ -39,6 +41,7 @@ from gouruin.model import (
     w_transform,
 )
 from gouruin.numerics import INF, NEG_INF
+from gouruin.quadrature import Strip
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
 
 E = math.e
@@ -475,7 +478,7 @@ class TestDensityTierMarginals:
         t0 = lo + 1000.25 * (hi - lo) / 2047
         a, b = -u * math.expm1(-t0), -u * math.expm1(-(t0 + width))
         exact = k * (min(-math.log1p(-b / u), hi) - max(-math.log1p(-a / u), lo))
-        mass = MappedSMeasure1D(LineDensity("x", lambda v: k, lo, hi), u).mass(a, b)
+        mass = Pushforward1D.s_jumps(LineDensity("x", lambda v: k, lo, hi), u).mass(a, b)
         assert mass == pytest.approx(exact, rel=1e-12)
         assert exact == pytest.approx(k * width, rel=1e-9)
 
@@ -574,3 +577,61 @@ class TestDensityFamilies:
         assert gx_oracle != pytest.approx(0.2, abs=1e-3)  # nontrivial case
         assert s.gamma_tilde[0] == pytest.approx(gx_oracle, abs=1e-5)
         assert s.gamma_tilde[1] == pytest.approx(gy_oracle, abs=1e-5)
+
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    @pytest.mark.parametrize("kind, params", [
+        ("uniform_box", {"c": 1.0}),
+        ("exp_tails", {"c": 2.0, "a": 1.0, "b": 1.5}),
+    ])
+    def test_scaled_family_stays_named(self, kind, params, k):
+        # (x, k y) of a named family is the same family on the scaled box, so
+        # its thresholds stay exact corner values and it still serializes.
+        from gouruin.regions import thetas
+
+        box = [0.5, 1.5, -2.0, -0.5]
+        dens = density_from_json({"kind": kind, "params": params, "box": box})
+        t = LevyTriplet2D((0.2, -0.3), ((0.0, 0.0), (0.0, 0.0)), dens)
+        s = scale_eta(t, k)
+        for x, y in ((0.5, -2.0), (0.9, -1.1), (1.5, -0.5)):
+            assert s.jumps.fn(x, k * y) == pytest.approx(dens.fn(x, y) / k, rel=1e-15)
+        th, th_k = thetas(dens), thetas(s.jumps)
+        for name in ("theta1", "theta2", "theta3", "theta4"):
+            assert math.isclose(getattr(th_k, name), k * getattr(th, name), rel_tol=1e-12)
+        doc = json.loads(json.dumps(triplet_to_json(s)))
+        back = triplet_from_json(doc)
+        assert triplet_to_json(back) == doc
+        assert back.gamma_tilde == s.gamma_tilde and back.jumps.box == s.jumps.box
+
+    def test_levy_integral_is_bounded_by_sup_times_area(self):
+        # density_from_json accepts a family only when its sup times its box
+        # area is finite.  That bounds its mass, so the integral of
+        # min(|z|^2, 1), at most the mass, is finite with no quadrature at
+        # load time.  The origin-refined quadrature agrees on random
+        # accepted boxes, many of them across an axis or the unit circle.
+        def sup_exp(rate, lo, hi):  # max of e^(-rate |v|) over [lo, hi]
+            nearest = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+            return math.exp(-rate * (nearest if rate >= 0.0 else max(abs(lo), abs(hi))))
+
+        rng = np.random.default_rng(20)
+        straddles = {"x axis": 0, "y axis": 0, "unit circle": 0}
+        for i in range(60):
+            x0, y0 = (float(v) for v in rng.uniform(-1.5, 1.2, 2))
+            w, h = (float(v) for v in rng.uniform(0.2, 1.5, 2))
+            box = [x0, x0 + w, y0, y0 + h]
+            c = float(rng.uniform(0.1, 3.0))
+            if i % 2:
+                a, b = (float(v) for v in rng.uniform(-1.0, 2.0, 2))
+                spec = {"kind": "exp_tails", "params": {"c": c, "a": a, "b": b}}
+                sup = c * sup_exp(a, *box[:2]) * sup_exp(b, *box[2:])
+            else:
+                spec = {"kind": "uniform_box", "params": {"c": c}}
+                sup = c
+            dens = density_from_json({**spec, "box": box, "tol": 1e-5})
+            value = dens.integrate(lambda x, y: min(x * x + y * y, 1.0), [Strip()], nonneg=True)
+            assert 0.0 <= value <= sup * w * h + 1e-5, (spec, box)
+            near = max(0.0, x0, -box[1]) ** 2 + max(0.0, y0, -box[3]) ** 2
+            far = max(x0 * x0, box[1] ** 2) + max(y0 * y0, box[3] ** 2)
+            straddles["x axis"] += y0 < 0.0 < box[3]
+            straddles["y axis"] += x0 < 0.0 < box[1]
+            straddles["unit circle"] += near < 1.0 < far
+        assert min(straddles.values()) >= 10, straddles

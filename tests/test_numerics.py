@@ -8,8 +8,6 @@ from gouruin.numerics import (
     INF,
     NEG_INF,
     checked_add,
-    checked_mul,
-    checked_sub,
     ext_from_json,
     ext_to_json,
     sgn,
@@ -20,17 +18,9 @@ class TestCheckedArithmetic:
     def test_inf_minus_inf_is_a_hard_error(self):
         with pytest.raises(IndeterminateFormError):
             checked_add(INF, NEG_INF)
-        with pytest.raises(IndeterminateFormError):
-            checked_sub(INF, INF)
-
-    def test_zero_times_inf_is_a_hard_error(self):
-        with pytest.raises(IndeterminateFormError):
-            checked_mul(0.0, INF)
 
     def test_ordinary_values_pass_through(self):
         assert checked_add(INF, 5.0) == INF
-        assert checked_sub(1.0, NEG_INF) == INF
-        assert checked_mul(-2.0, INF) == NEG_INF
 
     def test_sign_dead_band(self):
         assert sgn(5e-13) == 0

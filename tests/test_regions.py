@@ -490,6 +490,21 @@ class TestDensityThetas:
         ref = regions._atom_thetas([JumpAtom(x, 0.0, 1.0) for x in sides])
         assert repr(th) == repr(ref)
 
+    @pytest.mark.parametrize("lo, hi, sides", [
+        (0.5, 1.5, (1.0,)),  # above 0: A_1 and A_4
+        (-1.5, -0.5, (-1.0,)),  # below 0: A_2 and A_3
+        (-1.0, 1.0, (1.0, -1.0)),  # straddling 0: all four
+    ])
+    def test_y_axis_line_takes_the_atom_thresholds_of_its_sides(self, lo, hi, sides):
+        # A jump (0, y) follows the atom tier's x = 0 rules, the same for
+        # every y of one sign, so each side with mass gives the thresholds
+        # of one atom on it, and no region mass is searched out to a cap.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", regions.RegionBoundaryWarning)
+            th = thetas(LineDensity("y", lambda v: 1.0, lo, hi))
+        ref = regions._atom_thetas([JumpAtom(0.0, y, 1.0) for y in sides])
+        assert repr(th) == repr(ref)
+
     def test_x_axis_line_without_mass_has_empty_branches(self):
         th = thetas(LineDensity("x", lambda v: 0.0, -1.0, 1.0))
         assert repr(th) == repr(regions._atom_thetas(()))
