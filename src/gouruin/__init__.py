@@ -48,7 +48,6 @@ from .model import (
     MarginalTriplet,
     d_eta,
     drift_vector,
-    from_marginals,
     l_process,
     marginal_eta,
     marginal_xi,
@@ -62,13 +61,11 @@ from .model import (
 from .presets import continuous_example_triplet, jump_example_triplet, triplet_from_spec
 from .regions import (
     PiecewiseLinearFn,
-    SmallJumpVariation,
     ThetaBounds,
     drift_lhs,
     drift_lhs_piecewise,
     quadrant_mass,
     region_mass,
-    small_jump_variation,
     thetas,
 )
 from .simulate import (
@@ -78,13 +75,10 @@ from .simulate import (
     closed_form_continuous_example,
     compute_V,
     compute_Z,
-    exact_fv_path,
     first_passage,
     fv_first_passage,
     path_rng,
     simulate_pair,
-    simulate_stochastic_exponential,
-    write_path_csv,
 )
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ Exit codes: 0 = decision/pass, 1 = input error, 2 = undetermined or refused.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -23,6 +24,7 @@ from .classify import DecisionKind, no_ruin_threshold
 from .errors import GouError, InvalidModelError, NotApplicableError, UndeterminedError
 from .estimate import (
     _check_inputs,
+    _dispatch_batch,
     _ruin_estimate,
     estimate_negative_prob,
     estimate_Zinf_cdf,
@@ -30,15 +32,6 @@ from .estimate import (
 )
 from .numerics import ext_to_json
 from .presets import triplet_from_spec
-from .simulate import (
-    PathConfig,
-    _density_jump_table,
-    _simulate_pair_with_rng,
-    exact_fv_path,
-    is_exact_fv,
-    path_rng,
-    write_path_csv,
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -89,35 +82,39 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_spec(args)
-    t, meta = triplet_from_spec(spec)
+    t, meta = triplet_from_spec(_load_spec(args))
     _check_inputs(args.horizon, args.paths, args.step, [args.z], args.seed)
-    cfg = PathConfig(args.horizon, args.step, args.seed, args.truncation_eps)
-    exact = is_exact_fv(t)
-    table = None if exact else _density_jump_table(t, cfg)  # shared by every path
     out = FsPath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-    for i in range(args.paths):
-        p = (
-            exact_fv_path(t, cfg, path_index=i)
-            if exact
-            else _simulate_pair_with_rng(t, cfg, path_rng(args.seed, i), table)
-        )
-        name = f"path_{i:04d}.csv"
-        with open(out / name, "w", newline="") as fh:
-            write_path_csv(p, args.z, fh)
-        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        files.append({"file": name, "sha256": digest})
+
+    def write(ids, chunk):
+        """Append each path's monitored instants to its CSV; the chunk that
+        holds t = 0 starts the file.  --out is made only once the batch
+        yields paths, after every input check."""
+        s = chunk.states(args.z)
+        out.mkdir(parents=True, exist_ok=True)
+        for r, i in enumerate(ids.tolist()):
+            first = s.time[r, 0] == 0.0
+            with open(out / f"path_{i:04d}.csv", "w" if first else "a", newline="") as fh:
+                writer = csv.writer(fh)
+                if first:
+                    writer.writerow(("time", "xi", "Z", "V", "jump"))
+                cols = (a[r, :s.length[r]].tolist() for a in s[:5])
+                writer.writerows((f"{time:.12g}", f"{xi:.12g}", f"{Z:.12g}", f"{V:.12g}", int(jump))
+                                 for time, xi, Z, V, jump in zip(*cols))
+
+    batch = _dispatch_batch(t, [], args.horizon, args.paths, args.seed, 0, step=args.step,
+                            truncation_eps=args.truncation_eps, sink=write)
+    files = [
+        {"file": f"path_{i:04d}.csv",
+         "sha256": hashlib.sha256((out / f"path_{i:04d}.csv").read_bytes()).hexdigest()}
+        for i in range(args.paths)
+    ]
     manifest = {
         "spec": meta,
         "z": args.z,
         "horizon": args.horizon,
         "step": args.step,
-        "step_used_for_dynamics": not exact,
-        "note": "event-driven exact simulation; step only sets output resolution"
-        if exact
-        else "jump-adapted Euler grid",
+        "engine": batch.engine,
         "seed": args.seed,
         "paths": args.paths,
         "files": files,

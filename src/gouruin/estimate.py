@@ -62,6 +62,7 @@ from .model import LevyTriplet2D, rigid_level, xi_brownian
 from .numerics import BOUNDARY_TOL
 from .simulate import (
     PathConfig,
+    States,
     _chol2x2,
     _density_jump_table,
     _Chunk,
@@ -176,22 +177,19 @@ class EmpiricalCDF:
 
 class _BatchResult:
     """Per-z first-passage records plus terminal samples shared across
-    levels; ``time`` is filled only when the caller asks for times,
-    ``v_min`` (each path's minimum of V = e^xi (z + Z) over its monitored
-    instants) only when it asks for the minimum at a level ``min_at``, and
+    levels; ``time`` is filled only when the caller asks for times, and
     ``z_half`` (Z at mid-horizon: the first monitored instant from half the
     horizon on, or on the grid engines grid instant ``n_steps // 2``) only
-    for requests with no levels and no ``min_at``.  ``passed`` counts
-    the levels each path has passed (they nest), and ``lost`` marks the
-    paths that turned non-finite before they were decided; ``nonfinite``
-    counts them.
+    for requests with no levels and no sink.  ``passed`` counts the levels
+    each path has passed (they nest), and ``lost`` marks the paths that
+    turned non-finite before they were decided; ``nonfinite`` counts them.
 
     ``z_T`` holds Z at the horizon of every path the engine carries there.
     The Gaussian grid engines stop a path once it is ruined at every level
-    or lost, unless the minimum is wanted, so such a path may keep NaN.
+    or lost, unless a sink reads the paths, so such a path may keep NaN.
     ``_batch_from_chunks`` alone fills a batch in."""
 
-    def __init__(self, engine, levels, n, want_times, want_half, min_at):
+    def __init__(self, engine, levels, n, want_times, want_half):
         shape = (len(levels), n)
         self.table = (np.zeros(shape, bool), np.full(shape, math.nan),
                       np.full(shape, math.nan), np.zeros(shape, bool))
@@ -200,7 +198,6 @@ class _BatchResult:
         self.time = time if want_times else {}
         self.z_T = np.full(n, math.nan)
         self.z_half = np.full(n, math.nan) if want_half else None
-        self.v_min = None if min_at is None else np.full(n, math.inf)
         self.passed = np.zeros(n, dtype=np.intp)
         self.lost = np.zeros(n, dtype=bool)
         self.engine = engine
@@ -279,26 +276,31 @@ def _run_chunks(fn, ranges):
         return list(pool.map(fn, ranges))
 
 
-def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, min_at, half, end):
+def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, sink, half, end):
     """The batch of any engine, assembled from its chunks.  ``chunks(i0, i1,
     res, needs)`` yields (path ids, ``_Chunk``) pairs for the paths i0..i1-1,
     in ranges of ``rows`` paths; a path comes back in later chunks for its
-    later instants, and the producer may read ``res`` to drop decided paths.
-    Each chunk is reduced at once: its terminal values (``z_T``, and
-    ``z_at(half)`` where the chunk holds it), its minimum of V, and its first
+    later instants, in time order, and the producer may read ``res`` to drop
+    decided paths.  Each chunk is reduced at once: its terminal values
+    (``z_T``, and ``z_at(half)`` where the chunk holds it) and its first
     crossings of every level after those its paths passed before.  A path is
     lost when a chunk finds it not finite (``chunk.finite``) while a level is
-    not passed or ``min_at`` is set: it never counts as surviving.  So a
+    not passed or a sink is given: it never counts as surviving.  So a
     producer may leave out the rows of a chunk of instants t0..t1 that
     cannot cross a level they have not passed, unless ``needs(t0, t1)``:
     the loop then reads the whole chunk whatever it holds.  A non-finite row
-    left out must come back in a later chunk."""
+    left out must come back in a later chunk.
+
+    With a ``sink``, the full-path mode, the loop reads every chunk whole
+    and calls ``sink(ids, chunk)`` on each, so the sink sees every monitored
+    instant of every path (``chunk.states``).  Sinks run on the worker
+    threads, each on the paths of its own ranges."""
     n_levels = len(levels)
-    want_half = not n_levels and min_at is None
-    res = _BatchResult(engine, levels, n, want_times, want_half, min_at)
+    want_half = not n_levels and sink is None
+    res = _BatchResult(engine, levels, n, want_times, want_half)
 
     def needs(t0, t1):
-        return min_at is not None or t1 >= end or (want_half and t0 <= half <= t1)
+        return sink is not None or t1 >= end or (want_half and t0 <= half <= t1)
 
     def run(rng_range):
         # ``chunk`` keeps the last chunk until the next one is built, so the
@@ -311,13 +313,13 @@ def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, min_at, half
                     res.z_T[ids] = chunk.z_T
                 if want_half and (z_half := chunk.z_at(half)) is not None:
                     res.z_half[ids] = z_half
-                if min_at is not None:
-                    res.v_min[ids] = np.minimum(res.v_min[ids], chunk.lowest(min_at))
+                if sink is not None:
+                    sink(ids, chunk)
                 level, r, *crossings, passed = chunk.first_crossings(
                     levels, want_times, res.passed[ids])
                 res.add(level, ids[r], *crossings)
                 res.passed[ids] = passed
-                res.lost[ids] |= ~chunk.finite & ((min_at is not None) | (passed < n_levels))
+                res.lost[ids] |= ~chunk.finite & ((sink is not None) | (passed < n_levels))
 
     _run_chunks(run, _chunk_ranges(n, rows))
     return res
@@ -326,10 +328,10 @@ def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, min_at, half
 class _GridChunk(_Chunk):
     """The rows of a time block of the Gaussian grid kernel: ``P`` at the
     block's grid instants ``times`` (Z, or on expmart xi signed so that ruin
-    lies below), which ``ruin`` maps to -Z, and xi there when the minimum of
-    V is wanted.  Its keys are P cut to its finite prefix, which the kernel
-    may lower at the end of examined cells to their bridge extremes; a row is
-    ``finite`` when P, and Z and xi where it carries xi, are finite
+    lies below), which ``ruin`` maps to -Z, and xi there when a sink reads
+    the block's states.  Its keys are P cut to its finite prefix, which the
+    kernel may lower at the end of examined cells to their bridge extremes;
+    a row is ``finite`` when P, and Z and xi where it carries xi, are finite
     throughout.  P is a running sum, so a row whose last value is finite is
     finite throughout; Z = u0 (e^-xi - 1) on expmart is not, and may come
     back.  ``z_T`` is set on the block that ends at the horizon.  Every
@@ -358,9 +360,14 @@ class _GridChunk(_Chunk):
         c = np.flatnonzero(self.times == time)
         return -self.ruin(self.P[:, c[0]]) if len(c) else None
 
-    def lowest(self, z):
-        """Each row's smallest V over the block's grid instants."""
-        return (np.exp(self.xi) * (z + self.Z)).min(axis=1)
+    def states(self, z):
+        """The block's grid instants, but its first when the block before
+        ends there, with xi = gamma_xi t on ``grid_bridge``."""
+        cut = 1 if self.times[0] > 0.0 else 0
+        Z = self.Z[:, cut:]
+        xi = np.broadcast_to(self.xi, self.Z.shape)[:, cut:]
+        return States(np.broadcast_to(self.times[cut:], Z.shape), xi, Z, np.exp(xi) * (z + Z),
+                      np.zeros(Z.shape, dtype=bool), np.full(len(Z), Z.shape[1]))
 
 
 def _gaussian_grid_batch(
@@ -373,14 +380,14 @@ def _gaussian_grid_batch(
     stream: int,
     engine: str,
     want_times: bool = False,
-    min_at: float | None = None,
+    sink=None,
 ) -> _BatchResult:
     """No-jump drivers (``expmart``, ``grid_bridge``, ``grid``): each range of
     paths walks the grid in time blocks of at most ``_CHUNK_ELEMS`` values,
     so memory does not grow with the horizon.  A time block yields its live
     paths as a ``_GridChunk`` when the batch loop needs the block whatever
-    it holds (for the minimum of V, mid-horizon or the horizon), and
-    otherwise only its paths within reach of a level they have not passed.
+    it holds (for a sink, mid-horizon or the horizon), and otherwise only its
+    paths within reach of a level they have not passed.
 
     Each path keeps its own generator across blocks, and the running sums
     carry from block to block, so the grid values are those of one
@@ -395,8 +402,7 @@ def _gaussian_grid_batch(
     first level unpassed at the block's start until the grid values pass
     every level.  Levels nest, so common random numbers and monotonicity in
     the level are structural.  A path ruined at every level, or lost, stops
-    drawing unless the minimum is wanted.  The minimum of V at ``min_at`` is
-    taken over the grid instants, with xi = gamma_xi t on ``grid_bridge``.
+    drawing unless a sink reads the paths.
 
     Terminal-only requests (no levels) on ``grid_bridge`` and ``expmart``
     draw two normals per path: the grid values at ``half_idx`` and at the
@@ -450,7 +456,7 @@ def _gaussian_grid_batch(
 
     path_level = np.append(path_level, -math.inf)  # past the last level: no key passes it
 
-    if not n_levels and min_at is None and engine != "grid":
+    if not n_levels and sink is None and engine != "grid":
         # two normals per path: the Gaussian sums at half_idx and at the
         # horizon (in xi on expmart); overflow leaves non-finite values,
         # which the estimators refuse
@@ -551,7 +557,7 @@ def _gaussian_grid_batch(
         for s, e, r in zip(starts.tolist(), ends.tolist(), reach.tolist()):
             P, xi = advance(gens, s, e, carry)
             if needs(times[s], times[e]):
-                ids, chunk = live, _GridChunk(P, None if min_at is None else xi,
+                ids, chunk = live, _GridChunk(P, None if sink is None else xi,
                                               times[s:e + 1], fire, e == n_steps)
             else:
                 # rows within reach of a level they have not passed; P is a
@@ -564,7 +570,7 @@ def _gaussian_grid_batch(
             if n_levels and prec is not None:
                 lower(chunk, ids, res.passed[ids], s, e)
             yield ids, chunk
-            if min_at is None and n_levels:  # decided paths stop drawing
+            if sink is None and n_levels:  # decided paths stop drawing
                 keep = (res.passed[live] < n_levels) & ~res.lost[live]
                 live, carry = live[keep], carry[:, keep]
                 gens = [g for g, k in zip(gens, keep) if k]
@@ -572,12 +578,12 @@ def _gaussian_grid_batch(
                     return
             below = path_level[res.passed[live]]
 
-    return _batch_from_chunks(engine, levels, n, rows, blocks, want_times, min_at,
+    return _batch_from_chunks(engine, levels, n, rows, blocks, want_times, sink,
                               times[half_idx], times[-1])
 
 
 def _per_path_batch(
-    engine, draw, build, z_list, horizon, n, seed, stream, want_times, min_at
+    engine, draw, build, z_list, horizon, n, seed, stream, want_times, sink
 ) -> _BatchResult:
     """The batch of the per-path engines, from their chunks.  Each path
     draws from its own generator: ``draw(rng)`` gives the elements per row
@@ -598,7 +604,7 @@ def _per_path_batch(
         yield np.arange(i1 - len(draws), i1), build(draws)
 
     levels = np.array(sorted(set(z_list)), dtype=float)
-    return _batch_from_chunks(engine, levels, n, _PATH_BLOCK, chunks, want_times, min_at,
+    return _batch_from_chunks(engine, levels, n, _PATH_BLOCK, chunks, want_times, sink,
                               0.5 * horizon, horizon)
 
 
@@ -610,7 +616,7 @@ def _fv_batch(
     seed: int,
     stream: int,
     want_times: bool = False,
-    min_at: float | None = None,
+    sink=None,
 ) -> _BatchResult:
     """Event-driven exact batch for zero-Gaussian atom drivers."""
     _require_fv(t)
@@ -621,7 +627,7 @@ def _fv_batch(
 
     return _per_path_batch(
         "exact_fv", draw, lambda draws: _fv_state_arrays(t, draws, horizon),
-        z_list, horizon, n, seed, stream, want_times, min_at,
+        z_list, horizon, n, seed, stream, want_times, sink,
     )
 
 
@@ -635,7 +641,7 @@ def _mixed_batch(
     stream: int,
     truncation_eps: float | None,
     want_times: bool = False,
-    min_at: float | None = None,
+    sink=None,
 ) -> _BatchResult:
     """General driver: jump-adapted Euler simulation.  A row's widest
     arrays hold one value per instant of its grid."""
@@ -649,7 +655,7 @@ def _mixed_batch(
 
     return _per_path_batch(
         "mixed_grid", draw, lambda draws: _EulerChunk(t, cfg, jump_table, draws),
-        z_list, horizon, n, seed, stream, want_times, min_at,
+        z_list, horizon, n, seed, stream, want_times, sink,
     )
 
 
@@ -686,21 +692,22 @@ def _check_inputs(horizon, n, step, levels, seed) -> None:
 
 def _dispatch_batch(
     t, z_list, horizon, n, seed, stream, step=None, truncation_eps=None, want_times=False,
-    min_at=None,
+    sink=None,
 ) -> _BatchResult:
     """The batch of the driver's engine, for outside input that
-    ``_check_inputs`` accepts."""
-    _check_inputs(horizon, n, step, list(z_list) + ([] if min_at is None else [min_at]), seed)
+    ``_check_inputs`` accepts; a ``sink`` reads every chunk whole
+    (``_batch_from_chunks``)."""
+    _check_inputs(horizon, n, step, z_list, seed)
     engine = _select_engine(t)
     if engine == "exact_fv":
-        return _fv_batch(t, z_list, horizon, n, seed, stream, want_times, min_at)
+        return _fv_batch(t, z_list, horizon, n, seed, stream, want_times, sink)
     step = min(0.01, horizon / 100.0) if step is None else step
     if engine == "mixed_grid":
         return _mixed_batch(
-            t, z_list, horizon, step, n, seed, stream, truncation_eps, want_times, min_at
+            t, z_list, horizon, step, n, seed, stream, truncation_eps, want_times, sink
         )
     return _gaussian_grid_batch(
-        t, z_list, horizon, step, n, seed, stream, engine, want_times, min_at
+        t, z_list, horizon, step, n, seed, stream, engine, want_times, sink
     )
 
 
@@ -930,16 +937,24 @@ def empirical_lower_bound(
 ) -> float:
     """Smallest V = e^xi (z + Z) over the paths and monitored instants of
     the batch and streams of ``estimate_ruin``: the Monte Carlo side of
-    delta(z).  The instants are the pre-jump, post-jump and horizon states
-    on ``exact_fv`` (exact: the path is monotone between them), the grid on
-    the Gaussian grid engines (xi = gamma_xi t on ``grid_bridge``) and the
-    jump-adapted grid on ``mixed_grid``.  A path whose Z or xi turns
-    non-finite before the horizon makes the bound undetermined."""
+    delta(z).  The instants are those of ``chunk.states``: t = 0 and the
+    pre-jump, post-jump and horizon states on ``exact_fv`` (exact: the path
+    is monotone between them), the grid on the Gaussian grid engines (xi =
+    gamma_xi t on ``grid_bridge``) and the jump-adapted grid on
+    ``mixed_grid``; ``gouruin simulate`` writes the same instants.  V = z at
+    t = 0, so the bound is at most z.  A path whose Z or xi turns non-finite
+    before the horizon makes the bound undetermined."""
+    _check_inputs(horizon, n, step, [z], seed)
+    low = np.full(n, math.inf)
+
+    def lowest(ids, chunk):
+        low[ids] = np.minimum(low[ids], chunk.states(z).lowest())
+
     batch = _dispatch_batch(
-        t, [], horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps, min_at=z
+        t, [], horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps, sink=lowest
     )
     _require_finite(batch.nonfinite, n)
-    return float(batch.v_min.min())
+    return float(low.min())
 
 
 def ruin_records(

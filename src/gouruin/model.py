@@ -349,15 +349,23 @@ class LevyTriplet2D:
     jumps: object
 
     def __init__(self, gamma_tilde, sigma, jumps):
-        gx, gy = (float(v) for v in gamma_tilde)
-        rows = [[float(c) for c in row] for row in sigma]
+        try:
+            gx, gy = (float(v) for v in gamma_tilde)
+        except (TypeError, ValueError):
+            raise InvalidModelError(
+                f"gamma_tilde must be two numbers, got {gamma_tilde!r}") from None
+        try:
+            rows = [[float(c) for c in row] for row in sigma]
+            (s11, s12), (s21, s22) = rows
+        except (TypeError, ValueError):
+            raise InvalidModelError(f"sigma must be a 2x2 matrix of numbers, got {sigma!r}") from None
         if not (math.isfinite(gx) and math.isfinite(gy)):
             raise InvalidModelError("drift entries must be finite")
         if any(not math.isfinite(c) for row in rows for c in row):
             raise InvalidModelError("covariance entries must be finite")
-        if abs(rows[0][1] - rows[1][0]) > BOUNDARY_TOL:
+        if abs(s12 - s21) > BOUNDARY_TOL:
             raise InvalidModelError("covariance matrix must be symmetric")
-        s11, s12, s22 = rows[0][0], 0.5 * (rows[0][1] + rows[1][0]), rows[1][1]
+        s12 = 0.5 * (s12 + s21)
         scale = max(1.0, s11, s22)
         if s11 < -BOUNDARY_TOL * scale or s22 < -BOUNDARY_TOL * scale:
             raise InvalidModelError("covariance matrix must be positive semidefinite")
@@ -481,30 +489,6 @@ def marginal_xi(t: LevyTriplet2D) -> MarginalTriplet:
 def marginal_eta(t: LevyTriplet2D) -> MarginalTriplet:
     """1-d triplet of the second component."""
     return _marginal(t, "y")
-
-
-def from_marginals(
-    m_xi: MarginalTriplet, m_eta: MarginalTriplet, brownian_cov: float, jumps
-) -> LevyTriplet2D:
-    """Rebuild a pair triplet from its marginals plus the joint jump measure.
-
-    The ball drift is chosen so that recomputing the marginals reproduces the
-    inputs bit for bit; the reconstruction nudges by a few ulps to absorb
-    floating-point rounding of the correction round trip.
-    """
-
-    def solve(gamma: float, corr: float) -> float:
-        g = gamma - corr
-        for _ in range(8):
-            if g + corr == gamma:
-                return g
-            g = math.nextafter(g, g + (gamma - (g + corr)))
-        return g
-
-    cx = _coordinate_correction(jumps, "x")
-    cy = _coordinate_correction(jumps, "y")
-    sigma = ((m_xi.sigma2, brownian_cov), (brownian_cov, m_eta.sigma2))
-    return LevyTriplet2D((solve(m_xi.gamma, cx), solve(m_eta.gamma, cy)), sigma, jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +750,7 @@ def scale_eta(t: LevyTriplet2D, k: float) -> LevyTriplet2D:
         if base.kind is None:
             new_jumps = BoxDensity(lambda x, y, _f=base.fn, _k=k: _f(x, y / _k) / _k, box, base.tol)
         else:  # a named family stays named, so its thresholds stay exact
-            names, _, _, scaled = _DENSITY_FAMILIES[base.kind]
-            p = scaled({name: float(base.params[name]) for name in names}, k)
+            p = _DENSITY_FAMILIES[base.kind][3](base.params, k)
             new_jumps = density_from_json(
                 {"kind": base.kind, "params": p, "box": box, "tol": base.tol}
             )
@@ -832,9 +815,12 @@ def density_from_json(doc: dict) -> BoxDensity:
     number, c > 0 (so the density is positive on the whole closed box) and
     the density's sup times the box area finite.  That bound makes the
     measure finite, so the Levy condition, a finite integral of
-    min(|z|^2, 1), holds with no quadrature."""
+    min(|z|^2, 1), holds with no quadrature.  The parsed parameters are
+    kept, so the density serializes as the package's schema writes it."""
+    if not isinstance(doc, dict):
+        raise InvalidModelError(f"jumps.density must be an object, got {doc!r}")
     kind = doc.get("kind")
-    if kind not in _DENSITY_FAMILIES:
+    if not isinstance(kind, str) or kind not in _DENSITY_FAMILIES:
         raise InvalidModelError(
             f"unknown density family {kind!r}; available: {sorted(_DENSITY_FAMILIES)}"
         )
@@ -842,6 +828,10 @@ def density_from_json(doc: dict) -> BoxDensity:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise InvalidModelError(f"{kind} density params must be an object")
+    for name in params:
+        if name not in names:
+            raise InvalidModelError(
+                f"{kind} density has no parameter {name!r}; its parameters: {list(names)}")
     p = {}
     for name in names:
         if name not in params:
@@ -854,11 +844,14 @@ def density_from_json(doc: dict) -> BoxDensity:
             raise InvalidModelError(f"{kind} parameter {name!r} must be finite, got {p[name]}")
     if not p["c"] > 0.0:
         raise InvalidModelError(f"{kind} parameter 'c' must be positive, got {p['c']}")
-    box = doc.get("box")
-    if box is None or len(box) != 4:
-        raise InvalidModelError("density spec requires box [x0, x1, y0, y1]")
-    dens = BoxDensity(make_fn(p), box, tol=float(doc.get("tol", 1e-9)), kind=kind, params=params)
-    x0, x1, y0, y1 = dens.box
+    try:
+        x0, x1, y0, y1 = box = tuple(float(v) for v in doc["box"])
+        tol = float(doc.get("tol", 1e-9))
+    except (KeyError, TypeError, ValueError):
+        raise InvalidModelError(
+            "density spec requires box [x0, x1, y0, y1] and an optional tol, all numbers"
+        ) from None
+    dens = BoxDensity(make_fn(p), box, tol=tol, kind=kind, params=p)
     log_bound = math.log(p["c"]) + log_sup(p, dens.box) + math.log(x1 - x0) + math.log(y1 - y0)
     if not log_bound < math.log(sys.float_info.max):
         shown = ", ".join(f"{k} = {v!r}" for k, v in p.items())
@@ -883,10 +876,17 @@ def measure_to_json(measure) -> dict:
 
 
 def measure_from_json(doc: dict):
+    if not isinstance(doc, dict):
+        raise InvalidModelError(f"jumps must be an object, got {doc!r}")
     if "atoms" in doc:
-        return FiniteAtomSet(
-            [JumpAtom(float(a["x"]), float(a["y"]), float(a["rate"])) for a in doc["atoms"]]
-        )
+        try:
+            return FiniteAtomSet(
+                [JumpAtom(float(a["x"]), float(a["y"]), float(a["rate"])) for a in doc["atoms"]]
+            )
+        except (KeyError, TypeError, ValueError):
+            raise InvalidModelError(
+                "jumps.atoms must be a list of objects with numeric x, y and rate"
+            ) from None
     if "density" in doc:
         return density_from_json(doc["density"])
     raise InvalidModelError("jumps must contain 'atoms' or 'density'")
@@ -903,9 +903,9 @@ def triplet_to_json(t: LevyTriplet2D) -> dict:
 
 def triplet_from_json(doc: dict) -> LevyTriplet2D:
     try:
-        gamma = doc["gamma_tilde"]
-        sigma = doc["sigma"]
-        jumps = measure_from_json(doc.get("jumps", {"atoms": []}))
+        gamma, sigma = doc["gamma_tilde"], doc["sigma"]
     except KeyError as exc:
         raise InvalidModelError(f"missing triplet field: {exc}") from exc
-    return LevyTriplet2D((gamma[0], gamma[1]), sigma, jumps)
+    except TypeError:
+        raise InvalidModelError(f"a triplet spec must be an object, got {doc!r}") from None
+    return LevyTriplet2D(gamma, sigma, measure_from_json(doc.get("jumps", {"atoms": []})))

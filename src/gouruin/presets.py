@@ -38,16 +38,26 @@ def jump_example_triplet(c: float, lam: float) -> LevyTriplet2D:
     )
 
 
+def _preset_number(doc: dict, name: str, default: float) -> float:
+    try:
+        return float(doc.get(name, default))
+    except (TypeError, ValueError):
+        raise InvalidModelError(
+            f"preset field {name!r} must be a number, got {doc[name]!r}") from None
+
+
 def triplet_from_spec(doc: dict) -> tuple[LevyTriplet2D, dict]:
     """Expand a process spec (preset or inline triplet) and echo its meta."""
+    if not isinstance(doc, dict):
+        raise InvalidModelError(f"a process spec must be a JSON object, got {doc!r}")
     if "preset" in doc:
         name = doc["preset"]
         if name == "continuous_example":
-            c = float(doc.get("c", 0.0))
+            c = _preset_number(doc, "c", 0.0)
             return continuous_example_triplet(c), {"preset": name, "c": c}
         if name == "jump_example":
-            c = float(doc.get("c", 1.0))
-            lam = float(doc.get("lambda", 1.0))
+            c = _preset_number(doc, "c", 1.0)
+            lam = _preset_number(doc, "lambda", 1.0)
             return jump_example_triplet(c, lam), {
                 "preset": name,
                 "c": c,

@@ -36,7 +36,6 @@ feasibility intervals of the classifier.
 
 from __future__ import annotations
 
-import enum
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -50,7 +49,6 @@ from .model import (
     LevyTriplet2D,
     LineDensity,
     _in_open_ball,
-    s_band,
     s_jump,
     w_jump,
 )
@@ -310,26 +308,6 @@ def drift_lhs(t: LevyTriplet2D, u: float) -> float:
             "negative part of the drift integral diverged; measure is not Levy"
         )
     return base - (pos - neg)
-
-
-class SmallJumpVariation(enum.Enum):
-    FINITE = "finite"
-    INFINITE = "infinite"
-    UNDETERMINED = "undetermined"
-
-
-def small_jump_variation(t: LevyTriplet2D, u: float) -> SmallJumpVariation:
-    """Decides whether the small positive jumps of S(u) have finite mass-size
-    integral; always finite on the atom tier."""
-    if t.jumps.atoms_or_none() is not None:
-        return SmallJumpVariation.FINITE
-    try:
-        value = t.jumps.integrate(
-            lambda x, y: max(s_jump(x, y, u), 0.0), [s_band(u, 0.0, 1.0)], nonneg=True
-        )
-    except UndeterminedError:
-        return SmallJumpVariation.UNDETERMINED
-    return SmallJumpVariation.INFINITE if value == INF else SmallJumpVariation.FINITE
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ execution order and worker count.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -34,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidModelError, NotSupportedError
-from .model import LevyTriplet2D, _uncompensated_drift, w_transform, zero_gaussian
+from .model import LevyTriplet2D, _uncompensated_drift, zero_gaussian
 from .quadrature import Strip, strips_in_annulus, strips_outside_ball
 
 
@@ -73,7 +72,6 @@ class Path:
     eta_left: np.ndarray
     jump_flags: np.ndarray
     drift: tuple[float, float]
-    exact: bool = False
 
     def n_jumps(self) -> int:
         return int(self.jump_flags.sum())
@@ -83,7 +81,7 @@ class Path:
         cut = (r, slice(0, length))
         return Path(
             self.times[cut], self.xi[cut], self.eta[cut], self.xi_left[cut],
-            self.eta_left[cut], self.jump_flags[cut], self.drift, self.exact,
+            self.eta_left[cut], self.jump_flags[cut], self.drift,
         )
 
 
@@ -401,37 +399,6 @@ def _prefix_sums(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _path_rows(cfg: PathConfig, jumps, n_rows: int, drift, sigma=None, rngs=()):
-    """Paths of the pair on their jump-adapted grids as padded rows, and the
-    length of each row.
-
-    With one generator per row in ``rngs``, each row then draws the normals
-    of its Brownian increments, sized by its own grid, and the increments
-    come from the exact bivariate normal with covariance ``sigma * dt``;
-    without, the paths have no Brownian part and are exact.  Drift is
-    applied in closed form.
-    """
-    times, jump_x, jump_y, flags, lengths = _jump_adapted_grid(cfg, jumps, n_rows)
-    bx, by = drift
-    xi_left, eta_left = bx * times, by * times
-    if rngs:
-        l11, l21, l22 = _chol2x2(sigma)
-        chol_t = np.array([[l11, 0.0], [l21, l22]]).T
-        inc_x, inc_y = np.zeros(times.shape), np.zeros(times.shape)
-        for r, rng in enumerate(rngs):
-            inc = rng.standard_normal((lengths[r] - 1, 2)) @ chol_t
-            inc_x[r, :len(inc)], inc_y[r, :len(inc)] = inc.T
-        root_dt = np.sqrt(np.diff(times, axis=1))
-        xi_left = xi_left + _prefix_sums(inc_x[:, :-1] * root_dt)
-        eta_left = eta_left + _prefix_sums(inc_y[:, :-1] * root_dt)
-    xi_left = xi_left + _prefix_sums(jump_x[:, :-1])
-    eta_left = eta_left + _prefix_sums(jump_y[:, :-1])
-    return Path(
-        times, xi_left + jump_x, eta_left + jump_y, xi_left, eta_left, flags,
-        (bx, by), exact=not rngs,
-    ), lengths
-
-
 def simulate_pair(
     t: LevyTriplet2D, cfg: PathConfig, path_index: int = 0, stream: int = 0
 ) -> Path:
@@ -442,43 +409,47 @@ def simulate_pair(
     the grid, and drift is applied in closed form.
     """
     rng = path_rng(cfg.seed, path_index, stream)
-    return _simulate_pair_with_rng(t, cfg, rng, _density_jump_table(t, cfg))
+    table = _density_jump_table(t, cfg)
+    p, lengths = _pair_chunk(t, cfg, table, [(rng, *_pair_jumps(t, table, rng, cfg.horizon))])
+    return p.row(0, lengths[0])
 
 
 def _pair_chunk(t: LevyTriplet2D, cfg: PathConfig, jump_table, draws):
     """Rows of ``simulate_pair`` from each row's (generator, arrivals,
     sizes), the last two from ``_pair_jumps``; ``jump_table`` is the
-    driver's ``_density_jump_table``."""
+    driver's ``_density_jump_table``.  The paths are padded rows, returned
+    with the length of each row.
+
+    Each row draws the normals of its Brownian increments from its own
+    generator, sized by its own grid."""
     if jump_table is None:
-        drift = _uncompensated_drift(t)
+        bx, by = _uncompensated_drift(t)
     else:
-        drift = (t.gamma_tilde[0] - jump_table.comp[0], t.gamma_tilde[1] - jump_table.comp[1])
+        bx, by = t.gamma_tilde[0] - jump_table.comp[0], t.gamma_tilde[1] - jump_table.comp[1]
     jumps = _pair_chunk_jumps(t, [d[1:] for d in draws])
-    return _path_rows(cfg, jumps, len(draws), drift, t.sigma, [d[0] for d in draws])
-
-
-def _simulate_pair_with_rng(
-    t: LevyTriplet2D,
-    cfg: PathConfig,
-    rng: np.random.Generator,
-    jump_table: _DensityJumpTable | None,
-) -> Path:
-    """``simulate_pair`` from a given generator: a chunk of one row."""
-    draw = (rng, *_pair_jumps(t, jump_table, rng, cfg.horizon))
-    p, lengths = _pair_chunk(t, cfg, jump_table, [draw])
-    return p.row(0, lengths[0])
+    times, jump_x, jump_y, flags, lengths = _jump_adapted_grid(cfg, jumps, len(draws))
+    l11, l21, l22 = _chol2x2(t.sigma)
+    chol_t = np.array([[l11, 0.0], [l21, l22]]).T
+    inc_x, inc_y = np.zeros(times.shape), np.zeros(times.shape)
+    for r, (rng, *_) in enumerate(draws):
+        inc = rng.standard_normal((lengths[r] - 1, 2)) @ chol_t
+        inc_x[r, :len(inc)], inc_y[r, :len(inc)] = inc.T
+    root_dt = np.sqrt(np.diff(times, axis=1))
+    xi_left = bx * times + _prefix_sums(inc_x[:, :-1] * root_dt)
+    eta_left = by * times + _prefix_sums(inc_y[:, :-1] * root_dt)
+    xi_left = xi_left + _prefix_sums(jump_x[:, :-1])
+    eta_left = eta_left + _prefix_sums(jump_y[:, :-1])
+    return Path(
+        times, xi_left + jump_x, eta_left + jump_y, xi_left, eta_left, flags, (bx, by)
+    ), lengths
 
 
 def compute_Z(p: Path) -> np.ndarray:
     """Discounted integral along the path (along the last axis, so each row
-    of a chunk on its own): between grid points the closed form on exact
-    event-driven paths and left-point sums otherwise, plus the exact jump
-    contributions with the left-limit integrand."""
+    of a chunk on its own): left-point sums between grid points, plus the
+    exact jump contributions with the left-limit integrand."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if p.exact:
-            cont = _segment_z_increment(p.xi[..., :-1], np.diff(p.times), *p.drift)
-        else:
-            cont = np.exp(-p.xi[..., :-1]) * (p.eta_left[..., 1:] - p.eta[..., :-1])
+        cont = np.exp(-p.xi[..., :-1]) * (p.eta_left[..., 1:] - p.eta[..., :-1])
         jump = np.exp(-p.xi_left[..., 1:]) * (p.eta[..., 1:] - p.eta_left[..., 1:])
     return _prefix_sums(cont + jump)
 
@@ -516,6 +487,25 @@ def _inf_past_overflow(Z):
     return np.where(np.isfinite(Z), Z, np.inf)
 
 
+class States(NamedTuple):
+    """The monitored instants of a chunk's paths, one row per path in time
+    order, padded past each row's ``length``: the time, xi, Z, V = e^xi (z +
+    Z) and whether a jump happened there.  V is taken from the row's finite
+    prefix (+inf past an overflow of Z on the per-path engines)."""
+
+    time: np.ndarray
+    xi: np.ndarray
+    Z: np.ndarray
+    V: np.ndarray
+    jump: np.ndarray
+    length: np.ndarray
+
+    def lowest(self) -> np.ndarray:
+        """Each row's smallest V."""
+        held = np.arange(self.V.shape[1]) < self.length[:, None]
+        return np.where(held, self.V, np.inf).min(axis=1)
+
+
 class _Chunk:
     """The first-passage reducer of every engine, on a chunk of paths (one
     row per path).  A chunk's ``crossing_key`` has one column per monitored
@@ -523,7 +513,8 @@ class _Chunk:
     as they rise, and a row is ruined at level z at its first column whose
     key maps above z.  ``crossings`` gives the time, the path value and the
     kind of those crossings.  The batch loop (``estimate._batch_from_chunks``)
-    also reads ``z_T``, ``finite``, ``z_at`` and ``lowest``."""
+    also reads ``z_T``, ``finite`` and ``z_at``, and a sink of the loop reads
+    ``states``."""
 
     ruin = np.negative  # keys are Z unless a chunk says otherwise
     values_by_column = True  # else crossing columns are needed only for times
@@ -574,6 +565,7 @@ class _EulerChunk(_Chunk):
         self.Z = compute_Z(self.p)
         rows, last = np.arange(len(draws)), lengths - 1
         self.z_T, self.xi_T = self.Z[rows, last], self.p.xi[rows, last]
+        self.lengths = lengths
         self.valid = np.arange(self.Z.shape[1]) < lengths[:, None]
 
     def z_at(self, time):
@@ -598,11 +590,11 @@ class _EulerChunk(_Chunk):
         value = self.growth[r, c] * (z + self.Z[r, c])
         return self.p.times[r, c], value, ~self.p.jump_flags[r, c]
 
-    def lowest(self, z):
-        """Each row's smallest V over its instants, from its finite prefix."""
+    def states(self, z):
+        """The grid and jump instants, with post-jump values at a jump."""
         with np.errstate(invalid="ignore"):
             v = self.growth * (z + _inf_past_overflow(self.Z))
-        return np.where(self.valid, v, np.inf).min(axis=1)
+        return States(self.p.times, self.p.xi, self.Z, v, self.p.jump_flags, self.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -744,18 +736,31 @@ class _ExactChunk(_Chunk):
             ]
         return time, value, cont
 
-    def lowest(self, z):
-        """Each row's smallest V = e^xi (z + Z) over its event and horizon
-        states, from its finite prefix."""
+    def states(self, z):
+        """t = 0, then the pre-jump and the post-jump state of each arrival
+        (one instant, the second flagged as the jump), then the horizon,
+        where e^xi may pass the float range."""
         z_pre, z_post, z_T = self._finite_prefix()
+        rows, width = self.tau.shape
+        at_end = (np.arange(rows), 2 * self.n + 1)
+
+        def timeline(start, pre, post, end):
+            out = np.empty((rows, 2 * width + 1), dtype=np.asarray(pre).dtype)
+            out[:, 0], out[:, 1::2], out[:, 2::2] = start, pre, post
+            out[at_end] = end
+            return out
+
         z_T = np.where(self.finite, z_T, np.inf).tolist()
-        low = np.array([_scaled(x, z + v) for x, v in zip(self.xi_T.tolist(), z_T)])
-        events = np.arange(z_pre.shape[1]) < self.n[:, None]
+        v_T = [_scaled(x, z + zz) for x, zz in zip(self.xi_T.tolist(), z_T)]
         with np.errstate(over="ignore", invalid="ignore"):
-            for xi, zz in ((self.xi_pre, z_pre), (self.xi_post, z_post)):
-                v = np.where(events, np.exp(xi) * (z + zz), np.inf).min(axis=1)
-                low = np.where(v < low, v, low)
-        return low
+            v = timeline(z, np.exp(self.xi_pre) * (z + z_pre),
+                         np.exp(self.xi_post) * (z + z_post), v_T)
+        return States(
+            timeline(0.0, self.tau, self.tau, self.tau[:, -1]),
+            timeline(0.0, self.xi_pre, self.xi_post, self.xi_T),
+            timeline(0.0, self.z_pre, self.z_post, self.z_T),
+            v, timeline(False, False, True, False), 2 * self.n + 2,
+        )
 
 
 def _padded(rows, width: int, fill: float, lead=None) -> np.ndarray:
@@ -820,15 +825,6 @@ def fv_first_passage(
     return FirstPassage(True, float(time[0]), float(value[0]), bool(cont[0]))
 
 
-def exact_fv_path(t: LevyTriplet2D, cfg: PathConfig, path_index: int = 0) -> Path:
-    """Full exact path of a zero-Gaussian atom driver on grid + jump times."""
-    _require_fv(t)
-    tau, jx, jy = _fv_events(t, cfg.horizon, path_rng(cfg.seed, path_index))
-    jumps = (tau, np.zeros(len(tau), dtype=np.intp), jx, jy)
-    p, lengths = _path_rows(cfg, jumps, 1, _uncompensated_drift(t))
-    return p.row(0, lengths[0])
-
-
 # ---------------------------------------------------------------------------
 # Validation constructions
 # ---------------------------------------------------------------------------
@@ -845,44 +841,3 @@ def closed_form_continuous_example(c: float, B: np.ndarray, times: np.ndarray) -
     Brownian draw, the integral is a pointwise function of it and never goes
     below -1."""
     return np.expm1(-(B + c * times))
-
-
-def simulate_stochastic_exponential(t: LevyTriplet2D, p: Path) -> np.ndarray:
-    """Stochastic-exponential path built from the same randomness as xi.
-
-    Uses the product formula with the Brownian part negated, jumps mapped by
-    x -> e^-x - 1, and the drift pinned by the transform; the result must
-    reproduce exp(-xi) to floating accuracy.
-    """
-    bw = _uncompensated_drift(w_transform(t))[1]
-    sigma2 = t.sigma_xi2
-    B = brownian_part(p)
-    dxi = p.xi - p.xi_left
-    w_inc = np.where(p.jump_flags, np.expm1(-dxi), 0.0)
-    w_path = bw * p.times - B + np.cumsum(w_inc)
-    log_corr = np.cumsum(np.where(p.jump_flags, np.log1p(w_inc) - w_inc, 0.0))
-    return np.exp(w_path - 0.5 * sigma2 * p.times + log_corr)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def write_path_csv(p: Path, z: float, fh) -> None:
-    """One row per grid/jump point: time,xi,eta,Z,V,jump."""
-    Z = compute_Z(p)
-    V = compute_V(p, z, Z)
-    writer = csv.writer(fh)
-    writer.writerow(["time", "xi", "eta", "Z", "V", "jump"])
-    for k in range(len(p.times)):
-        writer.writerow(
-            [
-                f"{p.times[k]:.12g}",
-                f"{p.xi[k]:.12g}",
-                f"{p.eta[k]:.12g}",
-                f"{Z[k]:.12g}",
-                f"{V[k]:.12g}",
-                int(p.jump_flags[k]),
-            ]
-        )

@@ -311,7 +311,7 @@ class TestSideConditions:
     def test_degenerate_with_jumps(self):
         # eta = -k W for a pure-jump xi: build the pair from the exact 1-d
         # marginals so the ball drifts match the rescaled jump geometry.
-        from gouruin.model import from_marginals
+        from oracles import from_marginals
 
         k, x, rate = 1.5, 0.7, 0.8
         w = math.exp(-x) - 1.0

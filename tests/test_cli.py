@@ -1,6 +1,5 @@
 """Command-line contract: flags, exit codes, JSON schemas, determinism."""
 
-import io
 import json
 import math
 import os
@@ -81,6 +80,8 @@ class TestCheck:
         assert err == "input error: level must be a number, got nan\n"
 
     def test_delta_at_infinite_levels(self, capsys):
+        # a negative level takes the --delta-at=-inf form: argparse reads
+        # "--delta-at -inf" as an option with no value
         code, out, _ = run_cli(
             capsys,
             "check", "--preset", "jump_example", "--c", "1", "--lambda", "1",
@@ -97,6 +98,26 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--spec", str(f))
         assert code == 1
         assert "sigma" in err or "triplet" in err
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"preset": "continuous_example", "c": "abc"}, "'c'"),
+        ({"preset": "jump_example", "c": None}, "'c'"),
+        ({"gamma_tilde": [1], "sigma": [[0, 0], [0, 0]]}, "gamma_tilde"),
+        ({"gamma_tilde": "ab", "sigma": [[0, 0], [0, 0]]}, "gamma_tilde"),
+        ({"gamma_tilde": [0, 0], "sigma": [[1, 0]]}, "sigma"),
+        ({"gamma_tilde": [0, 0], "sigma": [[0, 0], [0, 0]],
+          "jumps": {"atoms": [{"x": "a", "y": 1, "rate": 1}]}}, "jumps.atoms"),
+        ({"gamma_tilde": [0, 0], "sigma": [[0, 0], [0, 0]], "jumps": {"atoms": {"x": 1}}},
+         "jumps.atoms"),
+        ([1, 2], "spec"),
+    ])
+    def test_malformed_field_is_an_input_error(self, capsys, tmp_path, spec, field):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "check", "--spec", str(f))
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err.startswith("input error: ") and field in err
+        assert "Traceback" not in err
 
     def test_missing_spec_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "check")
@@ -122,6 +143,27 @@ DENSITY_SPEC = {
                     "box": [0.5, 1.5, -1.5, 0.5]}
     },
 }
+
+
+def euler_csv(p, z):
+    """The CSV bytes that ``simulate`` writes for a ``simulate_pair`` path
+    (the csv module's CRLF line ends)."""
+    from gouruin.simulate import compute_V, compute_Z
+
+    Z = compute_Z(p)
+    cols = (a.tolist() for a in (p.times, p.xi, Z, compute_V(p, z, Z), p.jump_flags))
+    rows = [f"{t:.12g},{xi:.12g},{zz:.12g},{v:.12g},{int(j)}\r\n" for t, xi, zz, v, j in zip(*cols)]
+    return ("time,xi,Z,V,jump\r\n" + "".join(rows)).encode()
+
+
+def read_paths(out_dir, n):
+    """The rows of each path CSV that ``simulate`` wrote, as float arrays."""
+    paths = []
+    for i in range(n):
+        lines = (out_dir / f"path_{i:04d}.csv").read_text().splitlines()
+        assert lines[0] == "time,xi,Z,V,jump"
+        paths.append(np.array([[float(v) for v in row.split(",")] for row in lines[1:]]))
+    return paths
 
 
 def _disk_atom_spec(rng, n_atoms):
@@ -273,7 +315,7 @@ class TestSimulate:
         man_b = json.loads((tmp_path / "b" / "manifest.json").read_text())
         jsonschema.validate(man_a, load_schema("manifest.schema.json"))
         assert man_a["content_hash"] == man_b["content_hash"]
-        assert man_a["step_used_for_dynamics"] is False
+        assert man_a["engine"] == "exact_fv"
 
     def test_inline_zero_gaussian_atom_spec_is_event_driven(self, capsys, tmp_path):
         spec = {
@@ -292,10 +334,10 @@ class TestSimulate:
         assert code == 0
         man = json.loads((tmp_path / "out" / "manifest.json").read_text())
         jsonschema.validate(man, load_schema("manifest.schema.json"))
-        assert man["step_used_for_dynamics"] is False
+        assert man["engine"] == "exact_fv"
 
     def test_density_spec_builds_the_jump_table_once(self, capsys, tmp_path, monkeypatch):
-        from gouruin import simulate
+        from gouruin import estimate, simulate
 
         builds = []
         build = simulate._density_jump_table
@@ -304,8 +346,8 @@ class TestSimulate:
             builds.append(args)
             return build(*args)
 
-        for mod in (simulate, cli):  # wherever the command finds it
-            monkeypatch.setattr(mod, "_density_jump_table", counted, raising=False)
+        for mod in (simulate, estimate):  # wherever the command finds it
+            monkeypatch.setattr(mod, "_density_jump_table", counted)
         f = tmp_path / "dens.json"
         f.write_text(json.dumps(DENSITY_SPEC))
         code, _, _ = run_cli(
@@ -320,10 +362,8 @@ class TestSimulate:
         t, _ = cli.triplet_from_spec(DENSITY_SPEC)
         cfg = simulate.PathConfig(1.0, 0.25, 7, 0.3)
         for i in range(3):
-            expected = io.StringIO(newline="")
-            simulate.write_path_csv(simulate.simulate_pair(t, cfg, path_index=i), 1.0, expected)
-            with open(tmp_path / "out" / f"path_{i:04d}.csv", newline="") as fh:
-                assert fh.read() == expected.getvalue()
+            expected = euler_csv(simulate.simulate_pair(t, cfg, path_index=i), 1.0)
+            assert (tmp_path / "out" / f"path_{i:04d}.csv").read_bytes() == expected
 
     MIXED_ATOM_SPEC = {
         "gamma_tilde": [0.5, 0.3],
@@ -336,26 +376,27 @@ class TestSimulate:
         (None,
          ["--preset", "jump_example", "--c", "1", "--lambda", "1", "--z", "2.0",
           "--horizon", "5.0", "--step", "0.25"],
-         ["a183c2e785521c00c098e1941df991d4cfb6a14c91d74f0953e87a4969d66616",
-          "5c7dfefbee17e8a595e2f599aee04d9589a8f08dc0c9f38943cd87782ce9ce26",
-          "9bad1dff79a49a1d4ddb813606b767682b17bf614399bf23a9b7b64b8998c961"],
-         "269ba15be82cf5f64e7718847510f0b08e4aaa181e8af7ac53905af09aa2bc96"),
+         ["58816cf3b8717a3bc76e241c967d0794d433fd7c69b7c5dae72146393e847c44",
+          "f050b82e3bba68cff75a890bc722f8c59459e8589d91105906dcb7583307cba0",
+          "b42bebab8504864d12e797cb5ba1aef4233d7987eaae7ddd79e7aa2668655aba"],
+         "1c8b3a385e3d9ec67095c7de049603ae045d282cb3c3afbeeb0010150549e36f"),
         (MIXED_ATOM_SPEC,
          ["--z", "0.5", "--horizon", "3.0", "--step", "0.1"],
-         ["04cec43a04b9793265c6e4aa4298d07a0d3b822cdf0c0f869771542175d9f7af",
-          "6c18285abdec7a65430a0969839cea5185b06acc33157121258a21990ba35686",
-          "04eead89405fa58f0db89bafce69375180977bdce89d5e258ccae08cd48e57b4"],
-         "7915d730cb7f33c4fd4457fbb36f0089f391139fa875253617e7c005597244f5"),
+         ["72e9be14583139cebd57d333cd873a7825a08a066937d56f91d0aae7c40f3865",
+          "9d74e4701df40a13919493e59493c81c3ddf8c22cfe890d9e40970c14d019ef8",
+          "09d8d83ab96911b2af193156c315a6ff9f98526f4a633c0593e279359e8b7c2d"],
+         "8668f123f0c651b6fe121c8b8cbdc1014b4d1ebc5f62cf880dff199ccc5b6073"),
         (DENSITY_SPEC,
          ["--z", "1.0", "--horizon", "2.0", "--step", "0.25", "--truncation-eps", "0.3"],
-         ["b846d05465f2811b97e1c563611e2afd97cbd312a0901c2c274403fb527ede54",
-          "956c4ccd0a71fc8eb6450ef52089b2bf58efb6208ed8bf107874b6c9fdb93bd8",
-          "12f8503187cc48a2912513f4b931773ea53e1780bb3df0124e0a74c90e2bbf9d"],
-         "890e73a6a2a8548f76d693bce014c1987fedfeebfaa27b8a57fa2de72acf7cbc"),
+         ["f9c8d969b05ca2f31a3bd618f8000cf94c9225334516224b14dbf3c0dd153c52",
+          "7b3babd2e1c2deb36915108909391a9b3c1d660fe765ee2bd15521855c2eaecc",
+          "71aae29cf52310bd79979ab47088a7cc17b6ffa6b0ed103f7ad5189ddd7027f4"],
+         "b62b692f6725ff4541465c1375b976bfb64498a5fef75f8a55a91e1ac919b093"),
     ], ids=["jump_example", "mixed_atoms", "uniform_box"])
     def test_output_is_pinned(self, capsys, tmp_path, spec, args, files, content):
         # The paths of the exact, the jump-adapted Euler and the density
-        # table engines, pinned by the sha256 of their CSVs.
+        # table engines, pinned by the sha256 of their CSVs (time, xi, Z, V
+        # and jump at each monitored instant).
         if spec is not None:
             f = tmp_path / "spec.json"
             f.write_text(json.dumps(spec))
@@ -367,20 +408,75 @@ class TestSimulate:
         assert [f["sha256"] for f in man["files"]] == files
         assert man["content_hash"] == content
 
-    def test_csv_rows_satisfy_the_path_identity(self, capsys, tmp_path):
-        run_cli(
+    @pytest.mark.parametrize("preset", ["continuous_example", "jump_example"])
+    def test_csv_rows_satisfy_the_path_identity(self, capsys, tmp_path, preset):
+        code, _, _ = run_cli(
             capsys,
-            "simulate", "--preset", "continuous_example", "--c", "0.2",
-            "--z", "1.5", "--horizon", "1.0", "--step", "0.125",
-            "--seed", "3", "--paths", "1", "--out", str(tmp_path),
+            "simulate", "--preset", preset, "--c", "0.2",
+            "--z", "1.5", "--horizon", "3.0", "--step", "0.125",
+            "--seed", "3", "--paths", "4", "--out", str(tmp_path),
         )
-        rows = (tmp_path / "path_0000.csv").read_text().strip().splitlines()
-        assert rows[0] == "time,xi,eta,Z,V,jump"
-        for row in rows[1:]:
-            _, xi, _, Z, V, _ = row.split(",")
-            assert float(V) == pytest.approx(
-                math.exp(float(xi)) * (1.5 + float(Z)), rel=1e-9
+        assert code == 0
+        for rows in read_paths(tmp_path, 4):
+            time, xi, Z, V, jump = rows.T
+            assert (time[0], xi[0], Z[0], V[0]) == (0.0, 0.0, 0.0, 1.5)
+            assert time[-1] == 3.0 and np.all(np.diff(time) >= 0.0)
+            assert np.allclose(V, np.exp(xi) * (1.5 + Z), rtol=1e-9)
+            assert set(jump.tolist()) <= {0.0, 1.0}
+
+    SIMULATE_ENGINES = [
+        ("exact_fv", {"preset": "jump_example", "c": 1.0, "lambda": 1.0}),
+        ("mixed_grid", MIXED_ATOM_SPEC),
+        ("grid_bridge", {"gamma_tilde": [1.0, 0.0], "sigma": [[0.0, 0.0], [0.0, 1.0]],
+                         "jumps": {"atoms": []}}),
+        ("expmart", {"preset": "continuous_example", "c": 0.2}),
+        ("expmart", {"preset": "continuous_example", "c": -0.2}),
+        ("expmart", {"gamma_tilde": [0.3, -0.2], "sigma": [[1.0, 1.0], [1.0, 1.0]],
+                     "jumps": {"atoms": []}}),  # u0 = -1: the other sign of the key
+        ("grid", {"gamma_tilde": [0.2, 0.1], "sigma": [[0.5, 0.2], [0.2, 0.6]],
+                  "jumps": {"atoms": []}}),
+    ]
+
+    @pytest.mark.parametrize("engine, spec", SIMULATE_ENGINES, ids=[
+        "exact_fv", "mixed_grid", "grid_bridge", "expmart+c", "expmart-c", "expmart_u0<0",
+        "grid"])
+    def test_paths_are_those_the_estimators_reduce(
+        self, capsys, tmp_path, monkeypatch, engine, spec
+    ):
+        # The CSVs hold the states of the batch that empirical_lower_bound
+        # and ruin_records reduce, with the same seed, step and level.
+        from gouruin import estimate
+
+        z, horizon, step, n, seed = 0.5, 5.0, 0.25, 200, 7
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        hashes = []
+        for threads, elems in (("1", 8192), ("2", 8192), ("1", 112)):
+            monkeypatch.setenv("GOU_THREADS", threads)
+            monkeypatch.setattr(estimate, "_CHUNK_ELEMS", elems)
+            out_dir = tmp_path / f"out{len(hashes)}"
+            code, out, _ = run_cli(
+                capsys, "simulate", "--spec", str(f), "--z", str(z), "--horizon", str(horizon),
+                "--step", str(step), "--seed", str(seed), "--paths", str(n),
+                "--out", str(out_dir),
             )
+            assert code == 0
+            man = json.loads((out_dir / "manifest.json").read_text())
+            jsonschema.validate(man, load_schema("manifest.schema.json"))
+            assert man["engine"] == engine
+            hashes.append(man["content_hash"])
+        assert hashes[0] == hashes[1] == hashes[2]  # threads and chunk sizes
+        t, _ = cli.triplet_from_spec(spec)
+        paths = read_paths(tmp_path / "out0", n)
+        bound = estimate.empirical_lower_bound(t, z, horizon, n, seed, step=step)
+        assert min(p[:, 3].min() for p in paths) == float(f"{bound:.12g}")
+        below = np.array([(p[:, 3] < 0.0).any() for p in paths])
+        hit = estimate.ruin_records(t, z, horizon, n, seed, step=step)[0]
+        assert below.any() and not below.all()
+        if engine in ("grid_bridge", "expmart"):
+            assert hit[below].all()  # a bridge-corrected hit needs no negative row
+        else:
+            assert np.array_equal(below, hit)
 
 
 class TestEstimate:

@@ -48,6 +48,17 @@ def triplet(gamma=(0.0, 0.0), sigma=((0.0, 0.0), (0.0, 0.0)), jumps=()):
     return LevyTriplet2D(gamma, sigma, atoms(*jumps))
 
 
+def lowest_sink(z, n):
+    """Each path's smallest V at level z, gathered by a sink of the batch
+    loop from the states of its chunks, and the sink."""
+    low = np.full(n, math.inf)
+
+    def sink(ids, chunk):
+        low[ids] = np.minimum(low[ids], chunk.states(z).lowest())
+
+    return low, sink
+
+
 def brownian_eta():
     return triplet(sigma=((0.0, 0.0), (0.0, 1.0)))
 
@@ -368,8 +379,9 @@ class TestStreamedGridKernel:
             # terminal values (two normals per path on expmart and
             # grid_bridge, the grid on grid) and the minimum of V
             b = _gaussian_grid_batch(t, [], horizon, step, n, seed, 0, engine)
-            low = _gaussian_grid_batch(t, [], horizon, step, n, seed, 0, engine, min_at=0.5)
-            return b.z_T, b.z_half, low.v_min, low.nonfinite
+            low, sink = lowest_sink(0.5, n)
+            full = _gaussian_grid_batch(t, [], horizon, step, n, seed, 0, engine, sink=sink)
+            return b.z_T, b.z_half, low, full.nonfinite
 
         reference = {wt: run(wt) for wt in (False, True)}
         free = level_free()
@@ -540,7 +552,7 @@ class TestNonfiniteValues:
         # of V counts every such path, not only those with a non-finite z_T.
         t = triplet((0.0, 5e5), ((1e6, -1e6), (-1e6, 1e6)))
         assert _select_engine(t) == "expmart"
-        batch = _dispatch_batch(t, [], 1.0, 50, 1, 0, step=0.01, min_at=0.5)
+        batch = _dispatch_batch(t, [], 1.0, 50, 1, 0, step=0.01, sink=lowest_sink(0.5, 50)[1])
         assert batch.nonfinite == 25
         assert np.count_nonzero(~np.isfinite(batch.z_T)) == 13
         with pytest.raises(UndeterminedError, match="nonfinite_paths=25 of 50"):
@@ -586,9 +598,10 @@ class TestMinimumRecords:
         for threads, elems in (("1", 8192), ("2", 8192), ("1", 112)):
             monkeypatch.setenv("GOU_THREADS", threads)
             monkeypatch.setattr(estimate, "_CHUNK_ELEMS", elems)
-            b = _dispatch_batch(t, [0.5], 10.0, 600, 3, 0, step=0.01, min_at=0.5)
+            low, sink = lowest_sink(0.5, 600)
+            b = _dispatch_batch(t, [0.5], 10.0, 600, 3, 0, step=0.01, sink=sink)
             assert b.engine == engine
-            runs.append((b.v_min, b.hit[0.5], b.nonfinite))
+            runs.append((low, b.hit[0.5], b.nonfinite))
         assert _same(runs[0], runs[1]) and _same(runs[0], runs[2])
         v_min, hit, nonfinite = runs[0]
         assert nonfinite == 0 and (v_min < 0).any()
@@ -734,7 +747,8 @@ class TestZinfCdf:
     def test_degenerate_limit_is_constant(self):
         # eta = -k W with positive xi drift: the limit sits at k.
         from gouruin.classify import is_degenerate
-        from gouruin.model import Atoms1D, MarginalTriplet, from_marginals, marginal_eta, w_transform
+        from gouruin.model import Atoms1D, MarginalTriplet, marginal_eta, w_transform
+        from oracles import from_marginals
 
         k, x, rate = 2.0, 0.9, 1.0
         w = math.exp(-x) - 1.0
@@ -829,9 +843,20 @@ class TestEmpiricalLowerBound:
 
     def test_exact_fv_value_is_pinned(self):
         # Value of the per-path exact loop before it was shared with _fv_batch.
+        # At z = 1.8 every state after t = 0 lies above z (the lowest at
+        # 1.800334453401879), so the start state V = z is the bound.
         t = jump_example_triplet(1.0, 1.0)
         assert empirical_lower_bound(t, 0.5, 50.0, 100, seed=21) == -202684412.4919786
-        assert empirical_lower_bound(t, 1.8, 100.0, 100, seed=18) == 1.800334453401879
+        assert empirical_lower_bound(t, 1.8, 100.0, 100, seed=18) == 1.8
+
+    @pytest.mark.parametrize("engine,t,horizon,step", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES])
+    def test_bound_is_at_most_z(self, engine, t, horizon, step):
+        # V = z at t = 0 on every engine, so no bound lies above z; on
+        # exact_fv at z = 1.8 every later state lies above z
+        assert _select_engine(t) == engine
+        for seed in (1, 2, 3):
+            for z in (-1.0, 0.5, 1.8, 4.0):
+                assert empirical_lower_bound(t, z, 2.0, 20, seed, step=step) <= z
 
     def test_mixed_grid_value_is_pinned(self):
         # Recorded when the bound still re-simulated each path on its own;

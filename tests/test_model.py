@@ -27,7 +27,6 @@ from gouruin.model import (
     d_eta,
     density_from_json,
     drift_vector,
-    from_marginals,
     l_process,
     marginal_eta,
     marginal_xi,
@@ -43,6 +42,7 @@ from gouruin.model import (
 from gouruin.numerics import INF, NEG_INF
 from gouruin.quadrature import Strip
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
+from oracles import from_marginals
 
 E = math.e
 
@@ -394,6 +394,7 @@ class TestValidationAndJson:
         ("exp_tails", {"c": 1.0, "b": 1.5}, "'a'"),
         ("exp_tails", {"c": 1.0, "a": 1.0, "b": "x"}, "'b'"),
         ("uniform_box", [1.0], "params must be an object"),
+        ("uniform_box", {"c": 1.0, "zzz": [1]}, "no parameter 'zzz'"),
         # e^(800 |x|) on x in [1, 3]: the sup overflows
         ("exp_tails", {"c": 1.0, "a": -800.0, "b": 1.5}, "a = -800.0"),
         ("uniform_box", {"c": 1e308}, "c = 1e+308"),
@@ -402,6 +403,26 @@ class TestValidationAndJson:
         doc = {"kind": kind, "params": params, "box": [1.0, 3.0, 0.5, 2.0]}
         with pytest.raises(InvalidModelError, match=re.escape(named)):
             density_from_json(doc)
+
+    @pytest.mark.parametrize("kind, params, parsed", [
+        ("uniform_box", {"c": "0.3"}, {"c": 0.3}),
+        ("exp_tails", {"c": 2, "a": "1", "b": 1.5}, {"c": 2.0, "a": 1.0, "b": 1.5}),
+    ])
+    def test_parsed_parameters_serialize_against_the_schema(self, kind, params, parsed):
+        # the density keeps the numbers its parameters parse to, so its JSON
+        # is the package's own spec format
+        import jsonschema
+        from importlib import resources
+
+        with resources.files("gouruin.schemas").joinpath("process_spec.schema.json").open() as fh:
+            schema = json.load(fh)
+        doc = {"gamma_tilde": [0.0, 0.0], "sigma": [[0.0, 0.0], [0.0, 0.0]],
+               "jumps": {"density": {"kind": kind, "params": params, "box": [1.0, 3.0, 0.5, 2.0]}}}
+        out = triplet_to_json(triplet_from_json(doc))
+        assert out["jumps"]["density"]["params"] == parsed
+        assert all(type(v) is float for v in out["jumps"]["density"]["params"].values())
+        jsonschema.validate(out, schema)
+        assert triplet_to_json(triplet_from_json(out)) == out
 
     def test_exp_tails_sup_takes_the_far_end_for_a_negative_rate(self):
         # -a |x| peaks at the far end of x for a < 0: e^(250 * 3) overflows,

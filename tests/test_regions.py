@@ -22,14 +22,13 @@ from gouruin.model import (
 from gouruin.numerics import INF, NEG_INF
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
 from gouruin.regions import (
-    SmallJumpVariation,
     drift_lhs,
     drift_lhs_piecewise,
     quadrant_mass,
     region_mass,
-    small_jump_variation,
     thetas,
 )
+from oracles import SmallJumpVariation, small_jump_variation
 
 E = math.e
 

@@ -1,7 +1,6 @@
 """Path simulation: jump-adapted Euler, the exact event-driven engine, the
-stochastic-exponential validation, and CSV export."""
+stochastic-exponential validation, and the monitored states of a chunk."""
 
-import io
 import math
 import pickle
 import sys
@@ -43,14 +42,12 @@ from gouruin.simulate import (
     closed_form_continuous_example,
     compute_V,
     compute_Z,
-    exact_fv_path,
     first_passage,
     fv_first_passage,
     path_rng,
     simulate_pair,
-    simulate_stochastic_exponential,
-    write_path_csv,
 )
+from oracles import simulate_stochastic_exponential
 
 E = math.e
 
@@ -347,10 +344,11 @@ class TestExactEventDriven:
         assert v_expected == pytest.approx(closed, rel=1e-10)
         # find a path with no arrivals on [0, T]
         for i in range(50):
-            p = exact_fv_path(t, PathConfig(T, 0.1, 77), path_index=i)
-            if p.n_jumps() == 0:
-                V = compute_V(p, z, compute_Z(p))
-                assert V[-1] == pytest.approx(closed, rel=1e-12)
+            chunk = _fv_state_arrays(t, [_fv_events(t, T, path_rng(77, i))], T)
+            if chunk.n[0] == 0:
+                s = chunk.states(z)
+                assert s.length[0] == 2 and s.time[0, 1] == T
+                assert s.V[0, 1] == pytest.approx(closed, rel=1e-12)
                 return
         pytest.fail("no arrival-free path found")
 
@@ -362,33 +360,35 @@ class TestExactEventDriven:
             assert not fv_first_passage(t, z, 50.0, rng).hit
 
     def test_jump_relation_from_zero_start(self):
-        # V jumps by (e - 1) V- - e at an arrival of the preset driver.
+        # V jumps by (e - 1) V- - e at an arrival of the preset driver: the
+        # pre-jump and the post-jump state share the arrival's instant.
         t = jump_example_triplet(1.0, 1.0)
         for i in range(50):
-            p = exact_fv_path(t, PathConfig(2.0, 0.05, 15), path_index=i)
-            idx = np.nonzero(p.jump_flags)[0]
-            if not len(idx):
+            chunk = _fv_state_arrays(t, [_fv_events(t, 2.0, path_rng(15, i))], 2.0)
+            if chunk.n[0] == 0:
                 continue
-            Z = compute_Z(p)
-            V = compute_V(p, 0.0, Z)
-            k = idx[0]
-            v_left = math.exp(p.xi_left[k]) * (
-                0.0 + Z[k] - math.exp(-p.xi_left[k]) * (p.eta[k] - p.eta_left[k])
-            )
-            assert V[k] - v_left == pytest.approx((E - 1.0) * v_left - E, rel=1e-9)
+            s = chunk.states(0.0)
+            assert s.jump[0, :3].tolist() == [False, False, True]
+            assert s.time[0, 1] == s.time[0, 2] == chunk.tau[0, 0]
+            v_left, v = s.V[0, 1], s.V[0, 2]
+            assert v - v_left == pytest.approx((E - 1.0) * v_left - E, rel=1e-9)
             return
         pytest.fail("no path with an arrival found")
 
     def test_exact_and_grid_engines_agree_in_distribution(self):
-        # Same seed gives the same arrivals, so pathwise values agree up to
-        # Euler error, which is zero here (piecewise-linear drivers).
+        # Same seed gives the same arrivals, so the jump instants agree and
+        # xi agrees there up to Euler error, which is zero here
+        # (piecewise-linear drivers).
         t = jump_example_triplet(0.7, 1.3)
         cfg = PathConfig(3.0, 0.01, 52)
-        pe = exact_fv_path(t, cfg, path_index=4)
+        s = _fv_state_arrays(t, [_fv_events(t, 3.0, path_rng(52, 4))], 3.0).states(0.0)
+        k = s.length[0]
+        at_jumps = s.jump[0, :k]
         pg = simulate_pair(t, cfg, path_index=4)
-        assert np.array_equal(pe.times, pg.times)
-        assert np.allclose(pe.xi, pg.xi, atol=1e-12)
-        assert np.allclose(pe.eta, pg.eta, atol=1e-12)
+        assert at_jumps.sum() > 0
+        assert np.array_equal(s.time[0, :k][at_jumps], pg.times[pg.jump_flags])
+        assert np.allclose(s.xi[0, :k][at_jumps], pg.xi[pg.jump_flags], atol=1e-12)
+        assert s.xi[0, k - 1] == pytest.approx(pg.xi[-1], abs=1e-12)
 
     def test_continuous_crossing_time_is_exact(self):
         # Pure downward drift in eta: V(t) = z - t crosses at exactly z.
@@ -399,10 +399,22 @@ class TestExactEventDriven:
         assert fp.time == pytest.approx(0.25, rel=1e-12)
         assert fp.v_at_hit == 0.0
 
-    def test_exact_path_of_the_preset(self):
-        p = exact_fv_path(jump_example_triplet(1.0, 1.0), PathConfig(1.0, 0.25, 6))
-        assert p.exact
-        assert p.drift == (-1.0, 2.0)
+    def test_states_start_at_z_and_end_at_the_horizon(self):
+        # t = 0, then a pre-jump and a post-jump state per arrival, then T
+        t = jump_example_triplet(1.0, 1.0)
+        events = [_fv_events(t, 3.0, path_rng(6, i)) for i in range(6)]
+        chunk = _fv_state_arrays(t, events, 3.0)
+        assert (chunk.bx, chunk.by) == (-1.0, 2.0)
+        s = chunk.states(0.7)
+        assert np.array_equal(s.length, 2 * chunk.n + 2)
+        for r, (tau, _, _) in enumerate(events):
+            k = s.length[r]
+            assert (s.time[r, 0], s.xi[r, 0], s.Z[r, 0], s.V[r, 0]) == (0.0, 0.0, 0.0, 0.7)
+            assert np.array_equal(s.time[r, 1:k - 1], np.repeat(tau, 2))
+            assert np.array_equal(s.jump[r, :k], [False] + [False, True] * len(tau) + [False])
+            assert (s.time[r, k - 1], s.xi[r, k - 1], s.Z[r, k - 1]) == (
+                3.0, chunk.xi_T[r], chunk.z_T[r])
+            assert np.allclose(s.V[r, :k], np.exp(s.xi[r, :k]) * (0.7 + s.Z[r, :k]), rtol=1e-12)
 
 
 class TestStochasticExponential:
@@ -457,21 +469,6 @@ class TestClosedForm:
         assert z[-1] == pytest.approx(1.0, rel=1e-14)
 
 
-class TestCsvExport:
-    def test_header_and_row_identity(self):
-        t = jump_example_triplet(1.0, 1.0)
-        p = exact_fv_path(t, PathConfig(1.0, 0.25, 3))
-        buf = io.StringIO()
-        write_path_csv(p, 0.7, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "time,xi,eta,Z,V,jump"
-        for row in lines[1:]:
-            tt, xi, eta, Z, V, jflag = row.split(",")
-            assert float(V) == pytest.approx(
-                math.exp(float(xi)) * (0.7 + float(Z)), rel=1e-9, abs=1e-12
-            )
-
-
 # ---------------------------------------------------------------------------
 # Per-path references: the one-path builders and reducers that the chunk
 # builders replaced, kept as oracles.  A chunk row must equal its path built
@@ -510,6 +507,7 @@ class RefExactPath:
     z_post: np.ndarray
     z_T: float
     xi_T: float
+    horizon: float
 
     def keep_finite_prefix(self):
         self.z_pre = ref_inf_past_overflow(self.z_pre)
@@ -545,16 +543,24 @@ class RefExactPath:
             t_cross = start + _segment_crossing_time(math.exp(xi0) * (z + z0), self.bx, self.by)
         return FirstPassage(True, t_cross, 0.0, continuous_crossing=True)
 
-    def lowest(self, z):
+    def states(self, z):
+        """t = 0, each arrival's pre-jump and post-jump state, the horizon."""
+        def pairs(a, b):
+            return np.column_stack([a, b]).ravel()
+
+        time = np.concatenate([[0.0], np.repeat(self.tau, 2), [self.horizon]])
+        xi = np.concatenate([[0.0], pairs(self.xi_pre, self.xi_post), [self.xi_T]])
+        Z = np.concatenate([[0.0], pairs(self.z_pre, self.z_post), [self.z_T]])
+        held = ref_inf_past_overflow(Z)
+        if not math.isfinite(self.xi_T):
+            held[-1] = math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = np.exp(xi) * (z + held)
         try:
-            low = math.exp(self.xi_T) * (z + self.z_T)
+            V[-1] = math.exp(self.xi_T) * (z + held[-1])
         except OverflowError:
-            low = math.copysign(math.inf, z + self.z_T)
-        if len(self.tau):
-            with np.errstate(over="ignore"):
-                low = min(low, float(np.min(np.exp(self.xi_pre) * (z + self.z_pre))),
-                          float(np.min(np.exp(self.xi_post) * (z + self.z_post))))
-        return low
+            V[-1] = math.copysign(math.inf, z + held[-1])
+        return time, xi, Z, V, np.array([False] + [False, True] * len(self.tau) + [False])
 
 
 def ref_fv_state_arrays(t, tau, jx, jy, horizon):
@@ -570,7 +576,7 @@ def ref_fv_state_arrays(t, tau, jx, jy, horizon):
     z_post = z_pre + jump_inc
     z_final = (z_post[-1] if len(tau) else 0.0) + seg_inc[-1]
     xi_final = (xi_post[-1] if len(tau) else 0.0) + bx * seg_dt[-1]
-    return RefExactPath(tau, bx, by, xi_pre, xi_post, z_pre, z_post, z_final, xi_final)
+    return RefExactPath(tau, bx, by, xi_pre, xi_post, z_pre, z_post, z_final, xi_final, horizon)
 
 
 def ref_simulate_pair_with_rng(t, cfg, rng, jump_table):
@@ -625,10 +631,7 @@ def ref_simulate_pair_with_rng(t, cfg, rng, jump_table):
 
 def ref_compute_Z(p):
     with np.errstate(over="ignore"):
-        if p.exact:
-            cont = ref_segment_z_increment(p.xi[:-1], np.diff(p.times), *p.drift)
-        else:
-            cont = np.exp(-p.xi[:-1]) * (p.eta_left[1:] - p.eta[:-1])
+        cont = np.exp(-p.xi[:-1]) * (p.eta_left[1:] - p.eta[:-1])
         jump = np.exp(-p.xi_left[1:]) * (p.eta[1:] - p.eta_left[1:])
     return np.concatenate([[0.0], np.cumsum(cont + jump)])
 
@@ -655,27 +658,31 @@ class RefEulerPath:
         return FirstPassage(True, float(self.p.times[k]), float(V[k]),
                             not bool(self.p.jump_flags[k]))
 
-    def lowest(self, z):
-        with np.errstate(over="ignore"):
-            return float(np.min(np.exp(self.p.xi) * (z + self.Z)))
+    def states(self, z):
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = np.exp(self.p.xi) * (z + ref_inf_past_overflow(self.Z))
+        return self.p.times, self.p.xi, self.Z, V, self.p.jump_flags
 
 
-def ref_batch(simulate, z_list, horizon, n, seed, want_times=False, min_at=None):
-    """The per-path loop: ``simulate(rng)`` builds one reference path."""
+def ref_batch(simulate, z_list, horizon, n, seed, want_times=False, states_at=None):
+    """The per-path loop: ``simulate(rng)`` builds one reference path;
+    with ``states_at``, each path's states at that level are kept."""
     levels = sorted(set(z_list))
     out = {
         "hit": np.zeros((len(levels), n), dtype=bool),
         "v_hit": np.full((len(levels), n), math.nan),
         "continuous": np.zeros((len(levels), n), dtype=bool),
         "time": np.full((len(levels), n), math.nan),
-        "z_T": np.empty(n), "z_half": np.full(n, math.nan), "v_min": np.full(n, math.nan),
+        "z_T": np.empty(n), "z_half": np.full(n, math.nan), "states": [],
         "nonfinite": 0,
     }
     for i in range(n):
         path = simulate(path_rng(seed, i, 0))
         out["z_T"][i] = path.z_T
-        if not levels and min_at is None:
+        if not levels and states_at is None:
             out["z_half"][i] = path.z_at(0.5 * horizon)
+        if states_at is not None:
+            out["states"].append(path.states(states_at))
         finite = math.isfinite(path.z_T) and math.isfinite(path.xi_T)
         if not finite:
             path.keep_finite_prefix()
@@ -687,14 +694,29 @@ def ref_batch(simulate, z_list, horizon, n, seed, want_times=False, min_at=None)
                 out["continuous"][k, i] = fp.continuous_crossing
                 if want_times:
                     out["time"][k, i] = fp.time
-        if min_at is not None:
-            out["v_min"][i] = path.lowest(min_at)
         if not finite:
-            out["nonfinite"] += min_at is not None or not out["hit"][:, i].all()
+            out["nonfinite"] += states_at is not None or not out["hit"][:, i].all()
     return out
 
 
-def assert_batch_matches(batch, ref, z_list, want_times=False, min_at=None):
+def states_sink(z, n):
+    """A sink for the batch loop that gathers each path's states at level
+    z, and a function that returns them, one (time, xi, Z, V, jump) tuple
+    per path."""
+    parts = [[] for _ in range(n)]
+
+    def sink(ids, chunk):
+        s = chunk.states(z)
+        for r, i in enumerate(ids.tolist()):
+            parts[i].append([a[r, :s.length[r]] for a in s[:5]])
+
+    def states():
+        return [tuple(np.concatenate(cols) for cols in zip(*p)) for p in parts]
+
+    return sink, states
+
+
+def assert_batch_matches(batch, ref, z_list, want_times=False, states=None):
     levels = sorted(set(z_list))
     for k, z in enumerate(levels):
         assert np.array_equal(batch.hit[z], ref["hit"][k])
@@ -703,10 +725,12 @@ def assert_batch_matches(batch, ref, z_list, want_times=False, min_at=None):
         if want_times:
             assert same(batch.time[z], ref["time"][k])
     assert same(batch.z_T, ref["z_T"])
-    if not levels and min_at is None:
+    if not levels and states is None:
         assert same(batch.z_half, ref["z_half"])
-    if min_at is not None:
-        assert same(batch.v_min, ref["v_min"])
+    if states is not None:
+        assert len(states) == len(ref["states"])
+        for got, want in zip(states, ref["states"]):
+            assert all(same(a, b) for a, b in zip(got, want))
     assert batch.nonfinite == ref["nonfinite"]
 
 
@@ -815,46 +839,49 @@ class TestChunkBuildersMatchThePerPathReference:
 
 
 class TestChunkReductionsMatchThePerPathLoop:
-    @pytest.mark.parametrize("z_list, want_times, min_at", [
+    @pytest.mark.parametrize("z_list, want_times, states_at", [
         ([0.5, 1.0, 1.7], True, None),
         ([1.0], False, None),
         ([], False, None),  # z_half
-        ([], False, 0.5),  # min_at
+        ([], False, 0.5),  # the states of every path
     ])
-    def test_exact_batch(self, z_list, want_times, min_at):
+    def test_exact_batch(self, z_list, want_times, states_at):
         t, horizon, n, seed = jump_example_triplet(1.0, 1.0), 50.0, 150, 4
-        batch = _fv_batch(t, z_list, horizon, n, seed, 0, want_times, min_at)
+        sink, states = states_sink(states_at, n) if states_at is not None else (None, None)
+        batch = _fv_batch(t, z_list, horizon, n, seed, 0, want_times, sink)
         ref = ref_batch(lambda rng: ref_fv_state_arrays(t, *_fv_events(t, horizon, rng), horizon),
-                        z_list, horizon, n, seed, want_times, min_at)
-        assert_batch_matches(batch, ref, z_list, want_times, min_at)
+                        z_list, horizon, n, seed, want_times, states_at)
+        assert_batch_matches(batch, ref, z_list, want_times, states and states())
         if z_list:
             assert 0 < batch.hit[z_list[0]].sum() < n
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # of the reference
-    @pytest.mark.parametrize("z_list, min_at", [([0.5, 1.0], None), ([], 0.5)])
-    def test_overflowing_exact_rows_keep_their_finite_prefix(self, z_list, min_at):
+    @pytest.mark.parametrize("z_list, states_at", [([0.5, 1.0], None), ([], 0.5)])
+    def test_overflowing_exact_rows_keep_their_finite_prefix(self, z_list, states_at):
         # xi = -t + N_t with rate 0.6: e^-xi overflows before t = 1800 on
         # about half of the paths, some of them after they are ruined.
         t, horizon, n, seed = jump_example_triplet(1.0, 0.6), 1800.0, 60, 2
-        batch = _fv_batch(t, z_list, horizon, n, seed, 0, True, min_at)
+        sink, states = states_sink(states_at, n) if states_at is not None else (None, None)
+        batch = _fv_batch(t, z_list, horizon, n, seed, 0, True, sink)
         ref = ref_batch(lambda rng: ref_fv_state_arrays(t, *_fv_events(t, horizon, rng), horizon),
-                        z_list, horizon, n, seed, True, min_at)
-        assert_batch_matches(batch, ref, z_list, True, min_at)
+                        z_list, horizon, n, seed, True, states_at)
+        assert_batch_matches(batch, ref, z_list, True, states and states())
         assert 0 < batch.nonfinite < n
         assert not np.isfinite(batch.z_T).all()
 
-    @pytest.mark.parametrize("z_list, want_times, min_at", [
+    @pytest.mark.parametrize("z_list, want_times, states_at", [
         ([0.25, 0.5, 1.0], True, None),
         ([], False, None),
         ([], False, 0.5),
     ])
-    def test_mixed_batch(self, z_list, want_times, min_at):
+    def test_mixed_batch(self, z_list, want_times, states_at):
         horizon, step, n, seed = 5.0, 0.05, 120, 3
         cfg = PathConfig(horizon, step, seed)
-        batch = _mixed_batch(MIXED, z_list, horizon, step, n, seed, 0, None, want_times, min_at)
+        sink, states = states_sink(states_at, n) if states_at is not None else (None, None)
+        batch = _mixed_batch(MIXED, z_list, horizon, step, n, seed, 0, None, want_times, sink)
         ref = ref_batch(lambda rng: RefEulerPath(MIXED, cfg, None, rng),
-                        z_list, horizon, n, seed, want_times, min_at)
-        assert_batch_matches(batch, ref, z_list, want_times, min_at)
+                        z_list, horizon, n, seed, want_times, states_at)
+        assert_batch_matches(batch, ref, z_list, want_times, states and states())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # of the reference
     def test_overflowing_mixed_rows_keep_their_finite_prefix(self):
