@@ -83,7 +83,8 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     t, meta = triplet_from_spec(_load_spec(args))
-    _check_inputs(args.horizon, args.paths, args.step, [args.z], args.seed)
+    step = _check_inputs(args.horizon, args.paths, args.step, [args.z], args.seed,
+                         args.truncation_eps)
     out = FsPath(args.out)
 
     def write(ids, chunk):
@@ -102,7 +103,7 @@ def cmd_simulate(args) -> int:
                 writer.writerows((f"{time:.12g}", f"{xi:.12g}", f"{Z:.12g}", f"{V:.12g}", int(jump))
                                  for time, xi, Z, V, jump in zip(*cols))
 
-    batch = _dispatch_batch(t, [], args.horizon, args.paths, args.seed, 0, step=args.step,
+    batch = _dispatch_batch(t, [], args.horizon, args.paths, args.seed, 0, step=step,
                             truncation_eps=args.truncation_eps, sink=write)
     files = [
         {"file": f"path_{i:04d}.csv",
@@ -113,10 +114,11 @@ def cmd_simulate(args) -> int:
         "spec": meta,
         "z": args.z,
         "horizon": args.horizon,
-        "step": args.step,
+        "step": step,
         "engine": batch.engine,
         "seed": args.seed,
         "paths": args.paths,
+        "nonfinite_paths": batch.nonfinite,
         "files": files,
         "content_hash": hashlib.sha256(
             "".join(f["sha256"] for f in files).encode()
@@ -216,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p)
     p.add_argument("--z", type=float, default=1.0)
     p.add_argument("--horizon", type=float, default=10.0)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--step", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--paths", type=int, default=1)
     p.add_argument("--truncation-eps", type=float, default=None)

@@ -13,12 +13,19 @@ Engine selection per driver, under the names the reports print:
   discounted integral an explicit function of xi; values at grid times are
   exact, and sub-grid crossings are resolved by exact Brownian-bridge
   probabilities in xi space.
-* ``grid_bridge``: no jumps and deterministic xi; left-point Euler on a
-  uniform grid, where the integral has independent Gaussian increments and
+* ``grid_bridge``: no jumps and deterministic xi; left-point Euler on the
+  grid, where the integral has independent Gaussian increments and
   sub-grid crossings are again resolved exactly by bridge probabilities.
 * ``grid``: no jumps and random xi; the Euler grid scan stands alone and the
   ruin estimate errs on the survival side (the documented bias direction).
 * ``mixed_grid``: every other driver; per-path jump-adapted Euler.
+
+Every grid engine walks ``simulate.time_grid``: n = max(1, round(T /
+step)) equal steps, ending exactly at T, with the step min(0.01, T / 100)
+when none is given (``simulate.path_step``).  Both per-path engines draw
+their atom jumps from one sampler, ``simulate._fv_events``, so on a driver
+with no Gaussian part ``mixed_grid`` and ``exact_fv`` see the same jumps,
+path for path, and differ only by the grid's Euler error.
 
 One batch loop, ``_batch_from_chunks``, serves all five engines: an engine
 only yields chunks of paths (``_Chunk``), and the loop reduces each one with
@@ -26,14 +33,15 @@ the one first-passage reducer, ``_Chunk.first_crossings``, under one memory
 budget (``_CHUNK_ELEMS`` values per chunk array and path component) and one
 non-finite rule.  The estimators, the formula checks, the per-path records
 and the empirical lower bound all read the same batch of paths.  The
-per-path engines yield chunks of whole paths; the Gaussian grid engines
-yield the time blocks of their live paths, carrying per-path running state
-from block to block, so memory does not grow with the horizon, and stop a
-path once it is ruined at every level.  Requests for terminal values only
-(``estimate_negative_prob``, ``estimate_Zinf_cdf``) draw two normals per
-path on ``grid_bridge`` and ``expmart``, where the mid-horizon and terminal
-grid values are jointly Gaussian (in xi): the same law as the grid, from
-different draws.
+per-path engines yield chunks of whole paths, so a path wider than the
+budget makes a chunk alone and its memory grows with the horizon; the
+Gaussian grid engines yield the time blocks of their live paths, carrying
+per-path running state from block to block, so their memory does not grow
+with the horizon, and stop a path once it is ruined at every level.
+Requests for terminal values only (``estimate_negative_prob``,
+``estimate_Zinf_cdf``) draw two normals per path on ``grid_bridge`` and
+``expmart``, where the mid-horizon and terminal grid values are jointly
+Gaussian (in xi): the same law as the grid, from different draws.
 
 No estimate is computed from an overflowed value, on any engine: a path
 decides its levels from its finite prefix, and a path whose Z or xi turns
@@ -61,7 +69,6 @@ from .errors import InvalidModelError, NotApplicableError, UndeterminedError
 from .model import LevyTriplet2D, rigid_level, xi_brownian
 from .numerics import BOUNDARY_TOL
 from .simulate import (
-    PathConfig,
     States,
     _chol2x2,
     _density_jump_table,
@@ -72,9 +79,10 @@ from .simulate import (
     _inf_past_overflow,
     _pair_jumps,
     _require_fv,
-    _uniform_grid,
     is_exact_fv,
     path_rng,
+    path_step,
+    time_grid,
 )
 
 _Z975 = 1.959963984540054
@@ -86,12 +94,17 @@ _PATH_BLOCK = 64
 
 #: Float64 elements of the widest array of a chunk, on every engine: a
 #: per-path block is cut into chunks of as many paths as fit, and a path
-#: wider than this makes a chunk alone; the Gaussian grid kernel cuts its
-#: paths into time blocks of at most this many grid values.  So chunk
-#: memory does not grow with the horizon.  64 KB per array stays under
-#: glibc's 128 KB mmap threshold, near which every temporary of a chunk
-#: page-faults.
+#: wider than this makes a chunk alone, so a per-path chunk grows with the
+#: horizon once one path no longer fits; the Gaussian grid kernel cuts its
+#: paths into time blocks of at most this many grid values, so only its
+#: chunk memory does not grow with the horizon.  64 KB per array stays
+#: under glibc's 128 KB mmap threshold, near which every temporary of a
+#: chunk page-faults.
 _CHUNK_ELEMS = 8_192
+
+#: Survivors ending within this distance of the ruin boundary count in the
+#: tail diagnostic of a ruin estimate.
+_TAIL_EPS = 0.05
 
 #: Largest bridge exponent a hash uniform can produce (u >= 2^-53).
 _Q_MAX = 0.5 * 53.0 * math.log(2.0)
@@ -156,14 +169,6 @@ class EmpiricalCDF:
 
     def __call__(self, x):
         return np.searchsorted(self.values, x, side="right") / self.n
-
-    def ks_distance_to(self, cdf) -> float:
-        """Sup distance to a reference cdf callable."""
-        ref = np.asarray(cdf(self.values), dtype=float)
-        steps = np.arange(1, self.n + 1) / self.n
-        return float(
-            max(np.max(np.abs(steps - ref)), np.max(np.abs(steps - 1.0 / self.n - ref)))
-        )
 
     def ks_two_sample(self, other: "EmpiricalCDF") -> float:
         pooled = np.concatenate([self.values, other.values])
@@ -409,9 +414,9 @@ def _gaussian_grid_batch(
     horizon are jointly Gaussian there (in xi on ``expmart``), with the
     covariance of the grid sums, so the law is that of the grid.
     """
-    n_steps = max(1, int(round(horizon / step)))
+    times = time_grid(horizon, step)
+    n_steps = len(times) - 1
     h = horizon / n_steps
-    times = np.arange(n_steps + 1) * h
     half_idx = n_steps // 2
     gx, gy = t.gamma_tilde
     s11 = t.sigma[0][0]
@@ -643,18 +648,18 @@ def _mixed_batch(
     want_times: bool = False,
     sink=None,
 ) -> _BatchResult:
-    """General driver: jump-adapted Euler simulation.  A row's widest
-    arrays hold one value per instant of its grid."""
-    cfg = PathConfig(horizon, step, seed, truncation_eps)
-    jump_table = _density_jump_table(t, cfg)
-    grid_len = len(_uniform_grid(cfg))
+    """General driver: jump-adapted Euler simulation on ``time_grid``, with
+    the atom jumps of ``_fv_events``.  A row's widest arrays hold one value
+    per instant of its grid."""
+    jump_table = _density_jump_table(t, truncation_eps)
+    grid = time_grid(horizon, step)
 
     def draw(rng):
-        arrivals, sizes = _pair_jumps(t, jump_table, rng, horizon)
-        return grid_len + sum(map(len, arrivals)), (rng, arrivals, sizes)
+        jumps = _pair_jumps(t, jump_table, rng, horizon)
+        return len(grid) + len(jumps[0]), (rng, *jumps)
 
     return _per_path_batch(
-        "mixed_grid", draw, lambda draws: _EulerChunk(t, cfg, jump_table, draws),
+        "mixed_grid", draw, lambda draws: _EulerChunk(t, grid, jump_table, draws),
         z_list, horizon, n, seed, stream, want_times, sink,
     )
 
@@ -669,18 +674,15 @@ def _require_finite(nonfinite: int, n: int) -> None:
         )
 
 
-def _check_inputs(horizon, n, step, levels, seed) -> None:
-    """Refuse outside input that no engine answers: a horizon that is not
-    positive and finite, a given step outside (0, horizon] (``PathConfig``'s
-    rule), fewer than one path, a level that is not finite (a NaN compares
-    false with every value, and no finite-horizon estimate means anything
-    at an infinite level) or a negative seed."""
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise InvalidModelError(f"horizon must be positive and finite, got {horizon}")
+def _check_inputs(horizon, n, step, levels, seed, truncation_eps=None) -> float:
+    """Refuse outside input that no engine answers, and return the step:
+    a horizon, step or cutoff that ``path_step`` refuses, fewer than one
+    path, a level that is not finite (a NaN compares false with every
+    value, and no finite-horizon estimate means anything at an infinite
+    level) or a negative seed."""
+    step = path_step(horizon, step, truncation_eps)
     if n < 1:
         raise InvalidModelError(f"the number of paths must be at least 1, got {n}")
-    if step is not None and not (0.0 < step <= horizon):
-        raise InvalidModelError(f"step must satisfy 0 < step <= horizon, got {step}")
     for z in levels:
         if math.isnan(z):
             raise InvalidModelError("level z must be a number, got nan")
@@ -688,6 +690,7 @@ def _check_inputs(horizon, n, step, levels, seed) -> None:
             raise InvalidModelError(f"level z must be finite, got {z}")
     if seed < 0:
         raise InvalidModelError(f"seed must be a non-negative integer, got {seed}")
+    return step
 
 
 def _dispatch_batch(
@@ -697,11 +700,10 @@ def _dispatch_batch(
     """The batch of the driver's engine, for outside input that
     ``_check_inputs`` accepts; a ``sink`` reads every chunk whole
     (``_batch_from_chunks``)."""
-    _check_inputs(horizon, n, step, z_list, seed)
+    step = _check_inputs(horizon, n, step, z_list, seed, truncation_eps)
     engine = _select_engine(t)
     if engine == "exact_fv":
         return _fv_batch(t, z_list, horizon, n, seed, stream, want_times, sink)
-    step = min(0.01, horizon / 100.0) if step is None else step
     if engine == "mixed_grid":
         return _mixed_batch(
             t, z_list, horizon, step, n, seed, stream, truncation_eps, want_times, sink
@@ -724,15 +726,14 @@ def estimate_ruin(
     seed: int,
     step: float | None = None,
     truncation_eps: float | None = None,
-    tail_eps: float = 0.05,
 ) -> EstimateWithCI:
     """Fraction of paths ruined before the horizon (lower bound on the
     infinite-horizon ruin probability)."""
-    return _ruin_estimate(t, z, horizon, n, seed, step, truncation_eps, tail_eps)[0]
+    return _ruin_estimate(t, z, horizon, n, seed, step, truncation_eps)[0]
 
 
 def _ruin_estimate(
-    t, z, horizon, n, seed, step, truncation_eps, tail_eps=0.05, want_times=False
+    t, z, horizon, n, seed, step, truncation_eps, want_times=False
 ) -> tuple[EstimateWithCI, _BatchResult]:
     """``estimate_ruin`` and the batch it reduces.  ``want_times`` only adds
     the crossing times, so the records of this batch describe the paths of
@@ -753,9 +754,9 @@ def _ruin_estimate(
     }
     if z_infinity_converges(t) is Verdict.YES:  # every survivor has its z_T
         survivors = ~hits
-        near = np.sum((z + batch.z_T[survivors]) < tail_eps)
+        near = np.sum((z + batch.z_T[survivors]) < _TAIL_EPS)
         diag["tail_near_ruin_fraction"] = float(near / max(1, survivors.sum()))
-        diag["tail_eps"] = tail_eps
+        diag["tail_eps"] = _TAIL_EPS
     return EstimateWithCI(k / n, lo, hi, n, k, diag), batch
 
 
@@ -944,7 +945,7 @@ def empirical_lower_bound(
     ``mixed_grid``; ``gouruin simulate`` writes the same instants.  V = z at
     t = 0, so the bound is at most z.  A path whose Z or xi turns non-finite
     before the horizon makes the bound undetermined."""
-    _check_inputs(horizon, n, step, [z], seed)
+    _check_inputs(horizon, n, step, [z], seed, truncation_eps)
     low = np.full(n, math.inf)
 
     def lowest(ids, chunk):

@@ -1,7 +1,16 @@
 """Jump-adapted Monte Carlo simulation of the driving pair and the risk path.
 
-The driving pair is simulated on the union of a uniform grid and the exact
-jump times, so jump contributions carry no discretization error; only the
+Each path input has one owner.  ``time_grid`` is the grid of every grid
+engine: n = max(1, round(T / step)) equal steps, ending exactly at T.
+``_fv_events`` is the one atom-jump sampler of both per-path engines: one
+Poisson clock at the total rate, then the atom of each arrival drawn with
+its probability (superposed Poisson clocks are exact), so on a driver with
+no Gaussian part ``mixed_grid`` draws the jumps of ``exact_fv`` path for
+path.  ``path_step`` states the rules of the horizon, the step and the
+density cutoff for every engine, and the default step.
+
+The driving pair is simulated on the union of the grid and the exact jump
+times, so jump contributions carry no discretization error; only the
 interaction of the Brownian/drift part with the discounting factor is
 left-point Euler.  At a jump instant the stored pre-jump values feed the
 integrand (the integrand of the discounted integral is predictable), and the
@@ -37,9 +46,31 @@ from .model import LevyTriplet2D, _uncompensated_drift, zero_gaussian
 from .quadrature import Strip, strips_in_annulus, strips_outside_ball
 
 
+def path_step(horizon: float, step: float | None = None,
+              truncation_eps: float | None = None) -> float:
+    """The step of a path request, once its horizon, step and cutoff pass
+    the rules of every engine: the horizon is positive and finite, a given
+    step lies in (0, horizon] and a given ``truncation_eps`` is positive.
+    Without a step it is min(0.01, horizon / 100)."""
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise InvalidModelError(f"horizon must be positive and finite, got {horizon}")
+    if step is not None and not (0.0 < step <= horizon):
+        raise InvalidModelError(f"step must satisfy 0 < step <= horizon, got {step}")
+    if truncation_eps is not None and not (truncation_eps > 0.0):
+        raise InvalidModelError(f"truncation_eps must be positive, got {truncation_eps}")
+    return min(0.01, horizon / 100.0) if step is None else step
+
+
+def time_grid(horizon: float, step: float) -> np.ndarray:
+    """The grid of every grid engine: n = max(1, round(horizon / step))
+    equal steps, ending exactly at the horizon."""
+    return np.linspace(0.0, horizon, max(1, int(round(horizon / step))) + 1)
+
+
 @dataclass(frozen=True)
 class PathConfig:
-    """Time horizon, grid spacing, seed, and the density-tier jump cutoff."""
+    """Time horizon, grid step, seed, and the density-tier jump cutoff of
+    ``simulate_pair``."""
 
     horizon: float
     step: float
@@ -47,12 +78,7 @@ class PathConfig:
     truncation_eps: float | None = None
 
     def __post_init__(self):
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise InvalidModelError("horizon must be positive finite")
-        if not (0.0 < self.step <= self.horizon):
-            raise InvalidModelError("step must satisfy 0 < step <= horizon")
-        if self.truncation_eps is not None and not (self.truncation_eps > 0.0):
-            raise InvalidModelError("truncation_eps must be positive")
+        path_step(self.horizon, self.step, self.truncation_eps)
 
 
 @dataclass
@@ -72,9 +98,6 @@ class Path:
     eta_left: np.ndarray
     jump_flags: np.ndarray
     drift: tuple[float, float]
-
-    def n_jumps(self) -> int:
-        return int(self.jump_flags.sum())
 
     def row(self, r: int, length: int) -> Path:
         """Path of row ``r`` of a chunk, cut to its ``length`` instants."""
@@ -252,6 +275,16 @@ def _arrival_times(rng: np.random.Generator, rate: float, horizon: float) -> np.
         clock = clocks[-1]
 
 
+def _choice_cdf(weights: np.ndarray) -> np.ndarray:
+    """The cdf that ``Generator.choice`` builds from the probabilities
+    ``weights / weights.sum()``: ``cdf.searchsorted(rng.random(n),
+    side="right")`` draws choice's n indices, bit for bit, at a fraction of
+    its cost."""
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    return cdf
+
+
 class _DensityJumpTable(NamedTuple):
     """Path-independent part of density-tier jump sampling."""
 
@@ -259,12 +292,12 @@ class _DensityJumpTable(NamedTuple):
     rate: float  # jump rate outside the cutoff ball
     xs: np.ndarray  # cell edges
     ys: np.ndarray
-    probs: np.ndarray | None  # cell probabilities; None without mass
+    cdf: np.ndarray | None  # over the cells (``_choice_cdf``); None without mass
 
 
-def _density_jump_table(t: LevyTriplet2D, cfg: PathConfig) -> _DensityJumpTable | None:
-    """Jump table of a density measure truncated below ``cfg.truncation_eps``
-    (None on the atom tier).
+def _density_jump_table(t: LevyTriplet2D, eps: float | None) -> _DensityJumpTable | None:
+    """Jump table of a density measure truncated below ``eps``, the
+    ``truncation_eps`` of a request (None on the atom tier).
 
     Jump sizes are drawn from a 128x128 cell discretization of the density
     outside the cutoff ball; the cell approximation is the documented cost
@@ -274,7 +307,6 @@ def _density_jump_table(t: LevyTriplet2D, cfg: PathConfig) -> _DensityJumpTable 
     dens = t.jumps
     if dens.atoms_or_none() is not None:
         return None
-    eps = cfg.truncation_eps
     if eps is None:
         raise NotSupportedError(
             "density-tier simulation requires an explicit truncation_eps"
@@ -297,78 +329,44 @@ def _density_jump_table(t: LevyTriplet2D, cfg: PathConfig) -> _DensityJumpTable 
     dens_vals = np.vectorize(dens.fn)(gx, gy)
     weights = np.where(gx * gx + gy * gy >= eps * eps, dens_vals, 0.0) * area
     weights = weights.ravel()
-    total = weights.sum()
-    probs = weights / total if total > 0.0 else None
-    return _DensityJumpTable((comp_x, comp_y), lam, xs, ys, probs)
+    cdf = _choice_cdf(weights) if weights.sum() > 0.0 else None
+    return _DensityJumpTable((comp_x, comp_y), lam, xs, ys, cdf)
 
 
 def _truncated_density_jumps(
     table: _DensityJumpTable, rng: np.random.Generator, horizon: float
 ):
-    """Arrival times and sampled jump sizes of one path from a jump table."""
-    if table.probs is None:
-        return np.empty(0), np.empty((0, 2))
-    arrivals = _arrival_times(rng, table.rate, horizon)
-    n = len(arrivals)
-    if n == 0:
-        return arrivals, np.empty((0, 2))
+    """The jumps of one path from a jump table, as ``_fv_events`` gives
+    them: arrival times, x and y.  A jump lands in a cell drawn with its
+    probability, uniformly within it."""
+    if table.cdf is None:
+        return np.empty(0), np.empty(0), np.empty(0)
+    tau = _arrival_times(rng, table.rate, horizon)
     xs, ys = table.xs, table.ys
-    cells = rng.choice(len(table.probs), size=n, p=table.probs)
+    cells = table.cdf.searchsorted(rng.random(len(tau)), side="right")
     ix, iy = np.unravel_index(cells, (len(xs) - 1, len(ys) - 1))
-    u = rng.random((n, 2))
-    jx = xs[ix] + u[:, 0] * (xs[1] - xs[0])
-    jy = ys[iy] + u[:, 1] * (ys[1] - ys[0])
-    return arrivals, np.column_stack([jx, jy])
+    u = rng.random((len(tau), 2))
+    return tau, xs[ix] + u[:, 0] * (xs[1] - xs[0]), ys[iy] + u[:, 1] * (ys[1] - ys[0])
 
 
 def _pair_jumps(t: LevyTriplet2D, jump_table: _DensityJumpTable | None, rng, horizon):
-    """One path's jump draws for ``simulate_pair``: the arrival times of
-    each atom (sizes None), or the arrivals of the density jump table and
-    one sampled size per arrival."""
+    """One path's jumps for ``simulate_pair``, (arrival times, x, y) in
+    time order: those of the density jump table, or the atoms' from
+    ``_fv_events``, as on ``exact_fv``."""
     if jump_table is not None:
-        times, sizes = _truncated_density_jumps(jump_table, rng, horizon)
-        return [times], sizes
-    return [_arrival_times(rng, a.rate, horizon) for a in t.jumps.atoms_or_none()], None
+        return _truncated_density_jumps(jump_table, rng, horizon)
+    return _fv_events(t, horizon, rng)
 
 
-def _pair_chunk_jumps(t: LevyTriplet2D, draws):
-    """The jumps of a chunk from each row's ``_pair_jumps`` draws, by row
-    and by time within a row (jumps at one instant keep their draw order):
-    the arrival time, row and size (x, y) of each."""
-    parts = [p for arrivals, _ in draws for p in arrivals]
-    if not parts:
-        return np.empty(0), np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
-    counts = [len(p) for p in parts]
-    per_row = len(parts) // len(draws)
-    times = np.concatenate(parts)
-    rows = np.repeat(np.arange(len(parts)) // per_row, counts)
-    if draws[0][1] is None:  # atoms: the size of the atom of each part
-        atoms = t.jumps.atoms_or_none()
-        kind = np.repeat(np.arange(len(parts)) % per_row, counts)
-        x, y = np.array([a.x for a in atoms])[kind], np.array([a.y for a in atoms])[kind]
-    else:
-        sizes = np.concatenate([s for _, s in draws])
-        x, y = sizes[:, 0], sizes[:, 1]
-    order = np.lexsort((times, rows))
-    return times[order], rows[order], x[order], y[order]
-
-
-def _uniform_grid(cfg: PathConfig) -> np.ndarray:
-    """The uniform grid of ``cfg``, ending exactly at the horizon."""
-    n_steps = int(math.ceil(cfg.horizon / cfg.step - 1e-9))
-    grid = np.minimum(np.arange(n_steps + 1) * cfg.step, cfg.horizon)
-    grid[-1] = cfg.horizon
-    return grid
-
-
-def _jump_adapted_grid(cfg: PathConfig, jumps, n_rows: int):
-    """Each row's uniform grid of ``cfg`` merged with its jump instants, as
-    rows padded with the horizon: the instants, the jump sizes summed onto
-    their instants (a jump at a grid instant, and jumps at one instant,
-    share it), a jump flag per instant, and the length of each row.
-    ``jumps`` are (times, rows, x, y) as ``_pair_chunk_jumps`` gives them."""
-    grid = _uniform_grid(cfg)
-    times, rows, jump_sizes_x, jump_sizes_y = jumps
+def _jump_adapted_grid(grid: np.ndarray, jumps):
+    """Each row's ``grid`` merged with its jump instants, as rows padded
+    with the horizon: the instants, the jump sizes summed onto their
+    instants (a jump at a grid instant, and jumps at one instant, share
+    it), a jump flag per instant, and the length of each row.  ``jumps``
+    holds each row's (times, x, y) in time order."""
+    n_rows = len(jumps)
+    times, jump_sizes_x, jump_sizes_y = (np.concatenate(a) for a in zip(*jumps))
+    rows = np.repeat(np.arange(n_rows), [len(j[0]) for j in jumps])
     at = np.searchsorted(grid, times)  # grid instants before each jump
     off = grid[at] != times  # the jump adds an instant ...
     new = off.copy()  # ... and is the first jump there
@@ -376,7 +374,7 @@ def _jump_adapted_grid(cfg: PathConfig, jumps, n_rows: int):
     added = np.bincount(rows[new], minlength=n_rows)
     col = at + np.cumsum(new) - new - (np.cumsum(added) - added)[rows] - (off & ~new)
     lengths = len(grid) + added
-    merged = np.full((n_rows, int(lengths.max())), cfg.horizon)
+    merged = np.full((n_rows, int(lengths.max())), grid[-1])
     on_grid = np.arange(merged.shape[1]) < lengths[:, None]
     on_grid[rows[new], col[new]] = False
     merged[on_grid] = np.tile(grid, n_rows)
@@ -402,23 +400,24 @@ def _prefix_sums(a: np.ndarray) -> np.ndarray:
 def simulate_pair(
     t: LevyTriplet2D, cfg: PathConfig, path_index: int = 0, stream: int = 0
 ) -> Path:
-    """Sample the driving pair on the jump-adapted grid.
+    """Sample the driving pair on the jump-adapted grid of ``time_grid``.
 
     Brownian increments come from the exact bivariate normal with covariance
     ``Sigma * dt``, jump arrivals are exact exponential clocks merged into
     the grid, and drift is applied in closed form.
     """
     rng = path_rng(cfg.seed, path_index, stream)
-    table = _density_jump_table(t, cfg)
-    p, lengths = _pair_chunk(t, cfg, table, [(rng, *_pair_jumps(t, table, rng, cfg.horizon))])
+    table = _density_jump_table(t, cfg.truncation_eps)
+    grid = time_grid(cfg.horizon, cfg.step)
+    p, lengths = _pair_chunk(t, grid, table, [(rng, *_pair_jumps(t, table, rng, cfg.horizon))])
     return p.row(0, lengths[0])
 
 
-def _pair_chunk(t: LevyTriplet2D, cfg: PathConfig, jump_table, draws):
-    """Rows of ``simulate_pair`` from each row's (generator, arrivals,
-    sizes), the last two from ``_pair_jumps``; ``jump_table`` is the
-    driver's ``_density_jump_table``.  The paths are padded rows, returned
-    with the length of each row.
+def _pair_chunk(t: LevyTriplet2D, grid: np.ndarray, jump_table, draws):
+    """Rows of ``simulate_pair`` on ``grid`` from each row's (generator,
+    arrival times, x, y), the last three from ``_pair_jumps``;
+    ``jump_table`` is the driver's ``_density_jump_table``.  The paths are
+    padded rows, returned with the length of each row.
 
     Each row draws the normals of its Brownian increments from its own
     generator, sized by its own grid."""
@@ -426,8 +425,7 @@ def _pair_chunk(t: LevyTriplet2D, cfg: PathConfig, jump_table, draws):
         bx, by = _uncompensated_drift(t)
     else:
         bx, by = t.gamma_tilde[0] - jump_table.comp[0], t.gamma_tilde[1] - jump_table.comp[1]
-    jumps = _pair_chunk_jumps(t, [d[1:] for d in draws])
-    times, jump_x, jump_y, flags, lengths = _jump_adapted_grid(cfg, jumps, len(draws))
+    times, jump_x, jump_y, flags, lengths = _jump_adapted_grid(grid, [d[1:] for d in draws])
     l11, l21, l22 = _chol2x2(t.sigma)
     chol_t = np.array([[l11, 0.0], [l21, l22]]).T
     inc_x, inc_y = np.zeros(times.shape), np.zeros(times.shape)
@@ -558,10 +556,10 @@ class _Chunk:
 
 class _EulerChunk(_Chunk):
     """A chunk of ``mixed_grid`` paths on their jump-adapted grids, with Z,
-    from each row's (generator, arrivals, sizes)."""
+    from each row's (generator, arrival times, x, y)."""
 
-    def __init__(self, t, cfg, jump_table, draws):
-        self.p, lengths = _pair_chunk(t, cfg, jump_table, draws)
+    def __init__(self, t, grid, jump_table, draws):
+        self.p, lengths = _pair_chunk(t, grid, jump_table, draws)
         self.Z = compute_Z(self.p)
         rows, last = np.arange(len(draws)), lengths - 1
         self.z_T, self.xi_T = self.Z[rows, last], self.p.xi[rows, last]
@@ -620,20 +618,25 @@ def _segment_z_increment(xi0: np.ndarray, dt: np.ndarray, bx: float, by: float):
 
 @lru_cache(maxsize=16)
 def _event_types(atoms) -> tuple:
-    """Total rate, probability of each atom, and the atoms' x and y, of a
-    tuple of atoms: the per-driver part of ``_fv_events``."""
+    """Total rate, the atoms' ``_choice_cdf`` (None for fewer than two), and
+    their x and y, of a tuple of atoms: the per-driver part of
+    ``_fv_events``."""
     rates, xs, ys = (np.array([getattr(a, f) for a in atoms]) for f in ("rate", "x", "y"))
-    for a in (rates, xs, ys):
+    for a in (xs, ys):
         a.setflags(write=False)  # shared by every caller
-    return rates.sum(), rates / rates.sum(), xs, ys
+    return rates.sum(), _choice_cdf(rates) if len(atoms) > 1 else None, xs, ys
 
 
 def _fv_events(t: LevyTriplet2D, horizon: float, rng: np.random.Generator):
-    total, p, xs, ys = _event_types(t.jumps.atoms_or_none())
+    """The atom jumps of one path, (arrival times, x, y): one Poisson clock
+    at the total rate, then the atom of each arrival, drawn with its
+    probability as ``rng.choice`` draws it.  The superposed clock is exact,
+    and it is the one atom-jump sampler of ``exact_fv`` and ``mixed_grid``."""
+    total, cdf, xs, ys = _event_types(t.jumps.atoms_or_none())
     tau = _arrival_times(rng, total, horizon)
     n = len(tau)
-    if n and len(xs) > 1:
-        kinds = rng.choice(len(xs), size=n, p=p)
+    if n and cdf is not None:
+        kinds = cdf.searchsorted(rng.random(n), side="right")
         return tau, xs[kinds], ys[kinds]
     return tau, xs[:1].repeat(n), ys[:1].repeat(n)  # one atom, or no arrival
 

@@ -79,3 +79,12 @@ def simulate_stochastic_exponential(t: LevyTriplet2D, p: Path) -> np.ndarray:
     w_path = bw * p.times - B + np.cumsum(w_inc)
     log_corr = np.cumsum(np.where(p.jump_flags, np.log1p(w_inc) - w_inc, 0.0))
     return np.exp(w_path - 0.5 * sigma2 * p.times + log_corr)
+
+
+def ks_distance(cdf, ref) -> float:
+    """Sup distance between an ``EmpiricalCDF`` and a reference cdf
+    callable."""
+    ref_values = np.asarray(ref(cdf.values), dtype=float)
+    steps = np.arange(1, cdf.n + 1) / cdf.n
+    return float(max(np.max(np.abs(steps - ref_values)),
+                     np.max(np.abs(steps - 1.0 / cdf.n - ref_values))))

@@ -382,10 +382,10 @@ class TestSimulate:
          "1c8b3a385e3d9ec67095c7de049603ae045d282cb3c3afbeeb0010150549e36f"),
         (MIXED_ATOM_SPEC,
          ["--z", "0.5", "--horizon", "3.0", "--step", "0.1"],
-         ["72e9be14583139cebd57d333cd873a7825a08a066937d56f91d0aae7c40f3865",
-          "9d74e4701df40a13919493e59493c81c3ddf8c22cfe890d9e40970c14d019ef8",
-          "09d8d83ab96911b2af193156c315a6ff9f98526f4a633c0593e279359e8b7c2d"],
-         "8668f123f0c651b6fe121c8b8cbdc1014b4d1ebc5f62cf880dff199ccc5b6073"),
+         ["155bc2167915d3bf460f79a233afd625189df7159dff5b1cc7894f139b8d3194",
+          "42a22120efe36864eb324bc77afa733215adfccf105ffc665203f56d184f5e66",
+          "97b98e997ba526f8e69d0a411d2b3c87742d78f218c34ac2d0b3e78872c57f53"],
+         "8f3cfb83104e43196e6cbbb9018f5eb8081620970addaaebe493c0f28882541f"),
         (DENSITY_SPEC,
          ["--z", "1.0", "--horizon", "2.0", "--step", "0.25", "--truncation-eps", "0.3"],
          ["f9c8d969b05ca2f31a3bd618f8000cf94c9225334516224b14dbf3c0dd153c52",
@@ -396,7 +396,9 @@ class TestSimulate:
     def test_output_is_pinned(self, capsys, tmp_path, spec, args, files, content):
         # The paths of the exact, the jump-adapted Euler and the density
         # table engines, pinned by the sha256 of their CSVs (time, xi, Z, V
-        # and jump at each monitored instant).
+        # and jump at each monitored instant).  The mixed_atoms files are
+        # those that test_simulate.py's per-path reference
+        # (ref_simulate_pair_with_rng) gives through euler_csv.
         if spec is not None:
             f = tmp_path / "spec.json"
             f.write_text(json.dumps(spec))
@@ -477,6 +479,44 @@ class TestSimulate:
             assert hit[below].all()  # a bridge-corrected hit needs no negative row
         else:
             assert np.array_equal(below, hit)
+
+    def test_default_step_is_that_of_estimate(self, capsys, tmp_path):
+        # Without --step, simulate takes estimate's min(0.01, T/100): at T =
+        # 0.5 the 100 equal steps of the grid the estimators reduce.
+        from gouruin import estimate
+
+        z, horizon, n, seed = 0.5, 0.5, 30, 4
+        spec = {"preset": "continuous_example", "c": -0.2}
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        code, _, _ = run_cli(capsys, "simulate", "--spec", str(f), "--z", str(z),
+                             "--horizon", str(horizon), "--seed", str(seed), "--paths", str(n),
+                             "--out", str(tmp_path / "out"))
+        assert code == 0
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert man["step"] == 0.005
+        paths = read_paths(tmp_path / "out", n)
+        grid = [float(f"{v:.12g}") for v in np.linspace(0.0, horizon, 101)]
+        assert all(p[:, 0].tolist() == grid for p in paths)
+        t, _ = cli.triplet_from_spec(spec)
+        bound = estimate.empirical_lower_bound(t, z, horizon, n, seed)
+        assert min(p[:, 3].min() for p in paths) == float(f"{bound:.12g}")
+
+    def test_overflow_is_reported(self, capsys, tmp_path):
+        # e^-xi overflows before T = 800 and Z turns non-finite: the run
+        # writes its files and counts each path whose file holds such a row.
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps({"gamma_tilde": [-1, 0], "sigma": [[0, 0], [0, 1]],
+                                 "jumps": {"atoms": []}}))
+        code, _, _ = run_cli(capsys, "simulate", "--spec", str(f), "--z", "1",
+                             "--horizon", "800", "--step", "0.5", "--paths", "2",
+                             "--out", str(tmp_path / "out"))
+        assert code == 0
+        man = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        jsonschema.validate(man, load_schema("manifest.schema.json"))
+        nonfinite_files = sum(not np.isfinite(p).all() for p in read_paths(tmp_path / "out", 2))
+        assert man["nonfinite_paths"] >= 1
+        assert man["nonfinite_paths"] == nonfinite_files
 
 
 class TestEstimate:
@@ -575,6 +615,22 @@ class TestEstimate:
         )
         assert code == 1 and out == ""
         assert err.startswith("input error: ") and field in err
+
+    @pytest.mark.parametrize("spec", [
+        {"preset": "jump_example", "c": 1.0, "lambda": 1.0},
+        {"preset": "continuous_example", "c": 0.2},
+        TestSimulate.MIXED_ATOM_SPEC,
+    ], ids=["exact_fv", "expmart", "mixed_grid"])
+    def test_negative_truncation_eps_is_an_input_error(self, capsys, tmp_path, spec):
+        # every engine takes one rule, though only a density driver uses it
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        code, out, err = run_cli(
+            capsys, "estimate", "--spec", str(f), "--what", "ruin", "--paths", "10",
+            "--horizon", "1", "--truncation-eps", "-1",
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == "input error: truncation_eps must be positive, got -1.0\n"
 
     def test_nan_level_is_an_input_error(self, capsys):
         # the batch used to key its levels by a NaN that no lookup matches

@@ -46,6 +46,7 @@ from gouruin.simulate import (
     fv_first_passage,
     path_rng,
     simulate_pair,
+    time_grid,
 )
 from oracles import simulate_stochastic_exponential
 
@@ -202,7 +203,7 @@ class TestSimulatePair:
     def test_zero_triplet_constant_path(self):
         p = simulate_pair(triplet(), PathConfig(1.0, 0.25, 3))
         assert np.all(p.xi == 0.0) and np.all(p.eta == 0.0)
-        assert p.n_jumps() == 0
+        assert int(p.jump_flags.sum()) == 0
 
     def test_pure_drift_exact(self):
         p = simulate_pair(triplet((0.7, -1.2)), PathConfig(2.0, 0.5, 3))
@@ -228,14 +229,14 @@ class TestSimulatePair:
         with pytest.raises(NotSupportedError):
             simulate_pair(t, PathConfig(1.0, 0.1, 3))
         p = simulate_pair(t, PathConfig(5.0, 0.05, 3, truncation_eps=0.3))
-        assert p.n_jumps() > 0
+        assert int(p.jump_flags.sum()) > 0
 
     def test_jump_counts_follow_the_poisson_law(self):
         lam, T = 2.0, 1.0
         t = jump_example_triplet(1.0, lam)
         counts = np.array(
             [
-                simulate_pair(t, PathConfig(T, 0.5, 11), path_index=i).n_jumps()
+                int(simulate_pair(t, PathConfig(T, 0.5, 11), path_index=i).jump_flags.sum())
                 for i in range(10_000)
             ]
         )
@@ -445,7 +446,7 @@ class TestStochasticExponential:
                 atoms((float(rng.uniform(-1.5, 1.5)), 0.0, 1.0)),
             )
             p = simulate_pair(t, PathConfig(2.0, 0.05, 100 + seed))
-            if p.n_jumps() > 10:
+            if int(p.jump_flags.sum()) > 10:
                 continue
             eps = simulate_stochastic_exponential(t, p)
             assert float(np.max(np.abs(np.exp(-p.xi) - eps))) <= 1e-8
@@ -582,31 +583,23 @@ def ref_fv_state_arrays(t, tau, jx, jy, horizon):
 def ref_simulate_pair_with_rng(t, cfg, rng, jump_table):
     atoms = t.jumps.atoms_or_none()
     if atoms is None:
-        jump_times, jump_sizes = _truncated_density_jumps(jump_table, rng, cfg.horizon)
+        jump_times, jx, jy = _truncated_density_jumps(jump_table, rng, cfg.horizon)
+        jump_sizes = np.column_stack([jx, jy])
         bx = t.gamma_tilde[0] - jump_table.comp[0]
         by = t.gamma_tilde[1] - jump_table.comp[1]
     else:
+        # one clock at the total rate, then the atom of each arrival
         bx, by = _uncompensated_drift(t)
-        times_list = []
-        sizes_list = []
-        for a in atoms:
-            arr = _arrival_times(rng, a.rate, cfg.horizon)
-            times_list.append(arr)
-            sizes_list.append(np.tile([a.x, a.y], (len(arr), 1)))
-        if times_list:
-            jump_times = np.concatenate(times_list)
-            jump_sizes = (
-                np.concatenate(sizes_list) if jump_times.size else np.empty((0, 2))
-            )
-            order = np.argsort(jump_times, kind="stable")
-            jump_times = jump_times[order]
-            jump_sizes = jump_sizes[order]
-        else:
-            jump_times = np.empty(0)
-            jump_sizes = np.empty((0, 2))
+        rates = np.array([a.rate for a in atoms])
+        jump_times = scalar_arrival_times(rng, rates.sum(), cfg.horizon)
+        kinds = np.zeros(len(jump_times), dtype=int)
+        if len(atoms) > 1 and len(jump_times):
+            kinds = rng.choice(len(atoms), size=len(jump_times), p=rates / rates.sum())
+        jump_sizes = np.array([[atoms[k].x, atoms[k].y] for k in kinds]).reshape(-1, 2)
 
-    n_steps = int(math.ceil(cfg.horizon / cfg.step - 1e-9))
-    grid = np.minimum(np.arange(n_steps + 1) * cfg.step, cfg.horizon)
+    # round(T / step) equal steps, ending exactly at the horizon
+    n_steps = max(1, round(cfg.horizon / cfg.step))
+    grid = np.arange(n_steps + 1) * (cfg.horizon / n_steps)
     grid[-1] = cfg.horizon
     times = np.union1d(grid, jump_times)
     jump_x = np.zeros(len(times))
@@ -735,19 +728,26 @@ def assert_batch_matches(batch, ref, z_list, want_times=False, states=None):
 
 
 class StubGaps:
-    """Generator stub: call k of ``exponential`` gives constant gaps
-    ``gaps[k]``, so arrivals land where a test wants them; normals come from
-    a real generator."""
+    """Generator stub: ``exponential`` repeats the pattern of ``gaps`` (a
+    zero gap puts two arrivals at one instant), so arrivals land where a
+    test wants them; the atoms of the arrivals and the normals come from a
+    real generator."""
 
     def __init__(self, gaps, seed):
-        self.gaps = list(gaps)
-        self.normals = np.random.default_rng(seed)
+        self.gaps = gaps
+        self.real = np.random.default_rng(seed)
 
     def exponential(self, scale, size):
-        return np.full(size, self.gaps.pop(0))
+        return np.resize(np.array(self.gaps, dtype=float), size)
 
     def standard_normal(self, size=None, out=None):
-        return self.normals.standard_normal(size, out=out)
+        return self.real.standard_normal(size, out=out)
+
+    def random(self, size=None):
+        return self.real.random(size)
+
+    def choice(self, *args, **kwargs):
+        return self.real.choice(*args, **kwargs)
 
 
 MIXED = LevyTriplet2D(
@@ -779,7 +779,7 @@ class TestChunkBuildersMatchThePerPathReference:
         for i in range(5):
             rng = path_rng(seed, i)
             draws.append((rng, *_pair_jumps(MIXED, None, rng, cfg.horizon)))
-        chunk, lengths = _pair_chunk(MIXED, cfg, None, draws)
+        chunk, lengths = _pair_chunk(MIXED, time_grid(cfg.horizon, cfg.step), None, draws)
         Z = compute_Z(chunk)
         assert len(set(lengths.tolist())) > 1  # ragged
         for r in range(5):
@@ -791,30 +791,33 @@ class TestChunkBuildersMatchThePerPathReference:
             assert same(Z[r, :lengths[r]], ref_compute_Z(ref))
 
     def test_jumps_at_grid_instants_and_at_one_instant(self):
-        # Step 0.25: gaps of 0.5 and 0.25 land on grid instants, two atoms
-        # with one gap share every instant, and gaps of 0.3 fall between.
+        # Step 0.25: gaps of 0.5 and 0.25 land on grid instants, a zero gap
+        # puts two jumps at one instant (0.5 on the grid, 1.55 off it), and
+        # gaps of 0.3 and 0.7 fall between grid instants.
         t = LevyTriplet2D(
             (0.1, -0.2), ((0.3, 0.0), (0.0, 0.2)),
             atoms((0.2, -0.4, 1.0), (-0.1, 0.3, 1.0), (0.05, 0.5, 1.0)),
         )
         cfg = PathConfig(2.0, 0.25, 1)
-        gaps = [(0.5, 0.5, 0.3), (0.25, 0.7, 0.5)]
+        gaps = [(0.5, 0.0, 0.25, 0.3), (0.7,)]
         draws = []
         for r, g in enumerate(gaps):
             rng = StubGaps(g, r)
             draws.append((rng, *_pair_jumps(t, None, rng, cfg.horizon)))
-        chunk, lengths = _pair_chunk(t, cfg, None, draws)
-        # row 0 adds 0.3 k for k <= 6 but 1.5, a grid instant; row 1 adds 0.7, 1.4
-        assert lengths.tolist() == [9 + 5, 9 + 2]
+        chunk, lengths = _pair_chunk(t, time_grid(cfg.horizon, cfg.step), None, draws)
+        # row 0 jumps at 0.5 (twice), 0.75, 1.05, 1.55 (twice) and 1.8, and
+        # adds the last three instants; row 1 adds 0.7 and 1.4
+        assert [len(d[1]) for d in draws] == [7, 2]
+        assert lengths.tolist() == [9 + 3, 9 + 2]
         for r, g in enumerate(gaps):
             ref = ref_simulate_pair_with_rng(t, cfg, StubGaps(g, r), None)
             row = chunk.row(r, lengths[r])
             for name in ("times", "xi", "eta", "xi_left", "eta_left"):
                 assert same(getattr(row, name), getattr(ref, name)), name
             assert np.array_equal(row.jump_flags, ref.jump_flags)
-        shared = np.flatnonzero(chunk.times[0] == 1.0)[0]
+        shared = np.flatnonzero(chunk.times[0] == 0.5)[0]
         assert chunk.jump_flags[0, shared]
-        assert chunk.xi[0, shared] - chunk.xi_left[0, shared] == pytest.approx(0.1)
+        assert chunk.xi[0, shared] - chunk.xi_left[0, shared] == draws[0][2][:2].sum()
 
     def test_density_driver_draws_from_the_jump_table(self):
         t = LevyTriplet2D(
@@ -823,12 +826,12 @@ class TestChunkBuildersMatchThePerPathReference:
                                "box": [0.5, 1.5, -1.5, 0.5]}),
         )
         cfg = PathConfig(4.0, 0.1, 9, truncation_eps=0.3)
-        table = _density_jump_table(t, cfg)
+        table = _density_jump_table(t, cfg.truncation_eps)
         draws = []
         for i in range(4):
             rng = path_rng(9, i)
             draws.append((rng, *_pair_jumps(t, table, rng, cfg.horizon)))
-        chunk, lengths = _pair_chunk(t, cfg, table, draws)
+        chunk, lengths = _pair_chunk(t, time_grid(cfg.horizon, cfg.step), table, draws)
         assert chunk.jump_flags.sum() > 20
         for r in range(4):
             ref = ref_simulate_pair_with_rng(t, cfg, path_rng(9, r), table)
@@ -894,3 +897,36 @@ class TestChunkReductionsMatchThePerPathLoop:
         ref = ref_batch(lambda rng: RefEulerPath(t, cfg, None, rng), [0.5], horizon, n, seed, True)
         assert_batch_matches(batch, ref, [0.5], True)
         assert 0 < batch.nonfinite < n
+
+
+class TestOneJumpSampler:
+    """Both per-path engines draw their atom jumps from ``_fv_events``, so
+    on a zero-Gaussian driver ``mixed_grid`` sees the jumps of
+    ``exact_fv`` path for path and differs from it only by Euler error."""
+
+    def test_mixed_grid_draws_the_jumps_of_exact_fv(self):
+        # With no Gaussian part xi = bx t + the jumps so far, so equal
+        # post-jump xi at equal jump times means equal jump sizes; FV's
+        # atoms have distinct x, so the x sizes name the atoms and the y too.
+        n, seed, horizon = 40, 6, 10.0
+        mixed_sink, mixed = states_sink(0.5, n)
+        exact_sink, exact = states_sink(0.5, n)
+        _mixed_batch(FV, [], horizon, 0.05, n, seed, 0, None, False, mixed_sink)
+        _fv_batch(FV, [], horizon, n, seed, 0, False, exact_sink)
+        jumps = 0
+        for (tm, xm, _, _, jm), (te, xe, _, _, je) in zip(mixed(), exact()):
+            assert same(tm[jm], te[je])
+            assert same(xm[jm], xe[je])
+            jumps += int(je.sum())
+        assert jumps > 10 * n
+
+    def test_terminal_error_halves_with_the_step(self):
+        n, seed, horizon = 40, 6, 10.0
+        exact = _fv_batch(FV, [], horizon, n, seed, 0).z_T
+        errors = [
+            np.abs(_mixed_batch(FV, [], horizon, step, n, seed, 0, None).z_T - exact).max()
+            for step in (0.04, 0.02, 0.01, 0.005)
+        ]
+        assert errors[0] > 1e-3
+        ratios = np.array(errors[1:]) / np.array(errors[:-1])
+        assert np.all((0.4 < ratios) & (ratios < 0.6)), errors
