@@ -644,14 +644,14 @@ def _mixed_batch(
     n: int,
     seed: int,
     stream: int,
-    truncation_eps: float | None,
+    jump_table,
     want_times: bool = False,
     sink=None,
 ) -> _BatchResult:
     """General driver: jump-adapted Euler simulation on ``time_grid``, with
-    the atom jumps of ``_fv_events``.  A row's widest arrays hold one value
-    per instant of its grid."""
-    jump_table = _density_jump_table(t, truncation_eps)
+    the jumps of ``jump_table`` (``_density_jump_table``) or the atom jumps
+    of ``_fv_events``.  A row's widest arrays hold one value per instant of
+    its grid."""
     grid = time_grid(horizon, step)
 
     def draw(rng):
@@ -695,18 +695,21 @@ def _check_inputs(horizon, n, step, levels, seed, truncation_eps=None) -> float:
 
 def _dispatch_batch(
     t, z_list, horizon, n, seed, stream, step=None, truncation_eps=None, want_times=False,
-    sink=None,
+    sink=None, jump_table=None,
 ) -> _BatchResult:
     """The batch of the driver's engine, for outside input that
     ``_check_inputs`` accepts; a ``sink`` reads every chunk whole
-    (``_batch_from_chunks``)."""
+    (``_batch_from_chunks``).  ``mixed_grid`` builds the driver's
+    ``_density_jump_table`` unless the caller passes it."""
     step = _check_inputs(horizon, n, step, z_list, seed, truncation_eps)
     engine = _select_engine(t)
     if engine == "exact_fv":
         return _fv_batch(t, z_list, horizon, n, seed, stream, want_times, sink)
     if engine == "mixed_grid":
+        if jump_table is None:
+            jump_table = _density_jump_table(t, truncation_eps)
         return _mixed_batch(
-            t, z_list, horizon, step, n, seed, stream, truncation_eps, want_times, sink
+            t, z_list, horizon, step, n, seed, stream, jump_table, want_times, sink
         )
     return _gaussian_grid_batch(
         t, z_list, horizon, step, n, seed, stream, engine, want_times, sink
@@ -794,13 +797,24 @@ def estimate_Zinf_cdf(
     The distance between the laws at T and T/2 is reported as a
     convergence-in-horizon diagnostic.
     """
+    _require_zinf_converges(t)
+    return _zinf_cdf(t, T, n, seed, step, truncation_eps)
+
+
+def _require_zinf_converges(t: LevyTriplet2D) -> None:
     verdict = z_infinity_converges(t)
     if verdict is not Verdict.YES:
         raise NotApplicableError(
             f"the discounted integral does not converge for this driver ({verdict.value})"
         )
+
+
+def _zinf_cdf(t, T, n, seed, step, truncation_eps, jump_table=None) -> EmpiricalCDF:
+    """``estimate_Zinf_cdf`` for a driver whose discounted integral
+    converges, on stream 1."""
     batch = _dispatch_batch(
-        t, [], T, n, seed, stream=1, step=step, truncation_eps=truncation_eps
+        t, [], T, n, seed, stream=1, step=step, truncation_eps=truncation_eps,
+        jump_table=jump_table,
     )
     _require_finite(
         int(np.count_nonzero(~(np.isfinite(batch.z_T) & np.isfinite(batch.z_half)))), n
@@ -866,12 +880,18 @@ def ruin_formula_checks(
     truncation_eps: float | None = None,
 ) -> dict[float, RuinFormulaCheck]:
     """Formula validation at several levels off one shared path batch
-    (common random numbers across levels)."""
+    (common random numbers across levels).  Without ``g_cdf`` the law of
+    the discounted integral comes from a second batch (``estimate_Zinf_cdf``);
+    the two batches share one density jump table."""
     if g_cdf is None:
-        g_cdf = estimate_Zinf_cdf(t, horizon, n, seed, step=step,
-                                  truncation_eps=truncation_eps)
+        _require_zinf_converges(t)
+    step = _check_inputs(horizon, n, step, z_list, seed, truncation_eps)
+    jump_table = _density_jump_table(t, truncation_eps)
+    if g_cdf is None:
+        g_cdf = _zinf_cdf(t, horizon, n, seed, step, truncation_eps, jump_table)
     batch = _dispatch_batch(
-        t, list(z_list), horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps
+        t, list(z_list), horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps,
+        jump_table=jump_table,
     )
     _require_finite(batch.nonfinite, n)
     return {

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     InvalidModelError,
@@ -49,6 +49,7 @@ from .errors import (
 )
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, checked_add
 from .quadrature import (
+    AffineY,
     BandEdge,
     ChordEdge,
     ConstEdge,
@@ -144,9 +145,11 @@ class FiniteAtomSet:
 
 
 class BoxDensity:
-    """Jump density over a bounded box, possibly Levy-infinite at the origin."""
+    """Jump density over a bounded box, possibly Levy-infinite at the origin.
+    A named family also gives its closed ``y_moments`` (``integrate_strips``)."""
 
-    def __init__(self, fn, box, tol: float = 1e-9, kind: str | None = None, params=None):
+    def __init__(self, fn, box, tol: float = 1e-9, kind: str | None = None, params=None,
+                 y_moments=None):
         x0, x1, y0, y1 = (float(v) for v in box)
         if not (x1 > x0 and y1 > y0):
             raise InvalidModelError("density box must have positive area")
@@ -157,6 +160,7 @@ class BoxDensity:
         self.tol = float(tol)
         self.kind = kind
         self.params = dict(params) if params else None
+        self.y_moments = y_moments
 
     def atoms_or_none(self):
         return None
@@ -169,22 +173,22 @@ class BoxDensity:
         integrability; with it the integrand is nonnegative, the origin is
         approached as a limit, and the value may be inf."""
         clipped = self._clip(strips)
+
+        def over(region):
+            return integrate_strips(self.fn, region, integrand, self.tol, self.y_moments)
+
         if not nonneg:
-            return integrate_strips(self.fn, clipped, integrand, self.tol)
+            return over(clipped)
         eps0 = 0.5
-        outer = integrate_strips(
-            self.fn, strips_outside_ball(clipped, eps0), integrand, self.tol
-        )
+        outer = over(strips_outside_ball(clipped, eps0))
 
         def annulus(e_in, e_out):
-            return integrate_strips(
-                self.fn, strips_in_annulus(clipped, e_in, e_out), integrand, self.tol
-            )
+            return over(strips_in_annulus(clipped, e_in, e_out))
 
         return limit_toward_origin(outer, annulus, self.tol, eps0=eps0)
 
     def xi_margin(self) -> "Pushforward1D":
-        return Pushforward1D(self, lambda fn: lambda x, y: fn(x), Strip)
+        return Pushforward1D(self, AffineY, Strip)
 
     def eta_margin(self) -> "Pushforward1D":
         return Pushforward1D(self, lambda fn: lambda x, y: fn(y), _y_band)
@@ -303,6 +307,12 @@ class Density1D:
         return (_nonneg_1d if nonneg else quad_1d)(g, a, b, self.tol)
 
 
+#: The integrands 1, x and y of masses and first moments.
+UNIT = AffineY(lambda x: 1.0)
+X_COORD = AffineY(lambda x: x)
+Y_COORD = AffineY(c1=lambda x: 1.0)
+
+
 def _y_band(a: float, b: float) -> Strip:
     """The pair jumps with y in [a, b]."""
     return Strip(lower=(ConstEdge(a),), upper=(ConstEdge(b),))
@@ -329,7 +339,7 @@ class Pushforward1D:
         return None
 
     def mass(self, a: float, b: float) -> float:
-        return self.base.integrate(lambda x, y: 1.0, [self.band(a, b)], nonneg=True)
+        return self.base.integrate(UNIT, [self.band(a, b)], nonneg=True)
 
     def integrate(self, fn, a: float, b: float, nonneg: bool = False) -> float:
         return self.base.integrate(self.lift(fn), [self.band(a, b)], nonneg)
@@ -469,8 +479,7 @@ def _coordinate_correction(measure, axis: str) -> float:
             if _in_open_interval(coord) and not _in_open_ball(a.x, a.y):
                 total += a.rate * coord
         return total
-    coord_fn = (lambda x, y: x) if axis == "x" else (lambda x, y: y)
-    return measure.integrate(coord_fn, _correction_strips(axis))
+    return measure.integrate(X_COORD if axis == "x" else Y_COORD, _correction_strips(axis))
 
 
 def _marginal(t: LevyTriplet2D, axis: str) -> MarginalTriplet:
@@ -616,12 +625,11 @@ def _s_density_correction(measure, u: float) -> float:
 
     total = 0.0
     total += measure.integrate(
-        lambda x, y: s_jump(x, y, u), strips_outside_ball([s_band(u, -1.0, 1.0)], eps)
+        AffineY(lambda x: -u * w_jump(x), lambda x: 1.0),  # s_jump(x, y, u)
+        strips_outside_ball([s_band(u, -1.0, 1.0)], eps),
     )
-    total -= measure.integrate(lambda x, y: y, strips_outside_ball([y_strip], eps))
-    total += u * measure.integrate(
-        lambda x, y: w_jump(x), strips_outside_ball([w_strip], eps)
-    )
+    total -= measure.integrate(Y_COORD, strips_outside_ball([y_strip], eps))
+    total += u * measure.integrate(AffineY(w_jump), strips_outside_ball([w_strip], eps))
     return total
 
 
@@ -668,7 +676,7 @@ def drift_vector(t: LevyTriplet2D) -> tuple[float, float]:
 
     if integral(lambda x, y: abs(x) + abs(y)) == INF:
         raise NotFiniteVariationError("small jumps have infinite variation")
-    ix = integral(lambda x, y: max(x, 0.0)) - integral(lambda x, y: max(-x, 0.0))
+    ix = integral(AffineY(lambda x: max(x, 0.0))) - integral(AffineY(lambda x: max(-x, 0.0)))
     iy = integral(lambda x, y: max(y, 0.0)) - integral(lambda x, y: max(-y, 0.0))
     return t.gamma_tilde[0] - ix, t.gamma_tilde[1] - iy
 
@@ -700,8 +708,8 @@ def mean_at_one(t: LevyTriplet2D) -> tuple[float, float]:
 
     # |x| >= 1, then |x| < 1 outside the ball
     tail = [Strip(x1=-1.0), Strip(1.0)] + _correction_strips("x")
-    ex = t.gamma_tilde[0] + t.jumps.integrate(lambda x, y: x, tail)
-    ey = t.gamma_tilde[1] + t.jumps.integrate(lambda x, y: y, tail)
+    ex = t.gamma_tilde[0] + t.jumps.integrate(X_COORD, tail)
+    ey = t.gamma_tilde[1] + t.jumps.integrate(Y_COORD, tail)
     return ex, ey
 
 
@@ -750,7 +758,7 @@ def scale_eta(t: LevyTriplet2D, k: float) -> LevyTriplet2D:
         if base.kind is None:
             new_jumps = BoxDensity(lambda x, y, _f=base.fn, _k=k: _f(x, y / _k) / _k, box, base.tol)
         else:  # a named family stays named, so its thresholds stay exact
-            p = _DENSITY_FAMILIES[base.kind][3](base.params, k)
+            p = _DENSITY_FAMILIES[base.kind].scaled(base.params, k)
             new_jumps = density_from_json(
                 {"kind": base.kind, "params": p, "box": box, "tol": base.tol}
             )
@@ -773,8 +781,8 @@ def scale_eta(t: LevyTriplet2D, k: float) -> LevyTriplet2D:
     ]
     # new region minus old region is +bands for k < 1, -bands for k > 1
     sign = 1.0 if k < 1.0 else -1.0
-    gx = t.gamma_tilde[0] + sign * t.jumps.integrate(lambda x, y: x, bands)
-    gy = k * (t.gamma_tilde[1] + sign * t.jumps.integrate(lambda x, y: y, bands))
+    gx = t.gamma_tilde[0] + sign * t.jumps.integrate(X_COORD, bands)
+    gy = k * (t.gamma_tilde[1] + sign * t.jumps.integrate(Y_COORD, bands))
     return LevyTriplet2D((gx, gy), sigma, new_jumps)
 
 
@@ -789,23 +797,82 @@ def _exp_log_sup(rate: float, lo: float, hi: float) -> float:
     return max(-rate * abs(v) for v in (lo, hi, min(max(0.0, lo), hi)))
 
 
-# kind -> (parameter names, density from the parameters, log of its sup over
-# the box (x0, x1, y0, y1) without the factor c, the parameters of the
-# density of (x, k y))
-_DENSITY_FAMILIES: dict[str, tuple[tuple[str, ...], Callable, Callable, Callable]] = {
-    "uniform_box": (
+def _uniform_moments(p):
+    c = p["c"]
+
+    def moments(x, lo, hi):
+        return c * (hi - lo), 0.5 * c * (hi - lo) * (hi + lo)
+
+    return moments
+
+
+def _exp_segment(b: float, p: float, q: float) -> tuple[float, float]:
+    """The integrals of e^{-b v} and v e^{-b v} over [p, q], 0 <= p <= q:
+    e^{-b p} (E1, p E1 + E2), with E1 and E2 those of e^{-b s} and
+    s e^{-b s} over [0, h], h = q - p.  Written with expm1, E2 loses about
+    2 eps / |b h| of its relative accuracy to cancellation, so where
+    |b h| < 0.01 both are summed as power series instead: b = 0 and a tiny
+    b need no division by b, and a negative b is no special case."""
+    h = q - p
+    if h <= 0.0:
+        return 0.0, 0.0
+    x = b * h
+    if abs(x) < 0.01:
+        e1 = e2 = 0.0
+        term = 1.0  # (-x)^k / k!; from the ninth on, below 1e-20
+        for k in range(8):
+            e1 += term / (k + 1)
+            e2 += term / (k + 2)
+            term *= -x / (k + 1)
+        e1 *= h
+        e2 *= h * h
+    else:
+        e1 = -math.expm1(-x) / b
+        e2 = (-math.expm1(-x) - x * math.exp(-x)) / (b * b)
+    scale = math.exp(-b * p)
+    return scale * e1, scale * (p * e1 + e2)
+
+
+def _exp_tails_moments(p):
+    c, a, b = p["c"], p["a"], p["b"]
+
+    def moments(x, lo, hi):
+        # e^{-b |y|} split at 0; y = -v below it
+        pos0, pos1 = _exp_segment(b, max(lo, 0.0), max(hi, 0.0))
+        neg0, neg1 = _exp_segment(b, max(-hi, 0.0), max(-lo, 0.0))
+        f = c * math.exp(-a * abs(x))
+        return f * (pos0 + neg0), f * (pos1 - neg1)
+
+    return moments
+
+
+class _Family(NamedTuple):
+    """A named density family c f(x) g(y): its parameter names, and
+    functions of its parsed parameters p."""
+
+    names: tuple[str, ...]
+    density: Callable  # p -> density(x, y)
+    log_sup: Callable  # (p, box) -> log of the sup over the box, without c
+    scaled: Callable  # (p, k) -> the parameters of the density of (x, k y)
+    y_moments: Callable  # p -> (x, lo, hi) -> c f(x) (int g, int y g) over [lo, hi]
+
+
+_DENSITY_FAMILIES: dict[str, _Family] = {
+    "uniform_box": _Family(
         ("c",),
         lambda p: (lambda x, y, c=p["c"]: c),
         lambda p, box: 0.0,
         lambda p, k: {"c": p["c"] / k},
+        _uniform_moments,
     ),
-    "exp_tails": (
+    "exp_tails": _Family(
         ("c", "a", "b"),
         lambda p: (
             lambda x, y, c=p["c"], a=p["a"], b=p["b"]: c * math.exp(-a * abs(x) - b * abs(y))
         ),
         lambda p, box: _exp_log_sup(p["a"], *box[:2]) + _exp_log_sup(p["b"], *box[2:]),
         lambda p, k: {"c": p["c"] / k, "a": p["a"], "b": p["b"] / k},
+        _exp_tails_moments,
     ),
 }
 
@@ -824,7 +891,8 @@ def density_from_json(doc: dict) -> BoxDensity:
         raise InvalidModelError(
             f"unknown density family {kind!r}; available: {sorted(_DENSITY_FAMILIES)}"
         )
-    names, make_fn, log_sup, _ = _DENSITY_FAMILIES[kind]
+    family = _DENSITY_FAMILIES[kind]
+    names = family.names
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise InvalidModelError(f"{kind} density params must be an object")
@@ -851,8 +919,10 @@ def density_from_json(doc: dict) -> BoxDensity:
         raise InvalidModelError(
             "density spec requires box [x0, x1, y0, y1] and an optional tol, all numbers"
         ) from None
-    dens = BoxDensity(make_fn(p), box, tol=tol, kind=kind, params=p)
-    log_bound = math.log(p["c"]) + log_sup(p, dens.box) + math.log(x1 - x0) + math.log(y1 - y0)
+    dens = BoxDensity(family.density(p), box, tol=tol, kind=kind, params=p,
+                      y_moments=family.y_moments(p))
+    log_bound = (math.log(p["c"]) + family.log_sup(p, dens.box)
+                 + math.log(x1 - x0) + math.log(y1 - y0))
     if not log_bound < math.log(sys.float_info.max):
         shown = ", ".join(f"{k} = {v!r}" for k, v in p.items())
         raise InvalidModelError(f"{kind} density sup times box area overflows ({shown})")

@@ -14,9 +14,22 @@ with its crossings of a horizontal line y = v in closed form:
   ``x = +-sqrt(r^2 - (v d)^2)``.
 
 So a measure on the x axis gets the segments of a strip exactly, by cutting
-at the crossings with y = 0.  Levy measures may be infinite near the origin,
-so mass-type integrals are evaluated as a limit over shrinking origin
-exclusions with a geometric-ratio divergence test:
+at the crossings with y = 0.
+
+A named density family factors as c f(x) g(y) and gives its y-moments
+c f(x) (int g, int y g) between any two y values in closed form.  Against
+it, an integrand affine in y, ``AffineY(c0, c1)`` for c0(x) + c1(x) y, has
+a closed inner integral, so each strip piece costs one outer ``quad`` over
+x instead of an ``nquad``.  The masses, the coordinate and truncation
+corrections, the xi margin, the S(u) correction, the mean, the eta rescaling
+and the jump table all take that route.  Everything else keeps ``nquad``: a
+Python ``fn`` density, and integrands that are not affine in y (the positive
+parts of ``drift_lhs``, the eta margin and the S(u) jumps of an arbitrary
+function, and the |x| + |y| variation test of ``drift_vector``).
+
+Levy measures may be infinite near the origin, so mass-type integrals are
+evaluated as a limit over shrinking origin exclusions with a
+geometric-ratio divergence test:
 
 * increments that die off geometrically are summed and bounded,
 * increments that stay flat or grow signal a divergent integral,
@@ -105,6 +118,24 @@ Edge = ConstEdge | BandEdge | ChordEdge
 
 
 @dataclass(frozen=True)
+class AffineY:
+    """The integrand c0(x) + c1(x) y; a coefficient left None is 0.  It is
+    callable as (x, y), so the ``nquad`` route takes it unchanged."""
+
+    c0: Callable[[float], float] | None = None
+    c1: Callable[[float], float] | None = None
+
+    def __call__(self, x: float, y: float) -> float:
+        return self.inner(x, (1.0, y))
+
+    def inner(self, x: float, moments: tuple[float, float]) -> float:
+        """The inner y-integral at x from the density's y-moments (M0, M1)
+        there: c0(x) M0 + c1(x) M1."""
+        m0, m1 = moments
+        return (self.c0(x) * m0 if self.c0 else 0.0) + (self.c1(x) * m1 if self.c1 else 0.0)
+
+
+@dataclass(frozen=True)
 class Strip:
     """x-strip region: x in [x0, x1], y between the largest lower edge and
     the smallest upper edge; no lower (upper) edge leaves y unbounded below
@@ -169,6 +200,16 @@ class Strip:
                 pieces.append(Strip(p, q, self.lower, self.upper))
         return pieces
 
+    def kinks(self) -> list[float]:
+        """Points inside the x-range where the inner range may fail to be
+        smooth: x = 0 (where a density may have a kink in |x|) and every
+        crossing of an edge with y = 0 or with a constant edge of the strip
+        (a chord meets y = 0 at its ends, where its slope is infinite)."""
+        edges = self.lower + self.upper
+        levels = {0.0} | {e.c for e in edges if isinstance(e, ConstEdge)}
+        cuts = {0.0}.union(*(e.crossings(v) for e in edges for v in levels))
+        return sorted(x for x in cuts if self.x0 < x < self.x1)
+
     def x_axis_segments(self, a: float, b: float) -> list[tuple[float, float]]:
         """The maximal subintervals of [a, b] on which (x, 0) lies in the
         strip, found by cutting [a, b] at every edge's crossings with y = 0
@@ -202,28 +243,48 @@ def quad_1d(fn, lo: float, hi: float, tol: float) -> float:
     return val
 
 
-def integrate_strips(density, strips: Sequence[Strip], integrand, tol: float) -> float:
+def integrate_strips(
+    density, strips: Sequence[Strip], integrand, tol: float, y_moments=None
+) -> float:
     """Integrate ``integrand(x, y) * density(x, y)`` over the strips, each
     cut to the x-ranges where it is not empty: an outer quadrature over the
-    whole range can miss a sliver on which the inner range is non-empty."""
+    whole range can miss a sliver on which the inner range is non-empty.
+
+    With the density's closed ``y_moments(x, lo, hi)`` (its (M0, M1) on
+    [lo, hi] at x) and an ``AffineY`` integrand, a piece is one outer
+    ``quad`` of the closed inner integral, split at the piece's ``kinks``
+    and asked for the terms of the final check, tol / n or 1e-12 relative;
+    otherwise it is one ``nquad``.  Either way the errors of the pieces are
+    summed and checked together."""
     pieces = [p for s in strips for p in s.nonempty_pieces()]
     total = 0.0
     total_err = 0.0
     n = max(1, len(pieces))
-    nquad = _scipy_integrate().nquad
-    opts = {"epsabs": tol / n, "epsrel": 1e-9}
+    integrate = _scipy_integrate()
+    closed = y_moments is not None and isinstance(integrand, AffineY)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for s in pieces:
+            if closed:
 
-            def y_range(x, _s=s):  # what dblquad passes nquad, with one ylo call
-                lo = _s.ylo(x)
-                return [lo, max(lo, _s.yhi(x))]
+                def inner(x, _s=s):
+                    lo = _s.ylo(x)
+                    return integrand.inner(x, y_moments(x, lo, max(lo, _s.yhi(x))))
 
-            val, err = nquad(
-                lambda y, x: integrand(x, y) * density(x, y), [y_range, [s.x0, s.x1]],
-                opts=opts,
-            )
+                val, err = integrate.quad(
+                    inner, s.x0, s.x1, epsabs=tol / n, epsrel=1e-12, limit=200,
+                    points=s.kinks() or None,
+                )
+            else:
+
+                def y_range(x, _s=s):  # what dblquad passes nquad, with one ylo call
+                    lo = _s.ylo(x)
+                    return [lo, max(lo, _s.yhi(x))]
+
+                val, err = integrate.nquad(
+                    lambda y, x: integrand(x, y) * density(x, y), [y_range, [s.x0, s.x1]],
+                    opts={"epsabs": tol / n, "epsrel": 1e-9},
+                )
             total += val
             total_err += err
     if total_err > max(tol, 1e-12 * abs(total)):

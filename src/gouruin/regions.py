@@ -48,6 +48,7 @@ from .model import (
     JumpAtom,
     LevyTriplet2D,
     LineDensity,
+    UNIT,
     _in_open_ball,
     s_jump,
     w_jump,
@@ -106,7 +107,7 @@ def quadrant_mass(m, i: int) -> float:
     atoms = m.atoms_or_none()
     if atoms is not None:
         return sum(a.rate for a in atoms if _atom_in_quadrant(a, i))
-    return m.integrate(lambda x, y: 1.0, _quadrant_strips(i, None), nonneg=True)
+    return m.integrate(UNIT, _quadrant_strips(i, None), nonneg=True)
 
 
 def region_mass(m, i: int, u: float) -> float:
@@ -118,7 +119,7 @@ def region_mass(m, i: int, u: float) -> float:
             for a in atoms
             if _atom_in_quadrant(a, i) and sgn(s_jump(a.x, a.y, u)) < 0
         )
-    return m.integrate(lambda x, y: 1.0, _quadrant_strips(i, u), nonneg=True)
+    return m.integrate(UNIT, _quadrant_strips(i, u), nonneg=True)
 
 
 def _atom_critical(a) -> float:

@@ -42,23 +42,38 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidModelError, NotSupportedError
-from .model import LevyTriplet2D, _uncompensated_drift, zero_gaussian
+from .model import UNIT, X_COORD, Y_COORD, LevyTriplet2D, _uncompensated_drift, zero_gaussian
 from .quadrature import Strip, strips_in_annulus, strips_outside_ball
+
+
+#: The most steps round(horizon / step) a path request may ask for: a grid
+#: engine holds per-step arrays of that many floats.  The requests in use
+#: ask for at most 20,000.
+MAX_GRID_STEPS = 2**22
 
 
 def path_step(horizon: float, step: float | None = None,
               truncation_eps: float | None = None) -> float:
     """The step of a path request, once its horizon, step and cutoff pass
     the rules of every engine: the horizon is positive and finite, a given
-    step lies in (0, horizon] and a given ``truncation_eps`` is positive.
-    Without a step it is min(0.01, horizon / 100)."""
+    step lies in (0, horizon] and asks for at most ``MAX_GRID_STEPS``
+    steps, and a given ``truncation_eps`` is positive.  Without a step it is
+    min(0.01, horizon / 100)."""
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise InvalidModelError(f"horizon must be positive and finite, got {horizon}")
     if step is not None and not (0.0 < step <= horizon):
         raise InvalidModelError(f"step must satisfy 0 < step <= horizon, got {step}")
     if truncation_eps is not None and not (truncation_eps > 0.0):
         raise InvalidModelError(f"truncation_eps must be positive, got {truncation_eps}")
-    return min(0.01, horizon / 100.0) if step is None else step
+    if step is None:
+        return min(0.01, horizon / 100.0)
+    steps = horizon / step
+    if math.isinf(steps) or round(steps) > MAX_GRID_STEPS:
+        raise InvalidModelError(
+            f"step {step} over horizon {horizon} asks for {steps:.0f} grid steps; "
+            f"the cap is {MAX_GRID_STEPS}"
+        )
+    return step
 
 
 def time_grid(horizon: float, step: float) -> np.ndarray:
@@ -313,10 +328,10 @@ def _density_jump_table(t: LevyTriplet2D, eps: float | None) -> _DensityJumpTabl
         )
     full = [Strip()]
     outside = strips_outside_ball(full, eps)
-    lam = dens.integrate(lambda x, y: 1.0, outside)
+    lam = dens.integrate(UNIT, outside)
     comp_region = strips_in_annulus(full, eps, 1.0)
-    comp_x = dens.integrate(lambda x, y: x, comp_region)
-    comp_y = dens.integrate(lambda x, y: y, comp_region)
+    comp_x = dens.integrate(X_COORD, comp_region)
+    comp_y = dens.integrate(Y_COORD, comp_region)
 
     x0, x1, y0, y1 = dens.box
     nc = 128

@@ -388,10 +388,10 @@ class TestSimulate:
          "8f3cfb83104e43196e6cbbb9018f5eb8081620970addaaebe493c0f28882541f"),
         (DENSITY_SPEC,
          ["--z", "1.0", "--horizon", "2.0", "--step", "0.25", "--truncation-eps", "0.3"],
-         ["f9c8d969b05ca2f31a3bd618f8000cf94c9225334516224b14dbf3c0dd153c52",
-          "7b3babd2e1c2deb36915108909391a9b3c1d660fe765ee2bd15521855c2eaecc",
-          "71aae29cf52310bd79979ab47088a7cc17b6ffa6b0ed103f7ad5189ddd7027f4"],
-         "b62b692f6725ff4541465c1375b976bfb64498a5fef75f8a55a91e1ac919b093"),
+         ["257fc2f89f350f63f1a2cd7ec02c20ec8731e7c38861c4ec76128c15f421ccce",
+          "a4db6efa70dddc5301f25c2f13c83df1966d84cf3a59eef2e5a77ec679625721",
+          "2e45de7f9eeab70f6e8d4b0559e0eb90c42221fb333b5166495312b43654356b"],
+         "e2962e314688d6e701dcddc0657138bf97327de36c486b656aef10cc04025bab"),
     ], ids=["jump_example", "mixed_atoms", "uniform_box"])
     def test_output_is_pinned(self, capsys, tmp_path, spec, args, files, content):
         # The paths of the exact, the jump-adapted Euler and the density
@@ -615,6 +615,26 @@ class TestEstimate:
         )
         assert code == 1 and out == ""
         assert err.startswith("input error: ") and field in err
+
+    def test_step_count_above_the_cap_is_an_input_error(self, capsys, monkeypatch):
+        # 10 / 1e-9 steps would be per-step arrays of 1e10 floats: refused
+        # before any engine builds its grid
+        from gouruin import estimate, simulate
+
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(simulate, "time_grid", no_grid)
+        monkeypatch.setattr(estimate, "time_grid", no_grid)
+        code, out, err = run_cli(
+            capsys, "estimate", "--preset", "continuous_example", "--what", "ruin",
+            "--horizon", "10", "--step", "1e-9", "--paths", "10",
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == (
+            "input error: step 1e-09 over horizon 10.0 asks for 10000000000 grid steps; "
+            f"the cap is {simulate.MAX_GRID_STEPS}\n"
+        )
 
     @pytest.mark.parametrize("spec", [
         {"preset": "jump_example", "c": 1.0, "lambda": 1.0},

@@ -21,6 +21,7 @@ from gouruin.estimate import (
     estimate_negative_prob,
     estimate_ruin,
     estimate_Zinf_cdf,
+    ruin_formula_checks,
     ruin_records,
     validate_ruin_formula,
     wilson_interval,
@@ -696,6 +697,23 @@ class TestDensityTier:
         estimate_ruin(box_density_triplet(), self.Z, self.HORIZON, self.N, self.SEED,
                       step=self.STEP, truncation_eps=self.EPS)
         assert len(calls) == 1
+
+    def test_formula_checks_build_one_jump_table_for_both_batches(self, monkeypatch):
+        # the law of the discounted integral and the ruin batch run on one
+        # driver and one cutoff, so they share the table
+        build = simulate._density_jump_table
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(simulate, "_density_jump_table", counted)
+        monkeypatch.setattr(estimate, "_density_jump_table", counted)
+        checks = ruin_formula_checks(box_density_triplet(), [self.Z], self.HORIZON, self.N,
+                                     self.SEED, step=self.STEP, truncation_eps=self.EPS)
+        assert len(calls) == 1
+        assert checks[self.Z].lhs.diagnostics["engine"] == "mixed_grid"
 
 
 class TestNegativeProb:
