@@ -246,9 +246,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_infinities(argv) -> list:
+    """argparse reads a value such as ``-inf`` as an option, so ``--z -inf``
+    would lack its value; join such a value to the option before it, as in
+    ``--z=-inf``."""
+    out = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and arg.lower() in ("-inf", "-infinity")):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_negative_infinities(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (InvalidModelError, json.JSONDecodeError, FileNotFoundError) as exc:

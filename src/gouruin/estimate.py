@@ -1,9 +1,12 @@
 """Monte Carlo estimators with confidence intervals.
 
-Every estimator fans simulation out over per-path random streams keyed by
-(seed, stream, path_index), so results depend only on (seed, n) and never on
-chunking or worker count; ``GOU_THREADS`` caps the worker pool.  Probability
-estimates carry Wilson 95% intervals, which stay informative at p = 0.
+Every estimator fans simulation out over counter-based random streams keyed
+by (seed, stream, path_index): per-path Philox generators (``path_rng``) on
+``exact_fv``, ``mixed_grid`` and ``grid``, and keyed hash normals
+(``bridge._keyed_normals``) on ``grid_bridge`` and ``expmart``.  So results
+depend only on (seed, stream, n) and never on chunking or worker count;
+``GOU_THREADS`` caps the worker pool.  Probability estimates carry Wilson
+95% intervals, which stay informative at p = 0.
 
 Engine selection per driver, under the names the reports print:
 
@@ -34,14 +37,14 @@ budget (``_CHUNK_ELEMS`` values per chunk array and path component) and one
 non-finite rule.  The estimators, the formula checks, the per-path records
 and the empirical lower bound all read the same batch of paths.  The
 per-path engines yield chunks of whole paths, so a path wider than the
-budget makes a chunk alone and its memory grows with the horizon; the
-Gaussian grid engines yield the time blocks of their live paths, carrying
-per-path running state from block to block, so their memory does not grow
-with the horizon, and stop a path once it is ruined at every level.
-Requests for terminal values only (``estimate_negative_prob``,
-``estimate_Zinf_cdf``) draw two normals per path on ``grid_bridge`` and
-``expmart``, where the mid-horizon and terminal grid values are jointly
-Gaussian (in xi): the same law as the grid, from different draws.
+budget makes a chunk alone and its memory grows with the horizon; ``grid``
+yields the time blocks of its live paths, carrying per-path running state
+from block to block, so its chunk memory does not grow with the horizon;
+``grid_bridge`` and ``expmart`` draw a range of paths coarse to fine in
+the keyed midpoint layout (``bridge``), only where a path can come near a
+level it has not passed, and yield it whole as the records of its
+computed values.  The Gaussian grid engines stop a path once it is ruined
+at every level.
 
 No estimate is computed from an overflowed value, on any engine: a path
 decides its levels from its finite prefix, and a path whose Z or xi turns
@@ -95,9 +98,10 @@ _PATH_BLOCK = 64
 #: Float64 elements of the widest array of a chunk, on every engine: a
 #: per-path block is cut into chunks of as many paths as fit, and a path
 #: wider than this makes a chunk alone, so a per-path chunk grows with the
-#: horizon once one path no longer fits; the Gaussian grid kernel cuts its
-#: paths into time blocks of at most this many grid values, so only its
-#: chunk memory does not grow with the horizon.  64 KB per array stays
+#: horizon once one path no longer fits; the Gaussian grid engines cut their
+#: paths into time blocks of at most this many grid values, or on the keyed
+#: layout examine at most this many cells at once, so their chunk memory
+#: does not grow with the horizon.  64 KB per array stays
 #: under glibc's 128 KB mmap threshold, near which every temporary of a
 #: chunk page-faults.
 _CHUNK_ELEMS = 8_192
@@ -108,6 +112,9 @@ _TAIL_EPS = 0.05
 
 #: Largest bridge exponent a hash uniform can produce (u >= 2^-53).
 _Q_MAX = 0.5 * 53.0 * math.log(2.0)
+
+_MASK64 = (1 << 64) - 1
+_GAMMA64 = 0x9E3779B97F4A7C15  # splitmix64's counter increment
 
 
 def worker_count() -> int:
@@ -223,20 +230,27 @@ class _BatchResult:
         return self.hit[z], self.time[z], self.v_hit[z], self.continuous[z]
 
 
+def _mix64(x: int) -> int:
+    """The splitmix64 finalizer of a 64-bit int."""
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+    return x ^ (x >> 31)
+
+
 def _hash_uniforms(seed: int, stream: int, idx0: int, flat_cells: np.ndarray) -> np.ndarray:
-    """Deterministic per-(path, cell) uniforms, independent of the z level
-    and of evaluation order (splitmix64)."""
+    """Uniforms on [0, 1) with 53 bits, one per counter ``idx0 +
+    flat_cells`` (an array of any shape): splitmix64 outputs at those
+    counters of the sequence keyed by (seed, stream), so each depends only
+    on its counter, never on the order or grouping of the draws."""
+    key = np.uint64(_mix64(_mix64(seed & _MASK64) ^ (stream + 1) * _GAMMA64 & _MASK64))
     with np.errstate(over="ignore"):
-        x = (
-            np.uint64(0x9E3779B97F4A7C15) * np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-            ^ np.uint64(0xC2B2AE3D27D4EB4F) * np.uint64(stream + 1)
-        )
-        v = flat_cells.astype(np.uint64) + np.uint64(idx0)
-        v = (v + x) * np.uint64(0xBF58476D1CE4E5B9)
+        v = np.asarray(flat_cells, dtype=np.uint64) + np.uint64(idx0)
+        v *= np.uint64(_GAMMA64)
+        v += key
         v ^= v >> np.uint64(30)
-        v *= np.uint64(0x94D049BB133111EB)
+        v *= np.uint64(0xBF58476D1CE4E5B9)
         v ^= v >> np.uint64(27)
-        v *= np.uint64(0x2545F4914F6CDD1D)
+        v *= np.uint64(0x94D049BB133111EB)
         v ^= v >> np.uint64(31)
     return (v >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
@@ -331,16 +345,17 @@ def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, sink, half, 
 
 
 class _GridChunk(_Chunk):
-    """The rows of a time block of the Gaussian grid kernel: ``P`` at the
+    """The rows of a time block of a Gaussian grid engine: ``P`` at the
     block's grid instants ``times`` (Z, or on expmart xi signed so that ruin
     lies below), which ``ruin`` maps to -Z, and xi there when a sink reads
     the block's states.  Its keys are P cut to its finite prefix, which the
-    kernel may lower at the end of examined cells to their bridge extremes;
-    a row is ``finite`` when P, and Z and xi where it carries xi, are finite
-    throughout.  P is a running sum, so a row whose last value is finite is
-    finite throughout; Z = u0 (e^-xi - 1) on expmart is not, and may come
-    back.  ``z_T`` is set on the block that ends at the horizon.  Every
-    crossing is continuous, with value 0, at the instant that ends it."""
+    keyed engines lower at the end of each cell to its bridge extreme; a
+    row is ``finite`` when P, and Z and xi where it carries xi, are finite
+    throughout; a block without xi is one of ``grid``, whose P is a running
+    sum, finite throughout when its last value is.  ``z_T`` is set on the
+    block that ends at the horizon.
+    Every crossing is continuous, with value 0, at the instant that ends
+    it."""
 
     values_by_column = False
 
@@ -387,118 +402,73 @@ def _gaussian_grid_batch(
     want_times: bool = False,
     sink=None,
 ) -> _BatchResult:
-    """No-jump drivers (``expmart``, ``grid_bridge``, ``grid``): each range of
-    paths walks the grid in time blocks of at most ``_CHUNK_ELEMS`` values,
-    so memory does not grow with the horizon.  A time block yields its live
-    paths as a ``_GridChunk`` when the batch loop needs the block whatever
-    it holds (for a sink, mid-horizon or the horizon), and otherwise only its
-    paths within reach of a level they have not passed.
+    """No-jump drivers (``expmart``, ``grid_bridge``, ``grid``).  A path is
+    ruined at a level at the first grid instant past it or, on the keyed
+    engines (``grid_bridge`` and ``expmart``), at the right end of an
+    earlier step whose exact Brownian-bridge extreme (deterministic xi, or
+    the closed-form regime in xi space) passes it.  Levels nest, so common
+    random numbers and monotonicity in the level are structural.
 
-    Each path keeps its own generator across blocks, and the running sums
-    carry from block to block, so the grid values are those of one
-    sequential cumulative sum.  A path is ruined at a level at the first
-    grid instant past it or at the right end of an earlier cell whose exact
-    Brownian-bridge extreme (deterministic xi, or the closed-form regime in
-    xi space; solved from the cell's hash uniform) passes it.  Bridge cells
-    are examined only on rows whose block comes within ``sqrt(q_max *
-    var)``, the farthest an extreme reaches, of a level they have not
-    passed, and there only where their end values come that near the first
-    level the block's grid values leave unpassed, or with times, of the
-    first level unpassed at the block's start until the grid values pass
-    every level.  Levels nest, so common random numbers and monotonicity in
-    the level are structural.  A path ruined at every level, or lost, stops
-    drawing unless a sink reads the paths.
+    ``grid`` marches forward: each path keeps its own generator
+    (``path_rng``) and the running sums carry from time block to time
+    block (at most ``_CHUNK_ELEMS`` values), so memory does not grow with
+    the horizon.  A block yields its live paths when the batch loop needs
+    it whatever it holds (for a sink, mid-horizon or the horizon), and
+    otherwise only its paths that reach a level they have not passed; a
+    path ruined at every level, or lost, stops drawing unless a sink reads
+    the paths.
 
-    Terminal-only requests (no levels) on ``grid_bridge`` and ``expmart``
-    draw two normals per path: the grid values at ``half_idx`` and at the
-    horizon are jointly Gaussian there (in xi on ``expmart``), with the
-    covariance of the grid sums, so the law is that of the grid.
+    ``grid_bridge`` and ``expmart`` open no generator: they draw their grid
+    coarse to fine in the keyed midpoint layout (``bridge.keyed_batch``),
+    each node's normal a Box-Muller transform of two hash uniforms of at
+    least 2^-53 keyed by (seed, stream, path, node), so within 8.57
+    standard deviations, and each step's bridge extreme solved from its own
+    uniform.  The grid of a path is a fixed function of (seed, stream,
+    path) and the step, and is drawn only where the path can come near a
+    level, so results depend only on (seed, stream, n), never on the
+    horizon of a crossing, the levels, the chunking or the workers.
     """
     times = time_grid(horizon, step)
-    n_steps = len(times) - 1
-    h = horizon / n_steps
-    half_idx = n_steps // 2
-    gx, gy = t.gamma_tilde
-    s11 = t.sigma[0][0]
-    s22 = t.sigma[1][1]
-    sigma_xi, l21, l22 = _chol2x2(t.sigma)
-    sqh = math.sqrt(h)
     levels = np.array(sorted(set(z_list)), dtype=float)
-    n_levels = len(levels)
-    u0 = _is_expmart(t) if engine == "expmart" else None
-
-    # overflow here is caught by the finite-prefix rule
-    with np.errstate(over="ignore", invalid="ignore"):
-        if engine == "grid_bridge":
-            xi_det = gx * times
-            disc = np.exp(-xi_det[:-1])
-            w_vec = disc * math.sqrt(max(0.0, s22)) * math.sqrt(h)
-            det_prefix = np.concatenate([[0.0], np.cumsum(disc * gy * h)])
-            var = w_vec * w_vec
-        elif engine == "expmart":
-            var = np.full(n_steps, s11 * h)
-        else:
-            var = None
-        prec = None if var is None else np.sqrt(_Q_MAX * var)
 
     # Paths march as keys that fall toward ruin: Z, or on expmart xi times
-    # ``o``, the sign of -u0 (negation is exact).  ``fire`` maps keys to -Z,
-    # which ruins at level z once above z; ``path_level`` maps levels to keys.
-    if u0 is None:
+    # ``sign``, the sign of -u0 (negation is exact).  ``fire`` maps keys to
+    # -Z, which ruins at level z once above z.
+    if engine != "expmart":
+        sign = 1.0
         fire = np.negative
-        path_level = -levels
     else:
-        # -Z = u0 (1 - e^-xi) falls as o xi rises; a level -Z never reaches
-        # (always exceeds) maps to -inf (+inf)
-        o = -1.0 if u0 > 0.0 else 1.0
-        path_level = np.array([
-            o * (math.inf if -z / u0 <= -1.0 else -math.log1p(-z / u0))
-            for z in levels.tolist()
-        ])
+        u0 = _is_expmart(t)
+        sign = -1.0 if u0 > 0.0 else 1.0
 
         def fire(x):
-            return u0 * -np.expm1(-o * x)
+            return u0 * -np.expm1(-sign * x)
 
-    path_level = np.append(path_level, -math.inf)  # past the last level: no key passes it
+    if engine == "grid":
+        return _forward_march(t, levels, times, n, seed, stream, fire, want_times, sink)
+    from .bridge import keyed_batch  # compiled only once a keyed engine runs
 
-    if not n_levels and sink is None and engine != "grid":
-        # two normals per path: the Gaussian sums at half_idx and at the
-        # horizon (in xi on expmart); overflow leaves non-finite values,
-        # which the estimators refuse
-        half_end = [half_idx, -1]
-        with np.errstate(over="ignore"):
-            if engine == "grid_bridge":
-                sd = np.sqrt([var[:half_idx].sum(), var[half_idx:].sum()])
-                base = det_prefix[half_end]
-            else:
-                sd = np.sqrt([s11 * h * half_idx, s11 * h * (n_steps - half_idx)])
-                base = gx * times[half_end]
+    return keyed_batch(t, engine, levels, times, n, seed, stream, sign, fire, want_times, sink,
+                       _CHUNK_ELEMS)
 
-        def endpoints(i0, i1, res, needs):
-            g = np.array([path_rng(seed, i, stream).standard_normal(2) for i in range(i0, i1)])
-            P = base + np.cumsum(g * sd, axis=1)
-            chunk = _GridChunk(P if u0 is None else o * P, None, times[half_end], fire, True)
-            yield np.arange(i0, i1), chunk
 
-        return _batch_from_chunks(engine, levels, n, _CHUNK_ELEMS // 2, endpoints, False,
-                                  None, times[half_idx], times[-1])
+def _forward_march(t, levels, times, n, seed, stream, fire, want_times, sink) -> _BatchResult:
+    """The batch of ``grid`` (random xi with eta): every path walks the
+    grid with its own generator, in time blocks (``_gaussian_grid_batch``)."""
+    n_steps = len(times) - 1
+    h = times[-1] / n_steps
+    gx, gy = t.gamma_tilde
+    sigma_xi, l21, l22 = _chol2x2(t.sigma)
+    sqh = math.sqrt(h)
+    n_levels = len(levels)
+    path_level = np.append(-levels, -math.inf)  # past the last level: no key passes it
 
     def advance(gens, s, e, carry):
-        """Keys at grid instants s..e of the rows whose generators are
+        """Z at grid instants s..e of the rows whose generators are
         ``gens``, and xi there; ``carry`` holds their running sums at
         instant s."""
         w = e - s
         rows = len(gens)
-        if engine == "grid_bridge":
-            S = np.empty((rows, w + 1))
-            S[:, 0] = carry[0]
-            for g, row in zip(gens, S[:, 1:]):
-                g.standard_normal(out=row)
-            np.multiply(S[:, 1:], w_vec[s:e], out=S[:, 1:])
-            np.cumsum(S, axis=1, out=S)
-            carry[0] = S[:, -1]
-            S += det_prefix[s:e + 1]
-            return S, xi_det[s:e + 1]
         normals = np.empty((rows, w, 2))
         for g, row in zip(gens, normals):
             g.standard_normal(out=row)
@@ -508,8 +478,6 @@ def _gaussian_grid_batch(
         np.cumsum(X, axis=1, out=X)
         carry[0] = X[:, -1]
         X += gx * times[s:e + 1]  # xi
-        if u0 is not None:
-            return o * X, X
         eta_inc = gy * h + (l21 * normals[:, :, 0] + l22 * normals[:, :, 1]) * sqh
         Z = np.empty((rows, w + 1))
         Z[:, 0] = carry[1]
@@ -518,62 +486,31 @@ def _gaussian_grid_batch(
         carry[1] = Z[:, -1]
         return Z, X
 
-    def lower(chunk, ids, old, s, e):
-        """Lower the keys of ``chunk`` (block s..e of paths ``ids``, past
-        ``old`` levels) at the right end of each examined cell to its bridge
-        extreme; a row whose examined extreme is not finite is not
-        finite."""
-        k = chunk.key.copy() if chunk.key is chunk.P else chunk.key  # P keeps its values
-        grid = np.maximum(old, np.searchsorted(levels, fire(k.min(axis=1))))
-        first = old if want_times else grid
-        cand = np.minimum(k[:, :-1], k[:, 1:]) < path_level[first][:, None] + prec[s:e]
-        if want_times:  # examined cells end before the grid passes every level
-            x = np.flatnonzero(grid == n_levels)
-            end = np.argmax(fire(k[x]) > levels[-1], axis=1)
-            cand[x] &= np.arange(1, e - s + 1) < end[:, None]
-        r, c = np.divmod(np.flatnonzero(cand), e - s)  # np.nonzero, faster
-        if not len(r):
-            return
-        left, right = k[r, c], k[r, c + 1]
-        u = _hash_uniforms(seed, stream, 0, ids[r] * (n_steps + 1) + s + c)
-        q = -0.5 * np.log(np.maximum(u, 2.0 ** -53))
-        half = 0.5 * (left - right)
-        mid = 0.5 * (left + right)
-        ext = mid - np.sqrt(half * half + q * var[s + c])
-        ok = np.isfinite(ext)
-        k[r[ok], c[ok] + 1] = np.minimum(right[ok], ext[ok])
-        chunk.key = k
-        chunk.finite[r[~ok]] = False
-
     # a time block holds at most _CHUNK_ELEMS grid values: whole paths, as
     # many as fit, or 16 paths over fewer steps, so that a path ruined early
     # soon stops drawing
     rows = max(16, _CHUNK_ELEMS // (n_steps + 1))
     starts = np.arange(0, n_steps, max(1, _CHUNK_ELEMS // rows - 1))
     ends = np.append(starts[1:], n_steps)
-    # the farthest a bridge extreme reaches past its cell's ends, per block
-    reach = np.zeros(len(starts)) if prec is None else np.maximum.reduceat(prec, starts)
 
     def blocks(i0, i1, res, needs):
         gens = [path_rng(seed, i, stream) for i in range(i0, i1)]
         live = np.arange(i0, i1)
         carry = np.zeros((2, len(live)))
         below = path_level[res.passed[live]]  # each row's first unpassed level, as a key
-        for s, e, r in zip(starts.tolist(), ends.tolist(), reach.tolist()):
+        for s, e in zip(starts.tolist(), ends.tolist()):
             P, xi = advance(gens, s, e, carry)
             if needs(times[s], times[e]):
                 ids, chunk = live, _GridChunk(P, None if sink is None else xi,
                                               times[s:e + 1], fire, e == n_steps)
             else:
-                # rows within reach of a level they have not passed; P is a
+                # rows that reach a level they have not passed; P is a
                 # running sum, so a row that turns non-finite stays so, and
                 # the block at the horizon shows it if no earlier one does
-                near = np.flatnonzero(~(P.min(axis=1) >= below + r))
+                near = np.flatnonzero(~(P.min(axis=1) >= below))
                 if not len(near):
                     continue
                 ids, chunk = live[near], _GridChunk(P[near], None, times[s:e + 1], fire, False)
-            if n_levels and prec is not None:
-                lower(chunk, ids, res.passed[ids], s, e)
             yield ids, chunk
             if sink is None and n_levels:  # decided paths stop drawing
                 keep = (res.passed[live] < n_levels) & ~res.lost[live]
@@ -583,8 +520,8 @@ def _gaussian_grid_batch(
                     return
             below = path_level[res.passed[live]]
 
-    return _batch_from_chunks(engine, levels, n, rows, blocks, want_times, sink,
-                              times[half_idx], times[-1])
+    return _batch_from_chunks("grid", levels, n, rows, blocks, want_times, sink,
+                              times[n_steps // 2], times[-1])
 
 
 def _per_path_batch(

@@ -80,8 +80,6 @@ class TestCheck:
         assert err == "input error: level must be a number, got nan\n"
 
     def test_delta_at_infinite_levels(self, capsys):
-        # a negative level takes the --delta-at=-inf form: argparse reads
-        # "--delta-at -inf" as an option with no value
         code, out, _ = run_cli(
             capsys,
             "check", "--preset", "jump_example", "--c", "1", "--lambda", "1",
@@ -91,6 +89,14 @@ class TestCheck:
         assert code == 0
         assert doc["delta"]["inf"] == pytest.approx(2.0, abs=1e-12)
         assert doc["delta"]["-inf"] == "-inf"
+
+    def test_delta_at_takes_a_negative_infinity_after_a_space(self, capsys):
+        # argparse alone reads "--delta-at -inf" as an option with no value
+        argv = ["check", "--preset", "jump_example", "--c", "1", "--lambda", "1"]
+        spaced = run_cli(capsys, *argv, "--delta-at", "-inf", "--delta-at", "-Infinity")
+        joined = run_cli(capsys, *argv, "--delta-at=-inf", "--delta-at=-Infinity")
+        assert spaced == joined
+        assert spaced[0] == 0 and json.loads(spaced[1])["delta"] == {"-inf": "-inf"}
 
     def test_malformed_spec_exits_one(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
@@ -225,6 +231,16 @@ class TestLazyQuadratureImport:
             "import gouruin\n"
             "loaded = [m for m in ('numpy.random', 'scipy.integrate') if m in sys.modules]\n"
             "print('loaded', *loaded, file=sys.stderr)\n"
+        )
+        assert self.run_script(script) == "loaded"
+
+    def test_import_leaves_the_keyed_layout_uncompiled(self):
+        # check never runs a grid engine, so it does not load gouruin.bridge
+        script = (
+            "import sys\n"
+            "import gouruin, gouruin.cli\n"
+            "print('loaded', *[m for m in ('gouruin.bridge',) if m in sys.modules],"
+            " file=sys.stderr)\n"
         )
         assert self.run_script(script) == "loaded"
 
@@ -671,6 +687,15 @@ class TestEstimate:
         assert (code, out) == (cli.EXIT_INPUT, "")
         assert err == f"input error: level z must be finite, got {z}\n"
 
+    def test_negative_infinite_level_after_a_space_is_an_input_error(self, capsys):
+        # argparse alone would exit 2 with "expected one argument"
+        code, out, err = run_cli(
+            capsys, "estimate", "--preset", "continuous_example", "--what", "ruin",
+            "--z", "-inf", "--paths", "10", "--horizon", "1",
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == "input error: level z must be finite, got -inf\n"
+
 
 class TestSimulateChecksBeforeWriting:
     """``simulate`` refuses bad input with exit 1 before it creates --out."""
@@ -683,6 +708,7 @@ class TestSimulateChecksBeforeWriting:
         (["--z", "nan"], "level z must be a number, got nan"),
         (["--z=inf"], "level z must be finite, got inf"),
         (["--z=-inf"], "level z must be finite, got -inf"),
+        (["--z", "-inf"], "level z must be finite, got -inf"),
     ])
     def test_no_directory_is_left_behind(self, capsys, tmp_path, flags, message):
         out_dir = tmp_path / "paths"
@@ -954,13 +980,14 @@ class TestUndeterminedExit:
           "--paths", "200"],
          "21d64e3471a8be9860eb68e76a7a3ef029b54add5160c87d4383214e0c057c0e"),
         (["--horizon", "5", "--step", "0.01", "--paths", "300"],
-         "e6afb1d510b2bf7863691cc128c6e9cd2c7ac335c4a9d526a1fce4f8bb864642"),
+         "f800255e3ccce3f8b0e023c315f8ab06507308579d5833bdbe758c132ac82c18"),
     ], ids=["exact_fv", "grid_bridge"])
     def test_ruin_records_come_from_the_estimate_batch(
         self, capsys, tmp_path, monkeypatch, argv, digest
     ):
-        # The digests are those of the CSVs written when the records came
-        # from a second simulation of the same paths.
+        # The exact_fv digest is that of the CSV written when the records
+        # came from a second simulation of the same paths; the grid_bridge
+        # one, that of the keyed midpoint layout.
         import hashlib
 
         from gouruin import estimate

@@ -27,7 +27,7 @@ from gouruin.estimate import (
     wilson_interval,
     worker_count,
 )
-from gouruin import estimate, simulate
+from gouruin import bridge, estimate, simulate
 from gouruin.model import BoxDensity, FiniteAtomSet, JumpAtom, LevyTriplet2D, rigid_level
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
 from gouruin.simulate import (
@@ -182,25 +182,51 @@ def engine_case(engine):
     return next(case for case in ENGINE_CASES if case[0] == engine)
 
 
+def keyed_W(var, seed, stream, i):
+    """W of path i at every node of the keyed midpoint layout over the
+    per-step variances ``var`` (a whole number of top cells), rebuilt level
+    by level: a forward walk over the top nodes, then the bridge law at each
+    midpoint, each node with the keyed normal at (i << 32 | node << 2)."""
+    top = 1 << bridge._TOP_LEVEL
+    W = np.zeros(len(var) + 1)
+
+    def normals(nodes):
+        return bridge._keyed_normals(seed, stream, (i << 32) | (nodes.astype(np.uint64) << 2))
+
+    tops = np.arange(top, len(var) + 1, top)
+    W[tops] = np.cumsum(np.sqrt(var.reshape(-1, top).sum(axis=1)) * normals(tops))
+    for half in (top >> k for k in range(1, bridge._TOP_LEVEL + 1)):
+        sums = var.reshape(-1, half).sum(axis=1)
+        left, right = sums[0::2], sums[1::2]
+        m = np.arange(half, len(var), 2 * half)
+        W[m] = (W[m - half] + left / (left + right) * (W[m + half] - W[m - half])
+                + np.sqrt(left * right / (left + right)) * normals(m))
+    return W
+
+
 def grid_Z(t, engine, seed, i, n_steps, h):
-    """Grid values of the discounted integral on path i, rebuilt from the
-    per-path normals of a Gaussian grid engine."""
+    """Grid values of the discounted integral on path i: from the per-path
+    normals of ``grid``, or from the keyed midpoint layout (``keyed_W``) on
+    ``grid_bridge`` and ``expmart``."""
     (gx, gy), (s11, s12), s22 = t.gamma_tilde, t.sigma[0], t.sigma[1][1]
     times = np.arange(n_steps + 1) * h
-    rng = path_rng(seed, i, 0)
-    if engine == "grid_bridge":
-        normals = rng.standard_normal(n_steps)
-        inc = np.exp(-gx * times[:-1]) * (gy * h + math.sqrt(s22 * h) * normals)
-    else:
-        normals = rng.standard_normal((n_steps, 2))
+    if engine == "grid":
+        normals = path_rng(seed, i, 0).standard_normal((n_steps, 2))
         xi = gx * times + np.concatenate([[0.0], np.cumsum(math.sqrt(s11 * h) * normals[:, 0])])
-        if engine == "expmart":
-            return (-s12 / s11) * np.expm1(-xi)
         l21 = s12 / math.sqrt(s11)
         l22 = math.sqrt(s22 - l21 * l21)
         eta_inc = gy * h + (l21 * normals[:, 0] + l22 * normals[:, 1]) * math.sqrt(h)
-        inc = np.exp(-xi[:-1]) * eta_inc
-    return np.concatenate([[0.0], np.cumsum(inc)])
+        return np.concatenate([[0.0], np.cumsum(np.exp(-xi[:-1]) * eta_inc)])
+    top = 1 << bridge._TOP_LEVEL
+    steps = np.arange(-(-n_steps // top) * top) * h
+    if engine == "grid_bridge":
+        disc = np.exp(-gx * steps)
+        W = keyed_W(disc * disc * s22 * h, seed, 0, i)[:n_steps + 1]
+        return np.concatenate([[0.0], np.cumsum(disc * gy * h)])[:n_steps + 1] + W
+    u0 = -s12 / s11  # expmart: the key is xi signed so that ruin lies below
+    sign = -1.0 if u0 > 0.0 else 1.0
+    xi = gx * times + sign * keyed_W(np.full(len(steps), s11 * h), seed, 0, i)[:n_steps + 1]
+    return u0 * np.expm1(-xi)
 
 
 class TestRigidLevel:
@@ -312,14 +338,16 @@ def first_jump_ruins(engine):
 
 
 # (driver, seed, n): sha256 of the hit and time arrays at levels 0, 0.5, 1
-# (horizon 5, step 0.01), as the whole-matrix kernel computed them.
+# (horizon 5, step 0.01): the keyed midpoint layout on grid_bridge and
+# expmart, and on grid the forward march, as the whole-matrix kernel
+# computed it.
 GOLDEN = [
     (drift_xi_brownian_eta(), 5, 300,
-     "ad432c81f795e4b8e763051bc1f80acd979e2f707cd60b3478250b219ae67068"),
+     "1ce0627c1b95df4f9366377bae994dbf73f82c3cbfb4381fde7ff53f50e95ee5"),
     (continuous_example_triplet(0.4), 6, 300,
-     "37594184e3716f511d82c63ded7f3da120e17b805b3ffd52215de23f18d6422a"),
+     "0be6f9432f7f568eec5c2736c18986d5efa6dc17dd11ba30c94e975c6c33dc46"),
     (expmart_below(), 7, 300,
-     "a848ab89e2de99db1edb451eb5c243eceb647173694c4f2ed321948d6bc4ed34"),
+     "c7ee3b02600d81c1a00e2fc6f241563f9371ab7c5607d3b773bb5aac58276b53"),
     (correlated_gaussian(), 8, 300,
      "e263aed0048182bdfe1dd622b5c148413dbd2f5288d82591b5152c45f2e8d614"),
 ]
@@ -333,8 +361,8 @@ STREAM_CASES = [
 
 
 def count_normals(monkeypatch) -> list:
-    """Wrap ``estimate.path_rng`` so that the normals each path draws are
-    counted in the returned list."""
+    """Wrap ``estimate.path_rng`` and ``bridge._keyed_normals`` so that
+    the normals each call draws are counted in the returned list."""
     drawn = []
 
     class Counted:
@@ -345,8 +373,14 @@ def count_normals(monkeypatch) -> list:
             drawn.append(np.size(out) if out is not None else int(np.prod(size or 1)))
             return self.g.standard_normal(size, out=out)
 
-    rng = estimate.path_rng
+    rng, keyed = estimate.path_rng, bridge._keyed_normals
+
+    def counted_keyed(seed, stream, counters):
+        drawn.append(np.size(counters))
+        return keyed(seed, stream, counters)
+
     monkeypatch.setattr(estimate, "path_rng", lambda *a: Counted(rng(*a)))
+    monkeypatch.setattr(bridge, "_keyed_normals", counted_keyed)
     return drawn
 
 
@@ -426,12 +460,15 @@ class TestStreamedGridKernel:
         assert counts == sorted(counts, reverse=True) and counts[0] > counts[-1]
 
     @pytest.mark.parametrize("engine,t", STREAM_CASES[:2], ids=[c[0] for c in STREAM_CASES[:2]])
-    def test_terminal_only_requests_draw_two_normals_per_path(self, engine, t, monkeypatch):
+    def test_terminal_requests_descend_to_two_nodes(self, engine, t, monkeypatch):
+        # the top walk, then one midpoint per level down to mid-horizon and
+        # to the horizon: 20 + 2 x 10 normals per path at 20,000 steps
         drawn = count_normals(monkeypatch)
-        n = 50
-        est = estimate_negative_prob(t, 20.0, n, seed=3, step=1e-3)
+        n, horizon, step = 50, 20.0, 1e-3
+        est = estimate_negative_prob(t, horizon, n, seed=3, step=step)
         assert est.diagnostics["engine"] == engine
-        assert sum(drawn) == 2 * n
+        n_top = -(-round(horizon / step) // (1 << bridge._TOP_LEVEL))
+        assert n * n_top < sum(drawn) <= n * (n_top + 2 * bridge._TOP_LEVEL)
 
     def test_terminal_only_grid_values_are_the_streamed_ones(self):
         t = correlated_gaussian()
@@ -448,7 +485,8 @@ class TestStreamedGridKernel:
 
     def test_ruined_chunks_stop_drawing_when_the_integral_converges(self, monkeypatch):
         # Every path is ruined in its first cell from z = 0; the tail
-        # diagnostic reads only survivors, so no path draws past its block.
+        # diagnostic reads only survivors, so a path stops drawing once one
+        # of its keys is below 0.
         t = drift_xi_brownian_eta()
         assert _select_engine(t) == "grid_bridge"
         assert estimate.z_infinity_converges(t) is Verdict.YES
@@ -457,8 +495,19 @@ class TestStreamedGridKernel:
         est = estimate_ruin(t, 0.0, 20.0, n, seed=1, step=1e-3)
         assert est.point == 1.0
         assert est.diagnostics["tail_near_ruin_fraction"] == 0.0
-        # each path draws its first time block: 16 rows of _CHUNK_ELEMS values
-        assert 0 < sum(drawn) <= n * (estimate._CHUNK_ELEMS // 16)
+        # each path draws its 20 top nodes and the midpoints near 0 until
+        # one is below it: at most 1% of its 20,000 grid steps
+        assert 0 < sum(drawn) <= n * 20_000 / 100
+
+    def test_criterion_6_draws_a_twentieth_of_the_grid(self, monkeypatch):
+        # the shape of acceptance criterion 6 at n = 1000: both batches of
+        # the formula check draw at most n * n_steps / 20 normals
+        t = drift_xi_brownian_eta()
+        drawn = count_normals(monkeypatch)
+        n, horizon, step = 1000, 20.0, 1e-3
+        checks = ruin_formula_checks(t, [0.0, 0.5, 1.0], horizon, n, 1, step=step)
+        assert checks[0.5].lhs.n_events > 0
+        assert 0 < sum(drawn) <= n * round(horizon / step) / 20
 
     def test_memory_is_bounded_by_the_blocks(self):
         # The criterion-6 shape: the whole-matrix kernel peaked near 700 MB.
@@ -470,6 +519,92 @@ class TestStreamedGridKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 64e6
+
+
+class TestKeyedLayout:
+    """The keyed midpoint layout of ``grid_bridge`` and ``expmart``."""
+
+    def test_keyed_normals_are_bounded_standard_normals(self):
+        g = bridge._keyed_normals(3, 0, np.arange(0, 4 * 100_000, 4, dtype=np.uint64))
+        assert np.abs(g).max() <= bridge._NORMAL_MAX == pytest.approx(8.5716, abs=1e-4)
+        assert stats.kstest(g, "norm").pvalue > 1e-3
+        # counters differ from node to node, path to path and stream to stream
+        again = bridge._keyed_normals(3, 1, np.arange(0, 4 * 100_000, 4, dtype=np.uint64))
+        assert abs(np.corrcoef(g, again)[0, 1]) < 0.02
+
+    @pytest.mark.parametrize("engine,t", [
+        ("grid_bridge", drift_xi_brownian_eta()),
+        ("expmart", continuous_example_triplet(-0.3)),
+        ("grid", correlated_gaussian()),
+    ], ids=["grid_bridge", "expmart", "grid"])
+    def test_paths_ruined_by_a_horizon_are_ruined_by_a_later_one(self, engine, t):
+        # with equal steps, the grid up to T = 20 is the same at T = 40, so
+        # are the first crossings before T = 20
+        assert _select_engine(t) == engine
+        short = ruin_records(t, 0.5, 20.0, 2000, 1, step=0.05)
+        long = ruin_records(t, 0.5, 40.0, 2000, 1, step=0.05)
+        assert short[0].any() and long[0].sum() >= short[0].sum()
+        assert long[0][short[0]].all()
+        assert np.array_equal(long[1][short[0]], short[1][short[0]])
+
+    @pytest.mark.parametrize("engine,t,horizon,step", [
+        ("grid_bridge", triplet((-0.2, 0.3), ((0.0, 0.0), (0.0, 2.0))), 12.0, 0.007),
+        ("expmart", expmart_below(), 5.0, 0.003),
+    ], ids=["grid_bridge", "expmart"])
+    @pytest.mark.parametrize("want_times", [False, True])
+    def test_refinement_finds_every_crossing_of_the_full_grid(
+        self, engine, t, horizon, step, want_times
+    ):
+        # A sink makes the batch compute every node and every bridge
+        # extreme; the refined batch must read the same hits and times.
+        levels = [0.0, 0.1, 0.25, 0.5, 1.0, 2.0]
+        refined = _gaussian_grid_batch(t, levels, horizon, step, 200, 4, 0, engine, want_times)
+        full = _gaussian_grid_batch(t, levels, horizon, step, 200, 4, 0, engine, want_times,
+                                    sink=lambda ids, chunk: None)
+        assert _same((refined.hit, refined.time), (full.hit, full.time))
+        assert len({int(h.sum()) for h in refined.hit.values()}) > 3
+        survivors = ~refined.hit[2.0]
+        assert _same(refined.z_T[survivors], full.z_T[survivors])
+
+    def test_an_overflow_past_the_horizon_leaves_the_horizon_finite(self):
+        # xi = -t: the step variance e^{2t} h overflows from t = 355 on, so
+        # the top node at t = 512 is not finite, but the nodes up to T = 300
+        # are: an overflowed right end does not reach the values left of it.
+        t = triplet((-1.0, 0.0), ((0.0, 0.0), (0.0, 1.0)))
+        n, horizon, step = 400, 300.0, 0.5
+        with np.errstate(over="ignore", invalid="ignore"):
+            tree = bridge._BridgeTree(t, "grid_bridge", horizon, 600, 2, 0, 1.0)
+        assert not np.isfinite(tree.top(np.arange(n))[:, 1]).any()
+        est = estimate_negative_prob(t, horizon, n, seed=2, step=step)
+        assert est.diagnostics["nonfinite_paths"] == 0
+        assert est.ci_low <= 0.5 <= est.ci_high
+        ruin = estimate_ruin(t, 1.0, horizon, n, seed=2, step=step)
+        assert ruin.point == 1.0 and ruin.diagnostics["nonfinite_paths"] == 0
+
+    def test_zero_variance_cells_draw_nothing(self, monkeypatch):
+        # xi = 10 t: the step variance e^{-20 t} h is 0 from t = 37.3 on, so
+        # the top cell from t = 40.96 and every cell under it draw nothing
+        t = triplet((10.0, 1.0), ((0.0, 0.0), (0.0, 1.0)))
+        drawn = count_normals(monkeypatch)
+        n = 100
+        batch = _gaussian_grid_batch(t, [], 50.0, 0.01, n, 3, 0, "grid_bridge")
+        assert np.isfinite(batch.z_T).all() and np.isfinite(batch.z_half).all()
+        # 4 top nodes, and the midpoints down to mid-horizon
+        assert sum(drawn) <= n * (4 + bridge._TOP_LEVEL)
+        # Z is constant once the variance is 0 and the drift e^{-10 t} is
+        # below the rounding of the drift sum
+        far = _gaussian_grid_batch(t, [], 45.0, 0.01, n, 3, 0, "grid_bridge")
+        assert np.array_equal(far.z_T, batch.z_T)
+
+    def test_every_step_of_criterion_6_has_its_own_variance(self):
+        # e^{-2t} h is below the rounding of a running variance sum by t =
+        # 18; each cell sums its own steps, so no cell within the horizon
+        # has a zero variance
+        with np.errstate(over="ignore", invalid="ignore"):
+            tree = bridge._BridgeTree(drift_xi_brownian_eta(), "grid_bridge", 20.0, 20_000,
+                                        1, 0, 1.0)
+        for j in range(1, bridge._TOP_LEVEL + 1):
+            assert (tree.sd[j][: 20_000 >> j] > 0.0).all()
 
 
 def _same(a, b) -> bool:
@@ -555,9 +690,9 @@ class TestNonfiniteValues:
         t = triplet((0.0, 5e5), ((1e6, -1e6), (-1e6, 1e6)))
         assert _select_engine(t) == "expmart"
         batch = _dispatch_batch(t, [], 1.0, 50, 1, 0, step=0.01, sink=lowest_sink(0.5, 50)[1])
-        assert batch.nonfinite == 25
-        assert np.count_nonzero(~np.isfinite(batch.z_T)) == 13
-        with pytest.raises(UndeterminedError, match="nonfinite_paths=25 of 50"):
+        assert batch.nonfinite == 20
+        assert np.count_nonzero(~np.isfinite(batch.z_T)) == 9
+        with pytest.raises(UndeterminedError, match="nonfinite_paths=20 of 50"):
             empirical_lower_bound(t, 0.5, 1.0, 50, 1, step=0.01)
 
     def test_nan_level_is_an_input_error(self):
