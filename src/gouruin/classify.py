@@ -284,10 +284,12 @@ class RuinDecision:
 class RuinReport:
     """Complete output of the exact no-ruin decision: ``drift_piecewise`` is
     the atom-tier drift form, ``residual`` the error bound of an undetermined
-    quadrature, and the last warning of an undetermined report its reason."""
+    quadrature, and the last warning of an undetermined report its reason.
+    ``thetas`` is None on a report that is undetermined before they are
+    computed."""
 
     decision: RuinDecision
-    thetas: ThetaBounds
+    thetas: ThetaBounds | None
     feasible_u: IntervalSet
     branch: Branch
     certificate: SubordinatorCertificate
@@ -298,7 +300,7 @@ class RuinReport:
     def to_json(self) -> dict:
         doc = {
             "decision": self.decision.to_json(),
-            "thetas": self.thetas.to_json(),
+            "thetas": None if self.thetas is None else self.thetas.to_json(),
             "feasible_u": self.feasible_u.to_json(),
             "branch": self.branch.value,
             "certificate": self.certificate.to_json(),
@@ -340,7 +342,7 @@ def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
     except UndeterminedError as exc:  # no thetas, no feasible level, and the reason
         return RuinReport(
             RuinDecision(DecisionKind.UNDETERMINED),
-            ThetaBounds(NEG_INF, 0.0, 0.0, INF),
+            None,
             IntervalSet.empty(),
             branch,
             SubordinatorCertificate.undetermined(exc),

@@ -1,10 +1,14 @@
 """Monte Carlo estimators with confidence intervals.
 
-Every estimator fans simulation out over counter-based random streams keyed
-by (seed, stream, path_index): per-path Philox generators (``path_rng``) on
-``exact_fv``, ``mixed_grid`` and ``grid``, and keyed hash normals
-(``bridge._keyed_normals``) on ``grid_bridge`` and ``expmart``.  So results
-depend only on (seed, stream, n) and never on chunking or worker count;
+Every estimator fans simulation out over counter-based random streams.
+Four engines share one keyed layout: every value they draw is a splitmix64
+hash uniform (``simulate._hash_uniforms``) at a counter of the sequence
+keyed by (seed, stream), which packs the path and the draw, so ``exact_fv``
+and ``mixed_grid`` (arrival gaps, atoms or density cells, and interval
+normals) and ``grid_bridge`` and ``expmart`` (``bridge._keyed_normals``)
+open no generator.  Only ``grid`` opens a per-path Philox generator,
+``path_rng``, keyed by (seed, stream, path_index).  So results depend only
+on (seed, stream, n) and never on chunking, round widths or worker count;
 ``GOU_THREADS`` caps the worker pool.  Probability estimates carry Wilson
 95% intervals, which stay informative at p = 0.
 
@@ -21,11 +25,11 @@ Engine selection per driver, under the names the reports print:
   sub-grid crossings are again resolved exactly by bridge probabilities.
 * ``grid``: no jumps and random xi; the Euler grid scan stands alone and the
   ruin estimate errs on the survival side (the documented bias direction).
-* ``mixed_grid``: every other driver; per-path jump-adapted Euler.
+* ``mixed_grid``: every other driver; jump-adapted Euler.
 
 Every grid engine walks ``simulate.time_grid``: n = max(1, round(T /
 step)) equal steps, ending exactly at T, with the step min(0.01, T / 100)
-when none is given (``simulate.path_step``).  Both per-path engines draw
+when none is given (``simulate.path_step``).  Both event engines draw
 their atom jumps from one sampler, ``simulate._fv_events``, so on a driver
 with no Gaussian part ``mixed_grid`` and ``exact_fv`` see the same jumps,
 path for path, and differ only by the grid's Euler error.
@@ -35,16 +39,16 @@ only yields chunks of paths (``_Chunk``), and the loop reduces each one with
 the one first-passage reducer, ``_Chunk.first_crossings``, under one memory
 budget (``_CHUNK_ELEMS`` values per chunk array and path component) and one
 non-finite rule.  The estimators, the formula checks, the per-path records
-and the empirical lower bound all read the same batch of paths.  The
-per-path engines yield chunks of whole paths, so a path wider than the
-budget makes a chunk alone and its memory grows with the horizon; ``grid``
-yields the time blocks of its live paths, carrying per-path running state
-from block to block, so its chunk memory does not grow with the horizon;
-``grid_bridge`` and ``expmart`` draw a range of paths coarse to fine in
-the keyed midpoint layout (``bridge``), only where a path can come near a
-level it has not passed, and yield it whole as the records of its
-computed values.  The Gaussian grid engines stop a path once it is ruined
-at every level.
+and the empirical lower bound all read the same batch of paths.  The event
+engines (``exact_fv``, ``mixed_grid``) march the live paths of a range
+forward in rounds of their next arrivals or instants (``_event_batch``),
+and ``grid`` in time blocks of its live paths, each carrying per-path
+running state from round to round, so no chunk memory grows with the
+horizon; ``grid_bridge`` and ``expmart`` draw a range of paths coarse to
+fine in the keyed midpoint layout (``bridge``), only where a path can come
+near a level it has not passed, and yield it whole as the records of its
+computed values.  Every engine stops a path once it is ruined at every
+level, or lost, unless a sink reads the paths.
 
 No estimate is computed from an overflowed value, on any engine: a path
 decides its levels from its finite prefix, and a path whose Z or xi turns
@@ -76,12 +80,13 @@ from .simulate import (
     _chol2x2,
     _density_jump_table,
     _Chunk,
-    _EulerChunk,
-    _fv_events,
-    _fv_state_arrays,
+    _event_types,
+    _hash_uniforms,  # read here by bridge and perfbench/tracing.py
     _inf_past_overflow,
-    _pair_jumps,
+    _pair_rates,
     _require_fv,
+    check_event_count,
+    check_path_count,
     is_exact_fv,
     path_rng,
     path_step,
@@ -90,20 +95,18 @@ from .simulate import (
 
 _Z975 = 1.959963984540054
 
-#: Paths per block of the per-path engines (exact_fv, mixed_grid), the unit
-#: of work of a thread.  Fixed, so the chunking never depends on the worker
-#: count.
-_PATH_BLOCK = 64
+#: Paths per range of the event engines (exact_fv, mixed_grid), the unit of
+#: work of a thread, whose live paths draw their rounds together.  Fixed,
+#: so the ranges never depend on the worker count.
+_PATH_BLOCK = 128
 
-#: Float64 elements of the widest array of a chunk, on every engine: a
-#: per-path block is cut into chunks of as many paths as fit, and a path
-#: wider than this makes a chunk alone, so a per-path chunk grows with the
-#: horizon once one path no longer fits; the Gaussian grid engines cut their
-#: paths into time blocks of at most this many grid values, or on the keyed
-#: layout examine at most this many cells at once, so their chunk memory
-#: does not grow with the horizon.  64 KB per array stays
-#: under glibc's 128 KB mmap threshold, near which every temporary of a
-#: chunk page-faults.
+#: Float64 elements of the widest array of a chunk, on every engine: the
+#: event engines draw the live paths of a range in rounds of as many
+#: instants as fit, the Gaussian grid engines cut their paths into time
+#: blocks of at most this many grid values, or on the keyed layout examine
+#: at most this many cells at once, so no chunk memory grows with the
+#: horizon.  64 KB per array stays under glibc's 128 KB mmap threshold,
+#: near which every temporary of a chunk page-faults.
 _CHUNK_ELEMS = 8_192
 
 #: Survivors ending within this distance of the ruin boundary count in the
@@ -112,9 +115,6 @@ _TAIL_EPS = 0.05
 
 #: Largest bridge exponent a hash uniform can produce (u >= 2^-53).
 _Q_MAX = 0.5 * 53.0 * math.log(2.0)
-
-_MASK64 = (1 << 64) - 1
-_GAMMA64 = 0x9E3779B97F4A7C15  # splitmix64's counter increment
 
 
 def worker_count() -> int:
@@ -197,9 +197,9 @@ class _BatchResult:
     turned non-finite before they were decided; ``nonfinite`` counts them.
 
     ``z_T`` holds Z at the horizon of every path the engine carries there.
-    The Gaussian grid engines stop a path once it is ruined at every level
-    or lost, unless a sink reads the paths, so such a path may keep NaN.
-    ``_batch_from_chunks`` alone fills a batch in."""
+    Every engine may stop a path once it is ruined at every level or lost,
+    unless a sink reads the paths, so such a path keeps NaN, whatever the
+    engine carried.  ``_batch_from_chunks`` alone fills a batch in."""
 
     def __init__(self, engine, levels, n, want_times, want_half):
         shape = (len(levels), n)
@@ -228,31 +228,6 @@ class _BatchResult:
     def records(self, z: float):
         """(hit, time, value at the hit, continuous crossing) per path at z."""
         return self.hit[z], self.time[z], self.v_hit[z], self.continuous[z]
-
-
-def _mix64(x: int) -> int:
-    """The splitmix64 finalizer of a 64-bit int."""
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
-    return x ^ (x >> 31)
-
-
-def _hash_uniforms(seed: int, stream: int, idx0: int, flat_cells: np.ndarray) -> np.ndarray:
-    """Uniforms on [0, 1) with 53 bits, one per counter ``idx0 +
-    flat_cells`` (an array of any shape): splitmix64 outputs at those
-    counters of the sequence keyed by (seed, stream), so each depends only
-    on its counter, never on the order or grouping of the draws."""
-    key = np.uint64(_mix64(_mix64(seed & _MASK64) ^ (stream + 1) * _GAMMA64 & _MASK64))
-    with np.errstate(over="ignore"):
-        v = np.asarray(flat_cells, dtype=np.uint64) + np.uint64(idx0)
-        v *= np.uint64(_GAMMA64)
-        v += key
-        v ^= v >> np.uint64(30)
-        v *= np.uint64(0xBF58476D1CE4E5B9)
-        v ^= v >> np.uint64(27)
-        v *= np.uint64(0x94D049BB133111EB)
-        v ^= v >> np.uint64(31)
-    return (v >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 def _is_expmart(t: LevyTriplet2D) -> float | None:
@@ -301,8 +276,9 @@ def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, sink, half, 
     in ranges of ``rows`` paths; a path comes back in later chunks for its
     later instants, in time order, and the producer may read ``res`` to drop
     decided paths.  Each chunk is reduced at once: its terminal values
-    (``z_T``, and ``z_at(half)`` where the chunk holds it) and its first
-    crossings of every level after those its paths passed before.  A path is
+    (``z_T``, and ``z_at(half)`` on the rows that hold it, the others NaN)
+    and its first crossings of every level after those its paths passed
+    before; a path's last chunk holds its ``z_T``.  A path is
     lost when a chunk finds it not finite (``chunk.finite``) while a level is
     not passed or a sink is given: it never counts as surviving.  So a
     producer may leave out the rows of a chunk of instants t0..t1 that
@@ -331,7 +307,8 @@ def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, sink, half, 
                 if chunk.z_T is not None:
                     res.z_T[ids] = chunk.z_T
                 if want_half and (z_half := chunk.z_at(half)) is not None:
-                    res.z_half[ids] = z_half
+                    held = ~np.isnan(z_half)
+                    res.z_half[ids[held]] = z_half[held]
                 if sink is not None:
                     sink(ids, chunk)
                 level, r, *crossings, passed = chunk.first_crossings(
@@ -341,6 +318,8 @@ def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, sink, half, 
                 res.lost[ids] |= ~chunk.finite & ((sink is not None) | (passed < n_levels))
 
     _run_chunks(run, _chunk_ranges(n, rows))
+    if n_levels and sink is None:  # such a path may have stopped before the horizon
+        res.z_T[(res.passed == n_levels) | res.lost] = math.nan
     return res
 
 
@@ -524,28 +503,22 @@ def _forward_march(t, levels, times, n, seed, stream, fire, want_times, sink) ->
                               times[n_steps // 2], times[-1])
 
 
-def _per_path_batch(
-    engine, draw, build, z_list, horizon, n, seed, stream, want_times, sink
-) -> _BatchResult:
-    """The batch of the per-path engines, from their chunks.  Each path
-    draws from its own generator: ``draw(rng)`` gives the elements per row
-    of the widest chunk array and the draws.  The paths of a block join a
-    chunk in order until the next one would take its widest array past
-    ``_CHUNK_ELEMS``; then ``build`` turns the chunk's draws into padded
-    rows."""
+def _event_batch(engine, rounds, z_list, horizon, n, want_times, sink) -> _BatchResult:
+    """The batch of an event engine (``exact_fv``, ``mixed_grid``) from its
+    rounds: ``rounds(ids, budget, stop)`` yields the rounds of paths
+    ``ids``.  Each range of ``_PATH_BLOCK`` paths marches forward together,
+    at most ``_CHUNK_ELEMS`` values per array; unless a sink reads the
+    paths, a path ruined at every level, or lost, stops drawing."""
+    levels = np.array(sorted(set(z_list)), dtype=float)
+    n_levels = len(levels)
 
     def chunks(i0, i1, res, needs):
-        draws, top = [], 0
-        for i in range(i0, i1):
-            width, d = draw(path_rng(seed, i, stream))
-            top = max(top, width)
-            if draws and (len(draws) + 1) * top > _CHUNK_ELEMS:
-                yield np.arange(i - len(draws), i), build(draws)
-                draws, top = [], width
-            draws.append(d)
-        yield np.arange(i1 - len(draws), i1), build(draws)
+        def decided(ids):
+            return (res.passed[ids] == n_levels) | res.lost[ids]
 
-    levels = np.array(sorted(set(z_list)), dtype=float)
+        return rounds(np.arange(i0, i1), _CHUNK_ELEMS,
+                      decided if sink is None and n_levels else None)
+
     return _batch_from_chunks(engine, levels, n, _PATH_BLOCK, chunks, want_times, sink,
                               0.5 * horizon, horizon)
 
@@ -560,16 +533,16 @@ def _fv_batch(
     want_times: bool = False,
     sink=None,
 ) -> _BatchResult:
-    """Event-driven exact batch for zero-Gaussian atom drivers."""
+    """Event-driven exact batch for zero-Gaussian atom drivers
+    (``events._fv_rounds``)."""
     _require_fv(t)
+    check_event_count(_event_types(t.jumps.atoms_or_none())[0], horizon)
+    from . import events  # compiled only once an event engine runs
 
-    def draw(rng):
-        events = _fv_events(t, horizon, rng)
-        return len(events[0]) + 2, events
-
-    return _per_path_batch(
-        "exact_fv", draw, lambda draws: _fv_state_arrays(t, draws, horizon),
-        z_list, horizon, n, seed, stream, want_times, sink,
+    return _event_batch(
+        "exact_fv",
+        lambda ids, budget, stop: events._fv_rounds(t, horizon, seed, stream, ids, budget, stop),
+        z_list, horizon, n, want_times, sink,
     )
 
 
@@ -585,19 +558,18 @@ def _mixed_batch(
     want_times: bool = False,
     sink=None,
 ) -> _BatchResult:
-    """General driver: jump-adapted Euler simulation on ``time_grid``, with
-    the jumps of ``jump_table`` (``_density_jump_table``) or the atom jumps
-    of ``_fv_events``.  A row's widest arrays hold one value per instant of
-    its grid."""
+    """General driver: jump-adapted Euler simulation on ``time_grid``
+    (``events._mixed_rounds``), with the jumps of ``jump_table``
+    (``_density_jump_table``) or the atom jumps of ``_fv_events``."""
     grid = time_grid(horizon, step)
+    check_event_count(_pair_rates(t, jump_table)[2], horizon, len(grid) - 1)
+    from . import events  # compiled only once an event engine runs
 
-    def draw(rng):
-        jumps = _pair_jumps(t, jump_table, rng, horizon)
-        return len(grid) + len(jumps[0]), (rng, *jumps)
-
-    return _per_path_batch(
-        "mixed_grid", draw, lambda draws: _EulerChunk(t, grid, jump_table, draws),
-        z_list, horizon, n, seed, stream, want_times, sink,
+    return _event_batch(
+        "mixed_grid",
+        lambda ids, budget, stop: events._mixed_rounds(t, grid, jump_table, seed, stream, ids,
+                                                       budget, stop),
+        z_list, horizon, n, want_times, sink,
     )
 
 
@@ -614,12 +586,14 @@ def _require_finite(nonfinite: int, n: int) -> None:
 def _check_inputs(horizon, n, step, levels, seed, truncation_eps=None) -> float:
     """Refuse outside input that no engine answers, and return the step:
     a horizon, step or cutoff that ``path_step`` refuses, fewer than one
-    path, a level that is not finite (a NaN compares false with every
-    value, and no finite-horizon estimate means anything at an infinite
-    level) or a negative seed."""
+    path or more than a keyed counter holds (``simulate.MAX_PATHS``), a
+    level that is not finite (a NaN compares false with every value, and no
+    finite-horizon estimate means anything at an infinite level) or a
+    negative seed."""
     step = path_step(horizon, step, truncation_eps)
     if n < 1:
         raise InvalidModelError(f"the number of paths must be at least 1, got {n}")
+    check_path_count(n)
     for z in levels:
         if math.isnan(z):
             raise InvalidModelError("level z must be a number, got nan")

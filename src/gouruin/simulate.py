@@ -2,7 +2,7 @@
 
 Each path input has one owner.  ``time_grid`` is the grid of every grid
 engine: n = max(1, round(T / step)) equal steps, ending exactly at T.
-``_fv_events`` is the one atom-jump sampler of both per-path engines: one
+``_fv_events`` is the one atom-jump sampler of both event engines: one
 Poisson clock at the total rate, then the atom of each arrival drawn with
 its probability (superposed Poisson clocks are exact), so on a driver with
 no Gaussian part ``mixed_grid`` draws the jumps of ``exact_fv`` path for
@@ -27,9 +27,18 @@ the closed form of the integral of an exponential, first passages inside a
 segment are found by solving the scalar linear ODE, and ruin at a jump is
 the exact overshoot.
 
-Per-path randomness comes from a counter-based generator keyed by
-(seed, stream, path_index); paths are reproducible independently of
-execution order and worker count.
+Randomness is keyed.  The event engines (``exact_fv``, ``mixed_grid``) and
+the bridge engines (``bridge``) draw every value as a splitmix64 hash
+uniform (``_hash_uniforms``) at a counter of the sequence keyed by (seed,
+stream); an event-engine counter packs path << 32 | index << 3 | draw
+kind, so arrival k's gap and atom, and interval j's normal pair, never
+depend on the horizon, the round that draws them or the worker.  The event
+engines march the live paths of a range forward together in rounds (in
+``events``, compiled only once an event engine runs), and a path leaves
+once it reaches the horizon or its question is answered.  ``simulate_pair``
+and ``fv_first_passage`` are the one-path views of those rounds.  Only
+``grid`` opens a per-path counter-based generator, ``path_rng``, keyed by
+(seed, stream, path_index).
 """
 
 from __future__ import annotations
@@ -50,6 +59,78 @@ from .quadrature import Strip, strips_in_annulus, strips_outside_ball
 #: engine holds per-step arrays of that many floats.  The requests in use
 #: ask for at most 20,000.
 MAX_GRID_STEPS = 2**22
+
+#: The most paths a request may ask for: a keyed counter holds the path
+#: index in its top 32 bits.
+MAX_PATHS = 2**32 - 1
+
+#: The most arrivals a path may expect (rate x horizon), with its grid
+#: steps on ``mixed_grid``: half the 29-bit index field of a keyed counter,
+#: so a Poisson count past the field is beyond any realistic chance.
+MAX_EVENTS = 2**28
+
+# Draw kinds of an event-engine counter, path << 32 | index << 3 | kind: an
+# arrival's gap and its atom (or density cell), the cell's two in-cell
+# positions, and the Box-Muller pair of a mixed_grid interval.
+_GAP, _ATOM, _CELL_X, _CELL_Y, _RADIUS, _ANGLE = range(6)
+
+_MASK64 = (1 << 64) - 1
+_GAMMA64 = 0x9E3779B97F4A7C15  # splitmix64's counter increment
+
+
+def _mix64(x: int) -> int:
+    """The splitmix64 finalizer of a 64-bit int."""
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+    return x ^ (x >> 31)
+
+
+def _hash_uniforms(seed: int, stream: int, idx0: int, flat_cells: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1) with 53 bits, one per counter ``idx0 +
+    flat_cells`` (an array of any shape): splitmix64 outputs at those
+    counters of the sequence keyed by (seed, stream), so each depends only
+    on its counter, never on the order or grouping of the draws."""
+    key = _mix64(_mix64(seed & _MASK64) ^ (stream + 1) * _GAMMA64 & _MASK64)
+    # (counter + idx0) gamma + key, with the constant part folded (mod 2^64)
+    v = np.multiply(np.asarray(flat_cells, dtype=np.uint64), np.uint64(_GAMMA64))
+    v += np.uint64((idx0 * _GAMMA64 + key) & _MASK64)
+    shifted = np.empty_like(v)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        v ^= np.right_shift(v, np.uint64(shift), out=shifted)
+        v *= np.uint64(mult)
+    v ^= np.right_shift(v, np.uint64(31), out=shifted)
+    return np.multiply(np.right_shift(v, np.uint64(11), out=v), 2.0 ** -53)
+
+
+def _counters(ids, index) -> np.ndarray:
+    """The event counters path << 32 | index << 3 of paths ``ids`` at
+    indices ``index`` (broadcast); a draw adds its kind (``_hash_uniforms``'s
+    ``idx0``)."""
+    return ((np.asarray(ids, dtype=np.uint64) << np.uint64(32))
+            | (np.asarray(index, dtype=np.uint64) << np.uint64(3)))
+
+
+def _run_counters(ids, first, width: int) -> np.ndarray:
+    """The counters of indices ``first`` to ``first + width - 1`` of each
+    path of ``ids``, one row per path."""
+    return _counters(ids, first)[:, None] + np.uint64(8) * np.arange(width, dtype=np.uint64)
+
+
+def check_event_count(rate: float, horizon: float, steps: int = 0) -> None:
+    """Refuse a request whose paths expect more than ``MAX_EVENTS``
+    arrivals and grid steps, before anything is drawn."""
+    expected = rate * horizon + steps
+    if not expected <= MAX_EVENTS:
+        raise InvalidModelError(
+            f"a path expects {expected:.4g} arrivals and grid steps (rate {rate} over "
+            f"horizon {horizon}); the cap is {MAX_EVENTS}"
+        )
+
+
+def check_path_count(n: int) -> None:
+    """Refuse a request for ``MAX_PATHS`` paths or more."""
+    if n > MAX_PATHS:
+        raise InvalidModelError(f"{n} paths asked for; the cap is {MAX_PATHS}")
 
 
 def path_step(horizon: float, step: float | None = None,
@@ -264,37 +345,48 @@ def _chol2x2(sigma) -> tuple[float, float, float]:
     return 0.0, 0.0, math.sqrt(max(0.0, s22))
 
 
-def _arrival_times(rng: np.random.Generator, rate: float, horizon: float) -> np.ndarray:
-    """Arrival times in (0, horizon] of a Poisson clock of the given rate.
+def _running(carry, values=None, width: int | None = None) -> np.ndarray:
+    """A buffer of running sums from ``carry`` along the last axis: the
+    carry, then ``width`` entries of ``values`` (broadcast; when None, to
+    be filled in)."""
+    out = np.empty(np.shape(carry) + ((np.shape(values)[-1] if width is None else width) + 1,))
+    out[..., 0] = carry
+    if values is not None:
+        out[..., 1:] = values
+    return out
 
-    Stream layout: exponential gaps are drawn in blocks of
-    ``max(16, int(1.5 * rate * horizon) + 16)``, and a further block is drawn
-    only when every clock of the previous block stayed at or below the
-    horizon; a zero rate draws nothing.  The clocks are the running sum of
-    the gaps in draw order (one sequential sum, carried across blocks), so
-    they do not depend on how the sum is evaluated.
-    """
+
+def _prefix_sums(a: np.ndarray, carry=0.0) -> np.ndarray:
+    """Running sums of ``a`` along its last axis, from ``carry`` (one more
+    entry).  The sum is sequential per row, so a chunk row is bit for bit
+    the sum of its path alone, whatever rounds it is cut into."""
+    out = _running(np.broadcast_to(carry, a.shape[:-1]), a)
+    return np.cumsum(out, axis=-1, out=out)
+
+
+def _arrival_times(seed: int, stream: int, counters: np.ndarray, clock, rate: float) -> np.ndarray:
+    """Clocks of the arrivals at ``counters`` (``_run_counters``: arrivals
+    k0 to k0 + width - 1 of a path per row), continued from each row's
+    ``clock``, the time of its arrival k0 - 1 (0 before the first).
+
+    Arrival k's gap is -log1p(-u) / rate, u the hash uniform at counter
+    (path, k, gap), and its clock the running sum of the gaps in index
+    order, one sequential sum per row carried from round to round, so a
+    clock never depends on the round that draws it.  A zero rate never
+    arrives."""
     if rate <= 0.0:
-        return np.empty(0)
-    budget = max(16, int(rate * horizon * 1.5) + 16)
-    parts = []
-    clock = 0.0
-    while True:
-        clocks = rng.exponential(scale=1.0 / rate, size=budget)
-        clocks[0] += clock
-        np.cumsum(clocks, out=clocks)
-        k = int(np.searchsorted(clocks, horizon, side="right"))
-        parts.append(clocks[:k])
-        if k < budget:
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
-        clock = clocks[-1]
+        return np.full(counters.shape, np.inf)
+    u = _hash_uniforms(seed, stream, _GAP, counters)
+    np.log1p(np.negative(u, out=u), out=u)
+    clocks = _running(clock, None, u.shape[1])
+    np.divide(u, -rate, out=clocks[:, 1:])
+    return np.cumsum(clocks, axis=1, out=clocks)[:, 1:]
 
 
 def _choice_cdf(weights: np.ndarray) -> np.ndarray:
     """The cdf that ``Generator.choice`` builds from the probabilities
-    ``weights / weights.sum()``: ``cdf.searchsorted(rng.random(n),
-    side="right")`` draws choice's n indices, bit for bit, at a fraction of
-    its cost."""
+    ``weights / weights.sum()``: ``cdf.searchsorted(u, side="right")``
+    draws an index with its probability from a uniform u."""
     cdf = np.cumsum(weights / weights.sum())
     cdf /= cdf[-1]
     return cdf
@@ -348,123 +440,85 @@ def _density_jump_table(t: LevyTriplet2D, eps: float | None) -> _DensityJumpTabl
     return _DensityJumpTable((comp_x, comp_y), lam, xs, ys, cdf)
 
 
-def _truncated_density_jumps(
-    table: _DensityJumpTable, rng: np.random.Generator, horizon: float
-):
-    """The jumps of one path from a jump table, as ``_fv_events`` gives
-    them: arrival times, x and y.  A jump lands in a cell drawn with its
-    probability, uniformly within it."""
-    if table.cdf is None:
-        return np.empty(0), np.empty(0), np.empty(0)
-    tau = _arrival_times(rng, table.rate, horizon)
+def _truncated_density_jumps(table: _DensityJumpTable, seed: int, stream: int, counters):
+    """The jump sizes (x, y) of the arrivals at ``counters`` from a jump
+    table: arrival k lands in a cell drawn with its probability from the
+    uniform at (path, k, atom), at the position in it of the uniforms at
+    (path, k, cell x) and (path, k, cell y)."""
     xs, ys = table.xs, table.ys
-    cells = table.cdf.searchsorted(rng.random(len(tau)), side="right")
+    cells = table.cdf.searchsorted(_hash_uniforms(seed, stream, _ATOM, counters), side="right")
     ix, iy = np.unravel_index(cells, (len(xs) - 1, len(ys) - 1))
-    u = rng.random((len(tau), 2))
-    return tau, xs[ix] + u[:, 0] * (xs[1] - xs[0]), ys[iy] + u[:, 1] * (ys[1] - ys[0])
+    ux = _hash_uniforms(seed, stream, _CELL_X, counters)
+    uy = _hash_uniforms(seed, stream, _CELL_Y, counters)
+    return xs[ix] + ux * (xs[1] - xs[0]), ys[iy] + uy * (ys[1] - ys[0])
 
 
-def _pair_jumps(t: LevyTriplet2D, jump_table: _DensityJumpTable | None, rng, horizon):
-    """One path's jumps for ``simulate_pair``, (arrival times, x, y) in
-    time order: those of the density jump table, or the atoms' from
-    ``_fv_events``, as on ``exact_fv``."""
+def _pair_jumps(t: LevyTriplet2D, jump_table, seed: int, stream: int, counters):
+    """Jump sizes (x, y) of the arrivals at ``counters`` on ``mixed_grid``:
+    those of the density jump table, or the atoms' from ``_fv_events``, as
+    on ``exact_fv``."""
     if jump_table is not None:
-        return _truncated_density_jumps(jump_table, rng, horizon)
-    return _fv_events(t, horizon, rng)
+        return _truncated_density_jumps(jump_table, seed, stream, counters)
+    return _fv_events(t, seed, stream, counters)
 
 
-def _jump_adapted_grid(grid: np.ndarray, jumps):
-    """Each row's ``grid`` merged with its jump instants, as rows padded
-    with the horizon: the instants, the jump sizes summed onto their
-    instants (a jump at a grid instant, and jumps at one instant, share
-    it), a jump flag per instant, and the length of each row.  ``jumps``
-    holds each row's (times, x, y) in time order."""
-    n_rows = len(jumps)
-    times, jump_sizes_x, jump_sizes_y = (np.concatenate(a) for a in zip(*jumps))
-    rows = np.repeat(np.arange(n_rows), [len(j[0]) for j in jumps])
-    at = np.searchsorted(grid, times)  # grid instants before each jump
-    off = grid[at] != times  # the jump adds an instant ...
-    new = off.copy()  # ... and is the first jump there
-    new[1:] &= (times[1:] != times[:-1]) | (rows[1:] != rows[:-1])
-    added = np.bincount(rows[new], minlength=n_rows)
-    col = at + np.cumsum(new) - new - (np.cumsum(added) - added)[rows] - (off & ~new)
-    lengths = len(grid) + added
-    merged = np.full((n_rows, int(lengths.max())), grid[-1])
-    on_grid = np.arange(merged.shape[1]) < lengths[:, None]
-    on_grid[rows[new], col[new]] = False
-    merged[on_grid] = np.tile(grid, n_rows)
-    merged[rows[new], col[new]] = times[new]
-    jump_x, jump_y = np.zeros(merged.shape), np.zeros(merged.shape)
-    np.add.at(jump_x, (rows, col), jump_sizes_x)
-    np.add.at(jump_y, (rows, col), jump_sizes_y)
-    flags = np.zeros(merged.shape, dtype=bool)
-    flags[rows, col] = True
-    return merged, jump_x, jump_y, flags, lengths
+def _pair_rates(t: LevyTriplet2D, jump_table) -> tuple[float, float, float]:
+    """The drift (bx, by) of ``mixed_grid`` between jumps, and its arrival
+    rate: the atoms' total, or the jump table's (0 without mass)."""
+    if jump_table is None:
+        return (*_uncompensated_drift(t), _event_types(t.jumps.atoms_or_none())[0])
+    rate = jump_table.rate if jump_table.cdf is not None else 0.0
+    return (t.gamma_tilde[0] - jump_table.comp[0], t.gamma_tilde[1] - jump_table.comp[1], rate)
 
 
-def _prefix_sums(a: np.ndarray) -> np.ndarray:
-    """Running sums of ``a`` along its last axis, from 0 (one more entry).
-    The sum is sequential per row, so a chunk row is bit for bit the sum of
-    its path alone."""
-    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))
-    out[..., 0] = 0.0
-    np.cumsum(a, axis=-1, out=out[..., 1:])
-    return out
+#: Values per array of a one-path view (``simulate_pair``,
+#: ``fv_first_passage``): most paths take one round.
+_ONE_PATH_ELEMS = 1 << 16
 
 
 def simulate_pair(
     t: LevyTriplet2D, cfg: PathConfig, path_index: int = 0, stream: int = 0
 ) -> Path:
-    """Sample the driving pair on the jump-adapted grid of ``time_grid``.
+    """The driving pair of ``mixed_grid`` path ``path_index`` on its
+    jump-adapted grid of ``time_grid`` (``events._mixed_rounds``, one path).
 
     Brownian increments come from the exact bivariate normal with covariance
     ``Sigma * dt``, jump arrivals are exact exponential clocks merged into
     the grid, and drift is applied in closed form.
     """
-    rng = path_rng(cfg.seed, path_index, stream)
+    check_path_count(path_index + 1)
     table = _density_jump_table(t, cfg.truncation_eps)
     grid = time_grid(cfg.horizon, cfg.step)
-    p, lengths = _pair_chunk(t, grid, table, [(rng, *_pair_jumps(t, table, rng, cfg.horizon))])
-    return p.row(0, lengths[0])
+    check_event_count(_pair_rates(t, table)[2], cfg.horizon, len(grid) - 1)
+    from .events import _mixed_rounds  # compiled only once an event engine runs
+
+    rounds = _mixed_rounds(t, grid, table, cfg.seed, stream, np.array([path_index]),
+                           _ONE_PATH_ELEMS)
+    cuts = [(chunk.p, slice(chunk.start, chunk.lengths[0])) for _, chunk in rounds]
+    return Path(*(np.concatenate([getattr(p, f)[0, s] for p, s in cuts])
+                  for f in ("times", "xi", "eta", "xi_left", "eta_left", "jump_flags")),
+                cuts[0][0].drift)
 
 
-def _pair_chunk(t: LevyTriplet2D, grid: np.ndarray, jump_table, draws):
-    """Rows of ``simulate_pair`` on ``grid`` from each row's (generator,
-    arrival times, x, y), the last three from ``_pair_jumps``;
-    ``jump_table`` is the driver's ``_density_jump_table``.  The paths are
-    padded rows, returned with the length of each row.
-
-    Each row draws the normals of its Brownian increments from its own
-    generator, sized by its own grid."""
-    if jump_table is None:
-        bx, by = _uncompensated_drift(t)
-    else:
-        bx, by = t.gamma_tilde[0] - jump_table.comp[0], t.gamma_tilde[1] - jump_table.comp[1]
-    times, jump_x, jump_y, flags, lengths = _jump_adapted_grid(grid, [d[1:] for d in draws])
-    l11, l21, l22 = _chol2x2(t.sigma)
-    chol_t = np.array([[l11, 0.0], [l21, l22]]).T
-    inc_x, inc_y = np.zeros(times.shape), np.zeros(times.shape)
-    for r, (rng, *_) in enumerate(draws):
-        inc = rng.standard_normal((lengths[r] - 1, 2)) @ chol_t
-        inc_x[r, :len(inc)], inc_y[r, :len(inc)] = inc.T
-    root_dt = np.sqrt(np.diff(times, axis=1))
-    xi_left = bx * times + _prefix_sums(inc_x[:, :-1] * root_dt)
-    eta_left = by * times + _prefix_sums(inc_y[:, :-1] * root_dt)
-    xi_left = xi_left + _prefix_sums(jump_x[:, :-1])
-    eta_left = eta_left + _prefix_sums(jump_y[:, :-1])
-    return Path(
-        times, xi_left + jump_x, eta_left + jump_y, xi_left, eta_left, flags, (bx, by)
-    ), lengths
+def _z_increments(p: Path) -> np.ndarray:
+    """Increments of the discounted integral between the instants of ``p``
+    (along the last axis): left-point sums between grid points, plus at a
+    jump the exact jump contribution with the left-limit integrand."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        inc = np.negative(p.xi[..., :-1])
+        np.exp(inc, out=inc)
+        inc *= p.eta_left[..., 1:] - p.eta[..., :-1]
+        at = np.nonzero(p.jump_flags[..., 1:])
+        ends = at[:-1] + (at[-1] + 1,)
+        inc[at] += np.exp(-p.xi_left[ends]) * (p.eta[ends] - p.eta_left[ends])
+        return inc
 
 
 def compute_Z(p: Path) -> np.ndarray:
     """Discounted integral along the path (along the last axis, so each row
     of a chunk on its own): left-point sums between grid points, plus the
     exact jump contributions with the left-limit integrand."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        cont = np.exp(-p.xi[..., :-1]) * (p.eta_left[..., 1:] - p.eta[..., :-1])
-        jump = np.exp(-p.xi_left[..., 1:]) * (p.eta[..., 1:] - p.eta_left[..., 1:])
-    return _prefix_sums(cont + jump)
+    return _prefix_sums(_z_increments(p))
 
 
 def compute_V(p: Path, z: float, Z: np.ndarray | None = None) -> np.ndarray:
@@ -504,7 +558,7 @@ class States(NamedTuple):
     """The monitored instants of a chunk's paths, one row per path in time
     order, padded past each row's ``length``: the time, xi, Z, V = e^xi (z +
     Z) and whether a jump happened there.  V is taken from the row's finite
-    prefix (+inf past an overflow of Z on the per-path engines)."""
+    prefix (+inf past an overflow of Z on the event engines)."""
 
     time: np.ndarray
     xi: np.ndarray
@@ -527,16 +581,19 @@ class _Chunk:
     key maps above z.  ``crossings`` gives the time, the path value and the
     kind of those crossings.  The batch loop (``estimate._batch_from_chunks``)
     also reads ``z_T``, ``finite`` and ``z_at``, and a sink of the loop reads
-    ``states``."""
+    ``states``.  A round of an event engine continues its rows from the
+    round before: it holds the instants after those, and ``z_T`` and
+    ``z_at`` are NaN on the rows that end or hold the instant later."""
 
     ruin = np.negative  # keys are Z unless a chunk says otherwise
     values_by_column = True  # else crossing columns are needed only for times
 
     @cached_property
     def finite(self) -> np.ndarray:
-        """Rows whose final Z and xi are finite.  Overflow carries through
-        the running sums, so these rows are finite throughout."""
-        return np.isfinite(self.z_T) & np.isfinite(self.xi_T)
+        """Rows whose Z and xi at their last instant in the chunk are
+        finite.  Overflow carries through the running sums, so these rows
+        are finite throughout."""
+        return np.isfinite(self.z_end) & np.isfinite(self.xi_end)
 
     def first_crossings(self, levels: np.ndarray, want_times: bool, before=0):
         """Each row's first crossing of each level it crosses after the
@@ -569,66 +626,27 @@ class _Chunk:
         return (level, r, *self.crossings(levels[level], r, c, want_times), passed)
 
 
-class _EulerChunk(_Chunk):
-    """A chunk of ``mixed_grid`` paths on their jump-adapted grids, with Z,
-    from each row's (generator, arrival times, x, y)."""
-
-    def __init__(self, t, grid, jump_table, draws):
-        self.p, lengths = _pair_chunk(t, grid, jump_table, draws)
-        self.Z = compute_Z(self.p)
-        rows, last = np.arange(len(draws)), lengths - 1
-        self.z_T, self.xi_T = self.Z[rows, last], self.p.xi[rows, last]
-        self.lengths = lengths
-        self.valid = np.arange(self.Z.shape[1]) < lengths[:, None]
-
-    def z_at(self, time):
-        """Z at the first grid or jump instant at or after ``time`` (before
-        the horizon)."""
-        k = np.count_nonzero(self.p.times < time, axis=1)
-        return self.Z[np.arange(len(k)), k]
-
-    @cached_property
-    def growth(self) -> np.ndarray:
-        """e^xi, the factor of V = e^xi (z + Z)."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.p.xi)
-
-    def crossing_key(self):
-        """Z at every grid and jump instant of its finite prefix where V has
-        the sign of z + Z."""
-        keep = self.valid & (self.growth > 0.0) & np.isfinite(self.Z)
-        return np.where(keep, self.Z, np.inf)
-
-    def crossings(self, z, r, c, want_times):
-        value = self.growth[r, c] * (z + self.Z[r, c])
-        return self.p.times[r, c], value, ~self.p.jump_flags[r, c]
-
-    def states(self, z):
-        """The grid and jump instants, with post-jump values at a jump."""
-        with np.errstate(invalid="ignore"):
-            v = self.growth * (z + _inf_past_overflow(self.Z))
-        return States(self.p.times, self.p.xi, self.Z, v, self.p.jump_flags, self.lengths)
-
-
 # ---------------------------------------------------------------------------
 # Exact event-driven engine for drivers with no Gaussian part
 # ---------------------------------------------------------------------------
 
 
-def _segment_z_increment(xi0: np.ndarray, dt: np.ndarray, bx: float, by: float):
+def _segment_z_increment(xi0: np.ndarray, dt: np.ndarray, bx: float, by: float, out=None):
     """Closed-form discounted increment over a jump-free segment,
-    (by / bx) e^-xi0 (1 - e^(-bx dt)), evaluated in place."""
+    (by / bx) e^-xi0 (1 - e^(-bx dt)), evaluated in place (into ``out``
+    if given, which may be ``dt``)."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         disc = np.negative(xi0)
         np.exp(disc, out=disc)
         if abs(bx) < 1e-300:
-            return by * disc * dt
+            disc *= by
+            return np.multiply(disc, dt, out=disc if out is None else out)
         growth = np.multiply(-bx, dt)
         np.expm1(growth, out=growth)
         # the sign moves onto the scalar: negation is exact and rounding
         # is symmetric, so this is (by / bx) disc (-growth) bit for bit
         np.multiply(-(by / bx), disc, out=disc)
-        return np.multiply(disc, growth, out=disc)
+        return np.multiply(disc, growth, out=disc if out is None else out)
 
 
 @lru_cache(maxsize=16)
@@ -642,18 +660,17 @@ def _event_types(atoms) -> tuple:
     return rates.sum(), _choice_cdf(rates) if len(atoms) > 1 else None, xs, ys
 
 
-def _fv_events(t: LevyTriplet2D, horizon: float, rng: np.random.Generator):
-    """The atom jumps of one path, (arrival times, x, y): one Poisson clock
-    at the total rate, then the atom of each arrival, drawn with its
-    probability as ``rng.choice`` draws it.  The superposed clock is exact,
-    and it is the one atom-jump sampler of ``exact_fv`` and ``mixed_grid``."""
-    total, cdf, xs, ys = _event_types(t.jumps.atoms_or_none())
-    tau = _arrival_times(rng, total, horizon)
-    n = len(tau)
-    if n and cdf is not None:
-        kinds = cdf.searchsorted(rng.random(n), side="right")
-        return tau, xs[kinds], ys[kinds]
-    return tau, xs[:1].repeat(n), ys[:1].repeat(n)  # one atom, or no arrival
+def _fv_events(t: LevyTriplet2D, seed: int, stream: int, counters):
+    """The atom jump sizes (x, y) of the arrivals at ``counters``, scalars
+    for one atom: one Poisson clock at the total rate (``_arrival_times``),
+    then the atom of arrival k, drawn with its probability from the uniform
+    at (path, k, atom).  The superposed clock is exact, and it is the one
+    atom-jump sampler of ``exact_fv`` and ``mixed_grid``."""
+    _, cdf, xs, ys = _event_types(t.jumps.atoms_or_none())
+    if cdf is None:  # one atom
+        return xs[0], ys[0]
+    kinds = cdf.searchsorted(_hash_uniforms(seed, stream, _ATOM, counters), side="right")
+    return xs[kinds], ys[kinds]
 
 
 def is_exact_fv(t: LevyTriplet2D) -> bool:
@@ -679,14 +696,18 @@ def _scaled(xi: float, v: float) -> float:
 
 @dataclass
 class _ExactChunk(_Chunk):
-    """A chunk of ``exact_fv`` paths, one row per path with ``n[r]``
-    arrivals, padded past them.  Segment k <= n[r] of row r runs with the
+    """A round of ``exact_fv`` paths (``events._fv_rounds``), one row per path
+    with ``n[r]`` arrivals in the round.  Segment k of row r runs with the
     drift (bx, by) from ``start[r, k]``, with xi and Z at ``xi_start`` and
-    ``z_start``, to ``tau[r, k]``: arrival k, with the states just before
-    and after it in ``xi_pre``/``z_pre`` and ``xi_post``/``z_post``, or for
-    k = n[r] the horizon, with ``z_T``/``xi_T``."""
+    ``z_start``, to ``tau[r, k]``: for k < n[r] an arrival, with the states
+    just before and after it in ``xi_pre``/``z_pre`` and
+    ``xi_post``/``z_post``; for k = n[r], on a row that has ``ended`` in the
+    round, the horizon, with xi and Z there in ``xi_pre`` and ``z_pre``.
+    Later columns pad the row.  ``xi_end``/``z_end`` hold each row's last
+    state in the round; the ``first`` round starts at t = 0."""
 
     n: np.ndarray
+    ended: np.ndarray
     tau: np.ndarray
     start: np.ndarray
     bx: float
@@ -697,20 +718,28 @@ class _ExactChunk(_Chunk):
     xi_post: np.ndarray
     z_pre: np.ndarray
     z_post: np.ndarray
-    z_T: np.ndarray
-    xi_T: np.ndarray
+    xi_end: np.ndarray
+    z_end: np.ndarray
+    first: bool
+
+    @property
+    def z_T(self) -> np.ndarray:
+        """Z at the horizon on the rows that end in the round."""
+        return np.where(self.ended, self.z_end, math.nan)
 
     def z_at(self, time):
-        """Z at ``time`` (before the horizon)."""
+        """Z at ``time`` (before the horizon), on the rows whose round holds
+        it."""
         k = np.count_nonzero(self.tau < time, axis=1)  # the segment of time
-        r = np.arange(len(k))
+        held = (self.start[:, 0] < time) & (k < self.tau.shape[1])
+        r, k = np.arange(len(k)), np.minimum(k, self.tau.shape[1] - 1)
         inc = _segment_z_increment(self.xi_start[r, k], time - self.start[r, k], self.bx, self.by)
-        return self.z_start[r, k] + inc
+        return np.where(held, self.z_start[r, k] + inc, math.nan)
 
     def _finite_prefix(self):
-        """(z_pre, z_post, z_T) with +inf past an overflow; only a chunk
-        with a non-finite row pays for the masking."""
-        z = (self.z_pre, self.z_post, self.z_T)
+        """(z_pre, z_post) with +inf past an overflow; only a chunk with a
+        non-finite row pays for the masking."""
+        z = (self.z_pre, self.z_post)
         if self.finite.all():
             return z
         return tuple(_inf_past_overflow(a) for a in z)
@@ -720,11 +749,15 @@ class _ExactChunk(_Chunk):
         horizon, one column per segment end.  Between arrivals the path
         solves a scalar linear ODE and is monotone, so these states detect
         every crossing."""
-        z_pre, z_post, z_T = self._finite_prefix()
-        rows, width = z_pre.shape
-        key = np.full((rows, width), np.inf)
-        np.minimum(z_pre, z_post, out=key, where=np.arange(width) < self.n[:, None])
-        key[np.arange(rows), self.n] = z_T
+        z_pre, z_post = self._finite_prefix()
+        key = np.minimum(z_pre, z_post)
+        end = np.flatnonzero(self.ended)
+        if len(end):
+            n = self.n[end]
+            tail = key[end]
+            tail[np.arange(tail.shape[1]) > n[:, None]] = np.inf
+            tail[np.arange(len(end)), n] = z_pre[end, n]
+            key[end] = tail
         return key
 
     def crossings(self, z, r, c, want_times):
@@ -755,71 +788,82 @@ class _ExactChunk(_Chunk):
         return time, value, cont
 
     def states(self, z):
-        """t = 0, then the pre-jump and the post-jump state of each arrival
-        (one instant, the second flagged as the jump), then the horizon,
-        where e^xi may pass the float range."""
-        z_pre, z_post, z_T = self._finite_prefix()
+        """t = 0 on the first round, then the pre-jump and the post-jump
+        state of each arrival (one instant, the second flagged as the jump),
+        then the horizon on a row that ends, where e^xi may pass the float
+        range."""
+        z_pre, z_post = self._finite_prefix()
         rows, width = self.tau.shape
-        at_end = (np.arange(rows), 2 * self.n + 1)
+        end = np.flatnonzero(self.ended)
+        at_end = (end, 2 * self.n[end] + 1)
 
-        def timeline(start, pre, post, end):
+        def timeline(start, pre, post, last):
             out = np.empty((rows, 2 * width + 1), dtype=np.asarray(pre).dtype)
             out[:, 0], out[:, 1::2], out[:, 2::2] = start, pre, post
-            out[at_end] = end
-            return out
+            out[at_end] = last
+            return out if self.first else out[:, 1:]
 
-        z_T = np.where(self.finite, z_T, np.inf).tolist()
-        v_T = [_scaled(x, z + zz) for x, zz in zip(self.xi_T.tolist(), z_T)]
+        last = (end, self.n[end])
+        z_T = np.where(self.finite[end], z_pre[last], np.inf).tolist()
+        v_T = [_scaled(x, z + zz) for x, zz in zip(self.xi_pre[last].tolist(), z_T)]
         with np.errstate(over="ignore", invalid="ignore"):
             v = timeline(z, np.exp(self.xi_pre) * (z + z_pre),
                          np.exp(self.xi_post) * (z + z_post), v_T)
+        length = np.where(self.ended, 2 * self.n + 2, 2 * width + 1) - (0 if self.first else 1)
         return States(
-            timeline(0.0, self.tau, self.tau, self.tau[:, -1]),
-            timeline(0.0, self.xi_pre, self.xi_post, self.xi_T),
-            timeline(0.0, self.z_pre, self.z_post, self.z_T),
-            v, timeline(False, False, True, False), 2 * self.n + 2,
+            timeline(0.0, self.tau, self.tau, self.tau[last]),
+            timeline(0.0, self.xi_pre, self.xi_post, self.xi_pre[last]),
+            timeline(0.0, self.z_pre, self.z_post, self.z_pre[last]),
+            v, timeline(False, False, True, False), length,
         )
 
 
-def _padded(rows, width: int, fill: float, lead=None) -> np.ndarray:
-    """The 1-d arrays ``rows`` as the rows of one array, each padded with
-    ``fill`` to ``width``, after a first column of ``lead`` if given."""
-    pad = np.full(width, fill)
-    first = () if lead is None else (np.full(1, lead),)
-    parts = [a for row in rows for a in (*first, row, pad[len(row):])]
-    return np.concatenate(parts).reshape(len(rows), -1)
-
-
-def _fv_state_arrays(t: LevyTriplet2D, events, horizon: float) -> _ExactChunk:
-    """The exact paths of a chunk, one row per ``_fv_events`` draw (arrival
-    times, jumps).  Segment starts are views one column behind the ends."""
+def _fv_state_arrays(t: LevyTriplet2D, carry, tau, jx, jy, horizon: float,
+                     first: bool) -> _ExactChunk:
+    """The exact round of the paths whose state before it is ``carry`` (an
+    ``events._Carry``) and whose next arrivals come at ``tau`` with the
+    jumps (jx, jy), one row per path; ``carry`` moves on to each row's last
+    arrival in the round.  The first arrival past the horizon ends its row:
+    the horizon ends its segment, and the later columns pad the row.  xi is
+    bx t plus the jumps before, Z the running sum of the segment increments
+    plus that of the jump increments, and segment starts are views one
+    column behind the ends."""
     bx, by = _uncompensated_drift(t)
-    n = np.array([len(tau) for tau, _, _ in events])
-    width = int(n.max()) + 1  # the arrivals and the horizon
-    ends = _padded([e[0] for e in events], width, horizon, lead=0.0)
-    jx = _padded([e[1] for e in events], width, 0.0)
-    jy = _padded([e[2] for e in events], width, 0.0)
-    tau = ends[:, 1:]
-    xi_pre = bx * tau + _prefix_sums(jx[:, :-1])
-    xi = np.empty(ends.shape)  # 0, then xi after each arrival
-    xi[:, 0] = 0.0
+    rows, width = tau.shape
+    n = np.full(rows, width)
+    end = np.flatnonzero(tau[:, -1] > horizon)  # the rows that end in the round
+    n[end] = np.count_nonzero(tau[end] <= horizon, axis=1)
+    ends = _running(carry.clock, tau)  # the carry's clock, then the segment ends
+    ends[end, 1:] = np.minimum(tau[end], horizon)
+    # jumps past the horizon move only the padding after it
+    jumps = _running(carry.jx, jx, width)
+    np.cumsum(jumps, axis=1, out=jumps)
+    xi = _running(carry.xi, None, width)  # the carry's xi, then xi after each arrival
+    xi_pre = bx * ends[:, 1:] + jumps[:, :-1]
     np.add(xi_pre, jx, out=xi[:, 1:])
-    dt = tau - ends[:, :-1]
-    seg_inc = _segment_z_increment(xi[:, :-1], dt, bx, by)
-    z = np.empty(ends.shape)  # 0, then Z after each arrival
-    z[:, 0] = 0.0
+    seg = _running(carry.seg, None, width)
+    np.subtract(ends[:, 1:], ends[:, :-1], out=seg[:, 1:])
+    _segment_z_increment(xi[:, :-1], seg[:, 1:], bx, by, out=seg[:, 1:])
+    np.cumsum(seg, axis=1, out=seg)
+    z = _running(carry.z, None, width)  # the carry's Z, then Z after each arrival
     with np.errstate(over="ignore", invalid="ignore"):
         jump_inc = np.negative(xi_pre)
         np.exp(jump_inc, out=jump_inc)
         np.multiply(jump_inc, jy, out=jump_inc)
-        z_pre = np.cumsum(seg_inc, axis=1)
-        z_pre += _prefix_sums(jump_inc[:, :-1])
+        jz = _running(carry.jz, jump_inc)
+        np.cumsum(jz, axis=1, out=jz)
+        z_pre = seg[:, 1:] + jz[:, :-1]
         np.add(z_pre, jump_inc, out=z[:, 1:])
-    r = np.arange(len(events))
-    return _ExactChunk(
-        n, tau, ends[:, :-1], bx, by, xi[:, :-1], z[:, :-1], xi_pre, xi[:, 1:], z_pre, z[:, 1:],
-        z[r, n] + seg_inc[r, n], xi[r, n] + bx * dt[r, n],
+    ended = n < width
+    r, last = np.arange(rows), np.minimum(n, width - 1)
+    chunk = _ExactChunk(
+        n, ended, ends[:, 1:], ends[:, :-1], bx, by, xi[:, :-1], z[:, :-1], xi_pre, xi[:, 1:],
+        z_pre, z[:, 1:], np.where(ended, xi_pre[r, last], xi[r, last + 1]),
+        np.where(ended, z_pre[r, last], z[r, last + 1]), first,
     )
+    carry.clock, carry.xi, carry.z = ends[:, -1], xi[:, -1], z[:, -1]
+    carry.jx, carry.seg, carry.jz = jumps[:, -1], seg[:, -1], jz[:, -1]
+    return chunk
 
 
 def _segment_crossing_time(v0: float, bx: float, by: float) -> float:
@@ -831,16 +875,23 @@ def _segment_crossing_time(v0: float, bx: float, by: float) -> float:
 
 
 def fv_first_passage(
-    t: LevyTriplet2D, z: float, horizon: float, rng: np.random.Generator
+    t: LevyTriplet2D, z: float, horizon: float, seed: int, path_index: int = 0, stream: int = 0
 ) -> FirstPassage:
-    """Exact first passage below zero for a zero-Gaussian atom driver, from
-    the finite prefix of the path."""
+    """Exact first passage below zero of ``exact_fv`` path ``path_index``
+    for a zero-Gaussian atom driver (``events._fv_rounds``, one path), from the
+    finite prefix of the path."""
     _require_fv(t)
-    chunk = _fv_state_arrays(t, [_fv_events(t, horizon, rng)], horizon)
-    _, r, time, value, cont, _ = chunk.first_crossings(np.array([float(z)]), True)
-    if not len(r):
-        return FirstPassage(False)
-    return FirstPassage(True, float(time[0]), float(value[0]), bool(cont[0]))
+    check_path_count(path_index + 1)
+    check_event_count(_event_types(t.jumps.atoms_or_none())[0], horizon)
+    levels = np.array([float(z)])
+    from .events import _fv_rounds  # compiled only once an event engine runs
+
+    for _, chunk in _fv_rounds(t, horizon, seed, stream, np.array([path_index]),
+                               _ONE_PATH_ELEMS):
+        _, r, time, value, cont, _ = chunk.first_crossings(levels, True)
+        if len(r):
+            return FirstPassage(True, float(time[0]), float(value[0]), bool(cont[0]))
+    return FirstPassage(False)
 
 
 # ---------------------------------------------------------------------------

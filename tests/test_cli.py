@@ -235,12 +235,13 @@ class TestLazyQuadratureImport:
         assert self.run_script(script) == "loaded"
 
     def test_import_leaves_the_keyed_layout_uncompiled(self):
-        # check never runs a grid engine, so it does not load gouruin.bridge
+        # check never runs a simulation, so it loads neither gouruin.bridge
+        # nor the event engines' rounds
         script = (
             "import sys\n"
             "import gouruin, gouruin.cli\n"
-            "print('loaded', *[m for m in ('gouruin.bridge',) if m in sys.modules],"
-            " file=sys.stderr)\n"
+            "print('loaded', *[m for m in ('gouruin.bridge', 'gouruin.events')"
+            " if m in sys.modules], file=sys.stderr)\n"
         )
         assert self.run_script(script) == "loaded"
 
@@ -392,29 +393,29 @@ class TestSimulate:
         (None,
          ["--preset", "jump_example", "--c", "1", "--lambda", "1", "--z", "2.0",
           "--horizon", "5.0", "--step", "0.25"],
-         ["58816cf3b8717a3bc76e241c967d0794d433fd7c69b7c5dae72146393e847c44",
-          "f050b82e3bba68cff75a890bc722f8c59459e8589d91105906dcb7583307cba0",
-          "b42bebab8504864d12e797cb5ba1aef4233d7987eaae7ddd79e7aa2668655aba"],
-         "1c8b3a385e3d9ec67095c7de049603ae045d282cb3c3afbeeb0010150549e36f"),
+         ["7ababdf89d1f338163dfdfe3488dd663df6bb2c0d16bc239258553332be69e59",
+          "9509ae3390be0f642126c39758a73e7d485607116befe9220088eadd360ea196",
+          "7a908b9f3d568333a145d4f7c3dd427a8e16d57561c121f8f0113d1aca2aabb6"],
+         "694da49cd9985164e283bc70c61233d7beb8aa462bbe6674ab0ae34f5a33d13c"),
         (MIXED_ATOM_SPEC,
          ["--z", "0.5", "--horizon", "3.0", "--step", "0.1"],
-         ["155bc2167915d3bf460f79a233afd625189df7159dff5b1cc7894f139b8d3194",
-          "42a22120efe36864eb324bc77afa733215adfccf105ffc665203f56d184f5e66",
-          "97b98e997ba526f8e69d0a411d2b3c87742d78f218c34ac2d0b3e78872c57f53"],
-         "8f3cfb83104e43196e6cbbb9018f5eb8081620970addaaebe493c0f28882541f"),
+         ["42be39a624a64587b645b8979e6e1f33ecc41e1a1f05e4ff0ba63309903d4913",
+          "3bdab31b9085afe6267a350c51438e1aab56c2895e02482b56b2f7b72111fd2d",
+          "b1bea73802843aa1c297a9e22aab403b74115ce1a9d0a7ef6492dd2a7b4397d2"],
+         "7a9d2de99cdf2521d630b98ebe94675683e21a334c1cd8ad0b9c41cefda38b0e"),
         (DENSITY_SPEC,
          ["--z", "1.0", "--horizon", "2.0", "--step", "0.25", "--truncation-eps", "0.3"],
-         ["257fc2f89f350f63f1a2cd7ec02c20ec8731e7c38861c4ec76128c15f421ccce",
-          "a4db6efa70dddc5301f25c2f13c83df1966d84cf3a59eef2e5a77ec679625721",
-          "2e45de7f9eeab70f6e8d4b0559e0eb90c42221fb333b5166495312b43654356b"],
-         "e2962e314688d6e701dcddc0657138bf97327de36c486b656aef10cc04025bab"),
+         ["0aafdeb0e6b2b07683001d91f349a91877da479dcab9c4f02d8eddeb80f03199",
+          "012f4b388917d6052afde0efe6490fb5dac7f00c6b3f817abdc128dd4a0dd493",
+          "8c6431a5a462f11ce06956dc96eee4b2d3a30631133e77924ef65d5740ebbd26"],
+         "40b6bc681f5bce6e4e773796f4ccbb8996af987162223c60016e304b5cc97c37"),
     ], ids=["jump_example", "mixed_atoms", "uniform_box"])
     def test_output_is_pinned(self, capsys, tmp_path, spec, args, files, content):
         # The paths of the exact, the jump-adapted Euler and the density
         # table engines, pinned by the sha256 of their CSVs (time, xi, Z, V
-        # and jump at each monitored instant).  The mixed_atoms files are
-        # those that test_simulate.py's per-path reference
-        # (ref_simulate_pair_with_rng) gives through euler_csv.
+        # and jump at each monitored instant).  Every file is the one that
+        # the keyed oracle of oracles.py (keyed_exact_path,
+        # keyed_euler_path) gives, one counter at a time.
         if spec is not None:
             f = tmp_path / "spec.json"
             f.write_text(json.dumps(spec))
@@ -821,6 +822,26 @@ class TestUndeterminedExit:
         assert doc["decision"]["kind"] == "undetermined"
         assert calls == {"thetas": 0, "quad": 0, "nquad": 0}
 
+    def test_undetermined_report_prints_null_thetas(self, capsys, tmp_path):
+        # Thetas that were never computed print as null, not as values.
+        spec = {"gamma_tilde": [0.0, 0.0], "sigma": [[0.0, 0.0], [0.0, 0.0]],
+                "jumps": {"density": {"kind": "exp_tails", "params": {"c": 2.0, "a": 1.0, "b": 1.5},
+                                      "box": [1.0, 3.0, 0.5, 2.0]}}}
+        f = tmp_path / "dens.json"
+        f.write_text(json.dumps(spec))
+        code, out, _ = run_cli(capsys, "check", "--spec", str(f))
+        assert code == 2
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("ruin_report.schema.json"))
+        assert doc["decision"]["kind"] == "undetermined"
+        assert doc["thetas"] is None
+        decided = json.loads(run_cli(capsys, "check", "--preset", "jump_example")[1])
+        jsonschema.validate(decided, load_schema("ruin_report.schema.json"))
+        assert decided["thetas"]["theta4"] == "inf"
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**decided, "thetas": {"theta1": 0.0}},
+                                load_schema("ruin_report.schema.json"))
+
     @pytest.mark.parametrize("levels", [(), (0.5, 1.5)])
     def test_density_continuum_reports_its_reason(self, capsys, tmp_path, levels):
         spec = {
@@ -978,16 +999,16 @@ class TestUndeterminedExit:
     @pytest.mark.parametrize("argv, digest", [
         (["--preset", "jump_example", "--c", "1", "--lambda", "1", "--horizon", "20",
           "--paths", "200"],
-         "21d64e3471a8be9860eb68e76a7a3ef029b54add5160c87d4383214e0c057c0e"),
+         "006c6382e1a3a6618a5a7076b3adf73d68c91b3dc66c29a62a6542c552ec8204"),
         (["--horizon", "5", "--step", "0.01", "--paths", "300"],
          "f800255e3ccce3f8b0e023c315f8ab06507308579d5833bdbe758c132ac82c18"),
     ], ids=["exact_fv", "grid_bridge"])
     def test_ruin_records_come_from_the_estimate_batch(
         self, capsys, tmp_path, monkeypatch, argv, digest
     ):
-        # The exact_fv digest is that of the CSV written when the records
-        # came from a second simulation of the same paths; the grid_bridge
-        # one, that of the keyed midpoint layout.
+        # The exact_fv digest is that of the records of the keyed oracle
+        # (oracles.keyed_exact_path); the grid_bridge one, that of the
+        # keyed midpoint layout.
         import hashlib
 
         from gouruin import estimate

@@ -27,7 +27,7 @@ from gouruin.estimate import (
     wilson_interval,
     worker_count,
 )
-from gouruin import bridge, estimate, simulate
+from gouruin import bridge, estimate, events, simulate
 from gouruin.model import BoxDensity, FiniteAtomSet, JumpAtom, LevyTriplet2D, rigid_level
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
 from gouruin.simulate import (
@@ -305,7 +305,7 @@ class TestRuinRecords:
         z, horizon, n, seed = 0.5, 20.0, 200, 4
         batch = _dispatch_batch(t, [z], horizon, n, seed, 0, want_times=True)
         assert batch.engine == "exact_fv"
-        passages = [fv_first_passage(t, z, horizon, path_rng(seed, i, 0)) for i in range(n)]
+        passages = [fv_first_passage(t, z, horizon, seed, i) for i in range(n)]
         assert np.array_equal(batch.hit[z], [fp.hit for fp in passages])
         assert np.array_equal(batch.time[z], [fp.time for fp in passages], equal_nan=True)
         assert np.array_equal(batch.v_hit[z], [fp.v_at_hit for fp in passages], equal_nan=True)
@@ -361,8 +361,10 @@ STREAM_CASES = [
 
 
 def count_normals(monkeypatch) -> list:
-    """Wrap ``estimate.path_rng`` and ``bridge._keyed_normals`` so that
-    the normals each call draws are counted in the returned list."""
+    """Wrap ``estimate.path_rng`` (``grid``), ``bridge._keyed_normals``
+    (``grid_bridge``, ``expmart``) and ``events._keyed_increments``
+    (``mixed_grid``, two normals per interval) so that the normals each
+    call draws are counted in the returned list."""
     drawn = []
 
     class Counted:
@@ -379,8 +381,15 @@ def count_normals(monkeypatch) -> list:
         drawn.append(np.size(counters))
         return keyed(seed, stream, counters)
 
+    increments = events._keyed_increments
+
+    def counted_increments(seed, stream, ids, interval, width, *factors):
+        drawn.append(2 * len(ids) * width)
+        return increments(seed, stream, ids, interval, width, *factors)
+
     monkeypatch.setattr(estimate, "path_rng", lambda *a: Counted(rng(*a)))
     monkeypatch.setattr(bridge, "_keyed_normals", counted_keyed)
+    monkeypatch.setattr(events, "_keyed_increments", counted_increments)
     return drawn
 
 
@@ -959,7 +968,7 @@ class TestRuinFormula:
         z, horizon, n, seed = 0.5, 50.0, 2000, 1
         check = validate_ruin_formula(t, z, horizon, n, seed=seed)
         hit, _, values, cont = ruin_records(t, z, horizon, n, seed)
-        assert check.lhs.n_events == int(hit.sum()) == 1544
+        assert check.lhs.n_events == int(hit.sum()) == 1566
         assert not cont[hit].any()
         g = estimate_Zinf_cdf(t, horizon, n, seed)
         assert check.rhs.diagnostics["denominator"] == float(np.mean(g(-values[hit])))
@@ -996,11 +1005,12 @@ class TestEmpiricalLowerBound:
             assert bound >= z - 1e-9
 
     def test_exact_fv_value_is_pinned(self):
-        # Value of the per-path exact loop before it was shared with _fv_batch.
-        # At z = 1.8 every state after t = 0 lies above z (the lowest at
-        # 1.800334453401879), so the start state V = z is the bound.
+        # Recorded from the keyed oracle of oracles.py (keyed_exact_path),
+        # which gives this minimum bit for bit.  At z = 1.8 every state
+        # after t = 0 lies above z (the lowest at 1.8009550186366345), so
+        # the start state V = z is the bound.
         t = jump_example_triplet(1.0, 1.0)
-        assert empirical_lower_bound(t, 0.5, 50.0, 100, seed=21) == -202684412.4919786
+        assert empirical_lower_bound(t, 0.5, 50.0, 100, seed=21) == -244036.67043198747
         assert empirical_lower_bound(t, 1.8, 100.0, 100, seed=18) == 1.8
 
     @pytest.mark.parametrize("engine,t,horizon,step", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES])
@@ -1013,11 +1023,11 @@ class TestEmpiricalLowerBound:
                 assert empirical_lower_bound(t, z, 2.0, 20, seed, step=step) <= z
 
     def test_mixed_grid_value_is_pinned(self):
-        # Recorded from the per-path reference of test_simulate.py
-        # (RefEulerPath: one clock at the total rate, then each arrival's
-        # atom), which gives this minimum bit for bit.
+        # Recorded from the keyed oracle of oracles.py (keyed_euler_path:
+        # one clock at the total rate, then each arrival's atom, and each
+        # interval's normal pair), which gives this minimum bit for bit.
         t = engine_case("mixed_grid")[1]
-        assert empirical_lower_bound(t, 0.5, 3.0, 50, seed=5, step=0.02) == -25.2249046594353
+        assert empirical_lower_bound(t, 0.5, 3.0, 50, seed=5, step=0.02) == -15.890276399433512
 
     def test_exact_fv_horizon_state_past_the_float_range(self):
         # xi reaches about 1000 at T = 1000, so e^xi at the horizon is past
@@ -1111,32 +1121,137 @@ class TestPerPathEngineChunks:
         counts = [int(many.hit[z].sum()) for z in levels]
         assert counts == sorted(counts, reverse=True) and counts[0] > counts[-1]
 
-    def test_long_mixed_rows_make_chunks_of_one_row(self, monkeypatch):
-        # T = 2000 at step 0.01: 200 001 grid instants per row, past the
-        # element budget, so every chunk holds one path.
-        rows = []
+    @staticmethod
+    def record_rounds(monkeypatch, name):
+        """Wrap the round generator ``name`` of ``events``; returns the
+        list of (path ids, chunk) it yields."""
+        rounds, original = [], getattr(events, name)
 
-        class Recorded(simulate._EulerChunk):
-            def __init__(self, t, cfg, jump_table, draws):
-                rows.append(len(draws))
-                super().__init__(t, cfg, jump_table, draws)
+        def recorded(*args):
+            for ids, chunk in original(*args):
+                rounds.append((ids, chunk))
+                yield ids, chunk
 
-        monkeypatch.setattr(estimate, "_EulerChunk", Recorded)
-        estimate._mixed_batch(MIXED_ATOMS, [0.5], 2000.0, 0.01, 3, 1, 0, None)
-        assert rows == [1, 1, 1]
+        monkeypatch.setattr(events, name, recorded)
+        return rounds
+
+    def test_long_mixed_rows_march_in_rounds_within_the_element_budget(self, monkeypatch):
+        # T = 2000 at step 0.01: 200 001 grid instants per row, far past the
+        # element budget, so the rows march in rounds, each within it.
+        rounds = self.record_rounds(monkeypatch, "_mixed_rounds")
+        estimate._mixed_batch(MIXED_ATOMS, [], 2000.0, 0.01, 3, 1, 0, None)
+        assert len(rounds) > 50
+        assert all(chunk.Z.size <= estimate._CHUNK_ELEMS for _, chunk in rounds)
+        assert all(np.array_equal(ids, [0, 1, 2]) for ids, _ in rounds)
 
     def test_exact_chunk_arrays_stay_within_the_element_budget(self, monkeypatch):
-        # A row's widest exact_fv array holds its arrivals plus two; the
-        # batch's row choice keeps rows x widest row within the budget.
-        chunks = []
-        build = estimate._fv_state_arrays
-
-        def recorded(t, events, horizon):
-            chunks.append((len(events), max(len(e[0]) for e in events) + 2))
-            return build(t, events, horizon)
-
-        monkeypatch.setattr(estimate, "_fv_state_arrays", recorded)
+        # A round holds each live row's next arrivals, one column per
+        # arrival and one for the carry, within the budget; ruined rows
+        # leave, so later rounds hold fewer rows, each of more arrivals.
+        rounds = self.record_rounds(monkeypatch, "_fv_rounds")
         estimate._fv_batch(jump_example_triplet(1.0, 1.0), [0.5], 1000.0, 100, 1, 0)
-        assert sum(rows for rows, _ in chunks) == 100
-        assert all(rows * width <= estimate._CHUNK_ELEMS for rows, width in chunks)
-        assert max(rows for rows, _ in chunks) > 1
+        assert all(chunk.tau.shape[0] * (chunk.tau.shape[1] + 1) <= estimate._CHUNK_ELEMS
+                   for _, chunk in rounds)
+        rows = [len(ids) for ids, _ in rounds]
+        assert rows[0] == 100 and rows[-1] < rows[0]
+        assert rounds[-1][1].tau.shape[1] > rounds[0][1].tau.shape[1]
+
+
+# Multi-atom drivers, whose atom draws follow the arrival clocks, so a path
+# is coherent in the horizon only if each draw has its own counter: exact_fv
+# with two atoms, and the mixed driver of the mc_events benchmark workload.
+TWO_ATOM_FV = triplet((0.2, 0.1), jumps=[(0.3, -0.5, 1.0), (-0.2, 0.4, 0.5)])
+EVENT_CASES = [("exact_fv", TWO_ATOM_FV, None), ("mixed_grid", MIXED_ATOMS, 0.05)]
+
+
+class TestKeyedEventEngines:
+    """exact_fv and mixed_grid draw every arrival, atom and normal at a
+    keyed counter, and march the live paths of a range in rounds."""
+
+    @pytest.mark.parametrize("engine,t,step", EVENT_CASES, ids=[c[0] for c in EVENT_CASES])
+    def test_hits_by_a_shorter_horizon_are_hits_by_a_longer_one(self, engine, t, step):
+        # With an equal step a path is the same up to the shorter horizon.
+        def hits(horizon):
+            batch = _dispatch_batch(t, [0.5], horizon, 2000, 1, 0, step=step)
+            assert batch.engine == engine
+            return batch.hit[0.5]
+
+        short, long = hits(20.0), hits(40.0)
+        assert short.sum() > 100
+        assert not (short & ~long).any()
+
+    @pytest.mark.parametrize("engine,t,step", EVENT_CASES, ids=[c[0] for c in EVENT_CASES])
+    def test_results_depend_only_on_the_seed_stream_and_n(self, engine, t, step, monkeypatch):
+        # Rounds of one row and one instant, narrow and wide rounds, one or
+        # two workers, with and without times: the same bits.
+        levels, n = [0.25, 0.5, 1.0], 60
+        horizon = 6.0 if engine == "exact_fv" else 2.0
+
+        def run(want_times):
+            b = _dispatch_batch(t, levels, horizon, n, 3, 0, step=step, want_times=want_times)
+            free = _dispatch_batch(t, [], horizon, n, 3, 0, step=step)
+            low, sink = lowest_sink(0.5, n)
+            full = _dispatch_batch(t, [], horizon, n, 3, 0, step=step, sink=sink)
+            return ([b.hit[z].tobytes() for z in levels] + [b.v_hit[z].tobytes() for z in levels]
+                    + [b.time[z].tobytes() if want_times else None for z in levels]
+                    + [b.z_T.tobytes(), b.nonfinite, free.z_T.tobytes(), free.z_half.tobytes(),
+                       low.tobytes(), full.z_T.tobytes(), full.nonfinite])
+
+        reference = {wt: run(wt) for wt in (False, True)}
+        assert reference[False][:3] == reference[True][:3]
+        hits = _dispatch_batch(t, levels, horizon, n, 3, 0, step=step).hit
+        assert all(h.any() and not h.all() for h in hits.values())
+        for elems, rows, threads, want_times in ((1, 1, "1", True), (7, 3, "2", False),
+                                                 (64, 8, "1", True), (8192, 128, "2", False)):
+            monkeypatch.setattr(estimate, "_CHUNK_ELEMS", elems)
+            monkeypatch.setattr(estimate, "_PATH_BLOCK", rows)
+            monkeypatch.setenv("GOU_THREADS", threads)
+            assert run(want_times) == reference[want_times], (elems, rows, threads)
+
+    def test_ruined_paths_stop_drawing(self, monkeypatch):
+        # At z = 0.25 most mixed paths are ruined early: they leave the
+        # rounds, so the batch draws far fewer normals than their grids hold.
+        drawn = count_normals(monkeypatch)
+        n, horizon, step = 200, 10.0, 0.01
+        est = estimate_ruin(MIXED_ATOMS, 0.25, horizon, n, 1, step=step)
+        assert est.diagnostics["engine"] == "mixed_grid" and est.point > 0.5
+        assert 0 < sum(drawn) < 0.7 * 2 * n * round(horizon / step)
+        drawn.clear()
+        estimate_negative_prob(MIXED_ATOMS, horizon, n, 1, step=step)
+        assert sum(drawn) >= 2 * n * round(horizon / step)
+
+    def test_exact_fv_covers_the_integral_equation(self):
+        # psi_inf of jump_example(1, 1) from the integral equation (ROADMAP
+        # item 13); by T = 50 the finite-horizon ruin probability is within
+        # 1e-3 of it.
+        t = jump_example_triplet(1.0, 1.0)
+        n = 20_000
+        batch = _dispatch_batch(t, [0.5, 1.0, 1.3], 50.0, n, 1, 0)
+        for z, psi in ((0.5, 0.44565), (1.0, 0.16850), (1.3, 0.041011)):
+            lo, hi = wilson_interval(int(batch.hit[z].sum()), n)
+            assert lo <= psi <= hi, (z, lo, hi)
+
+
+class TestCounterFields:
+    """A keyed counter holds the path in 32 bits and an arrival or interval
+    index in 29; requests that could overflow them are refused at the input
+    check, before any array of their size exists."""
+
+    def test_too_many_paths_are_refused(self, monkeypatch):
+        monkeypatch.setattr(estimate, "_BatchResult", None)  # no batch is started
+        for t in (jump_example_triplet(1.0, 1.0), MIXED_ATOMS, drift_xi_brownian_eta()):
+            with pytest.raises(InvalidModelError, match=f"cap is {simulate.MAX_PATHS}"):
+                estimate_ruin(t, 0.5, 1.0, 2**32, 1, step=0.1)
+        with pytest.raises(InvalidModelError, match="cap is"):
+            simulate_pair(MIXED_ATOMS, PathConfig(1.0, 0.1, 1), path_index=2**32)
+
+    @pytest.mark.parametrize("t,horizon,step", [
+        (triplet((0.2, 0.1), jumps=[(0.3, -0.5, 2.0**20)]), 2.0**9, None),  # 2^29 arrivals
+        (triplet((0.2, 0.1), ((0.0, 0.0), (0.0, 1.0)), [(0.3, -0.5, 2.0**27)]), 3.0, 1e-6),
+    ], ids=["exact_fv_arrivals", "mixed_grid_instants"])
+    def test_event_counts_past_the_index_field_are_refused(self, t, horizon, step, monkeypatch):
+        monkeypatch.setattr(estimate, "_event_batch", None)  # no simulation is started
+        with pytest.raises(InvalidModelError, match=f"cap is {simulate.MAX_EVENTS}"):
+            estimate_ruin(t, 0.5, horizon, 10, 1, step=step)
+        with pytest.raises(InvalidModelError, match="cap is"):
+            simulate_pair(t, PathConfig(horizon, step or horizon / 100, 1))

@@ -5,13 +5,13 @@ import math
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy import integrate as sci
 from scipy import stats
 
+from gouruin import events
 from gouruin import simulate as simulate_module
 from gouruin.errors import InvalidModelError, NotSupportedError
 from gouruin.estimate import _dispatch_batch, _fv_batch, _mixed_batch
@@ -20,24 +20,18 @@ from gouruin.model import (
     FiniteAtomSet,
     JumpAtom,
     LevyTriplet2D,
-    _uncompensated_drift,
     density_from_json,
 )
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
 from gouruin.simulate import (
     _KEY_BLOCK,
     FirstPassage,
-    Path,
     PathConfig,
     _arrival_times,
-    _chol2x2,
     _density_jump_table,
     _fv_events,
-    _fv_state_arrays,
-    _pair_chunk,
-    _pair_jumps,
-    _segment_crossing_time,
-    _truncated_density_jumps,
+    _prefix_sums,
+    _run_counters,
     brownian_part,
     closed_form_continuous_example,
     compute_V,
@@ -48,7 +42,13 @@ from gouruin.simulate import (
     simulate_pair,
     time_grid,
 )
-from oracles import simulate_stochastic_exponential
+from oracles import (
+    KeyedDraws,
+    keyed_euler_path,
+    keyed_exact_path,
+    keyed_z,
+    simulate_stochastic_exponential,
+)
 
 E = math.e
 
@@ -61,33 +61,68 @@ def triplet(gamma=(0.0, 0.0), sigma=((0.0, 0.0), (0.0, 0.0)), jumps=()):
     return LevyTriplet2D(gamma, sigma, atoms(*jumps))
 
 
-def scalar_arrival_times(rng, rate, horizon):
-    """Reference clock loop: one scalar sum per gap, same block layout."""
-    if rate <= 0.0:
-        return np.empty(0)
-    out = []
-    clock = 0.0
-    budget = max(16, int(rate * horizon * 1.5) + 16)
+def round_clocks(seed, path, rate, horizon, width):
+    """Path ``path``'s clocks up to the horizon, drawn by ``_arrival_times``
+    in rounds of ``width`` arrivals, and the number of rounds."""
+    ids, k, clock, out = np.array([path]), np.zeros(1, dtype=np.intp), np.zeros(1), []
     while True:
-        gaps = rng.exponential(scale=1.0 / rate, size=budget)
-        for g in gaps:
-            clock += g
-            if clock > horizon:
-                return np.array(out)
-            out.append(clock)
+        tau = _arrival_times(seed, 0, _run_counters(ids, k, width), clock, rate)[0]
+        out += tau[tau <= horizon].tolist()
+        if tau[-1] > horizon:
+            return np.array(out), 1 + int(k[0]) // width
+        k, clock = k + width, tau[-1:]
 
 
-class ConstantGaps:
-    """Generator stub whose exponential gaps all equal ``gap``, so a block
-    can run out before the horizon does."""
+def exact_rounds(t, horizon, seed, paths, budget=8192):
+    """The (ids, chunk) rounds of ``exact_fv`` paths ``paths``."""
+    return list(events._fv_rounds(t, horizon, seed, 0, np.asarray(paths), budget))
 
-    def __init__(self, gap):
-        self.gap = gap
-        self.blocks = 0
 
-    def exponential(self, scale, size):
-        self.blocks += 1
-        return np.full(size, self.gap)
+def exact_rows(t, horizon, seed, paths, budget):
+    """Each path's arrivals over its rounds (time, the states before and
+    after it), its Z and xi at the horizon and Z at mid-horizon."""
+    rows = {i: {"tau": [], "xi_pre": [], "xi_post": [], "z_pre": [], "z_post": [], "n": 0}
+            for i in paths}
+    for ids, chunk in events._fv_rounds(t, horizon, seed, 0, np.asarray(paths), budget):
+        z_half = chunk.z_at(0.5 * horizon)
+        for r, i in enumerate(ids.tolist()):
+            row, k = rows[i], chunk.n[r]
+            for name in ("tau", "xi_pre", "xi_post", "z_pre", "z_post"):
+                row[name].append(getattr(chunk, name)[r, :k])
+            row["n"] += k
+            if not np.isnan(z_half[r]):
+                row["z_half"] = z_half[r]
+            if chunk.ended[r]:
+                row["z_T"], row["xi_T"] = chunk.z_T[r], chunk.xi_pre[r, k]
+    for row in rows.values():
+        for name in ("tau", "xi_pre", "xi_post", "z_pre", "z_post"):
+            row[name] = np.concatenate(row[name])
+    return rows
+
+
+def euler_rows(t, grid, table, seed, paths, budget):
+    """Each path's instants over its ``mixed_grid`` rounds: times, xi, eta,
+    their left limits, jump flags and Z."""
+    rows = {i: [] for i in paths}
+    for ids, chunk in events._mixed_rounds(t, grid, table, seed, 0, np.asarray(paths), budget):
+        p, s = chunk.p, chunk.start
+        for r, i in enumerate(ids.tolist()):
+            cut = slice(s, chunk.lengths[r])
+            rows[i].append([a[r, cut] for a in (p.times, p.xi, p.eta, p.xi_left, p.eta_left,
+                                                 p.jump_flags, chunk.Z)])
+    return {i: [np.concatenate(c) for c in zip(*parts)] for i, parts in rows.items()}
+
+
+def stub_uniforms(monkeypatch, u0):
+    """Every gap uniform reads ``u0``; the other draws stay keyed."""
+    keyed = simulate_module._hash_uniforms
+
+    def stub(seed, stream, idx0, flat_cells):
+        if idx0 == 0:
+            return np.full(np.shape(flat_cells), u0)
+        return keyed(seed, stream, idx0, flat_cells)
+
+    monkeypatch.setattr(simulate_module, "_hash_uniforms", stub)
 
 
 class TestPathRng:
@@ -159,44 +194,51 @@ class TestArrivalTimes:
         [(0.0, 10.0, 1), (1e-3, 0.5, 2), (1.0, 1000.0, 3), (2.5, 3.0, 4), (40.0, 7.3, 5)],
     )
     def test_matches_the_scalar_loop_bitwise(self, rate, horizon, seed):
-        rng, ref_rng = path_rng(seed, 0), path_rng(seed, 0)
-        got = _arrival_times(rng, rate, horizon)
-        ref = scalar_arrival_times(ref_rng, rate, horizon)
-        assert got.dtype == ref.dtype == np.float64
-        assert np.array_equal(got, ref)
+        # one counter at a time, and in rounds of any width
+        ref = np.array([c for _, c in KeyedDraws(seed, 0, 0).arrivals(rate, horizon)])
+        for width in (1, 7, 64):
+            got, _ = round_clocks(seed, 0, rate, horizon, width)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, ref), width
         if rate < 1e-2:
             assert got.size == 0
-        # the same number of draws was consumed
-        assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize(
         "gap,rate,horizon", [(0.01, 1.0, 1.0), (1.0 / 16.0, 1e-9, 1.0), (0.3, 2.0, 100.0)]
     )
-    def test_blocks_past_the_first_match_the_scalar_loop(self, gap, rate, horizon):
-        # (1/16, 1e-9, 1.0): the first 16-gap block ends exactly at the
-        # horizon, so a second block is drawn and its first clock dropped.
-        stub, ref_stub = ConstantGaps(gap), ConstantGaps(gap)
-        got = _arrival_times(stub, rate, horizon)
-        ref = scalar_arrival_times(ref_stub, rate, horizon)
+    def test_blocks_past_the_first_match_the_scalar_loop(self, gap, rate, horizon, monkeypatch):
+        # Every gap uniform is the one of a gap near ``gap``: rounds of 16
+        # arrivals run out before the horizon does, and each carries the
+        # clock of the one before.
+        u0 = -math.expm1(-gap * rate)
+        stub_uniforms(monkeypatch, u0)
+        step, clock, ref = -np.log1p(-np.float64(u0)) / rate, np.float64(0.0), []
+        while (clock := clock + step) <= horizon:
+            ref.append(clock)
+        got, rounds = round_clocks(3, 0, rate, horizon, 16)
         assert np.array_equal(got, ref)
-        assert stub.blocks == ref_stub.blocks >= 2
-        assert got[-1] <= horizon < got[-1] + gap
+        assert rounds >= 2
+        assert got[-1] <= horizon < got[-1] + step
 
     def test_event_types_match_the_per_arrival_lookup(self):
         t = triplet((0.4, 0.2), jumps=[(0.3, -0.5, 1.0), (-0.2, 0.4, 0.5), (0.1, -1.5, 0.3)])
         table = t.jumps.atoms_or_none()
-        rates = np.array([a.rate for a in table])
         seen = set()
         for i in range(5):
-            tau, jx, jy = _fv_events(t, 30.0, path_rng(8, i))
-            rng = path_rng(8, i)
-            ref_tau = scalar_arrival_times(rng, rates.sum(), 30.0)
-            kinds = rng.choice(len(table), size=len(ref_tau), p=rates / rates.sum())
-            assert np.array_equal(tau, ref_tau)
-            assert np.array_equal(jx, np.array([table[k].x for k in kinds]))
-            assert np.array_equal(jy, np.array([table[k].y for k in kinds]))
-            seen.update(kinds.tolist())
+            jx, jy = _fv_events(t, 8, 0, _run_counters(np.array([i]), 0, 30))
+            draws = KeyedDraws(8, 0, i)
+            ref = [draws.atom(k, *simulate_module._event_types(table)[1:]) for k in range(30)]
+            assert np.array_equal(jx[0], [x for x, _ in ref])
+            assert np.array_equal(jy[0], [y for _, y in ref])
+            seen.update(next(i for i, a in enumerate(table) if a.x == x) for x, _ in ref)
         assert seen == {0, 1, 2}
+
+    def test_gaps_follow_the_exponential_law(self):
+        # the keyed gaps of many paths and arrivals against Exp(rate)
+        rate = 2.5
+        tau = _arrival_times(5, 0, _run_counters(np.arange(400), 0, 50), np.zeros(400), rate)
+        gaps = np.diff(tau, axis=1, prepend=0.0).ravel()
+        assert stats.kstest(gaps, stats.expon(scale=1.0 / rate).cdf).pvalue > 1e-3
 
 
 class TestSimulatePair:
@@ -345,7 +387,7 @@ class TestExactEventDriven:
         assert v_expected == pytest.approx(closed, rel=1e-10)
         # find a path with no arrivals on [0, T]
         for i in range(50):
-            chunk = _fv_state_arrays(t, [_fv_events(t, T, path_rng(77, i))], T)
+            (_, chunk), = exact_rounds(t, T, 77, [i])
             if chunk.n[0] == 0:
                 s = chunk.states(z)
                 assert s.length[0] == 2 and s.time[0, 1] == T
@@ -357,15 +399,14 @@ class TestExactEventDriven:
         t = jump_example_triplet(1.0, 1.0)
         z = E / (E - 1.0)
         for i in range(200):
-            rng = path_rng(404, i)
-            assert not fv_first_passage(t, z, 50.0, rng).hit
+            assert not fv_first_passage(t, z, 50.0, 404, i).hit
 
     def test_jump_relation_from_zero_start(self):
         # V jumps by (e - 1) V- - e at an arrival of the preset driver: the
         # pre-jump and the post-jump state share the arrival's instant.
         t = jump_example_triplet(1.0, 1.0)
         for i in range(50):
-            chunk = _fv_state_arrays(t, [_fv_events(t, 2.0, path_rng(15, i))], 2.0)
+            (_, chunk), = exact_rounds(t, 2.0, 15, [i])
             if chunk.n[0] == 0:
                 continue
             s = chunk.states(0.0)
@@ -382,7 +423,8 @@ class TestExactEventDriven:
         # (piecewise-linear drivers).
         t = jump_example_triplet(0.7, 1.3)
         cfg = PathConfig(3.0, 0.01, 52)
-        s = _fv_state_arrays(t, [_fv_events(t, 3.0, path_rng(52, 4))], 3.0).states(0.0)
+        (_, chunk), = exact_rounds(t, 3.0, 52, [4])
+        s = chunk.states(0.0)
         k = s.length[0]
         at_jumps = s.jump[0, :k]
         pg = simulate_pair(t, cfg, path_index=4)
@@ -394,8 +436,7 @@ class TestExactEventDriven:
     def test_continuous_crossing_time_is_exact(self):
         # Pure downward drift in eta: V(t) = z - t crosses at exactly z.
         t = triplet((0.0, -1.0))
-        rng = path_rng(1, 0)
-        fp = fv_first_passage(t, 0.25, 10.0, rng)
+        fp = fv_first_passage(t, 0.25, 10.0, 1)
         assert fp.hit and fp.continuous_crossing
         assert fp.time == pytest.approx(0.25, rel=1e-12)
         assert fp.v_at_hit == 0.0
@@ -403,19 +444,41 @@ class TestExactEventDriven:
     def test_states_start_at_z_and_end_at_the_horizon(self):
         # t = 0, then a pre-jump and a post-jump state per arrival, then T
         t = jump_example_triplet(1.0, 1.0)
-        events = [_fv_events(t, 3.0, path_rng(6, i)) for i in range(6)]
-        chunk = _fv_state_arrays(t, events, 3.0)
+        (_, chunk), = exact_rounds(t, 3.0, 6, range(6))  # one round: every path ends
         assert (chunk.bx, chunk.by) == (-1.0, 2.0)
+        assert chunk.ended.all() and chunk.n.max() > 2
         s = chunk.states(0.7)
         assert np.array_equal(s.length, 2 * chunk.n + 2)
-        for r, (tau, _, _) in enumerate(events):
+        for r, n in enumerate(chunk.n):
             k = s.length[r]
             assert (s.time[r, 0], s.xi[r, 0], s.Z[r, 0], s.V[r, 0]) == (0.0, 0.0, 0.0, 0.7)
-            assert np.array_equal(s.time[r, 1:k - 1], np.repeat(tau, 2))
-            assert np.array_equal(s.jump[r, :k], [False] + [False, True] * len(tau) + [False])
+            assert np.array_equal(s.time[r, 1:k - 1], np.repeat(chunk.tau[r, :n], 2))
+            assert np.array_equal(s.jump[r, :k], [False] + [False, True] * n + [False])
             assert (s.time[r, k - 1], s.xi[r, k - 1], s.Z[r, k - 1]) == (
-                3.0, chunk.xi_T[r], chunk.z_T[r])
+                3.0, chunk.xi_pre[r, n], chunk.z_T[r])
             assert np.allclose(s.V[r, :k], np.exp(s.xi[r, :k]) * (0.7 + s.Z[r, :k]), rtol=1e-12)
+
+    def test_continuation_rounds_write_each_instant_once(self):
+        # Rounds of one arrival: the first holds t = 0, each later one
+        # starts after the instant where the one before ended.
+        t = jump_example_triplet(1.0, 1.0)
+        i = next(i for i in range(50) if len(keyed_exact_path(t, 3.0, 6, i).tau) >= 3)
+        rounds = exact_rounds(t, 3.0, 6, [i], budget=1)
+        assert len(rounds) > 3
+        parts = [c.states(0.7) for _, c in rounds]
+        got = [np.concatenate([a[0, :s.length[0]] for s in parts for a in [s[f]]])
+               for f in range(5)]
+        for a, b in zip(got, keyed_exact_path(t, 3.0, 6, i).states(0.7)):
+            assert same(a, b)
+        # and on mixed_grid, rounds of three instants
+        cfg = PathConfig(1.0, 0.05, 6)
+        rounds = list(events._mixed_rounds(MIXED, time_grid(1.0, 0.05), None, 6, 0, np.array([i]), 4))
+        assert len(rounds) > 3
+        parts = [c.states(0.7) for _, c in rounds]
+        got = [np.concatenate([a[0, :s.length[0]] for s in parts for a in [s[f]]])
+               for f in range(5)]
+        for a, b in zip(got, RefEulerPath(MIXED, cfg, None, i).states(0.7)):
+            assert same(a, b)
 
 
 class TestStochasticExponential:
@@ -471,9 +534,9 @@ class TestClosedForm:
 
 
 # ---------------------------------------------------------------------------
-# Per-path references: the one-path builders and reducers that the chunk
-# builders replaced, kept as oracles.  A chunk row must equal its path built
-# alone, bit for bit.
+# Per-path references: the keyed oracle of ``oracles.py`` draws one counter
+# at a time.  A row of a round, over all its rounds, must equal its path
+# built alone, bit for bit.
 # ---------------------------------------------------------------------------
 
 
@@ -485,158 +548,16 @@ def same(a, b) -> bool:
             and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
 
 
-def ref_segment_z_increment(xi0, dt, bx, by):
-    with np.errstate(over="ignore", under="ignore"):
-        disc = np.exp(-xi0)
-        if abs(bx) < 1e-300:
-            return by * disc * dt
-        return (by / bx) * disc * -np.expm1(-bx * dt)
-
-
-def ref_inf_past_overflow(Z):
-    return np.where(np.isfinite(Z), Z, np.inf)
-
-
-@dataclass
-class RefExactPath:
-    tau: np.ndarray
-    bx: float
-    by: float
-    xi_pre: np.ndarray
-    xi_post: np.ndarray
-    z_pre: np.ndarray
-    z_post: np.ndarray
-    z_T: float
-    xi_T: float
-    horizon: float
-
-    def keep_finite_prefix(self):
-        self.z_pre = ref_inf_past_overflow(self.z_pre)
-        self.z_post = ref_inf_past_overflow(self.z_post)
-        self.z_T = math.inf
-
-    def _start(self, k):
-        if k:
-            return self.tau[k - 1], self.xi_post[k - 1], self.z_post[k - 1]
-        return 0.0, 0.0, 0.0
-
-    def z_at(self, time):
-        base_t, base_xi, base_z = self._start(int(np.searchsorted(self.tau, time)))
-        return base_z + ref_segment_z_increment(
-            np.array([base_xi]), np.array([time - base_t]), self.bx, self.by
-        )[0]
-
-    def passage(self, z, want_time=True):
-        pre_hit = z + self.z_pre < 0.0
-        hits = pre_hit | (z + self.z_post < 0.0)
-        if hits.any():
-            k = int(np.argmax(hits))
-            if not pre_hit[k]:
-                v_hit = math.exp(self.xi_post[k]) * (z + self.z_post[k])
-                return FirstPassage(True, float(self.tau[k]), v_hit, continuous_crossing=False)
-        elif z + self.z_T < 0.0:
-            k = len(self.tau)
-        else:
-            return FirstPassage(False)
-        t_cross = math.nan
-        if want_time:
-            start, xi0, z0 = self._start(k)
-            t_cross = start + _segment_crossing_time(math.exp(xi0) * (z + z0), self.bx, self.by)
-        return FirstPassage(True, t_cross, 0.0, continuous_crossing=True)
-
-    def states(self, z):
-        """t = 0, each arrival's pre-jump and post-jump state, the horizon."""
-        def pairs(a, b):
-            return np.column_stack([a, b]).ravel()
-
-        time = np.concatenate([[0.0], np.repeat(self.tau, 2), [self.horizon]])
-        xi = np.concatenate([[0.0], pairs(self.xi_pre, self.xi_post), [self.xi_T]])
-        Z = np.concatenate([[0.0], pairs(self.z_pre, self.z_post), [self.z_T]])
-        held = ref_inf_past_overflow(Z)
-        if not math.isfinite(self.xi_T):
-            held[-1] = math.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            V = np.exp(xi) * (z + held)
-        try:
-            V[-1] = math.exp(self.xi_T) * (z + held[-1])
-        except OverflowError:
-            V[-1] = math.copysign(math.inf, z + held[-1])
-        return time, xi, Z, V, np.array([False] + [False, True] * len(self.tau) + [False])
-
-
-def ref_fv_state_arrays(t, tau, jx, jy, horizon):
-    bx, by = _uncompensated_drift(t)
-    xi_pre = bx * tau + np.concatenate([[0.0], np.cumsum(jx)[:-1]])
-    xi_post = xi_pre + jx
-    seg_start_xi = np.concatenate([[0.0], xi_post])
-    seg_dt = np.diff(np.concatenate([[0.0], tau, [horizon]]))
-    seg_inc = ref_segment_z_increment(seg_start_xi, seg_dt, bx, by)
-    with np.errstate(over="ignore"):
-        jump_inc = np.exp(-xi_pre) * jy
-    z_pre = np.cumsum(seg_inc[:-1]) + np.concatenate([[0.0], np.cumsum(jump_inc)[:-1]])
-    z_post = z_pre + jump_inc
-    z_final = (z_post[-1] if len(tau) else 0.0) + seg_inc[-1]
-    xi_final = (xi_post[-1] if len(tau) else 0.0) + bx * seg_dt[-1]
-    return RefExactPath(tau, bx, by, xi_pre, xi_post, z_pre, z_post, z_final, xi_final, horizon)
-
-
-def ref_simulate_pair_with_rng(t, cfg, rng, jump_table):
-    atoms = t.jumps.atoms_or_none()
-    if atoms is None:
-        jump_times, jx, jy = _truncated_density_jumps(jump_table, rng, cfg.horizon)
-        jump_sizes = np.column_stack([jx, jy])
-        bx = t.gamma_tilde[0] - jump_table.comp[0]
-        by = t.gamma_tilde[1] - jump_table.comp[1]
-    else:
-        # one clock at the total rate, then the atom of each arrival
-        bx, by = _uncompensated_drift(t)
-        rates = np.array([a.rate for a in atoms])
-        jump_times = scalar_arrival_times(rng, rates.sum(), cfg.horizon)
-        kinds = np.zeros(len(jump_times), dtype=int)
-        if len(atoms) > 1 and len(jump_times):
-            kinds = rng.choice(len(atoms), size=len(jump_times), p=rates / rates.sum())
-        jump_sizes = np.array([[atoms[k].x, atoms[k].y] for k in kinds]).reshape(-1, 2)
-
-    # round(T / step) equal steps, ending exactly at the horizon
-    n_steps = max(1, round(cfg.horizon / cfg.step))
-    grid = np.arange(n_steps + 1) * (cfg.horizon / n_steps)
-    grid[-1] = cfg.horizon
-    times = np.union1d(grid, jump_times)
-    jump_x = np.zeros(len(times))
-    jump_y = np.zeros(len(times))
-    flags = np.zeros(len(times), dtype=bool)
-    if len(jump_times):
-        idx = np.searchsorted(times, jump_times)
-        np.add.at(jump_x, idx, jump_sizes[:, 0])
-        np.add.at(jump_y, idx, jump_sizes[:, 1])
-        flags[idx] = True
-    dt = np.diff(times)
-    l11, l21, l22 = _chol2x2(t.sigma)
-    chol = np.array([[l11, 0.0], [l21, l22]])
-    zmat = rng.standard_normal((len(dt), 2))
-    binc = (zmat @ chol.T) * np.sqrt(dt)[:, None]
-    bx_path = np.concatenate([[0.0], np.cumsum(binc[:, 0])])
-    by_path = np.concatenate([[0.0], np.cumsum(binc[:, 1])])
-    xi_left = bx * times + bx_path + np.concatenate([[0.0], np.cumsum(jump_x)[:-1]])
-    eta_left = by * times + by_path + np.concatenate([[0.0], np.cumsum(jump_y)[:-1]])
-    return Path(times, xi_left + jump_x, eta_left + jump_y, xi_left, eta_left, flags, (bx, by))
-
-
-def ref_compute_Z(p):
-    with np.errstate(over="ignore"):
-        cont = np.exp(-p.xi[:-1]) * (p.eta_left[1:] - p.eta[:-1])
-        jump = np.exp(-p.xi_left[1:]) * (p.eta[1:] - p.eta_left[1:])
-    return np.concatenate([[0.0], np.cumsum(cont + jump)])
-
-
 class RefEulerPath:
-    def __init__(self, t, cfg, jump_table, rng):
-        self.p = ref_simulate_pair_with_rng(t, cfg, rng, jump_table)
-        self.Z = ref_compute_Z(self.p)
+    """One ``mixed_grid`` path of the keyed oracle, with its Z."""
+
+    def __init__(self, t, cfg, jump_table, path):
+        self.p = keyed_euler_path(t, cfg.horizon, cfg.step, cfg.seed, path, 0, jump_table)
+        self.Z = keyed_z(self.p)
         self.z_T, self.xi_T = self.Z[-1], self.p.xi[-1]
 
     def keep_finite_prefix(self):
-        self.Z = ref_inf_past_overflow(self.Z)
+        self.Z = np.where(np.isfinite(self.Z), self.Z, np.inf)
 
     def z_at(self, time):
         return self.Z[np.searchsorted(self.p.times, time)]
@@ -653,13 +574,15 @@ class RefEulerPath:
 
     def states(self, z):
         with np.errstate(over="ignore", invalid="ignore"):
-            V = np.exp(self.p.xi) * (z + ref_inf_past_overflow(self.Z))
+            V = np.exp(self.p.xi) * (z + np.where(np.isfinite(self.Z), self.Z, np.inf))
         return self.p.times, self.p.xi, self.Z, V, self.p.jump_flags
 
 
 def ref_batch(simulate, z_list, horizon, n, seed, want_times=False, states_at=None):
-    """The per-path loop: ``simulate(rng)`` builds one reference path;
-    with ``states_at``, each path's states at that level are kept."""
+    """The per-path loop: ``simulate(i)`` builds reference path i; with
+    ``states_at``, each path's states at that level are kept.  Z at the
+    horizon is NaN where a path is ruined at every level, or lost, as the
+    batch then stops drawing it (unless it keeps the states)."""
     levels = sorted(set(z_list))
     out = {
         "hit": np.zeros((len(levels), n), dtype=bool),
@@ -670,7 +593,7 @@ def ref_batch(simulate, z_list, horizon, n, seed, want_times=False, states_at=No
         "nonfinite": 0,
     }
     for i in range(n):
-        path = simulate(path_rng(seed, i, 0))
+        path = simulate(i)
         out["z_T"][i] = path.z_T
         if not levels and states_at is None:
             out["z_half"][i] = path.z_at(0.5 * horizon)
@@ -689,6 +612,8 @@ def ref_batch(simulate, z_list, horizon, n, seed, want_times=False, states_at=No
                     out["time"][k, i] = fp.time
         if not finite:
             out["nonfinite"] += states_at is not None or not out["hit"][:, i].all()
+        if levels and states_at is None and (out["hit"][:, i].all() or not finite):
+            out["z_T"][i] = math.nan
     return out
 
 
@@ -727,29 +652,6 @@ def assert_batch_matches(batch, ref, z_list, want_times=False, states=None):
     assert batch.nonfinite == ref["nonfinite"]
 
 
-class StubGaps:
-    """Generator stub: ``exponential`` repeats the pattern of ``gaps`` (a
-    zero gap puts two arrivals at one instant), so arrivals land where a
-    test wants them; the atoms of the arrivals and the normals come from a
-    real generator."""
-
-    def __init__(self, gaps, seed):
-        self.gaps = gaps
-        self.real = np.random.default_rng(seed)
-
-    def exponential(self, scale, size):
-        return np.resize(np.array(self.gaps, dtype=float), size)
-
-    def standard_normal(self, size=None, out=None):
-        return self.real.standard_normal(size, out=out)
-
-    def random(self, size=None):
-        return self.real.random(size)
-
-    def choice(self, *args, **kwargs):
-        return self.real.choice(*args, **kwargs)
-
-
 MIXED = LevyTriplet2D(
     (0.5, 0.3), ((0.25, 0.1), (0.1, 0.5)), atoms((0.3, -0.5, 1.0), (-0.2, 0.4, 0.5))
 )
@@ -757,40 +659,40 @@ FV = triplet((0.4, 0.2), jumps=[(0.3, -0.5, 1.0), (-0.2, 0.4, 0.5), (0.1, -1.5, 
 
 
 class TestChunkBuildersMatchThePerPathReference:
-    def test_exact_rows_with_zero_one_and_many_arrivals(self):
-        horizon = 30.0
-        events = [_fv_events(FV, horizon, path_rng(3, i)) for i in range(4)]
-        events.insert(1, (np.empty(0), np.empty(0), np.empty(0)))
-        events.insert(3, (np.array([12.5]), np.array([0.3]), np.array([-0.5])))
-        chunk = _fv_state_arrays(FV, events, horizon)
-        assert sorted(chunk.n)[:2] == [0, 1] and chunk.n.max() > 20
-        for r, e in enumerate(events):
-            ref, k = ref_fv_state_arrays(FV, *e, horizon), len(e[0])
-            assert chunk.n[r] == k
+    @pytest.mark.parametrize("budget", [8192, 40, 1])
+    def test_exact_rows_with_zero_one_and_many_arrivals(self, budget):
+        # rows with no, one and many arrivals, in one round or several
+        rows = {**exact_rows(FV, 30.0, 3, range(4), budget),
+                **exact_rows(FV, 1.0, 3, range(4, 20), budget)}
+        counts = sorted(r["n"] for r in rows.values())
+        assert counts[:2] == [0, 0] and 1 in counts and counts[-1] > 20
+        for i, row in rows.items():
+            horizon = 30.0 if i < 4 else 1.0
+            ref = keyed_exact_path(FV, horizon, 3, i)
+            assert row["n"] == len(ref.tau)
             for name in ("tau", "xi_pre", "xi_post", "z_pre", "z_post"):
-                assert same(getattr(chunk, name)[r, :k], getattr(ref, name)), name
-            assert same(chunk.z_T[r], ref.z_T) and same(chunk.xi_T[r], ref.xi_T)
-            assert same(chunk.z_at(0.5 * horizon)[r], ref.z_at(0.5 * horizon))
+                assert same(row[name], getattr(ref, name)), name
+            assert same(row["z_T"], ref.z_T) and same(row["xi_T"], ref.xi_T)
+            assert same(row["z_half"], ref.z_at(0.5 * horizon))
 
     @pytest.mark.parametrize("seed", [5, 6])
     def test_pair_rows_of_a_ragged_chunk(self, seed):
         cfg = PathConfig(3.0, 0.1, seed)
-        draws = []
-        for i in range(5):
-            rng = path_rng(seed, i)
-            draws.append((rng, *_pair_jumps(MIXED, None, rng, cfg.horizon)))
-        chunk, lengths = _pair_chunk(MIXED, time_grid(cfg.horizon, cfg.step), None, draws)
-        Z = compute_Z(chunk)
-        assert len(set(lengths.tolist())) > 1  # ragged
-        for r in range(5):
-            ref = ref_simulate_pair_with_rng(MIXED, cfg, path_rng(seed, r), None)
-            row = chunk.row(r, lengths[r])
-            for name in ("times", "xi", "eta", "xi_left", "eta_left"):
-                assert same(getattr(row, name), getattr(ref, name)), name
-            assert np.array_equal(row.jump_flags, ref.jump_flags)
-            assert same(Z[r, :lengths[r]], ref_compute_Z(ref))
+        grid = time_grid(cfg.horizon, cfg.step)
+        whole = euler_rows(MIXED, grid, None, seed, range(5), 8192)
+        assert len({len(r[0]) for r in whole.values()}) > 1  # ragged
+        for budget in (8192, 24):
+            rows = euler_rows(MIXED, grid, None, seed, range(5), budget)
+            for r, got in rows.items():
+                ref = keyed_euler_path(MIXED, cfg.horizon, cfg.step, seed, r)
+                for name, a in zip(("times", "xi", "eta", "xi_left", "eta_left"), got):
+                    assert same(a, getattr(ref, name)), name
+                assert np.array_equal(got[5], ref.jump_flags)
+                assert same(got[6], keyed_z(ref))
+            p = simulate_pair(MIXED, cfg, path_index=4)
+            assert same(p.xi, rows[4][1]) and same(compute_Z(p), rows[4][6])
 
-    def test_jumps_at_grid_instants_and_at_one_instant(self):
+    def test_jumps_at_grid_instants_and_at_one_instant(self, monkeypatch):
         # Step 0.25: gaps of 0.5 and 0.25 land on grid instants, a zero gap
         # puts two jumps at one instant (0.5 on the grid, 1.55 off it), and
         # gaps of 0.3 and 0.7 fall between grid instants.
@@ -799,25 +701,39 @@ class TestChunkBuildersMatchThePerPathReference:
             atoms((0.2, -0.4, 1.0), (-0.1, 0.3, 1.0), (0.05, 0.5, 1.0)),
         )
         cfg = PathConfig(2.0, 0.25, 1)
-        gaps = [(0.5, 0.0, 0.25, 0.3), (0.7,)]
-        draws = []
-        for r, g in enumerate(gaps):
-            rng = StubGaps(g, r)
-            draws.append((rng, *_pair_jumps(t, None, rng, cfg.horizon)))
-        chunk, lengths = _pair_chunk(t, time_grid(cfg.horizon, cfg.step), None, draws)
+        gaps = {0: (0.5, 0.0, 0.25, 0.3), 1: (0.7,)}
+
+        def stub_times(seed, stream, counters, clock, rate):
+            path, index = counters >> np.uint64(32), (counters >> np.uint64(3)) & np.uint64(2**29 - 1)
+            pattern = [gaps[int(p)] for p in path[:, 0]]
+            g = np.array([[pat[int(k) % len(pat)] for k in row] for pat, row in zip(pattern, index)])
+            return _prefix_sums(g, clock)[:, 1:]
+
+        monkeypatch.setattr(events, "_arrival_times", stub_times)
+        clocks = {r: [] for r in gaps}
+        for r, g in gaps.items():
+            clock = 0.0
+            while (clock := clock + g[len(clocks[r]) % len(g)]) <= cfg.horizon:
+                clocks[r].append(clock)
         # row 0 jumps at 0.5 (twice), 0.75, 1.05, 1.55 (twice) and 1.8, and
         # adds the last three instants; row 1 adds 0.7 and 1.4
-        assert [len(d[1]) for d in draws] == [7, 2]
-        assert lengths.tolist() == [9 + 3, 9 + 2]
-        for r, g in enumerate(gaps):
-            ref = ref_simulate_pair_with_rng(t, cfg, StubGaps(g, r), None)
-            row = chunk.row(r, lengths[r])
-            for name in ("times", "xi", "eta", "xi_left", "eta_left"):
-                assert same(getattr(row, name), getattr(ref, name)), name
-            assert np.array_equal(row.jump_flags, ref.jump_flags)
-        shared = np.flatnonzero(chunk.times[0] == 0.5)[0]
-        assert chunk.jump_flags[0, shared]
-        assert chunk.xi[0, shared] - chunk.xi_left[0, shared] == draws[0][2][:2].sum()
+        assert [len(c) for c in clocks.values()] == [7, 2]
+        grid = time_grid(cfg.horizon, cfg.step)
+        for budget in (8192, 4):
+            rows = euler_rows(t, grid, None, 1, [0, 1], budget)
+            assert [len(rows[r][0]) for r in gaps] == [9 + 3, 9 + 2]
+            for r in gaps:
+                ref = keyed_euler_path(t, cfg.horizon, cfg.step, 1, r, arrivals=clocks[r])
+                for name, a in zip(("times", "xi", "eta", "xi_left", "eta_left"), rows[r]):
+                    assert same(a, getattr(ref, name)), name
+                assert np.array_equal(rows[r][5], ref.jump_flags)
+            times, xi, _, xi_left, _, flags, _ = rows[0]
+            shared = np.flatnonzero(times == 0.5)[0]
+            assert flags[shared]
+            draws = KeyedDraws(1, 0, 0)
+            sizes = [draws.atom(k, *simulate_module._event_types(t.jumps.atoms_or_none())[1:])
+                     for k in (0, 1)]
+            assert xi[shared] - xi_left[shared] == sizes[0][0] + sizes[1][0]
 
     def test_density_driver_draws_from_the_jump_table(self):
         t = LevyTriplet2D(
@@ -827,18 +743,13 @@ class TestChunkBuildersMatchThePerPathReference:
         )
         cfg = PathConfig(4.0, 0.1, 9, truncation_eps=0.3)
         table = _density_jump_table(t, cfg.truncation_eps)
-        draws = []
-        for i in range(4):
-            rng = path_rng(9, i)
-            draws.append((rng, *_pair_jumps(t, table, rng, cfg.horizon)))
-        chunk, lengths = _pair_chunk(t, time_grid(cfg.horizon, cfg.step), table, draws)
-        assert chunk.jump_flags.sum() > 20
-        for r in range(4):
-            ref = ref_simulate_pair_with_rng(t, cfg, path_rng(9, r), table)
-            row = chunk.row(r, lengths[r])
-            for name in ("times", "xi", "eta", "xi_left", "eta_left"):
-                assert same(getattr(row, name), getattr(ref, name)), name
-            assert np.array_equal(row.jump_flags, ref.jump_flags)
+        rows = euler_rows(t, time_grid(cfg.horizon, cfg.step), table, 9, range(4), 64)
+        assert sum(r[5].sum() for r in rows.values()) > 20
+        for r, got in rows.items():
+            ref = keyed_euler_path(t, cfg.horizon, cfg.step, 9, r, jump_table=table)
+            for name, a in zip(("times", "xi", "eta", "xi_left", "eta_left"), got):
+                assert same(a, getattr(ref, name)), name
+            assert np.array_equal(got[5], ref.jump_flags)
 
 
 class TestChunkReductionsMatchThePerPathLoop:
@@ -852,7 +763,7 @@ class TestChunkReductionsMatchThePerPathLoop:
         t, horizon, n, seed = jump_example_triplet(1.0, 1.0), 50.0, 150, 4
         sink, states = states_sink(states_at, n) if states_at is not None else (None, None)
         batch = _fv_batch(t, z_list, horizon, n, seed, 0, want_times, sink)
-        ref = ref_batch(lambda rng: ref_fv_state_arrays(t, *_fv_events(t, horizon, rng), horizon),
+        ref = ref_batch(lambda i: keyed_exact_path(t, horizon, seed, i),
                         z_list, horizon, n, seed, want_times, states_at)
         assert_batch_matches(batch, ref, z_list, want_times, states and states())
         if z_list:
@@ -866,7 +777,7 @@ class TestChunkReductionsMatchThePerPathLoop:
         t, horizon, n, seed = jump_example_triplet(1.0, 0.6), 1800.0, 60, 2
         sink, states = states_sink(states_at, n) if states_at is not None else (None, None)
         batch = _fv_batch(t, z_list, horizon, n, seed, 0, True, sink)
-        ref = ref_batch(lambda rng: ref_fv_state_arrays(t, *_fv_events(t, horizon, rng), horizon),
+        ref = ref_batch(lambda i: keyed_exact_path(t, horizon, seed, i),
                         z_list, horizon, n, seed, True, states_at)
         assert_batch_matches(batch, ref, z_list, True, states and states())
         assert 0 < batch.nonfinite < n
@@ -882,7 +793,7 @@ class TestChunkReductionsMatchThePerPathLoop:
         cfg = PathConfig(horizon, step, seed)
         sink, states = states_sink(states_at, n) if states_at is not None else (None, None)
         batch = _mixed_batch(MIXED, z_list, horizon, step, n, seed, 0, None, want_times, sink)
-        ref = ref_batch(lambda rng: RefEulerPath(MIXED, cfg, None, rng),
+        ref = ref_batch(lambda i: RefEulerPath(MIXED, cfg, None, i),
                         z_list, horizon, n, seed, want_times, states_at)
         assert_batch_matches(batch, ref, z_list, want_times, states and states())
 
@@ -894,7 +805,7 @@ class TestChunkReductionsMatchThePerPathLoop:
         horizon, step, n, seed = 800.0, 0.5, 40, 1
         cfg = PathConfig(horizon, step, seed)
         batch = _mixed_batch(t, [0.5], horizon, step, n, seed, 0, None, True)
-        ref = ref_batch(lambda rng: RefEulerPath(t, cfg, None, rng), [0.5], horizon, n, seed, True)
+        ref = ref_batch(lambda i: RefEulerPath(t, cfg, None, i), [0.5], horizon, n, seed, True)
         assert_batch_matches(batch, ref, [0.5], True)
         assert 0 < batch.nonfinite < n
 
