@@ -10,8 +10,6 @@ from .classify import (
     Verdict,
     delta,
     feasible_u_set,
-    is_degenerate,
-    is_stationary_possible,
     is_subordinator_1d,
     is_subordinator_s,
     no_ruin_threshold,
@@ -48,7 +46,6 @@ from .model import (
     MarginalTriplet,
     d_eta,
     drift_vector,
-    l_process,
     marginal_eta,
     marginal_xi,
     mean_at_one,

@@ -31,21 +31,14 @@ from dataclasses import dataclass
 from .errors import UndeterminedError
 from .intervals import Interval, IntervalSet
 from .model import (
-    FiniteAtomSet,
-    JumpAtom,
     LevyTriplet2D,
     MarginalTriplet,
     Pushforward1D,
     d_eta,
-    l_process,
-    marginal_eta,
-    marginal_xi,
     mean_at_one,
     rigid_level,
     s_gaussian_variance,
     s_jump,
-    s_process,
-    w_jump,
     xi_brownian,
     zero_gaussian,
 )
@@ -268,9 +261,12 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class RuinDecision:
+    """``threshold`` and ``attained`` are None unless the decision is
+    ``no_ruin_from``: a decision without a threshold attains none."""
+
     kind: DecisionKind
     threshold: float | None = None
-    attained: bool = True
+    attained: bool | None = None
 
     def to_json(self) -> dict:
         return {
@@ -389,98 +385,20 @@ def no_ruin_threshold(t: LevyTriplet2D) -> RuinReport:
 
 
 # ---------------------------------------------------------------------------
-# Side conditions: convergence, stationarity, degeneracy
+# Side condition: convergence of the discounted integral
 # ---------------------------------------------------------------------------
 
 
 def z_infinity_converges(t: LevyTriplet2D) -> Verdict:
     """Does the discounted integral Z converge a.s. to a finite limit?
 
-    Requires xi to drift to +infinity and a logarithmic tail-moment of the
-    eta jumps to be finite.  The drift test used here is the mean test
-    E[xi_1] > 0, which covers every measure this package can represent
-    (jump supports are bounded, so the mean always exists).
+    That needs xi to drift to +infinity and a logarithmic tail moment of the
+    eta jumps to be finite.  Every measure this package represents has
+    bounded support, so the tail moment is always finite and the mean of
+    xi always exists; the drift test is the mean test E[xi_1] > 0.
     """
     try:
-        m_eta = marginal_eta(t)
-        tail = m_eta.jumps.integrate(
-            lambda v: math.log(abs(v)), math.e, INF, nonneg=True
-        ) + m_eta.jumps.integrate(
-            lambda v: math.log(abs(v)), NEG_INF, -math.e, nonneg=True
-        )
-        if tail == INF:
-            return Verdict.NO
         ex = mean_at_one(t)[0]
     except UndeterminedError:
         return Verdict.UNDETERMINED
-    if not math.isfinite(ex):
-        return Verdict.YES if ex == INF else Verdict.NO
     return Verdict.YES if sgn(ex) > 0 else Verdict.NO
-
-
-def is_stationary_possible(t: LevyTriplet2D) -> Verdict:
-    """Stationarity criterion: the convergence test applied to (-xi, L)."""
-    try:
-        pair_l = l_process(t)
-    except UndeterminedError:
-        return Verdict.UNDETERMINED
-    atoms = pair_l.jumps.atoms_or_none()
-    flipped = LevyTriplet2D(
-        (-pair_l.gamma_tilde[0], pair_l.gamma_tilde[1]),
-        (
-            (pair_l.sigma[0][0], -pair_l.sigma[0][1]),
-            (-pair_l.sigma[0][1], pair_l.sigma[1][1]),
-        ),
-        FiniteAtomSet([JumpAtom(-a.x, a.y, a.rate) for a in atoms]),
-    )
-    return z_infinity_converges(flipped)
-
-
-_DEGENERACY_TOL = 1e-9
-
-
-def is_degenerate(t: LevyTriplet2D) -> float | None:
-    """Constant-limit test: returns k != 0 with eta = -k W when the whole
-    randomness of eta is the exponential transform of xi, else None."""
-    atoms = t.jumps.atoms_or_none()
-    k = None
-    if atoms is not None:
-        for a in atoms:
-            if a.x != 0.0:
-                w = w_jump(a.x)
-                k = -a.y / w
-                break
-            # A pure eta jump cannot be cancelled by any multiple of W.
-            return None
-    if k is None and xi_brownian(t):
-        k = t.sigma[0][1] / t.sigma_xi2
-    if k is None:
-        m_xi = marginal_xi(t)
-        m_eta = marginal_eta(t)
-        if (
-            sgn(m_eta.sigma2) == 0
-            and abs(m_xi.gamma) > BOUNDARY_TOL
-            and t.jumps.atoms_or_none() is not None
-        ):
-            k = m_eta.gamma / m_xi.gamma
-    if k is None or abs(k) <= BOUNDARY_TOL:
-        return None
-    try:
-        s = s_process(t, -k)
-    except UndeterminedError:
-        return None
-    scale = max(1.0, abs(k))
-    if abs(s.gamma) > _DEGENERACY_TOL * scale or s.sigma2 > _DEGENERACY_TOL * scale:
-        return None
-    jump_atoms = s.jumps.atoms_or_none()
-    if jump_atoms is not None:
-        if any(abs(v) > _DEGENERACY_TOL * scale for v, _ in jump_atoms):
-            return None
-    else:
-        try:
-            residual = s.jumps.mass(NEG_INF, 0.0) + s.jumps.mass(0.0, INF)
-        except UndeterminedError:
-            return None
-        if residual > _DEGENERACY_TOL:
-            return None
-    return k

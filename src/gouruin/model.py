@@ -12,12 +12,13 @@ jumps that are small in one convention but large in the other, namely
 Two measure tiers are supported:
 
 * atom tier: finitely many jump atoms, every operation is a finite sum,
-* density tier: a density over a bounded box (or a segment of a coordinate
-  axis), every region integral is adaptive quadrature with a declared
-  absolute tolerance, and decisions that quadrature cannot resolve raise
-  ``UndeterminedError`` rather than guessing.
+* density tier: a named density family over a bounded box (or a density on
+  a segment of a coordinate axis), every region integral is adaptive
+  quadrature with a declared absolute tolerance, and decisions that
+  quadrature cannot resolve raise ``UndeterminedError`` rather than
+  guessing.
 
-Beyond marginals the module builds three derived processes used by the
+Beyond marginals the module builds two derived processes used by the
 classifiers:
 
 * the exponential transform W with ``exp(-xi) = stochexp(W)``: Brownian part
@@ -26,9 +27,7 @@ classifiers:
   triplet is built on the atom tier only, and W's 1-d drift comes from the
   xi marginal alone on both tiers,
 * the test process ``S(u) = eta - u W`` whose subordinator property decides
-  ruin,
-* the auxiliary process L with jumps ``y * exp(-x)`` entering the
-  stationarity criterion.
+  ruin.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -56,10 +55,8 @@ from .quadrature import (
     Strip,
     clip_strips_to_box,
     integrate_strips,
-    limit_toward_origin,
     limit_toward_point_1d,
     quad_1d,
-    strips_in_annulus,
     strips_outside_ball,
 )
 
@@ -145,53 +142,40 @@ class FiniteAtomSet:
 
 
 class BoxDensity:
-    """Jump density over a bounded box, possibly Levy-infinite at the origin.
-    A named family also gives its closed ``y_moments`` (``integrate_strips``)."""
+    """A named density family on its bounded box; ``density_from_json``
+    builds it from a checked spec.  ``fn`` is the density and
+    ``y_moments`` its closed y-moments (``integrate_strips``)."""
 
-    def __init__(self, fn, box, tol: float = 1e-9, kind: str | None = None, params=None,
-                 y_moments=None):
+    def __init__(self, kind: str, params: dict, box, tol: float):
         x0, x1, y0, y1 = (float(v) for v in box)
         if not (x1 > x0 and y1 > y0):
             raise InvalidModelError("density box must have positive area")
         if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
             raise InvalidModelError("density box must be bounded")
-        self.fn = fn
+        family = _DENSITY_FAMILIES[kind]
+        self.kind = kind
+        self.params = dict(params)
         self.box = (x0, x1, y0, y1)
         self.tol = float(tol)
-        self.kind = kind
-        self.params = dict(params) if params else None
-        self.y_moments = y_moments
+        self.fn = family.density(self.params)
+        self.y_moments = family.y_moments(self.params)
 
     def atoms_or_none(self):
         return None
 
-    def _clip(self, strips):
-        return clip_strips_to_box(strips, self.box)
-
-    def integrate(self, integrand, strips, nonneg: bool = False) -> float:
-        """Strip integral.  Without ``nonneg`` the caller guarantees
-        integrability; with it the integrand is nonnegative, the origin is
-        approached as a limit, and the value may be inf."""
-        clipped = self._clip(strips)
-
-        def over(region):
-            return integrate_strips(self.fn, region, integrand, self.tol, self.y_moments)
-
-        if not nonneg:
-            return over(clipped)
-        eps0 = 0.5
-        outer = over(strips_outside_ball(clipped, eps0))
-
-        def annulus(e_in, e_out):
-            return over(strips_in_annulus(clipped, e_in, e_out))
-
-        return limit_toward_origin(outer, annulus, self.tol, eps0=eps0)
+    def integrate(self, integrand: AffineY, strips, nonneg: bool = False) -> float:
+        """Strip integral of an ``AffineY`` integrand.  The family's mass is
+        finite, so a nonnegative integrand (``nonneg``) needs no limit
+        toward the origin: its integral is the plain one, and finite."""
+        return integrate_strips(
+            self.y_moments, clip_strips_to_box(strips, self.box), integrand, self.tol
+        )
 
     def xi_margin(self) -> "Pushforward1D":
-        return Pushforward1D(self, AffineY, Strip)
+        return Pushforward1D(self, X_COORD, Strip)
 
     def eta_margin(self) -> "Pushforward1D":
-        return Pushforward1D(self, lambda fn: lambda x, y: fn(y), _y_band)
+        return Pushforward1D(self, Y_COORD, _y_band)
 
 
 class LineDensity:
@@ -206,6 +190,8 @@ class LineDensity:
             raise InvalidModelError("axis must be 'x' or 'y'")
         if not (hi > lo):
             raise InvalidModelError("line support must have positive length")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidModelError("line support must be bounded")
         self.axis = axis
         self.fn = fn
         self.lo = float(lo)
@@ -318,22 +304,33 @@ def _y_band(a: float, b: float) -> Strip:
     return Strip(lower=(ConstEdge(a),), upper=(ConstEdge(b),))
 
 
+def v_itself(v: float) -> float:
+    """The 1-d integrand v of first moments."""
+    return v
+
+
+def s_coord(u: float) -> AffineY:
+    """The S(u) jump y - u(e^-x - 1) of a pair jump, as an integrand."""
+    return AffineY(lambda x: -u * w_jump(x), lambda x: 1.0)
+
+
 class Pushforward1D:
     """The image of a 2-d jump measure under a map of the jump, as a 1-d
-    measure.  ``lift(fn)`` is the 2-d integrand fn(map(x, y)) and
-    ``band(a, b)`` the strip of the jumps that the map sends into [a, b]."""
+    measure.  ``coord`` is the map, an ``AffineY`` of the jump, and
+    ``band(a, b)`` the strip of the jumps that the map sends into [a, b].
+    A 1-d integrand lifts to fn(coord(x, y)), which is affine in y for any
+    fn when the map reads x alone; a map that reads y lifts only 1 and v
+    (``v_itself``), the integrands of masses and first moments."""
 
-    def __init__(self, base, lift, band):
+    def __init__(self, base, coord: AffineY, band):
         self.base = base
-        self.lift = lift
+        self.coord = coord
         self.band = band
 
     @classmethod
     def s_jumps(cls, base, u: float) -> "Pushforward1D":
         """The jumps of S(u) = eta - u W: the map y - u(e^-x - 1)."""
-        return cls(
-            base, lambda fn: lambda x, y: fn(s_jump(x, y, u)), lambda a, b: s_band(u, a, b)
-        )
+        return cls(base, s_coord(u), lambda a, b: s_band(u, a, b))
 
     def atoms_or_none(self):
         return None
@@ -342,7 +339,14 @@ class Pushforward1D:
         return self.base.integrate(UNIT, [self.band(a, b)], nonneg=True)
 
     def integrate(self, fn, a: float, b: float, nonneg: bool = False) -> float:
-        return self.base.integrate(self.lift(fn), [self.band(a, b)], nonneg)
+        c0 = self.coord.c0
+        if self.coord.c1 is None:
+            lifted = AffineY(lambda x: fn(c0(x)))
+        elif fn is v_itself:
+            lifted = self.coord
+        else:
+            raise NotSupportedError("a map of the jump that reads y lifts only 1 and v")
+        return self.base.integrate(lifted, [self.band(a, b)], nonneg)
 
 
 # ---------------------------------------------------------------------------
@@ -624,34 +628,10 @@ def _s_density_correction(measure, u: float) -> float:
     w_strip = Strip(-math.log(2.0))  # |e^-x - 1| < 1  iff  x > -ln 2
 
     total = 0.0
-    total += measure.integrate(
-        AffineY(lambda x: -u * w_jump(x), lambda x: 1.0),  # s_jump(x, y, u)
-        strips_outside_ball([s_band(u, -1.0, 1.0)], eps),
-    )
+    total += measure.integrate(s_coord(u), strips_outside_ball([s_band(u, -1.0, 1.0)], eps))
     total -= measure.integrate(Y_COORD, strips_outside_ball([y_strip], eps))
     total += u * measure.integrate(AffineY(w_jump), strips_outside_ball([w_strip], eps))
     return total
-
-
-# ---------------------------------------------------------------------------
-# The L process entering the stationarity criterion
-# ---------------------------------------------------------------------------
-
-
-def l_process(t: LevyTriplet2D) -> LevyTriplet2D:
-    """Triplet of the pair (xi, L) where L has jumps y e^-x and drift shifted
-    by minus the Brownian covariance.  Atom tier only."""
-    atoms = t.jumps.atoms_or_none()
-    if atoms is None:
-        raise UndeterminedError("L-process construction requires the atom tier")
-    gx, gy = _uncompensated_drift(t)
-    gy -= t.brownian_cov
-    new_atoms = [JumpAtom(a.x, a.y * math.exp(-a.x), a.rate) for a in atoms]
-    for a in new_atoms:
-        if _in_open_ball(a.x, a.y):
-            gx += a.rate * a.x
-            gy += a.rate * a.y
-    return LevyTriplet2D((gx, gy), t.sigma, FiniteAtomSet(new_atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -669,16 +649,21 @@ def drift_vector(t: LevyTriplet2D) -> tuple[float, float]:
         raise NotFiniteVariationError("drift vector requires a vanishing Gaussian part")
     if t.jumps.atoms_or_none() is not None:
         return _uncompensated_drift(t)
-    ball = [Strip(-1.0, 1.0, (ChordEdge(1.0, -1.0),), (ChordEdge(1.0),))]
-
-    def integral(fn):
-        return t.jumps.integrate(fn, ball, nonneg=True)
-
-    if integral(lambda x, y: abs(x) + abs(y)) == INF:
+    ball = Strip(-1.0, 1.0, (ChordEdge(1.0, -1.0),), (ChordEdge(1.0),))
+    upper = Strip(-1.0, 1.0, (ConstEdge(0.0),), (ChordEdge(1.0),))
+    lower = Strip(-1.0, 1.0, (ChordEdge(1.0, -1.0),), (ConstEdge(0.0),))
+    # The positive and negative parts of x over the ball and of y over its
+    # halves, each affine in y; the variation |x| + |y| is finite exactly
+    # when all four are.
+    x_pos, x_neg, y_pos, y_neg = (
+        t.jumps.integrate(fn, [strip], nonneg=True)
+        for fn, strip in ((AffineY(lambda x: max(x, 0.0)), ball),
+                          (AffineY(lambda x: max(-x, 0.0)), ball),
+                          (Y_COORD, upper), (AffineY(c1=lambda x: -1.0), lower))
+    )
+    if INF in (x_pos, x_neg, y_pos, y_neg):
         raise NotFiniteVariationError("small jumps have infinite variation")
-    ix = integral(AffineY(lambda x: max(x, 0.0))) - integral(AffineY(lambda x: max(-x, 0.0)))
-    iy = integral(lambda x, y: max(y, 0.0)) - integral(lambda x, y: max(-y, 0.0))
-    return t.gamma_tilde[0] - ix, t.gamma_tilde[1] - iy
+    return t.gamma_tilde[0] - (x_pos - x_neg), t.gamma_tilde[1] - (y_pos - y_neg)
 
 
 def d_eta(m: MarginalTriplet) -> float:
@@ -689,7 +674,7 @@ def d_eta(m: MarginalTriplet) -> float:
     """
     if m.jumps.mass(NEG_INF, 0.0) > 0.0:
         raise NotApplicableError("subordinator drift undefined with negative jumps")
-    small = m.jumps.integrate(lambda v: v, 0.0, 1.0, nonneg=True)
+    small = m.jumps.integrate(v_itself, 0.0, 1.0, nonneg=True)
     if small == INF:
         return NEG_INF
     return m.gamma - small
@@ -751,17 +736,13 @@ def scale_eta(t: LevyTriplet2D, k: float) -> LevyTriplet2D:
                 k * base.hi,
                 base.tol,
             )
-    elif isinstance(t.jumps, BoxDensity):
+    elif isinstance(t.jumps, BoxDensity):  # a named family stays named
         base = t.jumps
         x0, x1, y0, y1 = base.box
-        box = (x0, x1, k * y0, k * y1)
-        if base.kind is None:
-            new_jumps = BoxDensity(lambda x, y, _f=base.fn, _k=k: _f(x, y / _k) / _k, box, base.tol)
-        else:  # a named family stays named, so its thresholds stay exact
-            p = _DENSITY_FAMILIES[base.kind].scaled(base.params, k)
-            new_jumps = density_from_json(
-                {"kind": base.kind, "params": p, "box": box, "tol": base.tol}
-            )
+        p = _DENSITY_FAMILIES[base.kind].scaled(base.params, k)
+        new_jumps = density_from_json(
+            {"kind": base.kind, "params": p, "box": (x0, x1, k * y0, k * y1), "tol": base.tol}
+        )
     else:
         raise NotSupportedError("cannot scale this measure type")
 
@@ -919,8 +900,7 @@ def density_from_json(doc: dict) -> BoxDensity:
         raise InvalidModelError(
             "density spec requires box [x0, x1, y0, y1] and an optional tol, all numbers"
         ) from None
-    dens = BoxDensity(family.density(p), box, tol=tol, kind=kind, params=p,
-                      y_moments=family.y_moments(p))
+    dens = BoxDensity(kind, p, box, tol)
     log_bound = (math.log(p["c"]) + family.log_sup(p, dens.box)
                  + math.log(x1 - x0) + math.log(y1 - y0))
     if not log_bound < math.log(sys.float_info.max):
@@ -933,7 +913,7 @@ def measure_to_json(measure) -> dict:
     atoms = measure.atoms_or_none()
     if atoms is not None:
         return {"atoms": [{"x": a.x, "y": a.y, "rate": a.rate} for a in atoms]}
-    if isinstance(measure, BoxDensity) and measure.kind is not None:
+    if isinstance(measure, BoxDensity):
         return {
             "density": {
                 "kind": measure.kind,

@@ -1,13 +1,13 @@
 """Quadrature backend for density-tier Levy measures.
 
 Every region integral the package needs decomposes into x-strips, i.e. sets
-of the form ``{x0 <= x <= x1, ylo(x) <= y <= yhi(x)}``; those are integrated
-with ``scipy.integrate.nquad`` (the call ``dblquad`` makes) using exact
-inner bounds.  ``ylo`` is the largest of a strip's lower edges and ``yhi``
-the smallest of its upper edges, and an edge is one of three curves, each
-with its crossings of a horizontal line y = v in closed form:
+of the form ``{x0 <= x <= x1, ylo(x) <= y <= yhi(x)}``.  ``ylo`` is the
+largest of a strip's lower edges and ``yhi`` the smallest of its upper
+edges, and an edge is one of four curves, each with its crossings of a
+horizontal line y = v in closed form:
 
 * a constant ``y = c`` (no crossing),
+* a line through the origin ``y = slope x``, crossing at ``x = v / slope``,
 * an S(u) band edge ``y = u (e^-x - 1) + c``, monotone in x, crossing at
   ``x = -log1p((v - c) / u)``,
 * a disk chord ``y = +-sqrt(max(0, r^2 - x^2)) / d``, crossing at
@@ -16,20 +16,20 @@ with its crossings of a horizontal line y = v in closed form:
 So a measure on the x axis gets the segments of a strip exactly, by cutting
 at the crossings with y = 0.
 
-A named density family factors as c f(x) g(y) and gives its y-moments
-c f(x) (int g, int y g) between any two y values in closed form.  Against
-it, an integrand affine in y, ``AffineY(c0, c1)`` for c0(x) + c1(x) y, has
-a closed inner integral, so each strip piece costs one outer ``quad`` over
-x instead of an ``nquad``.  The masses, the coordinate and truncation
-corrections, the xi margin, the S(u) correction, the mean, the eta rescaling
-and the jump table all take that route.  Everything else keeps ``nquad``: a
-Python ``fn`` density, and integrands that are not affine in y (the positive
-parts of ``drift_lhs``, the eta margin and the S(u) jumps of an arbitrary
-function, and the |x| + |y| variation test of ``drift_vector``).
+There is one route for a 2-d integral.  A named density family factors as
+c f(x) g(y) and gives its y-moments c f(x) (int g, int y g) between any two
+y values in closed form, and every integrand is affine in y,
+``AffineY(c0, c1)`` for c0(x) + c1(x) y.  So the inner integral is closed,
+and each strip piece costs one outer ``quad`` over x, split where the inner
+range has a corner.  An integrand that is not affine in y is made affine by
+cutting the region: the positive parts of u x + y in ``drift_lhs`` at the
+line y = -u x, the |y| of ``drift_vector`` at y = 0.  A Python-function
+density, integrated by nested quadrature, lives only in the tests, as the
+independent oracle of this route.
 
-Levy measures may be infinite near the origin, so mass-type integrals are
-evaluated as a limit over shrinking origin exclusions with a
-geometric-ratio divergence test:
+A measure on an axis segment (``model.LineDensity``) may be infinite near
+the origin, so its nonnegative integrals are evaluated as a limit over
+shrinking exclusions of the origin, with a geometric-ratio divergence test:
 
 * increments that die off geometrically are summed and bounded,
 * increments that stay flat or grow signal a divergent integral,
@@ -114,13 +114,32 @@ class ChordEdge:
         return (-half, half)
 
 
-Edge = ConstEdge | BandEdge | ChordEdge
+@dataclass(frozen=True)
+class LineEdge:
+    """The line y = slope x through the origin."""
+
+    slope: float
+
+    def at(self, x: float) -> float:
+        return self.slope * x
+
+    def crossings(self, v: float) -> tuple[float, ...]:
+        return (v / self.slope,) if self.slope else ()
+
+    def chord_crossings(self, chord: ChordEdge) -> tuple[float, float]:
+        """Where the line meets the circle x^2 + (y d)^2 = r^2 of a chord,
+        on either half."""
+        half = chord.r / math.hypot(1.0, self.slope * chord.d)
+        return (-half, half)
+
+
+Edge = ConstEdge | LineEdge | BandEdge | ChordEdge
 
 
 @dataclass(frozen=True)
 class AffineY:
     """The integrand c0(x) + c1(x) y; a coefficient left None is 0.  It is
-    callable as (x, y), so the ``nquad`` route takes it unchanged."""
+    callable as (x, y), so a measure on an axis evaluates it pointwise."""
 
     c0: Callable[[float], float] | None = None
     c1: Callable[[float], float] | None = None
@@ -202,12 +221,20 @@ class Strip:
 
     def kinks(self) -> list[float]:
         """Points inside the x-range where the inner range may fail to be
-        smooth: x = 0 (where a density may have a kink in |x|) and every
-        crossing of an edge with y = 0 or with a constant edge of the strip
-        (a chord meets y = 0 at its ends, where its slope is infinite)."""
+        smooth: x = 0 (where a density may have a kink in |x|, and where a
+        line meets a band edge of the same u), every crossing of an edge
+        with y = 0 or with a constant edge of the strip (a chord meets
+        y = 0 at its ends, where its slope is infinite), and every crossing
+        of a line with a chord."""
         edges = self.lower + self.upper
         levels = {0.0} | {e.c for e in edges if isinstance(e, ConstEdge)}
         cuts = {0.0}.union(*(e.crossings(v) for e in edges for v in levels))
+        cuts.update(
+            x
+            for line in edges if isinstance(line, LineEdge)
+            for chord in edges if isinstance(chord, ChordEdge)
+            for x in line.chord_crossings(chord)
+        )
         return sorted(x for x in cuts if self.x0 < x < self.x1)
 
     def x_axis_segments(self, a: float, b: float) -> list[tuple[float, float]]:
@@ -243,48 +270,34 @@ def quad_1d(fn, lo: float, hi: float, tol: float) -> float:
     return val
 
 
-def integrate_strips(
-    density, strips: Sequence[Strip], integrand, tol: float, y_moments=None
-) -> float:
-    """Integrate ``integrand(x, y) * density(x, y)`` over the strips, each
-    cut to the x-ranges where it is not empty: an outer quadrature over the
-    whole range can miss a sliver on which the inner range is non-empty.
+def integrate_strips(y_moments, strips: Sequence[Strip], integrand: AffineY, tol: float) -> float:
+    """Integrate an ``AffineY`` integrand against a density given by its
+    closed ``y_moments(x, lo, hi)`` (its (M0, M1) on [lo, hi] at x) over
+    the strips, each cut to the x-ranges where it is not empty: an outer
+    quadrature over the whole range can miss a sliver on which the inner
+    range is non-empty.
 
-    With the density's closed ``y_moments(x, lo, hi)`` (its (M0, M1) on
-    [lo, hi] at x) and an ``AffineY`` integrand, a piece is one outer
-    ``quad`` of the closed inner integral, split at the piece's ``kinks``
-    and asked for the terms of the final check, tol / n or 1e-12 relative;
-    otherwise it is one ``nquad``.  Either way the errors of the pieces are
-    summed and checked together."""
+    A piece is one outer ``quad`` of the closed inner integral, split at
+    the piece's ``kinks`` and asked for the terms of the final check, tol / n
+    or 1e-12 relative.  The errors of the pieces are summed and checked
+    together."""
     pieces = [p for s in strips for p in s.nonempty_pieces()]
     total = 0.0
     total_err = 0.0
     n = max(1, len(pieces))
-    integrate = _scipy_integrate()
-    closed = y_moments is not None and isinstance(integrand, AffineY)
+    quad = _scipy_integrate().quad
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for s in pieces:
-            if closed:
 
-                def inner(x, _s=s):
-                    lo = _s.ylo(x)
-                    return integrand.inner(x, y_moments(x, lo, max(lo, _s.yhi(x))))
+            def inner(x, _s=s):
+                lo = _s.ylo(x)
+                return integrand.inner(x, y_moments(x, lo, max(lo, _s.yhi(x))))
 
-                val, err = integrate.quad(
-                    inner, s.x0, s.x1, epsabs=tol / n, epsrel=1e-12, limit=200,
-                    points=s.kinks() or None,
-                )
-            else:
-
-                def y_range(x, _s=s):  # what dblquad passes nquad, with one ylo call
-                    lo = _s.ylo(x)
-                    return [lo, max(lo, _s.yhi(x))]
-
-                val, err = integrate.nquad(
-                    lambda y, x: integrand(x, y) * density(x, y), [y_range, [s.x0, s.x1]],
-                    opts={"epsabs": tol / n, "epsrel": 1e-9},
-                )
+            val, err = quad(
+                inner, s.x0, s.x1, epsabs=tol / n, epsrel=1e-12, limit=200,
+                points=s.kinks() or None,
+            )
             total += val
             total_err += err
     if total_err > max(tol, 1e-12 * abs(total)):

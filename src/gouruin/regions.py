@@ -13,9 +13,9 @@ density family (``uniform_box``, ``exp_tails``) is positive on its whole
 closed box, and the critical value is monotone in x and in y on each
 quadrant, so each threshold is the critical value at a corner of the box
 part in that quadrant, exactly.  A measure on an axis segment takes the
-thresholds of one atom on each side of the origin that carries mass.  Only
-a Python-supplied box density finds its thresholds by monotone bisection of
-the region mass.
+thresholds of one atom on each side of the origin that carries mass.  So no
+threshold is searched for: the region masses only decide which branches are
+empty.
 
 The drift inequality's left-hand side
 
@@ -29,6 +29,10 @@ that agrees with the drift of S(u) computed from its own triplet (a jump of
 size zero is no jump, but its compensator share still moves the drift).
 At every other u the open and closed versions coincide.
 
+On the density tier the integrand u x + y is split at the line y = -u x
+into its positive and negative parts, each affine in y on its side, so both
+take the closed inner integral of ``quadrature.integrate_strips``.
+
 For atom measures L is piecewise affine in u with breakpoints at the
 critical values of unit-disk atoms; the exact piecewise form drives the
 feasibility intervals of the classifier.
@@ -36,7 +40,6 @@ feasibility intervals of the classifier.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -54,13 +57,7 @@ from .model import (
     w_jump,
 )
 from .numerics import BOUNDARY_TOL, INF, NEG_INF, ext_to_json, sgn
-from .quadrature import BandEdge, ChordEdge, ConstEdge, Strip
-
-_U_CAP = 1e12
-
-
-class RegionBoundaryWarning(UserWarning):
-    """The returned threshold borders a region of vanishing mass."""
+from .quadrature import AffineY, BandEdge, ChordEdge, ConstEdge, LineEdge, Strip
 
 
 @dataclass(frozen=True)
@@ -155,9 +152,7 @@ def _atom_thetas(atoms) -> ThetaBounds:
 def family_box(m) -> tuple[float, float, float, float] | None:
     """The box of a named-family density, which is positive on the whole
     closed box (``density_from_json`` requires c > 0), else None."""
-    if isinstance(m, BoxDensity) and m.kind in ("uniform_box", "exp_tails"):
-        return m.box
-    return None
+    return m.box if isinstance(m, BoxDensity) else None
 
 
 def _box_thetas(box) -> ThetaBounds:
@@ -208,59 +203,9 @@ def mass_tol(m) -> float:
     return 16.0 * getattr(m, "tol", 1e-9)
 
 
-def _bisect_theta(m, i: int, sign: float, vanishing: bool) -> float:
-    """Threshold of a Python-supplied ``BoxDensity``, by monotone bisection
-    on region mass.
-
-    The search runs over v >= 0 with u = sign * v.  ``vanishing`` means the
-    region holds mass near v = 0 and empties past the transition (the
-    theta_2 and theta_3 branches); otherwise mass appears beyond the
-    transition (theta_4 and theta_1).
-
-    The bracket is on {mass above tolerance}, so the answer is exact only up
-    to the rate at which the region mass decays at the threshold: a density
-    fading continuously into the critical level resolves to roughly the cube
-    root of the mass tolerance, not machine precision.
-    """
-    tol_mass = mass_tol(m)
-    empty_value = {1: NEG_INF, 2: 0.0, 3: 0.0, 4: INF}[i]
-    if quadrant_mass(m, i) <= tol_mass:
-        return empty_value
-
-    def near(v: float) -> bool:  # v lies on the near side of the transition
-        return (region_mass(m, i, sign * v) > tol_mass) == vanishing
-
-    if vanishing and not near(0.0):
-        warnings.warn(
-            "region mass vanishes next to the returned threshold",
-            RegionBoundaryWarning,
-        )
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while near(hi):
-        lo = hi
-        hi *= 4.0
-        if hi > _U_CAP:
-            if vanishing:
-                return sign * INF
-            warnings.warn(
-                "region mass stayed empty out to the search cap",
-                RegionBoundaryWarning,
-            )
-            return empty_value
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if near(mid):
-            lo = mid
-        else:
-            hi = mid
-    return sign * 0.5 * (lo + hi)
-
-
 def thetas(m) -> ThetaBounds:
-    """Critical thresholds of the four moving regions: exact on the atom
-    tier, for a named density family and on an axis segment, by bisection
-    of the region mass for a Python-supplied box density."""
+    """Critical thresholds of the four moving regions, exact on the atom
+    tier, for a named density family and on an axis segment."""
     atoms = m.atoms_or_none()
     if atoms is not None:
         return _atom_thetas(atoms)
@@ -269,14 +214,7 @@ def thetas(m) -> ThetaBounds:
         return _box_thetas(box)
     if isinstance(m, LineDensity):
         return _axis_thetas(m)
-    # On u >= 0 the A2 region empties as u grows while A4 fills; mirrored on
-    # u <= 0, A3 empties as u falls while A1 fills.
-    return ThetaBounds(
-        _bisect_theta(m, 1, sign=-1.0, vanishing=False),
-        _bisect_theta(m, 2, sign=1.0, vanishing=True),
-        _bisect_theta(m, 3, sign=-1.0, vanishing=True),
-        _bisect_theta(m, 4, sign=1.0, vanishing=False),
-    )
+    raise NotSupportedError("thresholds need atoms, a named density family or an axis segment")
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +222,13 @@ def thetas(m) -> ThetaBounds:
 # ---------------------------------------------------------------------------
 
 
-def _disk_region_strips(u: float) -> list[Strip]:
-    """Strips for {y - u(e^-x - 1) >= 0} inside the open unit disk."""
-    return [Strip(-1.0, 1.0, (BandEdge(u, 0.0), ChordEdge(1.0, -1.0)), (ChordEdge(1.0),))]
+def _disk_region_strips(u: float, side: float) -> list[Strip]:
+    """Strips for {y - u(e^-x - 1) >= 0} inside the open unit disk, on the
+    side of the line y = -u x where side (u x + y) >= 0."""
+    lower, upper = (BandEdge(u, 0.0), ChordEdge(1.0, -1.0)), (ChordEdge(1.0),)
+    if side > 0:
+        return [Strip(-1.0, 1.0, lower + (LineEdge(-u),), upper)]
+    return [Strip(-1.0, 1.0, lower, upper + (LineEdge(-u),))]
 
 
 def drift_lhs(t: LevyTriplet2D, u: float) -> float:
@@ -299,11 +241,14 @@ def drift_lhs(t: LevyTriplet2D, u: float) -> float:
             if _in_open_ball(a.x, a.y) and sgn(s_jump(a.x, a.y, u)) >= 0:
                 term += a.rate * (u * a.x + a.y)
         return base - term
-    strips = _disk_region_strips(u)
-    pos = t.jumps.integrate(lambda x, y: max(u * x + y, 0.0), strips, nonneg=True)
+    pos = t.jumps.integrate(
+        AffineY(lambda x: u * x, lambda x: 1.0), _disk_region_strips(u, 1.0), nonneg=True
+    )
     if pos == INF:
         return NEG_INF
-    neg = t.jumps.integrate(lambda x, y: max(-(u * x + y), 0.0), strips, nonneg=True)
+    neg = t.jumps.integrate(
+        AffineY(lambda x: -u * x, lambda x: -1.0), _disk_region_strips(u, -1.0), nonneg=True
+    )
     if neg == INF:
         raise UndeterminedError(
             "negative part of the drift integral diverged; measure is not Levy"

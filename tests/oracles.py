@@ -3,21 +3,44 @@ package computes another way, so a test can compare the two."""
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 
+from gouruin import regions
+from gouruin.classify import Verdict, z_infinity_converges
 from gouruin.errors import UndeterminedError
 from gouruin.model import (
+    X_COORD,
+    Y_COORD,
+    FiniteAtomSet,
+    JumpAtom,
     LevyTriplet2D,
     MarginalTriplet,
+    Pushforward1D,
     _coordinate_correction,
+    _in_open_ball,
     _uncompensated_drift,
+    _y_band,
+    marginal_eta,
+    marginal_xi,
     s_band,
-    s_jump,
+    s_coord,
+    s_process,
+    w_jump,
     w_transform,
+    xi_brownian,
 )
-from gouruin.numerics import INF
+from gouruin.numerics import BOUNDARY_TOL, INF, NEG_INF, sgn
+from gouruin.quadrature import (
+    Strip,
+    clip_strips_to_box,
+    limit_toward_origin,
+    strips_in_annulus,
+    strips_outside_ball,
+)
 from gouruin.simulate import (
     FirstPassage,
     Path,
@@ -65,10 +88,8 @@ def small_jump_variation(t: LevyTriplet2D, u: float) -> SmallJumpVariation:
     integral; always finite on the atom tier."""
     if t.jumps.atoms_or_none() is not None:
         return SmallJumpVariation.FINITE
-    try:
-        value = t.jumps.integrate(
-            lambda x, y: max(s_jump(x, y, u), 0.0), [s_band(u, 0.0, 1.0)], nonneg=True
-        )
+    try:  # the S(u) jump is its own positive part on the band [0, 1]
+        value = t.jumps.integrate(s_coord(u), [s_band(u, 0.0, 1.0)], nonneg=True)
     except UndeterminedError:
         return SmallJumpVariation.UNDETERMINED
     return SmallJumpVariation.INFINITE if value == INF else SmallJumpVariation.FINITE
@@ -98,6 +119,235 @@ def ks_distance(cdf, ref) -> float:
     steps = np.arange(1, cdf.n + 1) / cdf.n
     return float(max(np.max(np.abs(steps - ref_values)),
                      np.max(np.abs(steps - 1.0 / cdf.n - ref_values))))
+
+
+# ---------------------------------------------------------------------------
+# A Python-function box density: the oracle of the closed quadrature route
+# ---------------------------------------------------------------------------
+
+
+def nquad_strips(density, strips, integrand, tol) -> tuple[float, float]:
+    """Nested quadrature of integrand(x, y) density(x, y) over the strips,
+    cut to their non-empty pieces as ``quadrature.integrate_strips`` cuts
+    them, with breakpoints where the integrand may have kinks: the piece's
+    ``kinks`` in the outer level and y = 0 inside the inner range (|y| of
+    exp_tails).  Without them nquad can miss its own error: on one
+    uniform_box the unsplit outer level put the eta correction 5.0e-6 off,
+    with an error estimate below 1e-9.  Returns the value and the summed
+    error estimate."""
+    pieces = [p for s in strips for p in s.nonempty_pieces()]
+    opts = {"epsabs": tol / max(1, len(pieces)), "epsrel": 1e-9}
+    total = err = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for s in pieces:
+            def y_range(x, _s=s):
+                lo = _s.ylo(x)
+                return [lo, max(lo, _s.yhi(x))]
+
+            def y_opts(x, _s=s):
+                lo, hi = y_range(x)
+                return {**opts, "points": [0.0]} if lo < 0.0 < hi else opts
+
+            x_opts = {**opts, "points": s.kinks()} if s.kinks() else opts
+            v, e = integrate.nquad(lambda y, x: integrand(x, y) * density(x, y),
+                                   [y_range, [s.x0, s.x1]], opts=[y_opts, x_opts])
+            total += v
+            err += e
+    return total, err
+
+
+class FnBoxDensity:
+    """A jump density given by a Python function over a bounded box,
+    possibly Levy-infinite at the origin: any integrand, by nested
+    quadrature, and a nonnegative one as a limit toward the origin.  It
+    shares no code with the closed inner integral of the named families
+    beyond the strip geometry, so it is their reference."""
+
+    def __init__(self, fn, box, tol: float = 1e-9):
+        self.fn = fn
+        self.box = tuple(float(v) for v in box)
+        self.tol = float(tol)
+
+    def atoms_or_none(self):
+        return None
+
+    def integrate(self, integrand, strips, nonneg: bool = False) -> float:
+        clipped = clip_strips_to_box(strips, self.box)
+
+        def over(region):
+            value, err = nquad_strips(self.fn, region, integrand, self.tol)
+            if err > max(self.tol, 1e-12 * abs(value)):
+                raise UndeterminedError("2-d quadrature tolerance not reached", residual=err)
+            return value
+
+        if not nonneg:
+            return over(clipped)
+        eps0 = 0.5
+        return limit_toward_origin(
+            over(strips_outside_ball(clipped, eps0)),
+            lambda e_in, e_out: over(strips_in_annulus(clipped, e_in, e_out)),
+            self.tol,
+            eps0=eps0,
+        )
+
+    def xi_margin(self) -> Pushforward1D:
+        return Pushforward1D(self, X_COORD, Strip)
+
+    def eta_margin(self) -> Pushforward1D:
+        return Pushforward1D(self, Y_COORD, _y_band)
+
+
+class RegionBoundaryWarning(UserWarning):
+    """The returned threshold borders a region of vanishing mass."""
+
+
+_U_CAP = 1e12
+
+
+def bisect_theta(m, i: int, sign: float, vanishing: bool) -> float:
+    """Threshold i of any density, by monotone bisection on region mass.
+
+    The search runs over v >= 0 with u = sign * v.  ``vanishing`` means the
+    region holds mass near v = 0 and empties past the transition (the
+    theta_2 and theta_3 branches); otherwise mass appears beyond the
+    transition (theta_4 and theta_1).
+
+    The bracket is on {mass above tolerance}, so the answer is exact only up
+    to the rate at which the region mass decays at the threshold: a density
+    fading continuously into the critical level resolves to roughly the cube
+    root of the mass tolerance, not machine precision.
+    """
+    tol_mass = regions.mass_tol(m)
+    empty_value = {1: NEG_INF, 2: 0.0, 3: 0.0, 4: INF}[i]
+    if regions.quadrant_mass(m, i) <= tol_mass:
+        return empty_value
+
+    def near(v: float) -> bool:  # v lies on the near side of the transition
+        return (regions.region_mass(m, i, sign * v) > tol_mass) == vanishing
+
+    if vanishing and not near(0.0):
+        warnings.warn("region mass vanishes next to the returned threshold",
+                      RegionBoundaryWarning)
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while near(hi):
+        lo = hi
+        hi *= 4.0
+        if hi > _U_CAP:
+            if vanishing:
+                return sign * INF
+            warnings.warn("region mass stayed empty out to the search cap",
+                          RegionBoundaryWarning)
+            return empty_value
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        if near(mid):
+            lo = mid
+        else:
+            hi = mid
+    return sign * 0.5 * (lo + hi)
+
+
+def bisect_thetas(m) -> regions.ThetaBounds:
+    """The four thresholds by ``bisect_theta``: on u >= 0 the A2 region
+    empties as u grows while A4 fills; mirrored on u <= 0, A3 empties as u
+    falls while A1 fills."""
+    return regions.ThetaBounds(
+        bisect_theta(m, 1, sign=-1.0, vanishing=False),
+        bisect_theta(m, 2, sign=1.0, vanishing=True),
+        bisect_theta(m, 3, sign=-1.0, vanishing=True),
+        bisect_theta(m, 4, sign=1.0, vanishing=False),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The L process, stationarity and degeneracy (atom tier)
+# ---------------------------------------------------------------------------
+
+
+def l_process(t: LevyTriplet2D) -> LevyTriplet2D:
+    """Triplet of the pair (xi, L) where L has jumps y e^-x and drift shifted
+    by minus the Brownian covariance.  Atom tier only."""
+    atoms = t.jumps.atoms_or_none()
+    if atoms is None:
+        raise UndeterminedError("L-process construction requires the atom tier")
+    gx, gy = _uncompensated_drift(t)
+    gy -= t.brownian_cov
+    new_atoms = [JumpAtom(a.x, a.y * math.exp(-a.x), a.rate) for a in atoms]
+    for a in new_atoms:
+        if _in_open_ball(a.x, a.y):
+            gx += a.rate * a.x
+            gy += a.rate * a.y
+    return LevyTriplet2D((gx, gy), t.sigma, FiniteAtomSet(new_atoms))
+
+
+def is_stationary_possible(t: LevyTriplet2D) -> Verdict:
+    """Stationarity criterion: the convergence test applied to (-xi, L)."""
+    try:
+        pair_l = l_process(t)
+    except UndeterminedError:
+        return Verdict.UNDETERMINED
+    atoms = pair_l.jumps.atoms_or_none()
+    flipped = LevyTriplet2D(
+        (-pair_l.gamma_tilde[0], pair_l.gamma_tilde[1]),
+        (
+            (pair_l.sigma[0][0], -pair_l.sigma[0][1]),
+            (-pair_l.sigma[0][1], pair_l.sigma[1][1]),
+        ),
+        FiniteAtomSet([JumpAtom(-a.x, a.y, a.rate) for a in atoms]),
+    )
+    return z_infinity_converges(flipped)
+
+
+_DEGENERACY_TOL = 1e-9
+
+
+def is_degenerate(t: LevyTriplet2D) -> float | None:
+    """Constant-limit test: returns k != 0 with eta = -k W when the whole
+    randomness of eta is the exponential transform of xi, else None."""
+    atoms = t.jumps.atoms_or_none()
+    k = None
+    if atoms is not None:
+        for a in atoms:
+            if a.x != 0.0:
+                w = w_jump(a.x)
+                k = -a.y / w
+                break
+            # A pure eta jump cannot be cancelled by any multiple of W.
+            return None
+    if k is None and xi_brownian(t):
+        k = t.sigma[0][1] / t.sigma_xi2
+    if k is None:
+        m_xi = marginal_xi(t)
+        m_eta = marginal_eta(t)
+        if (
+            sgn(m_eta.sigma2) == 0
+            and abs(m_xi.gamma) > BOUNDARY_TOL
+            and t.jumps.atoms_or_none() is not None
+        ):
+            k = m_eta.gamma / m_xi.gamma
+    if k is None or abs(k) <= BOUNDARY_TOL:
+        return None
+    try:
+        s = s_process(t, -k)
+    except UndeterminedError:
+        return None
+    scale = max(1.0, abs(k))
+    if abs(s.gamma) > _DEGENERACY_TOL * scale or s.sigma2 > _DEGENERACY_TOL * scale:
+        return None
+    jump_atoms = s.jumps.atoms_or_none()
+    if jump_atoms is not None:
+        if any(abs(v) > _DEGENERACY_TOL * scale for v, _ in jump_atoms):
+            return None
+    else:
+        try:
+            residual = s.jumps.mass(NEG_INF, 0.0) + s.jumps.mass(0.0, INF)
+        except UndeterminedError:
+            return None
+        if residual > _DEGENERACY_TOL:
+            return None
+    return k
 
 
 # ---------------------------------------------------------------------------

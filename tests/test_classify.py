@@ -13,8 +13,6 @@ from gouruin.classify import (
     Verdict,
     delta,
     feasible_u_set,
-    is_degenerate,
-    is_stationary_possible,
     is_subordinator_1d,
     is_subordinator_s,
     no_ruin_threshold,
@@ -35,6 +33,7 @@ from gouruin.model import (
 )
 from gouruin.numerics import NEG_INF
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
+from oracles import is_degenerate, is_stationary_possible
 
 E = math.e
 E_RATIO = E / (E - 1.0)
@@ -386,8 +385,9 @@ class TestDensityTierClassification:
         # the same box as a Python density finds their mass above the
         # emptiness tolerance, and then both report that mass.
         from gouruin.classify import _s_negative_jump_mass
-        from gouruin.model import BoxDensity, density_from_json
+        from gouruin.model import density_from_json
         from gouruin.regions import mass_tol, thetas
+        from oracles import FnBoxDensity
 
         rng = np.random.default_rng(7)
         checked = 0
@@ -397,7 +397,7 @@ class TestDensityTierClassification:
             if box[1] - box[0] < 0.3 or box[3] - box[2] < 0.3:
                 continue
             dens = density_from_json({"kind": "uniform_box", "params": {"c": 1.0}, "box": box})
-            plain = BoxDensity(dens.fn, dens.box)
+            plain = FnBoxDensity(dens.fn, dens.box)
             th = thetas(dens)
             for v in (th.theta1, th.theta2, th.theta3, th.theta4):
                 if v == 0.0 or not math.isfinite(v):
@@ -491,11 +491,10 @@ class TestDensityTierClassification:
     def test_undetermined_certificate_carries_the_residual(self, monkeypatch):
         # An unresolved quadrature at the rigid level: the certificates and
         # the report carry its error bound, not just its message.  A named
-        # family decides its negative jumps from the box corners, so the box
-        # is given as a Python density.  It lies inside the unit disk and
-        # beyond the radius-0.5 split of the origin refinement, so the drift
-        # integral is one quadrature: the strip pieces where a region is
-        # empty run none.
+        # family decides its negative jumps from the box corners, so the
+        # first quadrature is the drift integral's.  The box lies inside
+        # the unit disk and above the line y = -u x, so that integral is one
+        # quadrature: the strip pieces where a region is empty run none.
         import json
         from importlib import resources
 
@@ -503,11 +502,13 @@ class TestDensityTierClassification:
 
         from scipy import integrate
 
-        from gouruin.model import BoxDensity
+        from gouruin.model import density_from_json
 
         u0 = 1.2
         sigma = ((1.0, -u0), (-u0, u0 * u0))
-        t = LevyTriplet2D((0.5, 1.0), sigma, BoxDensity(lambda x, y: 0.3, (0.55, 0.8, 0.1, 0.5)))
+        dens = density_from_json({"kind": "uniform_box", "params": {"c": 0.3},
+                                  "box": [0.55, 0.8, 0.1, 0.5]})
+        t = LevyTriplet2D((0.5, 1.0), sigma, dens)
         s_marginal = s_process(t, u0)
 
         def unresolved(*args, **kwargs):

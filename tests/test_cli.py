@@ -842,6 +842,35 @@ class TestUndeterminedExit:
             jsonschema.validate({**decided, "thetas": {"theta1": 0.0}},
                                 load_schema("ruin_report.schema.json"))
 
+    def test_a_decision_without_a_threshold_attains_none(self, capsys, tmp_path):
+        # Only a no_ruin_from decision has a threshold to attain: the
+        # undetermined exp_tails continuum and a ruin_everywhere report
+        # print attained null, and the schema refuses a boolean there.
+        schema = load_schema("ruin_report.schema.json")
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps({
+            "gamma_tilde": [0.0, 0.0], "sigma": [[0.0, 0.0], [0.0, 0.0]],
+            "jumps": {"density": {"kind": "exp_tails", "params": {"c": 2.0, "a": 1.0, "b": 1.5},
+                                  "box": [1.0, 3.0, 0.5, 2.0]}}}))
+        code, out, _ = run_cli(capsys, "check", "--spec", str(f))
+        undetermined = json.loads(out)
+        assert code == 2
+        f.write_text(json.dumps({"gamma_tilde": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]],
+                                 "jumps": {"atoms": []}}))
+        everywhere = json.loads(run_cli(capsys, "check", "--spec", str(f))[1])
+        for doc, kind in ((undetermined, "undetermined"), (everywhere, "ruin_everywhere")):
+            assert doc["decision"] == {"kind": kind, "threshold": None, "attained": None}
+            jsonschema.validate(doc, schema)
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**doc, "decision": {**doc["decision"], "attained": True}}, schema)
+        decided = json.loads(run_cli(capsys, "check", "--preset", "jump_example")[1])
+        assert decided["decision"]["kind"] == "no_ruin_from"
+        assert decided["decision"]["attained"] is True
+        jsonschema.validate(decided, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**decided, "decision": {**decided["decision"], "attained": None}},
+                                schema)
+
     @pytest.mark.parametrize("levels", [(), (0.5, 1.5)])
     def test_density_continuum_reports_its_reason(self, capsys, tmp_path, levels):
         spec = {

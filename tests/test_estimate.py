@@ -28,7 +28,7 @@ from gouruin.estimate import (
     worker_count,
 )
 from gouruin import bridge, estimate, events, simulate
-from gouruin.model import BoxDensity, FiniteAtomSet, JumpAtom, LevyTriplet2D, rigid_level
+from gouruin.model import FiniteAtomSet, JumpAtom, LevyTriplet2D, density_from_json, rigid_level
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
 from gouruin.simulate import (
     PathConfig,
@@ -806,7 +806,8 @@ class TestEndpointLaw:
 def box_density_triplet():
     return LevyTriplet2D(
         (0.3, 0.1), ((0.0, 0.0), (0.0, 0.0)),
-        BoxDensity(lambda x, y: 0.3, (0.5, 1.5, -1.5, 0.5)),
+        density_from_json({"kind": "uniform_box", "params": {"c": 0.3},
+                           "box": [0.5, 1.5, -1.5, 0.5]}),
     )
 
 
@@ -909,9 +910,8 @@ class TestZinfCdf:
 
     def test_degenerate_limit_is_constant(self):
         # eta = -k W with positive xi drift: the limit sits at k.
-        from gouruin.classify import is_degenerate
         from gouruin.model import Atoms1D, MarginalTriplet, marginal_eta, w_transform
-        from oracles import from_marginals
+        from oracles import from_marginals, is_degenerate
 
         k, x, rate = 2.0, 0.9, 1.0
         w = math.exp(-x) - 1.0

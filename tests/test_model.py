@@ -16,7 +16,6 @@ from gouruin.errors import (
 )
 from gouruin.model import (
     Atoms1D,
-    BoxDensity,
     Density1D,
     FiniteAtomSet,
     JumpAtom,
@@ -27,7 +26,6 @@ from gouruin.model import (
     d_eta,
     density_from_json,
     drift_vector,
-    l_process,
     marginal_eta,
     marginal_xi,
     mean_at_one,
@@ -42,7 +40,7 @@ from gouruin.model import (
 from gouruin.numerics import INF, NEG_INF
 from gouruin.quadrature import Strip
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
-from oracles import from_marginals
+from oracles import FnBoxDensity, from_marginals, l_process
 
 E = math.e
 
@@ -182,7 +180,7 @@ _W_DRIFT_PINS = [
     ("y_line", (0.7, -0.1), _RIGID,
      lambda: LineDensity("y", lambda v: 1.0, 0.5, 1.5), -0.19999999999999996),
     ("fn_box", (0.1, 0.4), _ZERO,
-     lambda: BoxDensity(lambda x, y: math.exp(-x * x - 2.0 * y * y), (-2.0, 2.0, -1.0, 1.0)),
+     lambda: FnBoxDensity(lambda x, y: math.exp(-x * x - 2.0 * y * y), (-2.0, 2.0, -1.0, 1.0)),
      -0.21498458929044356),
 ]
 
@@ -627,8 +625,9 @@ class TestDensityFamilies:
         # density_from_json accepts a family only when its sup times its box
         # area is finite.  That bounds its mass, so the integral of
         # min(|z|^2, 1), at most the mass, is finite with no quadrature at
-        # load time.  The origin-refined quadrature agrees on random
-        # accepted boxes, many of them across an axis or the unit circle.
+        # load time.  The origin-refined nested quadrature of the
+        # Python-function oracle agrees on random accepted boxes, many of
+        # them across an axis or the unit circle.
         def sup_exp(rate, lo, hi):  # max of e^(-rate |v|) over [lo, hi]
             nearest = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
             return math.exp(-rate * (nearest if rate >= 0.0 else max(abs(lo), abs(hi))))
@@ -648,7 +647,8 @@ class TestDensityFamilies:
                 spec = {"kind": "uniform_box", "params": {"c": c}}
                 sup = c
             dens = density_from_json({**spec, "box": box, "tol": 1e-5})
-            value = dens.integrate(lambda x, y: min(x * x + y * y, 1.0), [Strip()], nonneg=True)
+            value = FnBoxDensity(dens.fn, dens.box, 1e-5).integrate(
+                lambda x, y: min(x * x + y * y, 1.0), [Strip()], nonneg=True)
             assert 0.0 <= value <= sup * w * h + 1e-5, (spec, box)
             near = max(0.0, x0, -box[1]) ** 2 + max(0.0, y0, -box[3]) ** 2
             far = max(x0 * x0, box[1] ** 2) + max(y0 * y0, box[3] ** 2)

@@ -1,22 +1,30 @@
 """Strip edges: closed-form crossings and the exact x-axis segments; the
-closed inner y-integral of the named families against nquad."""
+closed inner y-integral of the named families against nested quadrature of
+the Python-function oracle."""
 
+import ast
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import gouruin
+from gouruin import quadrature
 from gouruin.errors import UndeterminedError
 from gouruin.model import (
-    UNIT, X_COORD, Y_COORD, BoxDensity, LevyTriplet2D, _correction_strips, _exp_segment,
-    density_from_json, s_band, s_process, w_jump,
+    UNIT, X_COORD, Y_COORD, BoxDensity, LevyTriplet2D, LineDensity, _correction_strips,
+    _exp_segment, density_from_json, marginal_eta, s_band, s_process, w_jump,
 )
 from gouruin.quadrature import (
-    AffineY, BandEdge, ChordEdge, ConstEdge, Strip, clip_strips_to_box, integrate_strips,
-    strips_in_annulus, strips_outside_ball,
+    AffineY, BandEdge, ChordEdge, ConstEdge, LineEdge, Strip, clip_strips_to_box,
+    integrate_strips, strips_in_annulus, strips_outside_ball,
 )
-from gouruin.regions import _quadrant_strips
+from gouruin.regions import _disk_region_strips, _quadrant_strips, quadrant_mass
+from oracles import FnBoxDensity, nquad_strips
 
 EDGES = [
     ConstEdge(0.3),
@@ -25,6 +33,9 @@ EDGES = [
     BandEdge(0.0, 0.1),
     ChordEdge(0.8),
     ChordEdge(1.0, -1.0, 2.0),
+    LineEdge(1.5),
+    LineEdge(-0.4),
+    LineEdge(0.0),
 ]
 
 
@@ -42,6 +53,20 @@ class TestEdges:
         signs = np.sign([edge.at(x) - v for x in grid])
         for k in set(piece):
             assert len(set(signs[piece == k]) - {0.0}) <= 1
+
+
+    @pytest.mark.parametrize("slope", [0.0, 0.4, -1.3, 4.0])
+    @pytest.mark.parametrize("chord", [ChordEdge(1.0), ChordEdge(1.0, -1.0), ChordEdge(0.8, 1.0, 2.0)])
+    def test_a_line_meets_a_circle_at_its_chord_crossings(self, slope, chord):
+        line = LineEdge(slope)
+        for x in line.chord_crossings(chord):
+            assert x * x + (line.at(x) * chord.d) ** 2 == pytest.approx(chord.r ** 2, rel=1e-14)
+
+    def test_kinks_hold_the_crossings_of_a_line_with_the_chords(self):
+        # The positive side of u x + y in the disk region of drift_lhs at
+        # u = 0.75: the line y = -0.75 x leaves the disk at x = +-0.8.
+        (s,) = _disk_region_strips(0.75, 1.0)
+        assert s.kinks() == pytest.approx([-0.8, 0.0, 0.8], rel=1e-15)
 
 
 class TestStrip:
@@ -92,39 +117,14 @@ class TestNonemptyPieces:
 # ---------------------------------------------------------------------------
 
 
-def nquad_reference(density, strips, integrand, tol):
-    """The nquad route of ``integrate_strips`` without its tolerance check,
-    and with breakpoints where the integrand has kinks: y = 0 inside the
-    inner range (exp_tails), and the strip's ``kinks`` in the outer one.
-    It returns the value and the summed error estimate.  Without them nquad
-    can miss its own error: on one seeded exp_tails box it is 3.1e-9 off
-    the closed route, and off a quadrature split at the kinks by as much,
-    yet it estimates an error of 1e-9."""
-    pieces = [p for s in strips for p in s.nonempty_pieces()]
-    opts = {"epsabs": tol / max(1, len(pieces)), "epsrel": 1e-9}
-    total = err = 0.0
-    for s in pieces:
-        def y_range(x, _s=s):
-            lo = _s.ylo(x)
-            return [lo, max(lo, _s.yhi(x))]
-
-        def y_opts(x, _s=s):
-            lo, hi = y_range(x)
-            return {**opts, "points": [0.0]} if lo < 0.0 < hi else opts
-
-        x_opts = {**opts, "points": s.kinks()} if s.kinks() else opts
-        v, e = integrate.nquad(lambda y, x: integrand(x, y) * density(x, y),
-                               [y_range, [s.x0, s.x1]], opts=[y_opts, x_opts])
-        total += v
-        err += e
-    return total, err
-
-
 # Every AffineY integrand of the package: masses, coordinates, the S(u)
-# jump at several u, W's jump, the xi-margin lift of w_drift, and the
-# positive and negative parts of x of drift_vector.
+# jump at several u, W's jump, the xi-margin lift of w_drift, the positive
+# and negative parts of x and y of drift_vector, and the signed u x + y of
+# drift_lhs.
 INTEGRANDS = [
-    ("1", UNIT), ("x", X_COORD), ("y", Y_COORD),
+    ("1", UNIT), ("x", X_COORD), ("y", Y_COORD), ("-y", AffineY(c1=lambda x: -1.0)),
+    ("ux+y(u=0.4)", AffineY(lambda x: 0.4 * x, lambda x: 1.0)),
+    ("-(ux+y)(u=-1.3)", AffineY(lambda x: 1.3 * x, lambda x: -1.0)),
     ("s(u=0.7)", AffineY(lambda x: -0.7 * w_jump(x), lambda x: 1.0)),
     ("s(u=-1.3)", AffineY(lambda x: 1.3 * w_jump(x), lambda x: 1.0)),
     ("w", AffineY(w_jump)), ("x+w", AffineY(lambda x: x + w_jump(x))),
@@ -141,6 +141,8 @@ STRIP_KINDS = [
     ("annulus", lambda r: strips_in_annulus([Strip()], *sorted(r.uniform(0.05, 1.5, 2)))),
     ("outside ball", lambda r: strips_outside_ball(
         [s_band(r.uniform(-2, 4), -1.0, 1.0)], r.uniform(0.05, 0.6))),
+    ("drift side", lambda r: _disk_region_strips(
+        r.choice([0.0, 0.4, -1.3, 4.0, r.uniform(-3, 5)]), r.choice([1.0, -1.0]))),
 ]
 
 SPECIAL_RATES = [0.0, 1e-8, -1e-8, -0.7, -1.5]
@@ -171,18 +173,20 @@ def family_params(r, kind, i):
 class TestClosedInnerIntegral:
     @pytest.mark.parametrize("kind", ["uniform_box", "exp_tails"])
     def test_equals_nquad_on_seeded_boxes(self, kind):
-        # 120 boxes per family; box i takes strip kind i mod 8 and integrand
-        # (i div 8) mod 9, so every pair of the two lists is run.
+        # 120 boxes per family; box i takes strip kind i mod 9 and integrand
+        # (i div 9) mod 12, so every pair of the two lists is run.
         r = np.random.default_rng(20241 if kind == "uniform_box" else 20242)
+        k = len(STRIP_KINDS)
+        assert 120 >= k * len(INTEGRANDS)
         for i in range(120):
             spec = {"kind": kind, "params": family_params(r, kind, i),
                     "box": [float(v) for v in random_box(r, i)]}
             dens = density_from_json(spec)
-            strips = clip_strips_to_box(STRIP_KINDS[i % 8][1](r), dens.box)
-            name, integrand = INTEGRANDS[(i // 8) % len(INTEGRANDS)]
-            closed = integrate_strips(dens.fn, strips, integrand, dens.tol, dens.y_moments)
-            ref, ref_err = nquad_reference(dens.fn, strips, integrand, dens.tol)
-            assert abs(closed - ref) <= dens.tol + ref_err, (i, STRIP_KINDS[i % 8][0], name, spec)
+            strips = clip_strips_to_box(STRIP_KINDS[i % k][1](r), dens.box)
+            name, integrand = INTEGRANDS[(i // k) % len(INTEGRANDS)]
+            closed = integrate_strips(dens.y_moments, strips, integrand, dens.tol)
+            ref, ref_err = nquad_strips(dens.fn, strips, integrand, dens.tol)
+            assert abs(closed - ref) <= dens.tol + ref_err, (i, STRIP_KINDS[i % k][0], name, spec)
 
     @pytest.mark.parametrize("b", [0.0, 1e-8, -1e-8, 1e-3, -1e-3, 0.0099, 0.0101, -0.8, 2.0])
     @pytest.mark.parametrize("p, q", [(0.0, 1.0), (0.3, 1.7), (1.0, 1.0), (0.0, 2.5)])
@@ -212,9 +216,9 @@ class TestClosedInnerIntegral:
             for u in (0.0, 1.3, 4.0):
                 s_process(t, u)
         assert calls == []
-        # the count sees nquad: a Python density takes that route
+        # the count sees nquad: the Python-function oracle takes that route
         dens = density_from_json(spec)
-        s_process(LevyTriplet2D((0.1, 0.05), sigma, BoxDensity(dens.fn, dens.box)), 1.3)
+        s_process(LevyTriplet2D((0.1, 0.05), sigma, FnBoxDensity(dens.fn, dens.box)), 1.3)
         assert calls
 
     def test_closed_route_keeps_the_tolerance_check(self, monkeypatch):
@@ -227,3 +231,104 @@ class TestClosedInnerIntegral:
         with pytest.raises(UndeterminedError, match="2-d quadrature") as info:
             dens.integrate(UNIT, [Strip()])
         assert info.value.residual == 0.25
+
+
+# ---------------------------------------------------------------------------
+# One quadrature route: no nested quadrature in the package
+# ---------------------------------------------------------------------------
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+class TestOneRoute:
+    def test_the_package_names_no_nested_quadrature(self):
+        # No nquad (nor the dblquad and tplquad that wrap it) anywhere in
+        # the package, and a BoxDensity is built only by density_from_json.
+        nested = {"nquad", "dblquad", "tplquad"}
+        found, builds = [], []
+        for path in sorted(Path(gouruin.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.id if isinstance(node, ast.Name)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name in nested:
+                    found.append((path.name, getattr(node, "lineno", None)))
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and fn.name != "density_from_json":
+                    builds += [
+                        (path.name, node.lineno) for node in ast.walk(fn)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "BoxDensity"
+                    ]
+        assert found == []
+        assert builds == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_check_density_pass_runs_no_nquad(self, monkeypatch, workloads, seed):
+        # Every op of the benchmark's density workload passes its oracle
+        # with no nquad call, and no integral of a named family takes a
+        # limit toward the origin.  A segment of the x axis across the
+        # origin still takes one, so the count sees that limit.
+        calls = {"nquad": 0, "limit": 0, "limit_in_box": 0}
+        depth = [0]
+        nquad, limit, box_integrate = integrate.nquad, quadrature.limit_toward_origin, BoxDensity.integrate
+
+        def counted_nquad(*args, **kwargs):
+            calls["nquad"] += 1
+            return nquad(*args, **kwargs)
+
+        def counted_limit(*args, **kwargs):
+            calls["limit"] += 1
+            calls["limit_in_box"] += depth[0] > 0
+            return limit(*args, **kwargs)
+
+        def box_integral(self, *args, **kwargs):
+            depth[0] += 1
+            try:
+                return box_integrate(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(integrate, "nquad", counted_nquad)
+        monkeypatch.setattr(quadrature, "limit_toward_origin", counted_limit)
+        monkeypatch.setattr(BoxDensity, "integrate", box_integral)
+        wl = workloads.build("check_density", seed)
+        ctx = {}
+        for op in wl.ops:
+            ctx[op.name] = op.run(ctx)
+            assert op.check(ctx[op.name], ctx).problems == [], op.name
+        assert calls["nquad"] == 0 and calls["limit_in_box"] == 0
+        seen = calls["limit"]
+        assert quadrant_mass(LineDensity("x", lambda v: 1.0, -0.5, 0.5), 1) == pytest.approx(0.5)
+        assert calls["limit"] > seen
+
+
+class TestFnBoxOracle:
+    def test_the_oracle_splits_its_corners(self):
+        # The chord y = sqrt(1 - x^2) meets the box edge y = 1.515 at
+        # x = +-0.44 and the box's lower edge lies above y = 0: unsplit,
+        # the outer level of nquad missed that corner and put gamma_eta
+        # 5.0e-6 off, with an error estimate below tol.  The reference is a
+        # 1-d quadrature of the same correction over y, split at the chord
+        # end sqrt(1 - x1^2).
+        box = (-2.428644051576947, 0.6923097393314539, 0.06501791411104252, 1.5151182904901705)
+        c = 2.232378377543044
+        dens = FnBoxDensity(lambda x, y: c, box)
+        gamma_eta = marginal_eta(LevyTriplet2D((0.1, 0.05), ((0.0, 0.0), (0.0, 0.0)), dens)).gamma
+        assert abs(gamma_eta - 2.1334116764456854) <= dens.tol
+        named = density_from_json({"kind": "uniform_box", "params": {"c": c}, "box": list(box)})
+        closed = marginal_eta(LevyTriplet2D((0.1, 0.05), ((0.0, 0.0), (0.0, 0.0)), named)).gamma
+        assert abs(closed - 2.1334116764456854) <= named.tol

@@ -9,7 +9,6 @@ import pytest
 from gouruin import regions
 from gouruin.errors import NotSupportedError
 from gouruin.model import (
-    BoxDensity,
     FiniteAtomSet,
     JumpAtom,
     LevyTriplet2D,
@@ -28,7 +27,16 @@ from gouruin.regions import (
     region_mass,
     thetas,
 )
-from oracles import SmallJumpVariation, small_jump_variation
+from gouruin.quadrature import BandEdge, ChordEdge, Strip, clip_strips_to_box
+from oracles import (
+    FnBoxDensity,
+    RegionBoundaryWarning,
+    SmallJumpVariation,
+    bisect_theta,
+    bisect_thetas,
+    nquad_strips,
+    small_jump_variation,
+)
 
 E = math.e
 
@@ -79,12 +87,13 @@ class TestRegionMass:
             assert region_mass(m, 2, u) == 0.4
 
     @pytest.mark.parametrize("u", [5.07, 5.075, 5.08])
-    def test_thin_corner_region_of_a_python_density(self, u):
+    def test_thin_corner_region_of_a_named_density(self, u):
         # A2^u on the box [0.5, 1.5] x [-2, -0.5] is a corner triangle next
         # to (0.5, -2), 1.7e-3 to 3.8e-4 wide, of mass delta^2 / (2 u e^-0.5)
         # with delta = 2 - u (1 - e^-0.5) to first order in delta.  It is
         # integrated only if the strip is cut to where it is non-empty.
-        dens = BoxDensity(lambda x, y: 1.0, (0.5, 1.5, -2.0, -0.5))
+        dens = density_from_json(
+            {"kind": "uniform_box", "params": {"c": 1.0}, "box": [0.5, 1.5, -2.0, -0.5]})
         delta = 2.0 - u * (1.0 - math.exp(-0.5))
         assert region_mass(dens, 2, u) == pytest.approx(
             delta * delta / (2.0 * u * math.exp(-0.5)), rel=1e-3
@@ -197,6 +206,47 @@ class TestDriftLhs:
         rate, y = 1.3, 0.4
         t = triplet((0.0, rate * y), jumps=[(0.0, y, rate)])
         assert drift_lhs(t, 0.0) == pytest.approx(0.0, abs=1e-15)
+
+    def test_named_families_against_the_nested_quadrature_oracle(self):
+        # 112 seeded (box, u) pairs, u = 0 among them.  Every fourth box
+        # straddles both axes and the unit circle, and the line y = -u x,
+        # where drift_lhs splits u x + y into its two parts, leaves the disk
+        # inside at least ten boxes.  The oracle integrates the signed
+        # u x + y over the whole region, unsplit, by nested quadrature split
+        # at the region's own kinks; every pair decides and agrees with it
+        # to within tol plus the oracle's error.
+        rng = np.random.default_rng(20261021)
+        sigma = ((0.5, 0.0), (0.0, 0.5))
+        pairs = chord_inside = 0
+        for i in range(28):
+            if i % 4 == 0:
+                box = [rng.uniform(-1.5, -0.2), rng.uniform(1.05, 1.5),
+                       rng.uniform(-1.5, -0.2), rng.uniform(0.2, 1.5)]
+            else:
+                x0, y0 = rng.uniform(-1.4, 1.0, 2)
+                w, h = rng.uniform(0.2, 1.2, 2)
+                box = [x0, x0 + w, y0, y0 + h]
+            box = [float(v) for v in box]
+            c = float(rng.uniform(0.2, 3.0))
+            if i % 2:
+                a, b = (float(v) for v in rng.uniform(-1.0, 2.0, 2))
+                spec = {"kind": "exp_tails", "params": {"c": c, "a": a, "b": b}, "box": box}
+            else:
+                spec = {"kind": "uniform_box", "params": {"c": c}, "box": box}
+            dens = density_from_json(spec)
+            t = LevyTriplet2D((0.3, 0.2), sigma, dens)
+            for u in (0.0, 0.4, -1.3, float(rng.uniform(-3.0, 5.0))):
+                region = [Strip(-1.0, 1.0, (BandEdge(u, 0.0), ChordEdge(1.0, -1.0)),
+                                (ChordEdge(1.0),))]
+                ref, err = nquad_strips(dens.fn, clip_strips_to_box(region, dens.box),
+                                        lambda x, y, u=u: u * x + y, dens.tol)
+                expected = 0.2 + 0.3 * u - 0.25 * u - ref
+                assert abs(drift_lhs(t, u) - expected) <= dens.tol + err, (spec, u)
+                pairs += 1
+                h = 1.0 / math.hypot(1.0, u)
+                chord_inside += any(box[0] < x < box[1] and box[2] < -u * x < box[3]
+                                    for x in (-h, h))
+        assert pairs >= 100 and chord_inside >= 10
 
 
 class TestPiecewise:
@@ -431,12 +481,14 @@ class TestDensityThetas:
         assert quadrant_mass(dens, 3) == pytest.approx(0.0, abs=1e-9)
 
     def test_python_density_box_is_bisected(self):
-        # The same box as a Python density: the bisection brackets
-        # {mass > tol}; with mass decaying like the area of a corner
-        # triangle the threshold resolves to about the cube root of the mass
-        # tolerance, always from below.
-        dens = BoxDensity(lambda x, y: 1.0, (0.5, 1.0, -2.0, -0.5))
-        th = thetas(dens)
+        # The same box as a Python density, whose thresholds only the
+        # oracle's bisection finds: it brackets {mass > tol}; with mass
+        # decaying like the area of a corner triangle the threshold resolves
+        # to about the cube root of the mass tolerance, always from below.
+        dens = FnBoxDensity(lambda x, y: 1.0, (0.5, 1.0, -2.0, -0.5))
+        with pytest.raises(NotSupportedError):
+            thetas(dens)
+        th = bisect_thetas(dens)
         expected = 2.0 / (1.0 - math.exp(-0.5))
         assert expected * (1.0 - 2e-2) <= th.theta2 <= expected * (1.0 + 1e-9)
         assert th.theta4 == INF
@@ -499,7 +551,7 @@ class TestDensityThetas:
         # every y of one sign, so each side with mass gives the thresholds
         # of one atom on it, and no region mass is searched out to a cap.
         with warnings.catch_warnings():
-            warnings.simplefilter("error", regions.RegionBoundaryWarning)
+            warnings.simplefilter("error")
             th = thetas(LineDensity("y", lambda v: 1.0, lo, hi))
         ref = regions._atom_thetas([JumpAtom(0.0, y, 1.0) for y in sides])
         assert repr(th) == repr(ref)
@@ -552,7 +604,7 @@ class TestCornerThetasAgainstRegionMass:
 
 
 class TestBisectTheta:
-    """Every exit of the density-tier threshold search, on a stubbed region
+    """Every exit of the oracle's threshold search, on a stubbed region
     mass: the calls are recorded as the levels u they ask about."""
 
     class _Measure:
@@ -568,7 +620,7 @@ class TestBisectTheta:
 
         monkeypatch.setattr(regions, "region_mass", stub)
         monkeypatch.setattr(regions, "quadrant_mass", lambda m, j: 1.0)
-        return regions._bisect_theta(self._Measure(), i, sign, vanishing), calls
+        return bisect_theta(self._Measure(), i, sign, vanishing), calls
 
     @pytest.mark.parametrize("i, sign, vanishing, mass", [
         (2, 1.0, True, lambda u: 1.0 if u < 2.5 else 0.0),
@@ -578,7 +630,7 @@ class TestBisectTheta:
     ])
     def test_transition_is_bracketed_then_bisected(self, monkeypatch, i, sign, vanishing, mass):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", regions.RegionBoundaryWarning)
+            warnings.simplefilter("error", RegionBoundaryWarning)
             value, calls = self._search(monkeypatch, mass, i, sign, vanishing)
         assert value == pytest.approx(sign * 2.5, rel=1e-12)
         expansion = [0.0, 1.0, 4.0] if vanishing else [1.0, 4.0]
@@ -586,13 +638,13 @@ class TestBisectTheta:
         assert len(calls) == len(expansion) + 48
 
     def test_vanishing_region_empty_at_zero_warns(self, monkeypatch):
-        with pytest.warns(regions.RegionBoundaryWarning, match="vanishes next to"):
+        with pytest.warns(RegionBoundaryWarning, match="vanishes next to"):
             value, calls = self._search(monkeypatch, lambda u: 0.0, 2, 1.0, True)
         assert value == 0.0 and calls == [0.0]
 
     @pytest.mark.parametrize("i, sign, empty", [(4, 1.0, INF), (1, -1.0, NEG_INF)])
     def test_region_empty_out_to_the_cap_warns(self, monkeypatch, i, sign, empty):
-        with pytest.warns(regions.RegionBoundaryWarning, match="stayed empty"):
+        with pytest.warns(RegionBoundaryWarning, match="stayed empty"):
             value, calls = self._search(monkeypatch, lambda u: 0.0, i, sign, False)
         assert value == empty
         assert calls == [sign * 4.0 ** k for k in range(20)]
@@ -600,7 +652,7 @@ class TestBisectTheta:
     @pytest.mark.parametrize("i, sign", [(2, 1.0), (3, -1.0)])
     def test_region_full_out_to_the_cap_is_infinite(self, monkeypatch, i, sign):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", regions.RegionBoundaryWarning)
+            warnings.simplefilter("error", RegionBoundaryWarning)
             value, calls = self._search(monkeypatch, lambda u: 1.0, i, sign, True)
         assert value == sign * INF
         assert calls == [sign * v for v in [0.0] + [4.0 ** k for k in range(20)]]
@@ -608,4 +660,4 @@ class TestBisectTheta:
     def test_empty_quadrant_needs_no_search(self, monkeypatch):
         monkeypatch.setattr(regions, "quadrant_mass", lambda m, j: 0.0)
         monkeypatch.setattr(regions, "region_mass", lambda m, j, u: pytest.fail("searched"))
-        assert regions._bisect_theta(self._Measure(), 4, 1.0, False) == INF
+        assert bisect_theta(self._Measure(), 4, 1.0, False) == INF

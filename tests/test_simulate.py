@@ -16,7 +16,6 @@ from gouruin import simulate as simulate_module
 from gouruin.errors import InvalidModelError, NotSupportedError
 from gouruin.estimate import _dispatch_batch, _fv_batch, _mixed_batch
 from gouruin.model import (
-    BoxDensity,
     FiniteAtomSet,
     JumpAtom,
     LevyTriplet2D,
@@ -266,7 +265,8 @@ class TestSimulatePair:
     def test_density_driver_needs_a_truncation_cutoff(self):
         t = LevyTriplet2D(
             (0.3, 0.1), ((0.0, 0.0), (0.0, 0.0)),
-            BoxDensity(lambda x, y: 0.3, (0.5, 1.5, -1.5, 0.5)),
+            density_from_json({"kind": "uniform_box", "params": {"c": 0.3},
+                               "box": [0.5, 1.5, -1.5, 0.5]}),
         )
         with pytest.raises(NotSupportedError):
             simulate_pair(t, PathConfig(1.0, 0.1, 3))
