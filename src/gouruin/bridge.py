@@ -1,8 +1,8 @@
 """The keyed midpoint layout of the bridge engines, ``grid_bridge`` and
 ``expmart``: their paths drawn coarse to fine from keyed normals, refined
-only where a path can come near a level (``keyed_batch``).  The batch loop,
-the chunk of a time block and the hash uniforms are those of ``estimate``;
-this module is compiled only once a keyed engine runs."""
+only where a path can come near a level (``keyed_batch``).  The batch loop
+and the hash uniforms are those of ``estimate``; this module is compiled
+only once a keyed engine runs."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .estimate import _Q_MAX, _batch_from_chunks, _GridChunk, _hash_uniforms
-from .simulate import _Chunk
+from .estimate import _Q_MAX, _batch_from_chunks, _hash_uniforms
+from .simulate import States, _Chunk, _inf_past_overflow
 
 #: Largest |normal| of ``_keyed_normals``: sqrt(-2 ln 2^-53) = 8.57.
 _NORMAL_MAX = 2.0 * math.sqrt(_Q_MAX)
@@ -51,6 +51,41 @@ class _RecordChunk(_Chunk):
 
     def z_at(self, time):
         return self.half[1] if self.half is not None and time == self.half[0] else None
+
+
+class _GridChunk(_Chunk):
+    """A time block of whole keyed-layout paths, for a sink: the keys ``P``
+    at the block's grid instants ``times`` (Z, or on expmart xi signed so
+    that ruin lies below), which ``ruin`` maps to -Z, and xi there.  Its
+    keys are P cut to its finite prefix, which ``keyed_batch`` lowers at
+    the end of each step to its bridge extreme; a row is ``finite`` when Z
+    and xi are finite throughout.  ``z_T`` is set on the block that ends at the horizon.
+    Every crossing is continuous, with value 0, at the instant that ends
+    it."""
+
+    values_by_column = False
+
+    def __init__(self, P, xi, times, ruin, last):
+        self.xi, self.times, self.ruin = xi, times, ruin
+        self.Z = -ruin(P)
+        self.z_T = self.Z[:, -1] if last else None
+        self.finite = np.isfinite(self.Z).all(axis=1) & np.isfinite(xi).all(axis=-1)
+        self.key = P if self.finite.all() else _inf_past_overflow(P)
+
+    def crossing_key(self):
+        return self.key
+
+    def crossings(self, z, r, c, want_times):
+        return self.times[c] if want_times else math.nan, 0.0, True
+
+    def states(self, z):
+        """The block's grid instants, but its first when the block before
+        ends there, with xi = gamma_xi t on ``grid_bridge``."""
+        cut = 1 if self.times[0] > 0.0 else 0
+        Z = self.Z[:, cut:]
+        xi = np.broadcast_to(self.xi, self.Z.shape)[:, cut:]
+        return States(np.broadcast_to(self.times[cut:], Z.shape), xi, Z, np.exp(xi) * (z + Z),
+                      np.zeros(Z.shape, dtype=bool), np.full(len(Z), Z.shape[1]))
 
 
 class _BridgeTree:

@@ -1,14 +1,13 @@
 """Monte Carlo estimators with confidence intervals.
 
 Every estimator fans simulation out over counter-based random streams.
-Four engines share one keyed layout: every value they draw is a splitmix64
-hash uniform (``simulate._hash_uniforms``) at a counter of the sequence
-keyed by (seed, stream), which packs the path and the draw, so ``exact_fv``
-and ``mixed_grid`` (arrival gaps, atoms or density cells, and interval
-normals) and ``grid_bridge`` and ``expmart`` (``bridge._keyed_normals``)
-open no generator.  Only ``grid`` opens a per-path Philox generator,
-``path_rng``, keyed by (seed, stream, path_index).  So results depend only
-on (seed, stream, n) and never on chunking, round widths or worker count;
+The four engines share one keyed layout: every value they draw is a
+splitmix64 hash uniform (``simulate._hash_uniforms``) at a counter of the
+sequence keyed by (seed, stream), which packs the path and the draw, so
+``exact_fv`` and ``mixed_grid`` (arrival gaps, atoms or density cells, and
+interval normals) and ``grid_bridge`` and ``expmart``
+(``bridge._keyed_normals``) open no generator.  So results depend only on
+(seed, stream, n) and never on chunking, round widths or worker count;
 ``GOU_THREADS`` caps the worker pool.  Probability estimates carry Wilson
 95% intervals, which stay informative at p = 0.
 
@@ -23,9 +22,10 @@ Engine selection per driver, under the names the reports print:
 * ``grid_bridge``: no jumps and deterministic xi; left-point Euler on the
   grid, where the integral has independent Gaussian increments and
   sub-grid crossings are again resolved exactly by bridge probabilities.
-* ``grid``: no jumps and random xi; the Euler grid scan stands alone and the
-  ruin estimate errs on the survival side (the documented bias direction).
-* ``mixed_grid``: every other driver; jump-adapted Euler.
+* ``mixed_grid``: every other driver; jump-adapted Euler.  A driver with no
+  jumps and random xi draws no arrivals there, only each interval's normal
+  pair, and its ruin estimate errs on the survival side (crossings between
+  grid instants go unseen, the documented bias direction).
 
 Every grid engine walks ``simulate.time_grid``: n = max(1, round(T /
 step)) equal steps, ending exactly at T, with the step min(0.01, T / 100)
@@ -34,7 +34,7 @@ their atom jumps from one sampler, ``simulate._fv_events``, so on a driver
 with no Gaussian part ``mixed_grid`` and ``exact_fv`` see the same jumps,
 path for path, and differ only by the grid's Euler error.
 
-One batch loop, ``_batch_from_chunks``, serves all five engines: an engine
+One batch loop, ``_batch_from_chunks``, serves all four engines: an engine
 only yields chunks of paths (``_Chunk``), and the loop reduces each one with
 the one first-passage reducer, ``_Chunk.first_crossings``, under one memory
 budget (``_CHUNK_ELEMS`` values per chunk array and path component) and one
@@ -42,13 +42,12 @@ non-finite rule.  The estimators, the formula checks, the per-path records
 and the empirical lower bound all read the same batch of paths.  The event
 engines (``exact_fv``, ``mixed_grid``) march the live paths of a range
 forward in rounds of their next arrivals or instants (``_event_batch``),
-and ``grid`` in time blocks of its live paths, each carrying per-path
-running state from round to round, so no chunk memory grows with the
-horizon; ``grid_bridge`` and ``expmart`` draw a range of paths coarse to
-fine in the keyed midpoint layout (``bridge``), only where a path can come
-near a level it has not passed, and yield it whole as the records of its
-computed values.  Every engine stops a path once it is ruined at every
-level, or lost, unless a sink reads the paths.
+each carrying per-path running state from round to round, so no chunk
+memory grows with the horizon; ``grid_bridge`` and ``expmart`` draw a
+range of paths coarse to fine in the keyed midpoint layout (``bridge``),
+only where a path can come near a level it has not passed, and yield it
+whole as the records of its computed values.  Every engine stops a path
+once it is ruined at every level, or lost, unless a sink reads the paths.
 
 No estimate is computed from an overflowed value, on any engine: a path
 decides its levels from its finite prefix, and a path whose Z or xi turns
@@ -76,19 +75,14 @@ from .errors import InvalidModelError, NotApplicableError, UndeterminedError
 from .model import LevyTriplet2D, rigid_level, xi_brownian
 from .numerics import BOUNDARY_TOL
 from .simulate import (
-    States,
-    _chol2x2,
     _density_jump_table,
-    _Chunk,
     _event_types,
     _hash_uniforms,  # read here by bridge and perfbench/tracing.py
-    _inf_past_overflow,
     _pair_rates,
     _require_fv,
     check_event_count,
     check_path_count,
     is_exact_fv,
-    path_rng,
     path_step,
     time_grid,
 )
@@ -102,11 +96,11 @@ _PATH_BLOCK = 128
 
 #: Float64 elements of the widest array of a chunk, on every engine: the
 #: event engines draw the live paths of a range in rounds of as many
-#: instants as fit, the Gaussian grid engines cut their paths into time
-#: blocks of at most this many grid values, or on the keyed layout examine
-#: at most this many cells at once, so no chunk memory grows with the
-#: horizon.  64 KB per array stays under glibc's 128 KB mmap threshold,
-#: near which every temporary of a chunk page-faults.
+#: instants as fit, and the bridge engines examine at most this many cells
+#: at once, or for a sink yield time blocks of at most this many grid
+#: values, so no chunk memory grows with the horizon.  64 KB per array
+#: stays under glibc's 128 KB mmap threshold, near which every temporary
+#: of a chunk page-faults.
 _CHUNK_ELEMS = 8_192
 
 #: Survivors ending within this distance of the ruin boundary count in the
@@ -191,7 +185,7 @@ class _BatchResult:
     """Per-z first-passage records plus terminal samples shared across
     levels; ``time`` is filled only when the caller asks for times, and
     ``z_half`` (Z at mid-horizon: the first monitored instant from half the
-    horizon on, or on the grid engines grid instant ``n_steps // 2``) only
+    horizon on, or on the bridge engines grid instant ``n_steps // 2``) only
     for requests with no levels and no sink.  ``passed`` counts the levels
     each path has passed (they nest), and ``lost`` marks the paths that
     turned non-finite before they were decided; ``nonfinite`` counts them.
@@ -252,7 +246,8 @@ def _select_engine(t: LevyTriplet2D) -> str:
     if atoms is not None and len(atoms) == 0:
         if _is_expmart(t) is not None:
             return "expmart"
-        return "grid" if xi_brownian(t) else "grid_bridge"
+        if not xi_brownian(t):
+            return "grid_bridge"
     return "mixed_grid"
 
 
@@ -323,52 +318,6 @@ def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, sink, half, 
     return res
 
 
-class _GridChunk(_Chunk):
-    """The rows of a time block of a Gaussian grid engine: ``P`` at the
-    block's grid instants ``times`` (Z, or on expmart xi signed so that ruin
-    lies below), which ``ruin`` maps to -Z, and xi there when a sink reads
-    the block's states.  Its keys are P cut to its finite prefix, which the
-    keyed engines lower at the end of each cell to its bridge extreme; a
-    row is ``finite`` when P, and Z and xi where it carries xi, are finite
-    throughout; a block without xi is one of ``grid``, whose P is a running
-    sum, finite throughout when its last value is.  ``z_T`` is set on the
-    block that ends at the horizon.
-    Every crossing is continuous, with value 0, at the instant that ends
-    it."""
-
-    values_by_column = False
-
-    def __init__(self, P, xi, times, ruin, last):
-        self.P, self.xi, self.times, self.ruin = P, xi, times, ruin
-        self.z_T = -ruin(P[:, -1]) if last else None
-        self.finite = np.isfinite(P[:, -1])
-        if xi is not None:
-            self.Z = -ruin(P)
-            self.finite &= np.isfinite(self.Z).all(axis=1) & np.isfinite(xi).all(axis=-1)
-        self.key = P if self.finite.all() else _inf_past_overflow(P)
-
-    def crossing_key(self):
-        return self.key
-
-    def crossings(self, z, r, c, want_times):
-        return self.times[c] if want_times else math.nan, 0.0, True
-
-    def z_at(self, time):
-        """Z at the grid instant ``time``, or None if the block does not
-        hold it."""
-        c = np.flatnonzero(self.times == time)
-        return -self.ruin(self.P[:, c[0]]) if len(c) else None
-
-    def states(self, z):
-        """The block's grid instants, but its first when the block before
-        ends there, with xi = gamma_xi t on ``grid_bridge``."""
-        cut = 1 if self.times[0] > 0.0 else 0
-        Z = self.Z[:, cut:]
-        xi = np.broadcast_to(self.xi, self.Z.shape)[:, cut:]
-        return States(np.broadcast_to(self.times[cut:], Z.shape), xi, Z, np.exp(xi) * (z + Z),
-                      np.zeros(Z.shape, dtype=bool), np.full(len(Z), Z.shape[1]))
-
-
 def _gaussian_grid_batch(
     t: LevyTriplet2D,
     z_list,
@@ -381,28 +330,18 @@ def _gaussian_grid_batch(
     want_times: bool = False,
     sink=None,
 ) -> _BatchResult:
-    """No-jump drivers (``expmart``, ``grid_bridge``, ``grid``).  A path is
-    ruined at a level at the first grid instant past it or, on the keyed
-    engines (``grid_bridge`` and ``expmart``), at the right end of an
-    earlier step whose exact Brownian-bridge extreme (deterministic xi, or
-    the closed-form regime in xi space) passes it.  Levels nest, so common
-    random numbers and monotonicity in the level are structural.
+    """The bridge engines, ``grid_bridge`` and ``expmart``: no jumps, and
+    deterministic xi or the closed-form regime.  A path is ruined at a
+    level at the first grid instant past it, or at the right end of an
+    earlier step whose exact Brownian-bridge extreme (of Z, or in xi space)
+    passes it.  Levels nest, so common random numbers and monotonicity in
+    the level are structural.
 
-    ``grid`` marches forward: each path keeps its own generator
-    (``path_rng``) and the running sums carry from time block to time
-    block (at most ``_CHUNK_ELEMS`` values), so memory does not grow with
-    the horizon.  A block yields its live paths when the batch loop needs
-    it whatever it holds (for a sink, mid-horizon or the horizon), and
-    otherwise only its paths that reach a level they have not passed; a
-    path ruined at every level, or lost, stops drawing unless a sink reads
-    the paths.
-
-    ``grid_bridge`` and ``expmart`` open no generator: they draw their grid
-    coarse to fine in the keyed midpoint layout (``bridge.keyed_batch``),
-    each node's normal a Box-Muller transform of two hash uniforms of at
-    least 2^-53 keyed by (seed, stream, path, node), so within 8.57
-    standard deviations, and each step's bridge extreme solved from its own
-    uniform.  The grid of a path is a fixed function of (seed, stream,
+    They open no generator: they draw their grid coarse to fine in the
+    keyed midpoint layout (``bridge.keyed_batch``), each node's normal a
+    Box-Muller transform of two hash uniforms of at least 2^-53 keyed by
+    (seed, stream, path, node), so within 8.57 standard deviations, and
+    each step's bridge extreme solved from its own uniform.  The grid of a path is a fixed function of (seed, stream,
     path) and the step, and is drawn only where the path can come near a
     level, so results depend only on (seed, stream, n), never on the
     horizon of a crossing, the levels, the chunking or the workers.
@@ -423,84 +362,10 @@ def _gaussian_grid_batch(
         def fire(x):
             return u0 * -np.expm1(-sign * x)
 
-    if engine == "grid":
-        return _forward_march(t, levels, times, n, seed, stream, fire, want_times, sink)
     from .bridge import keyed_batch  # compiled only once a keyed engine runs
 
     return keyed_batch(t, engine, levels, times, n, seed, stream, sign, fire, want_times, sink,
                        _CHUNK_ELEMS)
-
-
-def _forward_march(t, levels, times, n, seed, stream, fire, want_times, sink) -> _BatchResult:
-    """The batch of ``grid`` (random xi with eta): every path walks the
-    grid with its own generator, in time blocks (``_gaussian_grid_batch``)."""
-    n_steps = len(times) - 1
-    h = times[-1] / n_steps
-    gx, gy = t.gamma_tilde
-    sigma_xi, l21, l22 = _chol2x2(t.sigma)
-    sqh = math.sqrt(h)
-    n_levels = len(levels)
-    path_level = np.append(-levels, -math.inf)  # past the last level: no key passes it
-
-    def advance(gens, s, e, carry):
-        """Z at grid instants s..e of the rows whose generators are
-        ``gens``, and xi there; ``carry`` holds their running sums at
-        instant s."""
-        w = e - s
-        rows = len(gens)
-        normals = np.empty((rows, w, 2))
-        for g, row in zip(gens, normals):
-            g.standard_normal(out=row)
-        X = np.empty((rows, w + 1))
-        X[:, 0] = carry[0]
-        np.multiply(normals[:, :, 0], sigma_xi * sqh, out=X[:, 1:])
-        np.cumsum(X, axis=1, out=X)
-        carry[0] = X[:, -1]
-        X += gx * times[s:e + 1]  # xi
-        eta_inc = gy * h + (l21 * normals[:, :, 0] + l22 * normals[:, :, 1]) * sqh
-        Z = np.empty((rows, w + 1))
-        Z[:, 0] = carry[1]
-        np.multiply(np.exp(-X[:, :-1]), eta_inc, out=Z[:, 1:])
-        np.cumsum(Z, axis=1, out=Z)
-        carry[1] = Z[:, -1]
-        return Z, X
-
-    # a time block holds at most _CHUNK_ELEMS grid values: whole paths, as
-    # many as fit, or 16 paths over fewer steps, so that a path ruined early
-    # soon stops drawing
-    rows = max(16, _CHUNK_ELEMS // (n_steps + 1))
-    starts = np.arange(0, n_steps, max(1, _CHUNK_ELEMS // rows - 1))
-    ends = np.append(starts[1:], n_steps)
-
-    def blocks(i0, i1, res, needs):
-        gens = [path_rng(seed, i, stream) for i in range(i0, i1)]
-        live = np.arange(i0, i1)
-        carry = np.zeros((2, len(live)))
-        below = path_level[res.passed[live]]  # each row's first unpassed level, as a key
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            P, xi = advance(gens, s, e, carry)
-            if needs(times[s], times[e]):
-                ids, chunk = live, _GridChunk(P, None if sink is None else xi,
-                                              times[s:e + 1], fire, e == n_steps)
-            else:
-                # rows that reach a level they have not passed; P is a
-                # running sum, so a row that turns non-finite stays so, and
-                # the block at the horizon shows it if no earlier one does
-                near = np.flatnonzero(~(P.min(axis=1) >= below))
-                if not len(near):
-                    continue
-                ids, chunk = live[near], _GridChunk(P[near], None, times[s:e + 1], fire, False)
-            yield ids, chunk
-            if sink is None and n_levels:  # decided paths stop drawing
-                keep = (res.passed[live] < n_levels) & ~res.lost[live]
-                live, carry = live[keep], carry[:, keep]
-                gens = [g for g, k in zip(gens, keep) if k]
-                if not len(live):
-                    return
-            below = path_level[res.passed[live]]
-
-    return _batch_from_chunks("grid", levels, n, rows, blocks, want_times, sink,
-                              times[n_steps // 2], times[-1])
 
 
 def _event_batch(engine, rounds, z_list, horizon, n, want_times, sink) -> _BatchResult:
@@ -871,7 +736,7 @@ def empirical_lower_bound(
     the batch and streams of ``estimate_ruin``: the Monte Carlo side of
     delta(z).  The instants are those of ``chunk.states``: t = 0 and the
     pre-jump, post-jump and horizon states on ``exact_fv`` (exact: the path
-    is monotone between them), the grid on the Gaussian grid engines (xi =
+    is monotone between them), the grid on the bridge engines (xi =
     gamma_xi t on ``grid_bridge``) and the jump-adapted grid on
     ``mixed_grid``; ``gouruin simulate`` writes the same instants.  V = z at
     t = 0, so the bound is at most z.  A path whose Z or xi turns non-finite
@@ -902,11 +767,12 @@ def ruin_records(
     continuous crossing) for external analysis, from the same batch and
     streams as ``estimate_ruin``: the hits are its ruin events.
 
-    ``exact_fv`` reports exact times.  On ``expmart`` and ``grid_bridge``
-    the time is the monitored instant that ends the crossing cell, with the
-    Brownian-bridge crossing correction of the estimate; on ``grid`` it is
-    the first grid instant below zero; ``mixed_grid`` reports its grid or
-    jump instant.  Non-ruined paths carry NaN time and value.
+    ``exact_fv`` reports exact times and values.  On ``expmart`` and
+    ``grid_bridge`` the time is the monitored instant that ends the
+    crossing cell, with the Brownian-bridge crossing correction of the
+    estimate, and the value 0.  ``mixed_grid`` reports its first grid or
+    jump instant with V below zero, and V there (also on a driver with no
+    jumps).  Non-ruined paths carry NaN time and value.
     """
     batch = _dispatch_batch(
         t, [z], horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps,

@@ -36,9 +36,8 @@ depend on the horizon, the round that draws them or the worker.  The event
 engines march the live paths of a range forward together in rounds (in
 ``events``, compiled only once an event engine runs), and a path leaves
 once it reaches the horizon or its question is answered.  ``simulate_pair``
-and ``fv_first_passage`` are the one-path views of those rounds.  Only
-``grid`` opens a per-path counter-based generator, ``path_rng``, keyed by
-(seed, stream, path_index).
+and ``fv_first_passage`` are the one-path views of those rounds.  No engine
+opens a generator.
 """
 
 from __future__ import annotations
@@ -213,124 +212,17 @@ class FirstPassage:
 
 
 def path_rng(seed: int, path_index: int = 0, stream: int = 0) -> np.random.Generator:
-    """Counter-based per-path generator keyed by (seed, stream, path_index);
-    independent of draw order elsewhere.
-
-    It is ``Generator(Philox(SeedSequence(seed, spawn_key=(stream,
-    path_index))))`` bit for bit, but the Philox key comes from
-    ``_key_block``, which hashes a block of path indices at once.  Indices
-    of two words or more (>= 2**32) take the ``SeedSequence`` route."""
+    """Counter-based per-path generator keyed by (seed, stream, path_index):
+    ``Generator(Philox(SeedSequence(seed, spawn_key=(stream,
+    path_index))))``.  No engine opens it; it stays callable for outside
+    callers, and ``numpy.random`` loads only on a call."""
     seed, stream, path_index = int(seed), int(stream), int(path_index)
     for name, v in (("seed", seed), ("stream", stream), ("path index", path_index)):
         if v < 0:
             raise InvalidModelError(f"{name} must be a non-negative integer, got {v}")
-    generator, philox, fixed_key = _philox_parts()
-    if path_index >> 32:
-        from numpy.random import SeedSequence
+    from numpy.random import Generator, Philox, SeedSequence
 
-        return generator(philox(SeedSequence(seed, spawn_key=(stream, path_index))))
-    block, row = divmod(path_index, _KEY_BLOCK)
-    return generator(philox(fixed_key(_key_block(seed, stream, block)[row])))
-
-
-# numpy's SeedSequence hash (pool of four 32-bit words).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_KEY_BLOCK = 256  # path indices per key block; divides 2**32
-
-
-def _words(n: int) -> list[int]:
-    """32-bit little-endian words of a non-negative int (one word for 0)."""
-    out = [n & _MASK32]
-    while n := n >> 32:
-        out.append(n & _MASK32)
-    return out
-
-
-def _hashmix(v, h: int, mult: int = _MULT_A):
-    """One hashmix step, on an int or a uint32 array: the mixed value and
-    the updated hash constant."""
-    h_next = h * mult & _MASK32
-    v = (v ^ h) * h_next & _MASK32
-    return v ^ (v >> 16), h_next
-
-
-def _mix(x: int, y):
-    """Mix of a pool word with a hashed word (an int or a uint32 array)."""
-    r = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
-    return r ^ (r >> 16)
-
-
-@lru_cache(maxsize=64)
-def _pool_prefix(seed: int, stream: int) -> tuple[list[int], int]:
-    """The SeedSequence pool after every entropy word but the path index's
-    (the seed's words padded to four, then the stream's), and the hash
-    constant it continues with."""
-    run = _words(seed)
-    entropy = run + [0] * (4 - len(run)) + _words(stream)
-    pool, h = [], _INIT_A
-    for w in entropy[:4]:
-        v, h = _hashmix(w, h)
-        pool.append(v)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    for w in entropy[4:]:
-        for dst in range(4):
-            v, h = _hashmix(w, h)
-            pool[dst] = _mix(pool[dst], v)
-    return pool, h
-
-
-@lru_cache(maxsize=8)
-def _key_block(seed: int, stream: int, block: int) -> np.ndarray:
-    """Philox keys (two uint64 each, read-only) of the path indices from
-    ``block * _KEY_BLOCK`` to the next block: the index word is mixed into
-    the prefix pool and ``generate_state(2, uint64)`` is applied, in uint32
-    arithmetic over the whole block."""
-    pool, h = _pool_prefix(seed, stream)
-    start = block * _KEY_BLOCK
-    word = np.arange(start, start + _KEY_BLOCK, dtype=np.uint64).astype(np.uint32)
-    state, h_out = [], _INIT_B
-    for dst in range(4):
-        v, h = _hashmix(word, h)
-        v, h_out = _hashmix(_mix(pool[dst], v), h_out, _MULT_B)
-        state.append(v.astype(np.uint64))
-    keys = np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
-    keys.flags.writeable = False
-    return keys
-
-
-@lru_cache(maxsize=None)
-def _philox_parts():
-    """``Generator``, ``Philox`` and a seed sequence that hands Philox a
-    precomputed key, numpy's interface for custom seed sequences.  Defined
-    on first use, so that importing the package does not load
-    ``numpy.random``."""
-    from numpy.random import Generator, Philox
-    from numpy.random.bit_generator import ISeedSequence
-
-    class FixedKey(ISeedSequence):
-        """The seed sequence of one path: its state is its Philox key."""
-
-        def __init__(self, key):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.key
-
-        def __reduce__(self):  # the class is local; pickle through a module function
-            return _fixed_key, (self.key,)
-
-    return Generator, Philox, FixedKey
-
-
-def _fixed_key(key):
-    return _philox_parts()[2](key)
+    return Generator(Philox(SeedSequence(seed, spawn_key=(stream, path_index))))
 
 
 def _chol2x2(sigma) -> tuple[float, float, float]:

@@ -452,13 +452,13 @@ class TestSimulate:
         ("expmart", {"preset": "continuous_example", "c": -0.2}),
         ("expmart", {"gamma_tilde": [0.3, -0.2], "sigma": [[1.0, 1.0], [1.0, 1.0]],
                      "jumps": {"atoms": []}}),  # u0 = -1: the other sign of the key
-        ("grid", {"gamma_tilde": [0.2, 0.1], "sigma": [[0.5, 0.2], [0.2, 0.6]],
-                  "jumps": {"atoms": []}}),
+        ("mixed_grid", {"gamma_tilde": [0.2, 0.1], "sigma": [[0.5, 0.2], [0.2, 0.6]],
+                        "jumps": {"atoms": []}}),  # random xi and no jumps
     ]
 
     @pytest.mark.parametrize("engine, spec", SIMULATE_ENGINES, ids=[
         "exact_fv", "mixed_grid", "grid_bridge", "expmart+c", "expmart-c", "expmart_u0<0",
-        "grid"])
+        "mixed_grid_no_jumps"])
     def test_paths_are_those_the_estimators_reduce(
         self, capsys, tmp_path, monkeypatch, engine, spec
     ):

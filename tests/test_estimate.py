@@ -1,10 +1,12 @@
 """Monte Carlo estimators: engines, intervals, the ruin-formula check, and
 reproducibility contracts."""
 
+import ast
 import hashlib
 import math
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,10 +36,9 @@ from gouruin.simulate import (
     PathConfig,
     first_passage,
     fv_first_passage,
-    path_rng,
     simulate_pair,
 )
-from oracles import ks_distance
+from oracles import keyed_euler_path, keyed_z, ks_distance
 
 E = math.e
 
@@ -163,23 +164,25 @@ def correlated_gaussian():
     return triplet((0.5, 0.3), ((0.25, 0.1), (0.1, 0.5)))
 
 
-# (engine, driver, horizon, step), one driver per engine
+# (engine, driver, horizon, step), one driver per engine, and on mixed_grid
+# one with jumps and one without (random xi with eta)
 ENGINE_CASES = [
     ("exact_fv", jump_example_triplet(1.0, 1.0), 20.0, None),
     ("expmart", continuous_example_triplet(0.4), 5.0, 0.01),
     ("grid_bridge", drift_xi_brownian_eta(), 5.0, 0.01),
-    ("grid", correlated_gaussian(), 5.0, 0.01),
     (
         "mixed_grid",
         triplet((0.5, 0.3), ((0.25, 0.1), (0.1, 0.5)), [(0.3, -0.5, 1.0), (-0.2, 0.4, 0.5)]),
         3.0,
         0.02,
     ),
+    ("mixed_grid", correlated_gaussian(), 5.0, 0.01),
 ]
+CASE_IDS = ["exact_fv", "expmart", "grid_bridge", "mixed_grid", "mixed_grid_no_jumps"]
 
 
-def engine_case(engine):
-    return next(case for case in ENGINE_CASES if case[0] == engine)
+def engine_case(case_id):
+    return ENGINE_CASES[CASE_IDS.index(case_id)]
 
 
 def keyed_W(var, seed, stream, i):
@@ -205,18 +208,14 @@ def keyed_W(var, seed, stream, i):
 
 
 def grid_Z(t, engine, seed, i, n_steps, h):
-    """Grid values of the discounted integral on path i: from the per-path
-    normals of ``grid``, or from the keyed midpoint layout (``keyed_W``) on
+    """Grid values of the discounted integral on path i: from the keyed
+    oracle of a ``mixed_grid`` path (``keyed_euler_path``) on a driver with
+    no jumps, or from the keyed midpoint layout (``keyed_W``) on
     ``grid_bridge`` and ``expmart``."""
     (gx, gy), (s11, s12), s22 = t.gamma_tilde, t.sigma[0], t.sigma[1][1]
     times = np.arange(n_steps + 1) * h
-    if engine == "grid":
-        normals = path_rng(seed, i, 0).standard_normal((n_steps, 2))
-        xi = gx * times + np.concatenate([[0.0], np.cumsum(math.sqrt(s11 * h) * normals[:, 0])])
-        l21 = s12 / math.sqrt(s11)
-        l22 = math.sqrt(s22 - l21 * l21)
-        eta_inc = gy * h + (l21 * normals[:, 0] + l22 * normals[:, 1]) * math.sqrt(h)
-        return np.concatenate([[0.0], np.cumsum(np.exp(-xi[:-1]) * eta_inc)])
+    if engine == "mixed_grid":
+        return keyed_z(keyed_euler_path(t, n_steps * h, h, seed, i))
     top = 1 << bridge._TOP_LEVEL
     steps = np.arange(-(-n_steps // top) * top) * h
     if engine == "grid_bridge":
@@ -250,7 +249,7 @@ class TestRigidLevel:
 
 
 class TestRuinRecords:
-    @pytest.mark.parametrize("engine,t,horizon,step", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES])
+    @pytest.mark.parametrize("engine,t,horizon,step", ENGINE_CASES, ids=CASE_IDS)
     def test_records_match_the_estimate(self, engine, t, horizon, step):
         z, n, seed = 0.5, 300, 11
         assert _select_engine(t) == engine
@@ -265,9 +264,9 @@ class TestRuinRecords:
         assert np.array_equal(values, batch.v_hit[z], equal_nan=True)
         assert np.array_equal(cont, batch.continuous[z])
 
-    @pytest.mark.parametrize("engine", ["expmart", "grid_bridge", "grid"])
-    def test_grid_time_not_after_first_negative_grid_value(self, engine):
-        _, t, horizon, step = engine_case(engine)
+    @pytest.mark.parametrize("case", ["expmart", "grid_bridge", "mixed_grid_no_jumps"])
+    def test_grid_time_not_after_first_negative_grid_value(self, case):
+        engine, t, horizon, step = engine_case(case)
         z, n, seed = 0.5, 200, 3
         n_steps = int(round(horizon / step))
         h = horizon / n_steps
@@ -276,13 +275,13 @@ class TestRuinRecords:
         below_somewhere = 0
         for i in range(n):
             below = z + grid_Z(t, engine, seed, i, n_steps, h) < 0.0
-            if engine == "grid":
+            if engine == "mixed_grid":
                 assert hit[i] == below.any()
             if below.any():
                 below_somewhere += 1
                 first = grid[np.argmax(below)]
                 assert hit[i] and times[i] <= first
-                if engine == "grid":
+                if engine == "mixed_grid":
                     assert times[i] == first
         assert below_somewhere > 0
 
@@ -325,7 +324,7 @@ def overflowing(engine):
     near t = 709 (ruin comes long before)."""
     if engine == "grid_bridge":
         return triplet((-1.0, 0.0), ((0.0, 0.0), (0.0, 1.0)))
-    if engine == "grid":
+    if engine == "mixed_grid":  # random xi, no jumps
         return triplet((-1.0, 0.0), ((0.25, 0.0), (0.0, 1.0)))
     return triplet((-1.0, -1.5), ((1.0, 1.0), (1.0, 1.0)))  # expmart, u0 = -1
 
@@ -339,8 +338,8 @@ def first_jump_ruins(engine):
 
 # (driver, seed, n): sha256 of the hit and time arrays at levels 0, 0.5, 1
 # (horizon 5, step 0.01): the keyed midpoint layout on grid_bridge and
-# expmart, and on grid the forward march, as the whole-matrix kernel
-# computed it.
+# expmart, and on the driver with no jumps the keyed normal pairs of
+# mixed_grid, which keyed_euler_path gives path by path.
 GOLDEN = [
     (drift_xi_brownian_eta(), 5, 300,
      "1ce0627c1b95df4f9366377bae994dbf73f82c3cbfb4381fde7ff53f50e95ee5"),
@@ -349,33 +348,23 @@ GOLDEN = [
     (expmart_below(), 7, 300,
      "c7ee3b02600d81c1a00e2fc6f241563f9371ab7c5607d3b773bb5aac58276b53"),
     (correlated_gaussian(), 8, 300,
-     "e263aed0048182bdfe1dd622b5c148413dbd2f5288d82591b5152c45f2e8d614"),
+     "1f9726a033f3d4aa9217d1386b5b7168e387967837a2bd1aaaabc9675e1f353c"),
 ]
 
 STREAM_CASES = [
     ("grid_bridge", drift_xi_brownian_eta()),
     ("expmart", continuous_example_triplet(0.4)),
     ("expmart", expmart_below()),
-    ("grid", correlated_gaussian()),
+    ("mixed_grid", correlated_gaussian()),
 ]
 
 
 def count_normals(monkeypatch) -> list:
-    """Wrap ``estimate.path_rng`` (``grid``), ``bridge._keyed_normals``
-    (``grid_bridge``, ``expmart``) and ``events._keyed_increments``
-    (``mixed_grid``, two normals per interval) so that the normals each
-    call draws are counted in the returned list."""
+    """Wrap ``bridge._keyed_normals`` (``grid_bridge``, ``expmart``) and
+    ``events._keyed_increments`` (``mixed_grid``, two normals per interval)
+    so that the normals each call draws are counted in the returned list."""
     drawn = []
-
-    class Counted:
-        def __init__(self, g):
-            self.g = g
-
-        def standard_normal(self, size=None, out=None):
-            drawn.append(np.size(out) if out is not None else int(np.prod(size or 1)))
-            return self.g.standard_normal(size, out=out)
-
-    rng, keyed = estimate.path_rng, bridge._keyed_normals
+    keyed = bridge._keyed_normals
 
     def counted_keyed(seed, stream, counters):
         drawn.append(np.size(counters))
@@ -387,7 +376,6 @@ def count_normals(monkeypatch) -> list:
         drawn.append(2 * len(ids) * width)
         return increments(seed, stream, ids, interval, width, *factors)
 
-    monkeypatch.setattr(estimate, "path_rng", lambda *a: Counted(rng(*a)))
     monkeypatch.setattr(bridge, "_keyed_normals", counted_keyed)
     monkeypatch.setattr(events, "_keyed_increments", counted_increments)
     return drawn
@@ -399,9 +387,7 @@ class TestStreamedGridKernel:
     @pytest.mark.parametrize("t,seed,n,digest", GOLDEN,
                              ids=[f"{_select_engine(g[0])}-{g[1]}" for g in GOLDEN])
     def test_paths_match_the_pinned_digests(self, t, seed, n, digest):
-        batch = _gaussian_grid_batch(
-            t, [0.0, 0.5, 1.0], 5.0, 0.01, n, seed, 0, _select_engine(t), True
-        )
+        batch = _dispatch_batch(t, [0.0, 0.5, 1.0], 5.0, n, seed, 0, step=0.01, want_times=True)
         d = hashlib.sha256()
         for z in (0.0, 0.5, 1.0):
             d.update(batch.hit[z].tobytes())
@@ -414,18 +400,17 @@ class TestStreamedGridKernel:
         assert _select_engine(t) == engine
 
         def run(want_times):
-            b = _gaussian_grid_batch(
-                t, self.LEVELS, horizon, step, n, seed, 0, engine, want_times
-            )
+            b = _dispatch_batch(t, self.LEVELS, horizon, n, seed, 0, step=step,
+                                want_times=want_times)
             assert b.z_half is None  # only for requests with no levels
             return ({z: b.hit[z] for z in self.LEVELS}, b.time, b.z_T, b.nonfinite)
 
         def level_free():
             # terminal values (two normals per path on expmart and
-            # grid_bridge, the grid on grid) and the minimum of V
-            b = _gaussian_grid_batch(t, [], horizon, step, n, seed, 0, engine)
+            # grid_bridge, the grid on mixed_grid) and the minimum of V
+            b = _dispatch_batch(t, [], horizon, n, seed, 0, step=step)
             low, sink = lowest_sink(0.5, n)
-            full = _gaussian_grid_batch(t, [], horizon, step, n, seed, 0, engine, sink=sink)
+            full = _dispatch_batch(t, [], horizon, n, seed, 0, step=step, sink=sink)
             return b.z_T, b.z_half, low, full.nonfinite
 
         reference = {wt: run(wt) for wt in (False, True)}
@@ -439,9 +424,7 @@ class TestStreamedGridKernel:
         survivors = ~hits[max(self.LEVELS)]
         for _, _, z_T, _ in reference.values():
             assert np.isfinite(z_T[survivors]).all()
-        # 16 rows of 1 or 6 steps, 16 rows in three blocks, whole paths;
-        # with one step per block, mid-horizon ends one block and starts
-        # the next
+        # from a cell or an instant per row at once up to whole paths
         for elems in (16, 112, 1600, 4000, 8192):
             monkeypatch.setattr(estimate, "_CHUNK_ELEMS", elems)
             for key, want in reference.items():
@@ -455,7 +438,9 @@ class TestStreamedGridKernel:
         # One running record decides the levels of a batch at once; each
         # must read as its own single-level batch does, bit for bit.
         def batch(z_list):
-            return _gaussian_grid_batch(t, z_list, 2.0, 0.01, 40, 9, 0, engine, True)
+            b = _dispatch_batch(t, z_list, 2.0, 40, 9, 0, step=0.01, want_times=True)
+            assert b.engine == engine
+            return b
 
         many = batch(self.LEVELS)
         singles = {z: batch([z]) for z in self.LEVELS}
@@ -481,15 +466,16 @@ class TestStreamedGridKernel:
 
     def test_terminal_only_grid_values_are_the_streamed_ones(self):
         t = correlated_gaussian()
-        with_levels = _gaussian_grid_batch(t, [0.5], 2.0, 0.01, 50, 4, 1, "grid")
-        alone = _gaussian_grid_batch(t, [], 2.0, 0.01, 50, 4, 1, "grid")
+        with_levels = _dispatch_batch(t, [0.5], 2.0, 50, 4, 1, step=0.01)
+        alone = _dispatch_batch(t, [], 2.0, 50, 4, 1, step=0.01)
+        assert alone.engine == "mixed_grid"
         survivors = ~with_levels.hit[0.5]
         assert survivors.any() and not survivors.all()
         assert np.array_equal(alone.z_T[survivors], with_levels.z_T[survivors])
         assert np.isfinite(alone.z_T).all()
         # z_half is Z at grid instant 100 of 200: the terminal value of the
         # same paths over half the horizon
-        half = _gaussian_grid_batch(t, [], 1.0, 0.01, 50, 4, 1, "grid")
+        half = _dispatch_batch(t, [], 1.0, 50, 4, 1, step=0.01)
         assert np.array_equal(alone.z_half, half.z_T)
 
     def test_ruined_chunks_stop_drawing_when_the_integral_converges(self, monkeypatch):
@@ -544,8 +530,7 @@ class TestKeyedLayout:
     @pytest.mark.parametrize("engine,t", [
         ("grid_bridge", drift_xi_brownian_eta()),
         ("expmart", continuous_example_triplet(-0.3)),
-        ("grid", correlated_gaussian()),
-    ], ids=["grid_bridge", "expmart", "grid"])
+    ], ids=["grid_bridge", "expmart"])
     def test_paths_ruined_by_a_horizon_are_ruined_by_a_later_one(self, engine, t):
         # with equal steps, the grid up to T = 20 is the same at T = 40, so
         # are the first crossings before T = 20
@@ -627,7 +612,7 @@ def _same(a, b) -> bool:
 
 
 class TestNonfiniteValues:
-    @pytest.mark.parametrize("engine", ["grid_bridge", "grid"])
+    @pytest.mark.parametrize("engine", ["grid_bridge", "mixed_grid"])
     @pytest.mark.parametrize("horizon", [50.0, 800.0])
     def test_certain_ruin_survives_the_overflow(self, engine, horizon):
         t = overflowing(engine)
@@ -636,7 +621,7 @@ class TestNonfiniteValues:
         assert est.point == 1.0
         assert est.diagnostics["nonfinite_paths"] == 0
 
-    @pytest.mark.parametrize("engine", ["grid_bridge", "grid", "expmart"])
+    @pytest.mark.parametrize("engine", ["grid_bridge", "mixed_grid", "expmart"])
     def test_ruin_does_not_decrease_with_the_horizon(self, engine):
         t = overflowing(engine)
         assert _select_engine(t) == engine
@@ -663,13 +648,13 @@ class TestNonfiniteValues:
 
     @pytest.mark.parametrize("want_times", [False, True])
     def test_grid_kernel_overflow_keeps_the_finite_prefix(self, want_times):
-        # With xi's small Brownian part the bridge variance stays finite, so
-        # the path values overflow first (exp(-xi) near t = 709): each path
-        # is judged on the part of the block before its first non-finite
-        # value, and the high eta drift keeps every path above the level.
+        # xi has a small Brownian part and no jumps: the path values
+        # overflow (exp(-xi) near t = 709) and each path is judged on the
+        # part of its rounds before its first non-finite value, and the
+        # high eta drift keeps every path above the level.
         t = triplet((-1.0, 10.0), ((0.01, 0.0), (0.0, 1.0)))
-        assert _select_engine(t) == "grid"
-        batch = _gaussian_grid_batch(t, [0.5], 800.0, 0.05, 30, 3, 0, "grid", want_times)
+        assert _select_engine(t) == "mixed_grid"
+        batch = _dispatch_batch(t, [0.5], 800.0, 30, 3, 0, step=0.05, want_times=want_times)
         assert batch.nonfinite == 30
         assert not batch.hit[0.5].any()
         with pytest.raises(UndeterminedError, match="nonfinite_paths=30 of 30"):
@@ -720,7 +705,7 @@ class TestNonfiniteValues:
         with pytest.raises(InvalidModelError, match="level z must be finite"):
             empirical_lower_bound(t, z, 1.0, 10, seed=1)
 
-    @pytest.mark.parametrize("engine,t,horizon,step", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES])
+    @pytest.mark.parametrize("engine,t,horizon,step", ENGINE_CASES, ids=CASE_IDS)
     def test_step_beyond_the_horizon_is_an_input_error(self, engine, t, horizon, step):
         # every engine takes PathConfig's rule 0 < step <= horizon
         assert _select_engine(t) == engine
@@ -737,9 +722,9 @@ class TestNonfiniteValues:
 
 
 class TestMinimumRecords:
-    @pytest.mark.parametrize("engine", [c[0] for c in ENGINE_CASES])
-    def test_minimum_agrees_with_the_hits(self, engine, monkeypatch):
-        t = engine_case(engine)[1]
+    @pytest.mark.parametrize("case", CASE_IDS)
+    def test_minimum_agrees_with_the_hits(self, case, monkeypatch):
+        engine, t = engine_case(case)[:2]
         runs = []
         for threads, elems in (("1", 8192), ("2", 8192), ("1", 112)):
             monkeypatch.setenv("GOU_THREADS", threads)
@@ -801,6 +786,59 @@ class TestEndpointLaw:
         for est, target, se in _pair_moments(batch.z_half, batch.z_T, m_h - 1, m_T - 1,
                                              v_h, v_T, cov):
             assert abs(est - target) <= 4.5 * se
+
+
+class TestJumpFreeEulerLaw:
+    """A driver with no jumps and random xi runs on ``mixed_grid``, which
+    draws no arrival there: left-point Euler on the grid, each interval's
+    normal pair from its keyed uniforms.  Its law is checked against closed
+    forms, independent of any path oracle."""
+
+    N = 20_000
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_terminal_mean_is_the_euler_mean(self, seed):
+        # E Z_T = gy h sum_k E e^{-xi(t_k)} = gy h sum_k e^{t_k (s11/2 - gx)}:
+        # the Brownian increment of eta over step k is independent of
+        # xi(t_k) and has mean 0.
+        t = correlated_gaussian()
+        (gx, gy), s11 = t.gamma_tilde, t.sigma[0][0]
+        horizon, step = 5.0, 0.01
+        batch = _dispatch_batch(t, [], horizon, self.N, seed, 0, step=step)
+        assert batch.engine == "mixed_grid"
+        n_steps = round(horizon / step)
+        t_k = np.arange(n_steps) * (horizon / n_steps)
+        mean = gy * (horizon / n_steps) * np.exp(t_k * (0.5 * s11 - gx)).sum()
+        se = batch.z_T.std(ddof=1) / math.sqrt(self.N)
+        assert abs(batch.z_T.mean() - mean) <= 4.0 * se
+
+    def test_symmetric_eta_is_negative_half_the_time(self):
+        # gy = 0 and s12 = 0: eta -> -eta leaves xi and the law of Z_T
+        # unchanged and negates Z_T, so P(Z_T < 0) = 1/2.
+        t = triplet((0.5, 0.0), ((0.25, 0.0), (0.0, 0.5)))
+        est = estimate_negative_prob(t, 5.0, self.N, seed=4)
+        assert est.diagnostics["engine"] == "mixed_grid"
+        assert abs(est.point - 0.5) <= 4.0 * math.sqrt(0.25 / self.N)
+
+
+class TestOneRngLayout:
+    def test_no_engine_opens_a_generator(self):
+        # Every engine draws keyed hash uniforms; only path_rng, kept for
+        # outside callers, names numpy's generators.
+        names = {"standard_normal", "Generator", "Philox", "SeedSequence", "default_rng"}
+        found = []
+        for module in (simulate, estimate, events, bridge):
+            tree = ast.parse(Path(module.__file__).read_text())
+            allowed = {id(node) for fn in ast.walk(tree)
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "path_rng"
+                       for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.id if isinstance(node, ast.Name)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name in names and id(node) not in allowed:
+                    found.append((module.__name__, getattr(node, "lineno", None), name))
+        assert found == []
 
 
 def box_density_triplet():
@@ -1013,7 +1051,7 @@ class TestEmpiricalLowerBound:
         assert empirical_lower_bound(t, 0.5, 50.0, 100, seed=21) == -244036.67043198747
         assert empirical_lower_bound(t, 1.8, 100.0, 100, seed=18) == 1.8
 
-    @pytest.mark.parametrize("engine,t,horizon,step", ENGINE_CASES, ids=[c[0] for c in ENGINE_CASES])
+    @pytest.mark.parametrize("engine,t,horizon,step", ENGINE_CASES, ids=CASE_IDS)
     def test_bound_is_at_most_z(self, engine, t, horizon, step):
         # V = z at t = 0 on every engine, so no bound lies above z; on
         # exact_fv at z = 1.8 every later state lies above z
@@ -1160,27 +1198,32 @@ class TestPerPathEngineChunks:
 # Multi-atom drivers, whose atom draws follow the arrival clocks, so a path
 # is coherent in the horizon only if each draw has its own counter: exact_fv
 # with two atoms, and the mixed driver of the mc_events benchmark workload.
+# The driver with no jumps and random xi runs on mixed_grid too.
 TWO_ATOM_FV = triplet((0.2, 0.1), jumps=[(0.3, -0.5, 1.0), (-0.2, 0.4, 0.5)])
-EVENT_CASES = [("exact_fv", TWO_ATOM_FV, None), ("mixed_grid", MIXED_ATOMS, 0.05)]
+EVENT_CASES = [("exact_fv", TWO_ATOM_FV, None), ("mixed_grid", MIXED_ATOMS, 0.05),
+               ("mixed_grid", correlated_gaussian(), 0.05)]
+EVENT_IDS = ["exact_fv", "mixed_grid", "mixed_grid_no_jumps"]
 
 
 class TestKeyedEventEngines:
     """exact_fv and mixed_grid draw every arrival, atom and normal at a
     keyed counter, and march the live paths of a range in rounds."""
 
-    @pytest.mark.parametrize("engine,t,step", EVENT_CASES, ids=[c[0] for c in EVENT_CASES])
+    @pytest.mark.parametrize("engine,t,step", EVENT_CASES, ids=EVENT_IDS)
     def test_hits_by_a_shorter_horizon_are_hits_by_a_longer_one(self, engine, t, step):
-        # With an equal step a path is the same up to the shorter horizon.
+        # With an equal step a path is the same up to the shorter horizon,
+        # and so are its first crossings there.
         def hits(horizon):
-            batch = _dispatch_batch(t, [0.5], horizon, 2000, 1, 0, step=step)
+            batch = _dispatch_batch(t, [0.5], horizon, 2000, 1, 0, step=step, want_times=True)
             assert batch.engine == engine
-            return batch.hit[0.5]
+            return batch.hit[0.5], batch.time[0.5]
 
-        short, long = hits(20.0), hits(40.0)
+        (short, t_short), (long, t_long) = hits(20.0), hits(40.0)
         assert short.sum() > 100
         assert not (short & ~long).any()
+        assert np.array_equal(t_long[short], t_short[short])
 
-    @pytest.mark.parametrize("engine,t,step", EVENT_CASES, ids=[c[0] for c in EVENT_CASES])
+    @pytest.mark.parametrize("engine,t,step", EVENT_CASES, ids=EVENT_IDS)
     def test_results_depend_only_on_the_seed_stream_and_n(self, engine, t, step, monkeypatch):
         # Rounds of one row and one instant, narrow and wide rounds, one or
         # two workers, with and without times: the same bits.

@@ -3,8 +3,6 @@ stochastic-exponential validation, and the monitored states of a chunk."""
 
 import math
 import pickle
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +12,7 @@ from scipy import stats
 from gouruin import events
 from gouruin import simulate as simulate_module
 from gouruin.errors import InvalidModelError, NotSupportedError
-from gouruin.estimate import _dispatch_batch, _fv_batch, _mixed_batch
+from gouruin.estimate import _fv_batch, _mixed_batch
 from gouruin.model import (
     FiniteAtomSet,
     JumpAtom,
@@ -23,7 +21,6 @@ from gouruin.model import (
 )
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
 from gouruin.simulate import (
-    _KEY_BLOCK,
     FirstPassage,
     PathConfig,
     _arrival_times,
@@ -125,14 +122,12 @@ def stub_uniforms(monkeypatch, u0):
 
 
 class TestPathRng:
-    """``path_rng`` computes the Philox keys a block at a time; its
-    generators equal numpy's SeedSequence route bit for bit."""
+    """``path_rng``, which no engine opens, is numpy's SeedSequence route
+    to a Philox generator, bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
     @pytest.mark.parametrize("stream", [0, 1, 2**33])
-    @pytest.mark.parametrize("index", [
-        0, 1, _KEY_BLOCK - 1, _KEY_BLOCK, 2 * _KEY_BLOCK + 7, 2**32 - 1, 2**32,
-    ])
+    @pytest.mark.parametrize("index", [0, 1, 255, 256, 519, 2**32 - 1, 2**32])
     def test_equals_the_seed_sequence_generator(self, seed, stream, index):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, index))
         ref = np.random.Generator(np.random.Philox(ss))
@@ -154,37 +149,6 @@ class TestPathRng:
     def test_negative_words_are_input_errors(self, args):
         with pytest.raises(InvalidModelError, match="non-negative"):
             path_rng(*args)
-
-    def test_threads_share_the_key_cache(self):
-        # More threads than cores, switching often, from empty caches.
-        def key(i):
-            return path_rng(5, i, 2).bit_generator.state["state"]["key"].tobytes()
-
-        idx = range(0, 12 * _KEY_BLOCK, 5)  # more blocks than the cache holds
-        want = [key(i) for i in idx]
-        simulate_module._key_block.cache_clear()
-        simulate_module._pool_prefix.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                got = list(pool.map(key, idx, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == want
-
-    def test_two_threads_give_the_batch_of_one(self, monkeypatch):
-        # Terminal values on grid_bridge: two normals per path, over four
-        # key blocks, each run from an empty key cache.
-        t = triplet((0.5, 0.3), ((0.0, 0.0), (0.0, 1.0)))
-        runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("GOU_THREADS", threads)
-            simulate_module._key_block.cache_clear()
-            b = _dispatch_batch(t, [], 5.0, 2 * _KEY_BLOCK + 300, 11, 1, step=0.05)
-            assert b.engine == "grid_bridge"
-            runs.append((b.z_T.tobytes(), b.z_half.tobytes()))
-        assert runs[0] == runs[1]
 
 
 class TestArrivalTimes:
