@@ -381,6 +381,22 @@ def count_normals(monkeypatch) -> list:
     return drawn
 
 
+#: The benchmark's bridge shapes at seed 1 (the criterion-6 formula batch,
+#: expmart ruin at c = -0.3, the drift ruin without and with times), with
+#: the normals and bridge-extreme steps each draws at most: the refinement
+#: may come to draw fewer, never more.
+REFINEMENT_WORK = {
+    "criterion_6": (lambda: ruin_formula_checks(drift_xi_brownian_eta(), [0.0, 0.5, 1.0], 20.0,
+                                                1000, 1, step=1e-3), 304_933, 3_222),
+    "expmart": (lambda: estimate_ruin(continuous_example_triplet(-0.3), 0.5, 10.0, 2000, 1,
+                                      step=0.01), 267_286, 8_031),
+    "drift": (lambda: estimate_ruin(drift_xi_brownian_eta(), 0.5, 10.0, 2000, 1),
+              135_448, 9_872),
+    "drift_times": (lambda: ruin_records(drift_xi_brownian_eta(), 0.5, 10.0, 2000, 1),
+                    172_312, 24_447),
+}
+
+
 class TestStreamedGridKernel:
     LEVELS = [0.0, 0.25, 0.5, 1.0]
 
@@ -504,6 +520,23 @@ class TestStreamedGridKernel:
         assert checks[0.5].lhs.n_events > 0
         assert 0 < sum(drawn) <= n * round(horizon / step) / 20
 
+    @pytest.mark.parametrize("case", REFINEMENT_WORK)
+    def test_refinement_draws_no_more_than_pinned(self, case, monkeypatch):
+        # a faster level pass does less work per cell; it never refines more
+        drawn = count_normals(monkeypatch)
+        cells = []
+        extremes = bridge._BridgeTree.extremes
+
+        def counted(self, ids, k, left, right):
+            cells.append(len(k))
+            return extremes(self, ids, k, left, right)
+
+        monkeypatch.setattr(bridge._BridgeTree, "extremes", counted)
+        run, normals, steps = REFINEMENT_WORK[case]
+        run()
+        assert 0 < sum(drawn) <= normals
+        assert 0 < sum(cells) <= steps
+
     def test_memory_is_bounded_by_the_blocks(self):
         # The criterion-6 shape: the whole-matrix kernel peaked near 700 MB.
         t = drift_xi_brownian_eta()
@@ -514,6 +547,25 @@ class TestStreamedGridKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 64e6
+
+
+class TestLevelsPassed:
+    """The level index of the bridge's level pass, by comparison."""
+
+    def test_equals_searchsorted(self):
+        rng = np.random.default_rng(20261022)
+        pool = np.concatenate([np.linspace(-1.5, 1.5, 7), [np.inf, -np.inf]])
+        for _ in range(300):
+            # 0 to 6 sorted distinct levels, +-inf among them at times
+            levels = np.sort(rng.choice(pool, size=rng.integers(0, 7), replace=False))
+            # keys: values between and at the levels, NaN and +-inf
+            keys = np.concatenate([rng.normal(size=12), rng.choice(pool, 6),
+                                   levels, [np.nan, np.inf, -np.inf, -0.0]])
+            rng.shuffle(keys)
+            for x in (keys, keys[:18].reshape(3, 6), np.asarray(keys[0]), np.asarray(np.nan)):
+                got = bridge._levels_passed(levels, x)
+                assert got.dtype == np.intp and got.shape == np.shape(x)
+                assert np.array_equal(got, np.searchsorted(levels, x))
 
 
 class TestKeyedLayout:
