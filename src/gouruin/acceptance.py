@@ -260,7 +260,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     for h in levels:
         errs = np.empty(n_paths)
         for i in range(n_paths):
-            cfg = PathConfig(1.0, h, seed, None)
+            cfg = PathConfig(1.0, h, seed)
             p = simulate_pair(t, cfg, path_index=i)
             Z = compute_Z(p)
             B = brownian_part(p)

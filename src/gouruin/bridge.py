@@ -236,7 +236,7 @@ def keyed_batch(t, engine, levels, times, n, seed, stream, sign, fire, want_time
     want_half = not n_levels and sink is None
     top = 1 << _TOP_LEVEL
 
-    def paths(i0, i1, res, needs):
+    def paths(i0, i1, res):
         ids = np.arange(i0, i1)
         rows = np.arange(len(ids))
         # column q + 1: the first instant known to pass level q (none: past
@@ -343,14 +343,14 @@ def keyed_batch(t, engine, levels, times, n, seed, stream, sign, fire, want_time
         if n_levels:
             rows = max(1, min(rows, budget // 32))
         return _batch_from_chunks(engine, levels, n, rows, paths, want_times, None,
-                                  times[half_idx], times[-1])
+                                  times[half_idx])
 
     # whole top cells, yielded in time blocks of ``width`` steps
     rows = max(1, budget // (top + 1))
     width = max(1, budget // rows - 1)
     xi_det = t.gamma_tilde[0] * times
 
-    def blocks(i0, i1, res, needs):
+    def blocks(i0, i1, res):
         ids = np.arange(i0, i1)
         W = tree.top(ids)
         for cell in range(tree.n_top):
@@ -372,4 +372,4 @@ def keyed_batch(t, engine, levels, times, n, seed, stream, sign, fire, want_time
                 yield ids, chunk
 
     return _batch_from_chunks(engine, levels, n, rows, blocks, want_times, sink,
-                              times[half_idx], times[-1])
+                              times[half_idx])

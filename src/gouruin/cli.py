@@ -83,8 +83,7 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     t, meta = triplet_from_spec(_load_spec(args))
-    step = _check_inputs(args.horizon, args.paths, args.step, [args.z], args.seed,
-                         args.truncation_eps)
+    step = _check_inputs(args.horizon, args.paths, args.step, [args.z], args.seed)
     out = FsPath(args.out)
 
     def write(ids, chunk):
@@ -103,8 +102,7 @@ def cmd_simulate(args) -> int:
                 writer.writerows((f"{time:.12g}", f"{xi:.12g}", f"{Z:.12g}", f"{V:.12g}", int(jump))
                                  for time, xi, Z, V, jump in zip(*cols))
 
-    batch = _dispatch_batch(t, [], args.horizon, args.paths, args.seed, 0, step=step,
-                            truncation_eps=args.truncation_eps, sink=write)
+    batch = _dispatch_batch(t, [], args.horizon, args.paths, args.seed, 0, step=step, sink=write)
     files = [
         {"file": f"path_{i:04d}.csv",
          "sha256": hashlib.sha256((out / f"path_{i:04d}.csv").read_bytes()).hexdigest()}
@@ -134,11 +132,11 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     spec = _load_spec(args)
     t, meta = triplet_from_spec(spec)
-    kw = dict(step=args.step, truncation_eps=args.truncation_eps)
     if args.what == "ruin":
         # the records come from the estimate's own batch, not a second run
         est, batch = _ruin_estimate(
-            t, args.z, args.horizon, args.paths, args.seed, want_times=bool(args.out), **kw
+            t, args.z, args.horizon, args.paths, args.seed, args.step,
+            want_times=bool(args.out),
         )
         doc = {"what": "ruin", "z": args.z, "estimate": est.to_json()}
         if args.out:
@@ -153,10 +151,10 @@ def cmd_estimate(args) -> int:
                     )
             doc["records_csv"] = str(path)
     elif args.what == "negprob":
-        est = estimate_negative_prob(t, args.horizon, args.paths, args.seed, **kw)
+        est = estimate_negative_prob(t, args.horizon, args.paths, args.seed, args.step)
         doc = {"what": "negprob", "T": args.horizon, "estimate": est.to_json()}
     elif args.what == "zinf":
-        cdf = estimate_Zinf_cdf(t, args.horizon, args.paths, args.seed, **kw)
+        cdf = estimate_Zinf_cdf(t, args.horizon, args.paths, args.seed, args.step)
         qs = [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99]
         import numpy as np
 
@@ -176,9 +174,7 @@ def cmd_estimate(args) -> int:
                     fh.write(f"{v:.12g}\n")
             doc["samples_csv"] = str(path)
     else:  # theorem3
-        check = validate_ruin_formula(
-            t, args.z, args.horizon, args.paths, args.seed, **kw
-        )
+        check = validate_ruin_formula(t, args.z, args.horizon, args.paths, args.seed, args.step)
         doc = {"what": "theorem3", "z": args.z, **check.to_json()}
     doc["spec"] = meta
     _emit(doc)
@@ -221,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--paths", type=int, default=1)
-    p.add_argument("--truncation-eps", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_simulate)
 
@@ -234,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=float, default=None)
-    p.add_argument("--truncation-eps", type=float, default=None)
     p.add_argument("--out", default=None,
                    help="CSV dump: per-path records for ruin, samples for zinf")
     p.set_defaults(fn=cmd_estimate)
@@ -262,7 +256,10 @@ def _join_negative_infinities(argv) -> list:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(_join_negative_infinities(sys.argv[1:] if argv is None else argv))
+    try:
+        args = ap.parse_args(_join_negative_infinities(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:  # argparse printed its usage error, or the help
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except (InvalidModelError, json.JSONDecodeError, FileNotFoundError) as exc:

@@ -75,12 +75,12 @@ from .errors import InvalidModelError, NotApplicableError, UndeterminedError
 from .model import LevyTriplet2D, rigid_level, xi_brownian
 from .numerics import BOUNDARY_TOL
 from .simulate import (
-    _density_jump_table,
     _event_types,
     _hash_uniforms,  # read here by bridge and perfbench/tracing.py
     _pair_rates,
     _require_fv,
     check_event_count,
+    check_keys,
     check_path_count,
     is_exact_fv,
     path_step,
@@ -265,21 +265,17 @@ def _run_chunks(fn, ranges):
         return list(pool.map(fn, ranges))
 
 
-def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, sink, half, end):
+def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, sink, half):
     """The batch of any engine, assembled from its chunks.  ``chunks(i0, i1,
-    res, needs)`` yields (path ids, ``_Chunk``) pairs for the paths i0..i1-1,
-    in ranges of ``rows`` paths; a path comes back in later chunks for its
+    res)`` yields (path ids, ``_Chunk``) pairs for the paths i0..i1-1, in
+    ranges of ``rows`` paths; a path comes back in later chunks for its
     later instants, in time order, and the producer may read ``res`` to drop
     decided paths.  Each chunk is reduced at once: its terminal values
     (``z_T``, and ``z_at(half)`` on the rows that hold it, the others NaN)
     and its first crossings of every level after those its paths passed
     before; a path's last chunk holds its ``z_T``.  A path is
     lost when a chunk finds it not finite (``chunk.finite``) while a level is
-    not passed or a sink is given: it never counts as surviving.  So a
-    producer may leave out the rows of a chunk of instants t0..t1 that
-    cannot cross a level they have not passed, unless ``needs(t0, t1)``:
-    the loop then reads the whole chunk whatever it holds.  A non-finite row
-    left out must come back in a later chunk.
+    not passed or a sink is given: it never counts as surviving.
 
     With a ``sink``, the full-path mode, the loop reads every chunk whole
     and calls ``sink(ids, chunk)`` on each, so the sink sees every monitored
@@ -289,16 +285,13 @@ def _batch_from_chunks(engine, levels, n, rows, chunks, want_times, sink, half, 
     want_half = not n_levels and sink is None
     res = _BatchResult(engine, levels, n, want_times, want_half)
 
-    def needs(t0, t1):
-        return sink is not None or t1 >= end or (want_half and t0 <= half <= t1)
-
     def run(rng_range):
         # ``chunk`` keeps the last chunk until the next one is built, so the
         # allocator reuses its memory; freed at once, the chunk's arrays
         # would go back to the system and fault in again for the next one.
         # Overflow, in the chunks and here, is caught by the rule on ``lost``.
         with np.errstate(over="ignore", invalid="ignore"):
-            for ids, chunk in chunks(*rng_range, res, needs):
+            for ids, chunk in chunks(*rng_range, res):
                 if chunk.z_T is not None:
                     res.z_T[ids] = chunk.z_T
                 if want_half and (z_half := chunk.z_at(half)) is not None:
@@ -377,7 +370,7 @@ def _event_batch(engine, rounds, z_list, horizon, n, want_times, sink) -> _Batch
     levels = np.array(sorted(set(z_list)), dtype=float)
     n_levels = len(levels)
 
-    def chunks(i0, i1, res, needs):
+    def chunks(i0, i1, res):
         def decided(ids):
             return (res.passed[ids] == n_levels) | res.lost[ids]
 
@@ -385,7 +378,7 @@ def _event_batch(engine, rounds, z_list, horizon, n, want_times, sink) -> _Batch
                       decided if sink is None and n_levels else None)
 
     return _batch_from_chunks(engine, levels, n, _PATH_BLOCK, chunks, want_times, sink,
-                              0.5 * horizon, horizon)
+                              0.5 * horizon)
 
 
 def _fv_batch(
@@ -419,21 +412,20 @@ def _mixed_batch(
     n: int,
     seed: int,
     stream: int,
-    jump_table,
     want_times: bool = False,
     sink=None,
 ) -> _BatchResult:
     """General driver: jump-adapted Euler simulation on ``time_grid``
-    (``events._mixed_rounds``), with the jumps of ``jump_table``
-    (``_density_jump_table``) or the atom jumps of ``_fv_events``."""
+    (``events._mixed_rounds``), with the atom jumps of ``_fv_events`` or
+    those of a density family's jump table (``simulate._pair_jumps``)."""
     grid = time_grid(horizon, step)
-    check_event_count(_pair_rates(t, jump_table)[2], horizon, len(grid) - 1)
+    check_event_count(_pair_rates(t)[2], horizon, len(grid) - 1)
     from . import events  # compiled only once an event engine runs
 
     return _event_batch(
         "mixed_grid",
-        lambda ids, budget, stop: events._mixed_rounds(t, grid, jump_table, seed, stream, ids,
-                                                       budget, stop),
+        lambda ids, budget, stop: events._mixed_rounds(t, grid, seed, stream, ids, budget,
+                                                       stop),
         z_list, horizon, n, want_times, sink,
     )
 
@@ -448,14 +440,14 @@ def _require_finite(nonfinite: int, n: int) -> None:
         )
 
 
-def _check_inputs(horizon, n, step, levels, seed, truncation_eps=None) -> float:
+def _check_inputs(horizon, n, step, levels, seed) -> float:
     """Refuse outside input that no engine answers, and return the step:
-    a horizon, step or cutoff that ``path_step`` refuses, fewer than one
+    a horizon or step that ``path_step`` refuses, fewer than one
     path or more than a keyed counter holds (``simulate.MAX_PATHS``), a
     level that is not finite (a NaN compares false with every value, and no
     finite-horizon estimate means anything at an infinite level) or a
     negative seed."""
-    step = path_step(horizon, step, truncation_eps)
+    step = path_step(horizon, step)
     if n < 1:
         raise InvalidModelError(f"the number of paths must be at least 1, got {n}")
     check_path_count(n)
@@ -464,29 +456,22 @@ def _check_inputs(horizon, n, step, levels, seed, truncation_eps=None) -> float:
             raise InvalidModelError("level z must be a number, got nan")
         if math.isinf(z):
             raise InvalidModelError(f"level z must be finite, got {z}")
-    if seed < 0:
-        raise InvalidModelError(f"seed must be a non-negative integer, got {seed}")
+    check_keys(seed=seed)
     return step
 
 
 def _dispatch_batch(
-    t, z_list, horizon, n, seed, stream, step=None, truncation_eps=None, want_times=False,
-    sink=None, jump_table=None,
+    t, z_list, horizon, n, seed, stream, step=None, want_times=False, sink=None,
 ) -> _BatchResult:
     """The batch of the driver's engine, for outside input that
     ``_check_inputs`` accepts; a ``sink`` reads every chunk whole
-    (``_batch_from_chunks``).  ``mixed_grid`` builds the driver's
-    ``_density_jump_table`` unless the caller passes it."""
-    step = _check_inputs(horizon, n, step, z_list, seed, truncation_eps)
+    (``_batch_from_chunks``)."""
+    step = _check_inputs(horizon, n, step, z_list, seed)
     engine = _select_engine(t)
     if engine == "exact_fv":
         return _fv_batch(t, z_list, horizon, n, seed, stream, want_times, sink)
     if engine == "mixed_grid":
-        if jump_table is None:
-            jump_table = _density_jump_table(t, truncation_eps)
-        return _mixed_batch(
-            t, z_list, horizon, step, n, seed, stream, jump_table, want_times, sink
-        )
+        return _mixed_batch(t, z_list, horizon, step, n, seed, stream, want_times, sink)
     return _gaussian_grid_batch(
         t, z_list, horizon, step, n, seed, stream, engine, want_times, sink
     )
@@ -504,23 +489,19 @@ def estimate_ruin(
     n: int,
     seed: int,
     step: float | None = None,
-    truncation_eps: float | None = None,
 ) -> EstimateWithCI:
     """Fraction of paths ruined before the horizon (lower bound on the
     infinite-horizon ruin probability)."""
-    return _ruin_estimate(t, z, horizon, n, seed, step, truncation_eps)[0]
+    return _ruin_estimate(t, z, horizon, n, seed, step)[0]
 
 
 def _ruin_estimate(
-    t, z, horizon, n, seed, step, truncation_eps, want_times=False
+    t, z, horizon, n, seed, step, want_times=False
 ) -> tuple[EstimateWithCI, _BatchResult]:
     """``estimate_ruin`` and the batch it reduces.  ``want_times`` only adds
     the crossing times, so the records of this batch describe the paths of
     the estimate."""
-    batch = _dispatch_batch(
-        t, [z], horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps,
-        want_times=want_times,
-    )
+    batch = _dispatch_batch(t, [z], horizon, n, seed, stream=0, step=step, want_times=want_times)
     _require_finite(batch.nonfinite, n)
     hits = batch.hit[z]
     k = int(hits.sum())
@@ -545,12 +526,9 @@ def estimate_negative_prob(
     n: int,
     seed: int,
     step: float | None = None,
-    truncation_eps: float | None = None,
 ) -> EstimateWithCI:
     """Fraction of paths whose discounted integral is negative at time T."""
-    batch = _dispatch_batch(
-        t, [], T, n, seed, stream=0, step=step, truncation_eps=truncation_eps
-    )
+    batch = _dispatch_batch(t, [], T, n, seed, stream=0, step=step)
     _require_finite(int(np.count_nonzero(~np.isfinite(batch.z_T))), n)
     k = int(np.sum(batch.z_T < 0.0))
     lo, hi = wilson_interval(k, n)
@@ -565,7 +543,6 @@ def estimate_Zinf_cdf(
     n: int,
     seed: int,
     step: float | None = None,
-    truncation_eps: float | None = None,
 ) -> EmpiricalCDF:
     """Empirical law of the discounted integral at T as a proxy for its
     limit law; refuses when the limit does not exist.
@@ -574,7 +551,7 @@ def estimate_Zinf_cdf(
     convergence-in-horizon diagnostic.
     """
     _require_zinf_converges(t)
-    return _zinf_cdf(t, T, n, seed, step, truncation_eps)
+    return _zinf_cdf(t, T, n, seed, step)
 
 
 def _require_zinf_converges(t: LevyTriplet2D) -> None:
@@ -585,13 +562,10 @@ def _require_zinf_converges(t: LevyTriplet2D) -> None:
         )
 
 
-def _zinf_cdf(t, T, n, seed, step, truncation_eps, jump_table=None) -> EmpiricalCDF:
+def _zinf_cdf(t, T, n, seed, step) -> EmpiricalCDF:
     """``estimate_Zinf_cdf`` for a driver whose discounted integral
     converges, on stream 1."""
-    batch = _dispatch_batch(
-        t, [], T, n, seed, stream=1, step=step, truncation_eps=truncation_eps,
-        jump_table=jump_table,
-    )
+    batch = _dispatch_batch(t, [], T, n, seed, stream=1, step=step)
     _require_finite(
         int(np.count_nonzero(~(np.isfinite(batch.z_T) & np.isfinite(batch.z_half)))), n
     )
@@ -629,7 +603,6 @@ def validate_ruin_formula(
     seed: int,
     step: float | None = None,
     g_cdf: EmpiricalCDF | None = None,
-    truncation_eps: float | None = None,
 ) -> RuinFormulaCheck:
     """Direct ruin estimate versus the ratio formula, same empirical law in
     numerator and denominator.
@@ -639,10 +612,7 @@ def validate_ruin_formula(
     by the uniform (DKW) sampling error of the empirical law.  Fewer than 30
     ruin events leaves the ratio undetermined.
     """
-    return ruin_formula_checks(
-        t, [z], horizon, n, seed, step=step, g_cdf=g_cdf,
-        truncation_eps=truncation_eps,
-    )[z]
+    return ruin_formula_checks(t, [z], horizon, n, seed, step=step, g_cdf=g_cdf)[z]
 
 
 def ruin_formula_checks(
@@ -653,22 +623,17 @@ def ruin_formula_checks(
     seed: int,
     step: float | None = None,
     g_cdf: EmpiricalCDF | None = None,
-    truncation_eps: float | None = None,
 ) -> dict[float, RuinFormulaCheck]:
     """Formula validation at several levels off one shared path batch
     (common random numbers across levels).  Without ``g_cdf`` the law of
-    the discounted integral comes from a second batch (``estimate_Zinf_cdf``);
-    the two batches share one density jump table."""
+    the discounted integral comes from a second batch
+    (``estimate_Zinf_cdf``)."""
     if g_cdf is None:
         _require_zinf_converges(t)
-    step = _check_inputs(horizon, n, step, z_list, seed, truncation_eps)
-    jump_table = _density_jump_table(t, truncation_eps)
+    step = _check_inputs(horizon, n, step, z_list, seed)
     if g_cdf is None:
-        g_cdf = _zinf_cdf(t, horizon, n, seed, step, truncation_eps, jump_table)
-    batch = _dispatch_batch(
-        t, list(z_list), horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps,
-        jump_table=jump_table,
-    )
+        g_cdf = _zinf_cdf(t, horizon, n, seed, step)
+    batch = _dispatch_batch(t, list(z_list), horizon, n, seed, stream=0, step=step)
     _require_finite(batch.nonfinite, n)
     return {
         z: _assemble_formula_check(batch, g_cdf, z, n) for z in z_list
@@ -730,7 +695,6 @@ def empirical_lower_bound(
     n: int,
     seed: int,
     step: float | None = None,
-    truncation_eps: float | None = None,
 ) -> float:
     """Smallest V = e^xi (z + Z) over the paths and monitored instants of
     the batch and streams of ``estimate_ruin``: the Monte Carlo side of
@@ -741,15 +705,13 @@ def empirical_lower_bound(
     ``mixed_grid``; ``gouruin simulate`` writes the same instants.  V = z at
     t = 0, so the bound is at most z.  A path whose Z or xi turns non-finite
     before the horizon makes the bound undetermined."""
-    _check_inputs(horizon, n, step, [z], seed, truncation_eps)
+    _check_inputs(horizon, n, step, [z], seed)
     low = np.full(n, math.inf)
 
     def lowest(ids, chunk):
         low[ids] = np.minimum(low[ids], chunk.states(z).lowest())
 
-    batch = _dispatch_batch(
-        t, [], horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps, sink=lowest
-    )
+    batch = _dispatch_batch(t, [], horizon, n, seed, stream=0, step=step, sink=lowest)
     _require_finite(batch.nonfinite, n)
     return float(low.min())
 
@@ -761,7 +723,6 @@ def ruin_records(
     n: int,
     seed: int,
     step: float | None = None,
-    truncation_eps: float | None = None,
 ):
     """Per-path first-passage records (hit, time, value at the hit,
     continuous crossing) for external analysis, from the same batch and
@@ -774,9 +735,6 @@ def ruin_records(
     jump instant with V below zero, and V there (also on a driver with no
     jumps).  Non-ruined paths carry NaN time and value.
     """
-    batch = _dispatch_batch(
-        t, [z], horizon, n, seed, stream=0, step=step, truncation_eps=truncation_eps,
-        want_times=True,
-    )
+    batch = _dispatch_batch(t, [z], horizon, n, seed, stream=0, step=step, want_times=True)
     _require_finite(batch.nonfinite, n)
     return batch.records(z)

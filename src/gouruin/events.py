@@ -168,7 +168,7 @@ def _coordinate(drift, inc, root_dt, times, brownian, jumps, carried, jumped, le
     return left, value, brownian, carried
 
 
-def _mixed_rounds(t, grid, jump_table, seed, stream, ids, budget, stop=None):
+def _mixed_rounds(t, grid, seed, stream, ids, budget, stop=None):
     """The rounds of ``mixed_grid`` paths ``ids`` on their jump-adapted
     grids of ``grid``: (path ids, ``_EulerChunk``) pairs in time order, each
     round taking the next instants of every live path, at most ``budget``
@@ -176,13 +176,14 @@ def _mixed_rounds(t, grid, jump_table, seed, stream, ids, budget, stop=None):
     ``stop(ids)`` marks it after a round.
 
     The instants of a path are the grid instants and its arrivals
-    (``_merged_instants``).  Arrival k is drawn as on ``exact_fv``, and
-    interval j, the j-th of the path, takes both components of its
-    standard 2-d normal from the uniforms at (path, j, radius) and (path,
-    j, angle) by Box-Muller (``_keyed_increments``).  Every running sum is
-    carried from round to round, so a path never depends on its rounds."""
+    (``_merged_instants``).  Arrival k's clock is drawn as on ``exact_fv``
+    and its jump by ``_pair_jumps``, and interval j, the j-th of the path,
+    takes both components of its standard 2-d normal from the uniforms at
+    (path, j, radius) and (path, j, angle) by Box-Muller
+    (``_keyed_increments``).  Every running sum is carried from round to
+    round, so a path never depends on its rounds."""
     n_steps, horizon = len(grid) - 1, grid[-1]
-    bx, by, rate = _pair_rates(t, jump_table)
+    bx, by, rate = _pair_rates(t)
     chol = _chol2x2(t.sigma)
     zeros = np.zeros(len(ids))
     c = _Carry(clock=zeros, xi=zeros, eta=zeros, bx=zeros, by=zeros, jx=zeros, jy=zeros,
@@ -203,7 +204,7 @@ def _mixed_rounds(t, grid, jump_table, seed, stream, ids, budget, stop=None):
         jump_x, jump_y = np.zeros((rows, width)), np.zeros((rows, width))
         flags = np.zeros((rows, width + 1), dtype=bool)
         if len(ra):
-            x, y = _pair_jumps(t, jump_table, seed, stream, _counters(ids[ra], c.index[ra] + q))
+            x, y = _pair_jumps(t, seed, stream, _counters(ids[ra], c.index[ra] + q))
             np.add.at(jump_x, (ra, col), x)
             np.add.at(jump_y, (ra, col), y)
             flags[ra, col + 1] = True

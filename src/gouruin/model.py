@@ -298,6 +298,9 @@ UNIT = AffineY(lambda x: 1.0)
 X_COORD = AffineY(lambda x: x)
 Y_COORD = AffineY(c1=lambda x: 1.0)
 
+#: The open unit ball: the small jumps that the pair's drift compensates.
+UNIT_BALL = Strip(-1.0, 1.0, (ChordEdge(1.0, -1.0),), (ChordEdge(1.0),))
+
 
 def _y_band(a: float, b: float) -> Strip:
     """The pair jumps with y in [a, b]."""
@@ -649,7 +652,6 @@ def drift_vector(t: LevyTriplet2D) -> tuple[float, float]:
         raise NotFiniteVariationError("drift vector requires a vanishing Gaussian part")
     if t.jumps.atoms_or_none() is not None:
         return _uncompensated_drift(t)
-    ball = Strip(-1.0, 1.0, (ChordEdge(1.0, -1.0),), (ChordEdge(1.0),))
     upper = Strip(-1.0, 1.0, (ConstEdge(0.0),), (ChordEdge(1.0),))
     lower = Strip(-1.0, 1.0, (ChordEdge(1.0, -1.0),), (ConstEdge(0.0),))
     # The positive and negative parts of x over the ball and of y over its
@@ -657,8 +659,8 @@ def drift_vector(t: LevyTriplet2D) -> tuple[float, float]:
     # when all four are.
     x_pos, x_neg, y_pos, y_neg = (
         t.jumps.integrate(fn, [strip], nonneg=True)
-        for fn, strip in ((AffineY(lambda x: max(x, 0.0)), ball),
-                          (AffineY(lambda x: max(-x, 0.0)), ball),
+        for fn, strip in ((AffineY(lambda x: max(x, 0.0)), UNIT_BALL),
+                          (AffineY(lambda x: max(-x, 0.0)), UNIT_BALL),
                           (Y_COORD, upper), (AffineY(c1=lambda x: -1.0), lower))
     )
     if INF in (x_pos, x_neg, y_pos, y_neg):

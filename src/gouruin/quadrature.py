@@ -323,16 +323,6 @@ def strips_outside_ball(strips: Sequence[Strip], eps: float) -> list[Strip]:
     return out
 
 
-def strips_in_annulus(strips: Sequence[Strip], e_in: float, e_out: float) -> list[Strip]:
-    """Region intersected with {e_in <= |z| < e_out}: the band between the
-    two upper chords, then its mirror image below the x axis."""
-    out = []
-    for s in strips:
-        out += s.meet(-e_out, e_out, (ChordEdge(e_in),), (ChordEdge(e_out),))
-        out += s.meet(-e_out, e_out, (ChordEdge(e_out, -1.0),), (ChordEdge(e_in, -1.0),))
-    return out
-
-
 def limit_toward_origin(
     outer_value: float,
     annulus_value: Callable[[float, float], float],

@@ -6,8 +6,11 @@ engine: n = max(1, round(T / step)) equal steps, ending exactly at T.
 Poisson clock at the total rate, then the atom of each arrival drawn with
 its probability (superposed Poisson clocks are exact), so on a driver with
 no Gaussian part ``mixed_grid`` draws the jumps of ``exact_fv`` path for
-path.  ``path_step`` states the rules of the horizon, the step and the
-density cutoff for every engine, and the default step.
+path.  ``path_step`` states the rules of the horizon and the step for
+every engine, and the default step.  A named density family has finite
+mass, so its jumps are compound Poisson too: ``mixed_grid`` draws them at
+the family's mass from the measure's ``_density_jump_table``, with no
+small-jump cutoff.
 
 The driving pair is simulated on the union of the grid and the exact jump
 times, so jump contributions carry no discretization error; only the
@@ -50,8 +53,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidModelError, NotSupportedError
-from .model import UNIT, X_COORD, Y_COORD, LevyTriplet2D, _uncompensated_drift, zero_gaussian
-from .quadrature import Strip, strips_in_annulus, strips_outside_ball
+from .model import (
+    UNIT,
+    UNIT_BALL,
+    X_COORD,
+    Y_COORD,
+    BoxDensity,
+    LevyTriplet2D,
+    _uncompensated_drift,
+    zero_gaussian,
+)
+from .quadrature import Strip
 
 
 #: The most steps round(horizon / step) a path request may ask for: a grid
@@ -132,19 +144,23 @@ def check_path_count(n: int) -> None:
         raise InvalidModelError(f"{n} paths asked for; the cap is {MAX_PATHS}")
 
 
-def path_step(horizon: float, step: float | None = None,
-              truncation_eps: float | None = None) -> float:
-    """The step of a path request, once its horizon, step and cutoff pass
-    the rules of every engine: the horizon is positive and finite, a given
-    step lies in (0, horizon] and asks for at most ``MAX_GRID_STEPS``
-    steps, and a given ``truncation_eps`` is positive.  Without a step it is
-    min(0.01, horizon / 100)."""
+def check_keys(**keys: int) -> None:
+    """Refuse a negative seed, stream or path index, naming its field: a
+    keyed counter reads each as an unsigned integer."""
+    for name, v in keys.items():
+        if v < 0:
+            raise InvalidModelError(f"{name} must be a non-negative integer, got {v}")
+
+
+def path_step(horizon: float, step: float | None = None) -> float:
+    """The step of a path request, once its horizon and step pass the rules
+    of every engine: the horizon is positive and finite, and a given step
+    lies in (0, horizon] and asks for at most ``MAX_GRID_STEPS`` steps.
+    Without a step it is min(0.01, horizon / 100)."""
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise InvalidModelError(f"horizon must be positive and finite, got {horizon}")
     if step is not None and not (0.0 < step <= horizon):
         raise InvalidModelError(f"step must satisfy 0 < step <= horizon, got {step}")
-    if truncation_eps is not None and not (truncation_eps > 0.0):
-        raise InvalidModelError(f"truncation_eps must be positive, got {truncation_eps}")
     if step is None:
         return min(0.01, horizon / 100.0)
     steps = horizon / step
@@ -164,16 +180,15 @@ def time_grid(horizon: float, step: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathConfig:
-    """Time horizon, grid step, seed, and the density-tier jump cutoff of
-    ``simulate_pair``."""
+    """Time horizon, grid step and seed of ``simulate_pair``."""
 
     horizon: float
     step: float
     seed: int
-    truncation_eps: float | None = None
 
     def __post_init__(self):
-        path_step(self.horizon, self.step, self.truncation_eps)
+        path_step(self.horizon, self.step)
+        check_keys(seed=self.seed)
 
 
 @dataclass
@@ -217,9 +232,7 @@ def path_rng(seed: int, path_index: int = 0, stream: int = 0) -> np.random.Gener
     path_index))))``.  No engine opens it; it stays callable for outside
     callers, and ``numpy.random`` loads only on a call."""
     seed, stream, path_index = int(seed), int(stream), int(path_index)
-    for name, v in (("seed", seed), ("stream", stream), ("path index", path_index)):
-        if v < 0:
-            raise InvalidModelError(f"{name} must be a non-negative integer, got {v}")
+    check_keys(seed=seed, stream=stream, path_index=path_index)
     from numpy.random import Generator, Philox, SeedSequence
 
     return Generator(Philox(SeedSequence(seed, spawn_key=(stream, path_index))))
@@ -285,39 +298,32 @@ def _choice_cdf(weights: np.ndarray) -> np.ndarray:
 
 
 class _DensityJumpTable(NamedTuple):
-    """Path-independent part of density-tier jump sampling."""
+    """The per-measure part of density jump sampling."""
 
-    comp: tuple[float, float]  # compensator over eps <= |(x, y)| < 1
-    rate: float  # jump rate outside the cutoff ball
+    comp: tuple[float, float]  # compensator: (x, y) integrated over the open unit ball
+    rate: float  # the family's mass (0 when no cell carries weight)
     xs: np.ndarray  # cell edges
     ys: np.ndarray
-    cdf: np.ndarray | None  # over the cells (``_choice_cdf``); None without mass
+    cdf: np.ndarray | None  # over the cells (``_choice_cdf``); None without weight
 
 
-def _density_jump_table(t: LevyTriplet2D, eps: float | None) -> _DensityJumpTable | None:
-    """Jump table of a density measure truncated below ``eps``, the
-    ``truncation_eps`` of a request (None on the atom tier).
+@lru_cache(maxsize=16)
+def _density_jump_table(measure) -> _DensityJumpTable:
+    """Jump table of a named density family, built once per measure.
 
-    Jump sizes are drawn from a 128x128 cell discretization of the density
-    outside the cutoff ball; the cell approximation is the documented cost
-    of simulating an infinite-activity measure.  The table depends on the
-    driver and the cutoff only, so a batch of paths builds it once.
+    The family's mass is finite (``density_from_json`` bounds its sup
+    times its box area), so its jumps are compound Poisson at that rate,
+    and the drift between them is the ball drift less the compensator over
+    the open unit ball: the process is simulated with no small-jump cutoff.
+    Jump sizes are drawn from a 128x128 cell discretization of the box,
+    each cell weighted by the density at its midpoint times its area.
     """
-    dens = t.jumps
-    if dens.atoms_or_none() is not None:
-        return None
-    if eps is None:
-        raise NotSupportedError(
-            "density-tier simulation requires an explicit truncation_eps"
-        )
-    full = [Strip()]
-    outside = strips_outside_ball(full, eps)
-    lam = dens.integrate(UNIT, outside)
-    comp_region = strips_in_annulus(full, eps, 1.0)
-    comp_x = dens.integrate(X_COORD, comp_region)
-    comp_y = dens.integrate(Y_COORD, comp_region)
+    if not isinstance(measure, BoxDensity):
+        raise NotSupportedError("simulation needs jump atoms or a named density family")
+    rate = measure.integrate(UNIT, [Strip()])
+    comp = (measure.integrate(X_COORD, [UNIT_BALL]), measure.integrate(Y_COORD, [UNIT_BALL]))
 
-    x0, x1, y0, y1 = dens.box
+    x0, x1, y0, y1 = measure.box
     nc = 128
     xs = np.linspace(x0, x1, nc + 1)
     ys = np.linspace(y0, y1, nc + 1)
@@ -325,18 +331,24 @@ def _density_jump_table(t: LevyTriplet2D, eps: float | None) -> _DensityJumpTabl
     cy = 0.5 * (ys[:-1] + ys[1:])
     gx, gy = np.meshgrid(cx, cy, indexing="ij")
     area = (xs[1] - xs[0]) * (ys[1] - ys[0])
-    dens_vals = np.vectorize(dens.fn)(gx, gy)
-    weights = np.where(gx * gx + gy * gy >= eps * eps, dens_vals, 0.0) * area
-    weights = weights.ravel()
-    cdf = _choice_cdf(weights) if weights.sum() > 0.0 else None
-    return _DensityJumpTable((comp_x, comp_y), lam, xs, ys, cdf)
+    weights = (np.vectorize(measure.fn)(gx, gy) * area).ravel()
+    if not weights.sum() > 0.0:  # the density underflows in every cell
+        return _DensityJumpTable(comp, 0.0, xs, ys, None)
+    cdf = _choice_cdf(weights)
+    for a in (xs, ys, cdf):
+        a.setflags(write=False)  # shared by every caller
+    return _DensityJumpTable(comp, rate, xs, ys, cdf)
 
 
-def _truncated_density_jumps(table: _DensityJumpTable, seed: int, stream: int, counters):
-    """The jump sizes (x, y) of the arrivals at ``counters`` from a jump
-    table: arrival k lands in a cell drawn with its probability from the
-    uniform at (path, k, atom), at the position in it of the uniforms at
-    (path, k, cell x) and (path, k, cell y)."""
+def _pair_jumps(t: LevyTriplet2D, seed: int, stream: int, counters):
+    """Jump sizes (x, y) of the arrivals at ``counters`` on ``mixed_grid``:
+    the atoms' from ``_fv_events``, as on ``exact_fv``, or on a density
+    family from its jump table, arrival k in a cell drawn with its
+    probability from the uniform at (path, k, atom), at the position in it
+    of the uniforms at (path, k, cell x) and (path, k, cell y)."""
+    if t.jumps.atoms_or_none() is not None:
+        return _fv_events(t, seed, stream, counters)
+    table = _density_jump_table(t.jumps)
     xs, ys = table.xs, table.ys
     cells = table.cdf.searchsorted(_hash_uniforms(seed, stream, _ATOM, counters), side="right")
     ix, iy = np.unravel_index(cells, (len(xs) - 1, len(ys) - 1))
@@ -345,22 +357,14 @@ def _truncated_density_jumps(table: _DensityJumpTable, seed: int, stream: int, c
     return xs[ix] + ux * (xs[1] - xs[0]), ys[iy] + uy * (ys[1] - ys[0])
 
 
-def _pair_jumps(t: LevyTriplet2D, jump_table, seed: int, stream: int, counters):
-    """Jump sizes (x, y) of the arrivals at ``counters`` on ``mixed_grid``:
-    those of the density jump table, or the atoms' from ``_fv_events``, as
-    on ``exact_fv``."""
-    if jump_table is not None:
-        return _truncated_density_jumps(jump_table, seed, stream, counters)
-    return _fv_events(t, seed, stream, counters)
-
-
-def _pair_rates(t: LevyTriplet2D, jump_table) -> tuple[float, float, float]:
+def _pair_rates(t: LevyTriplet2D) -> tuple[float, float, float]:
     """The drift (bx, by) of ``mixed_grid`` between jumps, and its arrival
-    rate: the atoms' total, or the jump table's (0 without mass)."""
-    if jump_table is None:
-        return (*_uncompensated_drift(t), _event_types(t.jumps.atoms_or_none())[0])
-    rate = jump_table.rate if jump_table.cdf is not None else 0.0
-    return (t.gamma_tilde[0] - jump_table.comp[0], t.gamma_tilde[1] - jump_table.comp[1], rate)
+    rate: those of the atoms, or of the density family's jump table."""
+    atoms = t.jumps.atoms_or_none()
+    if atoms is not None:
+        return (*_uncompensated_drift(t), _event_types(atoms)[0])
+    table = _density_jump_table(t.jumps)
+    return (t.gamma_tilde[0] - table.comp[0], t.gamma_tilde[1] - table.comp[1], table.rate)
 
 
 #: Values per array of a one-path view (``simulate_pair``,
@@ -378,14 +382,13 @@ def simulate_pair(
     ``Sigma * dt``, jump arrivals are exact exponential clocks merged into
     the grid, and drift is applied in closed form.
     """
+    check_keys(path_index=path_index, stream=stream)
     check_path_count(path_index + 1)
-    table = _density_jump_table(t, cfg.truncation_eps)
     grid = time_grid(cfg.horizon, cfg.step)
-    check_event_count(_pair_rates(t, table)[2], cfg.horizon, len(grid) - 1)
+    check_event_count(_pair_rates(t)[2], cfg.horizon, len(grid) - 1)
     from .events import _mixed_rounds  # compiled only once an event engine runs
 
-    rounds = _mixed_rounds(t, grid, table, cfg.seed, stream, np.array([path_index]),
-                           _ONE_PATH_ELEMS)
+    rounds = _mixed_rounds(t, grid, cfg.seed, stream, np.array([path_index]), _ONE_PATH_ELEMS)
     cuts = [(chunk.p, slice(chunk.start, chunk.lengths[0])) for _, chunk in rounds]
     return Path(*(np.concatenate([getattr(p, f)[0, s] for p, s in cuts])
                   for f in ("times", "xi", "eta", "xi_left", "eta_left", "jump_flags")),
@@ -773,6 +776,7 @@ def fv_first_passage(
     for a zero-Gaussian atom driver (``events._fv_rounds``, one path), from the
     finite prefix of the path."""
     _require_fv(t)
+    check_keys(seed=seed, path_index=path_index, stream=stream)
     check_path_count(path_index + 1)
     check_event_count(_event_types(t.jumps.atoms_or_none())[0], horizon)
     levels = np.array([float(z)])

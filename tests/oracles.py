@@ -35,16 +35,17 @@ from gouruin.model import (
 )
 from gouruin.numerics import BOUNDARY_TOL, INF, NEG_INF, sgn
 from gouruin.quadrature import (
+    ChordEdge,
     Strip,
     clip_strips_to_box,
     limit_toward_origin,
-    strips_in_annulus,
     strips_outside_ball,
 )
 from gouruin.simulate import (
     FirstPassage,
     Path,
     _chol2x2,
+    _density_jump_table,
     _event_types,
     _pair_rates,
     _segment_crossing_time,
@@ -124,6 +125,17 @@ def ks_distance(cdf, ref) -> float:
 # ---------------------------------------------------------------------------
 # A Python-function box density: the oracle of the closed quadrature route
 # ---------------------------------------------------------------------------
+
+
+def strips_in_annulus(strips, e_in: float, e_out: float) -> list[Strip]:
+    """Region intersected with {e_in <= |z| < e_out}: the band between the
+    two upper chords, then its mirror image below the x axis.  The rings of
+    ``FnBoxDensity``'s limit toward the origin."""
+    out = []
+    for s in strips:
+        out += s.meet(-e_out, e_out, (ChordEdge(e_in),), (ChordEdge(e_out),))
+        out += s.meet(-e_out, e_out, (ChordEdge(e_out, -1.0),), (ChordEdge(e_in, -1.0),))
+    return out
 
 
 def nquad_strips(density, strips, integrand, tol) -> tuple[float, float]:
@@ -530,23 +542,24 @@ def keyed_exact_path(t, horizon, seed, path, stream=0) -> KeyedExactPath:
     return KeyedExactPath(*cols, z_T, bx * horizon + jumps, bx, by, horizon)
 
 
-def keyed_euler_path(t, horizon, step, seed, path, stream=0, jump_table=None,
-                     arrivals=None) -> Path:
+def keyed_euler_path(t, horizon, step, seed, path, stream=0, arrivals=None) -> Path:
     """``mixed_grid`` path ``path`` from its draws, one instant at a time:
     the grid of ``time_grid`` merged with the arrivals (jumps at one
-    instant summed in arrival order), interval j's normals from its
-    uniform pair, and every running sum sequential.  ``arrivals`` replaces
-    the keyed clocks where given."""
-    bx, by, rate = _pair_rates(t, jump_table)
+    instant summed in arrival order, each an atom or a cell of the density
+    family's jump table), interval j's normals from its uniform pair, and
+    every running sum sequential.  ``arrivals`` replaces the keyed clocks
+    where given."""
+    bx, by, rate = _pair_rates(t)
     l11, l21, l22 = _chol2x2(t.sigma)
     draws = KeyedDraws(seed, stream, path)
+    atoms = t.jumps.atoms_or_none()
     jumps = {}
     clocks = draws.arrivals(rate, horizon) if arrivals is None else enumerate(arrivals)
     for k, tau in clocks:
-        if jump_table is None:
-            jump = draws.atom(k, *_event_types(t.jumps.atoms_or_none())[1:])
+        if atoms is not None:
+            jump = draws.atom(k, *_event_types(atoms)[1:])
         else:
-            jump = draws.cell(k, jump_table)
+            jump = draws.cell(k, _density_jump_table(t.jumps))
         jumps.setdefault(float(tau), []).append(jump)
     times = np.union1d(time_grid(horizon, step), list(jumps))
     cols = [[0.0] * 5]  # xi, eta, xi_left, eta_left, flag at t = 0

@@ -195,6 +195,28 @@ def _delta_flags(levels):
 LEVELS = (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 
 
+class TestUsage:
+    """A usage error that argparse finds is an input error (exit 1), with
+    argparse's message; exit 2 stays for undetermined or refused answers."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--preset", "jump_example", "--c", "abc"],
+         "argument --c: invalid float value: 'abc'"),
+        (["check", "--preset", "jump_example", "--bogus"], "unrecognized arguments: --bogus"),
+        (["estimate", "--preset", "jump_example", "--what", "ruin", "--truncation-eps", "0.3"],
+         "unrecognized arguments: --truncation-eps 0.3"),
+    ], ids=["bad_value", "unknown_flag", "truncation_eps"])
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err.startswith("usage: gouruin") and err.endswith(f"error: {message}\n")
+
+    def test_help_exits_zero(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--help")
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out.startswith("usage: gouruin simulate")
+
+
 class TestLazyQuadratureImport:
     @staticmethod
     def run_script(script, **env_extra):
@@ -353,31 +375,23 @@ class TestSimulate:
         jsonschema.validate(man, load_schema("manifest.schema.json"))
         assert man["engine"] == "exact_fv"
 
-    def test_density_spec_builds_the_jump_table_once(self, capsys, tmp_path, monkeypatch):
-        from gouruin import estimate, simulate
+    def test_density_spec_builds_the_jump_table_once(self, capsys, tmp_path):
+        from gouruin import simulate
 
-        builds = []
-        build = simulate._density_jump_table
-
-        def counted(*args):
-            builds.append(args)
-            return build(*args)
-
-        for mod in (simulate, estimate):  # wherever the command finds it
-            monkeypatch.setattr(mod, "_density_jump_table", counted)
         f = tmp_path / "dens.json"
         f.write_text(json.dumps(DENSITY_SPEC))
+        simulate._density_jump_table.cache_clear()
         code, _, _ = run_cli(
             capsys,
             "simulate", "--spec", str(f), "--z", "1.0", "--horizon", "1.0",
-            "--step", "0.25", "--seed", "7", "--paths", "3", "--truncation-eps", "0.3",
+            "--step", "0.25", "--seed", "7", "--paths", "3",
             "--out", str(tmp_path / "out"),
         )
         assert code == 0
-        assert len(builds) == 1
-        # the paths are those of simulate_pair, which builds its own table
+        assert simulate._density_jump_table.cache_info().misses == 1
+        # the paths are those of simulate_pair
         t, _ = cli.triplet_from_spec(DENSITY_SPEC)
-        cfg = simulate.PathConfig(1.0, 0.25, 7, 0.3)
+        cfg = simulate.PathConfig(1.0, 0.25, 7)
         for i in range(3):
             expected = euler_csv(simulate.simulate_pair(t, cfg, path_index=i), 1.0)
             assert (tmp_path / "out" / f"path_{i:04d}.csv").read_bytes() == expected
@@ -404,7 +418,7 @@ class TestSimulate:
           "b1bea73802843aa1c297a9e22aab403b74115ce1a9d0a7ef6492dd2a7b4397d2"],
          "7a9d2de99cdf2521d630b98ebe94675683e21a334c1cd8ad0b9c41cefda38b0e"),
         (DENSITY_SPEC,
-         ["--z", "1.0", "--horizon", "2.0", "--step", "0.25", "--truncation-eps", "0.3"],
+         ["--z", "1.0", "--horizon", "2.0", "--step", "0.25"],
          ["0aafdeb0e6b2b07683001d91f349a91877da479dcab9c4f02d8eddeb80f03199",
           "012f4b388917d6052afde0efe6490fb5dac7f00c6b3f817abdc128dd4a0dd493",
           "8c6431a5a462f11ce06956dc96eee4b2d3a30631133e77924ef65d5740ebbd26"],
@@ -653,21 +667,6 @@ class TestEstimate:
             f"the cap is {simulate.MAX_GRID_STEPS}\n"
         )
 
-    @pytest.mark.parametrize("spec", [
-        {"preset": "jump_example", "c": 1.0, "lambda": 1.0},
-        {"preset": "continuous_example", "c": 0.2},
-        TestSimulate.MIXED_ATOM_SPEC,
-    ], ids=["exact_fv", "expmart", "mixed_grid"])
-    def test_negative_truncation_eps_is_an_input_error(self, capsys, tmp_path, spec):
-        # every engine takes one rule, though only a density driver uses it
-        f = tmp_path / "spec.json"
-        f.write_text(json.dumps(spec))
-        code, out, err = run_cli(
-            capsys, "estimate", "--spec", str(f), "--what", "ruin", "--paths", "10",
-            "--horizon", "1", "--truncation-eps", "-1",
-        )
-        assert (code, out) == (cli.EXIT_INPUT, "")
-        assert err == "input error: truncation_eps must be positive, got -1.0\n"
 
     def test_nan_level_is_an_input_error(self, capsys):
         # the batch used to key its levels by a NaN that no lookup matches
@@ -721,13 +720,17 @@ class TestSimulateChecksBeforeWriting:
         assert err == f"input error: {message}\n"
         assert not out_dir.exists()
 
-    def test_density_without_a_cutoff_leaves_no_directory(self, capsys, tmp_path):
+    def test_density_past_the_event_cap_leaves_no_directory(self, capsys, tmp_path):
+        # c = 3e8 on a box of area 2 is a rate of 6e8: over the default
+        # horizon of 10, 6e9 arrivals, past the cap
+        dens = DENSITY_SPEC["jumps"]["density"]
+        spec = {**DENSITY_SPEC, "jumps": {"density": {**dens, "params": {"c": 3e8}}}}
         f = tmp_path / "spec.json"
-        f.write_text(json.dumps(DENSITY_SPEC))
+        f.write_text(json.dumps(spec))
         out_dir = tmp_path / "paths"
         code, out, err = run_cli(capsys, "simulate", "--spec", str(f), "--out", str(out_dir))
         assert (code, out) == (cli.EXIT_INPUT, "")
-        assert err.startswith("error: density-tier simulation requires an explicit")
+        assert err.startswith("input error: a path expects 6e+09 arrivals and grid steps")
         assert not out_dir.exists()
 
 
@@ -990,7 +993,7 @@ class TestUndeterminedExit:
         f.write_text(json.dumps(spec))
         code, _, err = run_cli(
             capsys, "estimate", "--spec", str(f), "--what", "ruin", "--paths", "5",
-            "--horizon", "1", "--truncation-eps", "0.3",
+            "--horizon", "1",
         )
         assert code == 2
         assert err.startswith("undetermined: ")

@@ -13,7 +13,12 @@ import pytest
 from scipy import stats
 
 from gouruin.classify import DecisionKind, Verdict, no_ruin_threshold
-from gouruin.errors import InvalidModelError, NotApplicableError, UndeterminedError
+from gouruin.errors import (
+    InvalidModelError,
+    NotApplicableError,
+    NotSupportedError,
+    UndeterminedError,
+)
 from gouruin.estimate import (
     EmpiricalCDF,
     _dispatch_batch,
@@ -30,7 +35,14 @@ from gouruin.estimate import (
     worker_count,
 )
 from gouruin import bridge, estimate, events, simulate
-from gouruin.model import FiniteAtomSet, JumpAtom, LevyTriplet2D, density_from_json, rigid_level
+from gouruin.model import (
+    FiniteAtomSet,
+    JumpAtom,
+    LevyTriplet2D,
+    LineDensity,
+    density_from_json,
+    rigid_level,
+)
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
 from gouruin.simulate import (
     PathConfig,
@@ -902,53 +914,43 @@ def box_density_triplet():
 
 
 class TestDensityTier:
-    Z, HORIZON, N, SEED, STEP, EPS = 0.5, 5.0, 20, 3, 0.05, 0.3
+    Z, HORIZON, N, SEED, STEP = 0.5, 5.0, 20, 3, 0.05
 
     def test_records_match_per_path_simulation(self):
         t = box_density_triplet()
         assert _select_engine(t) == "mixed_grid"
-        args = (t, self.Z, self.HORIZON, self.N, self.SEED)
-        kw = dict(step=self.STEP, truncation_eps=self.EPS)
-        est = estimate_ruin(*args, **kw)
-        hit, times, values, cont = ruin_records(*args, **kw)
+        args = (t, self.Z, self.HORIZON, self.N, self.SEED, self.STEP)
+        est = estimate_ruin(*args)
+        hit, times, values, cont = ruin_records(*args)
         assert int(hit.sum()) == est.n_events > 0
-        cfg = PathConfig(self.HORIZON, self.STEP, self.SEED, self.EPS)
+        cfg = PathConfig(self.HORIZON, self.STEP, self.SEED)
         for i in range(self.N):
             fp = first_passage(simulate_pair(t, cfg, i), self.Z)
             assert hit[i] == fp.hit
             assert np.array_equal([times[i], values[i]], [fp.time, fp.v_at_hit], equal_nan=True)
             assert cont[i] == fp.continuous_crossing
 
-    def test_jump_table_is_built_once_per_batch(self, monkeypatch):
-        build = simulate._density_jump_table
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(simulate, "_density_jump_table", counted)
-        monkeypatch.setattr(estimate, "_density_jump_table", counted)
+    def test_jump_table_is_built_once_per_batch(self):
+        simulate._density_jump_table.cache_clear()
         estimate_ruin(box_density_triplet(), self.Z, self.HORIZON, self.N, self.SEED,
-                      step=self.STEP, truncation_eps=self.EPS)
-        assert len(calls) == 1
+                      step=self.STEP)
+        assert simulate._density_jump_table.cache_info().misses == 1
 
-    def test_formula_checks_build_one_jump_table_for_both_batches(self, monkeypatch):
+    def test_formula_checks_build_one_jump_table_for_both_batches(self):
         # the law of the discounted integral and the ruin batch run on one
-        # driver and one cutoff, so they share the table
-        build = simulate._density_jump_table
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(simulate, "_density_jump_table", counted)
-        monkeypatch.setattr(estimate, "_density_jump_table", counted)
+        # measure, so they share its table
+        simulate._density_jump_table.cache_clear()
         checks = ruin_formula_checks(box_density_triplet(), [self.Z], self.HORIZON, self.N,
-                                     self.SEED, step=self.STEP, truncation_eps=self.EPS)
-        assert len(calls) == 1
+                                     self.SEED, step=self.STEP)
+        assert simulate._density_jump_table.cache_info().misses == 1
         assert checks[self.Z].lhs.diagnostics["engine"] == "mixed_grid"
+
+    def test_a_density_that_is_no_named_family_is_refused(self):
+        # it used to fail on a missing box attribute, with no package error
+        t = LevyTriplet2D((0.3, 0.1), ((0.0, 0.0), (0.0, 0.0)),
+                          LineDensity("y", lambda v: 1.0, 0.5, 1.5))
+        with pytest.raises(NotSupportedError, match="named density family"):
+            estimate_ruin(t, self.Z, self.HORIZON, self.N, self.SEED, step=self.STEP)
 
 
 class TestNegativeProb:
@@ -1197,7 +1199,7 @@ class TestPerPathEngineChunks:
         else:
             def batch(z_list):
                 return estimate._mixed_batch(
-                    MIXED_ATOMS, z_list, 5.0, 0.05, 200, 7, 0, None, want_times=True
+                    MIXED_ATOMS, z_list, 5.0, 0.05, 200, 7, 0, want_times=True
                 )
         levels = [float(z) for z in np.linspace(0.02, 2.0, 50)]
         many = batch(levels)
@@ -1229,7 +1231,7 @@ class TestPerPathEngineChunks:
         # T = 2000 at step 0.01: 200 001 grid instants per row, far past the
         # element budget, so the rows march in rounds, each within it.
         rounds = self.record_rounds(monkeypatch, "_mixed_rounds")
-        estimate._mixed_batch(MIXED_ATOMS, [], 2000.0, 0.01, 3, 1, 0, None)
+        estimate._mixed_batch(MIXED_ATOMS, [], 2000.0, 0.01, 3, 1, 0)
         assert len(rounds) > 50
         assert all(chunk.Z.size <= estimate._CHUNK_ELEMS for _, chunk in rounds)
         assert all(np.array_equal(ids, [0, 1, 2]) for ids, _ in rounds)

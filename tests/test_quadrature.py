@@ -21,10 +21,10 @@ from gouruin.model import (
 )
 from gouruin.quadrature import (
     AffineY, BandEdge, ChordEdge, ConstEdge, LineEdge, Strip, clip_strips_to_box,
-    integrate_strips, strips_in_annulus, strips_outside_ball,
+    integrate_strips, strips_outside_ball,
 )
 from gouruin.regions import _disk_region_strips, _quadrant_strips, quadrant_mass
-from oracles import FnBoxDensity, nquad_strips
+from oracles import FnBoxDensity, nquad_strips, strips_in_annulus
 
 EDGES = [
     ConstEdge(0.3),

@@ -14,11 +14,15 @@ from gouruin import simulate as simulate_module
 from gouruin.errors import InvalidModelError, NotSupportedError
 from gouruin.estimate import _fv_batch, _mixed_batch
 from gouruin.model import (
+    X_COORD,
+    Y_COORD,
     FiniteAtomSet,
     JumpAtom,
     LevyTriplet2D,
+    LineDensity,
     density_from_json,
 )
+from gouruin.quadrature import ChordEdge, Strip
 from gouruin.presets import continuous_example_triplet, jump_example_triplet
 from gouruin.simulate import (
     FirstPassage,
@@ -26,6 +30,7 @@ from gouruin.simulate import (
     _arrival_times,
     _density_jump_table,
     _fv_events,
+    _pair_rates,
     _prefix_sums,
     _run_counters,
     brownian_part,
@@ -39,6 +44,7 @@ from gouruin.simulate import (
     time_grid,
 )
 from oracles import (
+    FnBoxDensity,
     KeyedDraws,
     keyed_euler_path,
     keyed_exact_path,
@@ -96,11 +102,11 @@ def exact_rows(t, horizon, seed, paths, budget):
     return rows
 
 
-def euler_rows(t, grid, table, seed, paths, budget):
+def euler_rows(t, grid, seed, paths, budget):
     """Each path's instants over its ``mixed_grid`` rounds: times, xi, eta,
     their left limits, jump flags and Z."""
     rows = {i: [] for i in paths}
-    for ids, chunk in events._mixed_rounds(t, grid, table, seed, 0, np.asarray(paths), budget):
+    for ids, chunk in events._mixed_rounds(t, grid, seed, 0, np.asarray(paths), budget):
         p, s = chunk.p, chunk.start
         for r, i in enumerate(ids.tolist()):
             cut = slice(s, chunk.lengths[r])
@@ -226,16 +232,49 @@ class TestSimulatePair:
         p3 = simulate_pair(t, cfg, path_index=8)
         assert not np.array_equal(p1.times, p3.times)
 
-    def test_density_driver_needs_a_truncation_cutoff(self):
+    def test_density_driver_simulates_without_a_cutoff(self):
         t = LevyTriplet2D(
             (0.3, 0.1), ((0.0, 0.0), (0.0, 0.0)),
             density_from_json({"kind": "uniform_box", "params": {"c": 0.3},
                                "box": [0.5, 1.5, -1.5, 0.5]}),
         )
-        with pytest.raises(NotSupportedError):
-            simulate_pair(t, PathConfig(1.0, 0.1, 3))
-        p = simulate_pair(t, PathConfig(5.0, 0.05, 3, truncation_eps=0.3))
+        p = simulate_pair(t, PathConfig(5.0, 0.05, 3))
         assert int(p.jump_flags.sum()) > 0
+        line = LevyTriplet2D((0.3, 0.1), ((0.0, 0.0), (0.0, 0.0)),
+                             LineDensity("y", lambda v: 1.0, 0.5, 1.5))
+        with pytest.raises(NotSupportedError, match="named density family"):
+            simulate_pair(line, PathConfig(1.0, 0.1, 3))
+
+    def test_a_loop_over_one_driver_builds_one_jump_table(self):
+        t = LevyTriplet2D(
+            (0.3, 0.1), ((0.2, 0.0), (0.0, 0.1)),
+            density_from_json({"kind": "uniform_box", "params": {"c": 3.0},
+                               "box": [0.5, 1.5, -1.5, 0.5]}),
+        )
+        _density_jump_table.cache_clear()
+        for i in range(4):
+            simulate_pair(t, PathConfig(1.0, 0.1, 3), path_index=i)
+        assert _density_jump_table.cache_info().misses == 1
+
+    @pytest.mark.parametrize("view, field", [
+        ("simulate_pair", "path_index"), ("simulate_pair", "stream"),
+        ("fv_first_passage", "path_index"), ("fv_first_passage", "stream"),
+        ("fv_first_passage", "seed"),
+    ])
+    def test_negative_keys_are_input_errors(self, view, field):
+        # path -1 would read the counters of path 2^32 - 1, past the cap
+        t = jump_example_triplet(1.0, 1.0)
+        with pytest.raises(InvalidModelError,
+                           match=f"^{field} must be a non-negative integer, got -1$"):
+            if view == "simulate_pair":
+                simulate_pair(t, PathConfig(1.0, 0.1, 3), **{field: -1})
+            else:
+                fv_first_passage(t, 1.0, 1.0, **{"seed": 3, field: -1})
+
+    def test_negative_seed_is_an_input_error(self):
+        with pytest.raises(InvalidModelError,
+                           match="^seed must be a non-negative integer, got -3$"):
+            PathConfig(1.0, 0.1, -3)
 
     def test_jump_counts_follow_the_poisson_law(self):
         lam, T = 2.0, 1.0
@@ -436,12 +475,12 @@ class TestExactEventDriven:
             assert same(a, b)
         # and on mixed_grid, rounds of three instants
         cfg = PathConfig(1.0, 0.05, 6)
-        rounds = list(events._mixed_rounds(MIXED, time_grid(1.0, 0.05), None, 6, 0, np.array([i]), 4))
+        rounds = list(events._mixed_rounds(MIXED, time_grid(1.0, 0.05), 6, 0, np.array([i]), 4))
         assert len(rounds) > 3
         parts = [c.states(0.7) for _, c in rounds]
         got = [np.concatenate([a[0, :s.length[0]] for s in parts for a in [s[f]]])
                for f in range(5)]
-        for a, b in zip(got, RefEulerPath(MIXED, cfg, None, i).states(0.7)):
+        for a, b in zip(got, RefEulerPath(MIXED, cfg, i).states(0.7)):
             assert same(a, b)
 
 
@@ -515,8 +554,8 @@ def same(a, b) -> bool:
 class RefEulerPath:
     """One ``mixed_grid`` path of the keyed oracle, with its Z."""
 
-    def __init__(self, t, cfg, jump_table, path):
-        self.p = keyed_euler_path(t, cfg.horizon, cfg.step, cfg.seed, path, 0, jump_table)
+    def __init__(self, t, cfg, path):
+        self.p = keyed_euler_path(t, cfg.horizon, cfg.step, cfg.seed, path)
         self.Z = keyed_z(self.p)
         self.z_T, self.xi_T = self.Z[-1], self.p.xi[-1]
 
@@ -643,10 +682,10 @@ class TestChunkBuildersMatchThePerPathReference:
     def test_pair_rows_of_a_ragged_chunk(self, seed):
         cfg = PathConfig(3.0, 0.1, seed)
         grid = time_grid(cfg.horizon, cfg.step)
-        whole = euler_rows(MIXED, grid, None, seed, range(5), 8192)
+        whole = euler_rows(MIXED, grid, seed, range(5), 8192)
         assert len({len(r[0]) for r in whole.values()}) > 1  # ragged
         for budget in (8192, 24):
-            rows = euler_rows(MIXED, grid, None, seed, range(5), budget)
+            rows = euler_rows(MIXED, grid, seed, range(5), budget)
             for r, got in rows.items():
                 ref = keyed_euler_path(MIXED, cfg.horizon, cfg.step, seed, r)
                 for name, a in zip(("times", "xi", "eta", "xi_left", "eta_left"), got):
@@ -684,7 +723,7 @@ class TestChunkBuildersMatchThePerPathReference:
         assert [len(c) for c in clocks.values()] == [7, 2]
         grid = time_grid(cfg.horizon, cfg.step)
         for budget in (8192, 4):
-            rows = euler_rows(t, grid, None, 1, [0, 1], budget)
+            rows = euler_rows(t, grid, 1, [0, 1], budget)
             assert [len(rows[r][0]) for r in gaps] == [9 + 3, 9 + 2]
             for r in gaps:
                 ref = keyed_euler_path(t, cfg.horizon, cfg.step, 1, r, arrivals=clocks[r])
@@ -705,15 +744,64 @@ class TestChunkBuildersMatchThePerPathReference:
             density_from_json({"kind": "uniform_box", "params": {"c": 3.0},
                                "box": [0.5, 1.5, -1.5, 0.5]}),
         )
-        cfg = PathConfig(4.0, 0.1, 9, truncation_eps=0.3)
-        table = _density_jump_table(t, cfg.truncation_eps)
-        rows = euler_rows(t, time_grid(cfg.horizon, cfg.step), table, 9, range(4), 64)
+        cfg = PathConfig(4.0, 0.1, 9)
+        rows = euler_rows(t, time_grid(cfg.horizon, cfg.step), 9, range(4), 64)
         assert sum(r[5].sum() for r in rows.values()) > 20
         for r, got in rows.items():
-            ref = keyed_euler_path(t, cfg.horizon, cfg.step, 9, r, jump_table=table)
+            ref = keyed_euler_path(t, cfg.horizon, cfg.step, 9, r)
             for name, a in zip(("times", "xi", "eta", "xi_left", "eta_left"), got):
                 assert same(a, getattr(ref, name)), name
             assert np.array_equal(got[5], ref.jump_flags)
+
+
+class TestDensityFamilyIsCompoundPoisson:
+    """A named family has finite mass, so ``mixed_grid`` draws its jumps at
+    that rate, with the drift compensated over the open unit ball: the
+    jumps inside the ball are simulated, not cut."""
+
+    C, A, B = 2.0, 1.0, 1.5
+    GAMMA = (0.4, -0.3)
+
+    def driver(self, box):
+        spec = {"kind": "exp_tails", "params": {"c": self.C, "a": self.A, "b": self.B},
+                "box": box}
+        return LevyTriplet2D(self.GAMMA, ((0.0, 0.0), (0.0, 0.0)), density_from_json(spec))
+
+    @pytest.mark.parametrize("box", [[-1.0, 1.0, -1.0, 1.0], [-0.5, 1.5, -1.0, 0.8]],
+                             ids=["across_the_origin", "skewed"])
+    def test_rate_is_the_mass_and_drift_the_ball_compensated_one(self, box):
+        t = self.driver(box)
+        bx, by, rate = _pair_rates(t)
+
+        def tails(k, lo, hi):  # the integral of e^(-k |v|) over [lo, hi]
+            def odd(v):  # its antiderivative, odd in v
+                return math.copysign(-math.expm1(-k * abs(v)) / k, v)
+
+            return odd(hi) - odd(lo)
+
+        x0, x1, y0, y1 = box
+        mass = self.C * tails(self.A, x0, x1) * tails(self.B, y0, y1)
+        assert rate == pytest.approx(mass, rel=1e-12)
+        # the oracle's nested quadrature of the density as a Python function
+        oracle = FnBoxDensity(
+            lambda x, y: self.C * math.exp(-self.A * abs(x) - self.B * abs(y)), box)
+        ball = [Strip(-1.0, 1.0, (ChordEdge(1.0, -1.0),), (ChordEdge(1.0),))]
+        tol = t.jumps.tol
+        assert abs(bx - (self.GAMMA[0] - oracle.integrate(X_COORD, ball))) <= tol
+        assert abs(by - (self.GAMMA[1] - oracle.integrate(Y_COORD, ball))) <= tol
+
+    def test_jump_count_over_the_horizon_has_mean_mass_times_horizon(self):
+        t, horizon, n = self.driver([-1.0, 1.0, -1.0, 1.0]), 1.0, 4000
+        counts = np.zeros(n)
+
+        def count(ids, chunk):
+            s = chunk.states(0.0)
+            held = np.arange(s.jump.shape[1]) < s.length[:, None]
+            counts[ids] += (s.jump & held).sum(axis=1)
+
+        _mixed_batch(t, [], horizon, 0.1, n, 2, 0, False, count)
+        expected = _pair_rates(t)[2] * horizon
+        assert abs(counts.mean() - expected) <= 4.0 * math.sqrt(expected / n)
 
 
 class TestChunkReductionsMatchThePerPathLoop:
@@ -756,8 +844,8 @@ class TestChunkReductionsMatchThePerPathLoop:
         horizon, step, n, seed = 5.0, 0.05, 120, 3
         cfg = PathConfig(horizon, step, seed)
         sink, states = states_sink(states_at, n) if states_at is not None else (None, None)
-        batch = _mixed_batch(MIXED, z_list, horizon, step, n, seed, 0, None, want_times, sink)
-        ref = ref_batch(lambda i: RefEulerPath(MIXED, cfg, None, i),
+        batch = _mixed_batch(MIXED, z_list, horizon, step, n, seed, 0, want_times, sink)
+        ref = ref_batch(lambda i: RefEulerPath(MIXED, cfg, i),
                         z_list, horizon, n, seed, want_times, states_at)
         assert_batch_matches(batch, ref, z_list, want_times, states and states())
 
@@ -768,8 +856,8 @@ class TestChunkReductionsMatchThePerPathLoop:
         t = LevyTriplet2D((-1.0, 1.0), ((0.01, 0.0), (0.0, 0.01)), atoms((0.1, -1.5, 0.001)))
         horizon, step, n, seed = 800.0, 0.5, 40, 1
         cfg = PathConfig(horizon, step, seed)
-        batch = _mixed_batch(t, [0.5], horizon, step, n, seed, 0, None, True)
-        ref = ref_batch(lambda i: RefEulerPath(t, cfg, None, i), [0.5], horizon, n, seed, True)
+        batch = _mixed_batch(t, [0.5], horizon, step, n, seed, 0, True)
+        ref = ref_batch(lambda i: RefEulerPath(t, cfg, i), [0.5], horizon, n, seed, True)
         assert_batch_matches(batch, ref, [0.5], True)
         assert 0 < batch.nonfinite < n
 
@@ -786,7 +874,7 @@ class TestOneJumpSampler:
         n, seed, horizon = 40, 6, 10.0
         mixed_sink, mixed = states_sink(0.5, n)
         exact_sink, exact = states_sink(0.5, n)
-        _mixed_batch(FV, [], horizon, 0.05, n, seed, 0, None, False, mixed_sink)
+        _mixed_batch(FV, [], horizon, 0.05, n, seed, 0, False, mixed_sink)
         _fv_batch(FV, [], horizon, n, seed, 0, False, exact_sink)
         jumps = 0
         for (tm, xm, _, _, jm), (te, xe, _, _, je) in zip(mixed(), exact()):
@@ -799,7 +887,7 @@ class TestOneJumpSampler:
         n, seed, horizon = 40, 6, 10.0
         exact = _fv_batch(FV, [], horizon, n, seed, 0).z_T
         errors = [
-            np.abs(_mixed_batch(FV, [], horizon, step, n, seed, 0, None).z_T - exact).max()
+            np.abs(_mixed_batch(FV, [], horizon, step, n, seed, 0).z_T - exact).max()
             for step in (0.04, 0.02, 0.01, 0.005)
         ]
         assert errors[0] > 1e-3
